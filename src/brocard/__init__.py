@@ -8,6 +8,9 @@ circle and its companions; the suite (:mod:`brocard.checks`) verifies each
 statement as an exact identity with witness values.
 """
 
+# The one source of the version: packaging metadata and reports read it here.
+__version__ = "0.1.0"
+
 from .geom import (
     CenterDegenerate,
     Circle,
@@ -48,8 +51,6 @@ from .scene import (
     validate_scene,
 )
 from .checks import CheckResult, SuiteReport, THEOREM_CHECK_IDS, run_suite
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CenterDegenerate",

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from .checks import run_suite
 from .geom import GeometryError, Point, rat
 from .pipeline import ClassicalOverlay, classical_overlay, compute_configuration
-from .scene import SceneParams, classical_brocard_scene, generate_scene
+from .scene import SceneParams, classical_brocard_scene, generate_scene, validate_scene
 from .sceneio import (
     SceneFormatError,
     file_digest,
@@ -158,6 +158,11 @@ def cmd_render(args: argparse.Namespace) -> int:
         print(f"error: index {args.index} out of range (file has {len(scenes)} scenes)", file=sys.stderr)
         return 1
     scene = scenes[args.index]
+    violations = validate_scene(scene)
+    if violations:
+        for violation in violations:
+            print(f"error: scene {args.index} is invalid: {violation}", file=sys.stderr)
+        return 1
     layers = LAYERS
     if args.layers:
         layers = tuple(l.strip() for l in args.layers.split(",") if l.strip())

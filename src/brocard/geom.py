@@ -108,12 +108,36 @@ def rational_sqrt(value: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _det3(
-    a: Fraction, b: Fraction, c: Fraction,
-    d: Fraction, e: Fraction, f: Fraction,
-    g: Fraction, h: Fraction, i: Fraction,
-) -> Fraction:
+def _det3(a, b, c, d, e, f, g, h, i):
+    """3x3 determinant of ints or Fractions, by rows."""
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+# The hot constructions below read their inputs as integers over one common
+# denominator, compute with plain ints and build each output Fraction (or
+# the canonical Line triple) once: Fraction arithmetic reduces by gcd on
+# every operation, which dominates at the coordinate sizes scenes reach.
+
+
+def _hom(p: "Point") -> Tuple[int, int, int]:
+    """Homogeneous integer coordinates (X, Y, W) of p, with W > 0 the lcm of
+    the coordinate denominators, so that p = (X/W, Y/W)."""
+    nx, dx = p.x.as_integer_ratio()
+    ny, dy = p.y.as_integer_ratio()
+    if dx == dy:
+        return nx, ny, dx
+    w = lcm(dx, dy)
+    return nx * (w // dx), ny * (w // dy), w
+
+
+def _hom_circle(c: "Circle") -> Tuple[int, int, int, int]:
+    """Integers (D, E, F, V), V > 0 the lcm of the coefficient denominators,
+    with c = x^2 + y^2 + (D*x + E*y + F)/V."""
+    nd, dd = c.d.as_integer_ratio()
+    ne, de = c.e.as_integer_ratio()
+    nf, df = c.f.as_integer_ratio()
+    v = lcm(dd, de, df)
+    return nd * (v // dd), ne * (v // de), nf * (v // df), v
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +263,25 @@ def complex_ratio(u: Point, v: Point) -> ComplexScalar:
 # Lines
 
 
-def _canonical_int_tuple(*values: Fraction) -> Tuple[int, ...]:
-    """Scale a rational tuple to coprime integers, first nonzero positive."""
-    den = lcm(*(v.denominator for v in values))
-    ints = [int(v * den) for v in values]
+def _cleared(*values: RationalLike) -> Tuple[int, ...]:
+    """Scale a rational tuple by the lcm of its denominators to integers."""
+    fracs = [rat(v) for v in values]
+    den = lcm(*(v.denominator for v in fracs))
+    return tuple(v.numerator * (den // v.denominator) for v in fracs)
+
+
+def _canonical_ints(*ints: int) -> Tuple[int, ...]:
+    """Divide an integer tuple, not all zero, by its gcd, signed so that the
+    first nonzero entry is positive."""
     g = gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    for v in ints:
+        if v:
+            if v < 0:
+                g = -g
+            break
+    if g == 1:
+        return ints
+    return tuple([v // g for v in ints])
 
 
 @dataclass(frozen=True)
@@ -261,17 +293,20 @@ class Line:
     c: int
 
     def __post_init__(self):
-        a, b, c = rat(self.a), rat(self.b), rat(self.c)
+        a, b, c = self.a, self.b, self.c
+        if not (type(a) is int and type(b) is int and type(c) is int):
+            a, b, c = _cleared(a, b, c)
         if a == 0 and b == 0:
             raise Degenerate("line", "normal vector (a, b) is zero")
-        ia, ib, ic = _canonical_int_tuple(a, b, c)
-        object.__setattr__(self, "a", ia)
-        object.__setattr__(self, "b", ib)
-        object.__setattr__(self, "c", ic)
+        a, b, c = _canonical_ints(a, b, c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def eval(self, p: Point) -> Fraction:
         """Signed residual of p in the line equation; zero iff p is on the line."""
-        return self.a * p.x + self.b * p.y + self.c
+        x, y, w = _hom(p)
+        return Fraction(self.a * x + self.b * y + self.c * w, w)
 
     @property
     def direction(self) -> Point:
@@ -316,7 +351,7 @@ class Circle:
 
     def eval(self, p: Point) -> Fraction:
         """Power of the point p; zero iff p is on the circle."""
-        return p.x * p.x + p.y * p.y + self.d * p.x + self.e * p.y + self.f
+        return Fraction(*_power(p, self))
 
     def __repr__(self) -> str:
         return f"Circle({self.d}, {self.e}, {self.f})"
@@ -338,12 +373,14 @@ class DirectedAngleClass:
     dot: int
 
     def __post_init__(self):
-        u, v = rat(self.cross), rat(self.dot)
+        u, v = self.cross, self.dot
+        if not (type(u) is int and type(v) is int):
+            u, v = _cleared(u, v)
         if u == 0 and v == 0:
             raise Degenerate("angle class", "(cross, dot) is zero")
-        iu, iv = _canonical_int_tuple(u, v)
-        object.__setattr__(self, "cross", iu)
-        object.__setattr__(self, "dot", iv)
+        u, v = _canonical_ints(u, v)
+        object.__setattr__(self, "cross", u)
+        object.__setattr__(self, "dot", v)
 
     def __neg__(self) -> "DirectedAngleClass":
         return DirectedAngleClass(-self.cross, self.dot)
@@ -372,9 +409,13 @@ def angle_at(vertex: Point, p: Point, q: Point) -> DirectedAngleClass:
 
 
 def line_through(p: Point, q: Point) -> Line:
-    if p == q:
+    x1, y1, w1 = _hom(p)
+    x2, y2, w2 = _hom(q)
+    a = y1 * w2 - y2 * w1
+    b = x2 * w1 - x1 * w2
+    if a == 0 and b == 0:
         raise CoincidentPoints(f"no unique line through {p} twice")
-    return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
+    return Line(a, b, x1 * y2 - x2 * y1)
 
 
 def intersect_lines(l1: Line, l2: Line) -> Point:
@@ -388,39 +429,56 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
 
 
 def parallel_through(p: Point, l: Line) -> Line:
-    return Line(l.a, l.b, -(l.a * p.x + l.b * p.y))
+    x, y, w = _hom(p)
+    return Line(l.a * w, l.b * w, -(l.a * x + l.b * y))
 
 
 def perpendicular_through(p: Point, l: Line) -> Line:
-    return Line(l.b, -l.a, -(l.b * p.x - l.a * p.y))
+    x, y, w = _hom(p)
+    return Line(l.b * w, -l.a * w, l.a * y - l.b * x)
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:
-    if p == q:
+    x1, y1, w1 = _hom(p)
+    x2, y2, w2 = _hom(q)
+    dx = x2 * w1 - x1 * w2
+    dy = y2 * w1 - y1 * w2
+    if dx == 0 and dy == 0:
         raise CoincidentPoints("perpendicular bisector of a point with itself")
+    w12 = w1 * w2
     return Line(
-        2 * (q.x - p.x),
-        2 * (q.y - p.y),
-        p.x * p.x + p.y * p.y - q.x * q.x - q.y * q.y,
+        2 * dx * w12,
+        2 * dy * w12,
+        (x1 * x1 + y1 * y1) * w2 * w2 - (x2 * x2 + y2 * y2) * w1 * w1,
     )
 
 
 def foot_perpendicular(p: Point, l: Line) -> Point:
-    t = l.eval(p) / (l.a * l.a + l.b * l.b)
-    return Point(p.x - t * l.a, p.y - t * l.b)
+    x, y, w = _hom(p)
+    a, b = l.a, l.b
+    n2 = a * a + b * b
+    r = a * x + b * y + l.c * w
+    den = w * n2
+    return Point(Fraction(x * n2 - r * a, den), Fraction(y * n2 - r * b, den))
 
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:
-    det = _det3(p.x, p.y, rat(1), q.x, q.y, rat(1), r.x, r.y, rat(1))
+    # Row i of the usual determinants, scaled by W_i^2 > 0; the common
+    # factor cancels in each ratio.
+    x1, y1, w1 = _hom(p)
+    x2, y2, w2 = _hom(q)
+    x3, y3, w3 = _hom(r)
+    a1, b1, c1, s1 = x1 * w1, y1 * w1, w1 * w1, -(x1 * x1 + y1 * y1)
+    a2, b2, c2, s2 = x2 * w2, y2 * w2, w2 * w2, -(x2 * x2 + y2 * y2)
+    a3, b3, c3, s3 = x3 * w3, y3 * w3, w3 * w3, -(x3 * x3 + y3 * y3)
+    det = _det3(a1, b1, c1, a2, b2, c2, a3, b3, c3)
     if det == 0:
         raise CollinearPoints("no circle through collinear points")
-    sp = -(p.x * p.x + p.y * p.y)
-    sq = -(q.x * q.x + q.y * q.y)
-    sr = -(r.x * r.x + r.y * r.y)
-    d = _det3(sp, p.y, rat(1), sq, q.y, rat(1), sr, r.y, rat(1)) / det
-    e = _det3(p.x, sp, rat(1), q.x, sq, rat(1), r.x, sr, rat(1)) / det
-    f = _det3(p.x, p.y, sp, q.x, q.y, sq, r.x, r.y, sr) / det
-    return Circle(d, e, f)
+    return Circle(
+        Fraction(_det3(s1, b1, c1, s2, b2, c2, s3, b3, c3), det),
+        Fraction(_det3(a1, s1, c1, a2, s2, c2, a3, s3, c3), det),
+        Fraction(_det3(a1, b1, s1, a2, b2, s2, a3, b3, s3), det),
+    )
 
 
 def circle_through_tangent(t: Point, l: Line, p: Point) -> Circle:
@@ -461,10 +519,15 @@ def second_intersection_circle_line(c: Circle, l: Line, x: Point) -> Tuple[Point
     if not on_circle(x, c):
         raise PointNotOnCircle(f"{x} is not on {c}")
     a, b = l.a, l.b
-    t = -(2 * x.x * b - 2 * x.y * a + c.d * b - c.e * a) / Fraction(a * a + b * b)
-    if t == 0:
+    px, py, w = _hom(x)
+    d, e, _, v = _hom_circle(c)
+    # t = -n / (v * w * (a^2 + b^2)) is the second root.
+    n = 2 * v * (px * b - py * a) + w * (d * b - e * a)
+    if n == 0:
         return x, True
-    return Point(x.x + t * b, x.y - t * a), False
+    n2 = v * (a * a + b * b)
+    den = w * n2
+    return Point(Fraction(px * n2 - n * b, den), Fraction(py * n2 + n * a, den)), False
 
 
 def second_intersection_circles(c1: Circle, c2: Circle, x: Point) -> Tuple[Point, bool]:
@@ -480,26 +543,30 @@ def second_intersection_circles(c1: Circle, c2: Circle, x: Point) -> Tuple[Point
         raise PointNotOnCircle(f"{x} is not on {c1}")
     if not on_circle(x, c2):
         raise PointNotOnCircle(f"{x} is not on {c2}")
-    radical_axis = Line(c1.d - c2.d, c1.e - c2.e, c1.f - c2.f)
+    d1, e1, f1, v1 = _hom_circle(c1)
+    d2, e2, f2, v2 = _hom_circle(c2)
+    radical_axis = Line(d1 * v2 - d2 * v1, e1 * v2 - e2 * v1, f1 * v2 - f2 * v1)
     return second_intersection_circle_line(c1, radical_axis, x)
 
 
 def polar_of_point(p: Point, c: Circle) -> Line:
-    if p == c.center:
+    x, y, w = _hom(p)
+    d, e, f, v = _hom_circle(c)
+    a = 2 * v * x + d * w
+    b = 2 * v * y + e * w
+    if a == 0 and b == 0:
         raise CenterDegenerate("polar of the center is the line at infinity")
-    return Line(
-        p.x + c.d / 2,
-        p.y + c.e / 2,
-        (c.d * p.x + c.e * p.y) / 2 + c.f,
-    )
+    return Line(a, b, d * x + e * y + 2 * f * w)
 
 
 def pole_of_line(l: Line, c: Circle) -> Point:
-    denom = Fraction(c.d * l.a + c.e * l.b, 2) - l.c
+    d, e, f, v = _hom_circle(c)
+    denom = d * l.a + e * l.b - 2 * v * l.c
     if denom == 0:
         raise CenterDegenerate("pole of a line through the center is at infinity")
-    lam = c.radius2 / denom
-    return Point(lam * l.a - c.d / 2, lam * l.b - c.e / 2)
+    r = d * d + e * e - 4 * f * v  # 4 * v^2 * radius2
+    den = 2 * v * denom
+    return Point(Fraction(r * l.a - d * denom, den), Fraction(r * l.b - e * denom, den))
 
 
 def isogonal_conjugate(p: Point, a: Point, b: Point, c: Point) -> Point:
@@ -554,11 +621,19 @@ def simson_line(p: Point, a: Point, b: Point, c: Point) -> Line:
 
 
 def on_line(p: Point, l: Line) -> bool:
-    return l.eval(p) == 0
+    x, y, w = _hom(p)
+    return l.a * x + l.b * y + l.c * w == 0
+
+
+def _power(p: Point, c: Circle) -> Tuple[int, int]:
+    """Power of p with respect to c as an unreduced (numerator, denominator)."""
+    x, y, w = _hom(p)
+    d, e, f, v = _hom_circle(c)
+    return v * (x * x + y * y) + w * (d * x + e * y + f * w), v * w * w
 
 
 def on_circle(p: Point, c: Circle) -> bool:
-    return c.eval(p) == 0
+    return _power(p, c)[0] == 0
 
 
 def collinear_det(p: Point, q: Point, r: Point) -> Fraction:

@@ -2,8 +2,10 @@
 
 Rationals serialize as canonical ``"p/q"`` strings, never as floating
 point JSON numbers, so files are lossless and byte-deterministic.  The
-parser rejects any coordinate that is not in lowest terms with a positive
-denominator: round trips are the identity on both sides.
+parser accepts only the text ``rational_to_str`` writes (lowest terms,
+positive denominator, no sign on zero, no leading zeros, spaces or
+underscores) and only JSON booleans as flags: round trips are the
+identity on both sides.
 
 Report files deliberately omit wall-clock timings; their bytes are a pure
 function of the input and the tool version.
@@ -13,17 +15,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from . import __version__
 from .checks import SuiteReport
 from .geom import Circle, Point
 from .scene import Scene
 
 SCENE_FORMAT = "brocard-scenes/1"
 REPORT_FORMAT = "brocard-report/1"
-TOOL_VERSION = "0.1.0"
+
+# What rational_to_str writes: an optional minus on a nonzero numerator
+# without leading zeros, then a positive denominator.
+_RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
 class SceneFormatError(ValueError):
@@ -37,15 +44,11 @@ def rational_to_str(value: Fraction) -> str:
 def rational_from_str(text: str) -> Fraction:
     if not isinstance(text, str):
         raise SceneFormatError(f"rational must be a string, got {type(text).__name__}")
-    num_s, _, den_s = text.partition("/")
-    try:
-        num = int(num_s)
-        den = int(den_s) if den_s else 1
-    except ValueError as exc:
-        raise SceneFormatError(f"malformed rational {text!r}") from exc
-    if den <= 0:
-        raise SceneFormatError(f"rational {text!r} must have a positive denominator")
-    if gcd(abs(num), den) != 1:
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise SceneFormatError(f"malformed rational {text!r}: expected canonical p/q with q > 0")
+    num, den = int(match[1]), int(match[2])
+    if gcd(num, den) != 1:
         raise SceneFormatError(f"rational {text!r} is not in lowest terms")
     return Fraction(num, den)
 
@@ -87,10 +90,18 @@ def scene_from_dict(data: Any, where: str = "scene") -> Scene:
     points = {name: _point_from_json(data[name], f"{where}.{name}") for name in _POINT_FIELDS}
     return Scene(
         gamma=Circle(*(rational_from_str(gamma[k]) for k in ("d", "e", "f"))),
-        classical=bool(data.get("classical", False)),
-        strict_segments=bool(data.get("strict_segments", False)),
+        classical=_flag_from_json(data, "classical", where),
+        strict_segments=_flag_from_json(data, "strict_segments", where),
         **points,
     )
+
+
+def _flag_from_json(data: Dict[str, Any], key: str, where: str) -> bool:
+    """A JSON boolean flag; a missing flag is false."""
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise SceneFormatError(f"{where}.{key} must be true or false, got {value!r}")
+    return value
 
 
 def _canonical_bytes(document: Any) -> bytes:
@@ -182,7 +193,7 @@ def report_to_dict(
         totals["degenerate"] += counts["DEGENERATE"]
     return {
         "format": REPORT_FORMAT,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "input_digest": input_digest,
         "scenes": scenes,
         "summary": totals,

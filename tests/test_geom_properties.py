@@ -1,18 +1,26 @@
 """Property-based invariants of the exact kernel."""
 
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import hypothesis.strategies as st
-from hypothesis import assume, given
+import pytest
+from hypothesis import assume, example, given
 
 from brocard.geom import (
+    CenterDegenerate,
     Circle,
+    CirclesIdentical,
+    CoincidentPoints,
+    CollinearPoints,
+    Degenerate,
     DirectedAngleClass,
     GeometryError,
     Line,
     Point,
     circumcircle,
     collinear,
+    concyclic_det,
     directed_angle,
     dist2,
     foot_perpendicular,
@@ -25,9 +33,12 @@ from brocard.geom import (
     perpendicular,
     perpendicular_bisector,
     polar_of_point,
+    perpendicular_through,
     pole_of_line,
+    second_intersection_circle_line,
     second_intersection_circles,
     inverse_similarity_map,
+    tangent_line,
 )
 from brocard.scene import circle_point_from_parameter
 
@@ -188,3 +199,259 @@ def test_circumcircle_contains_definers(p, q, r):
     c = circumcircle(p, q, r)
     assert on_circle(p, c) and on_circle(q, c) and on_circle(r, c)
     assert c.radius2 > 0
+
+
+# ---------------------------------------------------------------------------
+# Reference equivalence of the integer kernel.  The functions below are the
+# kernel's former per-operation Fraction formulas, kept as the reference:
+# every rewritten construction must return exactly what they return, and
+# raise the same errors.
+
+
+def _ref_canonical(*values):
+    den = lcm(*(v.denominator for v in values))
+    ints = [int(v * den) for v in values]
+    g = gcd(*ints)
+    if g:
+        ints = [v // g for v in ints]
+    lead = next((v for v in ints if v), 0)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+def _ref_line(a, b, c):
+    a, b, c = F(a), F(b), F(c)
+    if a == 0 and b == 0:
+        raise Degenerate("line", "normal vector (a, b) is zero")
+    return _ref_canonical(a, b, c)
+
+
+def _ref_det3(a, b, c, d, e, f, g, h, i):
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _ref_line_through(p, q):
+    if p == q:
+        raise CoincidentPoints("same point")
+    return _ref_line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
+
+
+def _ref_circumcircle(p, q, r):
+    one = F(1)
+    det = _ref_det3(p.x, p.y, one, q.x, q.y, one, r.x, r.y, one)
+    if det == 0:
+        raise CollinearPoints("collinear")
+    sp = -(p.x * p.x + p.y * p.y)
+    sq = -(q.x * q.x + q.y * q.y)
+    sr = -(r.x * r.x + r.y * r.y)
+    d = _ref_det3(sp, p.y, one, sq, q.y, one, sr, r.y, one) / det
+    e = _ref_det3(p.x, sp, one, q.x, sq, one, r.x, sr, one) / det
+    f = _ref_det3(p.x, p.y, sp, q.x, q.y, sq, r.x, r.y, sr) / det
+    return Circle(d, e, f)
+
+
+def _ref_line_eval(l, p):
+    return l.a * p.x + l.b * p.y + l.c
+
+
+def _ref_circle_eval(c, p):
+    return p.x * p.x + p.y * p.y + c.d * p.x + c.e * p.y + c.f
+
+
+def _ref_parallel_through(p, l):
+    return _ref_line(l.a, l.b, -(l.a * p.x + l.b * p.y))
+
+
+def _ref_perpendicular_through(p, l):
+    return _ref_line(l.b, -l.a, -(l.b * p.x - l.a * p.y))
+
+
+def _ref_perpendicular_bisector(p, q):
+    if p == q:
+        raise CoincidentPoints("same point")
+    return _ref_line(
+        2 * (q.x - p.x), 2 * (q.y - p.y), p.x * p.x + p.y * p.y - q.x * q.x - q.y * q.y
+    )
+
+
+def _ref_foot_perpendicular(p, l):
+    t = _ref_line_eval(l, p) / (l.a * l.a + l.b * l.b)
+    return Point(p.x - t * l.a, p.y - t * l.b)
+
+
+def _ref_second_intersection_circle_line(c, l, x):
+    a, b = l.a, l.b
+    t = -(2 * x.x * b - 2 * x.y * a + c.d * b - c.e * a) / F(a * a + b * b)
+    if t == 0:
+        return x, True
+    return Point(x.x + t * b, x.y - t * a), False
+
+
+def _ref_radical_axis(c1, c2):
+    return _ref_line(c1.d - c2.d, c1.e - c2.e, c1.f - c2.f)
+
+
+def _ref_polar_of_point(p, c):
+    if p == c.center:
+        raise CenterDegenerate("center")
+    return _ref_line(p.x + c.d / 2, p.y + c.e / 2, (c.d * p.x + c.e * p.y) / 2 + c.f)
+
+
+def _ref_pole_of_line(l, c):
+    denom = F(c.d * l.a + c.e * l.b, 2) - l.c
+    if denom == 0:
+        raise CenterDegenerate("through the center")
+    lam = c.radius2 / denom
+    return Point(lam * l.a - c.d / 2, lam * l.b - c.e / 2)
+
+
+def _triple(l):
+    return (l.a, l.b, l.c)
+
+
+BIG = 10**12
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+big_rationals = st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG))
+kernel_rationals = small_rationals | big_rationals
+
+
+@st.composite
+def kernel_points(draw):
+    """Points with unequal or shared coordinate denominators, small or of
+    about 10^12, of either sign."""
+    if draw(st.booleans()):
+        den = draw(st.integers(1, 12) | st.integers(1, BIG))
+        nums = st.integers(-BIG, BIG)
+        return Point(F(draw(nums), den), F(draw(nums), den))
+    return Point(draw(kernel_rationals), draw(kernel_rationals))
+
+
+@st.composite
+def kernel_lines(draw):
+    p, q = draw(kernel_points()), draw(kernel_points())
+    assume(p != q)
+    return line_through(p, q)
+
+
+@st.composite
+def kernel_circles(draw):
+    """A circle with the three points it was built through."""
+    a, b, c = draw(kernel_points()), draw(kernel_points()), draw(kernel_points())
+    assume(orientation(a, b, c) != 0)
+    return circumcircle(a, b, c), a, b, c
+
+
+def _same_outcome(kernel, reference, *args):
+    """Both calls return the same value, or both raise the same error type.
+    Lines compare by their coefficient triple."""
+    try:
+        expected = reference(*args)
+    except GeometryError as exc:
+        with pytest.raises(type(exc)):
+            kernel(*args)
+        return None
+    got = kernel(*args)
+    assert (_triple(got) if isinstance(got, Line) else got) == expected
+    return got
+
+
+SAME_DEN_EXAMPLE = (Point(F(-3, 7), F(5, 7)), Point(F(1, 7), F(-2, 7)))
+HORIZONTAL_EXAMPLE = (Point(F(5, 3), F(-1, 2)), Point(F(-7, 4), F(-1, 2)))
+
+
+@example(*SAME_DEN_EXAMPLE)
+@example(*HORIZONTAL_EXAMPLE)
+@example(Point(F(BIG - 1, BIG), F(-BIG, BIG - 3)), Point(F(-1, BIG), F(1, 2)))
+@example(Point(F(-1, 3), F(2, BIG)), Point(F(-1, 3), F(2, BIG)))
+@given(kernel_points(), kernel_points())
+def test_line_through_matches_reference(p, q):
+    _same_outcome(line_through, _ref_line_through, p, q)
+    _same_outcome(perpendicular_bisector, _ref_perpendicular_bisector, p, q)
+
+
+def test_line_canonicalization_branches():
+    p, q = HORIZONTAL_EXAMPLE
+    l = line_through(p, q)
+    assert l.a == 0 and l.b > 0 and _triple(l) == _ref_line_through(p, q)
+    assert _triple(line_through(q, p)) == _ref_line_through(q, p)
+    assert _triple(Line(0, -6, 4)) == _ref_line(0, -6, 4) == (0, 3, -2)
+    assert _triple(Line(F(0), F(-3, 4), F(1, 6))) == _ref_line(0, F(-3, 4), F(1, 6))
+    assert _triple(Line(-4, 6, 0)) == _ref_line(-4, 6, 0) == (2, -3, 0)
+    for args in ((0, 0, 1), (F(0), F(0), F(1, 3)), ("0", 0, "-5/2")):
+        with pytest.raises(Degenerate) as exc:
+            Line(*args)
+        assert exc.value.name == "line"
+
+
+@example(Point(0, 0), Point(1, 0), Point(2, 0))
+@example(Point(F(1, 3), F(1, 3)), Point(F(2, 5), F(2, 5)), Point(F(-BIG, 7), F(-BIG, 7)))
+@given(kernel_points(), kernel_points(), kernel_points())
+def test_circumcircle_matches_reference(p, q, r):
+    _same_outcome(circumcircle, _ref_circumcircle, p, q, r)
+
+
+@given(kernel_points(), kernel_points(), kernel_points(), kernel_points())
+def test_circumcircle_concyclic_oracle(p, q, r, z):
+    """A fourth point found on the kernel's circle is concyclic with the
+    three definers by an independent determinant."""
+    assume(orientation(p, q, r) != 0 and z != p)
+    c = circumcircle(p, q, r)
+    s, _ = second_intersection_circle_line(c, line_through(p, z), p)
+    assert on_circle(s, c)
+    assert concyclic_det(p, q, r, s) == 0
+
+
+@given(kernel_points(), kernel_lines(), kernel_circles())
+def test_incidence_matches_reference(p, l, circle):
+    c = circle[0]
+    assert l.eval(p) == _ref_line_eval(l, p)
+    assert on_line(p, l) == (_ref_line_eval(l, p) == 0)
+    assert c.eval(p) == _ref_circle_eval(c, p)
+    assert on_circle(p, c) == (_ref_circle_eval(c, p) == 0)
+    assert all(on_circle(v, c) and c.eval(v) == 0 for v in circle[1:])
+    foot = foot_perpendicular(p, l)
+    assert foot == _ref_foot_perpendicular(p, l)
+    assert on_line(foot, l) and l.eval(foot) == 0
+
+
+@given(kernel_points(), kernel_lines())
+def test_parallel_and_perpendicular_match_reference(p, l):
+    assert _triple(parallel_through(p, l)) == _ref_parallel_through(p, l)
+    assert _triple(perpendicular_through(p, l)) == _ref_perpendicular_through(p, l)
+
+
+@given(kernel_points(), kernel_circles(), kernel_lines())
+def test_pole_and_polar_match_reference(p, circle, l):
+    c = circle[0]
+    polar = _same_outcome(polar_of_point, _ref_polar_of_point, p, c)
+    if polar is not None:
+        assert _same_outcome(pole_of_line, _ref_pole_of_line, polar, c) == p
+    _same_outcome(polar_of_point, _ref_polar_of_point, c.center, c)
+    _same_outcome(pole_of_line, _ref_pole_of_line, l, c)
+    if p != c.center:
+        _same_outcome(pole_of_line, _ref_pole_of_line, line_through(c.center, p), c)
+
+
+@given(kernel_circles(), kernel_points(), kernel_points())
+def test_second_intersections_match_reference(circle, z, center2):
+    """Second points through a known common point x: of the circle with a
+    chord and with the tangent at x, and of two circles."""
+    c1, x = circle[0], circle[1]
+    chords = [tangent_line(c1, x)]
+    if z != x:
+        chords.append(line_through(x, z))
+    for l in chords:
+        assert second_intersection_circle_line(c1, l, x) == _ref_second_intersection_circle_line(
+            c1, l, x
+        )
+    assume(center2 != x)
+    c2 = Circle.from_center_radius2(center2, dist2(center2, x))
+    if c2 == c1:
+        with pytest.raises(CirclesIdentical):
+            second_intersection_circles(c1, c2, x)
+        return
+    axis = Line(*_ref_radical_axis(c1, c2))
+    expected = _ref_second_intersection_circle_line(c1, axis, x)
+    assert second_intersection_circles(c1, c2, x) == expected
+

@@ -5,7 +5,9 @@ import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from brocard.cli import main
 from brocard.geom import Point
@@ -27,8 +29,26 @@ class TestRationalStrings:
         for v in (F(0), F(3), F(-7, 2), F(22, 7)):
             assert rational_from_str(rational_to_str(v)) == v
 
-    def test_plain_integer_accepted(self):
-        assert rational_from_str("5") == F(5)
+    @given(st.fractions() | st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40)))
+    def test_canonical_round_trip(self, v):
+        text = rational_to_str(v)
+        assert rational_from_str(text) == v
+        assert rational_to_str(rational_from_str(text)) == text
+
+    def test_plain_integer_rejected(self):
+        with pytest.raises(SceneFormatError):
+            rational_from_str("5")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "6_260/35891", " 3/4", "3/4 ", "3/4\n", "+3/4", "-0/1", "03/4", "3/04",
+            "-3/+4", "3/", "/4", "3/4/5", "", "\u0663/4", "1/0", "0/5",
+        ],
+    )
+    def test_non_canonical_rejected(self, text):
+        with pytest.raises(SceneFormatError):
+            rational_from_str(text)
 
     def test_not_lowest_terms_rejected(self):
         with pytest.raises(SceneFormatError):
@@ -65,6 +85,20 @@ class TestSceneRoundTrip:
         s2 = generate_scene(SceneParams(seed=8))
         assert scene_digest(s1) == scene_digest(s1)
         assert scene_digest(s1) != scene_digest(s2)
+
+    def test_missing_flags_read_as_false(self):
+        d = scene_to_dict(generate_scene(SceneParams(seed=7)))
+        del d["classical"], d["strict_segments"]
+        s = scene_from_dict(d)
+        assert not s.classical and not s.strict_segments
+
+    @pytest.mark.parametrize("key", ["classical", "strict_segments"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_flags_must_be_json_booleans(self, key, value):
+        d = scene_to_dict(generate_scene(SceneParams(seed=7)))
+        d[key] = value
+        with pytest.raises(SceneFormatError):
+            scene_from_dict(d)
 
     def test_missing_field_rejected(self):
         s = generate_scene(SceneParams(seed=7))
@@ -142,6 +176,14 @@ class TestCliVerify:
         bad.write_text(json.dumps(doc))
         assert main(["verify", "--in", str(bad)]) == 1
 
+    def test_string_flag_rejected(self, scene_file, tmp_path, capsys):
+        doc = json.loads(scene_file.read_text())
+        doc["scenes"][0]["classical"] = "false"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", "--in", str(bad)]) == 1
+        assert "classical must be true or false" in capsys.readouterr().err
+
     def test_check_filter(self, scene_file, capsys):
         assert main(["verify", "--in", str(scene_file), "--checks", "check_steiner,check_tarry"]) == 0
         out = capsys.readouterr().out
@@ -185,6 +227,17 @@ class TestCliRender:
             "--out", str(tmp_path / "x.svg"), "--layers", "bogus",
         ])
         assert code == 2
+
+    def test_invalid_scene_rejected(self, scene_file, tmp_path, capsys):
+        doc = json.loads(scene_file.read_text())
+        f = rational_from_str(doc["scenes"][0]["gamma"]["f"])
+        doc["scenes"][0]["gamma"]["f"] = rational_to_str(f + 1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        fig = tmp_path / "fig.svg"
+        assert main(["render", "--in", str(bad), "--index", "0", "--out", str(fig)]) == 1
+        assert "a1 not on gamma" in capsys.readouterr().err
+        assert not fig.exists()
 
     def test_index_out_of_range(self, scene_file, tmp_path):
         assert main(["render", "--in", str(scene_file), "--index", "5", "--out", str(tmp_path / "x.svg")]) == 1
