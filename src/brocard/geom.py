@@ -394,11 +394,6 @@ def directed_angle(l1: Line, l2: Line) -> DirectedAngleClass:
     )
 
 
-def directed_angle_equal(pair1: Tuple[Line, Line], pair2: Tuple[Line, Line]) -> bool:
-    """Exact mod-pi equality of two angles, without any trigonometry."""
-    return directed_angle(*pair1) == directed_angle(*pair2)
-
-
 def angle_at(vertex: Point, p: Point, q: Point) -> DirectedAngleClass:
     """Directed angle (mod pi) at ``vertex`` from line vertex-p to line vertex-q."""
     return directed_angle(line_through(vertex, p), line_through(vertex, q))
@@ -576,23 +571,30 @@ def isogonal_conjugate(p: Point, a: Point, b: Point, c: Point) -> Point:
     the squared side lengths.  Undefined on the sidelines (a coordinate
     vanishes) and on the circumcircle (the image is at infinity).
     """
-    total = cross(b - a, c - a)
-    if total == 0:
+    xa, ya, wa = _hom(a)
+    xb, yb, wb = _hom(b)
+    xc, yc, wc = _hom(c)
+    xp, yp, wp = _hom(p)
+    # Signed areas times the positive W products: the orientation of abc
+    # and the barycentrics (u : v : w) of p.
+    if _det3(xa, ya, wa, xb, yb, wb, xc, yc, wc) == 0:
         raise CollinearPoints("degenerate reference triangle")
-    u = cross(b - p, c - p)
-    v = cross(p - a, c - a)
-    w = cross(b - a, p - a)
+    u = _det3(xp, yp, wp, xb, yb, wb, xc, yc, wc)
+    v = _det3(xa, ya, wa, xp, yp, wp, xc, yc, wc)
+    w = _det3(xa, ya, wa, xb, yb, wb, xp, yp, wp)
     if u == 0 or v == 0 or w == 0:
         raise Degenerate("isogonal conjugate", "point lies on a sideline")
-    la, lb, lc = dist2(b, c), dist2(c, a), dist2(a, b)
-    u2, v2, w2 = la / u, lb / v, lc / w
-    s = u2 + v2 + w2
+    # Squared sides times squared W products.
+    la = (xc * wb - xb * wc) ** 2 + (yc * wb - yb * wc) ** 2
+    lb = (xa * wc - xc * wa) ** 2 + (ya * wc - yc * wa) ** 2
+    lc = (xb * wa - xa * wb) ** 2 + (yb * wa - ya * wb) ** 2
+    # Weights of the homogeneous vertices, (la/u : lb/v : lc/w) with the
+    # W factors cancelled and u*v*w cleared.
+    ku, kv, kw = la * v * w, lb * u * w, lc * u * v
+    s = ku * wa + kv * wb + kw * wc
     if s == 0:
         raise Degenerate("isogonal conjugate", "point lies on the circumcircle")
-    return Point(
-        (u2 * a.x + v2 * b.x + w2 * c.x) / s,
-        (u2 * a.y + v2 * b.y + w2 * c.y) / s,
-    )
+    return Point(Fraction(ku * xa + kv * xb + kw * xc, s), Fraction(ku * ya + kv * yb + kw * yc, s))
 
 
 def simson_line(p: Point, a: Point, b: Point, c: Point) -> Line:
@@ -653,24 +655,12 @@ def concyclic_det(p: Point, q: Point, r: Point, s: Point) -> Fraction:
     return _det3(*rows)
 
 
-def concyclic(p: Point, q: Point, r: Point, s: Point) -> bool:
-    return concyclic_det(p, q, r, s) == 0
-
-
 def parallel(l1: Line, l2: Line) -> bool:
     return l1.a * l2.b - l2.a * l1.b == 0
 
 
 def perpendicular(l1: Line, l2: Line) -> bool:
     return l1.a * l2.a + l1.b * l2.b == 0
-
-
-def concurrent(l1: Line, l2: Line, l3: Line) -> bool:
-    """True iff the three lines share a common (finite) point."""
-    for m, n, k in ((l1, l2, l3), (l1, l3, l2), (l2, l3, l1)):
-        if not parallel(m, n):
-            return on_line(intersect_lines(m, n), k)
-    return l1 == l2 == l3
 
 
 # ---------------------------------------------------------------------------

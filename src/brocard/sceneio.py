@@ -4,8 +4,15 @@ Rationals serialize as canonical ``"p/q"`` strings, never as floating
 point JSON numbers, so files are lossless and byte-deterministic.  The
 parser accepts only the text ``rational_to_str`` writes (lowest terms,
 positive denominator, no sign on zero, no leading zeros, spaces or
-underscores) and only JSON booleans as flags: round trips are the
-identity on both sides.
+underscores), only JSON booleans as flags, an object as provenance and no
+non-integer JSON number anywhere: round trips are the identity on both
+sides.
+
+Scene and report files come from one canonical encoder, ``_encode``,
+whose output equals ``json.dumps(document, sort_keys=True, indent=2)`` plus
+a newline: keys sorted, two-space indent, ASCII with ``ensure_ascii``
+escapes.  It accepts dicts with string keys, lists, tuples, strings, ints,
+booleans and None, and raises ``TypeError`` on anything else.
 
 Report files deliberately omit wall-clock timings; their bytes are a pure
 function of the input and the tool version.
@@ -18,7 +25,7 @@ import json
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from . import __version__
 from .checks import SuiteReport
@@ -47,7 +54,10 @@ def rational_from_str(text: str) -> Fraction:
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise SceneFormatError(f"malformed rational {text!r}: expected canonical p/q with q > 0")
-    num, den = int(match[1]), int(match[2])
+    try:
+        num, den = int(match[1]), int(match[2])
+    except ValueError as exc:  # more digits than int() converts
+        raise SceneFormatError(f"rational too long: {exc}") from exc
     if gcd(num, den) != 1:
         raise SceneFormatError(f"rational {text!r} is not in lowest terms")
     return Fraction(num, den)
@@ -104,8 +114,71 @@ def _flag_from_json(data: Dict[str, Any], key: str, where: str) -> bool:
     return value
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(value: Any, out: List[str], indent: str) -> None:
+    """Append the pieces of ``value`` to ``out``, laid out as
+    ``json.dumps(value, sort_keys=True, indent=2)`` lays it out when the
+    enclosing line is indented by ``indent``.  Strings and booleans inside
+    containers are written in place, without a call per item."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        head, sep = "[\n" + inner, ",\n" + inner
+        for item in value:
+            if type(item) is str:
+                out.append(head + _quote(item))
+            else:
+                out.append(head)
+                _encode(item, out, inner)
+            head = sep
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        head, sep = "{\n" + inner, ",\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            if type(item) is str:
+                out.append(f"{head}{_quote(key)}: {_quote(item)}")
+            elif item is True:
+                out.append(f"{head}{_quote(key)}: true")
+            elif item is False:
+                out.append(f"{head}{_quote(key)}: false")
+            else:
+                out.append(f"{head}{_quote(key)}: ")
+                _encode(item, out, inner)
+            head = sep
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _canonical_bytes(document: Any) -> bytes:
-    return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """The bytes of ``json.dumps(document, sort_keys=True, indent=2)`` plus a
+    newline, from one pass that joins its pieces once.  (The stdlib drops to
+    its pure-Python encoder whenever ``indent`` is set.)"""
+    out: List[str] = []
+    _encode(document, out, "")
+    out.append("\n")
+    return "".join(out).encode("ascii")
 
 
 def scene_digest(s: Scene) -> str:
@@ -132,7 +205,9 @@ def scenes_from_document(doc: Any) -> Tuple[List[Scene], Dict[str, Any]]:
     if not isinstance(raw, list) or not raw:
         raise SceneFormatError("scene document carries no scenes")
     scenes = [scene_from_dict(item, f"scenes[{i}]") for i, item in enumerate(raw)]
-    prov = doc.get("provenance") or {}
+    prov = doc.get("provenance", {})
+    if not isinstance(prov, dict):
+        raise SceneFormatError("provenance must be an object")
     return scenes, prov
 
 
@@ -141,12 +216,17 @@ def write_scene_file(path: str, scenes: Sequence[Scene], provenance: Optional[Di
         fh.write(_canonical_bytes(scenes_to_document(scenes, provenance)))
 
 
+def _reject_number(text: str) -> NoReturn:
+    raise SceneFormatError(f"non-integer number {text}: rationals are written as \"p/q\" strings")
+
+
 def read_scene_file(path: str) -> Tuple[List[Scene], Dict[str, Any]]:
     with open(path, "rb") as fh:
-        try:
-            doc = json.loads(fh.read().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SceneFormatError(f"{path}: {exc}") from exc
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"), parse_float=_reject_number, parse_constant=_reject_number)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a float, too deep or long
+        raise SceneFormatError(f"{path}: {exc}") from exc
     return scenes_from_document(doc)
 
 

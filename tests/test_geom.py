@@ -27,10 +27,7 @@ from brocard.geom import (
     circle_through_tangent,
     circumcircle,
     collinear,
-    concurrent,
-    concyclic,
     directed_angle,
-    directed_angle_equal,
     dist2,
     foot_perpendicular,
     intersect_lines,
@@ -228,15 +225,6 @@ class TestSimson:
 
 
 class TestPredicates:
-    def test_concyclic(self):
-        assert concyclic(Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1))
-        assert not concyclic(Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -2))
-
-    def test_concurrent(self):
-        assert concurrent(Line(0, 1, 0), Line(1, 0, 0), Line(1, -1, 0))
-        assert not concurrent(Line(0, 1, 0), Line(0, 1, -1), Line(1, 0, 0))
-        assert not concurrent(Line(0, 1, 0), Line(0, 1, -1), Line(0, 1, -2))
-
     def test_orientation(self):
         assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) == 1
         assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) == -1
@@ -251,9 +239,9 @@ class TestPredicates:
 class TestDirectedAngles:
     def test_mod_pi_equality(self):
         x_axis, diag, y_axis, anti = Line(0, 1, 0), Line(1, -1, 0), Line(1, 0, 0), Line(1, 1, 0)
-        assert directed_angle_equal((x_axis, diag), (diag, y_axis))
-        assert not directed_angle_equal((x_axis, diag), (x_axis, anti))
-        assert directed_angle_equal((x_axis, y_axis), (diag, anti))
+        assert directed_angle(x_axis, diag) == directed_angle(diag, y_axis)
+        assert directed_angle(x_axis, diag) != directed_angle(x_axis, anti)
+        assert directed_angle(x_axis, y_axis) == directed_angle(diag, anti)
 
     def test_class_canonical(self):
         assert DirectedAngleClass(2, 4) == DirectedAngleClass(1, 2)

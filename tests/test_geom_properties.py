@@ -21,6 +21,7 @@ from brocard.geom import (
     circumcircle,
     collinear,
     concyclic_det,
+    cross,
     directed_angle,
     dist2,
     foot_perpendicular,
@@ -306,6 +307,26 @@ def _ref_pole_of_line(l, c):
     return Point(lam * l.a - c.d / 2, lam * l.b - c.e / 2)
 
 
+def _ref_isogonal_conjugate(p, a, b, c):
+    total = cross(b - a, c - a)
+    if total == 0:
+        raise CollinearPoints("degenerate reference triangle")
+    u = cross(b - p, c - p)
+    v = cross(p - a, c - a)
+    w = cross(b - a, p - a)
+    if u == 0 or v == 0 or w == 0:
+        raise Degenerate("isogonal conjugate", "point lies on a sideline")
+    la, lb, lc = dist2(b, c), dist2(c, a), dist2(a, b)
+    u2, v2, w2 = la / u, lb / v, lc / w
+    s = u2 + v2 + w2
+    if s == 0:
+        raise Degenerate("isogonal conjugate", "point lies on the circumcircle")
+    return Point(
+        (u2 * a.x + v2 * b.x + w2 * c.x) / s,
+        (u2 * a.y + v2 * b.y + w2 * c.y) / s,
+    )
+
+
 def _triple(l):
     return (l.a, l.b, l.c)
 
@@ -455,3 +476,28 @@ def test_second_intersections_match_reference(circle, z, center2):
     expected = _ref_second_intersection_circle_line(c1, axis, x)
     assert second_intersection_circles(c1, c2, x) == expected
 
+
+UNIT_CIRCLE_TRIANGLE = (Point(1, 0), Point(0, 1), Point(-1, 0))
+
+
+@example(Point(0, -1), *UNIT_CIRCLE_TRIANGLE)  # on the circumcircle
+@example(Point(3, 0), Point(0, 0), Point(1, 0), Point(2, 0))  # collinear triangle, p on its line
+@example(Point(F(1, 2), F(1, 2)), *UNIT_CIRCLE_TRIANGLE)  # on side ab
+@example(Point(3, 0), *UNIT_CIRCLE_TRIANGLE)  # on the extension of side ca
+@example(Point(F(1, 3), F(1, 5)), Point(0, 0), Point(1, 1), Point(F(-BIG, 3), F(-BIG, 3)))  # collinear
+@given(kernel_points(), kernel_points(), kernel_points(), kernel_points())
+def test_isogonal_conjugate_matches_reference(p, a, b, c):
+    _same_outcome(isogonal_conjugate, _ref_isogonal_conjugate, p, a, b, c)
+
+
+@given(kernel_circles(), kernel_points())
+def test_isogonal_conjugate_on_circumcircle_matches_reference(circle, z):
+    """A point of the circumcircle other than the vertices has no finite
+    conjugate; both formulas refuse it with the same error."""
+    c, a, b, v = circle
+    assume(z != a)
+    p, _ = second_intersection_circle_line(c, line_through(a, z), a)
+    assert on_circle(p, c)
+    with pytest.raises(Degenerate):
+        isogonal_conjugate(p, a, b, v)
+    _same_outcome(isogonal_conjugate, _ref_isogonal_conjugate, p, a, b, v)

@@ -1,25 +1,39 @@
 """Persistence and CLI contracts: lossless round trips, canonical-bytes
 determinism, exit codes, SVG output."""
 
+import contextlib
+import dataclasses
+import enum
+import functools
+import hashlib
+import io
 import json
+import os
+import tempfile
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
+from brocard.checks import FAIL, check_equidistant, run_suite
 from brocard.cli import main
 from brocard.geom import Point
+from brocard.pipeline import compute_configuration
 from brocard.scene import SceneParams, classical_brocard_scene, generate_scene
 from brocard.sceneio import (
+    SCENE_FORMAT,
     SceneFormatError,
+    _canonical_bytes,
     rational_from_str,
     rational_to_str,
     read_scene_file,
+    report_to_dict,
     scene_digest,
     scene_from_dict,
     scene_to_dict,
+    scenes_to_document,
     write_scene_file,
 )
 
@@ -106,6 +120,39 @@ class TestSceneRoundTrip:
         del d["a1"]
         with pytest.raises(SceneFormatError):
             scene_from_dict(d)
+
+    @pytest.mark.parametrize("value", [None, 0, "", [], "seed 1", [1]])
+    def test_provenance_must_be_an_object(self, tmp_path, value):
+        doc = scenes_to_document([generate_scene(SceneParams(seed=7))])
+        doc["provenance"] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SceneFormatError, match="provenance"):
+            read_scene_file(str(path))
+
+    @pytest.mark.parametrize(
+        "number",
+        ["1.5", "1e3", "-0.0", "NaN", "Infinity", pytest.param("9" * 5000, id="5000-digit-int")],
+    )
+    def test_non_canonical_numbers_rejected(self, tmp_path, capsys, number):
+        """Floats are not written and cannot round-trip; integers beyond
+        the interpreter's conversion limit cannot be read back either."""
+        doc = scenes_to_document([generate_scene(SceneParams(seed=7))])
+        text = json.dumps(doc).replace('"provenance": {}', '"provenance": {"x": %s}' % number)
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(SceneFormatError):
+            read_scene_file(str(path))
+        assert main(["verify", "--in", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_overlong_rational_rejected(self, tmp_path, capsys):
+        doc = scenes_to_document([generate_scene(SceneParams(seed=7))])
+        doc["scenes"][0]["a"][0] = "1" * 5000 + "/3"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--in", str(path)]) == 1
+        assert "rational too long" in capsys.readouterr().err
 
 
 class TestCliGenerate:
@@ -294,6 +341,7 @@ class TestGoldenBytes:
 
     SCENE_SHA = "f2d53441be2ded834bf490b5fed50062fd13a4c65851fc82e59b1fe33b7c35e2"
     REPORT_SHA = "dd0dad47468e4653d814343d28422ca818d976d16186a74a90349e3a5ff45dd7"
+    CLASSICAL_REPORT_SHA = "97742f22d8116832bebb4f9860089f0213ddf49e598ee92d1ee396230033de67"
 
     def test_scene_file_golden(self, tmp_path):
         import hashlib
@@ -310,3 +358,250 @@ class TestGoldenBytes:
         assert main(["generate", "--seed", "42", "--count", "2", "--out", str(scenes)]) == 0
         assert main(["verify", "--in", str(scenes), "--report", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == self.REPORT_SHA
+
+    def test_classical_report_golden(self, tmp_path):
+        report = tmp_path / "c.json"
+        assert main(["classical", "--params", "0,1,-1", "--report", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == self.CLASSICAL_REPORT_SHA
+
+
+# ---------------------------------------------------------------------------
+# The canonical encoder against the stdlib layout it reproduces.
+
+
+def _reference_bytes(document):
+    return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+# Any code point, lone surrogates and control characters included.
+json_text = st.text(st.characters(exclude_categories=()), max_size=8)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**300), 2**300)
+    | json_text
+    | st.sampled_from(["", "0/1", "-7/2", "caf\u00e9", "\u2603", "\U0001f600", "\x00\x1f\x7f", '"\\/'])
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=40,
+)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class TestCanonicalEncoder:
+    @example({})
+    @example({"level": _Level.HIGH, "flag": True, "levels": (_Level.HIGH, 0)})
+    @example([])
+    @example({"a": [], "b": {}, "c": [[], {}], "d": ()})
+    @example({"z": True, "a": False, "m": None, "\u00e9": -(10**40), "": [1, "x", {"k": "v"}]})
+    @given(json_trees)
+    def test_matches_stdlib_layout(self, tree):
+        assert _canonical_bytes(tree) == _reference_bytes(tree)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, F(1, 2), b"x", {1, 2}, object(), {1: "x"}, {"a": [1, {"b": 2.0}]}, [None, {("k",): 1}]],
+    )
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            _canonical_bytes(value)
+
+    def test_classical_report(self):
+        report = run_suite(classical_brocard_scene(0, 1, -1))
+        doc = report_to_dict([report], "params:0/1,1/1,-1/1")
+        assert doc["summary"]["degenerate"] > 0
+        assert any(c["notes"] for c in doc["scenes"][0]["checks"])
+        assert _canonical_bytes(doc) == _reference_bytes(doc)
+
+    def test_report_with_fail_witnesses(self):
+        scene = generate_scene(SceneParams(seed=42))
+        cfg = compute_configuration(scene)
+        passing = run_suite(scene)
+        shifted = check_equidistant(dataclasses.replace(cfg, r=cfg.r + Point(1, 0)))
+        assert shifted.status == FAIL
+        passing.results.append(shifted)
+        moved = dataclasses.replace(scene, a1=scene.a1 + Point(F(1, 3), 0))
+        doc = report_to_dict([passing, run_suite(moved)], "sha256:" + "0" * 64)
+        assert doc["summary"]["fail"] == 2
+        witnesses = [
+            w
+            for sc in doc["scenes"]
+            for check in sc["checks"]
+            for a in check["assertions"]
+            for w in a["witnesses"]
+        ]
+        assert any(w != "0/1" for w in witnesses)
+        assert _canonical_bytes(doc) == _reference_bytes(doc)
+
+    def test_generated_scene_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        assert main(["generate", "--seed", "3", "--count", "3", "--out", str(path)]) == 0
+        scenes, provenance = read_scene_file(str(path))
+        assert provenance["kind"] == "generated"
+        doc = scenes_to_document(scenes, provenance)
+        assert path.read_bytes() == _canonical_bytes(doc) == _reference_bytes(doc)
+
+
+# ---------------------------------------------------------------------------
+# Scene-document fuzzing: mutated documents through verify and render.
+
+
+@functools.lru_cache(maxsize=None)
+def _base_document_bytes(classical):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "base.json")
+        if classical:
+            argv = ["generate", "--classical", "--params", "0,1,3", "--out", path]
+        else:
+            argv = ["generate", "--seed", "11", "--count", "1", "--out", path]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _paths(node, prefix=()):
+    """Every (path, value) below node; a path is a tuple of keys and indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _delete(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    del doc[path[-1]]
+
+
+def _non_canonical_spellings(text):
+    num, den = (int(part) for part in text.split("/"))
+    digits = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+    spellings = [
+        f"{2 * num}/{2 * den}",
+        f"+{num}/{den}",
+        f" {text}",
+        f"{text} ",
+        f"{num}",
+        f"{num}/0",
+        f"{-num}/-{den}",
+        f"{num}/0{den}",
+        text[:-1] + "_" + text[-1],
+        f"{num}/ {den}",
+        text.translate(digits),
+        f"{num}.0/{den}",
+        "9" * 5000 + "/1",
+    ]
+    if num == 0:
+        spellings.append("-0/1")
+    return spellings
+
+
+WRONG_TYPED = [None, 0, 7, 1.5, -2.5e300, "x", "true", "", [], {}, ["1/2"], ["1/2", "1/3", "1/4"], True, False]
+
+
+@st.composite
+def mutated_documents(draw):
+    """(kind, file bytes): one mutation of a valid scene document."""
+    original = _base_document_bytes(draw(st.booleans()))
+    doc = json.loads(original)
+    kind = draw(st.sampled_from(["type", "missing", "rational", "value", "format", "syntax"]))
+    if kind == "syntax":
+        if draw(st.booleans()):
+            return kind, original[: draw(st.integers(0, len(original) - 2))]
+        at = draw(st.integers(0, len(original)))
+        return kind, original[:at] + b"\xff" + original[at:]
+    paths = list(_paths(doc))
+    rationals = [path for path, value in paths if isinstance(value, str) and "/" in value and path[0] == "scenes"]
+    if kind == "type":
+        path, value = draw(st.sampled_from(paths))
+        new = draw(st.sampled_from([v for v in WRONG_TYPED if type(v) is not type(value)]))
+        _set(doc, path, new)
+    elif kind == "missing":
+        _delete(doc, draw(st.sampled_from([path for path, _ in paths])))
+    elif kind == "rational":
+        path = draw(st.sampled_from(rationals))
+        text = doc
+        for key in path:
+            text = text[key]
+        _set(doc, path, draw(st.sampled_from(_non_canonical_spellings(text))))
+    elif kind == "value":
+        value = draw(st.fractions(min_value=-50, max_value=50, max_denominator=50))
+        _set(doc, draw(st.sampled_from(rationals)), rational_to_str(value))
+    else:
+        new = draw(
+            st.sampled_from(["brocard-scenes/2", "brocard-report/1", "Brocard-scenes/1", SCENE_FORMAT + " ", ""])
+            | json_text
+            | st.sampled_from(WRONG_TYPED)
+        )
+        if new == SCENE_FORMAT:
+            new = None
+        _set(doc, ("format",), new)
+    return kind, _reference_bytes(doc)
+
+
+def _run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestSceneDocumentFuzz:
+    @settings(max_examples=60)
+    @given(mutated_documents())
+    def test_mutated_documents(self, case):
+        """Every mutated document exits 0, 1 or 2 without an uncaught
+        exception; a rejected one exits 1 from both commands, and an accepted
+        one is rewritten byte for byte, with the reader's documented defaults
+        (missing flags false, missing provenance empty) filled in."""
+        kind, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.json")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            verify = _run_quietly(["verify", "--in", path])
+            render = _run_quietly(["render", "--in", path, "--out", os.path.join(tmp, "out.svg")])
+            assert verify in (0, 1, 2) and render in (0, 1, 2)
+            try:
+                scenes, provenance = read_scene_file(path)
+            except SceneFormatError:
+                assert verify == 1 and render == 1
+                return
+            assert kind not in ("rational", "format", "syntax")
+            rewritten = os.path.join(tmp, "out.json")
+            write_scene_file(rewritten, scenes, provenance)
+            with open(rewritten, "rb") as fh:
+                got = fh.read()
+        expected = json.loads(data)
+        expected.setdefault("provenance", {})
+        for scene in expected["scenes"]:
+            scene.setdefault("classical", False)
+            scene.setdefault("strict_segments", False)
+        assert got == _reference_bytes(expected)
+        if kind != "missing":
+            assert got == data
+
+    def test_unmutated_documents_pass(self):
+        for classical in (False, True):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "in.json")
+                with open(path, "wb") as fh:
+                    fh.write(_base_document_bytes(classical))
+                assert _run_quietly(["verify", "--in", path]) == 0
+                assert _run_quietly(["render", "--in", path, "--out", os.path.join(tmp, "o.svg")]) == 0
+                scenes, provenance = read_scene_file(path)
+                assert scenes_to_document(scenes, provenance) == json.loads(_base_document_bytes(classical))
