@@ -4,7 +4,11 @@ Each check re-derives its claim from the configuration with exact
 predicates and records every assertion with witness scalars: the witness
 is the exact residual (determinant, power of a point, coordinate
 difference) that must vanish, so a FAIL always carries a nonzero exact
-certificate of violation.
+certificate of violation.  The ``scene_validation`` result carries the
+witnesses of ``validate_scene``: a violated equality has a nonzero
+residual or coordinate difference, a violated inequality the value with
+the wrong sign, and a violated distinctness condition the zero difference
+of the two coinciding points.
 
 Status taxonomy: PASS means every assertion holds; FAIL means at least one
 exact identity is violated; DEGENERATE means the configuration does not
@@ -19,6 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .geom import (
@@ -35,7 +40,6 @@ from .geom import (
     dist2,
     directed_angle,
     foot_perpendicular,
-    inverse_similarity_map,
     intersect_lines,
     isogonal_conjugate,
     line_through,
@@ -47,12 +51,12 @@ from .geom import (
     rational_sqrt,
     second_intersection_circle_line,
     simson_line,
+    triangle_sidelines,
 )
 from .pipeline import (
     ClassicalOverlay,
     Configuration,
     classical_overlay,
-    miquel_point,
     miquel_point_quadrangle,
     spiral_ratio,
     tangent_of_angle,
@@ -146,7 +150,7 @@ class _Recorder:
         self.notes.append(text)
 
     def _record(self, label: str, witnesses: Sequence[Fraction]) -> bool:
-        ws = tuple(Fraction(w) for w in witnesses)
+        ws = tuple(w if type(w) is Fraction else Fraction(w) for w in witnesses)
         ok = all(w == 0 for w in ws)
         self.assertions.append(Assertion(label, ok, ws))
         return ok
@@ -173,21 +177,21 @@ class _Recorder:
         return self._record(label, (collinear_det(p, q, r),))
 
     def parallel(self, label: str, l1: Line, l2: Line) -> bool:
-        return self._record(label, (Fraction(l1.a * l2.b - l2.a * l1.b),))
+        return self._record(label, (l1.a * l2.b - l2.a * l1.b,))
 
     def perpendicular(self, label: str, l1: Line, l2: Line) -> bool:
-        return self._record(label, (Fraction(l1.a * l2.a + l1.b * l2.b),))
+        return self._record(label, (l1.a * l2.a + l1.b * l2.b,))
 
     def angles_equal(self, label: str, x: DirectedAngleClass, y: DirectedAngleClass) -> bool:
-        return self._record(label, (Fraction(x.cross * y.dot - y.cross * x.dot),))
+        return self._record(label, (x.cross * y.dot - y.cross * x.dot,))
 
     def lines_equal(self, label: str, l1: Line, l2: Line) -> bool:
         return self._record(
             label,
             (
-                Fraction(l1.a * l2.b - l2.a * l1.b),
-                Fraction(l1.a * l2.c - l2.a * l1.c),
-                Fraction(l1.b * l2.c - l2.b * l1.c),
+                l1.a * l2.b - l2.a * l1.b,
+                l1.a * l2.c - l2.a * l1.c,
+                l1.b * l2.c - l2.b * l1.c,
             ),
         )
 
@@ -265,18 +269,17 @@ def check_rotation_angles(cfg: Configuration) -> CheckResult:
     s = cfg.scene
 
     def body(rec: _Recorder):
-        bc, ca, ab = s.sidelines()
-        rp_bc = spiral_ratio(cfg.p, s.a1, bc)
+        # The BC ratios are the configuration's r_P and r_Q.
+        _, ca, ab = s.sidelines()
         rp_ca = spiral_ratio(cfg.p, s.b1, ca)
         rp_ab = spiral_ratio(cfg.p, s.c1, ab)
-        rq_bc = spiral_ratio(cfg.q, s.a2, bc)
         rq_ca = spiral_ratio(cfg.q, s.b2, ca)
         rq_ab = spiral_ratio(cfg.q, s.c2, ab)
-        rec.complex_equal("r_P agrees on BC and CA", rp_bc, rp_ca)
+        rec.complex_equal("r_P agrees on BC and CA", cfg.r_p, rp_ca)
         rec.complex_equal("r_P agrees on CA and AB", rp_ca, rp_ab)
-        rec.complex_equal("r_Q agrees on BC and CA", rq_bc, rq_ca)
+        rec.complex_equal("r_Q agrees on BC and CA", cfg.r_q, rq_ca)
         rec.complex_equal("r_Q agrees on CA and AB", rq_ca, rq_ab)
-        rec.scalar_zero("Im(r_P * r_Q) == 0", (rp_bc * rq_bc).im)
+        rec.scalar_zero("Im(r_P * r_Q) == 0", (cfg.r_p * cfg.r_q).im)
 
     return _run("check_rotation_angles", body)
 
@@ -378,8 +381,7 @@ def check_first_triangle_similarity(cfg: Configuration) -> CheckResult:
     s = cfg.scene
 
     def body(rec: _Recorder):
-        sim = inverse_similarity_map(s.a, cfg.t_a, s.b, cfg.t_b)
-        rec.points_equal("similarity fitted on A, B sends C to T_C", sim.apply(s.c), cfg.t_c)
+        rec.points_equal("similarity fitted on A, B sends C to T_C", cfg.similarity.apply(s.c), cfg.t_c)
         lhs = ComplexScalar.from_vector(cfg.t_b - cfg.t_a) / ComplexScalar.from_vector(cfg.t_c - cfg.t_a)
         rhs = (ComplexScalar.from_vector(s.b - s.a) / ComplexScalar.from_vector(s.c - s.a)).conj()
         rec.complex_equal("(T_B-T_A)/(T_C-T_A) == conj((B-A)/(C-A))", lhs, rhs)
@@ -445,7 +447,7 @@ def check_polygon_similarity(cfg: Configuration) -> CheckResult:
     s = cfg.scene
 
     def body(rec: _Recorder):
-        sim = inverse_similarity_map(s.a, cfg.t_a, s.b, cfg.t_b)
+        sim = cfg.similarity
         rec.points_equal("map sends C to T_C", sim.apply(s.c), cfg.t_c)
         rec.points_equal("map sends S_t to R", sim.apply(cfg.steiner), cfg.r)
         rec.points_equal("map sends T_a to O", sim.apply(cfg.tarry), cfg.o)
@@ -465,8 +467,7 @@ def check_perspective(cfg: Configuration) -> CheckResult:
     def body(rec: _Recorder):
         for name, t, pr in (("A", cfg.t_a, cfg.a_prime), ("B", cfg.t_b, cfg.b_prime), ("C", cfg.t_c, cfg.c_prime)):
             rec.point_on_line(f"S on T_{name} {name}'", cfg.perspector, line_through(t, pr))
-        sim = inverse_similarity_map(s.a, cfg.t_a, s.b, cfg.t_b)
-        rec.points_equal("map sends R* to S", sim.apply(cfg.r_star), cfg.perspector)
+        rec.points_equal("map sends R* to S", cfg.similarity.apply(cfg.r_star), cfg.perspector)
 
     return _run("check_perspective", body)
 
@@ -476,15 +477,10 @@ def check_simson_parallel(cfg: Configuration) -> CheckResult:
     bad = _needs(cfg, "check_simson_parallel")
     if bad:
         return bad
-    s = cfg.scene
 
     def body(rec: _Recorder):
         if rec.point_on_circle("S_t on the circumcircle", cfg.steiner, cfg.circ):
-            rec.parallel(
-                "simson(S_t) parallel to OR",
-                simson_line(cfg.steiner, s.a, s.b, s.c),
-                line_through(cfg.o, cfg.r),
-            )
+            rec.parallel("simson(S_t) parallel to OR", cfg.simson_steiner, cfg.or_line)
 
     return _run("check_simson_parallel", body)
 
@@ -494,15 +490,10 @@ def check_simson_perpendicular(cfg: Configuration) -> CheckResult:
     bad = _needs(cfg, "check_simson_perpendicular")
     if bad:
         return bad
-    s = cfg.scene
 
     def body(rec: _Recorder):
         if rec.point_on_circle("T_a on the circumcircle", cfg.tarry, cfg.circ):
-            rec.perpendicular(
-                "simson(T_a) perpendicular to OR",
-                simson_line(cfg.tarry, s.a, s.b, s.c),
-                line_through(cfg.o, cfg.r),
-            )
+            rec.perpendicular("simson(T_a) perpendicular to OR", cfg.simson_tarry, cfg.or_line)
 
     return _run("check_simson_perpendicular", body)
 
@@ -517,7 +508,7 @@ def check_circumcenter_perspective(cfg: Configuration) -> CheckResult:
 
     def body(rec: _Recorder):
         bc, ca, ab = s.sidelines()
-        or_line = line_through(cfg.o, cfg.r)
+        or_line = cfg.or_line
         for name, pt, side in (("X", cfg.x, bc), ("Y", cfg.y, ca), ("Z", cfg.z, ab)):
             rec.point_on_line(f"{name} on its sideline", pt, side)
             rec.point_on_line(f"{name} on OR", pt, or_line)
@@ -539,13 +530,15 @@ def check_circumcenter_perspective(cfg: Configuration) -> CheckResult:
 
 
 def build_spiral_points(
-    a: Point, b: Point, c: Point, m: Point, scale: Fraction
+    a: Point, b: Point, c: Point, m: Point, scale: Fraction,
+    sides: Optional[Tuple[Line, Line, Line]] = None,
 ) -> Tuple[Point, Point, Point]:
     """Spiral image of the pedal triangle of m under 1 + scale*i, which keeps
-    each image point on its sideline."""
+    each image point on its sideline.  A caller holding the sidelines
+    (BC, CA, AB) passes them as ``sides``."""
     rho = ComplexScalar(1, scale)
     out = []
-    for side in (line_through(b, c), line_through(c, a), line_through(a, b)):
+    for side in sides if sides is not None else triangle_sidelines(a, b, c):
         ft = foot_perpendicular(m, side)
         out.append(m + rho.apply_to(ft - m))
     return tuple(out)
@@ -554,13 +547,15 @@ def build_spiral_points(
 def check_lemma_spiral(
     a: Point, b: Point, c: Point, m: Point, scale: Fraction,
     points: Optional[Tuple[Point, Point, Point]] = None,
+    sides: Optional[Tuple[Line, Line, Line]] = None,
 ) -> CheckResult:
     """m is the Miquel point of the spiral image of its own pedal triangle,
-    with one common spiral ratio on all three sides."""
+    with one common spiral ratio on all three sides.  A caller holding the
+    sidelines (BC, CA, AB) passes them as ``sides``."""
 
     def body(rec: _Recorder):
-        d, e, f = points if points is not None else build_spiral_points(a, b, c, m, scale)
-        bc, ca, ab = line_through(b, c), line_through(c, a), line_through(a, b)
+        bc, ca, ab = sides if sides is not None else triangle_sidelines(a, b, c)
+        d, e, f = points if points is not None else build_spiral_points(a, b, c, m, scale, (bc, ca, ab))
         rec.point_on_line("D on BC", d, bc)
         rec.point_on_line("E on CA", e, ca)
         rec.point_on_line("F on AB", f, ab)
@@ -616,18 +611,23 @@ def check_lemma_cyclic(
     return _run("check_lemma_cyclic", body)
 
 
-def check_lemma_simson_angle(a: Point, b: Point, c: Point, m: Point, n: Point) -> CheckResult:
+def check_lemma_simson_angle(
+    a: Point, b: Point, c: Point, m: Point, n: Point, cfg: Optional[Configuration] = None
+) -> CheckResult:
     """The angle between two Simson lines equals the inscribed angle the two
-    points subtend at a vertex."""
+    points subtend at a vertex.  When m and n are the Steiner and Tarry
+    points of ``cfg``, its circumcircle and Simson lines are used."""
 
     def body(rec: _Recorder):
-        circ = circumcircle(a, b, c)
+        circ = cfg.circ if cfg is not None else circumcircle(a, b, c)
         ok_m = rec.point_on_circle("M on the circumcircle", m, circ)
         ok_n = rec.point_on_circle("N on the circumcircle", n, circ)
         if not (ok_m and ok_n):
             return
-        lm = simson_line(m, a, b, c)
-        ln = simson_line(n, a, b, c)
+        if cfg is not None:
+            lm, ln = cfg.simson_steiner, cfg.simson_tarry
+        else:
+            lm, ln = simson_line(m, a, b, c), simson_line(n, a, b, c)
         # Any vertex distinct from both points sees the same inscribed
         # angle mod pi; one always exists.
         vertex = next(v for v in (a, b, c) if v != m and v != n)
@@ -648,8 +648,7 @@ def check_kwon_remark(kw: KwonScene) -> CheckResult:
         rec.scalars_equal("TD^2 == TX^2", dist2(kw.t, kw.d), dist2(kw.t, kw.x))
         rec.scalars_equal("TE^2 == TY^2", dist2(kw.t, kw.e), dist2(kw.t, kw.y))
         rec.scalars_equal("TF^2 == TZ^2", dist2(kw.t, kw.f), dist2(kw.t, kw.z))
-        o1 = miquel_point(kw.d, kw.e, kw.f, kw.a, kw.b, kw.c)
-        o2 = miquel_point(kw.x, kw.y, kw.z, kw.a, kw.b, kw.c)
+        o1, o2 = kw.miquel_points
         rec.scalars_equal("T O1^2 == T O2^2", dist2(kw.t, o1), dist2(kw.t, o2))
 
     return _run("check_kwon_remark", body)
@@ -744,6 +743,29 @@ def check_classical_overlay(cfg: Configuration, overlay: Optional[ClassicalOverl
 # Suite runner
 
 
+@lru_cache(maxsize=1)
+def _cyclic_lemma(gamma: Circle) -> CheckResult:
+    """The cyclic lemma on the fixed quadrangle of gamma.  It depends on
+    gamma alone, so the result for the last circle is kept: a file of
+    scenes on one circle computes it once.  Never hand it out; see
+    ``_copy_result``."""
+    try:
+        quad = build_cyclic_quadrangle(gamma)
+    except GeometryError as exc:
+        return _degenerate("check_lemma_cyclic", str(exc))
+    return check_lemma_cyclic(gamma, *quad)
+
+
+def _copy_result(result: CheckResult) -> CheckResult:
+    """A copy of ``result`` that shares no mutable object with it."""
+    return CheckResult(
+        result.check_id,
+        result.status,
+        [Assertion(a.label, a.ok, a.witnesses) for a in result.assertions],
+        list(result.notes),
+    )
+
+
 def _scene_checks(cfg: Configuration, digest: str) -> Dict[str, Callable[[], CheckResult]]:
     """Bind every theorem check to the configuration, deriving the auxiliary
     lemma inputs deterministically from the scene."""
@@ -752,19 +774,12 @@ def _scene_checks(cfg: Configuration, digest: str) -> Dict[str, Callable[[], Che
     def lemma_spiral() -> CheckResult:
         if cfg.collapsed:
             return _degenerate("check_lemma_spiral", "configuration collapsed (P = Q)")
-        return check_lemma_spiral(s.a, s.b, s.c, cfg.p, SPIRAL_SCALE)
-
-    def lemma_cyclic() -> CheckResult:
-        try:
-            quad = build_cyclic_quadrangle(s.gamma)
-        except GeometryError as exc:
-            return _degenerate("check_lemma_cyclic", str(exc))
-        return check_lemma_cyclic(s.gamma, *quad)
+        return check_lemma_spiral(s.a, s.b, s.c, cfg.p, SPIRAL_SCALE, sides=s.sidelines())
 
     def lemma_simson() -> CheckResult:
         if cfg.collapsed or cfg.steiner is None:
             return _degenerate("check_lemma_simson_angle", "Steiner pair unavailable")
-        return check_lemma_simson_angle(s.a, s.b, s.c, cfg.steiner, cfg.tarry)
+        return check_lemma_simson_angle(s.a, s.b, s.c, cfg.steiner, cfg.tarry, cfg)
 
     def kwon() -> CheckResult:
         try:
@@ -788,7 +803,7 @@ def _scene_checks(cfg: Configuration, digest: str) -> Dict[str, Callable[[], Che
         "check_simson_perpendicular": lambda: check_simson_perpendicular(cfg),
         "check_circumcenter_perspective": lambda: check_circumcenter_perspective(cfg),
         "check_lemma_spiral": lemma_spiral,
-        "check_lemma_cyclic": lemma_cyclic,
+        "check_lemma_cyclic": lambda: _copy_result(_cyclic_lemma(s.gamma)),
         "check_lemma_simson_angle": lemma_simson,
         "check_kwon_remark": kwon,
     }
@@ -806,7 +821,7 @@ def run_suite(scene: Scene, check_ids: Optional[Sequence[str]] = None) -> SuiteR
     validation = CheckResult(
         "scene_validation",
         FAIL if violations else PASS,
-        [Assertion(v, False, ()) for v in violations],
+        [Assertion(str(v), False, v.witnesses) for v in violations],
     )
     results = [validation]
     if violations:

@@ -597,17 +597,29 @@ def isogonal_conjugate(p: Point, a: Point, b: Point, c: Point) -> Point:
     return Point(Fraction(ku * xa + kv * xb + kw * xc, s), Fraction(ku * ya + kv * yb + kw * yc, s))
 
 
-def simson_line(p: Point, a: Point, b: Point, c: Point) -> Line:
+def triangle_sidelines(a: Point, b: Point, c: Point) -> Tuple[Line, Line, Line]:
+    """The sidelines (BC, CA, AB) of triangle abc."""
+    return line_through(b, c), line_through(c, a), line_through(a, b)
+
+
+def simson_line(
+    p: Point,
+    a: Point,
+    b: Point,
+    c: Point,
+    circ: Optional[Circle] = None,
+    sides: Optional[Tuple[Line, Line, Line]] = None,
+) -> Line:
     """Line through the three pedal feet of p, defined only for p on the
-    circumcircle of abc."""
-    circ = circumcircle(a, b, c)
+    circumcircle of abc.  A caller that already holds that circumcircle
+    (``circ``) or the sidelines (BC, CA, AB) (``sides``) passes them in."""
+    if circ is None:
+        circ = circumcircle(a, b, c)
     if not on_circle(p, circ):
         raise PointNotOnCircle(f"{p} is not on the circumcircle")
-    feet = [
-        foot_perpendicular(p, line_through(b, c)),
-        foot_perpendicular(p, line_through(c, a)),
-        foot_perpendicular(p, line_through(a, b)),
-    ]
+    if sides is None:
+        sides = triangle_sidelines(a, b, c)
+    feet = [foot_perpendicular(p, side) for side in sides]
     first = feet[0]
     other = next((f for f in feet[1:] if f != first), None)
     if other is None:

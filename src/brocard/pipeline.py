@@ -24,13 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 from .geom import (
     Circle,
     ComplexScalar,
     Degenerate,
     GeometryError,
+    InverseSimilarity,
     Line,
     ParallelLines,
     Point,
@@ -42,6 +44,7 @@ from .geom import (
     dot,
     foot_perpendicular,
     intersect_lines,
+    inverse_similarity_map,
     isogonal_conjugate,
     line_through,
     midpoint,
@@ -51,7 +54,9 @@ from .geom import (
     parallel_through,
     pole_of_line,
     second_intersection_circles,
+    simson_line,
     tangent_line,
+    triangle_sidelines,
 )
 from .scene import Scene
 
@@ -72,6 +77,11 @@ class Configuration:
     When the two Miquel points coincide (``collapsed``), only ``p`` and
     ``q`` are populated; all dependent constructions are undefined and the
     verification suite reports DEGENERATE instead of evaluating them.
+
+    The objects several checks share (the inverse similarity, the line OR,
+    the Simson lines of S_t and T_a) are built on first use and cached on
+    the instance, never passed to ``__init__``, so ``dataclasses.replace``
+    derives them afresh from the replaced fields.
     """
 
     scene: Scene
@@ -117,6 +127,29 @@ class Configuration:
             getattr(self, name) is not None
             for name in ("a0", "b0", "c0", "x", "y", "z", "o_a", "o_b", "o_c")
         )
+
+    @cached_property
+    def similarity(self) -> InverseSimilarity:
+        """The orientation-reversing similarity A -> T_A, B -> T_B."""
+        return inverse_similarity_map(self.scene.a, self.t_a, self.scene.b, self.t_b)
+
+    @cached_property
+    def or_line(self) -> Line:
+        return line_through(self.o, self.r)
+
+    @cached_property
+    def simson_steiner(self) -> Line:
+        """Simson line of S_t, on the stored circumcircle and sidelines."""
+        return self._simson(self.steiner)
+
+    @cached_property
+    def simson_tarry(self) -> Line:
+        """Simson line of T_a, on the stored circumcircle and sidelines."""
+        return self._simson(self.tarry)
+
+    def _simson(self, pt: Point) -> Line:
+        s = self.scene
+        return simson_line(pt, s.a, s.b, s.c, self.circ, s.sidelines())
 
 
 @dataclass(frozen=True)
@@ -169,15 +202,19 @@ def _chord_line(p1: Point, p2: Point, gamma: Circle, name: str) -> Line:
     return tangent_line(gamma, p1)
 
 
-def miquel_point(d: Point, e: Point, f: Point, a: Point, b: Point, c: Point) -> Point:
+def miquel_point(
+    d: Point, e: Point, f: Point, a: Point, b: Point, c: Point,
+    sides: Optional[Tuple[Line, Line, Line]] = None,
+) -> Point:
     """Miquel point of the inscribed triangle def in triangle abc: the common
     point of the circumcircles of (a,e,f), (b,f,d), (c,d,e).
 
     d must lie on sideline BC, e on CA, f on AB.  Aliased inputs (d=b and
     similar) are allowed and produce the tangent-circle limits, so the
-    classical Brocard points are the images of (b,c,a) and (c,a,b).
+    classical Brocard points are the images of (b,c,a) and (c,a,b).  A
+    caller holding the sidelines (BC, CA, AB) passes them as ``sides``.
     """
-    bc, ca, ab = line_through(b, c), line_through(c, a), line_through(a, b)
+    bc, ca, ab = sides if sides is not None else triangle_sidelines(a, b, c)
     if not on_line(d, bc):
         raise Degenerate("miquel point", "d is not on sideline BC")
     if not on_line(e, ca):
@@ -255,11 +292,12 @@ def compute_configuration(scene: Scene) -> Configuration:
     error contract.  Precondition: ``validate_scene(scene)`` is empty."""
     a, b, c = scene.a, scene.b, scene.c
     gamma, o = scene.gamma, scene.o
-    bc, ca, ab = scene.sidelines()
+    sides = scene.sidelines()
+    bc, ca, ab = sides
     circ = circumcircle(a, b, c)
 
-    p = miquel_point(scene.a1, scene.b1, scene.c1, a, b, c)
-    q = miquel_point(scene.a2, scene.b2, scene.c2, a, b, c)
+    p = miquel_point(scene.a1, scene.b1, scene.c1, a, b, c, sides)
+    q = miquel_point(scene.a2, scene.b2, scene.c2, a, b, c, sides)
     if p == q:
         return Configuration(scene=scene, circ=circ, o=o, p=p, q=q, collapsed=True)
 
@@ -402,7 +440,8 @@ def classical_overlay(scene: Scene) -> ClassicalOverlay:
         raise ValueError("classical overlay requires a classical scene")
     a, b, c = scene.a, scene.b, scene.c
     gamma = scene.gamma
-    bc, ca, ab = scene.sidelines()
+    sides = scene.sidelines()
+    bc, ca, ab = sides
 
     with _Stage("tangent circles"):
         w_a = circle_through_tangent(b, bc, a)
@@ -412,8 +451,8 @@ def classical_overlay(scene: Scene) -> ClassicalOverlay:
         w_b_prime = circle_through_tangent(a, ca, b)
         w_c_prime = circle_through_tangent(b, ab, c)
 
-    omega = miquel_point(b, c, a, a, b, c)
-    omega_prime = miquel_point(c, a, b, a, b, c)
+    omega = miquel_point(b, c, a, a, b, c, sides)
+    omega_prime = miquel_point(c, a, b, a, b, c, sides)
     if omega == omega_prime:
         # The equilateral collapse; both points sink into the center.
         return ClassicalOverlay(

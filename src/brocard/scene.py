@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import List, Optional, Sequence, Tuple
 
@@ -24,6 +25,7 @@ from .geom import (
     Point,
     Circle,
     Line,
+    collinear_det,
     dot,
     foot_perpendicular,
     intersect_lines,
@@ -35,6 +37,7 @@ from .geom import (
     perpendicular_bisector,
     rat,
     RationalLike,
+    triangle_sidelines,
 )
 
 
@@ -50,6 +53,9 @@ class Scene:
     whose center is o.  Classical scenes alias the incidence points to the
     vertices (a1=b, b1=c, c1=a, a2=c, b2=a, c2=b) and gamma is then the
     circumcircle.
+
+    Objects derived from the fields are cached on the instance, never
+    passed to ``__init__``, so ``dataclasses.replace`` derives them afresh.
     """
 
     a: Point
@@ -75,12 +81,12 @@ class Scene:
         return (self.a1, self.a2, self.b1, self.b2, self.c1, self.c2)
 
     def sidelines(self) -> Tuple[Line, Line, Line]:
-        """(BC, CA, AB)."""
-        return (
-            line_through(self.b, self.c),
-            line_through(self.c, self.a),
-            line_through(self.a, self.b),
-        )
+        """(BC, CA, AB), built once per instance."""
+        return self._sidelines
+
+    @cached_property
+    def _sidelines(self) -> Tuple[Line, Line, Line]:
+        return triangle_sidelines(self.a, self.b, self.c)
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,8 @@ class SceneParams:
 class KwonScene:
     """Two inscribed triangles DEF, XYZ whose chord perpendicular bisectors
     concur at t (the third bisector is forced by reflecting f across the
-    foot of t on AB)."""
+    foot of t on AB).  Their Miquel points are cached on the instance, so
+    ``dataclasses.replace`` derives them afresh."""
 
     a: Point
     b: Point
@@ -124,6 +131,18 @@ class KwonScene:
     y: Point
     z: Point
     t: Point
+
+    @cached_property
+    def miquel_points(self) -> Tuple[Point, Point]:
+        """The Miquel points of DEF and of XYZ in ABC."""
+        from .pipeline import miquel_point  # deferred: pipeline builds on scenes
+
+        a, b, c = self.a, self.b, self.c
+        sides = triangle_sidelines(a, b, c)
+        return (
+            miquel_point(self.d, self.e, self.f, a, b, c, sides),
+            miquel_point(self.x, self.y, self.z, a, b, c, sides),
+        )
 
 
 def circle_point_from_parameter(t: RationalLike, center: Point, radius: RationalLike) -> Point:
@@ -275,8 +294,6 @@ def kwon_scene(seed: int, max_attempts: int = 200) -> KwonScene:
     two bisectors; z is then the reflection of a free f across the foot of t
     on AB, which forces the third bisector through t exactly.
     """
-    from .pipeline import miquel_point  # deferred: probe Miquel constructibility
-
     rng = Random(seed)
 
     def draw_rat(lo: int, hi: int) -> Fraction:
@@ -304,22 +321,43 @@ def kwon_scene(seed: int, max_attempts: int = 200) -> KwonScene:
             t = intersect_lines(perpendicular_bisector(d, x), perpendicular_bisector(e, y))
             z = 2 * foot_perpendicular(t, line_through(a, b)) - f
             kw = KwonScene(a=a, b=b, c=c, d=d, e=e, f=f, x=x, y=y, z=z, t=t)
-            # Both Miquel points must be constructible for the check to run.
-            miquel_point(kw.d, kw.e, kw.f, a, b, c)
-            miquel_point(kw.x, kw.y, kw.z, a, b, c)
+            # Both Miquel points must be constructible for the check to run;
+            # the scene keeps them for it.
+            kw.miquel_points
         except GeometryError:
             continue
         return kw
     raise GenerationExhausted(f"no valid Kwon scene within {max_attempts} attempts (seed {seed})")
 
 
-def validate_scene(s: Scene) -> List[str]:
-    """Re-check every scene invariant with exact predicates; empty iff valid."""
-    violations: List[str] = []
+class Violation(str):
+    """A violated scene invariant: the message, with ``witnesses``, the exact
+    quantities its predicate tested.  A violated equality carries a nonzero
+    residual or coordinate difference; a violated inequality carries the
+    value that has the wrong sign; a violated distinctness condition carries
+    the zero difference of the two coinciding points."""
+
+    witnesses: Tuple[Fraction, ...]
+
+    def __new__(cls, message: str, *witnesses: Fraction) -> "Violation":
+        self = super().__new__(cls, message)
+        self.witnesses = witnesses
+        return self
+
+
+def _difference(p: Point, q: Point) -> Tuple[Fraction, Fraction]:
+    return p.x - q.x, p.y - q.y
+
+
+def validate_scene(s: Scene) -> List[Violation]:
+    """Re-check every scene invariant with exact predicates; empty iff valid.
+    Each violation is its message, a ``str``, carrying its witnesses."""
+    violations: List[Violation] = []
     try:
         bc, ca, ab = s.sidelines()
     except GeometryError:
-        return ["triangle vertices are not pairwise distinct"]
+        p, q = next((p, q) for p, q in ((s.b, s.c), (s.c, s.a), (s.a, s.b)) if p == q)
+        return [Violation("triangle vertices are not pairwise distinct", *_difference(p, q))]
 
     for name, p, l, side in (
         ("a1", s.a1, bc, "BC"), ("a2", s.a2, bc, "BC"),
@@ -327,16 +365,18 @@ def validate_scene(s: Scene) -> List[str]:
         ("c1", s.c1, ab, "AB"), ("c2", s.c2, ab, "AB"),
     ):
         if not on_line(p, l):
-            violations.append(f"{name} not on {side}")
+            violations.append(Violation(f"{name} not on {side}", l.eval(p)))
     for name, p in zip(("a1", "a2", "b1", "b2", "c1", "c2"), s.incidence_points):
         if not on_circle(p, s.gamma):
-            violations.append(f"{name} not on gamma")
+            violations.append(Violation(f"{name} not on gamma", s.gamma.eval(p)))
     if s.o != s.gamma.center:
-        violations.append("o is not the center of gamma")
+        violations.append(Violation("o is not the center of gamma", *_difference(s.o, s.gamma.center)))
     if s.gamma.radius2 <= 0:
-        violations.append("gamma has non-positive squared radius")
+        violations.append(Violation("gamma has non-positive squared radius", s.gamma.radius2))
     if orientation(s.a, s.b, s.c) <= 0:
-        violations.append("orientation: triangle is not anticlockwise")
+        violations.append(
+            Violation("orientation: triangle is not anticlockwise", collinear_det(s.a, s.b, s.c))
+        )
 
     if s.classical:
         aliases = (
@@ -345,13 +385,15 @@ def validate_scene(s: Scene) -> List[str]:
         )
         for name, p, v in aliases:
             if p != v:
-                violations.append(f"classical aliasing broken for {name}")
+                violations.append(Violation(f"classical aliasing broken for {name}", *_difference(p, v)))
     else:
         pts = s.incidence_points
-        if len(set(pts)) != 6:
-            violations.append("incidence points are not pairwise distinct")
-        if any(p in s.vertices for p in pts):
-            violations.append("incidence point coincides with a vertex")
+        repeated = next(((p, q) for i, p in enumerate(pts) for q in pts[i + 1:] if p == q), None)
+        if repeated is not None:
+            violations.append(Violation("incidence points are not pairwise distinct", *_difference(*repeated)))
+        on_vertex = next(((p, v) for p in pts for v in s.vertices if p == v), None)
+        if on_vertex is not None:
+            violations.append(Violation("incidence point coincides with a vertex", *_difference(*on_vertex)))
 
     if s.strict_segments:
         for name, p, e1, e2 in (
@@ -360,5 +402,7 @@ def validate_scene(s: Scene) -> List[str]:
             ("c1", s.c1, s.a, s.b), ("c2", s.c2, s.a, s.b),
         ):
             if not _between(p, e1, e2):
-                violations.append(f"{name} outside the closed segment")
+                # The affine parameter of p along e1 -> e2, outside [0, 1].
+                d = e2 - e1
+                violations.append(Violation(f"{name} outside the closed segment", dot(p - e1, d) / dot(d, d)))
     return violations

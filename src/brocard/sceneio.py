@@ -4,9 +4,9 @@ Rationals serialize as canonical ``"p/q"`` strings, never as floating
 point JSON numbers, so files are lossless and byte-deterministic.  The
 parser accepts only the text ``rational_to_str`` writes (lowest terms,
 positive denominator, no sign on zero, no leading zeros, spaces or
-underscores), only JSON booleans as flags, an object as provenance and no
-non-integer JSON number anywhere: round trips are the identity on both
-sides.
+underscores), only JSON booleans as flags, an object as provenance, no
+key it does not know outside the free-form provenance and no non-integer
+JSON number anywhere: round trips are the identity on both sides.
 
 Scene and report files come from one canonical encoder, ``_encode``,
 whose output equals ``json.dumps(document, sort_keys=True, indent=2)`` plus
@@ -74,6 +74,14 @@ def _point_from_json(data: Any, where: str) -> Point:
 
 
 _POINT_FIELDS = ("a", "b", "c", "o", "a1", "a2", "b1", "b2", "c1", "c2")
+_SCENE_KEYS = frozenset((*_POINT_FIELDS, "gamma", "classical", "strict_segments"))
+_DOCUMENT_KEYS = frozenset(("format", "provenance", "scenes"))
+
+
+def _reject_unknown_keys(data: Dict[str, Any], known: frozenset, where: str) -> None:
+    unknown = sorted(k for k in data if k not in known)
+    if unknown:
+        raise SceneFormatError(f"{where}: unknown keys {', '.join(map(repr, unknown))}")
 
 
 def scene_to_dict(s: Scene) -> Dict[str, Any]:
@@ -91,6 +99,7 @@ def scene_to_dict(s: Scene) -> Dict[str, Any]:
 def scene_from_dict(data: Any, where: str = "scene") -> Scene:
     if not isinstance(data, dict):
         raise SceneFormatError(f"{where}: expected an object")
+    _reject_unknown_keys(data, _SCENE_KEYS, where)
     missing = [k for k in (*_POINT_FIELDS, "gamma") if k not in data]
     if missing:
         raise SceneFormatError(f"{where}: missing fields {', '.join(missing)}")
@@ -199,6 +208,7 @@ def scenes_to_document(
 def scenes_from_document(doc: Any) -> Tuple[List[Scene], Dict[str, Any]]:
     if not isinstance(doc, dict):
         raise SceneFormatError("scene document must be a JSON object")
+    _reject_unknown_keys(doc, _DOCUMENT_KEYS, "scene document")
     if doc.get("format") != SCENE_FORMAT:
         raise SceneFormatError(f"unsupported scene format {doc.get('format')!r}")
     raw = doc.get("scenes")

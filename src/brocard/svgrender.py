@@ -181,11 +181,9 @@ def render_svg(
         if "steiner" in layers:
             canvas.dot("steiner", cfg.steiner, "S_t", dot_r)
             canvas.dot("steiner", cfg.tarry, "T_a", dot_r)
-            from .geom import simson_line
-
             box = (canvas.min_x, canvas.max_x, -canvas.max_y, -canvas.min_y)
-            for pt in (cfg.steiner, cfg.tarry):
-                seg = _line_in_box(simson_line(pt, scene.a, scene.b, scene.c), box[0], box[1], box[2], box[3])
+            for line in (cfg.simson_steiner, cfg.simson_tarry):
+                seg = _line_in_box(line, box[0], box[1], box[2], box[3])
                 if seg is not None:
                     canvas.segment("steiner", seg[0], seg[1], width * 0.8, dashed=True)
 

@@ -23,8 +23,17 @@ from brocard.checks import (
     check_lemma_spiral,
     run_suite,
 )
-from brocard.geom import Circle, Point
-from brocard.pipeline import compute_configuration
+from brocard.geom import (
+    Circle,
+    ComplexScalar,
+    Point,
+    dist2,
+    inverse_similarity_map,
+    line_through,
+    simson_line,
+    triangle_sidelines,
+)
+from brocard.pipeline import compute_configuration, miquel_point
 from brocard.scene import (
     SceneParams,
     classical_brocard_scene,
@@ -274,3 +283,117 @@ class TestWitnessFidelity:
         expected = dist2(shifted.r, shifted.p) - dist2(shifted.r, shifted.q)
         assert result.assertions[0].witnesses == (expected,)
         assert expected != 0
+
+
+def _result_objects(report):
+    """Every CheckResult, Assertion and list object a report holds."""
+    for result in report.results:
+        yield from (result, result.assertions, result.notes)
+        yield from result.assertions
+
+
+class TestComputedOnce:
+    """Derived objects are cached on the instance they derive from, so a
+    ``dataclasses.replace`` copy derives them afresh from its own fields."""
+
+    def test_scene_sidelines_cached_and_rederived(self, seed7_scene):
+        s = seed7_scene
+        assert s.sidelines() is s.sidelines()
+        assert s.sidelines() == triangle_sidelines(s.a, s.b, s.c)
+        moved = dataclasses.replace(s, a=s.a + Point(1, 0))
+        assert moved.sidelines() == triangle_sidelines(moved.a, moved.b, moved.c)
+        assert moved.sidelines()[0] == s.sidelines()[0]
+        assert moved.sidelines()[1:] != s.sidelines()[1:]
+
+    def test_configuration_objects_rederived(self, seed7_scene, seed7_cfg):
+        cfg, s = seed7_cfg, seed7_scene
+        assert cfg.or_line is cfg.or_line
+        assert cfg.similarity is cfg.similarity
+        assert cfg.simson_steiner == simson_line(cfg.steiner, s.a, s.b, s.c)
+        assert cfg.simson_tarry == simson_line(cfg.tarry, s.a, s.b, s.c)
+
+        shifted = dataclasses.replace(cfg, r=cfg.r + Point(1, 0))
+        assert shifted.or_line == line_through(cfg.o, shifted.r) != cfg.or_line
+        moved = dataclasses.replace(cfg, t_a=cfg.t_a + Point(0, 1))
+        assert moved.similarity == inverse_similarity_map(s.a, moved.t_a, s.b, moved.t_b)
+        assert moved.similarity != cfg.similarity
+        swapped = dataclasses.replace(cfg, steiner=cfg.tarry, tarry=cfg.steiner)
+        assert swapped.simson_steiner == cfg.simson_tarry
+        assert swapped.simson_tarry == cfg.simson_steiner
+
+    def test_replaced_configuration_fails_on_its_own_objects(self, seed7_cfg):
+        cfg = seed7_cfg
+        # Warm every cache on the original first: a copy must not reuse them.
+        cfg.or_line, cfg.similarity, cfg.simson_steiner, cfg.simson_tarry
+        shifted = dataclasses.replace(cfg, r=cfg.r + Point(1, 0))
+        for check in (ck.check_simson_parallel, ck.check_simson_perpendicular, ck.check_polygon_similarity):
+            assert check(cfg).status == PASS
+            assert check(shifted).status == FAIL
+        moved = dataclasses.replace(cfg, t_b=cfg.t_b + Point(1, 0))
+        assert ck.check_first_triangle_similarity(moved).status == FAIL
+
+    def test_rotation_check_reads_the_stored_ratios(self, seed7_cfg):
+        cfg = seed7_cfg
+        for field_, label in (("r_p", "r_P agrees on BC and CA"), ("r_q", "r_Q agrees on BC and CA")):
+            bad = dataclasses.replace(cfg, **{field_: getattr(cfg, field_) + ComplexScalar(0, 1)})
+            result = ck.check_rotation_angles(bad)
+            assert result.status == FAIL
+            failed = {a.label: a.witnesses for a in result.failed_assertions}
+            assert failed[label] == (0, 1)
+            assert "Im(r_P * r_Q) == 0" in failed
+
+    def test_kwon_miquel_points_rederived(self):
+        kw = kwon_scene(1)
+        a, b, c = kw.a, kw.b, kw.c
+        assert kw.miquel_points == (
+            miquel_point(kw.d, kw.e, kw.f, a, b, c),
+            miquel_point(kw.x, kw.y, kw.z, a, b, c),
+        )
+        # Slide Z along AB: the triangle XYZ stays inscribed, so its Miquel
+        # point exists, but the bisectors no longer concur at T.
+        bad = dataclasses.replace(kw, z=kw.z + F(1, 3) * (b - a))
+        o1, o2 = kw.miquel_points
+        new_o2 = miquel_point(bad.x, bad.y, bad.z, a, b, c)
+        assert bad.miquel_points == (o1, new_o2) and new_o2 != o2
+        result = check_kwon_remark(bad)
+        assert result.status == FAIL
+        assert result.assertions[-1].witnesses == (dist2(kw.t, o1) - dist2(kw.t, new_o2),)
+
+    def test_cyclic_lemma_per_circle(self, seed7_scene):
+        def cyclic(report):
+            return next(r for r in report.results if r.check_id == "check_lemma_cyclic")
+
+        def fields(result):
+            return result.check_id, result.status, result.assertions, result.notes
+
+        ck._cyclic_lemma.cache_clear()
+        fresh = run_suite(COLLAPSE_SCENE)
+        after_unit_circle = [run_suite(seed7_scene), run_suite(COLLAPSE_SCENE)][1]
+        assert [fields(r) for r in after_unit_circle.results] == [fields(r) for r in fresh.results]
+        quad = build_cyclic_quadrangle(COLLAPSE_SCENE.gamma)
+        assert fields(cyclic(fresh)) == fields(check_lemma_cyclic(COLLAPSE_SCENE.gamma, *quad))
+
+    def test_cyclic_lemma_computed_once_per_circle(self, seed7_scene, monkeypatch):
+        circles = []
+
+        def counting(circle, *quad):
+            circles.append(circle)
+            return check_lemma_cyclic(circle, *quad)
+
+        monkeypatch.setattr(ck, "check_lemma_cyclic", counting)
+        ck._cyclic_lemma.cache_clear()
+        other = generate_scene(SceneParams(seed=8))
+        for scene in (seed7_scene, other, seed7_scene, COLLAPSE_SCENE, COLLAPSE_SCENE, other):
+            run_suite(scene)
+        assert circles == [seed7_scene.gamma, COLLAPSE_SCENE.gamma, other.gamma]
+        ck._cyclic_lemma.cache_clear()
+
+    def test_reports_share_no_result_object(self, seed7_scene):
+        first, second = run_suite(seed7_scene), run_suite(seed7_scene)
+        assert not {id(o) for o in _result_objects(first)} & {id(o) for o in _result_objects(second)}
+        cyclic = next(r for r in first.results if r.check_id == "check_lemma_cyclic")
+        cyclic.assertions.clear()
+        cyclic.notes.append("edited")
+        third = run_suite(seed7_scene)
+        assert [r.assertions for r in third.results] == [r.assertions for r in second.results]
+        assert [r.notes for r in third.results] == [r.notes for r in second.results]

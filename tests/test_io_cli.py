@@ -37,6 +37,8 @@ from brocard.sceneio import (
     write_scene_file,
 )
 
+from test_pipeline import COLLAPSE_SCENE
+
 
 class TestRationalStrings:
     def test_round_trip(self):
@@ -120,6 +122,40 @@ class TestSceneRoundTrip:
         del d["a1"]
         with pytest.raises(SceneFormatError):
             scene_from_dict(d)
+
+    @pytest.mark.parametrize("key", ["clasical", "strict-segments", "gama", "Classical", ""])
+    def test_unknown_scene_key_rejected(self, key):
+        d = scene_to_dict(classical_brocard_scene(0, 1, 3))
+        d[key] = d.pop("classical")
+        with pytest.raises(SceneFormatError, match=f"unknown keys {key!r}"):
+            scene_from_dict(d)
+
+    def test_unknown_document_key_rejected(self, tmp_path, capsys):
+        doc = scenes_to_document([classical_brocard_scene(0, 1, 3)], {"note": "free-form"})
+        doc["provenence"] = doc.pop("provenance")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SceneFormatError, match="unknown keys 'provenence'"):
+            read_scene_file(str(path))
+        assert main(["verify", "--in", str(path)]) == 1
+        assert main(["render", "--in", str(path), "--out", str(tmp_path / "o.svg")]) == 1
+        assert "provenence" in capsys.readouterr().err
+
+    def test_misspelled_flag_is_a_format_error(self, tmp_path, capsys):
+        doc = scenes_to_document([classical_brocard_scene(0, 1, 3)])
+        doc["scenes"][0]["clasical"] = doc["scenes"][0].pop("classical")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--in", str(path)]) == 1
+        assert main(["render", "--in", str(path), "--out", str(tmp_path / "o.svg")]) == 1
+        err = capsys.readouterr().err
+        assert "scenes[0]: unknown keys 'clasical'" in err and "invalid" not in err
+
+    def test_provenance_keys_are_free_form(self, tmp_path):
+        prov = {"anything": {"nested": [1, "x"]}, "clasical": True}
+        path = tmp_path / "s.json"
+        write_scene_file(str(path), [classical_brocard_scene(0, 1, 3)], prov)
+        assert read_scene_file(str(path))[1] == prov
 
     @pytest.mark.parametrize("value", [None, 0, "", [], "seed 1", [1]])
     def test_provenance_must_be_an_object(self, tmp_path, value):
@@ -342,6 +378,7 @@ class TestGoldenBytes:
     SCENE_SHA = "f2d53441be2ded834bf490b5fed50062fd13a4c65851fc82e59b1fe33b7c35e2"
     REPORT_SHA = "dd0dad47468e4653d814343d28422ca818d976d16186a74a90349e3a5ff45dd7"
     CLASSICAL_REPORT_SHA = "97742f22d8116832bebb4f9860089f0213ddf49e598ee92d1ee396230033de67"
+    DEGENERATE_REPORT_SHA = "578c184bcd94d48a9ec69021b9e0cd4a9b141ba6c4982be7d8b142d858d78f62"
 
     def test_scene_file_golden(self, tmp_path):
         import hashlib
@@ -363,6 +400,17 @@ class TestGoldenBytes:
         report = tmp_path / "c.json"
         assert main(["classical", "--params", "0,1,-1", "--report", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == self.CLASSICAL_REPORT_SHA
+
+    def test_degenerate_report_golden(self, tmp_path):
+        """The collapsed scene, on a circle of its own, between two scenes on
+        the unit circle: DEGENERATE entries with notes, and the cyclic lemma
+        on two circles in turn."""
+        scenes = tmp_path / "d.json"
+        report = tmp_path / "r.json"
+        generated = [generate_scene(SceneParams(seed=seed)) for seed in (1, 2)]
+        write_scene_file(str(scenes), [generated[0], COLLAPSE_SCENE, generated[1]])
+        assert main(["verify", "--in", str(scenes), "--report", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == self.DEGENERATE_REPORT_SHA
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +488,24 @@ class TestCanonicalEncoder:
         ]
         assert any(w != "0/1" for w in witnesses)
         assert _canonical_bytes(doc) == _reference_bytes(doc)
+
+    def test_validation_fail_witnesses(self, tmp_path, capsys):
+        scene = generate_scene(SceneParams(seed=42))
+        moved = scene.a1 + Point(F(1, 3), 0)
+        path, report = tmp_path / "m.json", tmp_path / "r.json"
+        write_scene_file(str(path), [dataclasses.replace(scene, a1=moved)])
+        assert main(["verify", "--in", str(path), "--report", str(report)]) == 1
+        (validation,) = json.loads(report.read_text())["scenes"][0]["checks"]
+        assert validation["id"] == "scene_validation" and validation["status"] == "FAIL"
+        expected = {
+            "a1 not on BC": [rational_to_str(scene.sidelines()[0].eval(moved))],
+            "a1 not on gamma": [rational_to_str(scene.gamma.eval(moved))],
+        }
+        assert {a["label"]: a["witnesses"] for a in validation["assertions"]} == expected
+        assert "0/1" not in [w for ws in expected.values() for w in ws]
+        out = capsys.readouterr().out
+        for label, (witness,) in expected.items():
+            assert f"FAIL scene_validation: {label} (witness {witness})" in out
 
     def test_generated_scene_file(self, tmp_path):
         path = tmp_path / "s.json"
@@ -520,7 +586,7 @@ def mutated_documents(draw):
     """(kind, file bytes): one mutation of a valid scene document."""
     original = _base_document_bytes(draw(st.booleans()))
     doc = json.loads(original)
-    kind = draw(st.sampled_from(["type", "missing", "rational", "value", "format", "syntax"]))
+    kind = draw(st.sampled_from(["type", "missing", "renamed", "rational", "value", "format", "syntax"]))
     if kind == "syntax":
         if draw(st.booleans()):
             return kind, original[: draw(st.integers(0, len(original) - 2))]
@@ -534,6 +600,16 @@ def mutated_documents(draw):
         _set(doc, path, new)
     elif kind == "missing":
         _delete(doc, draw(st.sampled_from([path for path, _ in paths])))
+    elif kind == "renamed":
+        # Any object key; only the keys of the free-form provenance may change.
+        path = draw(st.sampled_from([path for path, _ in paths if isinstance(path[-1], str)]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        new = draw(json_text.filter(lambda k: k not in parent))
+        parent[new] = parent.pop(path[-1])
+        if len(path) > 1 and path[0] == "provenance":
+            kind = "renamed in provenance"
     elif kind == "rational":
         path = draw(st.sampled_from(rationals))
         text = doc
@@ -567,7 +643,8 @@ class TestSceneDocumentFuzz:
         """Every mutated document exits 0, 1 or 2 without an uncaught
         exception; a rejected one exits 1 from both commands, and an accepted
         one is rewritten byte for byte, with the reader's documented defaults
-        (missing flags false, missing provenance empty) filled in."""
+        (missing flags false, missing provenance empty) filled in.  A key
+        renamed outside the provenance is always rejected."""
         kind, data = case
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "in.json")
@@ -581,7 +658,7 @@ class TestSceneDocumentFuzz:
             except SceneFormatError:
                 assert verify == 1 and render == 1
                 return
-            assert kind not in ("rational", "format", "syntax")
+            assert kind not in ("renamed", "rational", "format", "syntax")
             rewritten = os.path.join(tmp, "out.json")
             write_scene_file(rewritten, scenes, provenance)
             with open(rewritten, "rb") as fh:

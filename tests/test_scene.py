@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from brocard.geom import Point, dist2, on_circle, on_line, orientation
+from brocard.geom import Circle, Point, collinear_det, dist2, line_through, on_circle, on_line, orientation
 from brocard.scene import (
     GenerationExhausted,
     SceneParams,
@@ -154,6 +154,10 @@ class TestKwon:
         assert kwon_scene(1) != kwon_scene(2)
 
 
+def _witnesses(scene, message):
+    return next(v.witnesses for v in validate_scene(scene) if v == message)
+
+
 class TestValidation:
     def test_tampered_point(self):
         s = generate_scene(SceneParams(seed=7))
@@ -171,6 +175,59 @@ class TestValidation:
         s = generate_scene(SceneParams(seed=7))
         bad = dataclasses.replace(s, o=s.o + Point(0, 1))
         assert any("center" in v for v in validate_scene(bad))
+
+    def test_a1_off_by_a_third_carries_residuals(self):
+        s = generate_scene(SceneParams(seed=7))
+        moved = s.a1 + Point(F(1, 3), 0)
+        bad = dataclasses.replace(s, a1=moved)
+        witnesses = {v: v.witnesses for v in validate_scene(bad)}
+        assert witnesses == {
+            "a1 not on BC": (line_through(s.b, s.c).eval(moved),),
+            "a1 not on gamma": (s.gamma.eval(moved),),
+        }
+        assert all(w[0] != 0 for w in witnesses.values())
+
+    def test_inequality_witnesses_are_the_offending_values(self):
+        s = generate_scene(SceneParams(seed=7))
+        clockwise = dataclasses.replace(s, a=s.b, b=s.a)
+        (det,) = _witnesses(clockwise, "orientation: triangle is not anticlockwise")
+        assert det == collinear_det(s.b, s.a, s.c) < 0
+        flat = dataclasses.replace(s, gamma=Circle(0, 0, 1))
+        assert _witnesses(flat, "gamma has non-positive squared radius") == (F(-1),)
+
+    def test_center_and_alias_witnesses_are_coordinate_differences(self):
+        s = generate_scene(SceneParams(seed=7))
+        off = dataclasses.replace(s, o=s.o + Point(F(2, 3), -1))
+        assert _witnesses(off, "o is not the center of gamma") == (F(2, 3), F(-1))
+        cl = classical_brocard_scene(0, 1, 3)
+        broken = dataclasses.replace(cl, a1=cl.c)
+        assert _witnesses(broken, "classical aliasing broken for a1") == (cl.c.x - cl.b.x, cl.c.y - cl.b.y)
+
+    def test_distinctness_witness_is_the_zero_difference(self):
+        s = generate_scene(SceneParams(seed=7))
+        twice = dataclasses.replace(s, a2=s.a1)
+        assert _witnesses(twice, "incidence points are not pairwise distinct") == (0, 0)
+        on_vertex = dataclasses.replace(s, a1=s.b)
+        assert _witnesses(on_vertex, "incidence point coincides with a vertex") == (0, 0)
+        pinched = dataclasses.replace(s, b=s.c)
+        assert validate_scene(pinched) == ["triangle vertices are not pairwise distinct"]
+        assert validate_scene(pinched)[0].witnesses == (0, 0)
+
+    def test_segment_witness_is_the_affine_parameter(self):
+        checked = 0
+        for seed in range(1, 20):
+            s = generate_scene(SceneParams(seed=seed))
+            strict = dataclasses.replace(s, strict_segments=True)
+            outside = {v: v.witnesses for v in validate_scene(strict)}
+            for name, p, e1, e2 in (("a1", s.a1, s.b, s.c), ("b1", s.b1, s.c, s.a), ("c1", s.c1, s.a, s.b)):
+                # p is on the line e1-e2: read its parameter off one coordinate.
+                lam = (p.x - e1.x) / (e2.x - e1.x) if e2.x != e1.x else (p.y - e1.y) / (e2.y - e1.y)
+                label = f"{name} outside the closed segment"
+                assert (label in outside) == (not 0 <= lam <= 1)
+                if label in outside:
+                    assert outside[label] == (lam,)
+                    checked += 1
+        assert checked > 0
 
     def test_all_points_on_gamma(self):
         s = generate_scene(SceneParams(seed=9))
