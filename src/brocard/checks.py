@@ -16,6 +16,15 @@ carry the objects the check needs (collapsed Miquel pair, meets at
 infinity).  DEGENERATE is never conflated with FAIL.  If a construction
 inside a check raises after some assertion has already failed, the failure
 wins; a degeneracy with a clean slate reports DEGENERATE.
+
+A configuration check is declared once, as a body ``(rec, cfg)`` that
+records its assertions on ``rec``, decorated with ``@_check(*fields)``
+naming the configuration fields it needs besides the Miquel pair.  The
+body's function name is the check id, and the decorator turns the body
+into the public check of that name, ``check_x(cfg) -> CheckResult``.  The
+suite runs the checks in declaration order, which is report order: the
+configuration checks first, then the four lemma checks, whose adapters
+derive their self-contained inputs from the scene.
 """
 
 from __future__ import annotations
@@ -54,7 +63,6 @@ from .geom import (
     triangle_sidelines,
 )
 from .pipeline import (
-    ClassicalOverlay,
     Configuration,
     classical_overlay,
     miquel_point_quadrangle,
@@ -67,26 +75,9 @@ PASS = "PASS"
 FAIL = "FAIL"
 DEGENERATE = "DEGENERATE"
 
-#: The seventeen theorem checks run on every scene, in report order.
-THEOREM_CHECK_IDS: Tuple[str, ...] = (
-    "check_isogonal_conjugates",
-    "check_rotation_angles",
-    "check_pascal_and_r",
-    "check_brocard_circle",
-    "check_equidistant",
-    "check_first_triangle_similarity",
-    "check_steiner",
-    "check_tarry",
-    "check_polygon_similarity",
-    "check_perspective",
-    "check_simson_parallel",
-    "check_simson_perpendicular",
-    "check_circumcenter_perspective",
-    "check_lemma_spiral",
-    "check_lemma_cyclic",
-    "check_lemma_simson_angle",
-    "check_kwon_remark",
-)
+#: Every theorem check of the suite in report order, which is declaration
+#: order: id -> runner(configuration, scene digest).
+_SUITE: Dict[str, Callable[[Configuration, str], CheckResult]] = {}
 
 #: Fixed auxiliary inputs the suite derives per scene for the lemma checks.
 SPIRAL_SCALE = Fraction(2, 5)
@@ -225,304 +216,257 @@ def _needs(cfg: Configuration, check_id: str, *fields: str) -> Optional[CheckRes
     return None
 
 
+#: The body of a configuration check: records its assertions on ``rec``.
+_Body = Callable[[_Recorder, Configuration], None]
+
+
+def _check(*needed_fields: str) -> Callable[[_Body], Callable[[Configuration], CheckResult]]:
+    """Declare a configuration check from its body ``(rec, cfg)``.
+
+    The check's id is the body's name.  The returned ``check(cfg)`` reports
+    DEGENERATE when the configuration collapsed or one of
+    ``needed_fields`` is undefined, and otherwise runs the body under
+    ``_run``.  The id joins the suite in declaration order.
+    """
+
+    def declare(body: _Body) -> Callable[[Configuration], CheckResult]:
+        check_id = body.__name__
+
+        def check(cfg: Configuration) -> CheckResult:
+            bad = _needs(cfg, check_id, *needed_fields)
+            if bad:
+                return bad
+            return _run(check_id, lambda rec: body(rec, cfg))
+
+        check.__name__ = check.__qualname__ = check_id
+        check.__doc__ = body.__doc__
+        # Looked up by name at call time, not captured; see run_suite.
+        _SUITE[check_id] = lambda cfg, digest: globals()[check_id](cfg)
+        return check
+
+    return declare
+
+
 # ---------------------------------------------------------------------------
 # Configuration checks
 
 
-def check_isogonal_conjugates(cfg: Configuration) -> CheckResult:
+@_check()
+def check_isogonal_conjugates(rec: _Recorder, cfg: Configuration) -> None:
     """P and Q are isogonal conjugates, with the six-term directed-angle
     chain (the sign-symmetric reading asserted, the literal printed sign of
     the last term reported as a note)."""
-    bad = _needs(cfg, "check_isogonal_conjugates")
-    if bad:
-        return bad
     s = cfg.scene
-
-    def body(rec: _Recorder):
-        ap = angle_at(s.a1, cfg.p, s.a2)
-        bp = angle_at(s.b1, cfg.p, s.b2)
-        cp = angle_at(s.c1, cfg.p, s.c2)
-        aq = angle_at(s.a2, cfg.q, s.a1)
-        bq = angle_at(s.b2, cfg.q, s.b1)
-        cq = angle_at(s.c2, cfg.q, s.c1)
-        rec.angles_equal("ang(P,A1,A2) == ang(P,B1,B2)", ap, bp)
-        rec.angles_equal("ang(P,B1,B2) == ang(P,C1,C2)", bp, cp)
-        rec.angles_equal("ang(P,C1,C2) == -ang(Q,A2,A1)", cp, -aq)
-        rec.angles_equal("-ang(Q,A2,A1) == -ang(Q,B2,B1)", -aq, -bq)
-        rec.angles_equal("-ang(Q,B2,B1) == -ang(Q,C2,C1)", -bq, -cq)
-        rec.note(f"literal positive-sign reading ang(P,A1,A2) == +ang(Q,C2,C1): {ap == cq}")
-        rec.points_equal(
-            "isogonal_conjugate(P) == Q",
-            isogonal_conjugate(cfg.p, s.a, s.b, s.c),
-            cfg.q,
-        )
-
-    return _run("check_isogonal_conjugates", body)
+    ap = angle_at(s.a1, cfg.p, s.a2)
+    bp = angle_at(s.b1, cfg.p, s.b2)
+    cp = angle_at(s.c1, cfg.p, s.c2)
+    aq = angle_at(s.a2, cfg.q, s.a1)
+    bq = angle_at(s.b2, cfg.q, s.b1)
+    cq = angle_at(s.c2, cfg.q, s.c1)
+    rec.angles_equal("ang(P,A1,A2) == ang(P,B1,B2)", ap, bp)
+    rec.angles_equal("ang(P,B1,B2) == ang(P,C1,C2)", bp, cp)
+    rec.angles_equal("ang(P,C1,C2) == -ang(Q,A2,A1)", cp, -aq)
+    rec.angles_equal("-ang(Q,A2,A1) == -ang(Q,B2,B1)", -aq, -bq)
+    rec.angles_equal("-ang(Q,B2,B1) == -ang(Q,C2,C1)", -bq, -cq)
+    rec.note(f"literal positive-sign reading ang(P,A1,A2) == +ang(Q,C2,C1): {ap == cq}")
+    rec.points_equal(
+        "isogonal_conjugate(P) == Q",
+        isogonal_conjugate(cfg.p, s.a, s.b, s.c),
+        cfg.q,
+    )
 
 
-def check_rotation_angles(cfg: Configuration) -> CheckResult:
+@_check()
+def check_rotation_angles(rec: _Recorder, cfg: Configuration) -> None:
     """The two spiral rotation angles cancel: Im(r_P * r_Q) = 0, with the
     per-side ratios for each Miquel point agreeing across BC, CA, AB."""
-    bad = _needs(cfg, "check_rotation_angles")
-    if bad:
-        return bad
     s = cfg.scene
-
-    def body(rec: _Recorder):
-        # The BC ratios are the configuration's r_P and r_Q.
-        _, ca, ab = s.sidelines()
-        rp_ca = spiral_ratio(cfg.p, s.b1, ca)
-        rp_ab = spiral_ratio(cfg.p, s.c1, ab)
-        rq_ca = spiral_ratio(cfg.q, s.b2, ca)
-        rq_ab = spiral_ratio(cfg.q, s.c2, ab)
-        rec.complex_equal("r_P agrees on BC and CA", cfg.r_p, rp_ca)
-        rec.complex_equal("r_P agrees on CA and AB", rp_ca, rp_ab)
-        rec.complex_equal("r_Q agrees on BC and CA", cfg.r_q, rq_ca)
-        rec.complex_equal("r_Q agrees on CA and AB", rq_ca, rq_ab)
-        rec.scalar_zero("Im(r_P * r_Q) == 0", (cfg.r_p * cfg.r_q).im)
-
-    return _run("check_rotation_angles", body)
+    # The BC ratios are the configuration's r_P and r_Q.
+    _, ca, ab = s.sidelines()
+    rp_ca = spiral_ratio(cfg.p, s.b1, ca)
+    rp_ab = spiral_ratio(cfg.p, s.c1, ab)
+    rq_ca = spiral_ratio(cfg.q, s.b2, ca)
+    rq_ab = spiral_ratio(cfg.q, s.c2, ab)
+    rec.complex_equal("r_P agrees on BC and CA", cfg.r_p, rp_ca)
+    rec.complex_equal("r_P agrees on CA and AB", rp_ca, rp_ab)
+    rec.complex_equal("r_Q agrees on BC and CA", cfg.r_q, rq_ca)
+    rec.complex_equal("r_Q agrees on CA and AB", rq_ca, rq_ab)
+    rec.scalar_zero("Im(r_P * r_Q) == 0", (cfg.r_p * cfg.r_q).im)
 
 
-def check_pascal_and_r(cfg: Configuration) -> CheckResult:
+@_check()
+def check_pascal_and_r(rec: _Recorder, cfg: Configuration) -> None:
     """The hexagon meets are collinear (Pascal), the vertex-prime lines
     concur at the pole R of that line, and each vertex-prime line is the
     polar of the corresponding hexagon meet."""
-    bad = _needs(cfg, "check_pascal_and_r")
-    if bad:
-        return bad
     s = cfg.scene
-
-    def body(rec: _Recorder):
-        meets = [(nm, pt) for nm, pt in (("A0", cfg.a0), ("B0", cfg.b0), ("C0", cfg.c0)) if pt is not None]
-        if len(meets) == 3:
-            rec.collinear("A0, B0, C0 collinear", cfg.a0, cfg.b0, cfg.c0)
-        else:
-            rec.note(f"{3 - len(meets)} hexagon meet(s) at infinity")
-        for nm, pt in meets:
-            rec.point_on_line(f"{nm} on Pascal line", pt, cfg.pascal_line)
-        rec.points_equal("pole(Pascal line) == R", pole_of_line(cfg.pascal_line, s.gamma), cfg.r)
-        prime_lines = {}
-        for nm, v, pr in (("A", s.a, cfg.a_prime), ("B", s.b, cfg.b_prime), ("C", s.c, cfg.c_prime)):
-            prime_lines[nm] = line_through(v, pr)
-            rec.point_on_line(f"R on {nm}{nm}'", cfg.r, prime_lines[nm])
-        for nm, pt in meets:
-            vertex = {"A0": "A", "B0": "B", "C0": "C"}[nm]
-            rec.lines_equal(
-                f"{vertex}{vertex}' is the polar of {nm}",
-                prime_lines[vertex],
-                polar_of_point(pt, s.gamma),
-            )
-
-    return _run("check_pascal_and_r", body)
+    meets = [(nm, pt) for nm, pt in (("A0", cfg.a0), ("B0", cfg.b0), ("C0", cfg.c0)) if pt is not None]
+    if len(meets) == 3:
+        rec.collinear("A0, B0, C0 collinear", cfg.a0, cfg.b0, cfg.c0)
+    else:
+        rec.note(f"{3 - len(meets)} hexagon meet(s) at infinity")
+    for nm, pt in meets:
+        rec.point_on_line(f"{nm} on Pascal line", pt, cfg.pascal_line)
+    rec.points_equal("pole(Pascal line) == R", pole_of_line(cfg.pascal_line, s.gamma), cfg.r)
+    prime_lines = {}
+    for nm, v, pr in (("A", s.a, cfg.a_prime), ("B", s.b, cfg.b_prime), ("C", s.c, cfg.c_prime)):
+        prime_lines[nm] = line_through(v, pr)
+        rec.point_on_line(f"R on {nm}{nm}'", cfg.r, prime_lines[nm])
+    for nm, pt in meets:
+        vertex = {"A0": "A", "B0": "B", "C0": "C"}[nm]
+        rec.lines_equal(
+            f"{vertex}{vertex}' is the polar of {nm}",
+            prime_lines[vertex],
+            polar_of_point(pt, s.gamma),
+        )
 
 
-def check_brocard_circle(cfg: Configuration) -> CheckResult:
+@_check()
+def check_brocard_circle(rec: _Recorder, cfg: Configuration) -> None:
     """All ten distinguished points lie on one circle with OR as diameter,
     and the chord PQ subtends equal directed angles at the primed and
     T-triangle vertices."""
-    bad = _needs(cfg, "check_brocard_circle")
-    if bad:
-        return bad
-
-    def body(rec: _Recorder):
-        members = (
-            ("P", cfg.p), ("Q", cfg.q), ("O", cfg.o), ("R", cfg.r),
-            ("A'", cfg.a_prime), ("B'", cfg.b_prime), ("C'", cfg.c_prime),
-            ("T_A", cfg.t_a), ("T_B", cfg.t_b), ("T_C", cfg.t_c),
+    members = (
+        ("P", cfg.p), ("Q", cfg.q), ("O", cfg.o), ("R", cfg.r),
+        ("A'", cfg.a_prime), ("B'", cfg.b_prime), ("C'", cfg.c_prime),
+        ("T_A", cfg.t_a), ("T_B", cfg.t_b), ("T_C", cfg.t_c),
+    )
+    for name, pt in members:
+        rec.point_on_circle(f"{name} on the common circle", pt, cfg.brocard_circle)
+    rec.points_equal("midpoint(O, R) == center", midpoint(cfg.o, cfg.r), cfg.brocard_circle.center)
+    # Proof-internal sharpenings; undefined when the named points
+    # coincide (an isoceles classical scene puts A' on O), in which
+    # case the core theorem above still stands.
+    if cfg.o != cfg.a_prime and cfg.a_prime != cfg.r:
+        rec.perpendicular(
+            "OA' perpendicular to A'R",
+            line_through(cfg.o, cfg.a_prime),
+            line_through(cfg.a_prime, cfg.r),
         )
-        for name, pt in members:
-            rec.point_on_circle(f"{name} on the common circle", pt, cfg.brocard_circle)
-        rec.points_equal("midpoint(O, R) == center", midpoint(cfg.o, cfg.r), cfg.brocard_circle.center)
-        # Proof-internal sharpenings; undefined when the named points
-        # coincide (an isoceles classical scene puts A' on O), in which
-        # case the core theorem above still stands.
-        if cfg.o != cfg.a_prime and cfg.a_prime != cfg.r:
-            rec.perpendicular(
-                "OA' perpendicular to A'R",
-                line_through(cfg.o, cfg.a_prime),
-                line_through(cfg.a_prime, cfg.r),
-            )
-        else:
-            rec.note("angle O-A'-R undefined: A' coincides with O or R")
-        chord_views = [
-            (name, pt)
-            for name, pt in (("A'", cfg.a_prime), ("B'", cfg.b_prime), ("C'", cfg.c_prime), ("T_A", cfg.t_a))
-            if pt not in (cfg.p, cfg.q)
-        ]
-        for (n1, v1), (n2, v2) in zip(chord_views, chord_views[1:]):
-            rec.angles_equal(
-                f"ang(P,{n1},Q) == ang(P,{n2},Q)",
-                angle_at(v1, cfg.p, cfg.q),
-                angle_at(v2, cfg.p, cfg.q),
-            )
-
-    return _run("check_brocard_circle", body)
+    else:
+        rec.note("angle O-A'-R undefined: A' coincides with O or R")
+    chord_views = [
+        (name, pt)
+        for name, pt in (("A'", cfg.a_prime), ("B'", cfg.b_prime), ("C'", cfg.c_prime), ("T_A", cfg.t_a))
+        if pt not in (cfg.p, cfg.q)
+    ]
+    for (n1, v1), (n2, v2) in zip(chord_views, chord_views[1:]):
+        rec.angles_equal(
+            f"ang(P,{n1},Q) == ang(P,{n2},Q)",
+            angle_at(v1, cfg.p, cfg.q),
+            angle_at(v2, cfg.p, cfg.q),
+        )
 
 
-def check_equidistant(cfg: Configuration) -> CheckResult:
+@_check()
+def check_equidistant(rec: _Recorder, cfg: Configuration) -> None:
     """P and Q are equidistant from R, and from O."""
-    bad = _needs(cfg, "check_equidistant")
-    if bad:
-        return bad
-
-    def body(rec: _Recorder):
-        rec.scalars_equal("RP^2 == RQ^2", dist2(cfg.r, cfg.p), dist2(cfg.r, cfg.q))
-        rec.scalars_equal("OP^2 == OQ^2", dist2(cfg.o, cfg.p), dist2(cfg.o, cfg.q))
-
-    return _run("check_equidistant", body)
+    rec.scalars_equal("RP^2 == RQ^2", dist2(cfg.r, cfg.p), dist2(cfg.r, cfg.q))
+    rec.scalars_equal("OP^2 == OQ^2", dist2(cfg.o, cfg.p), dist2(cfg.o, cfg.q))
 
 
-def check_first_triangle_similarity(cfg: Configuration) -> CheckResult:
+@_check()
+def check_first_triangle_similarity(rec: _Recorder, cfg: Configuration) -> None:
     """The T-triangle is inversely similar to the reference triangle."""
-    bad = _needs(cfg, "check_first_triangle_similarity")
-    if bad:
-        return bad
     s = cfg.scene
-
-    def body(rec: _Recorder):
-        rec.points_equal("similarity fitted on A, B sends C to T_C", cfg.similarity.apply(s.c), cfg.t_c)
-        lhs = ComplexScalar.from_vector(cfg.t_b - cfg.t_a) / ComplexScalar.from_vector(cfg.t_c - cfg.t_a)
-        rhs = (ComplexScalar.from_vector(s.b - s.a) / ComplexScalar.from_vector(s.c - s.a)).conj()
-        rec.complex_equal("(T_B-T_A)/(T_C-T_A) == conj((B-A)/(C-A))", lhs, rhs)
-
-    return _run("check_first_triangle_similarity", body)
+    rec.points_equal("similarity fitted on A, B sends C to T_C", cfg.similarity.apply(s.c), cfg.t_c)
+    lhs = ComplexScalar.from_vector(cfg.t_b - cfg.t_a) / ComplexScalar.from_vector(cfg.t_c - cfg.t_a)
+    rhs = (ComplexScalar.from_vector(s.b - s.a) / ComplexScalar.from_vector(s.c - s.a)).conj()
+    rec.complex_equal("(T_B-T_A)/(T_C-T_A) == conj((B-A)/(C-A))", lhs, rhs)
 
 
-def check_steiner(cfg: Configuration) -> CheckResult:
+@_check()
+def check_steiner(rec: _Recorder, cfg: Configuration) -> None:
     """The parallels from the vertices to the opposite T-sides concur at a
     point of the circumcircle."""
-    bad = _needs(cfg, "check_steiner")
-    if bad:
-        return bad
     s = cfg.scene
-
-    def body(rec: _Recorder):
-        for name, v, e1, e2 in (
-            ("A", s.a, cfg.t_b, cfg.t_c),
-            ("B", s.b, cfg.t_c, cfg.t_a),
-            ("C", s.c, cfg.t_a, cfg.t_b),
-        ):
-            rec.point_on_line(
-                f"S_t on the parallel from {name}",
-                cfg.steiner,
-                parallel_through(v, line_through(e1, e2)),
-            )
-        rec.point_on_circle("S_t on the circumcircle", cfg.steiner, cfg.circ)
-
-    return _run("check_steiner", body)
+    for name, v, e1, e2 in (
+        ("A", s.a, cfg.t_b, cfg.t_c),
+        ("B", s.b, cfg.t_c, cfg.t_a),
+        ("C", s.c, cfg.t_a, cfg.t_b),
+    ):
+        rec.point_on_line(
+            f"S_t on the parallel from {name}",
+            cfg.steiner,
+            parallel_through(v, line_through(e1, e2)),
+        )
+    rec.point_on_circle("S_t on the circumcircle", cfg.steiner, cfg.circ)
 
 
-def check_tarry(cfg: Configuration) -> CheckResult:
+@_check()
+def check_tarry(rec: _Recorder, cfg: Configuration) -> None:
     """The perpendiculars from the vertices to the opposite T-sides concur
     at the antipode of the Steiner point."""
-    bad = _needs(cfg, "check_tarry")
-    if bad:
-        return bad
     s = cfg.scene
-
-    def body(rec: _Recorder):
-        for name, v, e1, e2 in (
-            ("A", s.a, cfg.t_b, cfg.t_c),
-            ("B", s.b, cfg.t_c, cfg.t_a),
-            ("C", s.c, cfg.t_a, cfg.t_b),
-        ):
-            rec.point_on_line(
-                f"T_a on the perpendicular from {name}",
-                cfg.tarry,
-                perpendicular_through(v, line_through(e1, e2)),
-            )
-        rec.point_on_circle("T_a on the circumcircle", cfg.tarry, cfg.circ)
-        rec.points_equal("midpoint(S_t, T_a) == circumcenter", midpoint(cfg.steiner, cfg.tarry), cfg.circ.center)
-
-    return _run("check_tarry", body)
+    for name, v, e1, e2 in (
+        ("A", s.a, cfg.t_b, cfg.t_c),
+        ("B", s.b, cfg.t_c, cfg.t_a),
+        ("C", s.c, cfg.t_a, cfg.t_b),
+    ):
+        rec.point_on_line(
+            f"T_a on the perpendicular from {name}",
+            cfg.tarry,
+            perpendicular_through(v, line_through(e1, e2)),
+        )
+    rec.point_on_circle("T_a on the circumcircle", cfg.tarry, cfg.circ)
+    rec.points_equal("midpoint(S_t, T_a) == circumcenter", midpoint(cfg.steiner, cfg.tarry), cfg.circ.center)
 
 
-def check_polygon_similarity(cfg: Configuration) -> CheckResult:
+@_check()
+def check_polygon_similarity(rec: _Recorder, cfg: Configuration) -> None:
     """The inverse similarity fitted on two vertex pairs extends over the
     whole polygons: C -> T_C, S_t -> R, T_a -> O."""
-    bad = _needs(cfg, "check_polygon_similarity")
-    if bad:
-        return bad
     s = cfg.scene
-
-    def body(rec: _Recorder):
-        sim = cfg.similarity
-        rec.points_equal("map sends C to T_C", sim.apply(s.c), cfg.t_c)
-        rec.points_equal("map sends S_t to R", sim.apply(cfg.steiner), cfg.r)
-        rec.points_equal("map sends T_a to O", sim.apply(cfg.tarry), cfg.o)
-
-    return _run("check_polygon_similarity", body)
+    sim = cfg.similarity
+    rec.points_equal("map sends C to T_C", sim.apply(s.c), cfg.t_c)
+    rec.points_equal("map sends S_t to R", sim.apply(cfg.steiner), cfg.r)
+    rec.points_equal("map sends T_a to O", sim.apply(cfg.tarry), cfg.o)
 
 
-def check_perspective(cfg: Configuration) -> CheckResult:
+@_check()
+def check_perspective(rec: _Recorder, cfg: Configuration) -> None:
     """The T-triangle and the primed triangle are perspective, and the
     fitted similarity carries the isogonal conjugate of R to the
     perspector."""
-    bad = _needs(cfg, "check_perspective")
-    if bad:
-        return bad
     s = cfg.scene
-
-    def body(rec: _Recorder):
-        for name, t, pr in (("A", cfg.t_a, cfg.a_prime), ("B", cfg.t_b, cfg.b_prime), ("C", cfg.t_c, cfg.c_prime)):
-            rec.point_on_line(f"S on T_{name} {name}'", cfg.perspector, line_through(t, pr))
-        rec.points_equal("map sends R* to S", cfg.similarity.apply(cfg.r_star), cfg.perspector)
-
-    return _run("check_perspective", body)
+    for name, t, pr in (("A", cfg.t_a, cfg.a_prime), ("B", cfg.t_b, cfg.b_prime), ("C", cfg.t_c, cfg.c_prime)):
+        rec.point_on_line(f"S on T_{name} {name}'", cfg.perspector, line_through(t, pr))
+    rec.points_equal("map sends R* to S", cfg.similarity.apply(cfg.r_star), cfg.perspector)
 
 
-def check_simson_parallel(cfg: Configuration) -> CheckResult:
+@_check()
+def check_simson_parallel(rec: _Recorder, cfg: Configuration) -> None:
     """The Simson line of the Steiner point is parallel to OR."""
-    bad = _needs(cfg, "check_simson_parallel")
-    if bad:
-        return bad
-
-    def body(rec: _Recorder):
-        if rec.point_on_circle("S_t on the circumcircle", cfg.steiner, cfg.circ):
-            rec.parallel("simson(S_t) parallel to OR", cfg.simson_steiner, cfg.or_line)
-
-    return _run("check_simson_parallel", body)
+    if rec.point_on_circle("S_t on the circumcircle", cfg.steiner, cfg.circ):
+        rec.parallel("simson(S_t) parallel to OR", cfg.simson_steiner, cfg.or_line)
 
 
-def check_simson_perpendicular(cfg: Configuration) -> CheckResult:
+@_check()
+def check_simson_perpendicular(rec: _Recorder, cfg: Configuration) -> None:
     """The Simson line of the Tarry point is perpendicular to OR."""
-    bad = _needs(cfg, "check_simson_perpendicular")
-    if bad:
-        return bad
-
-    def body(rec: _Recorder):
-        if rec.point_on_circle("T_a on the circumcircle", cfg.tarry, cfg.circ):
-            rec.perpendicular("simson(T_a) perpendicular to OR", cfg.simson_tarry, cfg.or_line)
-
-    return _run("check_simson_perpendicular", body)
+    if rec.point_on_circle("T_a on the circumcircle", cfg.tarry, cfg.circ):
+        rec.perpendicular("simson(T_a) perpendicular to OR", cfg.simson_tarry, cfg.or_line)
 
 
-def check_circumcenter_perspective(cfg: Configuration) -> CheckResult:
+@_check("x", "y", "z", "o_a", "o_b", "o_c")
+def check_circumcenter_perspective(rec: _Recorder, cfg: Configuration) -> None:
     """OR cuts the sidelines in X, Y, Z; the circumcenters of AYZ, BZX, CXY
     are perspective with ABC at the Steiner point."""
-    bad = _needs(cfg, "check_circumcenter_perspective", "x", "y", "z", "o_a", "o_b", "o_c")
-    if bad:
-        return bad
     s = cfg.scene
-
-    def body(rec: _Recorder):
-        bc, ca, ab = s.sidelines()
-        or_line = cfg.or_line
-        for name, pt, side in (("X", cfg.x, bc), ("Y", cfg.y, ca), ("Z", cfg.z, ab)):
-            rec.point_on_line(f"{name} on its sideline", pt, side)
-            rec.point_on_line(f"{name} on OR", pt, or_line)
-        for name, oc, v, p1, p2 in (
-            ("O_A", cfg.o_a, s.a, cfg.y, cfg.z),
-            ("O_B", cfg.o_b, s.b, cfg.z, cfg.x),
-            ("O_C", cfg.o_c, s.c, cfg.x, cfg.y),
-        ):
-            rec.scalars_equal(f"{name} equidistant from the vertex and first cut", dist2(oc, v), dist2(oc, p1))
-            rec.scalars_equal(f"{name} equidistant from the vertex and second cut", dist2(oc, v), dist2(oc, p2))
-        for name, v, oc in (("A", s.a, cfg.o_a), ("B", s.b, cfg.o_b), ("C", s.c, cfg.o_c)):
-            rec.point_on_line(f"S_t on {name} O_{name}", cfg.steiner, line_through(v, oc))
-
-    return _run("check_circumcenter_perspective", body)
+    bc, ca, ab = s.sidelines()
+    or_line = cfg.or_line
+    for name, pt, side in (("X", cfg.x, bc), ("Y", cfg.y, ca), ("Z", cfg.z, ab)):
+        rec.point_on_line(f"{name} on its sideline", pt, side)
+        rec.point_on_line(f"{name} on OR", pt, or_line)
+    for name, oc, v, p1, p2 in (
+        ("O_A", cfg.o_a, s.a, cfg.y, cfg.z),
+        ("O_B", cfg.o_b, s.b, cfg.z, cfg.x),
+        ("O_C", cfg.o_c, s.c, cfg.x, cfg.y),
+    ):
+        rec.scalars_equal(f"{name} equidistant from the vertex and first cut", dist2(oc, v), dist2(oc, p1))
+        rec.scalars_equal(f"{name} equidistant from the vertex and second cut", dist2(oc, v), dist2(oc, p2))
+    for name, v, oc in (("A", s.a, cfg.o_a), ("B", s.b, cfg.o_b), ("C", s.c, cfg.o_c)):
+        rec.point_on_line(f"S_t on {name} O_{name}", cfg.steiner, line_through(v, oc))
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +515,12 @@ def check_lemma_spiral(
     return _run("check_lemma_spiral", body)
 
 
-def build_cyclic_quadrangle(
-    circle: Circle, params: Sequence[Fraction] = CYCLIC_PARAMETERS
-) -> Tuple[Point, Point, Point, Point]:
+def build_cyclic_quadrangle(circle: Circle) -> Tuple[Point, Point, Point, Point]:
     """Four rational points of the circle; needs a rational radius."""
     radius = rational_sqrt(circle.radius2)
     if radius is None:
         raise Degenerate("cyclic quadrangle", "circle radius is irrational")
-    return tuple(circle_point_from_parameter(t, circle.center, radius) for t in params)
+    return tuple(circle_point_from_parameter(t, circle.center, radius) for t in CYCLIC_PARAMETERS)
 
 
 def check_lemma_cyclic(
@@ -669,7 +611,7 @@ def _symmedian_point(a: Point, b: Point, c: Point) -> Point:
     )
 
 
-def check_classical_overlay(cfg: Configuration, overlay: Optional[ClassicalOverlay] = None) -> CheckResult:
+def check_classical_overlay(cfg: Configuration) -> CheckResult:
     """Classical specialization: the Miquel pair is the Brocard pair, the
     pole R is the symmedian point, and the T- and primed triangles are the
     two classical Brocard triangles."""
@@ -681,7 +623,7 @@ def check_classical_overlay(cfg: Configuration, overlay: Optional[ClassicalOverl
     s = cfg.scene
 
     def body(rec: _Recorder):
-        ov = overlay if overlay is not None else classical_overlay(s)
+        ov = classical_overlay(s)
         if ov.collapsed:
             raise Degenerate("classical overlay", "equilateral collapse")
         rec.points_equal("P == Omega", cfg.p, ov.omega)
@@ -766,47 +708,39 @@ def _copy_result(result: CheckResult) -> CheckResult:
     )
 
 
-def _scene_checks(cfg: Configuration, digest: str) -> Dict[str, Callable[[], CheckResult]]:
-    """Bind every theorem check to the configuration, deriving the auxiliary
-    lemma inputs deterministically from the scene."""
+def _lemma_spiral(cfg: Configuration, digest: str) -> CheckResult:
+    if cfg.collapsed:
+        return _degenerate("check_lemma_spiral", "configuration collapsed (P = Q)")
     s = cfg.scene
+    return check_lemma_spiral(s.a, s.b, s.c, cfg.p, SPIRAL_SCALE, sides=s.sidelines())
 
-    def lemma_spiral() -> CheckResult:
-        if cfg.collapsed:
-            return _degenerate("check_lemma_spiral", "configuration collapsed (P = Q)")
-        return check_lemma_spiral(s.a, s.b, s.c, cfg.p, SPIRAL_SCALE, sides=s.sidelines())
 
-    def lemma_simson() -> CheckResult:
-        if cfg.collapsed or cfg.steiner is None:
-            return _degenerate("check_lemma_simson_angle", "Steiner pair unavailable")
-        return check_lemma_simson_angle(s.a, s.b, s.c, cfg.steiner, cfg.tarry, cfg)
+def _lemma_simson_angle(cfg: Configuration, digest: str) -> CheckResult:
+    if cfg.collapsed or cfg.steiner is None:
+        return _degenerate("check_lemma_simson_angle", "Steiner pair unavailable")
+    s = cfg.scene
+    return check_lemma_simson_angle(s.a, s.b, s.c, cfg.steiner, cfg.tarry, cfg)
 
-    def kwon() -> CheckResult:
-        try:
-            kw = kwon_scene(int(digest[:12], 16))
-        except GeometryError as exc:
-            return _degenerate("check_kwon_remark", str(exc))
-        return check_kwon_remark(kw)
 
-    return {
-        "check_isogonal_conjugates": lambda: check_isogonal_conjugates(cfg),
-        "check_rotation_angles": lambda: check_rotation_angles(cfg),
-        "check_pascal_and_r": lambda: check_pascal_and_r(cfg),
-        "check_brocard_circle": lambda: check_brocard_circle(cfg),
-        "check_equidistant": lambda: check_equidistant(cfg),
-        "check_first_triangle_similarity": lambda: check_first_triangle_similarity(cfg),
-        "check_steiner": lambda: check_steiner(cfg),
-        "check_tarry": lambda: check_tarry(cfg),
-        "check_polygon_similarity": lambda: check_polygon_similarity(cfg),
-        "check_perspective": lambda: check_perspective(cfg),
-        "check_simson_parallel": lambda: check_simson_parallel(cfg),
-        "check_simson_perpendicular": lambda: check_simson_perpendicular(cfg),
-        "check_circumcenter_perspective": lambda: check_circumcenter_perspective(cfg),
-        "check_lemma_spiral": lemma_spiral,
-        "check_lemma_cyclic": lambda: _copy_result(_cyclic_lemma(s.gamma)),
-        "check_lemma_simson_angle": lemma_simson,
-        "check_kwon_remark": kwon,
-    }
+def _kwon_remark(cfg: Configuration, digest: str) -> CheckResult:
+    try:
+        kw = kwon_scene(int(digest[:12], 16))
+    except GeometryError as exc:
+        return _degenerate("check_kwon_remark", str(exc))
+    return check_kwon_remark(kw)
+
+
+# The lemma checks keep their self-contained signatures; these adapters
+# derive their inputs deterministically from the scene.
+_SUITE.update(
+    check_lemma_spiral=_lemma_spiral,
+    check_lemma_cyclic=lambda cfg, digest: _copy_result(_cyclic_lemma(cfg.scene.gamma)),
+    check_lemma_simson_angle=_lemma_simson_angle,
+    check_kwon_remark=_kwon_remark,
+)
+
+#: The seventeen theorem checks run on every scene, in report order.
+THEOREM_CHECK_IDS: Tuple[str, ...] = tuple(_SUITE)
 
 
 def run_suite(scene: Scene, check_ids: Optional[Sequence[str]] = None) -> SuiteReport:
@@ -833,14 +767,16 @@ def run_suite(scene: Scene, check_ids: Optional[Sequence[str]] = None) -> SuiteR
         results.append(_degenerate("configuration", str(exc)))
         return SuiteReport(digest, results)
 
-    table = _scene_checks(cfg, digest)
     selected = list(check_ids) if check_ids is not None else list(THEOREM_CHECK_IDS)
-    unknown = [cid for cid in selected if cid not in table and cid != "check_classical_overlay"]
+    unknown = [cid for cid in selected if cid not in _SUITE and cid != "check_classical_overlay"]
     if unknown:
         raise ValueError(f"unknown check ids: {', '.join(sorted(unknown))}")
-    for cid in THEOREM_CHECK_IDS:
+    # Every runner calls its check through the module attribute
+    # ``checks.<id>``, so a wrapper installed there sees every call:
+    # perfbench/tracer.py times each check that way.
+    for cid, run in _SUITE.items():
         if cid in selected:
-            results.append(table[cid]())
+            results.append(run(cfg, digest))
     if scene.classical and (check_ids is None or "check_classical_overlay" in selected):
         results.append(check_classical_overlay(cfg))
     return SuiteReport(digest, results)

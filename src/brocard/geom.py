@@ -308,10 +308,6 @@ class Line:
         x, y, w = _hom(p)
         return Fraction(self.a * x + self.b * y + self.c * w, w)
 
-    @property
-    def direction(self) -> Point:
-        return Point(self.b, -self.a)
-
     def __repr__(self) -> str:
         return f"Line({self.a}, {self.b}, {self.c})"
 
@@ -654,10 +650,6 @@ def collinear_det(p: Point, q: Point, r: Point) -> Fraction:
     return cross(q - p, r - p)
 
 
-def collinear(p: Point, q: Point, r: Point) -> bool:
-    return collinear_det(p, q, r) == 0
-
-
 def concyclic_det(p: Point, q: Point, r: Point, s: Point) -> Fraction:
     """Determinant vanishing iff the four points lie on a common circle or line."""
     rows = []
@@ -669,10 +661,6 @@ def concyclic_det(p: Point, q: Point, r: Point, s: Point) -> Fraction:
 
 def parallel(l1: Line, l2: Line) -> bool:
     return l1.a * l2.b - l2.a * l1.b == 0
-
-
-def perpendicular(l1: Line, l2: Line) -> bool:
-    return l1.a * l2.a + l1.b * l2.b == 0
 
 
 # ---------------------------------------------------------------------------
@@ -693,9 +681,6 @@ class InverseSimilarity:
         z = ComplexScalar(p.x, -p.y)  # conj(p)
         w = self.alpha * z + self.beta
         return Point(w.re, w.im)
-
-    def verify(self, src: Point, dst: Point) -> bool:
-        return self.apply(src) == dst
 
 
 def inverse_similarity_map(src1: Point, dst1: Point, src2: Point, dst2: Point) -> InverseSimilarity:

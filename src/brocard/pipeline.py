@@ -214,6 +214,14 @@ def miquel_point(
     classical Brocard points are the images of (b,c,a) and (c,a,b).  A
     caller holding the sidelines (BC, CA, AB) passes them as ``sides``.
     """
+    return _miquel(d, e, f, a, b, c, sides)[0]
+
+
+def _miquel(
+    d: Point, e: Point, f: Point, a: Point, b: Point, c: Point,
+    sides: Optional[Tuple[Line, Line, Line]] = None,
+) -> Tuple[Point, Tuple[Circle, Circle, Circle]]:
+    """``miquel_point`` together with its three circles, at A, B and C."""
     bc, ca, ab = sides if sides is not None else triangle_sidelines(a, b, c)
     if not on_line(d, bc):
         raise Degenerate("miquel point", "d is not on sideline BC")
@@ -230,7 +238,7 @@ def miquel_point(
         raise Degenerate("miquel point", str(exc)) from exc
     if not on_circle(m, circle_c):
         raise Degenerate("miquel point", "candidate misses the third circle")
-    return m
+    return m, (circle_a, circle_b, circle_c)
 
 
 def miquel_point_quadrangle(pa: Point, pb: Point, pc: Point, pd: Point) -> Point:
@@ -296,8 +304,10 @@ def compute_configuration(scene: Scene) -> Configuration:
     bc, ca, ab = sides
     circ = circumcircle(a, b, c)
 
-    p = miquel_point(scene.a1, scene.b1, scene.c1, a, b, c, sides)
-    q = miquel_point(scene.a2, scene.b2, scene.c2, a, b, c, sides)
+    # The Miquel circles of P and of Q through each vertex also define the
+    # primed point there, their second meet; each is built once.
+    p, p_circles = _miquel(scene.a1, scene.b1, scene.c1, a, b, c, sides)
+    q, q_circles = _miquel(scene.a2, scene.b2, scene.c2, a, b, c, sides)
     if p == q:
         return Configuration(scene=scene, circ=circ, o=o, p=p, q=q, collapsed=True)
 
@@ -308,18 +318,16 @@ def compute_configuration(scene: Scene) -> Configuration:
     with _Stage("T_C"):
         t_c = intersect_lines(line_through(p, scene.c1), line_through(q, scene.c2))
 
-    def primed(v: Point, p1: Point, s1: Line, p2: Point, s2: Line, q1: Point, q2: Point, name: str) -> Point:
+    def primed(v: Point, first: Circle, second: Circle, name: str) -> Point:
         with _Stage(name):
-            first = _vertex_circle(v, p1, s1, p2, s2, name)
-            second = _vertex_circle(v, q1, s1, q2, s2, name)
             pt, tangent = second_intersection_circles(first, second, v)
         if tangent:
             raise Degenerate(name, "defining circles are tangent at the vertex")
         return pt
 
-    a_prime = primed(a, scene.b1, ca, scene.c1, ab, scene.b2, scene.c2, "A'")
-    b_prime = primed(b, scene.c1, ab, scene.a1, bc, scene.c2, scene.a2, "B'")
-    c_prime = primed(c, scene.a1, bc, scene.b1, ca, scene.a2, scene.b2, "C'")
+    a_prime = primed(a, p_circles[0], q_circles[0], "A'")
+    b_prime = primed(b, p_circles[1], q_circles[1], "B'")
+    c_prime = primed(c, p_circles[2], q_circles[2], "C'")
 
     def hexagon_meet(u1: Point, u2: Point, v1: Point, v2: Point, name: str):
         """Meet of two hexagon sides, or None when it lies at infinity (the

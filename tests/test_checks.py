@@ -2,6 +2,7 @@
 witnesses under perturbation, degenerate on collapse, deterministic."""
 
 import dataclasses
+import inspect
 from fractions import Fraction as F
 from random import Random
 
@@ -157,6 +158,63 @@ class TestSuitePass:
     def test_unknown_check_rejected(self, seed7_scene):
         with pytest.raises(ValueError):
             run_suite(seed7_scene, ["check_nonsense"])
+
+
+class TestCheckProtocol:
+    """Each check is declared once; the suite reaches it by module attribute."""
+
+    def test_theorem_check_ids_in_report_order(self):
+        assert THEOREM_CHECK_IDS == (
+            "check_isogonal_conjugates",
+            "check_rotation_angles",
+            "check_pascal_and_r",
+            "check_brocard_circle",
+            "check_equidistant",
+            "check_first_triangle_similarity",
+            "check_steiner",
+            "check_tarry",
+            "check_polygon_similarity",
+            "check_perspective",
+            "check_simson_parallel",
+            "check_simson_perpendicular",
+            "check_circumcenter_perspective",
+            "check_lemma_spiral",
+            "check_lemma_cyclic",
+            "check_lemma_simson_angle",
+            "check_kwon_remark",
+        )
+
+    def test_run_suite_calls_each_module_attribute_once(self, seed7_scene, monkeypatch):
+        calls = []
+        for cid in THEOREM_CHECK_IDS:
+
+            def counting(*args, _cid=cid, _check=getattr(ck, cid), **kwargs):
+                calls.append(_cid)
+                return _check(*args, **kwargs)
+
+            monkeypatch.setattr(ck, cid, counting)
+        ck._cyclic_lemma.cache_clear()  # a memoised cyclic lemma would skip its call
+        report = run_suite(seed7_scene)
+        ck._cyclic_lemma.cache_clear()
+        assert calls == list(THEOREM_CHECK_IDS)
+        assert report.all_pass
+
+    def test_declared_checks_keep_name_docstring_and_signature(self):
+        for cid in CONFIG_CHECK_TARGETS:
+            check = getattr(ck, cid)
+            assert check.__name__ == check.__qualname__ == cid
+            assert check.__doc__ and check.__doc__.strip()
+            assert list(inspect.signature(check).parameters) == ["cfg"]
+        assert ck.check_steiner.__doc__.startswith("The parallels from the vertices")
+
+    def test_needs_rule(self, seed7_cfg):
+        collapsed = dataclasses.replace(seed7_cfg, collapsed=True)
+        for cid in CONFIG_CHECK_TARGETS:
+            result = getattr(ck, cid)(collapsed)
+            assert (result.check_id, result.status, result.assertions) == (cid, DEGENERATE, [])
+            assert result.notes == ["configuration collapsed (P = Q)"]
+        result = ck.check_circumcenter_perspective(dataclasses.replace(seed7_cfg, y=None, o_c=None))
+        assert (result.status, result.notes) == (DEGENERATE, ["objects undefined: y, o_c"])
 
 
 class TestDegenerate:

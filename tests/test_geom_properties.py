@@ -19,7 +19,7 @@ from brocard.geom import (
     Line,
     Point,
     circumcircle,
-    collinear,
+    collinear_det,
     concyclic_det,
     cross,
     directed_angle,
@@ -31,7 +31,6 @@ from brocard.geom import (
     on_line,
     orientation,
     parallel_through,
-    perpendicular,
     perpendicular_bisector,
     polar_of_point,
     perpendicular_through,
@@ -124,7 +123,8 @@ def test_foot_on_line_and_perpendicular(p, l):
     foot = foot_perpendicular(p, l)
     assert on_line(foot, l)
     if p != foot:
-        assert perpendicular(line_through(p, foot), l)
+        normal = line_through(p, foot)
+        assert normal.a * l.a + normal.b * l.b == 0
     else:
         assert on_line(p, l)
 
@@ -147,7 +147,7 @@ def test_simson_collinearity_decides_circle_membership(tri, t):
     def feet_collinear(p):
         f1, f2, f3 = (foot_perpendicular(p, s) for s in sides)
         assume(len({f1, f2, f3}) >= 2)
-        return collinear(f1, f2, f3)
+        return collinear_det(f1, f2, f3) == 0
 
     if r is not None:
         on_pt = circle_point_from_parameter(t, circ.center, r)
@@ -183,7 +183,7 @@ def test_inverse_similarity_reverses_orientation(tri, d1, d2):
     sign = orientation(*image)
     assume(sign != 0)
     assert sign == -orientation(a, b, c)
-    assert m.verify(a, d1) and m.verify(b, d2)
+    assert m.apply(a) == d1 and m.apply(b) == d2
 
 
 @given(points, points, points)

@@ -11,7 +11,7 @@ from brocard.geom import (
     Degenerate,
     Point,
     circumcircle,
-    collinear,
+    collinear_det,
     dist2,
     intersect_lines,
     isogonal_conjugate,
@@ -21,7 +21,6 @@ from brocard.geom import (
     on_line,
     orientation,
     parallel,
-    perpendicular,
     simson_line,
 )
 from brocard.pipeline import (
@@ -151,7 +150,7 @@ class TestConfiguration:
     def test_pascal_line_contains_finite_meets(self):
         s = generate_scene(SceneParams(seed=19))
         cfg = compute_configuration(s)
-        assert collinear(cfg.a0, cfg.b0, cfg.c0)
+        assert collinear_det(cfg.a0, cfg.b0, cfg.c0) == 0
         for pt in (cfg.a0, cfg.b0, cfg.c0):
             assert on_line(pt, cfg.pascal_line)
 
@@ -166,7 +165,8 @@ class TestConfiguration:
         cfg = compute_configuration(s)
         or_line = line_through(cfg.o, cfg.r)
         assert parallel(simson_line(cfg.steiner, s.a, s.b, s.c), or_line)
-        assert perpendicular(simson_line(cfg.tarry, s.a, s.b, s.c), or_line)
+        tarry_line = simson_line(cfg.tarry, s.a, s.b, s.c)
+        assert tarry_line.a * or_line.a + tarry_line.b * or_line.b == 0
 
 
 COLLAPSE_SCENE = Scene(
