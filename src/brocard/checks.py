@@ -24,13 +24,16 @@ body's function name is the check id, and the decorator turns the body
 into the public check of that name, ``check_x(cfg) -> CheckResult``.  The
 suite runs the checks in declaration order, which is report order: the
 configuration checks first, then the four lemma checks, whose adapters
-derive their self-contained inputs from the scene.
+derive their self-contained inputs from the scene, and last the
+classical-overlay check, ``@_check(classical=True)``, which runs on
+classical scenes only.  Results are frozen dataclasses holding tuples:
+immutable, hashable values that reports share, as every scene on one
+circle shares the one memoised cyclic-lemma result.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -65,49 +68,50 @@ from .geom import (
 from .pipeline import (
     Configuration,
     classical_overlay,
+    compute_configuration,
     miquel_point_quadrangle,
     spiral_ratio,
     tangent_of_angle,
 )
 from .scene import KwonScene, Scene, circle_point_from_parameter, kwon_scene, validate_scene
+from .sceneio import scene_digest
 
 PASS = "PASS"
 FAIL = "FAIL"
 DEGENERATE = "DEGENERATE"
 
-#: Every theorem check of the suite in report order, which is declaration
-#: order: id -> runner(configuration, scene digest).
-_SUITE: Dict[str, Callable[[Configuration, str], CheckResult]] = {}
+#: Every check of the suite in report order, which is declaration order:
+#: id -> (runner(configuration, scene digest), runs on classical scenes only).
+_SUITE: Dict[str, Tuple[Callable[[Configuration, str], CheckResult], bool]] = {}
 
 #: Fixed auxiliary inputs the suite derives per scene for the lemma checks.
 SPIRAL_SCALE = Fraction(2, 5)
 CYCLIC_PARAMETERS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(3))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Assertion:
     label: str
     ok: bool
     witnesses: Tuple[Fraction, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     check_id: str
     status: str
-    assertions: List[Assertion]
-    notes: List[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    assertions: Tuple[Assertion, ...]
+    notes: Tuple[str, ...] = ()
 
     @property
-    def failed_assertions(self) -> List[Assertion]:
-        return [a for a in self.assertions if not a.ok]
+    def failed_assertions(self) -> Tuple[Assertion, ...]:
+        return tuple(a for a in self.assertions if not a.ok)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteReport:
     scene_digest: str
-    results: List[CheckResult]
+    results: Tuple[CheckResult, ...]
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -119,10 +123,6 @@ class SuiteReport:
     @property
     def all_pass(self) -> bool:
         return all(r.status == PASS for r in self.results)
-
-    @property
-    def has_fail(self) -> bool:
-        return any(r.status == FAIL for r in self.results)
 
 
 class _Recorder:
@@ -189,7 +189,6 @@ class _Recorder:
 
 def _run(check_id: str, body: Callable[[_Recorder], None]) -> CheckResult:
     rec = _Recorder()
-    start = time.perf_counter()
     try:
         body(rec)
         status = FAIL if rec.any_failed else PASS
@@ -200,11 +199,11 @@ def _run(check_id: str, body: Callable[[_Recorder], None]) -> CheckResult:
         else:
             status = DEGENERATE
             rec.note(str(exc))
-    return CheckResult(check_id, status, rec.assertions, rec.notes, time.perf_counter() - start)
+    return CheckResult(check_id, status, tuple(rec.assertions), tuple(rec.notes))
 
 
 def _degenerate(check_id: str, reason: str) -> CheckResult:
-    return CheckResult(check_id, DEGENERATE, [], [reason])
+    return CheckResult(check_id, DEGENERATE, (), (reason,))
 
 
 def _needs(cfg: Configuration, check_id: str, *fields: str) -> Optional[CheckResult]:
@@ -218,21 +217,26 @@ def _needs(cfg: Configuration, check_id: str, *fields: str) -> Optional[CheckRes
 
 #: The body of a configuration check: records its assertions on ``rec``.
 _Body = Callable[[_Recorder, Configuration], None]
+_Check = Callable[[Configuration], CheckResult]
 
 
-def _check(*needed_fields: str) -> Callable[[_Body], Callable[[Configuration], CheckResult]]:
+def _check(*needed_fields: str, classical: bool = False) -> Callable[[_Body], _Check]:
     """Declare a configuration check from its body ``(rec, cfg)``.
 
     The check's id is the body's name.  The returned ``check(cfg)`` reports
-    DEGENERATE when the configuration collapsed or one of
-    ``needed_fields`` is undefined, and otherwise runs the body under
-    ``_run``.  The id joins the suite in declaration order.
+    DEGENERATE when ``classical`` is set and the scene is not classical,
+    when the configuration collapsed or when one of ``needed_fields`` is
+    undefined, and otherwise runs the body under ``_run``.  The id joins
+    the suite in declaration order; a ``classical`` check runs there on
+    classical scenes only.
     """
 
-    def declare(body: _Body) -> Callable[[Configuration], CheckResult]:
+    def declare(body: _Body) -> _Check:
         check_id = body.__name__
 
         def check(cfg: Configuration) -> CheckResult:
+            if classical and not cfg.scene.classical:
+                return _degenerate(check_id, "scene is not classical")
             bad = _needs(cfg, check_id, *needed_fields)
             if bad:
                 return bad
@@ -241,7 +245,7 @@ def _check(*needed_fields: str) -> Callable[[_Body], Callable[[Configuration], C
         check.__name__ = check.__qualname__ = check_id
         check.__doc__ = body.__doc__
         # Looked up by name at call time, not captured; see run_suite.
-        _SUITE[check_id] = lambda cfg, digest: globals()[check_id](cfg)
+        _SUITE[check_id] = (lambda cfg, digest: globals()[check_id](cfg), classical)
         return check
 
     return declare
@@ -597,115 +601,19 @@ def check_kwon_remark(kw: KwonScene) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Classical overlay check
-
-
-def _symmedian_point(a: Point, b: Point, c: Point) -> Point:
-    """Barycentric oracle a^2 : b^2 : c^2, independent of the pole
-    construction used by the pipeline."""
-    la, lb, lc = dist2(b, c), dist2(c, a), dist2(a, b)
-    s = la + lb + lc
-    return Point(
-        (la * a.x + lb * b.x + lc * c.x) / s,
-        (la * a.y + lb * b.y + lc * c.y) / s,
-    )
-
-
-def check_classical_overlay(cfg: Configuration) -> CheckResult:
-    """Classical specialization: the Miquel pair is the Brocard pair, the
-    pole R is the symmedian point, and the T- and primed triangles are the
-    two classical Brocard triangles."""
-    if not cfg.scene.classical:
-        return _degenerate("check_classical_overlay", "scene is not classical")
-    bad = _needs(cfg, "check_classical_overlay")
-    if bad:
-        return bad
-    s = cfg.scene
-
-    def body(rec: _Recorder):
-        ov = classical_overlay(s)
-        if ov.collapsed:
-            raise Degenerate("classical overlay", "equilateral collapse")
-        rec.points_equal("P == Omega", cfg.p, ov.omega)
-        rec.points_equal("Q == Omega'", cfg.q, ov.omega_prime)
-        for name, circle in (("w_A", ov.w_a), ("w_B", ov.w_b), ("w_C", ov.w_c)):
-            rec.point_on_circle(f"Omega on {name}", ov.omega, circle)
-        for name, circle in (("w_A'", ov.w_a_prime), ("w_B'", ov.w_b_prime), ("w_C'", ov.w_c_prime)):
-            rec.point_on_circle(f"Omega' on {name}", ov.omega_prime, circle)
-        rec.points_equal("R == K", cfg.r, ov.k)
-        rec.points_equal("K matches barycentric a^2:b^2:c^2", ov.k, _symmedian_point(s.a, s.b, s.c))
-        rec.point_on_circle("Omega on the circle with diameter OK", ov.omega, cfg.brocard_circle)
-        rec.point_on_circle("Omega' on the circle with diameter OK", ov.omega_prime, cfg.brocard_circle)
-        rec.scalars_equal("O equidistant from Omega, Omega'", dist2(cfg.o, ov.omega), dist2(cfg.o, ov.omega_prime))
-        rec.scalars_equal("K equidistant from Omega, Omega'", dist2(ov.k, ov.omega), dist2(ov.k, ov.omega_prime))
-        # First Brocard triangle: T-vertices as meets of Brocard cevians.
-        rec.points_equal(
-            "T_A == Omega B meet Omega' C",
-            cfg.t_a,
-            intersect_lines(line_through(ov.omega, s.b), line_through(ov.omega_prime, s.c)),
-        )
-        rec.points_equal(
-            "T_B == Omega C meet Omega' A",
-            cfg.t_b,
-            intersect_lines(line_through(ov.omega, s.c), line_through(ov.omega_prime, s.a)),
-        )
-        rec.points_equal(
-            "T_C == Omega A meet Omega' B",
-            cfg.t_c,
-            intersect_lines(line_through(ov.omega, s.a), line_through(ov.omega_prime, s.b)),
-        )
-        # Second Brocard triangle: primed points on the symmedians, and each
-        # is the second meet of its symmedian with the circle on OK.
-        for name, v, pr in (("A", s.a, cfg.a_prime), ("B", s.b, cfg.b_prime), ("C", s.c, cfg.c_prime)):
-            rec.collinear(f"{name}, {name}', K collinear", v, pr, ov.k)
-            chord, _ = second_intersection_circle_line(
-                cfg.brocard_circle, line_through(v, ov.k), ov.k
-            )
-            rec.points_equal(f"{name}' is the second symmedian meet", pr, chord)
-        t1 = tangent_of_angle(s.a, s.b, ov.omega)
-        t2 = tangent_of_angle(s.b, s.c, ov.omega)
-        t3 = tangent_of_angle(s.c, s.a, ov.omega)
-        rec.scalars_equal("tan at A == tan at B (Omega)", t1, t2)
-        rec.scalars_equal("tan at B == tan at C (Omega)", t2, t3)
-        rec.scalars_equal("stored Brocard tangent matches", ov.tan_brocard, t1)
-        area2 = collinear_det(s.a, s.b, s.c)
-        la, lb, lc = dist2(s.b, s.c), dist2(s.c, s.a), dist2(s.a, s.b)
-        rec.scalars_equal("tan equals 4*area/(a^2+b^2+c^2)", ov.tan_brocard, 2 * area2 / (la + lb + lc))
-        u1 = tangent_of_angle(s.a, s.c, ov.omega_prime)
-        u2 = tangent_of_angle(s.b, s.a, ov.omega_prime)
-        u3 = tangent_of_angle(s.c, s.b, ov.omega_prime)
-        rec.scalars_equal("tan at A == tan at B (Omega')", u1, u2)
-        rec.scalars_equal("tan at B == tan at C (Omega')", u2, u3)
-        rec.scalars_equal("Omega' tangent mirrors Omega's", u1, -ov.tan_brocard)
-
-    return _run("check_classical_overlay", body)
-
-
-# ---------------------------------------------------------------------------
-# Suite runner
+# Lemma inputs per scene
 
 
 @lru_cache(maxsize=1)
 def _cyclic_lemma(gamma: Circle) -> CheckResult:
     """The cyclic lemma on the fixed quadrangle of gamma.  It depends on
-    gamma alone, so the result for the last circle is kept: a file of
-    scenes on one circle computes it once.  Never hand it out; see
-    ``_copy_result``."""
+    gamma alone, so the result for the last circle is kept and shared: a
+    file of scenes on one circle computes it once."""
     try:
         quad = build_cyclic_quadrangle(gamma)
     except GeometryError as exc:
         return _degenerate("check_lemma_cyclic", str(exc))
     return check_lemma_cyclic(gamma, *quad)
-
-
-def _copy_result(result: CheckResult) -> CheckResult:
-    """A copy of ``result`` that shares no mutable object with it."""
-    return CheckResult(
-        result.check_id,
-        result.status,
-        [Assertion(a.label, a.ok, a.witnesses) for a in result.assertions],
-        list(result.notes),
-    )
 
 
 def _lemma_spiral(cfg: Configuration, digest: str) -> CheckResult:
@@ -733,50 +641,124 @@ def _kwon_remark(cfg: Configuration, digest: str) -> CheckResult:
 # The lemma checks keep their self-contained signatures; these adapters
 # derive their inputs deterministically from the scene.
 _SUITE.update(
-    check_lemma_spiral=_lemma_spiral,
-    check_lemma_cyclic=lambda cfg, digest: _copy_result(_cyclic_lemma(cfg.scene.gamma)),
-    check_lemma_simson_angle=_lemma_simson_angle,
-    check_kwon_remark=_kwon_remark,
+    check_lemma_spiral=(_lemma_spiral, False),
+    check_lemma_cyclic=(lambda cfg, digest: _cyclic_lemma(cfg.scene.gamma), False),
+    check_lemma_simson_angle=(_lemma_simson_angle, False),
+    check_kwon_remark=(_kwon_remark, False),
 )
 
+
+# ---------------------------------------------------------------------------
+# Classical overlay check (last in the suite, on classical scenes only)
+
+
+def _symmedian_point(a: Point, b: Point, c: Point) -> Point:
+    """Barycentric oracle a^2 : b^2 : c^2, independent of the pole
+    construction used by the pipeline."""
+    la, lb, lc = dist2(b, c), dist2(c, a), dist2(a, b)
+    s = la + lb + lc
+    return Point(
+        (la * a.x + lb * b.x + lc * c.x) / s,
+        (la * a.y + lb * b.y + lc * c.y) / s,
+    )
+
+
+@_check(classical=True)
+def check_classical_overlay(rec: _Recorder, cfg: Configuration) -> None:
+    """Classical specialization: the Miquel pair is the Brocard pair, the
+    pole R is the symmedian point, and the T- and primed triangles are the
+    two classical Brocard triangles."""
+    s = cfg.scene
+    ov = classical_overlay(s)
+    if ov.collapsed:
+        raise Degenerate("classical overlay", "equilateral collapse")
+    rec.points_equal("P == Omega", cfg.p, ov.omega)
+    rec.points_equal("Q == Omega'", cfg.q, ov.omega_prime)
+    for name, circle in (("w_A", ov.w_a), ("w_B", ov.w_b), ("w_C", ov.w_c)):
+        rec.point_on_circle(f"Omega on {name}", ov.omega, circle)
+    for name, circle in (("w_A'", ov.w_a_prime), ("w_B'", ov.w_b_prime), ("w_C'", ov.w_c_prime)):
+        rec.point_on_circle(f"Omega' on {name}", ov.omega_prime, circle)
+    rec.points_equal("R == K", cfg.r, ov.k)
+    rec.points_equal("K matches barycentric a^2:b^2:c^2", ov.k, _symmedian_point(s.a, s.b, s.c))
+    rec.point_on_circle("Omega on the circle with diameter OK", ov.omega, cfg.brocard_circle)
+    rec.point_on_circle("Omega' on the circle with diameter OK", ov.omega_prime, cfg.brocard_circle)
+    rec.scalars_equal("O equidistant from Omega, Omega'", dist2(cfg.o, ov.omega), dist2(cfg.o, ov.omega_prime))
+    rec.scalars_equal("K equidistant from Omega, Omega'", dist2(ov.k, ov.omega), dist2(ov.k, ov.omega_prime))
+    # First Brocard triangle: T-vertices as meets of Brocard cevians.
+    rec.points_equal(
+        "T_A == Omega B meet Omega' C",
+        cfg.t_a,
+        intersect_lines(line_through(ov.omega, s.b), line_through(ov.omega_prime, s.c)),
+    )
+    rec.points_equal(
+        "T_B == Omega C meet Omega' A",
+        cfg.t_b,
+        intersect_lines(line_through(ov.omega, s.c), line_through(ov.omega_prime, s.a)),
+    )
+    rec.points_equal(
+        "T_C == Omega A meet Omega' B",
+        cfg.t_c,
+        intersect_lines(line_through(ov.omega, s.a), line_through(ov.omega_prime, s.b)),
+    )
+    # Second Brocard triangle: primed points on the symmedians, and each
+    # is the second meet of its symmedian with the circle on OK.
+    for name, v, pr in (("A", s.a, cfg.a_prime), ("B", s.b, cfg.b_prime), ("C", s.c, cfg.c_prime)):
+        rec.collinear(f"{name}, {name}', K collinear", v, pr, ov.k)
+        chord, _ = second_intersection_circle_line(
+            cfg.brocard_circle, line_through(v, ov.k), ov.k
+        )
+        rec.points_equal(f"{name}' is the second symmedian meet", pr, chord)
+    t1 = tangent_of_angle(s.a, s.b, ov.omega)
+    t2 = tangent_of_angle(s.b, s.c, ov.omega)
+    t3 = tangent_of_angle(s.c, s.a, ov.omega)
+    rec.scalars_equal("tan at A == tan at B (Omega)", t1, t2)
+    rec.scalars_equal("tan at B == tan at C (Omega)", t2, t3)
+    rec.scalars_equal("stored Brocard tangent matches", ov.tan_brocard, t1)
+    area2 = collinear_det(s.a, s.b, s.c)
+    la, lb, lc = dist2(s.b, s.c), dist2(s.c, s.a), dist2(s.a, s.b)
+    rec.scalars_equal("tan equals 4*area/(a^2+b^2+c^2)", ov.tan_brocard, 2 * area2 / (la + lb + lc))
+    u1 = tangent_of_angle(s.a, s.c, ov.omega_prime)
+    u2 = tangent_of_angle(s.b, s.a, ov.omega_prime)
+    u3 = tangent_of_angle(s.c, s.b, ov.omega_prime)
+    rec.scalars_equal("tan at A == tan at B (Omega')", u1, u2)
+    rec.scalars_equal("tan at B == tan at C (Omega')", u2, u3)
+    rec.scalars_equal("Omega' tangent mirrors Omega's", u1, -ov.tan_brocard)
+
+
+# ---------------------------------------------------------------------------
+# Suite runner
+
 #: The seventeen theorem checks run on every scene, in report order.
-THEOREM_CHECK_IDS: Tuple[str, ...] = tuple(_SUITE)
+THEOREM_CHECK_IDS: Tuple[str, ...] = tuple(cid for cid, (_, classical) in _SUITE.items() if not classical)
 
 
 def run_suite(scene: Scene, check_ids: Optional[Sequence[str]] = None) -> SuiteReport:
     """Validate the scene, build its configuration, and run every applicable
     check (optionally filtered by id).  Deterministic for a fixed scene."""
-    from .sceneio import scene_digest  # local: sceneio serializes these reports
-
-    from .pipeline import compute_configuration
-
+    selected = list(_SUITE if check_ids is None else check_ids)
+    unknown = [cid for cid in selected if cid not in _SUITE]
+    if unknown:
+        raise ValueError(f"unknown check ids: {', '.join(sorted(unknown))}")
     digest = scene_digest(scene)
     violations = validate_scene(scene)
     validation = CheckResult(
         "scene_validation",
         FAIL if violations else PASS,
-        [Assertion(str(v), False, v.witnesses) for v in violations],
+        tuple(Assertion(str(v), False, v.witnesses) for v in violations),
     )
-    results = [validation]
     if violations:
-        return SuiteReport(digest, results)
+        return SuiteReport(digest, (validation,))
 
     try:
         cfg = compute_configuration(scene)
     except GeometryError as exc:
-        results.append(_degenerate("configuration", str(exc)))
-        return SuiteReport(digest, results)
+        return SuiteReport(digest, (validation, _degenerate("configuration", str(exc))))
 
-    selected = list(check_ids) if check_ids is not None else list(THEOREM_CHECK_IDS)
-    unknown = [cid for cid in selected if cid not in _SUITE and cid != "check_classical_overlay"]
-    if unknown:
-        raise ValueError(f"unknown check ids: {', '.join(sorted(unknown))}")
     # Every runner calls its check through the module attribute
     # ``checks.<id>``, so a wrapper installed there sees every call:
     # perfbench/tracer.py times each check that way.
-    for cid, run in _SUITE.items():
-        if cid in selected:
+    results = [validation]
+    for cid, (run, classical) in _SUITE.items():
+        if cid in selected and (scene.classical or not classical):
             results.append(run(cfg, digest))
-    if scene.classical and (check_ids is None or "check_classical_overlay" in selected):
-        results.append(check_classical_overlay(cfg))
-    return SuiteReport(digest, results)
+    return SuiteReport(digest, tuple(results))

@@ -9,6 +9,7 @@ named by the BROCARD_OUT_DIR environment variable when it is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -85,17 +86,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "denominator_cap": args.denominator_cap,
             "strict_segments": args.strict_segments,
         }
-        for sub_seed in range(args.seed, args.seed + args.count):
+        try:
             params = SceneParams(
-                seed=sub_seed,
+                seed=args.seed,
                 center=args.center,
                 radius=args.radius,
                 numerator_cap=args.numerator_cap,
                 denominator_cap=args.denominator_cap,
                 strict_segments=args.strict_segments,
             )
+        except ValueError as exc:  # a cap or the radius is not positive
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        for sub_seed in range(args.seed, args.seed + args.count):
             try:
-                scenes.append(generate_scene(params))
+                scenes.append(generate_scene(dataclasses.replace(params, seed=sub_seed)))
             except GeometryError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1

@@ -650,15 +650,6 @@ def collinear_det(p: Point, q: Point, r: Point) -> Fraction:
     return cross(q - p, r - p)
 
 
-def concyclic_det(p: Point, q: Point, r: Point, s: Point) -> Fraction:
-    """Determinant vanishing iff the four points lie on a common circle or line."""
-    rows = []
-    for v in (p, q, r):
-        u1, u2 = v.x - s.x, v.y - s.y
-        rows.extend([u1, u2, u1 * u1 + u2 * u2])
-    return _det3(*rows)
-
-
 def parallel(l1: Line, l2: Line) -> bool:
     return l1.a * l2.b - l2.a * l1.b == 0
 

@@ -25,12 +25,14 @@ import json
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from . import __version__
-from .checks import SuiteReport
 from .geom import Circle, Point
 from .scene import Scene
+
+if TYPE_CHECKING:  # checks imports this module for scene_digest
+    from .checks import SuiteReport
 
 SCENE_FORMAT = "brocard-scenes/1"
 REPORT_FORMAT = "brocard-report/1"

@@ -107,30 +107,24 @@ class _Canvas:
         )
 
 
-def _line_in_box(l: Line, min_x: float, max_x: float, min_y: float, max_y: float) -> Optional[Tuple[Point, Point]]:
-    """Clip a line to a bounding box (float arithmetic; rendering only)."""
-    a, b, c = float(l.a), float(l.b), float(l.c)
+def _line_in_box(
+    l: Line, min_x: Fraction, max_x: Fraction, min_y: Fraction, max_y: Fraction
+) -> Optional[Tuple[Point, Point]]:
+    """Clip a line to a bounding box, exactly: the first two distinct points
+    where it meets the box's edges, or None."""
     hits = []
-    if b != 0:
+    if l.b != 0:
         for x in (min_x, max_x):
-            y = -(a * x + c) / b
-            if min_y - 1e-9 <= y <= max_y + 1e-9:
-                hits.append((x, y))
-    if a != 0:
+            y = -(l.a * x + l.c) / l.b
+            if min_y <= y <= max_y:
+                hits.append(Point(x, y))
+    if l.a != 0:
         for y in (min_y, max_y):
-            x = -(b * y + c) / a
-            if min_x - 1e-9 <= x <= max_x + 1e-9:
-                hits.append((x, y))
-    uniq = []
-    for h in hits:
-        if all(abs(h[0] - u[0]) + abs(h[1] - u[1]) > 1e-9 for u in uniq):
-            uniq.append(h)
-    if len(uniq) < 2:
-        return None
-    (x1, y1), (x2, y2) = uniq[0], uniq[1]
-    return Point(Fraction(x1).limit_denominator(10**9), Fraction(y1).limit_denominator(10**9)), Point(
-        Fraction(x2).limit_denominator(10**9), Fraction(y2).limit_denominator(10**9)
-    )
+            x = -(l.b * y + l.c) / l.a
+            if min_x <= x <= max_x:
+                hits.append(Point(x, y))
+    ends = list(dict.fromkeys(hits))
+    return (ends[0], ends[1]) if len(ends) >= 2 else None
 
 
 def render_svg(
@@ -181,9 +175,10 @@ def render_svg(
         if "steiner" in layers:
             canvas.dot("steiner", cfg.steiner, "S_t", dot_r)
             canvas.dot("steiner", cfg.tarry, "T_a", dot_r)
-            box = (canvas.min_x, canvas.max_x, -canvas.max_y, -canvas.min_y)
+            # The drawn extent so far, flipped back to scene coordinates.
+            box = [Fraction(v) for v in (canvas.min_x, canvas.max_x, -canvas.max_y, -canvas.min_y)]
             for line in (cfg.simson_steiner, cfg.simson_tarry):
-                seg = _line_in_box(line, box[0], box[1], box[2], box[3])
+                seg = _line_in_box(line, *box)
                 if seg is not None:
                     canvas.segment("steiner", seg[0], seg[1], width * 0.8, dashed=True)
 

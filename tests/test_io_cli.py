@@ -203,6 +203,20 @@ class TestCliGenerate:
             main(["generate", "--seed", "42", "--count", "0", "--out", str(tmp_path / "x.json")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--numerator-cap", "0", "parameter caps must be positive"),
+            ("--denominator-cap", "-3", "parameter caps must be positive"),
+            ("--radius", "0", "radius must be positive"),
+        ],
+    )
+    def test_bad_scene_parameter_usage_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x.json"
+        assert main(["generate", "--seed", "1", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_classical_generation(self, tmp_path):
         out = tmp_path / "c.json"
         assert main(["generate", "--classical", "--params", "0,1,-1", "--out", str(out)]) == 0
@@ -275,6 +289,20 @@ class TestCliVerify:
     def test_unknown_check_usage_error(self, scene_file):
         assert main(["verify", "--in", str(scene_file), "--checks", "check_bogus"]) == 2
 
+    def test_unknown_check_usage_error_on_invalid_scene(self, scene_file, tmp_path):
+        doc = json.loads(scene_file.read_text())
+        doc["scenes"] = doc["scenes"][:1]
+        doc["scenes"][0]["a1"][0] = rational_to_str(rational_from_str(doc["scenes"][0]["a1"][0]) + 1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", "--in", str(bad), "--checks", "check_bogus"]) == 2
+
+    def test_classical_overlay_skipped_on_generated_scene(self, scene_file, capsys):
+        assert main(["verify", "--in", str(scene_file), "--checks", "check_classical_overlay"]) == 0
+        out = capsys.readouterr().out
+        assert "scene 0: 1 checks, 1 pass, 0 fail, 0 degenerate" in out
+        assert "total: 2 pass, 0 fail, 0 degenerate" in out
+
     def test_missing_file(self, tmp_path):
         assert main(["verify", "--in", str(tmp_path / "nope.json")]) == 1
 
@@ -321,6 +349,19 @@ class TestCliRender:
         assert main(["render", "--in", str(bad), "--index", "0", "--out", str(fig)]) == 1
         assert "a1 not on gamma" in capsys.readouterr().err
         assert not fig.exists()
+
+    def test_large_caps_all_layers(self, tmp_path):
+        big = str(10**12)
+        path, fig = tmp_path / "s.json", tmp_path / "f.svg"
+        assert main([
+            "generate", "--seed", "1", "--count", "1", "--out", str(path),
+            "--numerator-cap", big, "--denominator-cap", big,
+        ]) == 0
+        assert main(["render", "--in", str(path), "--out", str(fig)]) == 0
+        svg = "{http://www.w3.org/2000/svg}"
+        layers = {g.get("id"): g for g in ET.fromstring(fig.read_text()).iter(svg + "g")}
+        assert list(layers) == ["scene", "miquel", "triangles", "brocard-circle", "steiner"]
+        assert len(layers["steiner"].findall(svg + "line")) == 2  # both Simson lines clipped
 
     def test_index_out_of_range(self, scene_file, tmp_path):
         assert main(["render", "--in", str(scene_file), "--index", "5", "--out", str(tmp_path / "x.svg")]) == 1
@@ -475,9 +516,9 @@ class TestCanonicalEncoder:
         passing = run_suite(scene)
         shifted = check_equidistant(dataclasses.replace(cfg, r=cfg.r + Point(1, 0)))
         assert shifted.status == FAIL
-        passing.results.append(shifted)
+        with_fail = dataclasses.replace(passing, results=(*passing.results, shifted))
         moved = dataclasses.replace(scene, a1=scene.a1 + Point(F(1, 3), 0))
-        doc = report_to_dict([passing, run_suite(moved)], "sha256:" + "0" * 64)
+        doc = report_to_dict([with_fail, run_suite(moved)], "sha256:" + "0" * 64)
         assert doc["summary"]["fail"] == 2
         witnesses = [
             w
