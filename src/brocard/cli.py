@@ -13,12 +13,12 @@ import dataclasses
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .checks import run_suite
 from .geom import GeometryError, Point, rat
 from .pipeline import ClassicalOverlay, classical_overlay, compute_configuration
-from .scene import SceneParams, classical_brocard_scene, generate_scene, validate_scene
+from .scene import Scene, SceneParams, classical_brocard_scene, generate_scene, validate_scene
 from .sceneio import (
     SceneFormatError,
     file_digest,
@@ -57,24 +57,29 @@ def _point_str(p: Point) -> str:
     return f"({rational_to_str(p.x)}, {rational_to_str(p.y)})"
 
 
+def _classical_scene(args: argparse.Namespace) -> Tuple[Scene, List[Fraction]]:
+    """The classical scene of ``--params``, ``--center`` and ``--radius``,
+    and its parameters.  A usage error when they define none: three distinct
+    points of a circle are never collinear, so nothing else can fail."""
+    ts = _parse_rational_list(args.params, 3, "--params")
+    if len(set(ts)) != 3:
+        raise argparse.ArgumentTypeError("classical parameters must be distinct")
+    if args.radius <= 0:
+        raise argparse.ArgumentTypeError("radius must be positive")
+    return classical_brocard_scene(*ts, center=args.center, radius=args.radius), ts
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     out = _out_path(args.out)
     if args.classical:
         if args.params is None:
             print("error: --classical requires --params t1,t2,t3", file=sys.stderr)
             return 2
-        ts = _parse_rational_list(args.params, 3, "--params")
-        if len(set(ts)) != 3:
-            print("error: classical parameters must be distinct", file=sys.stderr)
-            return 2
+        scene, ts = _classical_scene(args)
         if args.count != 1:
             print("error: --classical produces exactly one scene", file=sys.stderr)
             return 2
-        try:
-            scenes = [classical_brocard_scene(*ts, center=args.center, radius=args.radius)]
-        except GeometryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        scenes = [scene]
         provenance = {"kind": "classical", "params": [rational_to_str(t) for t in ts]}
     else:
         scenes = []
@@ -195,15 +200,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_classical(args: argparse.Namespace) -> int:
-    ts = _parse_rational_list(args.params, 3, "--params")
-    if len(set(ts)) != 3:
-        print("error: classical parameters must be distinct", file=sys.stderr)
-        return 2
-    try:
-        scene = classical_brocard_scene(*ts, center=args.center, radius=args.radius)
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    scene, ts = _classical_scene(args)
     report = run_suite(scene)
     try:
         cfg = compute_configuration(scene)
@@ -292,7 +289,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
         # raised by the rational parsers when invoked outside argparse's
-        # own type machinery (--params handling)
+        # own type machinery, and by _classical_scene
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

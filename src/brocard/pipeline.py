@@ -6,12 +6,20 @@ hexagon with its pole R, the circle carrying all ten distinguished points,
 the generalized Steiner and Tarry points, the perspector of the two
 derived triangles, and the spiral-similarity ratios.
 
-Identities guaranteed by the underlying theorems (memberships in the
-common circle, the pole/concurrency agreement for R, the diameter
-relation) are asserted as hard internal errors: on a valid scene they can
-only fail through an implementation bug, never through bad input.  Input
-degeneracies raise ``Degenerate`` with the name of the first object that
-broke, which keeps the generator's reject-and-resample loop informative.
+The pipeline constructs; the suite in ``checks`` asserts.  Each identity
+the theorems guarantee (the Pascal collinearity, R as pole and concurrency
+point, the ten points on the circle with diameter OR, the Steiner point,
+the perspector, the Brocard points on their tangent circles) is asserted
+once, by a named check whose FAIL carries a nonzero exact witness, so a
+construction bug surfaces there and not as a traceback here.  The two
+identities no check asserts stay internal errors
+(``InternalInconsistencyError``): the Pascal line is parallel to a hexagon
+meet at infinity, and the third tangent-side meet lies on the Lemoine
+axis.  Input degeneracies raise ``Degenerate`` with the name of the first
+object that broke, which keeps the generator's reject-and-resample loop
+informative.  The perspector S is the meet of two of its three lines; a
+T-vertex equal to its primed vertex leaves the third undefined, and
+``check_perspective`` with it, so the build raises ``Degenerate("S")``.
 
 Classical scenes (incidence points aliased to vertices) are handled by the
 same code paths: a chord through two coincident labels degenerates to the
@@ -47,7 +55,6 @@ from .geom import (
     inverse_similarity_map,
     isogonal_conjugate,
     line_through,
-    midpoint,
     on_circle,
     on_line,
     parallel,
@@ -296,8 +303,12 @@ class _Stage:
 
 
 def compute_configuration(scene: Scene) -> Configuration:
-    """Construct every derived object; see the module docstring for the
-    error contract.  Precondition: ``validate_scene(scene)`` is empty."""
+    """Construct every derived object and assert none of the theorems
+    about them: the checks do that, with witnesses.  Raises ``Degenerate``
+    on an input degeneracy, including ``Degenerate("S")`` when a T-vertex
+    equals its primed vertex, and ``InternalInconsistencyError`` only if
+    the Pascal line is not parallel to a hexagon meet at infinity.
+    Precondition: ``validate_scene(scene)`` is empty."""
     a, b, c = scene.a, scene.b, scene.c
     gamma, o = scene.gamma, scene.o
     sides = scene.sidelines()
@@ -353,8 +364,6 @@ def compute_configuration(scene: Scene) -> Configuration:
         raise Degenerate("pascal line", "fewer than two distinct finite hexagon meets")
     with _Stage("pascal line"):
         pascal = line_through(distinct[0], distinct[1])
-    for pt in finite:
-        _require(on_line(pt, pascal), "Pascal line misses a finite hexagon meet")
     for pt, direction in ((a0, dir_a0), (b0, dir_b0), (c0, dir_c0)):
         if pt is None:
             # The meet at infinity still lies on the Pascal line: the line
@@ -363,39 +372,25 @@ def compute_configuration(scene: Scene) -> Configuration:
 
     with _Stage("R"):
         r = pole_of_line(pascal, gamma)
-        r_check = intersect_lines(line_through(a, a_prime), line_through(b, b_prime))
-        r_check2 = intersect_lines(line_through(b, b_prime), line_through(c, c_prime))
-    _require(r == r_check == r_check2, "pole of the Pascal line disagrees with the concurrency point")
 
     with _Stage("R*"):
         r_star = isogonal_conjugate(r, a, b, c)
 
     with _Stage("brocard circle"):
         brocard = circumcircle(p, q, o)
-    _require(midpoint(o, r) == brocard.center, "segment OR is not a diameter")
-    for name, pt in (("R", r), ("A'", a_prime), ("B'", b_prime), ("C'", c_prime),
-                     ("T_A", t_a), ("T_B", t_b), ("T_C", t_c)):
-        _require(on_circle(pt, brocard), f"{name} is off the common circle")
 
     with _Stage("S_t"):
         par_a = parallel_through(a, line_through(t_b, t_c))
         par_b = parallel_through(b, line_through(t_c, t_a))
-        par_c = parallel_through(c, line_through(t_a, t_b))
         steiner = intersect_lines(par_a, par_b)
-    _require(on_line(steiner, par_c), "third Steiner parallel misses the meet")
-    _require(on_circle(steiner, circ), "Steiner point off the circumcircle")
 
     with _Stage("T_a"):
         tarry = antipode(steiner, circ)
 
+    if t_a == a_prime or t_b == b_prime or t_c == c_prime:
+        raise Degenerate("S", "a T-vertex coincides with its primed vertex")
     with _Stage("S"):
-        s_line_a = line_through(t_a, a_prime)
-        s_line_b = line_through(t_b, b_prime)
-        perspector = intersect_lines(s_line_a, s_line_b)
-    _require(
-        on_line(perspector, line_through(t_c, c_prime)),
-        "third perspector line misses the meet",
-    )
+        perspector = intersect_lines(line_through(t_a, a_prime), line_through(t_b, b_prime))
 
     # The diameter line may run parallel to a sideline or through a vertex
     # (an isoceles classical scene sends it through the apex, collapsing
@@ -469,10 +464,6 @@ def classical_overlay(scene: Scene) -> ClassicalOverlay:
             w_a_prime=w_a_prime, w_b_prime=w_b_prime, w_c_prime=w_c_prime,
             tan_brocard=Fraction(0), collapsed=True,
         )
-    for name, circle_ in (("w_A", w_a), ("w_B", w_b), ("w_C", w_c)):
-        _require(on_circle(omega, circle_), f"first Brocard point off {name}")
-    for name, circle_ in (("w_A'", w_a_prime), ("w_B'", w_b_prime), ("w_C'", w_c_prime)):
-        _require(on_circle(omega_prime, circle_), f"second Brocard point off {name}")
 
     with _Stage("K"):
         meets = []

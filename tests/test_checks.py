@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from brocard import checks as ck
+from brocard import pipeline
 from brocard.checks import (
     DEGENERATE,
     FAIL,
@@ -90,13 +91,22 @@ def run_mutations(cfg, scene, rounds: int, rng: Random):
             mutated = dataclasses.replace(cfg, **{fld: getattr(cfg, fld) + nonzero_delta(rng)})
             yield check_id, fn(mutated)
 
+    # Odd rounds take the suite's call form: the scene's sidelines, and here
+    # one vertex moved off them.
     base_points = build_spiral_points(scene.a, scene.b, scene.c, cfg.p, SPIRAL_SCALE)
     for i in range(rounds):
-        mutated = list(base_points)
-        mutated[i % 3] = mutated[i % 3] + nonzero_delta(rng)
-        yield "check_lemma_spiral", check_lemma_spiral(
-            scene.a, scene.b, scene.c, cfg.p, SPIRAL_SCALE, points=tuple(mutated)
-        )
+        if i % 2 == 0:
+            mutated = list(base_points)
+            mutated[i % 3] = mutated[i % 3] + nonzero_delta(rng)
+            yield "check_lemma_spiral", check_lemma_spiral(
+                scene.a, scene.b, scene.c, cfg.p, SPIRAL_SCALE, points=tuple(mutated)
+            )
+        else:
+            vertices = list(scene.vertices)
+            vertices[i % 3] = vertices[i % 3] + nonzero_delta(rng)
+            yield "check_lemma_spiral", check_lemma_spiral(
+                *vertices, cfg.p, SPIRAL_SCALE, sides=scene.sidelines()
+            )
 
     quad = build_cyclic_quadrangle(scene.gamma)
     for i in range(rounds):
@@ -104,13 +114,15 @@ def run_mutations(cfg, scene, rounds: int, rng: Random):
         mutated[i % 4] = mutated[i % 4] + nonzero_delta(rng)
         yield "check_lemma_cyclic", check_lemma_cyclic(scene.gamma, *mutated)
 
+    # Rounds 2, 3, 6, 7, ... take the suite's call form, on the mutated
+    # configuration.
     for i in range(rounds):
-        m, n = cfg.steiner, cfg.tarry
-        if i % 2 == 0:
-            m = m + nonzero_delta(rng)
-        else:
-            n = n + nonzero_delta(rng)
-        yield "check_lemma_simson_angle", check_lemma_simson_angle(scene.a, scene.b, scene.c, m, n)
+        fld = ("steiner", "tarry")[i % 2]
+        mutated = dataclasses.replace(cfg, **{fld: getattr(cfg, fld) + nonzero_delta(rng)})
+        suite_form = mutated if (i // 2) % 2 else None
+        yield "check_lemma_simson_angle", check_lemma_simson_angle(
+            scene.a, scene.b, scene.c, mutated.steiner, mutated.tarry, suite_form
+        )
 
     kw = kwon_scene(987654)
     kwon_fields = ["z", "t", "d", "x", "y", "e", "f"]
@@ -255,6 +267,40 @@ class TestMutations:
                 any(w != 0 for w in a.witnesses) for a in result.failed_assertions
             ), f"{check_id} failed without a nonzero witness"
         assert seen == set(THEOREM_CHECK_IDS)
+
+
+class TestConstructionBugs:
+    def test_wrong_pole_fails_with_witnesses(self, seed7_scene, monkeypatch):
+        """A pipeline that builds R wrongly yields FAILs with witnesses from
+        the checks, which build their own pole, and no exception."""
+        pole = pipeline.pole_of_line
+        monkeypatch.setattr(pipeline, "pole_of_line", lambda *args: pole(*args) + Point(1, 0))
+        report = run_suite(seed7_scene)
+        failed = [r for r in report.results if r.status == FAIL]
+        assert [r.check_id for r in failed] == [
+            "check_pascal_and_r",
+            "check_brocard_circle",
+            "check_equidistant",
+            "check_polygon_similarity",
+            "check_perspective",
+            "check_simson_parallel",
+            "check_simson_perpendicular",
+            "check_circumcenter_perspective",
+        ]
+        for result in failed:
+            assert any(any(w != 0 for w in a.witnesses) for a in result.failed_assertions), result.check_id
+        assert report.counts == {PASS: 10, FAIL: 8, DEGENERATE: 0}
+
+
+class TestSmallCapGeneration:
+    @pytest.mark.parametrize("caps, seed", [(2, 52), (2, 66), (2, 127), (3, 30)])
+    def test_accepted_scene_never_degenerate(self, caps, seed):
+        """Each seed draws a scene with a T-vertex on its primed vertex
+        before the one it accepts; rejecting that draw keeps every check of
+        the accepted scene defined."""
+        scene = generate_scene(SceneParams(seed=seed, numerator_cap=caps, denominator_cap=caps))
+        report = run_suite(scene)
+        assert (report.counts[FAIL], report.counts[DEGENERATE]) == (0, 0)
 
 
 class TestLemmaChecks:

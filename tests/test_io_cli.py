@@ -394,6 +394,16 @@ class TestCliClassical:
         # isoceles scene has degenerate entries but no FAIL
         assert main(["classical", "--params", "0,1,-1"]) == 0
 
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command", [["generate", "--classical", "--out", "c.json"], ["classical", "--report", "c.json"]]
+    )
+    def test_nonpositive_radius_usage_error(self, tmp_path, monkeypatch, capsys, command, radius):
+        monkeypatch.setenv("BROCARD_OUT_DIR", str(tmp_path))
+        assert main([*command, "--params", "0,1,3", "--radius", radius]) == 2
+        assert capsys.readouterr() == ("", "error: radius must be positive\n")
+        assert not (tmp_path / "c.json").exists()
+
 
 def test_report_omits_timing(tmp_path):
     path = tmp_path / "scenes.json"
@@ -452,6 +462,76 @@ class TestGoldenBytes:
         write_scene_file(str(scenes), [generated[0], COLLAPSE_SCENE, generated[1]])
         assert main(["verify", "--in", str(scenes), "--report", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == self.DEGENERATE_REPORT_SHA
+
+
+class TestBenchBytes:
+    """The files of the benchmark's workloads at seed 7 and of three
+    classical scenes are pinned, with the classical invariants printed."""
+
+    BIG_CAP = str(10**12)
+    WORKLOADS = {
+        "verify-caps50": (
+            (),
+            "651b68bac8415dceb89f5f6a5c468dff920a6c75bd5402ac1c227e629716a8d4",
+            "44075f6465e1ca6b2e1ed624ce7e50dfc2b5167fa51141874968f2508e623e8b",
+        ),
+        "verify-caps1e12": (
+            ("--numerator-cap", BIG_CAP, "--denominator-cap", BIG_CAP),
+            "a66a46d1b7515521937b562230c294ec4f7b013fac1e494b72a1755c5458472d",
+            "631c58c7e871bda202568b14ce4888f67a0674b79a0e69e25141e0d7559ffa5f",
+        ),
+        "generate-strict": (
+            ("--strict-segments",),
+            "437b296ee764675babbed2d9764ba852f38e01f0e8cd7218cc1d361bc832a7c5",
+            "a375edcd8a215d276b0918c10ddfedac5b12f2443dab3a098bb2d1a6a1666e15",
+        ),
+    }
+    CLASSICAL = {
+        "0,1,-1": (
+            TestGoldenBytes.CLASSICAL_REPORT_SHA,
+            "R = (1/2, 0/1)\n"
+            "K = (1/2, 0/1)  (R == K: True)\n"
+            "tan(Brocard angle) = 1/2\n"
+            "Omega  = (2/5, 1/5)\n"
+            "Omega' = (2/5, -1/5)\n"
+            "suite: 18 pass, 0 fail, 1 degenerate\n",
+        ),
+        "0,1,3": (
+            "f422e58e6cdbe583f60e4bf2ff9e5bb7eee4e334498c0bc792cd314eb1e6f83c",
+            "R = (-1/8, 3/4)\n"
+            "K = (-1/8, 3/4)  (R == K: True)\n"
+            "tan(Brocard angle) = 3/8\n"
+            "Omega  = (-26/73, 45/73)\n"
+            "Omega' = (10/73, 51/73)\n"
+            "suite: 19 pass, 0 fail, 0 degenerate\n",
+        ),
+        "1/2,-3,7/5": (
+            "ef83defb76952cc83ee29ba90a52656cc343813566063120553e2b979958cccb",
+            "R = (-93/1714, 610/857)\n"
+            "K = (-93/1714, 610/857)  (R == K: True)\n"
+            "tan(Brocard angle) = 693/1714\n"
+            "Omega  = (-1004862/3418045, 2026631/3418045)\n"
+            "Omega' = (686058/3418045, 2155529/3418045)\n"
+            "suite: 19 pass, 0 fail, 0 degenerate\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_workload_seed7_files(self, tmp_path, capsys, workload):
+        extra, scene_sha, report_sha = self.WORKLOADS[workload]
+        scenes, report = tmp_path / "s.json", tmp_path / "r.json"
+        assert main(["generate", "--seed", "701", "--count", "100", "--out", str(scenes), *extra]) == 0
+        assert main(["verify", "--in", str(scenes), "--report", str(report)]) == 0
+        assert hashlib.sha256(scenes.read_bytes()).hexdigest() == scene_sha
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+
+    @pytest.mark.parametrize("params", sorted(CLASSICAL))
+    def test_classical_report_and_invariants(self, tmp_path, capsys, params):
+        report_sha, printed = self.CLASSICAL[params]
+        report = tmp_path / "c.json"
+        assert main(["classical", "--params", params, "--report", str(report)]) == 0
+        assert capsys.readouterr() == (printed, "")
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,13 @@ class TestConfiguration:
         assert on_circle(cfg.steiner, cfg.circ)
         assert cfg.tarry == 2 * cfg.circ.center - cfg.steiner
 
+    def test_t_vertex_on_its_primed_vertex_degenerate(self):
+        # T_C == C' == (0, -5/4): the third perspector line is undefined.
+        s = scene_from_parameters(["-1", "-2", "1/2", "2", "-1/2", "1"], Point(0, 0), 1)
+        with pytest.raises(Degenerate) as err:
+            compute_configuration(s)
+        assert err.value.name == "S"
+
     def test_simson_directions(self):
         s = generate_scene(SceneParams(seed=29))
         cfg = compute_configuration(s)
