@@ -27,6 +27,7 @@ from .geom import (
     Point,
     PointNotOnCircle,
     PointNotOnLine,
+    spiral_ratio,
 )
 from .pipeline import (
     ClassicalOverlay,
@@ -36,7 +37,6 @@ from .pipeline import (
     compute_configuration,
     miquel_point,
     miquel_point_quadrangle,
-    spiral_ratio,
 )
 from .scene import (
     GenerationExhausted,

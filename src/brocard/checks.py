@@ -49,6 +49,7 @@ from .geom import (
     angle_at,
     circumcircle,
     collinear_det,
+    complex_ratio,
     dist2,
     directed_angle,
     foot_perpendicular,
@@ -63,6 +64,7 @@ from .geom import (
     rational_sqrt,
     second_intersection_circle_line,
     simson_line,
+    spiral_ratio,
     triangle_sidelines,
 )
 from .pipeline import (
@@ -70,7 +72,6 @@ from .pipeline import (
     classical_overlay,
     compute_configuration,
     miquel_point_quadrangle,
-    spiral_ratio,
     tangent_of_angle,
 )
 from .scene import KwonScene, Scene, circle_point_from_parameter, kwon_scene, validate_scene
@@ -153,10 +154,12 @@ class _Recorder:
         return self._record(label, (lhs - rhs,))
 
     def points_equal(self, label: str, p: Point, q: Point) -> bool:
-        return self._record(label, (p.x - q.x, p.y - q.y))
+        d = p - q
+        return self._record(label, (d.x, d.y))
 
     def complex_equal(self, label: str, z: ComplexScalar, w: ComplexScalar) -> bool:
-        return self._record(label, (z.re - w.re, z.im - w.im))
+        d = z - w
+        return self._record(label, (d.re, d.im))
 
     def point_on_circle(self, label: str, p: Point, c: Circle) -> bool:
         return self._record(label, (c.eval(p),))
@@ -349,17 +352,13 @@ def check_brocard_circle(rec: _Recorder, cfg: Configuration) -> None:
         )
     else:
         rec.note("angle O-A'-R undefined: A' coincides with O or R")
-    chord_views = [
-        (name, pt)
+    views = [
+        (name, angle_at(pt, cfg.p, cfg.q))
         for name, pt in (("A'", cfg.a_prime), ("B'", cfg.b_prime), ("C'", cfg.c_prime), ("T_A", cfg.t_a))
         if pt not in (cfg.p, cfg.q)
     ]
-    for (n1, v1), (n2, v2) in zip(chord_views, chord_views[1:]):
-        rec.angles_equal(
-            f"ang(P,{n1},Q) == ang(P,{n2},Q)",
-            angle_at(v1, cfg.p, cfg.q),
-            angle_at(v2, cfg.p, cfg.q),
-        )
+    for (n1, angle1), (n2, angle2) in zip(views, views[1:]):
+        rec.angles_equal(f"ang(P,{n1},Q) == ang(P,{n2},Q)", angle1, angle2)
 
 
 @_check()
@@ -374,8 +373,8 @@ def check_first_triangle_similarity(rec: _Recorder, cfg: Configuration) -> None:
     """The T-triangle is inversely similar to the reference triangle."""
     s = cfg.scene
     rec.points_equal("similarity fitted on A, B sends C to T_C", cfg.similarity.apply(s.c), cfg.t_c)
-    lhs = ComplexScalar.from_vector(cfg.t_b - cfg.t_a) / ComplexScalar.from_vector(cfg.t_c - cfg.t_a)
-    rhs = (ComplexScalar.from_vector(s.b - s.a) / ComplexScalar.from_vector(s.c - s.a)).conj()
+    lhs = complex_ratio(cfg.t_b - cfg.t_a, cfg.t_c - cfg.t_a)
+    rhs = complex_ratio(s.b - s.a, s.c - s.a).conj()
     rec.complex_equal("(T_B-T_A)/(T_C-T_A) == conj((B-A)/(C-A))", lhs, rhs)
 
 
@@ -383,17 +382,8 @@ def check_first_triangle_similarity(rec: _Recorder, cfg: Configuration) -> None:
 def check_steiner(rec: _Recorder, cfg: Configuration) -> None:
     """The parallels from the vertices to the opposite T-sides concur at a
     point of the circumcircle."""
-    s = cfg.scene
-    for name, v, e1, e2 in (
-        ("A", s.a, cfg.t_b, cfg.t_c),
-        ("B", s.b, cfg.t_c, cfg.t_a),
-        ("C", s.c, cfg.t_a, cfg.t_b),
-    ):
-        rec.point_on_line(
-            f"S_t on the parallel from {name}",
-            cfg.steiner,
-            parallel_through(v, line_through(e1, e2)),
-        )
+    for name, v, t_side in zip("ABC", cfg.scene.vertices, cfg.t_sides):
+        rec.point_on_line(f"S_t on the parallel from {name}", cfg.steiner, parallel_through(v, t_side))
     rec.point_on_circle("S_t on the circumcircle", cfg.steiner, cfg.circ)
 
 
@@ -401,16 +391,9 @@ def check_steiner(rec: _Recorder, cfg: Configuration) -> None:
 def check_tarry(rec: _Recorder, cfg: Configuration) -> None:
     """The perpendiculars from the vertices to the opposite T-sides concur
     at the antipode of the Steiner point."""
-    s = cfg.scene
-    for name, v, e1, e2 in (
-        ("A", s.a, cfg.t_b, cfg.t_c),
-        ("B", s.b, cfg.t_c, cfg.t_a),
-        ("C", s.c, cfg.t_a, cfg.t_b),
-    ):
+    for name, v, t_side in zip("ABC", cfg.scene.vertices, cfg.t_sides):
         rec.point_on_line(
-            f"T_a on the perpendicular from {name}",
-            cfg.tarry,
-            perpendicular_through(v, line_through(e1, e2)),
+            f"T_a on the perpendicular from {name}", cfg.tarry, perpendicular_through(v, t_side)
         )
     rec.point_on_circle("T_a on the circumcircle", cfg.tarry, cfg.circ)
     rec.points_equal("midpoint(S_t, T_a) == circumcenter", midpoint(cfg.steiner, cfg.tarry), cfg.circ.center)
@@ -432,9 +415,8 @@ def check_perspective(rec: _Recorder, cfg: Configuration) -> None:
     """The T-triangle and the primed triangle are perspective, and the
     fitted similarity carries the isogonal conjugate of R to the
     perspector."""
-    s = cfg.scene
-    for name, t, pr in (("A", cfg.t_a, cfg.a_prime), ("B", cfg.t_b, cfg.b_prime), ("C", cfg.t_c, cfg.c_prime)):
-        rec.point_on_line(f"S on T_{name} {name}'", cfg.perspector, line_through(t, pr))
+    for name, line in zip("ABC", cfg.perspective_lines):
+        rec.point_on_line(f"S on T_{name} {name}'", cfg.perspector, line)
     rec.points_equal("map sends R* to S", cfg.similarity.apply(cfg.r_star), cfg.perspector)
 
 

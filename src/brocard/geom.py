@@ -113,21 +113,67 @@ def _det3(a, b, c, d, e, f, g, h, i):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-# The hot constructions below read their inputs as integers over one common
+# The constructions and the whole point, complex and similarity layer below
+# read their inputs as homogeneous integers (X, Y, W) over one common
 # denominator, compute with plain ints and build each output Fraction (or
 # the canonical Line triple) once: Fraction arithmetic reduces by gcd on
 # every operation, which dominates at the coordinate sizes scenes reach.
+# ``_hom`` caches a Point's triple in its instance ``__dict__`` on first
+# use.  Equality, hashing and ``repr`` read only the two fields,
+# ``dataclasses.replace`` builds a new instance without the cache, and
+# ``__getstate__`` leaves it out of copies and pickles.
+
+_Triple = Tuple[int, int, int]
 
 
-def _hom(p: "Point") -> Tuple[int, int, int]:
-    """Homogeneous integer coordinates (X, Y, W) of p, with W > 0 the lcm of
-    the coordinate denominators, so that p = (X/W, Y/W)."""
-    nx, dx = p.x.as_integer_ratio()
-    ny, dy = p.y.as_integer_ratio()
+def _pair(x: Fraction, y: Fraction) -> _Triple:
+    """Integers (X, Y, W), W > 0 the lcm of the denominators, with x = X/W
+    and y = Y/W."""
+    nx, dx = x.as_integer_ratio()
+    ny, dy = y.as_integer_ratio()
     if dx == dy:
         return nx, ny, dx
     w = lcm(dx, dy)
     return nx * (w // dx), ny * (w // dy), w
+
+
+def _hom(p: "Point") -> _Triple:
+    """Homogeneous integer coordinates (X, Y, W) of p, with W > 0 the lcm of
+    the coordinate denominators, so that p = (X/W, Y/W); cached on p."""
+    h = p.__dict__.get("_hom")
+    if h is None:
+        h = p.__dict__["_hom"] = _pair(p.x, p.y)
+    return h
+
+
+def _sum(u: _Triple, v: _Triple, k: int) -> _Triple:
+    """u + k*v on homogeneous triples, for k = 1 or -1."""
+    x1, y1, w1 = u
+    x2, y2, w2 = v
+    if w1 == w2:
+        return x1 + k * x2, y1 + k * y2, w1
+    return x1 * w2 + k * x2 * w1, y1 * w2 + k * y2 * w1, w1 * w2
+
+
+def _times(u: _Triple, v: _Triple) -> _Triple:
+    """The complex product u * v on homogeneous triples."""
+    x1, y1, w1 = u
+    x2, y2, w2 = v
+    return x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, w1 * w2
+
+
+def _quotient(u: _Triple, v: _Triple) -> _Triple:
+    """The complex quotient u / v on homogeneous triples."""
+    x1, y1, w1 = u
+    x2, y2, w2 = v
+    n = x2 * x2 + y2 * y2
+    if n == 0:
+        raise Degenerate("complex division", "divisor is zero")
+    return (x1 * x2 + y1 * y2) * w2, (y1 * x2 - x1 * y2) * w2, w1 * n
+
+
+def _point(x: int, y: int, w: int) -> "Point":
+    return Point(Fraction(x, w), Fraction(y, w))
 
 
 def _hom_circle(c: "Circle") -> Tuple[int, int, int, int]:
@@ -156,44 +202,69 @@ class Point:
             object.__setattr__(self, "y", rat(self.y))
 
     def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
+        return _point(*_sum(_hom(self), _hom(other), 1))
 
     def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
+        return _point(*_sum(_hom(self), _hom(other), -1))
 
     def __neg__(self) -> "Point":
         return Point(-self.x, -self.y)
 
     def __rmul__(self, k: RationalLike) -> "Point":
-        k = rat(k)
-        return Point(k * self.x, k * self.y)
+        n, d = rat(k).as_integer_ratio()
+        x, y, w = _hom(self)
+        return _point(n * x, n * y, d * w)
 
     def __repr__(self) -> str:
         return f"Point({self.x}, {self.y})"
 
+    def __getstate__(self) -> dict:
+        return {"x": self.x, "y": self.y}
+
 
 def cross(u: Point, v: Point) -> Fraction:
     """2D cross product of two displacement vectors."""
-    return u.x * v.y - u.y * v.x
+    x1, y1, w1 = _hom(u)
+    x2, y2, w2 = _hom(v)
+    return Fraction(x1 * y2 - y1 * x2, w1 * w2)
 
 
 def dot(u: Point, v: Point) -> Fraction:
-    return u.x * v.x + u.y * v.y
+    x1, y1, w1 = _hom(u)
+    x2, y2, w2 = _hom(v)
+    return Fraction(x1 * x2 + y1 * y2, w1 * w2)
 
 
 def dist2(p: Point, q: Point) -> Fraction:
     """Squared distance.  Plain distance would need a square root."""
-    d = q - p
-    return d.x * d.x + d.y * d.y
+    x, y, w = _sum(_hom(q), _hom(p), -1)
+    return Fraction(x * x + y * y, w * w)
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+    x, y, w = _sum(_hom(p), _hom(q), 1)
+    return _point(x, y, 2 * w)
+
+
+def point_along(p: Point, q: Point, t: RationalLike) -> Point:
+    """The point p + t*(q - p) of the line pq."""
+    n, d = rat(t).as_integer_ratio()
+    x1, y1, w1 = _hom(p)
+    x2, y2, w2 = _hom(q)
+    return _point((d - n) * x1 * w2 + n * x2 * w1, (d - n) * y1 * w2 + n * y2 * w1, d * w1 * w2)
+
+
+def _area(p: Point, q: Point, r: Point) -> Tuple[int, int]:
+    """cross(q - p, r - p) as an unreduced (numerator, positive denominator)."""
+    x1, y1, w1 = _hom(p)
+    x2, y2, w2 = _hom(q)
+    x3, y3, w3 = _hom(r)
+    return _det3(x1, y1, w1, x2, y2, w2, x3, y3, w3), w1 * w2 * w3
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Sign of the signed area of p-q-r: +1 anticlockwise, -1 clockwise, 0 collinear."""
-    return sign(cross(q - p, r - p))
+    return sign(_area(p, q, r)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -218,45 +289,41 @@ class ComplexScalar:
         if not isinstance(self.im, Fraction):
             object.__setattr__(self, "im", rat(self.im))
 
-    @classmethod
-    def from_vector(cls, v: Point) -> "ComplexScalar":
-        return cls(v.x, v.y)
-
     def conj(self) -> "ComplexScalar":
         return ComplexScalar(self.re, -self.im)
 
     def __add__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return ComplexScalar(self.re + other.re, self.im + other.im)
+        return _complex(*_sum(_hom_complex(self), _hom_complex(other), 1))
 
     def __sub__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return ComplexScalar(self.re - other.re, self.im - other.im)
+        return _complex(*_sum(_hom_complex(self), _hom_complex(other), -1))
 
     def __neg__(self) -> "ComplexScalar":
         return ComplexScalar(-self.re, -self.im)
 
     def __mul__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return ComplexScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return _complex(*_times(_hom_complex(self), _hom_complex(other)))
 
     def __truediv__(self, other: "ComplexScalar") -> "ComplexScalar":
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise Degenerate("complex division", "divisor is zero")
-        return ComplexScalar(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _complex(*_quotient(_hom_complex(self), _hom_complex(other)))
 
     def apply_to(self, v: Point) -> Point:
         """Multiply the displacement vector v by this complex number."""
-        return Point(self.re * v.x - self.im * v.y, self.re * v.y + self.im * v.x)
+        return _point(*_times(_hom_complex(self), _hom(v)))
+
+
+def _hom_complex(z: ComplexScalar) -> _Triple:
+    """Integers (X, Y, W), W > 0, with z = (X + Y*i)/W."""
+    return _pair(z.re, z.im)
+
+
+def _complex(x: int, y: int, w: int) -> ComplexScalar:
+    return ComplexScalar(Fraction(x, w), Fraction(y, w))
 
 
 def complex_ratio(u: Point, v: Point) -> ComplexScalar:
     """The complex number u / v, reading displacement vectors as complex."""
-    return ComplexScalar.from_vector(u) / ComplexScalar.from_vector(v)
+    return _complex(*_quotient(_hom(u), _hom(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +406,13 @@ class Circle:
 
     @property
     def center(self) -> Point:
-        return Point(-self.d / 2, -self.e / 2)
+        d, e, _, v = _hom_circle(self)
+        return _point(-d, -e, 2 * v)
 
     @property
     def radius2(self) -> Fraction:
-        return self.d * self.d / 4 + self.e * self.e / 4 - self.f
+        d, e, f, v = _hom_circle(self)
+        return Fraction(d * d + e * e - 4 * f * v, 4 * v * v)
 
     def eval(self, p: Point) -> Fraction:
         """Power of the point p; zero iff p is on the circle."""
@@ -451,6 +520,25 @@ def foot_perpendicular(p: Point, l: Line) -> Point:
     r = a * x + b * y + l.c * w
     den = w * n2
     return Point(Fraction(x * n2 - r * a, den), Fraction(y * n2 - r * b, den))
+
+
+def spiral_ratio(m: Point, d: Point, side: Line) -> ComplexScalar:
+    """Complex ratio (d - m) / (foot(m, side) - m) of the spiral similarity
+    taking the pedal foot of m to d; its argument is the rotation angle and
+    its modulus the scale."""
+    a, b, c = side.a, side.b, side.c
+    xm, ym, wm = _hom(m)
+    xd, yd, wd = _hom(d)
+    r = a * xm + b * ym + c * wm
+    if r == 0:
+        raise Degenerate("spiral ratio", "center lies on the side")
+    if a * xd + b * yd + c * wd != 0:
+        raise Degenerate("spiral ratio", "target point is not on the side")
+    # foot - m = -r/(wm*(a^2 + b^2)) * (a + b*i), so the ratio is
+    # -(d - m) * (a - b*i) * wm / r with d - m = (ux + uy*i) / (wd*wm).
+    ux, uy = xd * wm - xm * wd, yd * wm - ym * wd
+    den = -wd * r
+    return _complex(ux * a + uy * b, uy * a - ux * b, den)
 
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:
@@ -647,7 +735,7 @@ def on_circle(p: Point, c: Circle) -> bool:
 
 
 def collinear_det(p: Point, q: Point, r: Point) -> Fraction:
-    return cross(q - p, r - p)
+    return Fraction(*_area(p, q, r))
 
 
 def parallel(l1: Line, l2: Line) -> bool:
@@ -669,9 +757,8 @@ class InverseSimilarity:
     beta: ComplexScalar
 
     def apply(self, p: Point) -> Point:
-        z = ComplexScalar(p.x, -p.y)  # conj(p)
-        w = self.alpha * z + self.beta
-        return Point(w.re, w.im)
+        x, y, w = _hom(p)
+        return _point(*_sum(_times(_hom_complex(self.alpha), (x, -y, w)), _hom_complex(self.beta), 1))
 
 
 def inverse_similarity_map(src1: Point, dst1: Point, src2: Point, dst2: Point) -> InverseSimilarity:
@@ -679,10 +766,10 @@ def inverse_similarity_map(src1: Point, dst1: Point, src2: Point, dst2: Point) -
     src2 -> dst2."""
     if src1 == src2:
         raise CoincidentPoints("similarity needs two distinct source points")
-    zs1 = ComplexScalar(src1.x, -src1.y)
-    zs2 = ComplexScalar(src2.x, -src2.y)
-    zd1 = ComplexScalar(dst1.x, dst1.y)
-    zd2 = ComplexScalar(dst2.x, dst2.y)
-    alpha = (zd1 - zd2) / (zs1 - zs2)
-    beta = zd1 - alpha * zs1
-    return InverseSimilarity(alpha, beta)
+    x1, y1, w1 = _hom(src1)
+    x2, y2, w2 = _hom(src2)
+    zs1 = (x1, -y1, w1)  # conj(src1)
+    zd1 = _hom(dst1)
+    alpha = _quotient(_sum(zd1, _hom(dst2), -1), _sum(zs1, (x2, -y2, w2), -1))
+    beta = _sum(zd1, _times(alpha, zs1), -1)
+    return InverseSimilarity(_complex(*alpha), _complex(*beta))

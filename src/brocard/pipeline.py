@@ -11,15 +11,17 @@ the theorems guarantee (the Pascal collinearity, R as pole and concurrency
 point, the ten points on the circle with diameter OR, the Steiner point,
 the perspector, the Brocard points on their tangent circles) is asserted
 once, by a named check whose FAIL carries a nonzero exact witness, so a
-construction bug surfaces there and not as a traceback here.  The two
+construction bug surfaces there and not as a traceback here.  The three
 identities no check asserts stay internal errors
 (``InternalInconsistencyError``): the Pascal line is parallel to a hexagon
-meet at infinity, and the third tangent-side meet lies on the Lemoine
-axis.  Input degeneracies raise ``Degenerate`` with the name of the first
-object that broke, which keeps the generator's reject-and-resample loop
-informative.  The perspector S is the meet of two of its three lines; a
-T-vertex equal to its primed vertex leaves the third undefined, and
-``check_perspective`` with it, so the build raises ``Degenerate("S")``.
+meet at infinity, the third tangent-side meet lies on the Lemoine axis, and
+Miquel's theorem itself, that the second meet of two Miquel circles lies on
+the third (for a quadrangle: on the two other defining circles).  Input
+degeneracies raise ``Degenerate`` with the name of the first object that
+broke, which keeps the generator's reject-and-resample loop informative.
+The perspector S is the meet of two of its three lines; a T-vertex equal
+to its primed vertex leaves the third undefined, and ``check_perspective``
+with it, so the build raises ``Degenerate("S")``.
 
 Classical scenes (incidence points aliased to vertices) are handled by the
 same code paths: a chord through two coincident labels degenerates to the
@@ -47,10 +49,8 @@ from .geom import (
     antipode,
     circle_through_tangent,
     circumcircle,
-    complex_ratio,
     cross,
     dot,
-    foot_perpendicular,
     intersect_lines,
     inverse_similarity_map,
     isogonal_conjugate,
@@ -62,6 +62,7 @@ from .geom import (
     pole_of_line,
     second_intersection_circles,
     simson_line,
+    spiral_ratio,
     tangent_line,
     triangle_sidelines,
 )
@@ -86,9 +87,11 @@ class Configuration:
     verification suite reports DEGENERATE instead of evaluating them.
 
     The objects several checks share (the inverse similarity, the line OR,
-    the Simson lines of S_t and T_a) are built on first use and cached on
-    the instance, never passed to ``__init__``, so ``dataclasses.replace``
-    derives them afresh from the replaced fields.
+    the T-sides, the lines through the perspector, the Simson lines of S_t
+    and T_a) are built on first use and cached on the instance, never passed
+    to ``__init__``, so ``dataclasses.replace`` derives them afresh from the
+    replaced fields.  ``compute_configuration`` seeds the caches with the
+    lines it built itself.
     """
 
     scene: Scene
@@ -143,6 +146,16 @@ class Configuration:
     @cached_property
     def or_line(self) -> Line:
         return line_through(self.o, self.r)
+
+    @cached_property
+    def t_sides(self) -> Tuple[Line, Line, Line]:
+        """The sidelines (T_B T_C, T_C T_A, T_A T_B) of the T-triangle."""
+        return triangle_sidelines(self.t_a, self.t_b, self.t_c)
+
+    @cached_property
+    def perspective_lines(self) -> Tuple[Line, Line, Line]:
+        """The lines T_A A', T_B B', T_C C', which meet at the perspector."""
+        return _perspective_lines(self.t_a, self.t_b, self.t_c, self.a_prime, self.b_prime, self.c_prime)
 
     @cached_property
     def simson_steiner(self) -> Line:
@@ -243,8 +256,7 @@ def _miquel(
         m, _ = second_intersection_circles(circle_a, circle_b, f)
     except GeometryError as exc:
         raise Degenerate("miquel point", str(exc)) from exc
-    if not on_circle(m, circle_c):
-        raise Degenerate("miquel point", "candidate misses the third circle")
+    _require(on_circle(m, circle_c), "Miquel point misses the third circle")
     return m, (circle_a, circle_b, circle_c)
 
 
@@ -270,21 +282,8 @@ def miquel_point_quadrangle(pa: Point, pb: Point, pc: Point, pd: Point) -> Point
         ok = on_circle(m, circumcircle(p, pb, pc)) and on_circle(m, circumcircle(q, pc, pd))
     except GeometryError as exc:
         raise Degenerate("miquel quadrangle point", str(exc)) from exc
-    if not ok:
-        raise Degenerate("miquel quadrangle point", "candidate misses a defining circle")
+    _require(ok, "quadrangle Miquel point misses a defining circle")
     return m
-
-
-def spiral_ratio(m: Point, d: Point, side: Line) -> ComplexScalar:
-    """Complex ratio (d - m) / (foot(m, side) - m) of the spiral similarity
-    taking the pedal foot of m to d; its argument is the rotation angle and
-    its modulus the scale."""
-    if on_line(m, side):
-        raise Degenerate("spiral ratio", "center lies on the side")
-    if not on_line(d, side):
-        raise Degenerate("spiral ratio", "target point is not on the side")
-    ft = foot_perpendicular(m, side)
-    return complex_ratio(d - m, ft - m)
 
 
 class _Stage:
@@ -307,7 +306,8 @@ def compute_configuration(scene: Scene) -> Configuration:
     about them: the checks do that, with witnesses.  Raises ``Degenerate``
     on an input degeneracy, including ``Degenerate("S")`` when a T-vertex
     equals its primed vertex, and ``InternalInconsistencyError`` only if
-    the Pascal line is not parallel to a hexagon meet at infinity.
+    Miquel's theorem fails or the Pascal line is not parallel to a hexagon
+    meet at infinity.
     Precondition: ``validate_scene(scene)`` is empty."""
     a, b, c = scene.a, scene.b, scene.c
     gamma, o = scene.gamma, scene.o
@@ -380,9 +380,8 @@ def compute_configuration(scene: Scene) -> Configuration:
         brocard = circumcircle(p, q, o)
 
     with _Stage("S_t"):
-        par_a = parallel_through(a, line_through(t_b, t_c))
-        par_b = parallel_through(b, line_through(t_c, t_a))
-        steiner = intersect_lines(par_a, par_b)
+        t_sides = triangle_sidelines(t_a, t_b, t_c)
+        steiner = intersect_lines(parallel_through(a, t_sides[0]), parallel_through(b, t_sides[1]))
 
     with _Stage("T_a"):
         tarry = antipode(steiner, circ)
@@ -390,7 +389,10 @@ def compute_configuration(scene: Scene) -> Configuration:
     if t_a == a_prime or t_b == b_prime or t_c == c_prime:
         raise Degenerate("S", "a T-vertex coincides with its primed vertex")
     with _Stage("S"):
-        perspector = intersect_lines(line_through(t_a, a_prime), line_through(t_b, b_prime))
+        perspective_lines = _perspective_lines(t_a, t_b, t_c, a_prime, b_prime, c_prime)
+        perspector = intersect_lines(perspective_lines[0], perspective_lines[1])
+    # The checks share these lines; the configuration's caches start from them.
+    lines = {"t_sides": t_sides, "perspective_lines": perspective_lines}
 
     # The diameter line may run parallel to a sideline or through a vertex
     # (an isoceles classical scene sends it through the apex, collapsing
@@ -398,7 +400,7 @@ def compute_configuration(scene: Scene) -> Configuration:
     # the corresponding check reports DEGENERATE and everything else stands.
     x = y = z = o_a = o_b = o_c = None
     try:
-        or_line = line_through(o, r)
+        lines["or_line"] = or_line = line_through(o, r)
         x = intersect_lines(or_line, bc)
         y = intersect_lines(or_line, ca)
         z = intersect_lines(or_line, ab)
@@ -412,7 +414,7 @@ def compute_configuration(scene: Scene) -> Configuration:
         r_p = spiral_ratio(p, scene.a1, bc)
         r_q = spiral_ratio(q, scene.a2, bc)
 
-    return Configuration(
+    cfg = Configuration(
         scene=scene, circ=circ, o=o, p=p, q=q,
         t_a=t_a, t_b=t_b, t_c=t_c,
         a_prime=a_prime, b_prime=b_prime, c_prime=c_prime,
@@ -423,6 +425,14 @@ def compute_configuration(scene: Scene) -> Configuration:
         x=x, y=y, z=z, o_a=o_a, o_b=o_b, o_c=o_c,
         r_p=r_p, r_q=r_q,
     )
+    vars(cfg).update(lines)
+    return cfg
+
+
+def _perspective_lines(
+    t_a: Point, t_b: Point, t_c: Point, a_prime: Point, b_prime: Point, c_prime: Point
+) -> Tuple[Line, Line, Line]:
+    return line_through(t_a, a_prime), line_through(t_b, b_prime), line_through(t_c, c_prime)
 
 
 def tangent_of_angle(vertex: Point, toward1: Point, toward2: Point) -> Fraction:

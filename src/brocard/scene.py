@@ -35,6 +35,7 @@ from .geom import (
     on_line,
     orientation,
     perpendicular_bisector,
+    point_along,
     rat,
     RationalLike,
     triangle_sidelines,
@@ -148,15 +149,13 @@ class KwonScene:
 def circle_point_from_parameter(t: RationalLike, center: Point, radius: RationalLike) -> Point:
     """Rational point of the circle at tangent half-angle parameter t:
     center + radius * ((1 - t^2)/(1 + t^2), 2t/(1 + t^2))."""
-    t = rat(t)
-    radius = rat(radius)
-    if radius <= 0:
+    n, d = rat(t).as_integer_ratio()
+    rn, rd = rat(radius).as_integer_ratio()
+    if rn <= 0:
         raise Degenerate("circle parametrization", "radius must be positive")
-    den = 1 + t * t
-    return Point(
-        center.x + radius * (1 - t * t) / den,
-        center.y + radius * 2 * t / den,
-    )
+    # With t = n/d the unit vector is (d^2 - n^2, 2*n*d) / (d^2 + n^2).
+    den = rd * (d * d + n * n)
+    return center + Point(Fraction(rn * (d * d - n * n), den), Fraction(2 * rn * n * d, den))
 
 
 def _between(p: Point, end1: Point, end2: Point) -> bool:
@@ -309,8 +308,7 @@ def kwon_scene(seed: int, max_attempts: int = 200) -> KwonScene:
             b, c = c, b
 
         def on_side(p1: Point, p2: Point) -> Point:
-            t = draw_rat(-2, 8) / 6  # mostly inside the segment, sometimes beyond
-            return p1 + t * (p2 - p1)
+            return point_along(p1, p2, draw_rat(-2, 8) / 6)  # mostly inside the segment, sometimes beyond
 
         d, x = on_side(b, c), on_side(b, c)
         e, y = on_side(c, a), on_side(c, a)
@@ -346,7 +344,8 @@ class Violation(str):
 
 
 def _difference(p: Point, q: Point) -> Tuple[Fraction, Fraction]:
-    return p.x - q.x, p.y - q.y
+    d = p - q
+    return d.x, d.y
 
 
 def validate_scene(s: Scene) -> List[Violation]:

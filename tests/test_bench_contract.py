@@ -7,11 +7,15 @@ ends.  A refactor of ``brocard`` that breaks one of these silently loses
 per-layer metrics, so one short traced run guards all three.
 """
 
+import cProfile
+import fractions
+import pstats
 import sys
 from pathlib import Path
 
 import brocard.cli  # noqa: F401  (the tracer expects the CLI's modules loaded)
 from brocard import checks
+from brocard.scene import SceneParams, generate_scene
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 BENCH_MODULES = ("calibrate", "run", "tracer")  # perfbench's top-level modules
@@ -41,3 +45,38 @@ def test_traced_run_sees_every_check_and_restores_patches(monkeypatch):
     unseen = {cid for cid in checks.THEOREM_CHECK_IDS if result.metrics[f"checks.{cid}_ms"][0] == 0}
     assert unseen <= {"check_lemma_cyclic"}
     assert {cid: getattr(checks, cid) for cid in checks.THEOREM_CHECK_IDS} == originals
+
+
+#: Fraction operations of one ``run_suite`` on the seed-7 scene at caps 50,
+#: with the memoised cyclic lemma computed afresh: 24 when set, 651 before
+#: the point, complex and similarity layer moved onto integers.  The bound
+#: allows 10% more.  Like the tracer, it counts the operators and not the
+#: ``Fraction(n, d)`` constructions the integer layer reduces its results in.
+FRACTION_OPS_SEED7 = 24
+
+
+def test_fraction_operations_of_one_suite_run(monkeypatch):
+    """Counted as ``tracer.count_fraction_ops`` counts them: calls of the
+    ``Fraction`` operator implementations under cProfile."""
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    sys.modules.pop("tracer", None)
+    try:
+        from tracer import FRACTION_OPS
+    finally:
+        for name in BENCH_MODULES:
+            sys.modules.pop(name, None)
+    scene = generate_scene(SceneParams(seed=7))
+    checks._cyclic_lemma.cache_clear()
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        report = checks.run_suite(scene)
+    finally:
+        profile.disable()
+    ops = sum(
+        nc
+        for (filename, _, fn_name), (_, nc, *_) in pstats.Stats(profile).stats.items()
+        if filename == fractions.__file__ and fn_name in FRACTION_OPS
+    )
+    assert report.all_pass
+    assert ops <= FRACTION_OPS_SEED7 * 1.1

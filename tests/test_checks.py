@@ -9,7 +9,8 @@ from random import Random
 import pytest
 
 from brocard import checks as ck
-from brocard import pipeline
+from brocard import geom, pipeline
+from brocard import scene as scene_module
 from brocard.checks import (
     DEGENERATE,
     FAIL,
@@ -35,7 +36,12 @@ from brocard.geom import (
     simson_line,
     triangle_sidelines,
 )
-from brocard.pipeline import compute_configuration, miquel_point
+from brocard.pipeline import (
+    InternalInconsistencyError,
+    compute_configuration,
+    miquel_point,
+    miquel_point_quadrangle,
+)
 from brocard.scene import (
     SceneParams,
     classical_brocard_scene,
@@ -291,6 +297,26 @@ class TestConstructionBugs:
             assert any(any(w != 0 for w in a.witnesses) for a in result.failed_assertions), result.check_id
         assert report.counts == {PASS: 10, FAIL: 8, DEGENERATE: 0}
 
+    def test_broken_miquel_is_internal_error(self, seed7_scene, monkeypatch):
+        """Miquel's theorem is no check's assertion, so a second circle meet
+        that misses the third Miquel circle is an internal error: it escapes
+        ``run_suite`` and ``generate_scene`` instead of reading as a
+        degenerate draw."""
+        second = pipeline.second_intersection_circles
+
+        def shifted(*args):
+            pt, tangent = second(*args)
+            return pt + Point(1, 0), tangent
+
+        monkeypatch.setattr(pipeline, "second_intersection_circles", shifted)
+        with pytest.raises(InternalInconsistencyError, match="Miquel point misses the third circle"):
+            run_suite(seed7_scene)
+        with pytest.raises(InternalInconsistencyError):
+            generate_scene(SceneParams(seed=7))
+        quad = build_cyclic_quadrangle(Circle(0, 0, -1))
+        with pytest.raises(InternalInconsistencyError, match="quadrangle Miquel point"):
+            miquel_point_quadrangle(*quad)
+
 
 class TestSmallCapGeneration:
     @pytest.mark.parametrize("caps, seed", [(2, 52), (2, 66), (2, 127), (3, 30)])
@@ -428,6 +454,17 @@ class TestComputedOnce:
         moved = dataclasses.replace(cfg, t_a=cfg.t_a + Point(0, 1))
         assert moved.similarity == inverse_similarity_map(s.a, moved.t_a, s.b, moved.t_b)
         assert moved.similarity != cfg.similarity
+        # compute_configuration seeds these caches with the lines it built.
+        assert {"t_sides", "perspective_lines", "or_line"} <= vars(compute_configuration(s)).keys()
+        assert cfg.t_sides == triangle_sidelines(cfg.t_a, cfg.t_b, cfg.t_c)
+        assert cfg.perspective_lines == (
+            line_through(cfg.t_a, cfg.a_prime),
+            line_through(cfg.t_b, cfg.b_prime),
+            line_through(cfg.t_c, cfg.c_prime),
+        )
+        assert moved.t_sides == triangle_sidelines(moved.t_a, cfg.t_b, cfg.t_c)
+        assert moved.t_sides[0] == cfg.t_sides[0] and moved.t_sides[1:] != cfg.t_sides[1:]
+        assert moved.perspective_lines[0] == line_through(moved.t_a, cfg.a_prime) != cfg.perspective_lines[0]
         swapped = dataclasses.replace(cfg, steiner=cfg.tarry, tarry=cfg.steiner)
         assert swapped.simson_steiner == cfg.simson_tarry
         assert swapped.simson_tarry == cfg.simson_steiner
@@ -469,6 +506,46 @@ class TestComputedOnce:
         result = check_kwon_remark(bad)
         assert result.status == FAIL
         assert result.assertions[-1].witnesses == (dist2(kw.t, o1) - dist2(kw.t, new_o2),)
+
+    def test_suite_builds_each_line_and_foot_once(self, seed7_scene, monkeypatch):
+        """One ``run_suite`` calls ``line_through`` and ``foot_perpendicular``
+        at most once per argument tuple: the shared lines live on the
+        configuration.  ``kwon_scene``'s own draw and the cyclic lemma, which
+        runs once per circle, are exempt."""
+        calls = []
+        exempt = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                if not exempt:
+                    calls.append((fn.__name__, args, tuple(sorted(kwargs.items()))))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def exempting(fn):
+            def wrapper(*args):
+                exempt.append(True)
+                try:
+                    return fn(*args)
+                finally:
+                    exempt.pop()
+
+            return wrapper
+
+        for name in ("line_through", "foot_perpendicular"):
+            wrapper = recording(getattr(geom, name))
+            for module in (geom, pipeline, ck, scene_module):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        for name in ("kwon_scene", "_cyclic_lemma"):
+            monkeypatch.setattr(ck, name, exempting(getattr(ck, name)))
+        report = run_suite(dataclasses.replace(seed7_scene))  # no cached sidelines
+        assert report.all_pass
+        names = {name for name, _, _ in calls}
+        assert names == {"line_through", "foot_perpendicular"}
+        repeated = [call for i, call in enumerate(calls) if call in calls[:i]]
+        assert repeated == []
 
     def test_cyclic_lemma_per_circle(self, seed7_scene):
         def cyclic(report):

@@ -1,5 +1,8 @@
 """Property-based invariants of the exact kernel."""
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -7,38 +10,48 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, example, given
 
+from brocard.checks import _Recorder
 from brocard.geom import (
     CenterDegenerate,
     Circle,
     CirclesIdentical,
     CoincidentPoints,
     CollinearPoints,
+    ComplexScalar,
     Degenerate,
     DirectedAngleClass,
     GeometryError,
+    InverseSimilarity,
     Line,
     Point,
+    _hom,
     circumcircle,
     collinear_det,
+    complex_ratio,
     cross,
     directed_angle,
     dist2,
+    dot,
     foot_perpendicular,
     isogonal_conjugate,
     line_through,
+    midpoint,
     on_circle,
     on_line,
     orientation,
     parallel_through,
     perpendicular_bisector,
+    point_along,
     polar_of_point,
     perpendicular_through,
     pole_of_line,
     second_intersection_circle_line,
     second_intersection_circles,
     inverse_similarity_map,
+    spiral_ratio,
     tangent_line,
 )
+from brocard.pipeline import tangent_of_angle
 from brocard.scene import circle_point_from_parameter
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -293,7 +306,7 @@ def _ref_radical_axis(c1, c2):
 
 
 def _ref_polar_of_point(p, c):
-    if p == c.center:
+    if p == _ref_center(c):
         raise CenterDegenerate("center")
     return _ref_line(p.x + c.d / 2, p.y + c.e / 2, (c.d * p.x + c.e * p.y) / 2 + c.f)
 
@@ -302,20 +315,20 @@ def _ref_pole_of_line(l, c):
     denom = F(c.d * l.a + c.e * l.b, 2) - l.c
     if denom == 0:
         raise CenterDegenerate("through the center")
-    lam = c.radius2 / denom
+    lam = _ref_radius2(c) / denom
     return Point(lam * l.a - c.d / 2, lam * l.b - c.e / 2)
 
 
 def _ref_isogonal_conjugate(p, a, b, c):
-    total = cross(b - a, c - a)
+    total = _ref_cross(_ref_sub(b, a), _ref_sub(c, a))
     if total == 0:
         raise CollinearPoints("degenerate reference triangle")
-    u = cross(b - p, c - p)
-    v = cross(p - a, c - a)
-    w = cross(b - a, p - a)
+    u = _ref_cross(_ref_sub(b, p), _ref_sub(c, p))
+    v = _ref_cross(_ref_sub(p, a), _ref_sub(c, a))
+    w = _ref_cross(_ref_sub(b, a), _ref_sub(p, a))
     if u == 0 or v == 0 or w == 0:
         raise Degenerate("isogonal conjugate", "point lies on a sideline")
-    la, lb, lc = dist2(b, c), dist2(c, a), dist2(a, b)
+    la, lb, lc = _ref_dist2(b, c), _ref_dist2(c, a), _ref_dist2(a, b)
     u2, v2, w2 = la / u, lb / v, lc / w
     s = u2 + v2 + w2
     if s == 0:
@@ -363,16 +376,20 @@ def kernel_circles(draw):
 
 
 def _same_outcome(kernel, reference, *args):
-    """Both calls return the same value, or both raise the same error type.
-    Lines compare by their coefficient triple."""
+    """Both calls return the same value of the same type, or both raise the
+    same error type (for ``Degenerate``, with the same name).  Lines compare
+    by their coefficient triple."""
     try:
         expected = reference(*args)
     except GeometryError as exc:
-        with pytest.raises(type(exc)):
+        with pytest.raises(type(exc)) as raised:
             kernel(*args)
+        if isinstance(exc, Degenerate):
+            assert raised.value.name == exc.name
         return None
     got = kernel(*args)
-    assert (_triple(got) if isinstance(got, Line) else got) == expected
+    value = _triple(got) if isinstance(got, Line) else got
+    assert type(value) is type(expected) and value == expected
     return got
 
 
@@ -509,3 +526,268 @@ def test_isogonal_conjugate_on_circumcircle_matches_reference(circle, z):
     with pytest.raises(Degenerate):
         isogonal_conjugate(p, a, b, v)
     _same_outcome(isogonal_conjugate, _ref_isogonal_conjugate, p, a, b, v)
+
+
+# ---------------------------------------------------------------------------
+# Reference equivalence of the point, complex and similarity layer.  The
+# functions below are that layer's former per-operation Fraction formulas
+# on the fields, kept as the reference for the integer rewrite.
+
+
+def _ref_add(p, q):
+    return Point(p.x + q.x, p.y + q.y)
+
+
+def _ref_sub(p, q):
+    return Point(p.x - q.x, p.y - q.y)
+
+
+def _ref_scale(k, p):
+    k = F(k)
+    return Point(k * p.x, k * p.y)
+
+
+def _ref_cross(u, v):
+    return u.x * v.y - u.y * v.x
+
+
+def _ref_dot(u, v):
+    return u.x * v.x + u.y * v.y
+
+
+def _ref_dist2(p, q):
+    d = _ref_sub(q, p)
+    return d.x * d.x + d.y * d.y
+
+
+def _ref_midpoint(p, q):
+    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+
+
+def _ref_collinear_det(p, q, r):
+    return _ref_cross(_ref_sub(q, p), _ref_sub(r, p))
+
+
+def _ref_orientation(p, q, r):
+    det = _ref_collinear_det(p, q, r)
+    return (det > 0) - (det < 0)
+
+
+def _ref_point_along(p, q, t):
+    return _ref_add(p, _ref_scale(t, _ref_sub(q, p)))
+
+
+def _ref_complex_add(z, w):
+    return ComplexScalar(z.re + w.re, z.im + w.im)
+
+
+def _ref_complex_sub(z, w):
+    return ComplexScalar(z.re - w.re, z.im - w.im)
+
+
+def _ref_complex_mul(z, w):
+    return ComplexScalar(z.re * w.re - z.im * w.im, z.re * w.im + z.im * w.re)
+
+
+def _ref_complex_div(z, w):
+    n = w.re * w.re + w.im * w.im
+    if n == 0:
+        raise Degenerate("complex division", "divisor is zero")
+    return ComplexScalar((z.re * w.re + z.im * w.im) / n, (z.im * w.re - z.re * w.im) / n)
+
+
+def _ref_apply_to(z, v):
+    return Point(z.re * v.x - z.im * v.y, z.re * v.y + z.im * v.x)
+
+
+def _ref_complex_ratio(u, v):
+    return _ref_complex_div(ComplexScalar(u.x, u.y), ComplexScalar(v.x, v.y))
+
+
+def _ref_similarity_apply(sim, p):
+    w = _ref_complex_add(_ref_complex_mul(sim.alpha, ComplexScalar(p.x, -p.y)), sim.beta)
+    return Point(w.re, w.im)
+
+
+def _ref_inverse_similarity_map(src1, dst1, src2, dst2):
+    if src1 == src2:
+        raise CoincidentPoints("same source point")
+    zs1, zs2 = ComplexScalar(src1.x, -src1.y), ComplexScalar(src2.x, -src2.y)
+    zd1, zd2 = ComplexScalar(dst1.x, dst1.y), ComplexScalar(dst2.x, dst2.y)
+    alpha = _ref_complex_div(_ref_complex_sub(zd1, zd2), _ref_complex_sub(zs1, zs2))
+    return InverseSimilarity(alpha, _ref_complex_sub(zd1, _ref_complex_mul(alpha, zs1)))
+
+
+def _ref_center(c):
+    return Point(-c.d / 2, -c.e / 2)
+
+
+def _ref_radius2(c):
+    return c.d * c.d / 4 + c.e * c.e / 4 - c.f
+
+
+def _ref_spiral_ratio(m, d, side):
+    if _ref_line_eval(side, m) == 0:
+        raise Degenerate("spiral ratio", "center lies on the side")
+    if _ref_line_eval(side, d) != 0:
+        raise Degenerate("spiral ratio", "target point is not on the side")
+    ft = _ref_foot_perpendicular(m, side)
+    return _ref_complex_ratio(_ref_sub(d, m), _ref_sub(ft, m))
+
+
+def _ref_tangent_of_angle(vertex, toward1, toward2):
+    u, v = _ref_sub(toward1, vertex), _ref_sub(toward2, vertex)
+    d = _ref_dot(u, v)
+    if d == 0:
+        raise Degenerate("angle tangent", "right angle has no finite tangent")
+    return _ref_cross(u, v) / d
+
+
+def _ref_circle_point_from_parameter(t, center, radius):
+    t, radius = F(t), F(radius)
+    if radius <= 0:
+        raise Degenerate("circle parametrization", "radius must be positive")
+    den = 1 + t * t
+    return Point(center.x + radius * (1 - t * t) / den, center.y + radius * 2 * t / den)
+
+
+kernel_complexes = st.builds(lambda p: ComplexScalar(p.x, p.y), kernel_points())
+ZERO = Point(0, 0)
+
+
+@example(*SAME_DEN_EXAMPLE, Point(F(2, 7), F(-6, 7)), F(3, 7))
+@example(Point(F(-BIG, 3), F(BIG, 7)), Point(F(1, BIG), F(-1, 2)), ZERO, F(-BIG, BIG - 1))
+@example(ZERO, ZERO, ZERO, 0)
+@given(kernel_points(), kernel_points(), kernel_points(), kernel_rationals)
+def test_point_arithmetic_matches_reference(p, q, r, k):
+    for kernel, reference in (
+        (lambda u, v: u + v, _ref_add),
+        (lambda u, v: u - v, _ref_sub),
+        (cross, _ref_cross),
+        (dot, _ref_dot),
+        (dist2, _ref_dist2),
+        (midpoint, _ref_midpoint),
+    ):
+        _same_outcome(kernel, reference, p, q)
+        _same_outcome(kernel, reference, q, p)
+    for scale in (k, 2, -1, 0):
+        _same_outcome(lambda u: scale * u, lambda u: _ref_scale(scale, u), p)
+    _same_outcome(point_along, _ref_point_along, p, q, k)
+    _same_outcome(collinear_det, _ref_collinear_det, p, q, r)
+    _same_outcome(orientation, _ref_orientation, p, q, r)
+    _same_outcome(orientation, _ref_orientation, p, q, _ref_point_along(p, q, k))
+
+
+@example(ComplexScalar(F(1, 3), F(-2, 5)), ComplexScalar(0, 0), ZERO, ZERO)
+@example(ComplexScalar(F(BIG, 3), F(-2, BIG)), ComplexScalar(F(-1, 7), F(3, 7)), Point(F(1, 2), 0), ZERO)
+@given(kernel_complexes, kernel_complexes, kernel_points(), kernel_points())
+def test_complex_arithmetic_matches_reference(z, w, u, v):
+    """Sums, products and quotients; a zero divisor raises the named
+    ``Degenerate("complex division")`` on both sides."""
+    for kernel, reference in (
+        (lambda a, b: a + b, _ref_complex_add),
+        (lambda a, b: a - b, _ref_complex_sub),
+        (lambda a, b: a * b, _ref_complex_mul),
+        (lambda a, b: a / b, _ref_complex_div),
+    ):
+        _same_outcome(kernel, reference, z, w)
+        _same_outcome(kernel, reference, w, z)
+    _same_outcome(lambda a, b: a / b, _ref_complex_div, z, ComplexScalar(0, 0))
+    _same_outcome(lambda a, b: a.apply_to(b), _ref_apply_to, z, u)
+    for divisor in (v, ZERO):
+        _same_outcome(complex_ratio, _ref_complex_ratio, u, divisor)
+
+
+@example(Point(0, 0), Point(1, 2), Point(0, 0), Point(3, 4), Point(1, 1))
+@example(*SAME_DEN_EXAMPLE, Point(F(-BIG, 7), F(1, BIG)), Point(F(1, 3), F(1, 5)), Point(F(2, 9), F(-5, 9)))
+@given(kernel_points(), kernel_points(), kernel_points(), kernel_points(), kernel_points())
+def test_inverse_similarity_matches_reference(src1, dst1, src2, dst2, p):
+    sim = _same_outcome(inverse_similarity_map, _ref_inverse_similarity_map, src1, dst1, src2, dst2)
+    if sim is not None:
+        for point in (p, src1, src2):
+            _same_outcome(lambda s, u: s.apply(u), _ref_similarity_apply, sim, point)
+
+
+@given(kernel_circles())
+def test_circle_center_and_radius_match_reference(circle):
+    c = circle[0]
+    _same_outcome(lambda k: k.center, _ref_center, c)
+    _same_outcome(lambda k: k.radius2, _ref_radius2, c)
+
+
+@example(Point(0, 0), Point(2, 0), Point(1, 1), F(1, 2), Point(5, 5))
+@example(Point(F(-1, 3), F(2, BIG)), Point(F(BIG, 7), F(-1, 2)), Point(F(1, 9), F(-4, 9)), F(-1, 5), ZERO)
+@given(kernel_points(), kernel_points(), kernel_points(), kernel_rationals, kernel_points())
+def test_spiral_ratio_matches_reference(p1, p2, m, t, off):
+    """One-pass spiral ratio against (d - m) / (foot - m); a center on the
+    side and a target off it raise the named ``Degenerate("spiral ratio")``."""
+    assume(p1 != p2)
+    side = line_through(p1, p2)
+    d = _ref_point_along(p1, p2, t)
+    on_side = _ref_point_along(p1, p2, 1 - t)
+    for center, target in ((m, d), (m, off), (on_side, d), (m, on_side)):
+        _same_outcome(spiral_ratio, _ref_spiral_ratio, center, target, side)
+    with pytest.raises(Degenerate) as exc:
+        spiral_ratio(on_side, d, side)
+    assert exc.value.name == "spiral ratio"
+
+
+@example(Point(0, 0), Point(1, 0), Point(0, 1))  # right angle
+@example(Point(0, 0), Point(0, 0), Point(1, 1))  # degenerate ray
+@example(*SAME_DEN_EXAMPLE, Point(F(-BIG, 3), F(5, BIG)))
+@given(kernel_points(), kernel_points(), kernel_points())
+def test_tangent_of_angle_matches_reference(vertex, toward1, toward2):
+    _same_outcome(tangent_of_angle, _ref_tangent_of_angle, vertex, toward1, toward2)
+    _same_outcome(tangent_of_angle, _ref_tangent_of_angle, vertex, toward2, toward1)
+
+
+@example(F(0), ZERO, F(1))
+@example(F(-3, 7), Point(F(1, 3), F(-2, 5)), F(0))
+@given(kernel_rationals, kernel_points(), kernel_rationals)
+def test_circle_point_from_parameter_matches_reference(t, center, radius):
+    for r in (radius, -radius):
+        _same_outcome(circle_point_from_parameter, _ref_circle_point_from_parameter, t, center, r)
+
+
+@example(ZERO, ZERO, F(0), F(0))
+@given(kernel_points(), kernel_points(), kernel_rationals, kernel_rationals)
+def test_witness_differences_match_reference(p, q, s, t):
+    """The recorder's witnesses are the exact differences, and an assertion
+    passes iff they all vanish."""
+    z, w = ComplexScalar(p.x, p.y), ComplexScalar(q.x, q.y)
+    for record, args, expected in (
+        ("scalars_equal", (s, t), (s - t,)),
+        ("scalars_equal", (s, s), (F(0),)),
+        ("points_equal", (p, q), (p.x - q.x, p.y - q.y)),
+        ("points_equal", (p, Point(p.x, p.y)), (F(0), F(0))),
+        ("complex_equal", (z, w), (z.re - w.re, z.im - w.im)),
+        ("complex_equal", (w, w), (F(0), F(0))),
+    ):
+        rec = _Recorder()
+        ok = getattr(rec, record)("label", *args)
+        (assertion,) = rec.assertions
+        assert assertion.witnesses == expected
+        assert all(type(v) is F for v in assertion.witnesses)
+        assert ok == assertion.ok == all(v == 0 for v in expected)
+
+
+@given(kernel_points())
+def test_hom_cache_is_invisible(p):
+    """After ``_hom`` has run on a point, equality, hashing, ``repr``,
+    ``dataclasses.replace``, copying and pickling behave as on a fresh
+    point with the same coordinates."""
+    fresh = Point(p.x, p.y)
+    hash_before = hash(p)
+    x, y, w = _hom(p)
+    assert vars(p)["_hom"] == (x, y, w) == _hom(Point(p.x, p.y))
+    assert p == fresh and hash(p) == hash(fresh) == hash_before
+    assert repr(p) == repr(fresh)
+    assert pickle.dumps(p) == pickle.dumps(fresh)
+    for copied in (copy.copy(p), pickle.loads(pickle.dumps(p))):
+        assert copied == fresh and hash(copied) == hash(fresh)
+        assert vars(copied) == vars(fresh) == {"x": p.x, "y": p.y}
+    same = dataclasses.replace(p)
+    assert same == p and "_hom" not in vars(same)
+    moved = dataclasses.replace(p, x=p.x + 1)
+    assert "_hom" not in vars(moved)
+    assert _hom(moved) == (x + w, y, w) and vars(p)["_hom"] == (x, y, w)

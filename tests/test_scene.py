@@ -153,6 +153,19 @@ class TestKwon:
         assert kwon_scene(1) == kwon_scene(1)
         assert kwon_scene(1) != kwon_scene(2)
 
+    def test_seed_draw_pinned(self):
+        """The instance a seed draws is fixed: seed 1 puts D, X on BC, E, Y
+        on CA and F on AB here."""
+        kw = kwon_scene(1)
+        assert (kw.d, kw.x, kw.e, kw.y, kw.f) == (
+            Point(F(-67, 16), F(25, 32)),
+            Point(F(-35, 8), F(13, 16)),
+            Point(F(11, 50), F(8, 5)),
+            Point(F(37, 60), F(-2, 3)),
+            Point(F(-34, 15), F(71, 8)),
+        )
+        assert kw.z == Point(F(-1834999, 294050), F(-1835253, 188192))
+
 
 def _witnesses(scene, message):
     return next(v.witnesses for v in validate_scene(scene) if v == message)
