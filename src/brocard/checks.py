@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .geom import (
     Circle,
@@ -141,10 +141,11 @@ class _Recorder:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def _record(self, label: str, witnesses: Sequence[Fraction]) -> bool:
-        ws = tuple(w if type(w) is Fraction else Fraction(w) for w in witnesses)
-        ok = all(w == 0 for w in ws)
-        self.assertions.append(Assertion(label, ok, ws))
+    def _record(self, label: str, witnesses: Sequence[Union[int, Fraction]]) -> bool:
+        ok = not any(witnesses)
+        self.assertions.append(
+            Assertion(label, ok, tuple([Fraction(w) if type(w) is int else w for w in witnesses]))
+        )
         return ok
 
     def scalar_zero(self, label: str, value: Fraction) -> bool:

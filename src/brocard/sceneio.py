@@ -15,7 +15,10 @@ escapes.  It accepts dicts with string keys, lists, tuples, strings, ints,
 booleans and None, and raises ``TypeError`` on anything else.
 
 Report files deliberately omit wall-clock timings; their bytes are a pure
-function of the input and the tool version.
+function of the input and the tool version.  A report encodes each distinct
+check block once: ``_encode`` formats a block the first time the writer meets
+it, and every later occurrence is that text again, so the bytes are those of
+encoding every block in place.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .geom import Circle, Point
 from .scene import Scene
 
 if TYPE_CHECKING:  # checks imports this module for scene_digest
-    from .checks import SuiteReport
+    from .checks import CheckResult, SuiteReport
 
 SCENE_FORMAT = "brocard-scenes/1"
 REPORT_FORMAT = "brocard-report/1"
@@ -128,12 +131,30 @@ def _flag_from_json(data: Dict[str, Any], key: str, where: str) -> bool:
 _quote = json.encoder.encode_basestring_ascii
 
 
+class _Encoded:
+    """The text ``_encode`` writes for ``value`` at ``indent``, made once so
+    that a value occurring many times in a document is encoded once."""
+
+    __slots__ = ("text", "indent")
+
+    def __init__(self, value: Any, indent: str) -> None:
+        out: List[str] = []
+        _encode(value, out, indent)
+        self.text = "".join(out)
+        self.indent = indent
+
+
 def _encode(value: Any, out: List[str], indent: str) -> None:
     """Append the pieces of ``value`` to ``out``, laid out as
     ``json.dumps(value, sort_keys=True, indent=2)`` lays it out when the
     enclosing line is indented by ``indent``.  Strings and booleans inside
-    containers are written in place, without a call per item."""
-    if isinstance(value, str):
+    containers are written in place, without a call per item, and an
+    ``_Encoded`` value is written as the text it holds."""
+    if type(value) is _Encoded:
+        if value.indent != indent:
+            raise ValueError(f"text encoded at indent {len(value.indent)} placed at {len(indent)}")
+        out.append(value.text)
+    elif isinstance(value, str):
         out.append(_quote(value))
     elif value is None:
         out.append("null")
@@ -242,31 +263,53 @@ def read_scene_file(path: str) -> Tuple[List[Scene], Dict[str, Any]]:
     return scenes_from_document(doc)
 
 
-def report_to_dict(
-    reports: Sequence[SuiteReport], input_digest: str
-) -> Dict[str, Any]:
+#: The indent of a check block in a report: inside the document, its
+#: ``scenes`` list, a scene and the scene's ``checks`` list.
+_BLOCK_INDENT = " " * 8
+
+
+def _check_block(result: CheckResult) -> Dict[str, Any]:
+    return {
+        "id": result.check_id,
+        "status": result.status,
+        "assertions": [
+            {
+                "label": a.label,
+                "ok": a.ok,
+                "witnesses": [rational_to_str(w) for w in a.witnesses],
+            }
+            for a in result.assertions
+        ],
+        "notes": list(result.notes),
+    }
+
+
+def _block_key(result: CheckResult) -> Tuple[Any, ...]:
+    """Two results with equal keys have blocks of equal text.  An assertion
+    whose witnesses are all zero enters by their count, since every zero is
+    written ``"0/1"``: hashing and comparing each ``Fraction`` is most of
+    what keying on the result itself would cost."""
+    assertions = tuple(
+        [(a.label, a.ok, a.witnesses if any(a.witnesses) else len(a.witnesses)) for a in result.assertions]
+    )
+    return result.check_id, result.status, result.notes, assertions
+
+
+def write_report_file(path: str, reports: Sequence[SuiteReport], input_digest: str) -> None:
     """Reports keyed by scene index; timing fields are omitted on purpose so
-    the bytes depend only on input and version."""
+    the bytes depend only on input and version.  Each distinct check block is
+    encoded once per call, and its text is written wherever it occurs."""
+    blocks: Dict[Tuple[Any, ...], _Encoded] = {}
     scenes = []
     totals = {"pass": 0, "fail": 0, "degenerate": 0}
     for index, report in enumerate(reports):
         checks = []
         for result in report.results:
-            checks.append(
-                {
-                    "id": result.check_id,
-                    "status": result.status,
-                    "assertions": [
-                        {
-                            "label": a.label,
-                            "ok": a.ok,
-                            "witnesses": [rational_to_str(w) for w in a.witnesses],
-                        }
-                        for a in result.assertions
-                    ],
-                    "notes": list(result.notes),
-                }
-            )
+            key = _block_key(result)
+            block = blocks.get(key)
+            if block is None:
+                block = blocks[key] = _Encoded(_check_block(result), _BLOCK_INDENT)
+            checks.append(block)
         counts = report.counts
         scenes.append(
             {
@@ -283,18 +326,15 @@ def report_to_dict(
         totals["pass"] += counts["PASS"]
         totals["fail"] += counts["FAIL"]
         totals["degenerate"] += counts["DEGENERATE"]
-    return {
+    document = {
         "format": REPORT_FORMAT,
         "tool_version": __version__,
         "input_digest": input_digest,
         "scenes": scenes,
         "summary": totals,
     }
-
-
-def write_report_file(path: str, reports: Sequence[SuiteReport], input_digest: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(_canonical_bytes(report_to_dict(reports, input_digest)))
+        fh.write(_canonical_bytes(document))
 
 
 def file_digest(path: str) -> str:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import brocard.cli  # noqa: F401  (the tracer expects the CLI's modules loaded)
-from brocard import checks
+from brocard import checks, sceneio
 from brocard.scene import SceneParams, generate_scene
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
@@ -80,3 +80,26 @@ def test_fraction_operations_of_one_suite_run(monkeypatch):
     )
     assert report.all_pass
     assert ops <= FRACTION_OPS_SEED7 * 1.1
+
+
+#: Distinct check results in the seed-7 caps-50 report (scene seeds
+#: 701..800): the validation PASS and the seventeen theorem PASS blocks.
+DISTINCT_BLOCKS_SEED7 = 18
+
+
+def test_report_encodes_each_distinct_block_once(monkeypatch, tmp_path):
+    """The writer formats one block per distinct result, not one per
+    occurrence: 18 of the 1,800 blocks of the bench's seed-7 report."""
+    reports = [checks.run_suite(generate_scene(SceneParams(seed=seed))) for seed in range(701, 801)]
+    formatted = []
+    check_block = sceneio._check_block
+
+    def counting(result):
+        formatted.append(result)
+        return check_block(result)
+
+    monkeypatch.setattr(sceneio, "_check_block", counting)
+    sceneio.write_report_file(str(tmp_path / "report.json"), reports, "sha256:" + "0" * 64)
+    distinct = {result for report in reports for result in report.results}
+    assert sum(len(report.results) for report in reports) == 1800
+    assert len(formatted) == len(distinct) == DISTINCT_BLOCKS_SEED7

@@ -318,12 +318,30 @@ class TestConstructionBugs:
             miquel_point_quadrangle(*quad)
 
 
+#: Small-cap seeds whose accepted scene still has a DEGENERATE
+#: ``check_lemma_spiral`` ("no circle through collinear points"): generation
+#: does not test the spiral lemma's circles (ROADMAP open item 1).  Strict,
+#: so the fix of that item shows here as an XPASS failure until the mark goes.
+_SPIRAL_DEGENERATE = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: generate_scene accepts a scene whose spiral-lemma circle is undefined"
+)
+
+
 class TestSmallCapGeneration:
-    @pytest.mark.parametrize("caps, seed", [(2, 52), (2, 66), (2, 127), (3, 30)])
+    @pytest.mark.parametrize(
+        "caps, seed",
+        [
+            (2, 52),
+            (2, 66),
+            (2, 127),
+            (3, 30),
+            *(pytest.param(c, s, marks=_SPIRAL_DEGENERATE) for c, s in ((2, 46), (2, 65), (2, 78), (3, 60), (3, 70))),
+        ],
+    )
     def test_accepted_scene_never_degenerate(self, caps, seed):
-        """Each seed draws a scene with a T-vertex on its primed vertex
-        before the one it accepts; rejecting that draw keeps every check of
-        the accepted scene defined."""
+        """Each of the first four seeds draws a scene with a T-vertex on its
+        primed vertex before the one it accepts; rejecting that draw keeps
+        every check of the accepted scene defined."""
         scene = generate_scene(SceneParams(seed=seed, numerator_cap=caps, denominator_cap=caps))
         report = run_suite(scene)
         assert (report.counts[FAIL], report.counts[DEGENERATE]) == (0, 0)

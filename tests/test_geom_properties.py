@@ -750,12 +750,18 @@ def test_circle_point_from_parameter_matches_reference(t, center, radius):
 
 
 @example(ZERO, ZERO, F(0), F(0))
+@example(Point(1, 2), Point(1, F(5, 3)), F(0), F(0))  # only the second witness is nonzero
 @given(kernel_points(), kernel_points(), kernel_rationals, kernel_rationals)
 def test_witness_differences_match_reference(p, q, s, t):
-    """The recorder's witnesses are the exact differences, and an assertion
-    passes iff they all vanish."""
+    """The recorder's witnesses are the exact differences, as ``Fraction``
+    also where the kernel gives integers (lines), and an assertion passes iff
+    they all vanish."""
     z, w = ComplexScalar(p.x, p.y), ComplexScalar(q.x, q.y)
+    l1, l2 = Line(1, s, t), Line(1, s, s)
     for record, args, expected in (
+        ("parallel", (l1, l2), (l1.a * l2.b - l2.a * l1.b,)),
+        ("lines_equal", (l1, l2), (l1.a * l2.b - l2.a * l1.b, l1.a * l2.c - l2.a * l1.c, l1.b * l2.c - l2.b * l1.c)),
+        ("lines_equal", (l2, Line(1, s, s)), (0, 0, 0)),
         ("scalars_equal", (s, t), (s - t,)),
         ("scalars_equal", (s, s), (F(0),)),
         ("points_equal", (p, q), (p.x - q.x, p.y - q.y)),

@@ -17,11 +17,21 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from brocard.checks import FAIL, check_equidistant, run_suite
+from brocard import __version__
+from brocard.checks import (
+    DEGENERATE,
+    FAIL,
+    PASS,
+    Assertion,
+    CheckResult,
+    SuiteReport,
+    check_equidistant,
+    run_suite,
+)
 from brocard.cli import main
 from brocard.geom import Point
 from brocard.pipeline import compute_configuration
-from brocard.scene import SceneParams, classical_brocard_scene, generate_scene
+from brocard.scene import SceneParams, classical_brocard_scene, generate_scene, validate_scene
 from brocard.sceneio import (
     SCENE_FORMAT,
     SceneFormatError,
@@ -29,11 +39,11 @@ from brocard.sceneio import (
     rational_from_str,
     rational_to_str,
     read_scene_file,
-    report_to_dict,
     scene_digest,
     scene_from_dict,
     scene_to_dict,
     scenes_to_document,
+    write_report_file,
     write_scene_file,
 )
 
@@ -585,10 +595,10 @@ class TestCanonicalEncoder:
 
     def test_classical_report(self):
         report = run_suite(classical_brocard_scene(0, 1, -1))
-        doc = report_to_dict([report], "params:0/1,1/1,-1/1")
+        doc = _ref_report_dict([report], "params:0/1,1/1,-1/1")
         assert doc["summary"]["degenerate"] > 0
         assert any(c["notes"] for c in doc["scenes"][0]["checks"])
-        assert _canonical_bytes(doc) == _reference_bytes(doc)
+        assert _written_report([report], "params:0/1,1/1,-1/1") == _reference_bytes(doc)
 
     def test_report_with_fail_witnesses(self):
         scene = generate_scene(SceneParams(seed=42))
@@ -598,7 +608,8 @@ class TestCanonicalEncoder:
         assert shifted.status == FAIL
         with_fail = dataclasses.replace(passing, results=(*passing.results, shifted))
         moved = dataclasses.replace(scene, a1=scene.a1 + Point(F(1, 3), 0))
-        doc = report_to_dict([with_fail, run_suite(moved)], "sha256:" + "0" * 64)
+        reports = [with_fail, run_suite(moved)]
+        doc = _ref_report_dict(reports, "sha256:" + "0" * 64)
         assert doc["summary"]["fail"] == 2
         witnesses = [
             w
@@ -608,7 +619,7 @@ class TestCanonicalEncoder:
             for w in a["witnesses"]
         ]
         assert any(w != "0/1" for w in witnesses)
-        assert _canonical_bytes(doc) == _reference_bytes(doc)
+        assert _written_report(reports, "sha256:" + "0" * 64) == _reference_bytes(doc)
 
     def test_validation_fail_witnesses(self, tmp_path, capsys):
         scene = generate_scene(SceneParams(seed=42))
@@ -635,6 +646,127 @@ class TestCanonicalEncoder:
         assert provenance["kind"] == "generated"
         doc = scenes_to_document(scenes, provenance)
         assert path.read_bytes() == _canonical_bytes(doc) == _reference_bytes(doc)
+
+
+# ---------------------------------------------------------------------------
+# The report writer against a reference document with every block in place.
+
+
+def _ref_report_dict(reports, input_digest):
+    """The report document built field by field, each check block written
+    out where it occurs; the writer's bytes are this document's canonical
+    layout."""
+    scenes = []
+    totals = {"pass": 0, "fail": 0, "degenerate": 0}
+    for index, report in enumerate(reports):
+        counts = report.counts
+        scenes.append(
+            {
+                "index": index,
+                "digest": report.scene_digest,
+                "checks": [
+                    {
+                        "id": result.check_id,
+                        "status": result.status,
+                        "assertions": [
+                            {
+                                "label": a.label,
+                                "ok": a.ok,
+                                "witnesses": [f"{w.numerator}/{w.denominator}" for w in a.witnesses],
+                            }
+                            for a in result.assertions
+                        ],
+                        "notes": list(result.notes),
+                    }
+                    for result in report.results
+                ],
+                "counts": {"pass": counts[PASS], "fail": counts[FAIL], "degenerate": counts[DEGENERATE]},
+            }
+        )
+        for key, status in (("pass", PASS), ("fail", FAIL), ("degenerate", DEGENERATE)):
+            totals[key] += counts[status]
+    return {
+        "format": "brocard-report/1",
+        "tool_version": __version__,
+        "input_digest": input_digest,
+        "scenes": scenes,
+        "summary": totals,
+    }
+
+
+def _written_report(reports, input_digest):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        write_report_file(path, reports, input_digest)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _with_first_assertion(result, **changes):
+    first, *rest = result.assertions
+    return dataclasses.replace(result, assertions=(dataclasses.replace(first, **changes), *rest))
+
+
+@functools.lru_cache(maxsize=None)
+def _result_pool():
+    """Check results of every kind a report holds, and near misses of them.
+
+    Seeds 42 and 43 give equal all-PASS results as distinct objects and
+    share the one memoised cyclic-lemma result.  The variants of one PASS
+    result differ from it only in one witness, by one extra zero witness,
+    only in ``ok`` or only in a label, and a variant of a DEGENERATE result
+    only in its note.  Then come a FAIL with nonzero witnesses, a
+    ``scene_validation`` FAIL with plain ``str`` labels and the same FAIL
+    with its ``Violation`` labels, the DEGENERATE spiral lemma with its note
+    at caps 2 seed 46, and a classical report."""
+    scene = generate_scene(SceneParams(seed=42))
+    passing = run_suite(scene).results
+    other = run_suite(generate_scene(SceneParams(seed=43))).results
+    cfg = compute_configuration(scene)
+    shifted = check_equidistant(dataclasses.replace(cfg, r=cfg.r + Point(1, 0)))
+    moved = dataclasses.replace(scene, a1=scene.a1 + Point(F(1, 3), 0))
+    invalid = run_suite(moved).results
+    violations = validate_scene(moved)
+    as_violations = CheckResult("scene_validation", FAIL, tuple(Assertion(v, False, v.witnesses) for v in violations))
+    small_caps = run_suite(generate_scene(SceneParams(seed=46, numerator_cap=2, denominator_cap=2))).results
+    classical = run_suite(classical_brocard_scene(0, 1, -1)).results
+    base = next(r for r in passing if r.assertions and len(r.assertions[0].witnesses) == 2)
+    first = base.assertions[0]
+    degenerate = next(r for r in small_caps if r.status == DEGENERATE)
+    variants = (
+        _with_first_assertion(base, witnesses=(first.witnesses[0], F(-2, 7))),
+        _with_first_assertion(base, witnesses=(*first.witnesses, F(0))),
+        _with_first_assertion(base, ok=False),
+        _with_first_assertion(base, label=first.label + " "),
+        dataclasses.replace(degenerate, notes=("another reason",)),
+    )
+    pool = (*passing, *other, *variants, shifted, *invalid, as_violations, *small_caps, *classical)
+    assert shifted.status == FAIL and invalid[0].status == FAIL
+    assert degenerate.notes
+    assert type(as_violations.assertions[0].label) is not str
+    return pool
+
+
+suite_reports = st.builds(
+    SuiteReport,
+    json_text,
+    st.lists(st.deferred(lambda: st.sampled_from(_result_pool())), max_size=24).map(tuple),
+)
+
+
+class TestReportWriter:
+    @example([], "sha256:" + "0" * 64)
+    @given(st.lists(suite_reports, max_size=5), json_text)
+    def test_matches_reference_document(self, reports, input_digest):
+        expected = _reference_bytes(_ref_report_dict(reports, input_digest))
+        assert _written_report(reports, input_digest) == expected
+
+    def test_every_result_twice(self):
+        pool = _result_pool()
+        reports = [SuiteReport("first", pool), SuiteReport("second", pool[::-1])]
+        doc = _ref_report_dict(reports, "sha256:" + "0" * 64)
+        assert _written_report(reports, "sha256:" + "0" * 64) == _reference_bytes(doc)
+
 
 
 # ---------------------------------------------------------------------------
