@@ -27,6 +27,7 @@ from .geom import (
     Point,
     PointNotOnCircle,
     PointNotOnLine,
+    Triangle,
     spiral_ratio,
 )
 from .pipeline import (
@@ -78,6 +79,7 @@ __all__ = [
     "SceneParams",
     "SuiteReport",
     "THEOREM_CHECK_IDS",
+    "Triangle",
     "circle_point_from_parameter",
     "classical_brocard_scene",
     "classical_overlay",

@@ -46,6 +46,7 @@ from .geom import (
     GeometryError,
     Line,
     Point,
+    Triangle,
     angle_at,
     circumcircle,
     collinear_det,
@@ -63,9 +64,7 @@ from .geom import (
     pole_of_line,
     rational_sqrt,
     second_intersection_circle_line,
-    simson_line,
     spiral_ratio,
-    triangle_sidelines,
 )
 from .pipeline import (
     Configuration,
@@ -290,7 +289,7 @@ def check_rotation_angles(rec: _Recorder, cfg: Configuration) -> None:
     per-side ratios for each Miquel point agreeing across BC, CA, AB."""
     s = cfg.scene
     # The BC ratios are the configuration's r_P and r_Q.
-    _, ca, ab = s.sidelines()
+    _, ca, ab = s.triangle.sides
     rp_ca = spiral_ratio(cfg.p, s.b1, ca)
     rp_ab = spiral_ratio(cfg.p, s.c1, ab)
     rq_ca = spiral_ratio(cfg.q, s.b2, ca)
@@ -440,7 +439,7 @@ def check_circumcenter_perspective(rec: _Recorder, cfg: Configuration) -> None:
     """OR cuts the sidelines in X, Y, Z; the circumcenters of AYZ, BZX, CXY
     are perspective with ABC at the Steiner point."""
     s = cfg.scene
-    bc, ca, ab = s.sidelines()
+    bc, ca, ab = s.triangle.sides
     or_line = cfg.or_line
     for name, pt, side in (("X", cfg.x, bc), ("Y", cfg.y, ca), ("Z", cfg.z, ab)):
         rec.point_on_line(f"{name} on its sideline", pt, side)
@@ -460,33 +459,27 @@ def check_circumcenter_perspective(rec: _Recorder, cfg: Configuration) -> None:
 # Lemma checks (self-contained inputs)
 
 
-def build_spiral_points(
-    a: Point, b: Point, c: Point, m: Point, scale: Fraction,
-    sides: Optional[Tuple[Line, Line, Line]] = None,
-) -> Tuple[Point, Point, Point]:
+def build_spiral_points(tri: Triangle, m: Point, scale: Fraction) -> Tuple[Point, Point, Point]:
     """Spiral image of the pedal triangle of m under 1 + scale*i, which keeps
-    each image point on its sideline.  A caller holding the sidelines
-    (BC, CA, AB) passes them as ``sides``."""
+    each image point on its sideline."""
     rho = ComplexScalar(1, scale)
     out = []
-    for side in sides if sides is not None else triangle_sidelines(a, b, c):
+    for side in tri.sides:
         ft = foot_perpendicular(m, side)
         out.append(m + rho.apply_to(ft - m))
     return tuple(out)
 
 
 def check_lemma_spiral(
-    a: Point, b: Point, c: Point, m: Point, scale: Fraction,
-    points: Optional[Tuple[Point, Point, Point]] = None,
-    sides: Optional[Tuple[Line, Line, Line]] = None,
+    tri: Triangle, m: Point, scale: Fraction, points: Optional[Tuple[Point, Point, Point]] = None
 ) -> CheckResult:
     """m is the Miquel point of the spiral image of its own pedal triangle,
-    with one common spiral ratio on all three sides.  A caller holding the
-    sidelines (BC, CA, AB) passes them as ``sides``."""
+    with one common spiral ratio on all three sides."""
 
     def body(rec: _Recorder):
-        bc, ca, ab = sides if sides is not None else triangle_sidelines(a, b, c)
-        d, e, f = points if points is not None else build_spiral_points(a, b, c, m, scale, (bc, ca, ab))
+        a, b, c = tri.a, tri.b, tri.c
+        bc, ca, ab = tri.sides
+        d, e, f = points if points is not None else build_spiral_points(tri, m, scale)
         rec.point_on_line("D on BC", d, bc)
         rec.point_on_line("E on CA", e, ca)
         rec.point_on_line("F on AB", f, ab)
@@ -540,29 +533,22 @@ def check_lemma_cyclic(
     return _run("check_lemma_cyclic", body)
 
 
-def check_lemma_simson_angle(
-    a: Point, b: Point, c: Point, m: Point, n: Point, cfg: Optional[Configuration] = None
-) -> CheckResult:
+def check_lemma_simson_angle(tri: Triangle, m: Point, n: Point) -> CheckResult:
     """The angle between two Simson lines equals the inscribed angle the two
-    points subtend at a vertex.  When m and n are the Steiner and Tarry
-    points of ``cfg``, its circumcircle and Simson lines are used."""
+    points subtend at a vertex."""
 
     def body(rec: _Recorder):
-        circ = cfg.circ if cfg is not None else circumcircle(a, b, c)
+        circ = tri.circumcircle
         ok_m = rec.point_on_circle("M on the circumcircle", m, circ)
         ok_n = rec.point_on_circle("N on the circumcircle", n, circ)
         if not (ok_m and ok_n):
             return
-        if cfg is not None:
-            lm, ln = cfg.simson_steiner, cfg.simson_tarry
-        else:
-            lm, ln = simson_line(m, a, b, c), simson_line(n, a, b, c)
         # Any vertex distinct from both points sees the same inscribed
         # angle mod pi; one always exists.
-        vertex = next(v for v in (a, b, c) if v != m and v != n)
+        vertex = next(v for v in (tri.a, tri.b, tri.c) if v != m and v != n)
         rec.angles_equal(
             "ang(simson(M), simson(N)) == ang(M,vertex,N)",
-            directed_angle(lm, ln),
+            directed_angle(tri.simson_line(m), tri.simson_line(n)),
             angle_at(vertex, m, n),
         )
 
@@ -602,15 +588,13 @@ def _cyclic_lemma(gamma: Circle) -> CheckResult:
 def _lemma_spiral(cfg: Configuration, digest: str) -> CheckResult:
     if cfg.collapsed:
         return _degenerate("check_lemma_spiral", "configuration collapsed (P = Q)")
-    s = cfg.scene
-    return check_lemma_spiral(s.a, s.b, s.c, cfg.p, SPIRAL_SCALE, sides=s.sidelines())
+    return check_lemma_spiral(cfg.scene.triangle, cfg.p, SPIRAL_SCALE)
 
 
 def _lemma_simson_angle(cfg: Configuration, digest: str) -> CheckResult:
     if cfg.collapsed or cfg.steiner is None:
         return _degenerate("check_lemma_simson_angle", "Steiner pair unavailable")
-    s = cfg.scene
-    return check_lemma_simson_angle(s.a, s.b, s.c, cfg.steiner, cfg.tarry, cfg)
+    return check_lemma_simson_angle(cfg.scene.triangle, cfg.steiner, cfg.tarry)
 
 
 def _kwon_remark(cfg: Configuration, digest: str) -> CheckResult:

@@ -119,14 +119,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    check_ids = None
+    if args.checks is not None:
+        check_ids = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not check_ids:
+            print("error: --checks names no check id", file=sys.stderr)
+            return 2
     try:
         scenes, _ = read_scene_file(args.infile)
     except (SceneFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    check_ids = None
-    if args.checks:
-        check_ids = [c.strip() for c in args.checks.split(",") if c.strip()]
     reports = []
     for index, scene in enumerate(scenes):
         try:
@@ -174,17 +177,14 @@ def cmd_render(args: argparse.Namespace) -> int:
             print(f"error: scene {args.index} is invalid: {violation}", file=sys.stderr)
         return 1
     layers = LAYERS
-    if args.layers:
+    if args.layers is not None:
         layers = tuple(l.strip() for l in args.layers.split(",") if l.strip())
-    cfg = None
-    if any(l != "scene" for l in layers):
-        try:
-            cfg = compute_configuration(scene)
-        except GeometryError as exc:
-            print(f"error: configuration degenerate, render scene layer only: {exc}", file=sys.stderr)
-            return 1
     try:
+        cfg = compute_configuration(scene) if any(l != "scene" for l in layers) else None
         svg = render_svg(scene, cfg, layers, digits=args.digits)
+    except GeometryError as exc:
+        print(f"error: configuration degenerate, render scene layer only: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 from typing import Optional, Tuple, Union
 
@@ -681,29 +682,12 @@ def isogonal_conjugate(p: Point, a: Point, b: Point, c: Point) -> Point:
     return Point(Fraction(ku * xa + kv * xb + kw * xc, s), Fraction(ku * ya + kv * yb + kw * yc, s))
 
 
-def triangle_sidelines(a: Point, b: Point, c: Point) -> Tuple[Line, Line, Line]:
-    """The sidelines (BC, CA, AB) of triangle abc."""
-    return line_through(b, c), line_through(c, a), line_through(a, b)
-
-
-def simson_line(
-    p: Point,
-    a: Point,
-    b: Point,
-    c: Point,
-    circ: Optional[Circle] = None,
-    sides: Optional[Tuple[Line, Line, Line]] = None,
-) -> Line:
-    """Line through the three pedal feet of p, defined only for p on the
-    circumcircle of abc.  A caller that already holds that circumcircle
-    (``circ``) or the sidelines (BC, CA, AB) (``sides``) passes them in."""
-    if circ is None:
-        circ = circumcircle(a, b, c)
-    if not on_circle(p, circ):
+def simson_line(p: Point, tri: "Triangle") -> Line:
+    """Line through the three pedal feet of p on the sidelines of tri,
+    defined only for p on its circumcircle."""
+    if not on_circle(p, tri.circumcircle):
         raise PointNotOnCircle(f"{p} is not on the circumcircle")
-    if sides is None:
-        sides = triangle_sidelines(a, b, c)
-    feet = [foot_perpendicular(p, side) for side in sides]
+    feet = [foot_perpendicular(p, side) for side in tri.sides]
     first = feet[0]
     other = next((f for f in feet[1:] if f != first), None)
     if other is None:
@@ -712,6 +696,40 @@ def simson_line(
     if any(not on_line(f, l) for f in feet):
         raise Degenerate("simson line", "pedal feet are not collinear")
     return l
+
+
+@dataclass(frozen=True)
+class Triangle:
+    """Triangle abc.  Its sidelines, circumcircle and the Simson line of each
+    point asked about are built on first use and cached on the instance, as
+    ``_hom`` is on a Point: equality, hashing, ``repr``, ``replace``, copies
+    and pickles ignore them.  Simson lines are keyed on the point's ``_hom``
+    triple, which hashes without the modular inverse a Fraction hash takes."""
+
+    a: Point
+    b: Point
+    c: Point
+
+    @cached_property
+    def sides(self) -> Tuple[Line, Line, Line]:
+        """The sidelines (BC, CA, AB)."""
+        return line_through(self.b, self.c), line_through(self.c, self.a), line_through(self.a, self.b)
+
+    @cached_property
+    def circumcircle(self) -> Circle:
+        return circumcircle(self.a, self.b, self.c)
+
+    def simson_line(self, p: Point) -> Line:
+        """``simson_line(p, self)``, built once per point."""
+        memo = self.__dict__.setdefault("_simson", {})
+        key = _hom(p)
+        line = memo.get(key)
+        if line is None:
+            line = memo[key] = simson_line(p, self)
+        return line
+
+    def __getstate__(self) -> dict:
+        return {"a": self.a, "b": self.b, "c": self.c}
 
 
 # ---------------------------------------------------------------------------

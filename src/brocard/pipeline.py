@@ -46,6 +46,7 @@ from .geom import (
     Line,
     ParallelLines,
     Point,
+    Triangle,
     antipode,
     circle_through_tangent,
     circumcircle,
@@ -61,10 +62,8 @@ from .geom import (
     parallel_through,
     pole_of_line,
     second_intersection_circles,
-    simson_line,
     spiral_ratio,
     tangent_line,
-    triangle_sidelines,
 )
 from .scene import Scene
 
@@ -87,15 +86,16 @@ class Configuration:
     verification suite reports DEGENERATE instead of evaluating them.
 
     The objects several checks share (the inverse similarity, the line OR,
-    the T-sides, the lines through the perspector, the Simson lines of S_t
-    and T_a) are built on first use and cached on the instance, never passed
-    to ``__init__``, so ``dataclasses.replace`` derives them afresh from the
-    replaced fields.  ``compute_configuration`` seeds the caches with the
-    lines it built itself.
+    the T-sides, the lines through the perspector) are built on first use
+    and cached on the instance, never passed to ``__init__``, so
+    ``dataclasses.replace`` derives them afresh from the replaced fields.
+    ``compute_configuration`` seeds the caches with the lines it built
+    itself.  The Simson lines of S_t and T_a live in the memo of the
+    scene's triangle.
     """
 
     scene: Scene
-    circ: Circle  # circumcircle of ABC
+    circ: Circle  # circumcircle of ABC, the scene triangle's own
     o: Point  # center of gamma
     p: Point
     q: Point
@@ -150,26 +150,22 @@ class Configuration:
     @cached_property
     def t_sides(self) -> Tuple[Line, Line, Line]:
         """The sidelines (T_B T_C, T_C T_A, T_A T_B) of the T-triangle."""
-        return triangle_sidelines(self.t_a, self.t_b, self.t_c)
+        return Triangle(self.t_a, self.t_b, self.t_c).sides
 
     @cached_property
     def perspective_lines(self) -> Tuple[Line, Line, Line]:
         """The lines T_A A', T_B B', T_C C', which meet at the perspector."""
         return _perspective_lines(self.t_a, self.t_b, self.t_c, self.a_prime, self.b_prime, self.c_prime)
 
-    @cached_property
+    @property
     def simson_steiner(self) -> Line:
-        """Simson line of S_t, on the stored circumcircle and sidelines."""
-        return self._simson(self.steiner)
+        """Simson line of S_t in the scene triangle."""
+        return self.scene.triangle.simson_line(self.steiner)
 
-    @cached_property
+    @property
     def simson_tarry(self) -> Line:
-        """Simson line of T_a, on the stored circumcircle and sidelines."""
-        return self._simson(self.tarry)
-
-    def _simson(self, pt: Point) -> Line:
-        s = self.scene
-        return simson_line(pt, s.a, s.b, s.c, self.circ, s.sidelines())
+        """Simson line of T_a in the scene triangle."""
+        return self.scene.triangle.simson_line(self.tarry)
 
 
 @dataclass(frozen=True)
@@ -222,27 +218,21 @@ def _chord_line(p1: Point, p2: Point, gamma: Circle, name: str) -> Line:
     return tangent_line(gamma, p1)
 
 
-def miquel_point(
-    d: Point, e: Point, f: Point, a: Point, b: Point, c: Point,
-    sides: Optional[Tuple[Line, Line, Line]] = None,
-) -> Point:
-    """Miquel point of the inscribed triangle def in triangle abc: the common
-    point of the circumcircles of (a,e,f), (b,f,d), (c,d,e).
+def miquel_point(d: Point, e: Point, f: Point, tri: Triangle) -> Point:
+    """Miquel point of the inscribed triangle def in triangle tri = abc: the
+    common point of the circumcircles of (a,e,f), (b,f,d), (c,d,e).
 
     d must lie on sideline BC, e on CA, f on AB.  Aliased inputs (d=b and
     similar) are allowed and produce the tangent-circle limits, so the
-    classical Brocard points are the images of (b,c,a) and (c,a,b).  A
-    caller holding the sidelines (BC, CA, AB) passes them as ``sides``.
+    classical Brocard points are the images of (b,c,a) and (c,a,b).
     """
-    return _miquel(d, e, f, a, b, c, sides)[0]
+    return _miquel(d, e, f, tri)[0]
 
 
-def _miquel(
-    d: Point, e: Point, f: Point, a: Point, b: Point, c: Point,
-    sides: Optional[Tuple[Line, Line, Line]] = None,
-) -> Tuple[Point, Tuple[Circle, Circle, Circle]]:
+def _miquel(d: Point, e: Point, f: Point, tri: Triangle) -> Tuple[Point, Tuple[Circle, Circle, Circle]]:
     """``miquel_point`` together with its three circles, at A, B and C."""
-    bc, ca, ab = sides if sides is not None else triangle_sidelines(a, b, c)
+    a, b, c = tri.a, tri.b, tri.c
+    bc, ca, ab = tri.sides
     if not on_line(d, bc):
         raise Degenerate("miquel point", "d is not on sideline BC")
     if not on_line(e, ca):
@@ -311,14 +301,14 @@ def compute_configuration(scene: Scene) -> Configuration:
     Precondition: ``validate_scene(scene)`` is empty."""
     a, b, c = scene.a, scene.b, scene.c
     gamma, o = scene.gamma, scene.o
-    sides = scene.sidelines()
-    bc, ca, ab = sides
-    circ = circumcircle(a, b, c)
+    tri = scene.triangle
+    bc, ca, ab = tri.sides
+    circ = tri.circumcircle
 
     # The Miquel circles of P and of Q through each vertex also define the
     # primed point there, their second meet; each is built once.
-    p, p_circles = _miquel(scene.a1, scene.b1, scene.c1, a, b, c, sides)
-    q, q_circles = _miquel(scene.a2, scene.b2, scene.c2, a, b, c, sides)
+    p, p_circles = _miquel(scene.a1, scene.b1, scene.c1, tri)
+    q, q_circles = _miquel(scene.a2, scene.b2, scene.c2, tri)
     if p == q:
         return Configuration(scene=scene, circ=circ, o=o, p=p, q=q, collapsed=True)
 
@@ -380,7 +370,7 @@ def compute_configuration(scene: Scene) -> Configuration:
         brocard = circumcircle(p, q, o)
 
     with _Stage("S_t"):
-        t_sides = triangle_sidelines(t_a, t_b, t_c)
+        t_sides = Triangle(t_a, t_b, t_c).sides
         steiner = intersect_lines(parallel_through(a, t_sides[0]), parallel_through(b, t_sides[1]))
 
     with _Stage("T_a"):
@@ -453,8 +443,8 @@ def classical_overlay(scene: Scene) -> ClassicalOverlay:
         raise ValueError("classical overlay requires a classical scene")
     a, b, c = scene.a, scene.b, scene.c
     gamma = scene.gamma
-    sides = scene.sidelines()
-    bc, ca, ab = sides
+    tri = scene.triangle
+    bc, ca, ab = tri.sides
 
     with _Stage("tangent circles"):
         w_a = circle_through_tangent(b, bc, a)
@@ -464,8 +454,8 @@ def classical_overlay(scene: Scene) -> ClassicalOverlay:
         w_b_prime = circle_through_tangent(a, ca, b)
         w_c_prime = circle_through_tangent(b, ab, c)
 
-    omega = miquel_point(b, c, a, a, b, c, sides)
-    omega_prime = miquel_point(c, a, b, a, b, c, sides)
+    omega = miquel_point(b, c, a, tri)
+    omega_prime = miquel_point(c, a, b, tri)
     if omega == omega_prime:
         # The equilateral collapse; both points sink into the center.
         return ClassicalOverlay(

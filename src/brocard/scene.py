@@ -24,7 +24,7 @@ from .geom import (
     GeometryError,
     Point,
     Circle,
-    Line,
+    Triangle,
     collinear_det,
     dot,
     foot_perpendicular,
@@ -38,12 +38,16 @@ from .geom import (
     point_along,
     rat,
     RationalLike,
-    triangle_sidelines,
 )
 
 
 class GenerationExhausted(GeometryError):
     """Resampling gave up; the parameter bounds admit no valid scene."""
+
+
+#: Draws ``generate_scene`` and ``kwon_scene`` make before giving up.
+_MAX_ATTEMPTS = 500
+_KWON_MAX_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -81,13 +85,10 @@ class Scene:
     def incidence_points(self) -> Tuple[Point, ...]:
         return (self.a1, self.a2, self.b1, self.b2, self.c1, self.c2)
 
-    def sidelines(self) -> Tuple[Line, Line, Line]:
-        """(BC, CA, AB), built once per instance."""
-        return self._sidelines
-
     @cached_property
-    def _sidelines(self) -> Tuple[Line, Line, Line]:
-        return triangle_sidelines(self.a, self.b, self.c)
+    def triangle(self) -> Triangle:
+        """ABC, which caches its sidelines, circumcircle and Simson lines."""
+        return Triangle(self.a, self.b, self.c)
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,6 @@ class SceneParams:
     numerator_cap: int = 50
     denominator_cap: int = 50
     strict_segments: bool = False
-    max_attempts: int = 500
 
     def __post_init__(self):
         if not isinstance(self.radius, Fraction):
@@ -111,8 +111,6 @@ class SceneParams:
             raise ValueError("radius must be positive")
         if self.numerator_cap < 1 or self.denominator_cap < 1:
             raise ValueError("parameter caps must be positive")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be positive")
 
 
 @dataclass(frozen=True)
@@ -138,12 +136,8 @@ class KwonScene:
         """The Miquel points of DEF and of XYZ in ABC."""
         from .pipeline import miquel_point  # deferred: pipeline builds on scenes
 
-        a, b, c = self.a, self.b, self.c
-        sides = triangle_sidelines(a, b, c)
-        return (
-            miquel_point(self.d, self.e, self.f, a, b, c, sides),
-            miquel_point(self.x, self.y, self.z, a, b, c, sides),
-        )
+        tri = Triangle(self.a, self.b, self.c)
+        return miquel_point(self.d, self.e, self.f, tri), miquel_point(self.x, self.y, self.z, tri)
 
 
 def circle_point_from_parameter(t: RationalLike, center: Point, radius: RationalLike) -> Point:
@@ -238,7 +232,7 @@ def generate_scene(params: SceneParams) -> Scene:
     from .pipeline import compute_configuration  # deferred: pipeline builds on scenes
 
     rng = Random(params.seed)
-    for _ in range(params.max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         ts = [_draw_parameter(rng, params) for _ in range(6)]
         try:
             scene = scene_from_parameters(
@@ -254,7 +248,7 @@ def generate_scene(params: SceneParams) -> Scene:
             continue
         return scene
     raise GenerationExhausted(
-        f"no valid scene within {params.max_attempts} attempts (seed {params.seed})"
+        f"no valid scene within {_MAX_ATTEMPTS} attempts (seed {params.seed})"
     )
 
 
@@ -286,7 +280,7 @@ def classical_brocard_scene(
     )
 
 
-def kwon_scene(seed: int, max_attempts: int = 200) -> KwonScene:
+def kwon_scene(seed: int) -> KwonScene:
     """Two inscribed triangles with concurrent chord perpendicular bisectors.
 
     d, x on BC and e, y on CA are drawn freely; t is the meet of the first
@@ -298,7 +292,7 @@ def kwon_scene(seed: int, max_attempts: int = 200) -> KwonScene:
     def draw_rat(lo: int, hi: int) -> Fraction:
         return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
 
-    for _ in range(max_attempts):
+    for _ in range(_KWON_MAX_ATTEMPTS):
         a = Point(draw_rat(-12, 12), draw_rat(-12, 12))
         b = Point(draw_rat(-12, 12), draw_rat(-12, 12))
         c = Point(draw_rat(-12, 12), draw_rat(-12, 12))
@@ -325,7 +319,7 @@ def kwon_scene(seed: int, max_attempts: int = 200) -> KwonScene:
         except GeometryError:
             continue
         return kw
-    raise GenerationExhausted(f"no valid Kwon scene within {max_attempts} attempts (seed {seed})")
+    raise GenerationExhausted(f"no valid Kwon scene within {_KWON_MAX_ATTEMPTS} attempts (seed {seed})")
 
 
 class Violation(str):
@@ -353,7 +347,7 @@ def validate_scene(s: Scene) -> List[Violation]:
     Each violation is its message, a ``str``, carrying its witnesses."""
     violations: List[Violation] = []
     try:
-        bc, ca, ab = s.sidelines()
+        bc, ca, ab = s.triangle.sides
     except GeometryError:
         p, q = next((p, q) for p, q in ((s.b, s.c), (s.c, s.a), (s.a, s.b)) if p == q)
         return [Violation("triangle vertices are not pairwise distinct", *_difference(p, q))]

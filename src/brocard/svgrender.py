@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .geom import Line, Point
+from .geom import Degenerate, Line, Point
 from .pipeline import Configuration
 from .scene import Scene
 
@@ -133,12 +133,17 @@ def render_svg(
     layers: Sequence[str] = LAYERS,
     digits: int = 9,
 ) -> str:
-    """Produce an SVG document; layers other than "scene" need a complete
-    enough configuration and are skipped (not failed) if its objects are
-    missing."""
+    """Produce an SVG document.  Layers other than "scene" are drawn from
+    ``cfg`` and skipped when it has collapsed (P = Q); a selection that
+    leaves nothing to draw raises ``ValueError`` when it is empty and
+    ``Degenerate`` when only such layers remain."""
     unknown = [l for l in layers if l not in LAYERS]
     if unknown:
         raise ValueError(f"unknown layers: {', '.join(unknown)}")
+    if not layers:
+        raise ValueError("no layer selected")
+    if "scene" not in layers and (cfg is None or cfg.collapsed):
+        raise Degenerate("configuration", "collapsed (P = Q)" if cfg is not None else "not given")
     canvas = _Canvas(digits)
 
     span = [float(max(abs(p.x) for p in scene.vertices)), float(max(abs(p.y) for p in scene.vertices))]

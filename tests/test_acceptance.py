@@ -23,6 +23,7 @@ from brocard.geom import (
     GeometryError,
     Line,
     Point,
+    Triangle,
     dist2,
     intersect_lines,
     isogonal_conjugate,
@@ -138,7 +139,7 @@ def test_criterion_3_lemma_oracles():
     ok = True
     for _ in range(20):
         a, b, c = _random_triangle(rng)
-        m = miquel_point(midpoint(b, c), midpoint(c, a), midpoint(a, b), a, b, c)
+        m = miquel_point(midpoint(b, c), midpoint(c, a), midpoint(a, b), Triangle(a, b, c))
         # independent circumcenter: meet of two perpendicular bisectors
         center = intersect_lines(perpendicular_bisector(a, b), perpendicular_bisector(b, c))
         if m != center:

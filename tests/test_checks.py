@@ -30,11 +30,11 @@ from brocard.geom import (
     Circle,
     ComplexScalar,
     Point,
+    Triangle,
     dist2,
     inverse_similarity_map,
     line_through,
     simson_line,
-    triangle_sidelines,
 )
 from brocard.pipeline import (
     InternalInconsistencyError,
@@ -97,21 +97,21 @@ def run_mutations(cfg, scene, rounds: int, rng: Random):
             mutated = dataclasses.replace(cfg, **{fld: getattr(cfg, fld) + nonzero_delta(rng)})
             yield check_id, fn(mutated)
 
-    # Odd rounds take the suite's call form: the scene's sidelines, and here
-    # one vertex moved off them.
-    base_points = build_spiral_points(scene.a, scene.b, scene.c, cfg.p, SPIRAL_SCALE)
+    # Even rounds move one spiral point off its sideline; odd rounds move
+    # one vertex of the triangle and keep the original spiral points.
+    base_points = build_spiral_points(scene.triangle, cfg.p, SPIRAL_SCALE)
     for i in range(rounds):
         if i % 2 == 0:
             mutated = list(base_points)
             mutated[i % 3] = mutated[i % 3] + nonzero_delta(rng)
             yield "check_lemma_spiral", check_lemma_spiral(
-                scene.a, scene.b, scene.c, cfg.p, SPIRAL_SCALE, points=tuple(mutated)
+                scene.triangle, cfg.p, SPIRAL_SCALE, points=tuple(mutated)
             )
         else:
             vertices = list(scene.vertices)
             vertices[i % 3] = vertices[i % 3] + nonzero_delta(rng)
             yield "check_lemma_spiral", check_lemma_spiral(
-                *vertices, cfg.p, SPIRAL_SCALE, sides=scene.sidelines()
+                Triangle(*vertices), cfg.p, SPIRAL_SCALE, points=base_points
             )
 
     quad = build_cyclic_quadrangle(scene.gamma)
@@ -120,15 +120,14 @@ def run_mutations(cfg, scene, rounds: int, rng: Random):
         mutated[i % 4] = mutated[i % 4] + nonzero_delta(rng)
         yield "check_lemma_cyclic", check_lemma_cyclic(scene.gamma, *mutated)
 
-    # Rounds 2, 3, 6, 7, ... take the suite's call form, on the mutated
-    # configuration.
+    # Each round moves the Steiner or the Tarry point.  Rounds 2, 3, 6, 7,
+    # ... ask the scene's own triangle, as the suite does, whose memo may
+    # hold the Simson lines of the unmoved points; the others a fresh one.
     for i in range(rounds):
         fld = ("steiner", "tarry")[i % 2]
         mutated = dataclasses.replace(cfg, **{fld: getattr(cfg, fld) + nonzero_delta(rng)})
-        suite_form = mutated if (i // 2) % 2 else None
-        yield "check_lemma_simson_angle", check_lemma_simson_angle(
-            scene.a, scene.b, scene.c, mutated.steiner, mutated.tarry, suite_form
-        )
+        tri = scene.triangle if (i // 2) % 2 else Triangle(*scene.vertices)
+        yield "check_lemma_simson_angle", check_lemma_simson_angle(tri, mutated.steiner, mutated.tarry)
 
     kw = kwon_scene(987654)
     kwon_fields = ["z", "t", "d", "x", "y", "e", "f"]
@@ -350,17 +349,17 @@ class TestSmallCapGeneration:
 class TestLemmaChecks:
     def test_spiral_scale_zero_is_pedal_triangle(self, seed7_scene, seed7_cfg):
         s = seed7_scene
-        result = check_lemma_spiral(s.a, s.b, s.c, seed7_cfg.p, F(0))
+        result = check_lemma_spiral(s.triangle, seed7_cfg.p, F(0))
         assert result.status == PASS
 
     def test_spiral_random_rational(self):
         a, b, c = Point(0, 0), Point(4, 0), Point(1, 3)
-        result = check_lemma_spiral(a, b, c, Point(F(1, 3), F(1, 4)), F(2, 5))
+        result = check_lemma_spiral(Triangle(a, b, c), Point(F(1, 3), F(1, 4)), F(2, 5))
         assert result.status == PASS
 
     def test_spiral_center_on_sideline_degenerate(self):
         a, b, c = Point(0, 0), Point(4, 0), Point(1, 3)
-        result = check_lemma_spiral(a, b, c, Point(2, 0), F(2, 5))
+        result = check_lemma_spiral(Triangle(a, b, c), Point(2, 0), F(2, 5))
         assert result.status == DEGENERATE
 
     def test_cyclic_reference_parameters(self):
@@ -389,12 +388,12 @@ class TestLemmaChecks:
     def test_simson_angle_same_point(self):
         a, b, c = Point(0, 0), Point(4, 0), Point(0, 4)
         m = Point(4, 4)
-        result = check_lemma_simson_angle(a, b, c, m, m)
+        result = check_lemma_simson_angle(Triangle(a, b, c), m, m)
         assert result.status == PASS
 
     def test_simson_angle_off_circle_fails(self):
         a, b, c = Point(0, 0), Point(4, 0), Point(0, 4)
-        result = check_lemma_simson_angle(a, b, c, Point(4, 4), Point(1, 1))
+        result = check_lemma_simson_angle(Triangle(a, b, c), Point(4, 4), Point(1, 1))
         assert result.status == FAIL
 
     def test_kwon_remark_passes(self):
@@ -453,19 +452,23 @@ class TestComputedOnce:
 
     def test_scene_sidelines_cached_and_rederived(self, seed7_scene):
         s = seed7_scene
-        assert s.sidelines() is s.sidelines()
-        assert s.sidelines() == triangle_sidelines(s.a, s.b, s.c)
+        assert s.triangle is s.triangle and s.triangle.sides is s.triangle.sides
+        assert s.triangle.sides == (line_through(s.b, s.c), line_through(s.c, s.a), line_through(s.a, s.b))
         moved = dataclasses.replace(s, a=s.a + Point(1, 0))
-        assert moved.sidelines() == triangle_sidelines(moved.a, moved.b, moved.c)
-        assert moved.sidelines()[0] == s.sidelines()[0]
-        assert moved.sidelines()[1:] != s.sidelines()[1:]
+        assert moved.triangle == Triangle(moved.a, s.b, s.c)
+        assert moved.triangle.sides[0] == s.triangle.sides[0]
+        assert moved.triangle.sides[1:] == (line_through(s.c, moved.a), line_through(moved.a, s.b))
+        assert moved.triangle.sides[1:] != s.triangle.sides[1:]
 
     def test_configuration_objects_rederived(self, seed7_scene, seed7_cfg):
         cfg, s = seed7_cfg, seed7_scene
         assert cfg.or_line is cfg.or_line
         assert cfg.similarity is cfg.similarity
-        assert cfg.simson_steiner == simson_line(cfg.steiner, s.a, s.b, s.c)
-        assert cfg.simson_tarry == simson_line(cfg.tarry, s.a, s.b, s.c)
+        assert cfg.circ is s.triangle.circumcircle
+        fresh = Triangle(s.a, s.b, s.c)
+        assert cfg.simson_steiner is s.triangle.simson_line(cfg.steiner) == simson_line(cfg.steiner, fresh)
+        assert cfg.simson_tarry is s.triangle.simson_line(cfg.tarry) == simson_line(cfg.tarry, fresh)
+        assert cfg.simson_steiner != cfg.simson_tarry
 
         shifted = dataclasses.replace(cfg, r=cfg.r + Point(1, 0))
         assert shifted.or_line == line_through(cfg.o, shifted.r) != cfg.or_line
@@ -474,13 +477,17 @@ class TestComputedOnce:
         assert moved.similarity != cfg.similarity
         # compute_configuration seeds these caches with the lines it built.
         assert {"t_sides", "perspective_lines", "or_line"} <= vars(compute_configuration(s)).keys()
-        assert cfg.t_sides == triangle_sidelines(cfg.t_a, cfg.t_b, cfg.t_c)
+        assert cfg.t_sides == (
+            line_through(cfg.t_b, cfg.t_c),
+            line_through(cfg.t_c, cfg.t_a),
+            line_through(cfg.t_a, cfg.t_b),
+        )
         assert cfg.perspective_lines == (
             line_through(cfg.t_a, cfg.a_prime),
             line_through(cfg.t_b, cfg.b_prime),
             line_through(cfg.t_c, cfg.c_prime),
         )
-        assert moved.t_sides == triangle_sidelines(moved.t_a, cfg.t_b, cfg.t_c)
+        assert moved.t_sides[1:] == (line_through(cfg.t_c, moved.t_a), line_through(moved.t_a, cfg.t_b))
         assert moved.t_sides[0] == cfg.t_sides[0] and moved.t_sides[1:] != cfg.t_sides[1:]
         assert moved.perspective_lines[0] == line_through(moved.t_a, cfg.a_prime) != cfg.perspective_lines[0]
         swapped = dataclasses.replace(cfg, steiner=cfg.tarry, tarry=cfg.steiner)
@@ -510,16 +517,13 @@ class TestComputedOnce:
 
     def test_kwon_miquel_points_rederived(self):
         kw = kwon_scene(1)
-        a, b, c = kw.a, kw.b, kw.c
-        assert kw.miquel_points == (
-            miquel_point(kw.d, kw.e, kw.f, a, b, c),
-            miquel_point(kw.x, kw.y, kw.z, a, b, c),
-        )
+        a, b, tri = kw.a, kw.b, Triangle(kw.a, kw.b, kw.c)
+        assert kw.miquel_points == (miquel_point(kw.d, kw.e, kw.f, tri), miquel_point(kw.x, kw.y, kw.z, tri))
         # Slide Z along AB: the triangle XYZ stays inscribed, so its Miquel
         # point exists, but the bisectors no longer concur at T.
         bad = dataclasses.replace(kw, z=kw.z + F(1, 3) * (b - a))
         o1, o2 = kw.miquel_points
-        new_o2 = miquel_point(bad.x, bad.y, bad.z, a, b, c)
+        new_o2 = miquel_point(bad.x, bad.y, bad.z, tri)
         assert bad.miquel_points == (o1, new_o2) and new_o2 != o2
         result = check_kwon_remark(bad)
         assert result.status == FAIL
@@ -564,6 +568,28 @@ class TestComputedOnce:
         assert names == {"line_through", "foot_perpendicular"}
         repeated = [call for i, call in enumerate(calls) if call in calls[:i]]
         assert repeated == []
+
+    def test_lemma_checks_get_the_scene_triangle(self, seed7_scene, seed7_cfg, monkeypatch):
+        """The suite hands the spiral and Simson-angle lemmas the scene's own
+        triangle, whose memo then holds the two Simson lines the Simson
+        checks built, and the configuration's points."""
+        seen = {}
+        for cid in ("check_lemma_spiral", "check_lemma_simson_angle"):
+
+            def recording(*args, _cid=cid, _check=getattr(ck, cid)):
+                seen[_cid] = args
+                return _check(*args)
+
+            monkeypatch.setattr(ck, cid, recording)
+        scene, cfg = dataclasses.replace(seed7_scene), seed7_cfg
+        assert run_suite(scene).all_pass
+        tri = scene.triangle
+        assert seen == {
+            "check_lemma_spiral": (tri, cfg.p, SPIRAL_SCALE),
+            "check_lemma_simson_angle": (tri, cfg.steiner, cfg.tarry),
+        }
+        assert all(args[0] is tri for args in seen.values())
+        assert list(vars(tri)["_simson"].values()) == [cfg.simson_steiner, cfg.simson_tarry]
 
     def test_cyclic_lemma_per_circle(self, seed7_scene):
         def cyclic(report):

@@ -22,6 +22,7 @@ from brocard.geom import (
     ParallelLines,
     Point,
     PointNotOnCircle,
+    Triangle,
     angle_at,
     antipode,
     circle_through_tangent,
@@ -211,16 +212,16 @@ class TestIsogonal:
 
 class TestSimson:
     def test_simson_line(self):
-        l = simson_line(Point(4, 4), Point(0, 0), Point(4, 0), Point(0, 4))
+        l = simson_line(Point(4, 4), Triangle(Point(0, 0), Point(4, 0), Point(0, 4)))
         # feet by direct projection: (4,0), (0,4), (2,2), all on x + y = 4
         assert l == Line(1, 1, -4)
 
     def test_vertex_gives_altitude(self):
-        assert simson_line(Point(0, 0), Point(0, 0), Point(4, 0), Point(0, 4)) == Line(1, -1, 0)
+        assert simson_line(Point(0, 0), Triangle(Point(0, 0), Point(4, 0), Point(0, 4))) == Line(1, -1, 0)
 
     def test_interior_point_rejected(self):
         with pytest.raises(PointNotOnCircle):
-            simson_line(Point(1, 1), Point(0, 0), Point(4, 0), Point(0, 4))
+            simson_line(Point(1, 1), Triangle(Point(0, 0), Point(4, 0), Point(0, 4)))
 
 
 class TestPredicates:

@@ -24,6 +24,7 @@ from brocard.geom import (
     InverseSimilarity,
     Line,
     Point,
+    Triangle,
     _hom,
     circumcircle,
     collinear_det,
@@ -48,6 +49,7 @@ from brocard.geom import (
     second_intersection_circle_line,
     second_intersection_circles,
     inverse_similarity_map,
+    simson_line,
     spiral_ratio,
     tangent_line,
 )
@@ -797,3 +799,54 @@ def test_hom_cache_is_invisible(p):
     moved = dataclasses.replace(p, x=p.x + 1)
     assert "_hom" not in vars(moved)
     assert _hom(moved) == (x + w, y, w) and vars(p)["_hom"] == (x, y, w)
+
+
+@st.composite
+def inscribed_triangles(draw):
+    """A triangle inscribed in a rational circle, and a point of that circle."""
+    center = draw(points)
+    radius = draw(st.fractions(min_value=F(1, 4), max_value=5, max_denominator=12))
+    a, b, c, p = (circle_point_from_parameter(draw(rationals), center, radius) for _ in range(4))
+    assume(orientation(a, b, c) != 0)
+    return Triangle(a, b, c), p
+
+
+@given(inscribed_triangles())
+def test_triangle_cache_is_invisible(case):
+    """After a Triangle has built its sidelines, circumcircle and a Simson
+    line, equality, hashing, ``repr``, ``dataclasses.replace``, copying and
+    pickling behave as on a fresh triangle with the same vertices."""
+    tri, p = case
+    fresh = Triangle(tri.a, tri.b, tri.c)
+    hash_before = hash(tri)
+    sides, circ, line = tri.sides, tri.circumcircle, tri.simson_line(p)
+    assert tri.sides is sides and tri.circumcircle is circ
+    assert vars(tri).keys() == {"a", "b", "c", "sides", "circumcircle", "_simson"}
+    assert tri == fresh and hash(tri) == hash(fresh) == hash_before
+    assert repr(tri) == repr(fresh)
+    assert pickle.dumps(tri) == pickle.dumps(fresh)
+    for copied in (copy.copy(tri), pickle.loads(pickle.dumps(tri))):
+        assert copied == fresh and hash(copied) == hash(fresh)
+        assert vars(copied) == vars(fresh) == {"a": tri.a, "b": tri.b, "c": tri.c}
+    same = dataclasses.replace(tri)
+    assert same == tri and vars(same).keys() == {"a", "b", "c"}
+    assert same.sides == sides and same.sides is not sides
+    assert same.simson_line(p) == line and same.simson_line(p) is not line
+    moved = dataclasses.replace(tri, a=p)
+    assume(p not in (tri.b, tri.c))
+    assert moved.sides == (sides[0], line_through(tri.c, p), line_through(p, tri.b))
+    assert moved.circumcircle == circ  # p is on the same circle
+
+
+@given(inscribed_triangles())
+def test_triangle_simson_memo(case):
+    """The memo returns the line it built for an equal but distinct point,
+    and that line is the one a fresh triangle builds."""
+    tri, p = case
+    line = tri.simson_line(p)
+    assert tri.simson_line(Point(p.x, p.y)) is line
+    assert line == simson_line(p, Triangle(tri.a, tri.b, tri.c))
+    for v, opposite in zip((tri.a, tri.b, tri.c), tri.sides):
+        # A vertex's Simson line is the altitude from it.
+        assert tri.simson_line(v) == perpendicular_through(v, opposite)
+    assert tri.simson_line(p) is line

@@ -299,6 +299,14 @@ class TestCliVerify:
     def test_unknown_check_usage_error(self, scene_file):
         assert main(["verify", "--in", str(scene_file), "--checks", "check_bogus"]) == 2
 
+    @pytest.mark.parametrize("value", [",", " ", "", " , ,"])
+    def test_no_check_id_usage_error(self, scene_file, tmp_path, capsys, value):
+        report = tmp_path / "r.json"
+        assert main(["verify", "--in", str(scene_file), "--checks", value, "--report", str(report)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: --checks names no check id\n")
+        assert not report.exists()
+
     def test_unknown_check_usage_error_on_invalid_scene(self, scene_file, tmp_path):
         doc = json.loads(scene_file.read_text())
         doc["scenes"] = doc["scenes"][:1]
@@ -375,6 +383,27 @@ class TestCliRender:
 
     def test_index_out_of_range(self, scene_file, tmp_path):
         assert main(["render", "--in", str(scene_file), "--index", "5", "--out", str(tmp_path / "x.svg")]) == 1
+
+    @pytest.mark.parametrize("value", [",", "", " , "])
+    def test_no_layer_usage_error(self, scene_file, tmp_path, capsys, value):
+        fig = tmp_path / "f.svg"
+        assert main(["render", "--in", str(scene_file), "--out", str(fig), "--layers", value]) == 2
+        assert capsys.readouterr().err == "error: no layer selected\n"
+        assert not fig.exists()
+
+    def test_collapsed_configuration_draws_scene_layer_only(self, tmp_path, capsys):
+        path, fig = tmp_path / "s.json", tmp_path / "f.svg"
+        write_scene_file(str(path), [COLLAPSE_SCENE])
+        argv = ["render", "--in", str(path), "--out", str(fig)]
+        for layers in ("miquel", "triangles,steiner"):
+            assert main(argv + ["--layers", layers]) == 1
+            assert capsys.readouterr().err == (
+                "error: configuration degenerate, render scene layer only: configuration: collapsed (P = Q)\n"
+            )
+            assert not fig.exists()
+        assert main(argv) == 0  # every layer: the scene layer is drawn alone
+        svg = "{http://www.w3.org/2000/svg}"
+        assert [g.get("id") for g in ET.fromstring(fig.read_text()).iter(svg + "g")] == ["scene"]
 
     def test_render_does_not_affect_verification(self, scene_file, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -630,7 +659,7 @@ class TestCanonicalEncoder:
         (validation,) = json.loads(report.read_text())["scenes"][0]["checks"]
         assert validation["id"] == "scene_validation" and validation["status"] == "FAIL"
         expected = {
-            "a1 not on BC": [rational_to_str(scene.sidelines()[0].eval(moved))],
+            "a1 not on BC": [rational_to_str(scene.triangle.sides[0].eval(moved))],
             "a1 not on gamma": [rational_to_str(scene.gamma.eval(moved))],
         }
         assert {a["label"]: a["witnesses"] for a in validation["assertions"]} == expected

@@ -10,6 +10,7 @@ from brocard.geom import (
     Circle,
     Degenerate,
     Point,
+    Triangle,
     circumcircle,
     collinear_det,
     dist2,
@@ -54,19 +55,19 @@ def random_triangle(rng: Random):
 class TestMiquelPoint:
     def test_medial_triangle_gives_circumcenter(self):
         a, b, c = Point(0, 0), Point(4, 0), Point(1, 3)
-        m = miquel_point(midpoint(b, c), midpoint(c, a), midpoint(a, b), a, b, c)
+        m = miquel_point(midpoint(b, c), midpoint(c, a), midpoint(a, b), Triangle(a, b, c))
         assert m == circumcircle(a, b, c).center == Point(2, 1)
 
     def test_medial_triangle_random(self):
         rng = Random(4242)
         for _ in range(5):
             a, b, c = random_triangle(rng)
-            m = miquel_point(midpoint(b, c), midpoint(c, a), midpoint(a, b), a, b, c)
+            m = miquel_point(midpoint(b, c), midpoint(c, a), midpoint(a, b), Triangle(a, b, c))
             assert m == circumcircle(a, b, c).center
 
     def test_classical_aliasing_gives_brocard_point(self):
         s = classical_brocard_scene(0, 1, -1)
-        omega = miquel_point(s.b, s.c, s.a, s.a, s.b, s.c)
+        omega = miquel_point(s.b, s.c, s.a, s.triangle)
         # the first Brocard point satisfies the equal-angle condition
         t1 = tangent_of_angle(s.a, s.b, omega)
         t2 = tangent_of_angle(s.b, s.c, omega)
@@ -76,7 +77,7 @@ class TestMiquelPoint:
     def test_misplaced_point_rejected(self):
         a, b, c = Point(0, 0), Point(4, 0), Point(1, 3)
         with pytest.raises(Degenerate):
-            miquel_point(midpoint(c, a), midpoint(b, c), midpoint(a, b), a, b, c)
+            miquel_point(midpoint(c, a), midpoint(b, c), midpoint(a, b), Triangle(a, b, c))
 
 
 class TestMiquelQuadrangle:
@@ -171,8 +172,9 @@ class TestConfiguration:
         s = generate_scene(SceneParams(seed=29))
         cfg = compute_configuration(s)
         or_line = line_through(cfg.o, cfg.r)
-        assert parallel(simson_line(cfg.steiner, s.a, s.b, s.c), or_line)
-        tarry_line = simson_line(cfg.tarry, s.a, s.b, s.c)
+        tri = Triangle(s.a, s.b, s.c)
+        assert parallel(simson_line(cfg.steiner, tri), or_line)
+        tarry_line = simson_line(cfg.tarry, tri)
         assert tarry_line.a * or_line.a + tarry_line.b * or_line.b == 0
 
 

@@ -87,7 +87,7 @@ class TestGeneration:
         # numerators in {-1, 0, 1} over denominator 1: only three distinct
         # parameter values, never six.
         with pytest.raises(GenerationExhausted):
-            generate_scene(SceneParams(seed=0, numerator_cap=1, denominator_cap=1, max_attempts=30))
+            generate_scene(SceneParams(seed=0, numerator_cap=1, denominator_cap=1))
 
     def test_strict_segments(self):
         s = generate_scene(SceneParams(seed=3, strict_segments=True))

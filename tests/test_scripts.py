@@ -1,7 +1,9 @@
 """Smoke tests of the experiment scripts, run as their users run them: as
-separate processes with ``src`` on ``PYTHONPATH``."""
+separate processes with ``src`` on ``PYTHONPATH``; and of the README's
+library example, run as printed."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +40,10 @@ def test_render_gallery_writes_svgs(tmp_path):
     for name in written:
         text = (tmp_path / name).read_text(encoding="utf-8")
         assert "<svg " in text and text.rstrip().endswith("</svg>")
+
+
+def test_readme_library_example():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
