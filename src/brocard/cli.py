@@ -27,7 +27,7 @@ from .sceneio import (
     write_report_file,
     write_scene_file,
 )
-from .svgrender import LAYERS, render_svg
+from .svgrender import LAYERS, check_layers, render_svg
 
 OUT_DIR_ENV = "BROCARD_OUT_DIR"
 
@@ -162,6 +162,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    layers = LAYERS
+    if args.layers is not None:
+        layers = tuple(l.strip() for l in args.layers.split(",") if l.strip())
+    try:
+        check_layers(layers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         scenes, _ = read_scene_file(args.infile)
     except (SceneFormatError, OSError) as exc:
@@ -176,18 +184,12 @@ def cmd_render(args: argparse.Namespace) -> int:
         for violation in violations:
             print(f"error: scene {args.index} is invalid: {violation}", file=sys.stderr)
         return 1
-    layers = LAYERS
-    if args.layers is not None:
-        layers = tuple(l.strip() for l in args.layers.split(",") if l.strip())
     try:
         cfg = compute_configuration(scene) if any(l != "scene" for l in layers) else None
         svg = render_svg(scene, cfg, layers, digits=args.digits)
     except GeometryError as exc:
         print(f"error: configuration degenerate, render scene layer only: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     out = _out_path(args.out)
     try:
         with open(out, "w", encoding="utf-8") as fh:

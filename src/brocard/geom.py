@@ -1,19 +1,25 @@
 """Exact rational plane-geometry kernel.
 
-Every coordinate and every derived quantity is an exact rational
-(``fractions.Fraction``).  There is no epsilon and no floating point
-anywhere in this module: a point lies on a circle iff the defining
-polynomial vanishes identically, so every predicate is a decision, not an
-approximation.
+Every coordinate and every derived quantity is an exact rational.  There
+is no epsilon and no floating point anywhere in this module: a point lies
+on a circle iff the defining polynomial vanishes identically, so every
+predicate is a decision, not an approximation.
 
 Conventions:
 
+* ``Point(x, y)`` stores the integer triple ``h = (X, Y, W)`` with
+  x = X/W and y = Y/W; ``ComplexScalar(re, im)`` stores ``h`` the same way
+  for (X + Y*i)/W.  The entries are coprime and W > 0, so equal values
+  store equal tuples.  ``x``, ``y``, ``re`` and ``im`` are read-only
+  lowest-terms ``fractions.Fraction`` views, built on each access.
 * ``Line(a, b, c)`` is the locus a*x + b*y + c = 0.  Coefficients are
   canonicalized to a coprime integer triple whose first nonzero entry is
   positive, so structural equality coincides with geometric equality and
   lines hash deterministically.
-* ``Circle(d, e, f)`` is the monic quadratic x^2 + y^2 + d*x + e*y + f = 0.
-  Monic storage makes the radical axis of two circles a plain coefficient
+* ``Circle(d, e, f)`` is the monic quadratic x^2 + y^2 + d*x + e*y + f = 0,
+  stored as the coprime ``h = (D, E, F, V)``, V > 0, with d = D/V,
+  e = E/V and f = F/V; ``d``, ``e`` and ``f`` are views as above.  Monic
+  storage makes the radical axis of two circles a plain coefficient
   difference, and "second intersection through a known common point"
   reduces to Vieta's formulas.  No square root is ever taken; the general
   two-circle intersection (which would need one) is deliberately absent.
@@ -114,37 +120,38 @@ def _det3(a, b, c, d, e, f, g, h, i):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-# The constructions and the whole point, complex and similarity layer below
-# read their inputs as homogeneous integers (X, Y, W) over one common
-# denominator, compute with plain ints and build each output Fraction (or
-# the canonical Line triple) once: Fraction arithmetic reduces by gcd on
-# every operation, which dominates at the coordinate sizes scenes reach.
-# ``_hom`` caches a Point's triple in its instance ``__dict__`` on first
-# use.  Equality, hashing and ``repr`` read only the two fields,
-# ``dataclasses.replace`` builds a new instance without the cache, and
-# ``__getstate__`` leaves it out of copies and pickles.
+# Points, complex numbers and circles store the integer tuple ``h``
+# described above and nothing else.  The constructions and the predicates
+# below compute with plain ints on these tuples and reduce each output
+# tuple once, by one gcd, in ``_reduced``: Fraction arithmetic reduces by
+# gcd on every operation, which dominates at the coordinate sizes scenes
+# reach.  Equality and hashing compare the tuples.
 
 _Triple = Tuple[int, int, int]
 
 
-def _pair(x: Fraction, y: Fraction) -> _Triple:
-    """Integers (X, Y, W), W > 0 the lcm of the denominators, with x = X/W
-    and y = Y/W."""
-    nx, dx = x.as_integer_ratio()
-    ny, dy = y.as_integer_ratio()
-    if dx == dy:
-        return nx, ny, dx
-    w = lcm(dx, dy)
-    return nx * (w // dx), ny * (w // dy), w
+def _integers(*values: RationalLike) -> Tuple[int, ...]:
+    """The coprime integers (N_1, ..., N_k, W) with values[i] = N_i / W and
+    W > 0 the lcm of the denominators of the values in lowest terms."""
+    ratios = [(v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio() for v in values]
+    w = lcm(*[d for _, d in ratios])
+    return (*[n * (w // d) for n, d in ratios], w)
 
 
-def _hom(p: "Point") -> _Triple:
-    """Homogeneous integer coordinates (X, Y, W) of p, with W > 0 the lcm of
-    the coordinate denominators, so that p = (X/W, Y/W); cached on p."""
-    h = p.__dict__.get("_hom")
-    if h is None:
-        h = p.__dict__["_hom"] = _pair(p.x, p.y)
-    return h
+def _reduced(cls, *ints: int):
+    """The ``cls`` value storing ints, whose last entry is nonzero, divided
+    by their gcd and signed so that the last entry is positive."""
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    value = object.__new__(cls)
+    object.__setattr__(value, "h", ints if g == 1 else tuple([v // g for v in ints]))
+    return value
+
+
+def _view(i: int) -> property:
+    """Entry i of the stored tuple over its last entry, as a Fraction."""
+    return property(lambda self: Fraction(self.h[i], self.h[-1]))
 
 
 def _sum(u: _Triple, v: _Triple, k: int) -> _Triple:
@@ -173,93 +180,76 @@ def _quotient(u: _Triple, v: _Triple) -> _Triple:
     return (x1 * x2 + y1 * y2) * w2, (y1 * x2 - x1 * y2) * w2, w1 * n
 
 
-def _point(x: int, y: int, w: int) -> "Point":
-    return Point(Fraction(x, w), Fraction(y, w))
-
-
-def _hom_circle(c: "Circle") -> Tuple[int, int, int, int]:
-    """Integers (D, E, F, V), V > 0 the lcm of the coefficient denominators,
-    with c = x^2 + y^2 + (D*x + E*y + F)/V."""
-    nd, dd = c.d.as_integer_ratio()
-    ne, de = c.e.as_integer_ratio()
-    nf, df = c.f.as_integer_ratio()
-    v = lcm(dd, de, df)
-    return nd * (v // dd), ne * (v // de), nf * (v // df), v
-
-
 # ---------------------------------------------------------------------------
 # Points (also used as displacement vectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Point:
-    x: Fraction
-    y: Fraction
+    h: _Triple
 
-    def __post_init__(self):
-        if not isinstance(self.x, Fraction):
-            object.__setattr__(self, "x", rat(self.x))
-        if not isinstance(self.y, Fraction):
-            object.__setattr__(self, "y", rat(self.y))
+    def __init__(self, x: RationalLike, y: RationalLike):
+        object.__setattr__(self, "h", _integers(x, y))
+
+    x = _view(0)
+    y = _view(1)
 
     def __add__(self, other: "Point") -> "Point":
-        return _point(*_sum(_hom(self), _hom(other), 1))
+        return _reduced(Point, *_sum(self.h, other.h, 1))
 
     def __sub__(self, other: "Point") -> "Point":
-        return _point(*_sum(_hom(self), _hom(other), -1))
+        return _reduced(Point, *_sum(self.h, other.h, -1))
 
     def __neg__(self) -> "Point":
-        return Point(-self.x, -self.y)
+        x, y, w = self.h
+        return _reduced(Point, -x, -y, w)
 
     def __rmul__(self, k: RationalLike) -> "Point":
-        n, d = rat(k).as_integer_ratio()
-        x, y, w = _hom(self)
-        return _point(n * x, n * y, d * w)
+        n, d = _integers(k)
+        x, y, w = self.h
+        return _reduced(Point, n * x, n * y, d * w)
 
     def __repr__(self) -> str:
         return f"Point({self.x}, {self.y})"
 
-    def __getstate__(self) -> dict:
-        return {"x": self.x, "y": self.y}
-
 
 def cross(u: Point, v: Point) -> Fraction:
     """2D cross product of two displacement vectors."""
-    x1, y1, w1 = _hom(u)
-    x2, y2, w2 = _hom(v)
+    x1, y1, w1 = u.h
+    x2, y2, w2 = v.h
     return Fraction(x1 * y2 - y1 * x2, w1 * w2)
 
 
 def dot(u: Point, v: Point) -> Fraction:
-    x1, y1, w1 = _hom(u)
-    x2, y2, w2 = _hom(v)
+    x1, y1, w1 = u.h
+    x2, y2, w2 = v.h
     return Fraction(x1 * x2 + y1 * y2, w1 * w2)
 
 
 def dist2(p: Point, q: Point) -> Fraction:
     """Squared distance.  Plain distance would need a square root."""
-    x, y, w = _sum(_hom(q), _hom(p), -1)
+    x, y, w = _sum(q.h, p.h, -1)
     return Fraction(x * x + y * y, w * w)
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    x, y, w = _sum(_hom(p), _hom(q), 1)
-    return _point(x, y, 2 * w)
+    x, y, w = _sum(p.h, q.h, 1)
+    return _reduced(Point, x, y, 2 * w)
 
 
 def point_along(p: Point, q: Point, t: RationalLike) -> Point:
     """The point p + t*(q - p) of the line pq."""
-    n, d = rat(t).as_integer_ratio()
-    x1, y1, w1 = _hom(p)
-    x2, y2, w2 = _hom(q)
-    return _point((d - n) * x1 * w2 + n * x2 * w1, (d - n) * y1 * w2 + n * y2 * w1, d * w1 * w2)
+    n, d = _integers(t)
+    x1, y1, w1 = p.h
+    x2, y2, w2 = q.h
+    return _reduced(Point, (d - n) * x1 * w2 + n * x2 * w1, (d - n) * y1 * w2 + n * y2 * w1, d * w1 * w2)
 
 
 def _area(p: Point, q: Point, r: Point) -> Tuple[int, int]:
     """cross(q - p, r - p) as an unreduced (numerator, positive denominator)."""
-    x1, y1, w1 = _hom(p)
-    x2, y2, w2 = _hom(q)
-    x3, y3, w3 = _hom(r)
+    x1, y1, w1 = p.h
+    x2, y2, w2 = q.h
+    x3, y3, w3 = r.h
     return _det3(x1, y1, w1, x2, y2, w2, x3, y3, w3), w1 * w2 * w3
 
 
@@ -272,7 +262,7 @@ def orientation(p: Point, q: Point, r: Point) -> int:
 # Exact complex numbers (spiral-similarity data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ComplexScalar:
     """Complex number with exact rational real and imaginary parts.
 
@@ -281,61 +271,46 @@ class ComplexScalar:
     materialized as a real number.
     """
 
-    re: Fraction
-    im: Fraction
+    h: _Triple
 
-    def __post_init__(self):
-        if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", rat(self.re))
-        if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", rat(self.im))
+    def __init__(self, re: RationalLike, im: RationalLike):
+        object.__setattr__(self, "h", _integers(re, im))
+
+    re = _view(0)
+    im = _view(1)
 
     def conj(self) -> "ComplexScalar":
-        return ComplexScalar(self.re, -self.im)
+        x, y, w = self.h
+        return _reduced(ComplexScalar, x, -y, w)
 
     def __add__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return _complex(*_sum(_hom_complex(self), _hom_complex(other), 1))
+        return _reduced(ComplexScalar, *_sum(self.h, other.h, 1))
 
     def __sub__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return _complex(*_sum(_hom_complex(self), _hom_complex(other), -1))
+        return _reduced(ComplexScalar, *_sum(self.h, other.h, -1))
 
     def __neg__(self) -> "ComplexScalar":
-        return ComplexScalar(-self.re, -self.im)
+        x, y, w = self.h
+        return _reduced(ComplexScalar, -x, -y, w)
 
     def __mul__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return _complex(*_times(_hom_complex(self), _hom_complex(other)))
+        return _reduced(ComplexScalar, *_times(self.h, other.h))
 
     def __truediv__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return _complex(*_quotient(_hom_complex(self), _hom_complex(other)))
+        return _reduced(ComplexScalar, *_quotient(self.h, other.h))
 
     def apply_to(self, v: Point) -> Point:
         """Multiply the displacement vector v by this complex number."""
-        return _point(*_times(_hom_complex(self), _hom(v)))
-
-
-def _hom_complex(z: ComplexScalar) -> _Triple:
-    """Integers (X, Y, W), W > 0, with z = (X + Y*i)/W."""
-    return _pair(z.re, z.im)
-
-
-def _complex(x: int, y: int, w: int) -> ComplexScalar:
-    return ComplexScalar(Fraction(x, w), Fraction(y, w))
+        return _reduced(Point, *_times(self.h, v.h))
 
 
 def complex_ratio(u: Point, v: Point) -> ComplexScalar:
     """The complex number u / v, reading displacement vectors as complex."""
-    return _complex(*_quotient(_hom(u), _hom(v)))
+    return _reduced(ComplexScalar, *_quotient(u.h, v.h))
 
 
 # ---------------------------------------------------------------------------
 # Lines
-
-
-def _cleared(*values: RationalLike) -> Tuple[int, ...]:
-    """Scale a rational tuple by the lcm of its denominators to integers."""
-    fracs = [rat(v) for v in values]
-    den = lcm(*(v.denominator for v in fracs))
-    return tuple(v.numerator * (den // v.denominator) for v in fracs)
 
 
 def _canonical_ints(*ints: int) -> Tuple[int, ...]:
@@ -363,7 +338,7 @@ class Line:
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
         if not (type(a) is int and type(b) is int and type(c) is int):
-            a, b, c = _cleared(a, b, c)
+            a, b, c = _integers(a, b, c)[:3]
         if a == 0 and b == 0:
             raise Degenerate("line", "normal vector (a, b) is zero")
         a, b, c = _canonical_ints(a, b, c)
@@ -373,7 +348,7 @@ class Line:
 
     def eval(self, p: Point) -> Fraction:
         """Signed residual of p in the line equation; zero iff p is on the line."""
-        x, y, w = _hom(p)
+        x, y, w = p.h
         return Fraction(self.a * x + self.b * y + self.c * w, w)
 
     def __repr__(self) -> str:
@@ -384,35 +359,35 @@ class Line:
 # Circles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Circle:
     """Monic circle x^2 + y^2 + d*x + e*y + f = 0."""
 
-    d: Fraction
-    e: Fraction
-    f: Fraction
+    h: Tuple[int, int, int, int]
 
-    def __post_init__(self):
-        for name in ("d", "e", "f"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, rat(v))
+    def __init__(self, d: RationalLike, e: RationalLike, f: RationalLike):
+        object.__setattr__(self, "h", _integers(d, e, f))
+
+    d = _view(0)
+    e = _view(1)
+    f = _view(2)
 
     @classmethod
     def from_center_radius2(cls, center: Point, radius2: RationalLike) -> "Circle":
-        r2 = rat(radius2)
-        if r2 <= 0:
+        n, m = _integers(radius2)
+        if n <= 0:
             raise Degenerate("circle", "radius squared must be positive")
-        return cls(-2 * center.x, -2 * center.y, center.x * center.x + center.y * center.y - r2)
+        x, y, w = center.h
+        return _reduced(cls, -2 * x * w * m, -2 * y * w * m, (x * x + y * y) * m - n * w * w, w * w * m)
 
     @property
     def center(self) -> Point:
-        d, e, _, v = _hom_circle(self)
-        return _point(-d, -e, 2 * v)
+        d, e, _, v = self.h
+        return _reduced(Point, -d, -e, 2 * v)
 
     @property
     def radius2(self) -> Fraction:
-        d, e, f, v = _hom_circle(self)
+        d, e, f, v = self.h
         return Fraction(d * d + e * e - 4 * f * v, 4 * v * v)
 
     def eval(self, p: Point) -> Fraction:
@@ -441,7 +416,7 @@ class DirectedAngleClass:
     def __post_init__(self):
         u, v = self.cross, self.dot
         if not (type(u) is int and type(v) is int):
-            u, v = _cleared(u, v)
+            u, v = _integers(u, v)[:2]
         if u == 0 and v == 0:
             raise Degenerate("angle class", "(cross, dot) is zero")
         u, v = _canonical_ints(u, v)
@@ -470,8 +445,8 @@ def angle_at(vertex: Point, p: Point, q: Point) -> DirectedAngleClass:
 
 
 def line_through(p: Point, q: Point) -> Line:
-    x1, y1, w1 = _hom(p)
-    x2, y2, w2 = _hom(q)
+    x1, y1, w1 = p.h
+    x2, y2, w2 = q.h
     a = y1 * w2 - y2 * w1
     b = x2 * w1 - x1 * w2
     if a == 0 and b == 0:
@@ -483,25 +458,22 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     det = l1.a * l2.b - l2.a * l1.b
     if det == 0:
         raise ParallelLines(identical=(l1 == l2))
-    return Point(
-        Fraction(l1.b * l2.c - l2.b * l1.c, det),
-        Fraction(l2.a * l1.c - l1.a * l2.c, det),
-    )
+    return _reduced(Point, l1.b * l2.c - l2.b * l1.c, l2.a * l1.c - l1.a * l2.c, det)
 
 
 def parallel_through(p: Point, l: Line) -> Line:
-    x, y, w = _hom(p)
+    x, y, w = p.h
     return Line(l.a * w, l.b * w, -(l.a * x + l.b * y))
 
 
 def perpendicular_through(p: Point, l: Line) -> Line:
-    x, y, w = _hom(p)
+    x, y, w = p.h
     return Line(l.b * w, -l.a * w, l.a * y - l.b * x)
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:
-    x1, y1, w1 = _hom(p)
-    x2, y2, w2 = _hom(q)
+    x1, y1, w1 = p.h
+    x2, y2, w2 = q.h
     dx = x2 * w1 - x1 * w2
     dy = y2 * w1 - y1 * w2
     if dx == 0 and dy == 0:
@@ -515,12 +487,11 @@ def perpendicular_bisector(p: Point, q: Point) -> Line:
 
 
 def foot_perpendicular(p: Point, l: Line) -> Point:
-    x, y, w = _hom(p)
+    x, y, w = p.h
     a, b = l.a, l.b
     n2 = a * a + b * b
     r = a * x + b * y + l.c * w
-    den = w * n2
-    return Point(Fraction(x * n2 - r * a, den), Fraction(y * n2 - r * b, den))
+    return _reduced(Point, x * n2 - r * a, y * n2 - r * b, w * n2)
 
 
 def spiral_ratio(m: Point, d: Point, side: Line) -> ComplexScalar:
@@ -528,8 +499,8 @@ def spiral_ratio(m: Point, d: Point, side: Line) -> ComplexScalar:
     taking the pedal foot of m to d; its argument is the rotation angle and
     its modulus the scale."""
     a, b, c = side.a, side.b, side.c
-    xm, ym, wm = _hom(m)
-    xd, yd, wd = _hom(d)
+    xm, ym, wm = m.h
+    xd, yd, wd = d.h
     r = a * xm + b * ym + c * wm
     if r == 0:
         raise Degenerate("spiral ratio", "center lies on the side")
@@ -538,26 +509,27 @@ def spiral_ratio(m: Point, d: Point, side: Line) -> ComplexScalar:
     # foot - m = -r/(wm*(a^2 + b^2)) * (a + b*i), so the ratio is
     # -(d - m) * (a - b*i) * wm / r with d - m = (ux + uy*i) / (wd*wm).
     ux, uy = xd * wm - xm * wd, yd * wm - ym * wd
-    den = -wd * r
-    return _complex(ux * a + uy * b, uy * a - ux * b, den)
+    return _reduced(ComplexScalar, ux * a + uy * b, uy * a - ux * b, -wd * r)
 
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:
     # Row i of the usual determinants, scaled by W_i^2 > 0; the common
     # factor cancels in each ratio.
-    x1, y1, w1 = _hom(p)
-    x2, y2, w2 = _hom(q)
-    x3, y3, w3 = _hom(r)
+    x1, y1, w1 = p.h
+    x2, y2, w2 = q.h
+    x3, y3, w3 = r.h
     a1, b1, c1, s1 = x1 * w1, y1 * w1, w1 * w1, -(x1 * x1 + y1 * y1)
     a2, b2, c2, s2 = x2 * w2, y2 * w2, w2 * w2, -(x2 * x2 + y2 * y2)
     a3, b3, c3, s3 = x3 * w3, y3 * w3, w3 * w3, -(x3 * x3 + y3 * y3)
     det = _det3(a1, b1, c1, a2, b2, c2, a3, b3, c3)
     if det == 0:
         raise CollinearPoints("no circle through collinear points")
-    return Circle(
-        Fraction(_det3(s1, b1, c1, s2, b2, c2, s3, b3, c3), det),
-        Fraction(_det3(a1, s1, c1, a2, s2, c2, a3, s3, c3), det),
-        Fraction(_det3(a1, b1, s1, a2, b2, s2, a3, b3, s3), det),
+    return _reduced(
+        Circle,
+        _det3(s1, b1, c1, s2, b2, c2, s3, b3, c3),
+        _det3(a1, s1, c1, a2, s2, c2, a3, s3, c3),
+        _det3(a1, b1, s1, a2, b2, s2, a3, b3, s3),
+        det,
     )
 
 
@@ -599,15 +571,14 @@ def second_intersection_circle_line(c: Circle, l: Line, x: Point) -> Tuple[Point
     if not on_circle(x, c):
         raise PointNotOnCircle(f"{x} is not on {c}")
     a, b = l.a, l.b
-    px, py, w = _hom(x)
-    d, e, _, v = _hom_circle(c)
+    px, py, w = x.h
+    d, e, _, v = c.h
     # t = -n / (v * w * (a^2 + b^2)) is the second root.
     n = 2 * v * (px * b - py * a) + w * (d * b - e * a)
     if n == 0:
         return x, True
     n2 = v * (a * a + b * b)
-    den = w * n2
-    return Point(Fraction(px * n2 - n * b, den), Fraction(py * n2 + n * a, den)), False
+    return _reduced(Point, px * n2 - n * b, py * n2 + n * a, w * n2), False
 
 
 def second_intersection_circles(c1: Circle, c2: Circle, x: Point) -> Tuple[Point, bool]:
@@ -623,15 +594,15 @@ def second_intersection_circles(c1: Circle, c2: Circle, x: Point) -> Tuple[Point
         raise PointNotOnCircle(f"{x} is not on {c1}")
     if not on_circle(x, c2):
         raise PointNotOnCircle(f"{x} is not on {c2}")
-    d1, e1, f1, v1 = _hom_circle(c1)
-    d2, e2, f2, v2 = _hom_circle(c2)
+    d1, e1, f1, v1 = c1.h
+    d2, e2, f2, v2 = c2.h
     radical_axis = Line(d1 * v2 - d2 * v1, e1 * v2 - e2 * v1, f1 * v2 - f2 * v1)
     return second_intersection_circle_line(c1, radical_axis, x)
 
 
 def polar_of_point(p: Point, c: Circle) -> Line:
-    x, y, w = _hom(p)
-    d, e, f, v = _hom_circle(c)
+    x, y, w = p.h
+    d, e, f, v = c.h
     a = 2 * v * x + d * w
     b = 2 * v * y + e * w
     if a == 0 and b == 0:
@@ -640,13 +611,12 @@ def polar_of_point(p: Point, c: Circle) -> Line:
 
 
 def pole_of_line(l: Line, c: Circle) -> Point:
-    d, e, f, v = _hom_circle(c)
+    d, e, f, v = c.h
     denom = d * l.a + e * l.b - 2 * v * l.c
     if denom == 0:
         raise CenterDegenerate("pole of a line through the center is at infinity")
     r = d * d + e * e - 4 * f * v  # 4 * v^2 * radius2
-    den = 2 * v * denom
-    return Point(Fraction(r * l.a - d * denom, den), Fraction(r * l.b - e * denom, den))
+    return _reduced(Point, r * l.a - d * denom, r * l.b - e * denom, 2 * v * denom)
 
 
 def isogonal_conjugate(p: Point, a: Point, b: Point, c: Point) -> Point:
@@ -656,10 +626,10 @@ def isogonal_conjugate(p: Point, a: Point, b: Point, c: Point) -> Point:
     the squared side lengths.  Undefined on the sidelines (a coordinate
     vanishes) and on the circumcircle (the image is at infinity).
     """
-    xa, ya, wa = _hom(a)
-    xb, yb, wb = _hom(b)
-    xc, yc, wc = _hom(c)
-    xp, yp, wp = _hom(p)
+    xa, ya, wa = a.h
+    xb, yb, wb = b.h
+    xc, yc, wc = c.h
+    xp, yp, wp = p.h
     # Signed areas times the positive W products: the orientation of abc
     # and the barycentrics (u : v : w) of p.
     if _det3(xa, ya, wa, xb, yb, wb, xc, yc, wc) == 0:
@@ -679,7 +649,7 @@ def isogonal_conjugate(p: Point, a: Point, b: Point, c: Point) -> Point:
     s = ku * wa + kv * wb + kw * wc
     if s == 0:
         raise Degenerate("isogonal conjugate", "point lies on the circumcircle")
-    return Point(Fraction(ku * xa + kv * xb + kw * xc, s), Fraction(ku * ya + kv * yb + kw * yc, s))
+    return _reduced(Point, ku * xa + kv * xb + kw * xc, ku * ya + kv * yb + kw * yc, s)
 
 
 def simson_line(p: Point, tri: "Triangle") -> Line:
@@ -701,10 +671,9 @@ def simson_line(p: Point, tri: "Triangle") -> Line:
 @dataclass(frozen=True)
 class Triangle:
     """Triangle abc.  Its sidelines, circumcircle and the Simson line of each
-    point asked about are built on first use and cached on the instance, as
-    ``_hom`` is on a Point: equality, hashing, ``repr``, ``replace``, copies
-    and pickles ignore them.  Simson lines are keyed on the point's ``_hom``
-    triple, which hashes without the modular inverse a Fraction hash takes."""
+    point asked about are built on first use and cached in the instance
+    ``__dict__``, keyed on the point for Simson lines: equality, hashing,
+    ``repr``, ``replace``, copies and pickles ignore them."""
 
     a: Point
     b: Point
@@ -722,10 +691,9 @@ class Triangle:
     def simson_line(self, p: Point) -> Line:
         """``simson_line(p, self)``, built once per point."""
         memo = self.__dict__.setdefault("_simson", {})
-        key = _hom(p)
-        line = memo.get(key)
+        line = memo.get(p)
         if line is None:
-            line = memo[key] = simson_line(p, self)
+            line = memo[p] = simson_line(p, self)
         return line
 
     def __getstate__(self) -> dict:
@@ -737,14 +705,14 @@ class Triangle:
 
 
 def on_line(p: Point, l: Line) -> bool:
-    x, y, w = _hom(p)
+    x, y, w = p.h
     return l.a * x + l.b * y + l.c * w == 0
 
 
 def _power(p: Point, c: Circle) -> Tuple[int, int]:
     """Power of p with respect to c as an unreduced (numerator, denominator)."""
-    x, y, w = _hom(p)
-    d, e, f, v = _hom_circle(c)
+    x, y, w = p.h
+    d, e, f, v = c.h
     return v * (x * x + y * y) + w * (d * x + e * y + f * w), v * w * w
 
 
@@ -775,8 +743,8 @@ class InverseSimilarity:
     beta: ComplexScalar
 
     def apply(self, p: Point) -> Point:
-        x, y, w = _hom(p)
-        return _point(*_sum(_times(_hom_complex(self.alpha), (x, -y, w)), _hom_complex(self.beta), 1))
+        x, y, w = p.h
+        return _reduced(Point, *_sum(_times(self.alpha.h, (x, -y, w)), self.beta.h, 1))
 
 
 def inverse_similarity_map(src1: Point, dst1: Point, src2: Point, dst2: Point) -> InverseSimilarity:
@@ -784,10 +752,10 @@ def inverse_similarity_map(src1: Point, dst1: Point, src2: Point, dst2: Point) -
     src2 -> dst2."""
     if src1 == src2:
         raise CoincidentPoints("similarity needs two distinct source points")
-    x1, y1, w1 = _hom(src1)
-    x2, y2, w2 = _hom(src2)
+    x1, y1, w1 = src1.h
+    x2, y2, w2 = src2.h
     zs1 = (x1, -y1, w1)  # conj(src1)
-    zd1 = _hom(dst1)
-    alpha = _quotient(_sum(zd1, _hom(dst2), -1), _sum(zs1, (x2, -y2, w2), -1))
+    zd1 = dst1.h
+    alpha = _quotient(_sum(zd1, dst2.h, -1), _sum(zs1, (x2, -y2, w2), -1))
     beta = _sum(zd1, _times(alpha, zs1), -1)
-    return InverseSimilarity(_complex(*alpha), _complex(*beta))
+    return InverseSimilarity(_reduced(ComplexScalar, *alpha), _reduced(ComplexScalar, *beta))

@@ -127,6 +127,16 @@ def _line_in_box(
     return (ends[0], ends[1]) if len(ends) >= 2 else None
 
 
+def check_layers(layers: Sequence[str]) -> None:
+    """Raise ``ValueError`` unless ``layers`` names at least one layer and
+    only names of ``LAYERS``."""
+    unknown = [l for l in layers if l not in LAYERS]
+    if unknown:
+        raise ValueError(f"unknown layers: {', '.join(unknown)}")
+    if not layers:
+        raise ValueError("no layer selected")
+
+
 def render_svg(
     scene: Scene,
     cfg: Optional[Configuration],
@@ -137,11 +147,7 @@ def render_svg(
     ``cfg`` and skipped when it has collapsed (P = Q); a selection that
     leaves nothing to draw raises ``ValueError`` when it is empty and
     ``Degenerate`` when only such layers remain."""
-    unknown = [l for l in layers if l not in LAYERS]
-    if unknown:
-        raise ValueError(f"unknown layers: {', '.join(unknown)}")
-    if not layers:
-        raise ValueError("no layer selected")
+    check_layers(layers)
     if "scene" not in layers and (cfg is None or cfg.collapsed):
         raise Degenerate("configuration", "collapsed (P = Q)" if cfg is not None else "not given")
     canvas = _Canvas(digits)

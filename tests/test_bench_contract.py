@@ -48,11 +48,12 @@ def test_traced_run_sees_every_check_and_restores_patches(monkeypatch):
 
 
 #: Fraction operations of one ``run_suite`` on the seed-7 scene at caps 50,
-#: with the memoised cyclic lemma computed afresh: 24 when set, 651 before
-#: the point, complex and similarity layer moved onto integers.  The bound
-#: allows 10% more.  Like the tracer, it counts the operators and not the
-#: ``Fraction(n, d)`` constructions the integer layer reduces its results in.
-FRACTION_OPS_SEED7 = 24
+#: with the memoised cyclic lemma computed afresh: 17 since points, circles
+#: and complex numbers store integer tuples, 24 while they stored Fractions,
+#: 651 before the point, complex and similarity layer moved onto integers.
+#: The bound allows 10% more.  Like the tracer, it counts the operators and
+#: not the ``Fraction(n, d)`` constructions of witnesses and views.
+FRACTION_OPS_SEED7 = 17
 
 
 def test_fraction_operations_of_one_suite_run(monkeypatch):

@@ -23,9 +23,9 @@ from brocard.geom import (
     GeometryError,
     InverseSimilarity,
     Line,
+    ParallelLines,
     Point,
     Triangle,
-    _hom,
     circumcircle,
     collinear_det,
     complex_ratio,
@@ -34,6 +34,7 @@ from brocard.geom import (
     dist2,
     dot,
     foot_perpendicular,
+    intersect_lines,
     isogonal_conjugate,
     line_through,
     midpoint,
@@ -779,26 +780,73 @@ def test_witness_differences_match_reference(p, q, s, t):
         assert ok == assertion.ok == all(v == 0 for v in expected)
 
 
-@given(kernel_points())
-def test_hom_cache_is_invisible(p):
-    """After ``_hom`` has run on a point, equality, hashing, ``repr``,
-    ``dataclasses.replace``, copying and pickling behave as on a fresh
-    point with the same coordinates."""
-    fresh = Point(p.x, p.y)
-    hash_before = hash(p)
-    x, y, w = _hom(p)
-    assert vars(p)["_hom"] == (x, y, w) == _hom(Point(p.x, p.y))
-    assert p == fresh and hash(p) == hash(fresh) == hash_before
-    assert repr(p) == repr(fresh)
-    assert pickle.dumps(p) == pickle.dumps(fresh)
-    for copied in (copy.copy(p), pickle.loads(pickle.dumps(p))):
-        assert copied == fresh and hash(copied) == hash(fresh)
-        assert vars(copied) == vars(fresh) == {"x": p.x, "y": p.y}
-    same = dataclasses.replace(p)
-    assert same == p and "_hom" not in vars(same)
-    moved = dataclasses.replace(p, x=p.x + 1)
-    assert "_hom" not in vars(moved)
-    assert _hom(moved) == (x + w, y, w) and vars(p)["_hom"] == (x, y, w)
+def _assert_stored_form(value, *views):
+    """``value`` holds one field, a coprime integer tuple with a positive
+    last entry; its ``views`` are lowest-terms Fractions of that tuple, and
+    rebuilding from them, copying or pickling gives an equal value with an
+    equal hash."""
+    h = value.h
+    assert [f.name for f in dataclasses.fields(value)] == ["h"] and not hasattr(value, "__dict__")
+    assert type(h) is tuple and all(type(v) is int for v in h)
+    assert gcd(*h) == 1 and h[-1] > 0
+    fractions = [getattr(value, name) for name in views]
+    for i, v in enumerate(fractions):
+        assert type(v) is F and v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+        assert v == F(h[i], h[-1])
+    rebuilt = type(value)(*fractions)
+    assert rebuilt == value and rebuilt.h == h and hash(rebuilt) == hash(value)
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied.h == h
+        assert copied == value and hash(copied) == hash(value)
+
+
+def _lcm_form(*values):
+    w = lcm(*(v.denominator for v in values))
+    return (*(v.numerator * (w // v.denominator) for v in values), w)
+
+
+@example(Point(F(1, 2), F(-2, 3)), Point(0, 0), Point(0, 1), Point(1, 0))  # clockwise abc
+@given(kernel_points(), kernel_points(), kernel_points(), kernel_points())
+def test_stored_form(p, a, b, c):
+    """Points, circles and complex values built from rationals store the lcm
+    form of their rationals; those built by constructions whose raw
+    denominator can be negative (a clockwise circumcircle, the two orders of
+    ``intersect_lines``, ``pole_of_line``, ``isogonal_conjugate``, complex
+    ``/``) store the same canonical form."""
+    z, w = ComplexScalar(p.x, p.y), ComplexScalar(a.x, -a.y)
+    gamma = Circle(p.x, a.y, b.x)
+    assert p.h == _lcm_form(p.x, p.y) and z.h == p.h
+    assert gamma.h == _lcm_form(p.x, a.y, b.x)
+    points, circles, complexes = [p, a, b, c], [gamma], [z, w, z * w, z - w]
+    try:
+        complexes.append(z / w)
+    except Degenerate:
+        assert w == ComplexScalar(0, 0)
+    if orientation(a, b, c) != 0:
+        circles += [circumcircle(a, b, c), circumcircle(a, c, b)]
+        for tri in ((a, b, c), (a, c, b)):
+            try:
+                points.append(isogonal_conjugate(p, *tri))
+            except GeometryError:
+                pass
+    if a != b and p != c:
+        l1, l2 = line_through(a, b), line_through(p, c)
+        for m, n in ((l1, l2), (l2, l1)):
+            try:
+                points.append(intersect_lines(m, n))
+            except ParallelLines:
+                pass
+        for circle in circles:
+            try:
+                points.append(pole_of_line(l1, circle))
+            except CenterDegenerate:
+                pass
+    for value in points:
+        _assert_stored_form(value, "x", "y")
+    for value in circles:
+        _assert_stored_form(value, "d", "e", "f")
+    for value in complexes:
+        _assert_stored_form(value, "re", "im")
 
 
 @st.composite
@@ -822,6 +870,7 @@ def test_triangle_cache_is_invisible(case):
     sides, circ, line = tri.sides, tri.circumcircle, tri.simson_line(p)
     assert tri.sides is sides and tri.circumcircle is circ
     assert vars(tri).keys() == {"a", "b", "c", "sides", "circumcircle", "_simson"}
+    assert vars(tri)["_simson"] == {p: line}  # keyed on the point itself
     assert tri == fresh and hash(tri) == hash(fresh) == hash_before
     assert repr(tri) == repr(fresh)
     assert pickle.dumps(tri) == pickle.dumps(fresh)

@@ -29,9 +29,15 @@ from brocard.checks import (
     run_suite,
 )
 from brocard.cli import main
-from brocard.geom import Point
+from brocard.geom import GeometryError, Point
 from brocard.pipeline import compute_configuration
-from brocard.scene import SceneParams, classical_brocard_scene, generate_scene, validate_scene
+from brocard.scene import (
+    SceneParams,
+    classical_brocard_scene,
+    generate_scene,
+    scene_from_parameters,
+    validate_scene,
+)
 from brocard.sceneio import (
     SCENE_FORMAT,
     SceneFormatError,
@@ -389,6 +395,20 @@ class TestCliRender:
         fig = tmp_path / "f.svg"
         assert main(["render", "--in", str(scene_file), "--out", str(fig), "--layers", value]) == 2
         assert capsys.readouterr().err == "error: no layer selected\n"
+        assert not fig.exists()
+
+    @pytest.mark.parametrize("value", ["bogus", "scene,bogus"])
+    def test_unknown_layer_checked_before_configuration(self, tmp_path, capsys, value):
+        """An unknown layer is a usage error also on a scene whose
+        configuration cannot be built."""
+        scene = scene_from_parameters(["-1", "-2", "1/2", "2", "-1/2", "1"], Point(0, 0), 1)
+        assert validate_scene(scene) == []
+        with pytest.raises(GeometryError):
+            compute_configuration(scene)
+        path, fig = tmp_path / "s.json", tmp_path / "f.svg"
+        write_scene_file(str(path), [scene])
+        assert main(["render", "--in", str(path), "--out", str(fig), "--layers", value]) == 2
+        assert capsys.readouterr().err == "error: unknown layers: bogus\n"
         assert not fig.exists()
 
     def test_collapsed_configuration_draws_scene_layer_only(self, tmp_path, capsys):

@@ -1,13 +1,18 @@
 """Pipeline constructions: Miquel points, the full configuration, the
 classical overlay, and the collapse path."""
 
+import dataclasses
 from fractions import Fraction as F
 from random import Random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, example, given, settings
 
+from brocard.checks import run_suite
 from brocard.geom import (
     Circle,
+    ComplexScalar,
     Degenerate,
     Point,
     Triangle,
@@ -232,3 +237,75 @@ class TestClassicalOverlay:
         s = generate_scene(SceneParams(seed=7))
         with pytest.raises(ValueError):
             classical_overlay(s)
+
+
+def _similar(alpha, beta, p):
+    """alpha * p + beta, reading the point p as a complex number; Fraction
+    arithmetic on the coordinate views."""
+    (ar, ai), (br, bi) = alpha, beta
+    return Point(ar * p.x - ai * p.y + br, ar * p.y + ai * p.x + bi)
+
+
+def _similar_circle(alpha, beta, c):
+    """The image circle: the image center, radius squared times |alpha|^2."""
+    center = _similar(alpha, beta, Point(-c.d / 2, -c.e / 2))
+    r2 = (c.d * c.d + c.e * c.e) / 4 - c.f
+    r2 *= alpha[0] ** 2 + alpha[1] ** 2
+    return Circle(-2 * center.x, -2 * center.y, center.x * center.x + center.y * center.y - r2)
+
+
+SCENE_POINTS = ("a", "b", "c", "o", "a1", "a2", "b1", "b2", "c1", "c2")
+
+
+def _similar_scene(alpha, beta, s):
+    return dataclasses.replace(
+        s,
+        gamma=_similar_circle(alpha, beta, s.gamma),
+        **{name: _similar(alpha, beta, getattr(s, name)) for name in SCENE_POINTS},
+    )
+
+
+scales = st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(bool)
+
+
+@st.composite
+def direct_similarities(draw):
+    """(alpha, beta) of z -> alpha*z + beta: alpha a Pythagorean-triple unit
+    ((m^2 - n^2) + 2mn*i) / (m^2 + n^2) times a nonzero rational scale, beta
+    a rational complex number."""
+    m, n = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    assume(m or n)
+    k = draw(scales) / (m * m + n * n)
+    shift = st.fractions(min_value=-9, max_value=9, max_denominator=11)
+    return (k * (m * m - n * n), k * 2 * m * n), (draw(shift), draw(shift))
+
+
+class TestSimilarityEquivariance:
+    """A direct similarity commutes with the whole construction: the
+    configuration of the image scene is the image of the configuration,
+    exactly, and the suite reports the same statuses and labels."""
+
+    @example(seed=7, sim=((F(6, 5), F(8, 5)), (F(1, 2), F(-3))))
+    @settings(max_examples=25)
+    @given(st.integers(0, 10**6), direct_similarities())
+    def test_configuration_maps_exactly(self, seed, sim):
+        alpha, beta = sim
+        scene = generate_scene(SceneParams(seed=seed))
+        image = _similar_scene(alpha, beta, scene)
+        cfg, image_cfg = compute_configuration(scene), compute_configuration(image)
+        assert image_cfg.collapsed == cfg.collapsed
+        for f in dataclasses.fields(cfg):
+            value, mapped = getattr(cfg, f.name), getattr(image_cfg, f.name)
+            if isinstance(value, Point):
+                assert mapped == _similar(alpha, beta, value), f.name
+            elif isinstance(value, Circle):
+                assert mapped == _similar_circle(alpha, beta, value), f.name
+            elif isinstance(value, ComplexScalar):
+                assert mapped == value, f.name  # spiral ratios are invariant
+            elif value is None:
+                assert mapped is None, f.name
+
+        def outline(report):
+            return [(r.check_id, r.status, [a.label for a in r.assertions]) for r in report.results]
+
+        assert outline(run_suite(image)) == outline(run_suite(scene))
