@@ -48,7 +48,6 @@ from .geom import (
     Point,
     Triangle,
     angle_at,
-    circumcircle,
     collinear_det,
     complex_ratio,
     dist2,
@@ -70,6 +69,7 @@ from .pipeline import (
     Configuration,
     classical_overlay,
     compute_configuration,
+    miquel_circle,
     miquel_point_quadrangle,
     tangent_of_angle,
 )
@@ -474,7 +474,8 @@ def check_lemma_spiral(
     tri: Triangle, m: Point, scale: Fraction, points: Optional[Tuple[Point, Point, Point]] = None
 ) -> CheckResult:
     """m is the Miquel point of the spiral image of its own pedal triangle,
-    with one common spiral ratio on all three sides."""
+    with one common spiral ratio on all three sides; a spiral point on a
+    vertex takes the tangent-circle limit there (``miquel_circle``)."""
 
     def body(rec: _Recorder):
         a, b, c = tri.a, tri.b, tri.c
@@ -483,9 +484,9 @@ def check_lemma_spiral(
         rec.point_on_line("D on BC", d, bc)
         rec.point_on_line("E on CA", e, ca)
         rec.point_on_line("F on AB", f, ab)
-        rec.point_on_circle("M on circle(A,E,F)", m, circumcircle(a, e, f))
-        rec.point_on_circle("M on circle(B,F,D)", m, circumcircle(b, f, d))
-        rec.point_on_circle("M on circle(C,D,E)", m, circumcircle(c, d, e))
+        rec.point_on_circle("M on circle(A,E,F)", m, miquel_circle(a, e, ca, f, ab, "circle(A,E,F)"))
+        rec.point_on_circle("M on circle(B,F,D)", m, miquel_circle(b, f, ab, d, bc, "circle(B,F,D)"))
+        rec.point_on_circle("M on circle(C,D,E)", m, miquel_circle(c, d, bc, e, ca, "circle(C,D,E)"))
         r1 = spiral_ratio(m, d, bc)
         r2 = spiral_ratio(m, e, ca)
         r3 = spiral_ratio(m, f, ab)

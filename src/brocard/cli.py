@@ -287,6 +287,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "generate" and args.count < 1:
         parser.error("--count must be at least 1")
+    if args.command == "render" and args.digits < 0:
+        parser.error("--digits must be nonnegative")
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:

@@ -187,8 +187,8 @@ class ClassicalOverlay:
     collapsed: bool = False
 
 
-def _vertex_circle(v: Point, p: Point, p_side: Line, q: Point, q_side: Line, name: str) -> Circle:
-    """Circumcircle of (v, p, q) where p sits on p_side and q on q_side.
+def miquel_circle(v: Point, p: Point, p_side: Line, q: Point, q_side: Line, name: str) -> Circle:
+    """Miquel circle at vertex v: circumcircle of (v, p, q), p on p_side, q on q_side.
 
     If an incidence point coincides with the vertex, the circle degenerates
     to the one tangent to that point's sideline at the vertex, which is the
@@ -239,9 +239,9 @@ def _miquel(d: Point, e: Point, f: Point, tri: Triangle) -> Tuple[Point, Tuple[C
         raise Degenerate("miquel point", "e is not on sideline CA")
     if not on_line(f, ab):
         raise Degenerate("miquel point", "f is not on sideline AB")
-    circle_a = _vertex_circle(a, e, ca, f, ab, "miquel circle at A")
-    circle_b = _vertex_circle(b, f, ab, d, bc, "miquel circle at B")
-    circle_c = _vertex_circle(c, d, bc, e, ca, "miquel circle at C")
+    circle_a = miquel_circle(a, e, ca, f, ab, "miquel circle at A")
+    circle_b = miquel_circle(b, f, ab, d, bc, "miquel circle at B")
+    circle_c = miquel_circle(c, d, bc, e, ca, "miquel circle at C")
     try:
         m, _ = second_intersection_circles(circle_a, circle_b, f)
     except GeometryError as exc:
@@ -446,16 +446,9 @@ def classical_overlay(scene: Scene) -> ClassicalOverlay:
     tri = scene.triangle
     bc, ca, ab = tri.sides
 
-    with _Stage("tangent circles"):
-        w_a = circle_through_tangent(b, bc, a)
-        w_b = circle_through_tangent(c, ca, b)
-        w_c = circle_through_tangent(a, ab, c)
-        w_a_prime = circle_through_tangent(c, bc, a)
-        w_b_prime = circle_through_tangent(a, ca, b)
-        w_c_prime = circle_through_tangent(b, ab, c)
-
-    omega = miquel_point(b, c, a, tri)
-    omega_prime = miquel_point(c, a, b, tri)
+    # Aliased Miquel points: their Miquel circles are the six tangent circles.
+    omega, (w_c, w_a, w_b) = _miquel(b, c, a, tri)
+    omega_prime, (w_b_prime, w_c_prime, w_a_prime) = _miquel(c, a, b, tri)
     if omega == omega_prime:
         # The equilateral collapse; both points sink into the center.
         return ClassicalOverlay(

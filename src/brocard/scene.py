@@ -38,6 +38,7 @@ from .geom import (
     point_along,
     rat,
     RationalLike,
+    _reduced,
 )
 
 
@@ -148,8 +149,9 @@ def circle_point_from_parameter(t: RationalLike, center: Point, radius: Rational
     if rn <= 0:
         raise Degenerate("circle parametrization", "radius must be positive")
     # With t = n/d the unit vector is (d^2 - n^2, 2*n*d) / (d^2 + n^2).
+    x, y, w = center.h
     den = rd * (d * d + n * n)
-    return center + Point(Fraction(rn * (d * d - n * n), den), Fraction(2 * rn * n * d, den))
+    return _reduced(Point, x * den + w * rn * (d * d - n * n), y * den + w * 2 * rn * n * d, w * den)
 
 
 def _between(p: Point, end1: Point, end2: Point) -> bool:
@@ -268,8 +270,6 @@ def classical_brocard_scene(
         raise GenerationExhausted("classical scene needs three distinct parameters")
     radius = rat(radius)
     a, b, c = (circle_point_from_parameter(t, center, radius) for t in values)
-    if orientation(a, b, c) == 0:
-        raise GenerationExhausted("classical scene parameters give collinear points")
     if orientation(a, b, c) < 0:
         b, c = c, b
     gamma = Circle.from_center_radius2(center, radius * radius)

@@ -6,7 +6,9 @@ import inspect
 from fractions import Fraction as F
 from random import Random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, reject, settings
 
 from brocard import checks as ck
 from brocard import geom, pipeline
@@ -43,6 +45,7 @@ from brocard.pipeline import (
     miquel_point_quadrangle,
 )
 from brocard.scene import (
+    GenerationExhausted,
     SceneParams,
     classical_brocard_scene,
     generate_scene,
@@ -317,31 +320,31 @@ class TestConstructionBugs:
             miquel_point_quadrangle(*quad)
 
 
-#: Small-cap seeds whose accepted scene still has a DEGENERATE
-#: ``check_lemma_spiral`` ("no circle through collinear points"): generation
-#: does not test the spiral lemma's circles (ROADMAP open item 1).  Strict,
-#: so the fix of that item shows here as an XPASS failure until the mark goes.
-_SPIRAL_DEGENERATE = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 1: generate_scene accepts a scene whose spiral-lemma circle is undefined"
-)
-
-
 class TestSmallCapGeneration:
     @pytest.mark.parametrize(
         "caps, seed",
-        [
-            (2, 52),
-            (2, 66),
-            (2, 127),
-            (3, 30),
-            *(pytest.param(c, s, marks=_SPIRAL_DEGENERATE) for c, s in ((2, 46), (2, 65), (2, 78), (3, 60), (3, 70))),
-        ],
+        [(2, 52), (2, 66), (2, 127), (3, 30), (2, 46), (2, 65), (2, 78), (3, 60), (3, 70), (10, 1846)],
     )
     def test_accepted_scene_never_degenerate(self, caps, seed):
         """Each of the first four seeds draws a scene with a T-vertex on its
         primed vertex before the one it accepts; rejecting that draw keeps
-        every check of the accepted scene defined."""
+        every check of the accepted scene defined.  In each of the last six
+        scenes a spiral point of P lands on a vertex, where the spiral
+        lemma's circle is the tangent-circle limit."""
         scene = generate_scene(SceneParams(seed=seed, numerator_cap=caps, denominator_cap=caps))
+        report = run_suite(scene)
+        assert (report.counts[FAIL], report.counts[DEGENERATE]) == (0, 0)
+
+    @settings(max_examples=100)
+    @given(st.integers(2, 10), st.booleans(), st.integers(0, 10**6))
+    def test_generated_scene_never_degenerate(self, caps, strict, seed):
+        """The generator's promise at small caps, with and without strict
+        segments: every check of an accepted scene is defined and passes."""
+        params = SceneParams(seed=seed, numerator_cap=caps, denominator_cap=caps, strict_segments=strict)
+        try:
+            scene = generate_scene(params)
+        except GenerationExhausted:
+            reject()
         report = run_suite(scene)
         assert (report.counts[FAIL], report.counts[DEGENERATE]) == (0, 0)
 
@@ -356,6 +359,16 @@ class TestLemmaChecks:
         a, b, c = Point(0, 0), Point(4, 0), Point(1, 3)
         result = check_lemma_spiral(Triangle(a, b, c), Point(F(1, 3), F(1, 4)), F(2, 5))
         assert result.status == PASS
+
+    def test_spiral_point_on_vertex_takes_tangent_limit(self):
+        """At caps 2 seed 46 a spiral point of P lands on a vertex; M lies
+        on the tangent circle that is the limit of that vertex's circle."""
+        s = generate_scene(SceneParams(seed=46, numerator_cap=2, denominator_cap=2))
+        p = compute_configuration(s).p
+        assert set(build_spiral_points(s.triangle, p, SPIRAL_SCALE)) & set(s.vertices)
+        result = check_lemma_spiral(s.triangle, p, SPIRAL_SCALE)
+        assert result.status == PASS
+        assert len(result.assertions) == 8
 
     def test_spiral_center_on_sideline_degenerate(self):
         a, b, c = Point(0, 0), Point(4, 0), Point(1, 3)

@@ -481,6 +481,19 @@ def test_render_digits_flag(tmp_path):
     assert len(d3.read_text()) < len(d9.read_text())
 
 
+def test_render_negative_digits_usage_error(tmp_path, capsys):
+    """A negative ``--digits`` is a usage error, reported before the scene
+    file is read (the file named here does not exist); 0 stays valid."""
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "--in", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x.svg"), "--digits", "-1"])
+    assert exc.value.code == 2
+    assert "--digits must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+    path = tmp_path / "scenes.json"
+    assert main(["generate", "--seed", "42", "--count", "1", "--out", str(path)]) == 0
+    assert main(["render", "--in", str(path), "--out", str(tmp_path / "d0.svg"), "--digits", "0"]) == 0
+
+
 class TestGoldenBytes:
     """Canonical serialization is pinned: any change to the scene or report
     byte format (or to the seeded generator) must update these digests."""
@@ -766,8 +779,9 @@ def _result_pool():
     only in ``ok`` or only in a label, and a variant of a DEGENERATE result
     only in its note.  Then come a FAIL with nonzero witnesses, a
     ``scene_validation`` FAIL with plain ``str`` labels and the same FAIL
-    with its ``Violation`` labels, the DEGENERATE spiral lemma with its note
-    at caps 2 seed 46, and a classical report."""
+    with its ``Violation`` labels, and a classical report, whose DEGENERATE
+    ``check_circumcenter_perspective`` at parameters 0,1,-1 (objects X to
+    O_C undefined) supplies the DEGENERATE result with its note."""
     scene = generate_scene(SceneParams(seed=42))
     passing = run_suite(scene).results
     other = run_suite(generate_scene(SceneParams(seed=43))).results
@@ -777,11 +791,11 @@ def _result_pool():
     invalid = run_suite(moved).results
     violations = validate_scene(moved)
     as_violations = CheckResult("scene_validation", FAIL, tuple(Assertion(v, False, v.witnesses) for v in violations))
-    small_caps = run_suite(generate_scene(SceneParams(seed=46, numerator_cap=2, denominator_cap=2))).results
     classical = run_suite(classical_brocard_scene(0, 1, -1)).results
     base = next(r for r in passing if r.assertions and len(r.assertions[0].witnesses) == 2)
     first = base.assertions[0]
-    degenerate = next(r for r in small_caps if r.status == DEGENERATE)
+    degenerate = next(r for r in classical if r.check_id == "check_circumcenter_perspective")
+    assert degenerate.status == DEGENERATE
     variants = (
         _with_first_assertion(base, witnesses=(first.witnesses[0], F(-2, 7))),
         _with_first_assertion(base, witnesses=(*first.witnesses, F(0))),
@@ -789,7 +803,7 @@ def _result_pool():
         _with_first_assertion(base, label=first.label + " "),
         dataclasses.replace(degenerate, notes=("another reason",)),
     )
-    pool = (*passing, *other, *variants, shifted, *invalid, as_violations, *small_caps, *classical)
+    pool = (*passing, *other, *variants, shifted, *invalid, as_violations, *classical)
     assert shifted.status == FAIL and invalid[0].status == FAIL
     assert degenerate.notes
     assert type(as_violations.assertions[0].label) is not str

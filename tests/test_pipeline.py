@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, example, given, settings
 
+from brocard import pipeline
 from brocard.checks import run_suite
 from brocard.geom import (
     Circle,
@@ -16,6 +17,7 @@ from brocard.geom import (
     Degenerate,
     Point,
     Triangle,
+    circle_through_tangent,
     circumcircle,
     collinear_det,
     dist2,
@@ -237,6 +239,34 @@ class TestClassicalOverlay:
         s = generate_scene(SceneParams(seed=7))
         with pytest.raises(ValueError):
             classical_overlay(s)
+
+    @pytest.mark.parametrize("params", [(0, 1, -1), (0, 1, 3), (F(1, 2), -3, F(7, 5))])
+    def test_circles_are_the_tangent_circles(self, params, monkeypatch):
+        """Each overlay circle is the circle tangent to a sideline at one end
+        and through the opposite vertex, named as in the fields; the Miquel
+        points of Omega and Omega' build the six once, in one tangent-circle
+        call each."""
+        s = classical_brocard_scene(*params)
+        a, b, c = s.a, s.b, s.c
+        bc, ca, ab = s.triangle.sides
+        expected = {
+            "w_a": circle_through_tangent(b, bc, a),
+            "w_b": circle_through_tangent(c, ca, b),
+            "w_c": circle_through_tangent(a, ab, c),
+            "w_a_prime": circle_through_tangent(c, bc, a),
+            "w_b_prime": circle_through_tangent(a, ca, b),
+            "w_c_prime": circle_through_tangent(b, ab, c),
+        }
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return circle_through_tangent(*args)
+
+        monkeypatch.setattr(pipeline, "circle_through_tangent", counted)
+        ov = classical_overlay(s)
+        assert {name: getattr(ov, name) for name in expected} == expected
+        assert len(calls) == 6
 
 
 def _similar(alpha, beta, p):

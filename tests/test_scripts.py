@@ -22,14 +22,23 @@ def run_script(name, *args):
     )
 
 
-def test_batch_verify_table():
-    proc = run_script("batch_verify.py", "--seeds", "1:3")
+def _assert_batch_table(scenes, *args):
+    proc = run_script("batch_verify.py", *args)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["check", "pass", "fail", "degenerate"]
     rows = [line.split() for line in lines[1:len(THEOREM_CHECK_IDS) + 1]]
-    assert rows == [[cid, "3", "0", "0"] for cid in THEOREM_CHECK_IDS]
-    assert "3 scenes in" in proc.stdout
+    assert rows == [[cid, str(scenes), "0", "0"] for cid in THEOREM_CHECK_IDS]
+    assert f"{scenes} scenes in" in proc.stdout
+
+
+def test_batch_verify_table():
+    _assert_batch_table(3, "--seeds", "1:3")
+
+
+def test_batch_verify_table_small_caps():
+    """A scene whose spiral lemma meets the tangent-circle limit."""
+    _assert_batch_table(1, "--seeds", "46:46", "--numerator-cap", "2", "--denominator-cap", "2")
 
 
 def test_render_gallery_writes_svgs(tmp_path):
