@@ -9,6 +9,16 @@ downstream stays rational and every theorem becomes an exact identity.
 Degeneracy policy is reject-and-resample: a candidate scene is accepted
 only if the whole construction pipeline completes on it, so accepted
 scenes never produce degenerate verification results.
+
+With strict segments, most draws fail because an incidence point falls
+outside its side.  ``generate_scene`` first applies an exact squeeze to
+the six drawn integer pairs: t = tan(theta/2) rises with the angle, so
+the order of the six points around gamma is the order of their
+parameters, and in a strict scene each chord's pair is adjacent in that
+order.  A draw whose pairs are not all adjacent is rejected before any
+point, line or vertex is built.  The squeeze never rejects a draw the
+full construction accepts, and it consumes no random numbers, so every
+seed gives the same scene as without it.
 """
 
 from __future__ import annotations
@@ -26,7 +36,6 @@ from .geom import (
     Circle,
     Triangle,
     collinear_det,
-    dot,
     foot_perpendicular,
     intersect_lines,
     isogonal_conjugate,
@@ -39,6 +48,7 @@ from .geom import (
     rat,
     RationalLike,
     _reduced,
+    _sum,
 )
 
 
@@ -154,12 +164,19 @@ def circle_point_from_parameter(t: RationalLike, center: Point, radius: Rational
     return _reduced(Point, x * den + w * rn * (d * d - n * n), y * den + w * 2 * rn * n * d, w * den)
 
 
+def _segment_parameter(p: Point, end1: Point, end2: Point) -> Tuple[int, int]:
+    """The affine parameter (p - end1).(end2 - end1) / |end2 - end1|^2 of p
+    along end1 -> end2, as an unreduced (numerator, nonnegative denominator)."""
+    qx, qy, qw = _sum(p.h, end1.h, -1)
+    dx, dy, dw = _sum(end2.h, end1.h, -1)
+    return (qx * dx + qy * dy) * dw, (dx * dx + dy * dy) * qw
+
+
 def _between(p: Point, end1: Point, end2: Point) -> bool:
     """p on segment [end1, end2], assuming p on the line; exact comparison of
     the affine coordinate."""
-    d = end2 - end1
-    t = dot(p - end1, d)
-    return 0 <= t <= dot(d, d)
+    num, den = _segment_parameter(p, end1, end2)
+    return 0 <= num <= den
 
 
 def scene_from_parameters(
@@ -215,11 +232,30 @@ def scene_from_parameters(
     )
 
 
-def _draw_parameter(rng: Random, params: SceneParams) -> Fraction:
-    return Fraction(
+def _draw_parameter(rng: Random, params: SceneParams) -> Tuple[int, int]:
+    """One chord parameter as its (numerator, positive denominator)."""
+    return (
         rng.randint(-params.numerator_cap, params.numerator_cap),
         rng.randint(1, params.denominator_cap),
     )
+
+
+def _chords_adjacent(draws: Sequence[Tuple[int, int]]) -> bool:
+    """The strict-segment squeeze on six drawn parameters (n, d), d > 0.
+
+    True iff each chord's pair (a1, a2), (b1, b2), (c1, c2) has the other
+    four parameters all strictly between its two or all strictly outside
+    them: the pair is adjacent in the order around gamma.  A strict scene
+    needs this, since its six points lie on the triangle's boundary, side by
+    side, and points of a circle are in convex position.  For t = n/d the
+    sign of (t - t1)(t - t2) is that of (n*d1 - n1*d)(n*d2 - n2*d).
+    """
+    for k in (0, 2, 4):
+        (n1, d1), (n2, d2) = draws[k], draws[k + 1]
+        signs = [(n * d1 - n1 * d) * (n * d2 - n2 * d) for n, d in draws[:k] + draws[k + 2:]]
+        if not (all(v < 0 for v in signs) or all(v > 0 for v in signs)):
+            return False
+    return True
 
 
 def generate_scene(params: SceneParams) -> Scene:
@@ -230,15 +266,23 @@ def generate_scene(params: SceneParams) -> Scene:
     degeneracy reported by the configuration pipeline (including the
     collapsed case where the two Miquel points coincide).  Deterministic for
     a fixed seed.
+
+    With strict segments, a draw that fails the squeeze ``_chords_adjacent``
+    is rejected on its six integer pairs, before ``scene_from_parameters``
+    builds anything.  The squeeze is necessary for a strict scene, and the
+    draws come from the same random stream, so every seed gives the scene
+    it gave without the squeeze.
     """
     from .pipeline import compute_configuration  # deferred: pipeline builds on scenes
 
     rng = Random(params.seed)
     for _ in range(_MAX_ATTEMPTS):
-        ts = [_draw_parameter(rng, params) for _ in range(6)]
+        draws = [_draw_parameter(rng, params) for _ in range(6)]
+        if params.strict_segments and not _chords_adjacent(draws):
+            continue
         try:
             scene = scene_from_parameters(
-                ts, params.center, params.radius, params.strict_segments
+                [Fraction(n, d) for n, d in draws], params.center, params.radius, params.strict_segments
             )
             cfg = compute_configuration(scene)
             if not cfg.complete:
@@ -396,6 +440,6 @@ def validate_scene(s: Scene) -> List[Violation]:
         ):
             if not _between(p, e1, e2):
                 # The affine parameter of p along e1 -> e2, outside [0, 1].
-                d = e2 - e1
-                violations.append(Violation(f"{name} outside the closed segment", dot(p - e1, d) / dot(d, d)))
+                outside = Fraction(*_segment_parameter(p, e1, e2))
+                violations.append(Violation(f"{name} outside the closed segment", outside))
     return violations

@@ -1,15 +1,30 @@
 """Scene generation: parametrization values, the worked six-parameter
-example, determinism, classical aliasing, Kwon draws, validation."""
+example, determinism, the strict-segment squeeze, classical aliasing, Kwon
+draws, validation."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from brocard.geom import Circle, Point, collinear_det, dist2, line_through, on_circle, on_line, orientation
+from brocard.geom import (
+    Circle,
+    GeometryError,
+    Point,
+    collinear_det,
+    dist2,
+    line_through,
+    on_circle,
+    on_line,
+    orientation,
+)
 from brocard.scene import (
     GenerationExhausted,
     SceneParams,
+    _chords_adjacent,
     circle_point_from_parameter,
     classical_brocard_scene,
     generate_scene,
@@ -17,6 +32,7 @@ from brocard.scene import (
     scene_from_parameters,
     validate_scene,
 )
+from brocard.sceneio import scene_digest
 
 ORIGIN = Point(0, 0)
 
@@ -99,6 +115,106 @@ class TestGeneration:
             SceneParams(seed=0, radius=F(0))
         with pytest.raises(ValueError):
             SceneParams(seed=0, numerator_cap=0)
+
+
+def _ref_chords_adjacent(ts):
+    """The squeeze's definition on Fractions: each chord's pair has the
+    other four parameters all strictly inside or all strictly outside it."""
+    for k in (0, 2, 4):
+        lo, hi = sorted(ts[k:k + 2])
+        others = ts[:k] + ts[k + 2:]
+        if not (all(lo < t < hi for t in others) or all(t < lo or t > hi for t in others)):
+            return False
+    return True
+
+
+def _strict_scene(draws):
+    """The scene the full path builds from integer draws, or None."""
+    try:
+        return scene_from_parameters([F(n, d) for n, d in draws], ORIGIN, 1, strict_segments=True)
+    except GeometryError:
+        return None
+
+
+def _sextuples(caps):
+    return caps.flatmap(
+        lambda cap: st.lists(st.tuples(st.integers(-cap, cap), st.integers(1, cap)), min_size=6, max_size=6)
+    )
+
+
+@st.composite
+def _paired_sextuples(draw, caps):
+    """Six draws whose chords take consecutive values around gamma, in any
+    labelling: the shape of every strict scene, so the full path often
+    accepts them."""
+    ds = sorted(draw(_sextuples(caps)), key=lambda nd: F(*nd))
+    if draw(st.booleans()):
+        ds = ds[1:] + ds[:1]
+    pairs = draw(st.permutations([ds[0:2], ds[2:4], ds[4:6]]))
+    return [nd for pair in pairs for nd in (pair if draw(st.booleans()) else pair[::-1])]
+
+
+class TestStrictSqueeze:
+    """``_chords_adjacent``, the squeeze ``generate_scene`` applies to strict
+    draws before building them, is its definition and never rejects a draw
+    that ``scene_from_parameters`` accepts."""
+
+    # Sorted: -4 (a1), -4/3 (c1), -1 (c2), -1/2 (b2), 4/3 (b1), 2 (a2).
+    SWAPPED = [(-4, 1), (2, 1), (4, 3), (-1, 2), (-4, 3), (-1, 1)]
+
+    @settings(max_examples=300)
+    @given(st.one_of(*(
+        shape(caps) for shape in (_sextuples, _paired_sextuples)
+        for caps in (st.integers(1, 6), st.integers(1, 10**12))
+    )))
+    def test_sound_and_exact(self, draws):
+        ts = [F(n, d) for n, d in draws]
+        assert _chords_adjacent(draws) == _ref_chords_adjacent(ts)
+        if _strict_scene(draws) is not None:
+            assert _chords_adjacent(draws)
+
+    def test_orientation_swap(self):
+        """The chords' first labelling is clockwise, so the B and C pairs
+        swap labels; the squeeze does not depend on the labels."""
+        s = _strict_scene(self.SWAPPED)
+        assert s is not None and s.b1 == circle_point_from_parameter(F(-4, 3), ORIGIN, 1)
+        assert _chords_adjacent(self.SWAPPED)
+
+    def test_equal_values_written_differently(self):
+        scaled = [(n * k, d * k) for (n, d), k in zip(self.SWAPPED, (2, 3, 5, 7, 1, 4))]
+        assert _strict_scene(scaled) is not None and _chords_adjacent(scaled)
+        # 2/4 is a1 = 1/2 again: on an endpoint, neither inside nor outside.
+        repeated = [(1, 2), (3, 1), (2, 4), (1, 1), (2, 1), (5, 2)]
+        assert _strict_scene(repeated) is None and not _chords_adjacent(repeated)
+
+    @pytest.mark.parametrize("draws", [
+        [(3, 1), (6, 1), (4, 1), (5, 1), (1, 1), (2, 1)],
+        [(1, 1), (2, 1), (3, 1), (6, 1), (4, 1), (5, 1)],
+        [(4, 1), (5, 1), (1, 1), (2, 1), (3, 1), (6, 1)],
+    ], ids=["a-encloses-b", "b-encloses-c", "c-encloses-a"])
+    def test_nested_chord_rejected(self, draws):
+        """One chord's arc holds another chord and not the third; the other
+        two pairs are adjacent, so only that chord's test rejects."""
+        assert _strict_scene(draws) is None
+        assert not _chords_adjacent(draws)
+
+    def test_generation_unchanged(self):
+        """sha256 over the strict scene digests, one line per seed, with
+        GenerationExhausted as its own line.  The pins were computed at
+        commit e7fc779, before the squeeze; 34 of the caps-2 seeds exhaust."""
+        pins = {
+            (4, range(1, 200)): "12e89782c99971b3a266048f5328fb91cc240236aa71c63c0f6315254c8fc3b1",
+            (2, range(1, 100)): "1b0c2fe981d2ed62002299944d411dcddae53278c98e7fc8bae7530be2727cab",
+        }
+        for (caps, seeds), pin in pins.items():
+            lines = []
+            for seed in seeds:
+                params = SceneParams(seed=seed, numerator_cap=caps, denominator_cap=caps, strict_segments=True)
+                try:
+                    lines.append(scene_digest(generate_scene(params)))
+                except GenerationExhausted:
+                    lines.append("GenerationExhausted")
+            assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == pin
 
 
 class TestClassical:
@@ -241,6 +357,15 @@ class TestValidation:
                     assert outside[label] == (lam,)
                     checked += 1
         assert checked > 0
+
+    def test_segments_are_closed(self):
+        """An incidence point on either end of its side is on the closed
+        segment: only the vertex violation is reported."""
+        s = generate_scene(SceneParams(seed=3, strict_segments=True))
+        for moved in (dataclasses.replace(s, a1=s.b), dataclasses.replace(s, a1=s.c)):
+            violations = validate_scene(moved)
+            assert "incidence point coincides with a vertex" in violations
+            assert not any("closed segment" in v for v in violations)
 
     def test_all_points_on_gamma(self):
         s = generate_scene(SceneParams(seed=9))
