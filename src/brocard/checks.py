@@ -4,7 +4,10 @@ Each check re-derives its claim from the configuration with exact
 predicates and records every assertion with witness scalars: the witness
 is the exact residual (determinant, power of a point, coordinate
 difference) that must vanish, so a FAIL always carries a nonzero exact
-certificate of violation.  The ``scene_validation`` result carries the
+certificate of violation.  The recorder decides each assertion on the
+integer numerator of that residual; a PASS records the shared zero
+witnesses and builds no ``Fraction``, and only a FAIL builds its exact
+witness.  The ``scene_validation`` result carries the
 witnesses of ``validate_scene``: a violated equality has a nonzero
 residual or coordinate difference, a violated inequality the value with
 the wrong sign, and a violated distinctness condition the zero difference
@@ -64,6 +67,9 @@ from .geom import (
     rational_sqrt,
     second_intersection_circle_line,
     spiral_ratio,
+    _area,
+    _power,
+    _sum,
 )
 from .pipeline import (
     Configuration,
@@ -125,9 +131,19 @@ class SuiteReport:
         return all(r.status == PASS for r in self.results)
 
 
+#: The witnesses of a passing assertion, one shared tuple per arity.
+_ZEROS = {n: (Fraction(0),) * n for n in (1, 2, 3)}
+
+
 class _Recorder:
     """Accumulates assertions; every record returns the pass flag so checks
-    can short-circuit around constructions that need a passed premise."""
+    can short-circuit around constructions that need a passed premise.
+
+    Each predicate decides on the integer numerator of its residual, read
+    off the stored tuples.  A zero residual records PASS with the shared
+    zero witnesses of ``_ZEROS`` and builds no ``Fraction``; only a FAIL
+    builds its witnesses, each with the public function that defines it
+    (``Circle.eval``, ``Line.eval``, ``collinear_det``, a difference)."""
 
     def __init__(self):
         self.assertions: List[Assertion] = []
@@ -140,53 +156,73 @@ class _Recorder:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def _record(self, label: str, witnesses: Sequence[Union[int, Fraction]]) -> bool:
-        ok = not any(witnesses)
+    def _passed(self, label: str, arity: int = 1) -> bool:
+        self.assertions.append(Assertion(label, True, _ZEROS[arity]))
+        return True
+
+    def _failed(self, label: str, *witnesses: Union[int, Fraction]) -> bool:
         self.assertions.append(
-            Assertion(label, ok, tuple([Fraction(w) if type(w) is int else w for w in witnesses]))
+            Assertion(label, False, tuple([Fraction(w) if type(w) is int else w for w in witnesses]))
         )
-        return ok
+        return False
+
+    def _residuals(self, label: str, *residuals: int) -> bool:
+        """Integer residuals that are themselves the witnesses."""
+        return self._failed(label, *residuals) if any(residuals) else self._passed(label, len(residuals))
 
     def scalar_zero(self, label: str, value: Fraction) -> bool:
-        return self._record(label, (value,))
+        return self._failed(label, value) if value else self._passed(label)
 
     def scalars_equal(self, label: str, lhs: Fraction, rhs: Fraction) -> bool:
-        return self._record(label, (lhs - rhs,))
+        return self._passed(label) if lhs == rhs else self._failed(label, lhs - rhs)
+
+    def equidistant(self, label: str, center: Point, p: Point, q: Point) -> bool:
+        """|center p|^2 == |center q|^2, compared by cross-multiplying the
+        unreduced squared distances."""
+        x1, y1, w1 = _sum(p.h, center.h, -1)
+        x2, y2, w2 = _sum(q.h, center.h, -1)
+        if (x1 * x1 + y1 * y1) * (w2 * w2) == (x2 * x2 + y2 * y2) * (w1 * w1):
+            return self._passed(label)
+        return self._failed(label, dist2(center, p) - dist2(center, q))
 
     def points_equal(self, label: str, p: Point, q: Point) -> bool:
+        # The stored tuples are canonical: equal exactly when the points are.
+        if p.h == q.h:
+            return self._passed(label, 2)
         d = p - q
-        return self._record(label, (d.x, d.y))
+        return self._failed(label, d.x, d.y)
 
     def complex_equal(self, label: str, z: ComplexScalar, w: ComplexScalar) -> bool:
+        if z.h == w.h:
+            return self._passed(label, 2)
         d = z - w
-        return self._record(label, (d.re, d.im))
+        return self._failed(label, d.re, d.im)
 
     def point_on_circle(self, label: str, p: Point, c: Circle) -> bool:
-        return self._record(label, (c.eval(p),))
+        return self._failed(label, c.eval(p)) if _power(p, c)[0] else self._passed(label)
 
     def point_on_line(self, label: str, p: Point, l: Line) -> bool:
-        return self._record(label, (l.eval(p),))
+        x, y, w = p.h
+        return self._failed(label, l.eval(p)) if l.a * x + l.b * y + l.c * w else self._passed(label)
 
     def collinear(self, label: str, p: Point, q: Point, r: Point) -> bool:
-        return self._record(label, (collinear_det(p, q, r),))
+        return self._failed(label, collinear_det(p, q, r)) if _area(p, q, r)[0] else self._passed(label)
 
     def parallel(self, label: str, l1: Line, l2: Line) -> bool:
-        return self._record(label, (l1.a * l2.b - l2.a * l1.b,))
+        return self._residuals(label, l1.a * l2.b - l2.a * l1.b)
 
     def perpendicular(self, label: str, l1: Line, l2: Line) -> bool:
-        return self._record(label, (l1.a * l2.a + l1.b * l2.b,))
+        return self._residuals(label, l1.a * l2.a + l1.b * l2.b)
 
     def angles_equal(self, label: str, x: DirectedAngleClass, y: DirectedAngleClass) -> bool:
-        return self._record(label, (x.cross * y.dot - y.cross * x.dot,))
+        return self._residuals(label, x.cross * y.dot - y.cross * x.dot)
 
     def lines_equal(self, label: str, l1: Line, l2: Line) -> bool:
-        return self._record(
+        return self._residuals(
             label,
-            (
-                l1.a * l2.b - l2.a * l1.b,
-                l1.a * l2.c - l2.a * l1.c,
-                l1.b * l2.c - l2.b * l1.c,
-            ),
+            l1.a * l2.b - l2.a * l1.b,
+            l1.a * l2.c - l2.a * l1.c,
+            l1.b * l2.c - l2.b * l1.c,
         )
 
 
@@ -364,8 +400,8 @@ def check_brocard_circle(rec: _Recorder, cfg: Configuration) -> None:
 @_check()
 def check_equidistant(rec: _Recorder, cfg: Configuration) -> None:
     """P and Q are equidistant from R, and from O."""
-    rec.scalars_equal("RP^2 == RQ^2", dist2(cfg.r, cfg.p), dist2(cfg.r, cfg.q))
-    rec.scalars_equal("OP^2 == OQ^2", dist2(cfg.o, cfg.p), dist2(cfg.o, cfg.q))
+    rec.equidistant("RP^2 == RQ^2", cfg.r, cfg.p, cfg.q)
+    rec.equidistant("OP^2 == OQ^2", cfg.o, cfg.p, cfg.q)
 
 
 @_check()
@@ -449,8 +485,8 @@ def check_circumcenter_perspective(rec: _Recorder, cfg: Configuration) -> None:
         ("O_B", cfg.o_b, s.b, cfg.z, cfg.x),
         ("O_C", cfg.o_c, s.c, cfg.x, cfg.y),
     ):
-        rec.scalars_equal(f"{name} equidistant from the vertex and first cut", dist2(oc, v), dist2(oc, p1))
-        rec.scalars_equal(f"{name} equidistant from the vertex and second cut", dist2(oc, v), dist2(oc, p2))
+        rec.equidistant(f"{name} equidistant from the vertex and first cut", oc, v, p1)
+        rec.equidistant(f"{name} equidistant from the vertex and second cut", oc, v, p2)
     for name, v, oc in (("A", s.a, cfg.o_a), ("B", s.b, cfg.o_b), ("C", s.c, cfg.o_c)):
         rec.point_on_line(f"S_t on {name} O_{name}", cfg.steiner, line_through(v, oc))
 
@@ -561,11 +597,11 @@ def check_kwon_remark(kw: KwonScene) -> CheckResult:
     concur at T, the two Miquel points are equidistant from T."""
 
     def body(rec: _Recorder):
-        rec.scalars_equal("TD^2 == TX^2", dist2(kw.t, kw.d), dist2(kw.t, kw.x))
-        rec.scalars_equal("TE^2 == TY^2", dist2(kw.t, kw.e), dist2(kw.t, kw.y))
-        rec.scalars_equal("TF^2 == TZ^2", dist2(kw.t, kw.f), dist2(kw.t, kw.z))
+        rec.equidistant("TD^2 == TX^2", kw.t, kw.d, kw.x)
+        rec.equidistant("TE^2 == TY^2", kw.t, kw.e, kw.y)
+        rec.equidistant("TF^2 == TZ^2", kw.t, kw.f, kw.z)
         o1, o2 = kw.miquel_points
-        rec.scalars_equal("T O1^2 == T O2^2", dist2(kw.t, o1), dist2(kw.t, o2))
+        rec.equidistant("T O1^2 == T O2^2", kw.t, o1, o2)
 
     return _run("check_kwon_remark", body)
 
@@ -650,8 +686,8 @@ def check_classical_overlay(rec: _Recorder, cfg: Configuration) -> None:
     rec.points_equal("K matches barycentric a^2:b^2:c^2", ov.k, _symmedian_point(s.a, s.b, s.c))
     rec.point_on_circle("Omega on the circle with diameter OK", ov.omega, cfg.brocard_circle)
     rec.point_on_circle("Omega' on the circle with diameter OK", ov.omega_prime, cfg.brocard_circle)
-    rec.scalars_equal("O equidistant from Omega, Omega'", dist2(cfg.o, ov.omega), dist2(cfg.o, ov.omega_prime))
-    rec.scalars_equal("K equidistant from Omega, Omega'", dist2(ov.k, ov.omega), dist2(ov.k, ov.omega_prime))
+    rec.equidistant("O equidistant from Omega, Omega'", cfg.o, ov.omega, ov.omega_prime)
+    rec.equidistant("K equidistant from Omega, Omega'", ov.k, ov.omega, ov.omega_prime)
     # First Brocard triangle: T-vertices as meets of Brocard cevians.
     rec.points_equal(
         "T_A == Omega B meet Omega' C",

@@ -44,7 +44,6 @@ from .geom import (
     on_line,
     orientation,
     perpendicular_bisector,
-    point_along,
     rat,
     RationalLike,
     _reduced,
@@ -329,24 +328,35 @@ def kwon_scene(seed: int) -> KwonScene:
 
     d, x on BC and e, y on CA are drawn freely; t is the meet of the first
     two bisectors; z is then the reflection of a free f across the foot of t
-    on AB, which forces the third bisector through t exactly.
+    on AB, which forces the third bisector through t exactly.  Each drawn
+    rational is its integer pair (numerator, denominator in 1..6), and
+    each point is reduced once from those pairs.
     """
     rng = Random(seed)
 
-    def draw_rat(lo: int, hi: int) -> Fraction:
-        return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
+    def draw_pair(lo: int, hi: int) -> Tuple[int, int]:
+        return rng.randint(lo, hi), rng.randint(1, 6)
+
+    def vertex() -> Point:
+        (nx, dx), (ny, dy) = draw_pair(-12, 12), draw_pair(-12, 12)
+        return _reduced(Point, nx * dy, ny * dx, dx * dy)
+
+    def on_side(p1: Point, p2: Point) -> Point:
+        """``point_along(p1, p2, n / 6m)``: mostly inside the segment,
+        sometimes beyond."""
+        n, m = draw_pair(-2, 8)
+        m *= 6
+        x1, y1, w1 = p1.h
+        x2, y2, w2 = p2.h
+        return _reduced(Point, (m - n) * x1 * w2 + n * x2 * w1, (m - n) * y1 * w2 + n * y2 * w1, m * w1 * w2)
 
     for _ in range(_KWON_MAX_ATTEMPTS):
-        a = Point(draw_rat(-12, 12), draw_rat(-12, 12))
-        b = Point(draw_rat(-12, 12), draw_rat(-12, 12))
-        c = Point(draw_rat(-12, 12), draw_rat(-12, 12))
-        if orientation(a, b, c) == 0:
+        a, b, c = vertex(), vertex(), vertex()
+        turn = orientation(a, b, c)
+        if turn == 0:
             continue
-        if orientation(a, b, c) < 0:
+        if turn < 0:
             b, c = c, b
-
-        def on_side(p1: Point, p2: Point) -> Point:
-            return point_along(p1, p2, draw_rat(-2, 8) / 6)  # mostly inside the segment, sometimes beyond
 
         d, x = on_side(b, c), on_side(b, c)
         e, y = on_side(c, a), on_side(c, a)

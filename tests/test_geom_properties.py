@@ -752,6 +752,18 @@ def test_circle_point_from_parameter_matches_reference(t, center, radius):
         _same_outcome(circle_point_from_parameter, _ref_circle_point_from_parameter, t, center, r)
 
 
+def _assert_records(record, args, expected):
+    """One record on a fresh recorder: its witnesses equal ``expected``, as
+    ``Fraction``, and it passes iff they all vanish."""
+    rec = _Recorder()
+    ok = getattr(rec, record)("label", *args)
+    (assertion,) = rec.assertions
+    assert assertion.witnesses == expected
+    assert all(type(v) is F for v in assertion.witnesses)
+    assert ok == assertion.ok == all(v == 0 for v in expected)
+    return ok
+
+
 @example(ZERO, ZERO, F(0), F(0))
 @example(Point(1, 2), Point(1, F(5, 3)), F(0), F(0))  # only the second witness is nonzero
 @given(kernel_points(), kernel_points(), kernel_rationals, kernel_rationals)
@@ -761,23 +773,62 @@ def test_witness_differences_match_reference(p, q, s, t):
     they all vanish."""
     z, w = ComplexScalar(p.x, p.y), ComplexScalar(q.x, q.y)
     l1, l2 = Line(1, s, t), Line(1, s, s)
-    for record, args, expected in (
+    for case in (
         ("parallel", (l1, l2), (l1.a * l2.b - l2.a * l1.b,)),
         ("lines_equal", (l1, l2), (l1.a * l2.b - l2.a * l1.b, l1.a * l2.c - l2.a * l1.c, l1.b * l2.c - l2.b * l1.c)),
         ("lines_equal", (l2, Line(1, s, s)), (0, 0, 0)),
         ("scalars_equal", (s, t), (s - t,)),
         ("scalars_equal", (s, s), (F(0),)),
+        ("scalar_zero", (s,), (s,)),
+        ("perpendicular", (l1, l2), (l1.a * l2.a + l1.b * l2.b,)),
         ("points_equal", (p, q), (p.x - q.x, p.y - q.y)),
         ("points_equal", (p, Point(p.x, p.y)), (F(0), F(0))),
         ("complex_equal", (z, w), (z.re - w.re, z.im - w.im)),
         ("complex_equal", (w, w), (F(0), F(0))),
     ):
-        rec = _Recorder()
-        ok = getattr(rec, record)("label", *args)
-        (assertion,) = rec.assertions
-        assert assertion.witnesses == expected
-        assert all(type(v) is F for v in assertion.witnesses)
-        assert ok == assertion.ok == all(v == 0 for v in expected)
+        _assert_records(*case)
+
+
+HUGE = 10**272  # 904 bits
+
+
+@example(
+    Point(F(HUGE + 1, HUGE - 3), F(-HUGE, 7)),
+    Point(F(1, HUGE), F(HUGE, 3)),
+    Point(F(-2 * HUGE, HUGE + 7), F(5, HUGE)),
+    F(1, 3),
+)
+@example(Point(F(HUGE, 3), F(1, HUGE)), Point(F(-HUGE, 3), F(1, HUGE)), Point(F(1, HUGE), F(HUGE, 5)), F(2))
+@example(Point(0, 0), Point(F(HUGE), 0), Point(0, F(HUGE, HUGE + 1)), F(-HUGE, HUGE - 1))
+@given(kernel_points(), kernel_points(), kernel_points(), kernel_rationals)
+def test_incidence_witnesses_match_reference(p, q, r, t):
+    """The incidence and equidistance records decide on integer residuals,
+    and their witnesses are the Fraction reference values: zero where the
+    construction makes the identity hold, the residual where it does not."""
+    assume(orientation(p, q, r) != 0)
+    circle = circumcircle(p, q, r)
+    o = circle.center
+    pq = line_through(p, q)
+    s = point_along(p, q, t)  # on pq; on the circle only for t = 0 or 1
+    holds = (
+        ("point_on_circle", (r, circle), (_ref_circle_eval(circle, r),)),
+        ("point_on_line", (s, pq), (_ref_line_eval(pq, s),)),
+        ("collinear", (p, q, s), (_ref_collinear_det(p, q, s),)),
+        ("equidistant", (o, p, q), (_ref_dist2(o, p) - _ref_dist2(o, q),)),
+    )
+    for record, args, expected in holds:
+        assert _assert_records(record, args, expected)
+    fails = (
+        ("point_on_circle", (o, circle), (_ref_circle_eval(circle, o),)),
+        ("point_on_line", (r, pq), (_ref_line_eval(pq, r),)),
+        ("collinear", (p, q, r), (_ref_collinear_det(p, q, r),)),
+    )
+    for record, args, expected in fails:
+        assert not _assert_records(record, args, expected)
+    # The line pq meets the circle in p and q only.
+    on_circle_too = t in (0, 1)
+    assert _assert_records("point_on_circle", (s, circle), (_ref_circle_eval(circle, s),)) == on_circle_too
+    assert _assert_records("equidistant", (o, p, s), (_ref_dist2(o, p) - _ref_dist2(o, s),)) == on_circle_too
 
 
 def _assert_stored_form(value, *views):

@@ -5,6 +5,7 @@ draws, validation."""
 import dataclasses
 import hashlib
 from fractions import Fraction as F
+from random import Random
 
 import hypothesis.strategies as st
 import pytest
@@ -16,13 +17,18 @@ from brocard.geom import (
     Point,
     collinear_det,
     dist2,
+    foot_perpendicular,
+    intersect_lines,
     line_through,
     on_circle,
     on_line,
     orientation,
+    perpendicular_bisector,
+    point_along,
 )
 from brocard.scene import (
     GenerationExhausted,
+    KwonScene,
     SceneParams,
     _chords_adjacent,
     circle_point_from_parameter,
@@ -247,7 +253,59 @@ class TestClassical:
             classical_brocard_scene(0, 0, 1)
 
 
+def _ref_kwon_scene(seed):
+    """The Kwon draw in Fraction arithmetic, as ``kwon_scene`` made it before
+    it drew integer pairs: the same ``randint`` calls in the same order."""
+    rng = Random(seed)
+
+    def draw_rat(lo, hi):
+        return F(rng.randint(lo, hi), rng.randint(1, 6))
+
+    for _ in range(200):
+        a = Point(draw_rat(-12, 12), draw_rat(-12, 12))
+        b = Point(draw_rat(-12, 12), draw_rat(-12, 12))
+        c = Point(draw_rat(-12, 12), draw_rat(-12, 12))
+        if orientation(a, b, c) == 0:
+            continue
+        if orientation(a, b, c) < 0:
+            b, c = c, b
+
+        def on_side(p1, p2):
+            return point_along(p1, p2, draw_rat(-2, 8) / 6)
+
+        d, x = on_side(b, c), on_side(b, c)
+        e, y = on_side(c, a), on_side(c, a)
+        f = on_side(a, b)
+        try:
+            if d == x or e == y:
+                continue
+            t = intersect_lines(perpendicular_bisector(d, x), perpendicular_bisector(e, y))
+            z = 2 * foot_perpendicular(t, line_through(a, b)) - f
+            kw = KwonScene(a=a, b=b, c=c, d=d, e=e, f=f, x=x, y=y, z=z, t=t)
+            kw.miquel_points
+        except GeometryError:
+            continue
+        return kw
+    raise GenerationExhausted(f"no valid Kwon scene (seed {seed})")
+
+
+#: Seeds whose draws take each branch of the Kwon loop: the B <-> C swap
+#: (4), no swap (1, 3), a retry on collinear vertices (11, 188), on D = X
+#: (25), on E = Y (54), and on a GeometryError, here a Miquel circle whose
+#: two defining points collapse onto vertex A, B or C (12, 195, 985).
+KWON_BRANCH_SEEDS = (1, 3, 4, 11, 12, 25, 54, 188, 195, 985)
+
+
 class TestKwon:
+    def test_matches_reference(self):
+        """Field for field on the branch seeds, on seeds 0..299, and on 100
+        seeds of 48 bits, as the suite derives them from scene digests."""
+        rng = Random(2024)
+        for seed in [*KWON_BRANCH_SEEDS, *range(300), *(rng.getrandbits(48) for _ in range(100))]:
+            kw, ref = kwon_scene(seed), _ref_kwon_scene(seed)
+            for field in dataclasses.fields(KwonScene):
+                assert getattr(kw, field.name) == getattr(ref, field.name), (seed, field.name)
+
     def test_forced_equidistances(self):
         kw = kwon_scene(1)
         assert dist2(kw.t, kw.d) == dist2(kw.t, kw.x)
