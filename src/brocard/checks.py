@@ -134,6 +134,11 @@ class SuiteReport:
 #: The witnesses of a passing assertion, one shared tuple per arity.
 _ZEROS = {n: (Fraction(0),) * n for n in (1, 2, 3)}
 
+#: The PASS assertion of each (label, arity), built on first use and then
+#: shared by every check and scene that records it.  Labels come from a
+#: fixed set of names, so the memo stays bounded.
+_PASSES: Dict[Tuple[str, int], Assertion] = {}
+
 
 class _Recorder:
     """Accumulates assertions; every record returns the pass flag so checks
@@ -143,24 +148,27 @@ class _Recorder:
     off the stored tuples.  A zero residual records PASS with the shared
     zero witnesses of ``_ZEROS`` and builds no ``Fraction``; only a FAIL
     builds its witnesses, each with the public function that defines it
-    (``Circle.eval``, ``Line.eval``, ``collinear_det``, a difference)."""
+    (``Circle.eval``, ``Line.eval``, ``collinear_det``, a difference).
+    A PASS records the one shared assertion of its label from ``_PASSES``,
+    and ``failed`` is set once any assertion fails."""
 
     def __init__(self):
         self.assertions: List[Assertion] = []
         self.notes: List[str] = []
-
-    @property
-    def any_failed(self) -> bool:
-        return any(not a.ok for a in self.assertions)
+        self.failed = False
 
     def note(self, text: str) -> None:
         self.notes.append(text)
 
     def _passed(self, label: str, arity: int = 1) -> bool:
-        self.assertions.append(Assertion(label, True, _ZEROS[arity]))
+        passed = _PASSES.get((label, arity))
+        if passed is None:
+            passed = _PASSES[label, arity] = Assertion(label, True, _ZEROS[arity])
+        self.assertions.append(passed)
         return True
 
     def _failed(self, label: str, *witnesses: Union[int, Fraction]) -> bool:
+        self.failed = True
         self.assertions.append(
             Assertion(label, False, tuple([Fraction(w) if type(w) is int else w for w in witnesses]))
         )
@@ -230,9 +238,9 @@ def _run(check_id: str, body: Callable[[_Recorder], None]) -> CheckResult:
     rec = _Recorder()
     try:
         body(rec)
-        status = FAIL if rec.any_failed else PASS
+        status = FAIL if rec.failed else PASS
     except GeometryError as exc:
-        if rec.any_failed:
+        if rec.failed:
             status = FAIL
             rec.note(f"aborted after failed assertion: {exc}")
         else:
@@ -300,12 +308,14 @@ def check_isogonal_conjugates(rec: _Recorder, cfg: Configuration) -> None:
     chain (the sign-symmetric reading asserted, the literal printed sign of
     the last term reported as a note)."""
     s = cfg.scene
-    ap = angle_at(s.a1, cfg.p, s.a2)
-    bp = angle_at(s.b1, cfg.p, s.b2)
-    cp = angle_at(s.c1, cfg.p, s.c2)
-    aq = angle_at(s.a2, cfg.q, s.a1)
-    bq = angle_at(s.b2, cfg.q, s.b1)
-    cq = angle_at(s.c2, cfg.q, s.c1)
+    # Line X1 X2 of each angle is the sideline through X1 and X2.
+    bc, ca, ab = s.triangle.sides
+    ap = directed_angle(line_through(s.a1, cfg.p), bc)
+    bp = directed_angle(line_through(s.b1, cfg.p), ca)
+    cp = directed_angle(line_through(s.c1, cfg.p), ab)
+    aq = directed_angle(line_through(s.a2, cfg.q), bc)
+    bq = directed_angle(line_through(s.b2, cfg.q), ca)
+    cq = directed_angle(line_through(s.c2, cfg.q), ab)
     rec.angles_equal("ang(P,A1,A2) == ang(P,B1,B2)", ap, bp)
     rec.angles_equal("ang(P,B1,B2) == ang(P,C1,C2)", bp, cp)
     rec.angles_equal("ang(P,C1,C2) == -ang(Q,A2,A1)", cp, -aq)
@@ -736,13 +746,19 @@ def check_classical_overlay(rec: _Recorder, cfg: Configuration) -> None:
 THEOREM_CHECK_IDS: Tuple[str, ...] = tuple(cid for cid, (_, classical) in _SUITE.items() if not classical)
 
 
+def check_suite_ids(check_ids: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming every id of ``check_ids`` that is not a
+    check of the suite."""
+    unknown = [cid for cid in check_ids if cid not in _SUITE]
+    if unknown:
+        raise ValueError(f"unknown check ids: {', '.join(sorted(unknown))}")
+
+
 def run_suite(scene: Scene, check_ids: Optional[Sequence[str]] = None) -> SuiteReport:
     """Validate the scene, build its configuration, and run every applicable
     check (optionally filtered by id).  Deterministic for a fixed scene."""
     selected = list(_SUITE if check_ids is None else check_ids)
-    unknown = [cid for cid in selected if cid not in _SUITE]
-    if unknown:
-        raise ValueError(f"unknown check ids: {', '.join(sorted(unknown))}")
+    check_suite_ids(selected)
     digest = scene_digest(scene)
     violations = validate_scene(scene)
     validation = CheckResult(

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .checks import run_suite
+from .checks import check_suite_ids, run_suite
 from .geom import GeometryError, Point, rat
 from .pipeline import ClassicalOverlay, classical_overlay, compute_configuration
 from .scene import Scene, SceneParams, classical_brocard_scene, generate_scene, validate_scene
@@ -125,6 +125,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not check_ids:
             print("error: --checks names no check id", file=sys.stderr)
             return 2
+        try:
+            check_suite_ids(check_ids)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         scenes, _ = read_scene_file(args.infile)
     except (SceneFormatError, OSError) as exc:
@@ -132,11 +137,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 1
     reports = []
     for index, scene in enumerate(scenes):
-        try:
-            report = run_suite(scene, check_ids)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = run_suite(scene, check_ids)
         reports.append(report)
         counts = report.counts
         print(

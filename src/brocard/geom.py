@@ -125,7 +125,9 @@ def _det3(a, b, c, d, e, f, g, h, i):
 # below compute with plain ints on these tuples and reduce each output
 # tuple once, by one gcd, in ``_reduced``: Fraction arithmetic reduces by
 # gcd on every operation, which dominates at the coordinate sizes scenes
-# reach.  Equality and hashing compare the tuples.
+# reach.  Equality and hashing compare the tuples.  Lines and angle
+# classes are canonicalized once the same way: each constructor makes one
+# pass through ``_canonical_ints`` and sets its integer fields once.
 
 _Triple = Tuple[int, int, int]
 
@@ -313,21 +315,24 @@ def complex_ratio(u: Point, v: Point) -> ComplexScalar:
 # Lines
 
 
-def _canonical_ints(*ints: int) -> Tuple[int, ...]:
-    """Divide an integer tuple, not all zero, by its gcd, signed so that the
-    first nonzero entry is positive."""
-    g = gcd(*ints)
-    for v in ints:
-        if v:
-            if v < 0:
-                g = -g
+def _canonical_ints(what: str, zero: str, *values: RationalLike) -> Tuple[int, ...]:
+    """The coprime integers proportional to ``values`` whose first nonzero
+    entry is positive, with rational values scaled to integers first.
+    Raises ``Degenerate(what, zero)`` when the first two entries are zero."""
+    for v in values:
+        if type(v) is not int:
+            values = _integers(*values)[:-1]
             break
-    if g == 1:
-        return ints
-    return tuple([v // g for v in ints])
+    lead = values[0] or values[1]
+    if not lead:
+        raise Degenerate(what, zero)
+    g = gcd(*values)
+    if lead < 0:
+        g = -g
+    return values if g == 1 else tuple([v // g for v in values])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Line:
     """Oriented locus a*x + b*y + c = 0, canonicalized on construction."""
 
@@ -335,16 +340,11 @@ class Line:
     b: int
     c: int
 
-    def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
-        if not (type(a) is int and type(b) is int and type(c) is int):
-            a, b, c = _integers(a, b, c)[:3]
-        if a == 0 and b == 0:
-            raise Degenerate("line", "normal vector (a, b) is zero")
-        a, b, c = _canonical_ints(a, b, c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+    def __init__(self, a: RationalLike, b: RationalLike, c: RationalLike):
+        a, b, c = _canonical_ints("line", "normal vector (a, b) is zero", a, b, c)
+        _line_a(self, a)
+        _line_b(self, b)
+        _line_c(self, c)
 
     def eval(self, p: Point) -> Fraction:
         """Signed residual of p in the line equation; zero iff p is on the line."""
@@ -353,6 +353,11 @@ class Line:
 
     def __repr__(self) -> str:
         return f"Line({self.a}, {self.b}, {self.c})"
+
+
+# Constructors set each field once through its slot descriptor, which
+# bypasses the frozen ``__setattr__`` at less cost than ``object.__setattr__``.
+_line_a, _line_b, _line_c = Line.a.__set__, Line.b.__set__, Line.c.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +407,7 @@ class Circle:
 # Directed angles modulo pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DirectedAngleClass:
     """Angle between two lines modulo pi, as the projective pair (cross : dot).
 
@@ -413,18 +418,16 @@ class DirectedAngleClass:
     cross: int
     dot: int
 
-    def __post_init__(self):
-        u, v = self.cross, self.dot
-        if not (type(u) is int and type(v) is int):
-            u, v = _integers(u, v)[:2]
-        if u == 0 and v == 0:
-            raise Degenerate("angle class", "(cross, dot) is zero")
-        u, v = _canonical_ints(u, v)
-        object.__setattr__(self, "cross", u)
-        object.__setattr__(self, "dot", v)
+    def __init__(self, cross: RationalLike, dot: RationalLike):
+        cross, dot = _canonical_ints("angle class", "(cross, dot) is zero", cross, dot)
+        _angle_cross(self, cross)
+        _angle_dot(self, dot)
 
     def __neg__(self) -> "DirectedAngleClass":
         return DirectedAngleClass(-self.cross, self.dot)
+
+
+_angle_cross, _angle_dot = DirectedAngleClass.cross.__set__, DirectedAngleClass.dot.__set__
 
 
 def directed_angle(l1: Line, l2: Line) -> DirectedAngleClass:

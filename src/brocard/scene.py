@@ -157,7 +157,6 @@ def circle_point_from_parameter(t: RationalLike, center: Point, radius: Rational
     rn, rd = rat(radius).as_integer_ratio()
     if rn <= 0:
         raise Degenerate("circle parametrization", "radius must be positive")
-    # With t = n/d the unit vector is (d^2 - n^2, 2*n*d) / (d^2 + n^2).
     x, y, w = center.h
     den = rd * (d * d + n * n)
     return _reduced(Point, x * den + w * rn * (d * d - n * n), y * den + w * 2 * rn * n * d, w * den)

@@ -68,8 +68,15 @@ def rational_from_str(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _point_to_json(p: Point) -> List[str]:
-    return [rational_to_str(p.x), rational_to_str(p.y)]
+def _stored_to_json(h: Tuple[int, ...]) -> List[str]:
+    """The entries of a stored tuple over its positive last entry, as the
+    strings ``rational_to_str`` writes for them."""
+    w = h[-1]
+    out = []
+    for n in h[:-1]:
+        g = gcd(n, w)
+        out.append(f"{n // g}/{w // g}")
+    return out
 
 
 def _point_from_json(data: Any, where: str) -> Point:
@@ -90,12 +97,8 @@ def _reject_unknown_keys(data: Dict[str, Any], known: frozenset, where: str) -> 
 
 
 def scene_to_dict(s: Scene) -> Dict[str, Any]:
-    out: Dict[str, Any] = {name: _point_to_json(getattr(s, name)) for name in _POINT_FIELDS}
-    out["gamma"] = {
-        "d": rational_to_str(s.gamma.d),
-        "e": rational_to_str(s.gamma.e),
-        "f": rational_to_str(s.gamma.f),
-    }
+    out: Dict[str, Any] = {name: _stored_to_json(getattr(s, name).h) for name in _POINT_FIELDS}
+    out["gamma"] = dict(zip("def", _stored_to_json(s.gamma.h)))
     out["classical"] = s.classical
     out["strict_segments"] = s.strict_segments
     return out

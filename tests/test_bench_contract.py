@@ -56,9 +56,10 @@ def test_traced_run_sees_every_check_and_restores_patches(monkeypatch):
 #: constructions of witnesses and views.
 FRACTION_OPS_SEED7 = 0
 
-#: ``Fraction`` constructions in the same run: 30 since a PASS records the
-#: shared zero witnesses, 190 while every assertion built its witness.
-FRACTION_NEW_SEED7 = 30
+#: ``Fraction`` constructions in the same run: 7 since the scene digest
+#: formats the stored integer tuples, 30 while it formatted the ``Fraction``
+#: views, 190 while every assertion built its witness.
+FRACTION_NEW_SEED7 = 7
 
 
 def test_fraction_operations_of_one_suite_run(monkeypatch):

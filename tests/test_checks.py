@@ -458,6 +458,26 @@ class TestWitnessFidelity:
         assert result.assertions[0].witnesses == (expected,)
         assert expected != 0
 
+    def test_recorder_keeps_failures_and_shares_passes(self, seed7_scene):
+        """A label that passes and then fails records the failing witness
+        and marks the recorder failed; the PASS assertions of one label are
+        one shared object, within a scene and across scenes."""
+        rec = ck._Recorder()
+        assert rec.scalar_zero("w == 0", F(0)) and not rec.failed
+        assert not rec.scalar_zero("w == 0", F(-2, 3)) and rec.failed
+        assert rec.scalar_zero("w == 0", F(0)) and rec.failed
+        first, second, third = rec.assertions
+        assert (first.label, first.ok, first.witnesses) == ("w == 0", True, (F(0),))
+        assert (second.label, second.ok, second.witnesses) == ("w == 0", False, (F(-2, 3),))
+        assert third is first
+        passes = {}
+        for scene in (seed7_scene, generate_scene(SceneParams(seed=8))):
+            for result in run_suite(scene).results:
+                for a in result.assertions:
+                    if a.ok:
+                        assert passes.setdefault((a.label, len(a.witnesses)), a) is a
+        assert len(passes) > 80
+
 
 class TestComputedOnce:
     """Derived objects are cached on the instance they derive from, so a

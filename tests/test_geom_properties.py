@@ -900,6 +900,49 @@ def test_stored_form(p, a, b, c):
         _assert_stored_form(value, "re", "im")
 
 
+def _ref_angle(u, v):
+    u, v = F(u), F(v)
+    if u == 0 and v == 0:
+        raise Degenerate("angle class", "(cross, dot) is zero")
+    return _ref_canonical(u, v)
+
+
+@example(F(0), F(-3, 4), F(1, 6))
+@example(F(4), F(-6), F(0))
+@example(F(0), F(0), F(5, 3))
+@example(F(0), F(0), F(0))
+@example(F(-BIG, 3), F(2, BIG), F(BIG - 1, BIG))
+@given(kernel_rationals, kernel_rationals, kernel_rationals)
+def test_line_and_angle_stored_form(a, b, c):
+    """A line or an angle class built from Fractions, or from the integers
+    of their lcm form, holds the reference canonical form (coprime, first
+    nonzero entry positive) in int fields and nothing else; its fields are
+    frozen, and copying, pickling or ``dataclasses.replace`` gives an equal
+    value with an equal hash.  A zero normal or a zero (cross, dot) raises
+    the same ``Degenerate``."""
+    for cls, reference, values in ((Line, _ref_line, (a, b, c)), (DirectedAngleClass, _ref_angle, (a, b))):
+        integers = _lcm_form(*values)[:-1]
+        try:
+            expected = reference(*values)
+        except Degenerate as exc:
+            for args in (values, integers):
+                with pytest.raises(Degenerate) as raised:
+                    cls(*args)
+                assert str(raised.value) == str(exc)
+            continue
+        for args in (values, integers):
+            value = cls(*args)
+            names = [f.name for f in dataclasses.fields(value)]
+            stored = tuple(getattr(value, name) for name in names)
+            assert stored == expected and all(type(v) is int for v in stored)
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, names[0], 1)
+            copies = (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+            for copied in (*copies, dataclasses.replace(value)):
+                assert type(copied) is cls and copied == value and hash(copied) == hash(value)
+
+
 @st.composite
 def inscribed_triangles(draw):
     """A triangle inscribed in a rational circle, and a point of that circle."""

@@ -321,6 +321,18 @@ class TestCliVerify:
         bad.write_text(json.dumps(doc))
         assert main(["verify", "--in", str(bad), "--checks", "check_bogus"]) == 2
 
+    @pytest.mark.parametrize("contents", [None, "{not json"])
+    def test_unknown_check_checked_before_reading(self, tmp_path, capsys, contents):
+        """An unknown check id is a usage error also when the scene file is
+        missing or malformed."""
+        path, report = tmp_path / "s.json", tmp_path / "r.json"
+        if contents is not None:
+            path.write_text(contents)
+        argv = ["verify", "--in", str(path), "--checks", "check_steiner,bogus", "--report", str(report)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: unknown check ids: bogus\n")
+        assert not report.exists()
+
     def test_classical_overlay_skipped_on_generated_scene(self, scene_file, capsys):
         assert main(["verify", "--in", str(scene_file), "--checks", "check_classical_overlay"]) == 0
         out = capsys.readouterr().out
