@@ -13,11 +13,10 @@ import dataclasses
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .checks import check_suite_ids, run_suite
+from . import LAYERS
 from .geom import GeometryError, Point, rat
-from .pipeline import ClassicalOverlay, classical_overlay, compute_configuration
 from .scene import Scene, SceneParams, classical_brocard_scene, generate_scene, validate_scene
 from .sceneio import (
     SceneFormatError,
@@ -27,9 +26,23 @@ from .sceneio import (
     write_report_file,
     write_scene_file,
 )
-from .svgrender import LAYERS, check_layers, render_svg
+
+if TYPE_CHECKING:
+    from .checks import SuiteReport
+
+# A command imports the modules that only it runs in its own body, so that
+# ``generate`` loads neither ``checks`` nor ``svgrender``.
 
 OUT_DIR_ENV = "BROCARD_OUT_DIR"
+
+
+def run_suite(scene: Scene, check_ids: Optional[Sequence[str]] = None) -> SuiteReport:
+    """``checks.run_suite``, loading ``checks`` on the first call.  The
+    commands look it up in this module, so a caller that replaces it here,
+    as ``perfbench/cli_child.py`` does, sees every suite run."""
+    from .checks import run_suite
+
+    return run_suite(scene, check_ids)
 
 
 def _out_path(path: str) -> str:
@@ -119,6 +132,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .checks import check_suite_ids
+
     check_ids = None
     if args.checks is not None:
         check_ids = [c.strip() for c in args.checks.split(",") if c.strip()]
@@ -163,6 +178,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .pipeline import compute_configuration
+    from .svgrender import check_layers, render_svg
+
     layers = LAYERS
     if args.layers is not None:
         layers = tuple(l.strip() for l in args.layers.split(",") if l.strip())
@@ -203,11 +221,13 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_classical(args: argparse.Namespace) -> int:
+    from .pipeline import classical_overlay, compute_configuration
+
     scene, ts = _classical_scene(args)
     report = run_suite(scene)
     try:
         cfg = compute_configuration(scene)
-        overlay: Optional[ClassicalOverlay] = classical_overlay(scene)
+        overlay = classical_overlay(scene)
     except GeometryError as exc:
         print(f"degenerate classical scene: {exc}")
         overlay, cfg = None, None

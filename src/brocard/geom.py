@@ -147,7 +147,7 @@ def _reduced(cls, *ints: int):
     if ints[-1] < 0:
         g = -g
     value = object.__new__(cls)
-    object.__setattr__(value, "h", ints if g == 1 else tuple([v // g for v in ints]))
+    _set_h[cls](value, ints if g == 1 else tuple([v // g for v in ints]))
     return value
 
 
@@ -191,7 +191,7 @@ class Point:
     h: _Triple
 
     def __init__(self, x: RationalLike, y: RationalLike):
-        object.__setattr__(self, "h", _integers(x, y))
+        _set_h[Point](self, _integers(x, y))
 
     x = _view(0)
     y = _view(1)
@@ -276,7 +276,7 @@ class ComplexScalar:
     h: _Triple
 
     def __init__(self, re: RationalLike, im: RationalLike):
-        object.__setattr__(self, "h", _integers(re, im))
+        _set_h[ComplexScalar](self, _integers(re, im))
 
     re = _view(0)
     im = _view(1)
@@ -371,7 +371,7 @@ class Circle:
     h: Tuple[int, int, int, int]
 
     def __init__(self, d: RationalLike, e: RationalLike, f: RationalLike):
-        object.__setattr__(self, "h", _integers(d, e, f))
+        _set_h[Circle](self, _integers(d, e, f))
 
     d = _view(0)
     e = _view(1)
@@ -401,6 +401,11 @@ class Circle:
 
     def __repr__(self) -> str:
         return f"Circle({self.d}, {self.e}, {self.f})"
+
+
+# The slot setter of ``h`` for each class that stores an integer tuple:
+# ``_reduced`` and the constructors set ``h`` through it, as ``Line`` does.
+_set_h = {cls: cls.h.__set__ for cls in (Point, ComplexScalar, Circle)}
 
 
 # ---------------------------------------------------------------------------

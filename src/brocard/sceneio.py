@@ -23,7 +23,6 @@ encoding every block in place.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from fractions import Fraction
@@ -217,6 +216,8 @@ def _canonical_bytes(document: Any) -> bytes:
 
 
 def scene_digest(s: Scene) -> str:
+    import hashlib  # here, not at the top: ``brocard generate`` computes no digest
+
     blob = json.dumps(scene_to_dict(s), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -341,5 +342,7 @@ def write_report_file(path: str, reports: Sequence[SuiteReport], input_digest: s
 
 
 def file_digest(path: str) -> str:
+    import hashlib
+
     with open(path, "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()

@@ -13,12 +13,10 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import LAYERS
 from .geom import Degenerate, Line, Point
 from .pipeline import Configuration
 from .scene import Scene
-
-#: Render layers in paint order.
-LAYERS = ("scene", "miquel", "triangles", "brocard-circle", "steiner")
 
 _STYLE = {
     "scene": {"stroke": "#444444"},

@@ -4,20 +4,26 @@
 ``THEOREM_CHECK_IDS``, reads every module of its ``MODULES`` off the
 package after ``import brocard.cli``, and restores each patch when a pass
 ends.  A refactor of ``brocard`` that breaks one of these silently loses
-per-layer metrics, so one short traced run guards all three.
+per-layer metrics, so one short traced run guards all three.  The
+bench's timing child, ``perfbench/cli_child.py``, replaces two functions of
+``brocard.cli``; one short run of it guards that they are still called.
 """
 
 import cProfile
 import fractions
+import os
 import pstats
+import re
+import subprocess
 import sys
 from pathlib import Path
 
-import brocard.cli  # noqa: F401  (the tracer expects the CLI's modules loaded)
+import brocard
 from brocard import checks, sceneio
 from brocard.scene import SceneParams, generate_scene
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = ROOT / "perfbench"
 BENCH_MODULES = ("calibrate", "run", "tracer")  # perfbench's top-level modules
 
 
@@ -29,7 +35,9 @@ def test_traced_run_sees_every_check_and_restores_patches(monkeypatch):
         import run
         import tracer
 
-        assert "brocard.svgrender" in sys.modules
+        # What ``Tracer.install`` reads: each module off the package.
+        for m in tracer.MODULES:
+            assert getattr(brocard, m) is sys.modules["brocard." + m]
         originals = {cid: getattr(checks, cid) for cid in checks.THEOREM_CHECK_IDS}
         result = tracer.measure_layers(run.WORKLOADS["verify-caps50"], 7, count=1)
     finally:
@@ -45,6 +53,32 @@ def test_traced_run_sees_every_check_and_restores_patches(monkeypatch):
     unseen = {cid for cid in checks.THEOREM_CHECK_IDS if result.metrics[f"checks.{cid}_ms"][0] == 0}
     assert unseen <= {"check_lemma_cyclic"}
     assert {cid: getattr(checks, cid) for cid in checks.THEOREM_CHECK_IDS} == originals
+
+
+def test_bench_child_calibrates_every_scene(tmp_path):
+    """``perfbench/cli_child.py`` replaces ``brocard.cli.generate_scene`` and
+    ``brocard.cli.run_suite`` to print a ``ref`` line before each scene and
+    ``generated i`` after each accepted one.  A command that bound either
+    name in its own body would bypass both, and the bench would fall back
+    to uncalibrated wall time without failing."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
+    def child(*argv):
+        proc = subprocess.run(
+            [sys.executable, str(BENCH_DIR / "cli_child.py"), *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert all(re.fullmatch(r"ref \d+\.\d+", line) for line in lines if line.startswith("ref"))
+        return ["ref" if line.startswith("ref") else line.split(":")[0] for line in lines]
+
+    scenes = str(tmp_path / "scenes.json")
+    assert child("generate", "--seed", "7", "--count", "3", "--out", scenes) == [
+        "ref", "generated 0", "ref", "generated 1", "ref", "generated 2", f"wrote 3 scene(s) to {scenes}",
+    ]
+    assert child("verify", "--in", scenes) == ["ref", "scene 0", "ref", "scene 1", "ref", "scene 2", "total"]
 
 
 #: Fraction operations of one ``run_suite`` on the seed-7 scene at caps 50,
