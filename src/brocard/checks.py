@@ -50,24 +50,25 @@ from .geom import (
     Line,
     Point,
     Triangle,
-    angle_at,
     collinear_det,
     complex_ratio,
     dist2,
-    directed_angle,
     foot_perpendicular,
     intersect_lines,
     isogonal_conjugate,
     line_through,
     midpoint,
-    parallel_through,
-    perpendicular_through,
-    polar_of_point,
     pole_of_line,
     rational_sqrt,
     second_intersection_circle_line,
     spiral_ratio,
+    _angle,
+    _angle_at,
     _area,
+    _join,
+    _parallel,
+    _perpendicular,
+    _polar,
     _power,
     _sum,
 )
@@ -76,8 +77,8 @@ from .pipeline import (
     classical_overlay,
     compute_configuration,
     miquel_circle,
-    miquel_point_quadrangle,
     tangent_of_angle,
+    _quadrangle_miquel,
 )
 from .scene import KwonScene, Scene, circle_point_from_parameter, kwon_scene, validate_scene
 from .sceneio import scene_digest
@@ -89,6 +90,12 @@ DEGENERATE = "DEGENERATE"
 #: Every check of the suite in report order, which is declaration order:
 #: id -> (runner(configuration, scene digest), runs on classical scenes only).
 _SUITE: Dict[str, Tuple[Callable[[Configuration, str], CheckResult], bool]] = {}
+
+#: A line as a ``Line`` or as the raw coefficient triple of a ``geom``
+#: helper, and an angle class as the raw ``(cross, dot)`` pair of one; see
+#: ``_Recorder``.
+Coefficients = Union[Line, Tuple[int, int, int]]
+AnglePair = Tuple[int, int]
 
 #: Fixed auxiliary inputs the suite derives per scene for the lemma checks.
 SPIRAL_SCALE = Fraction(2, 5)
@@ -150,7 +157,17 @@ class _Recorder:
     builds its witnesses, each with the public function that defines it
     (``Circle.eval``, ``Line.eval``, ``collinear_det``, a difference).
     A PASS records the one shared assertion of its label from ``_PASSES``,
-    and ``failed`` is set once any assertion fails."""
+    and ``failed`` is set once any assertion fails.
+
+    Canonical where compared, kept or written; raw coefficients for a
+    one-off test.  The line predicates take a ``Line`` or the raw triple
+    of a ``geom`` helper (``_join``, ``_parallel``, ...), and
+    ``angles_equal`` the raw ``(cross, dot)`` pairs of ``_angle`` and
+    ``_angle_at``.  Their residuals are scale-invariant, so they decide on
+    the raw values, and only a FAIL builds the canonical ``Line`` or
+    ``DirectedAngleClass``, whose residual is the witness.  The helpers
+    raise what the constructors raise, so no zero normal reaches a
+    predicate."""
 
     def __init__(self):
         self.assertions: List[Assertion] = []
@@ -173,10 +190,6 @@ class _Recorder:
             Assertion(label, False, tuple([Fraction(w) if type(w) is int else w for w in witnesses]))
         )
         return False
-
-    def _residuals(self, label: str, *residuals: int) -> bool:
-        """Integer residuals that are themselves the witnesses."""
-        return self._failed(label, *residuals) if any(residuals) else self._passed(label, len(residuals))
 
     def scalar_zero(self, label: str, value: Fraction) -> bool:
         return self._failed(label, value) if value else self._passed(label)
@@ -209,29 +222,42 @@ class _Recorder:
     def point_on_circle(self, label: str, p: Point, c: Circle) -> bool:
         return self._failed(label, c.eval(p)) if _power(p, c)[0] else self._passed(label)
 
-    def point_on_line(self, label: str, p: Point, l: Line) -> bool:
+    def point_on_line(self, label: str, p: Point, l: Coefficients) -> bool:
+        a, b, c = l
         x, y, w = p.h
-        return self._failed(label, l.eval(p)) if l.a * x + l.b * y + l.c * w else self._passed(label)
+        return self._failed(label, Line(a, b, c).eval(p)) if a * x + b * y + c * w else self._passed(label)
 
     def collinear(self, label: str, p: Point, q: Point, r: Point) -> bool:
         return self._failed(label, collinear_det(p, q, r)) if _area(p, q, r)[0] else self._passed(label)
 
-    def parallel(self, label: str, l1: Line, l2: Line) -> bool:
-        return self._residuals(label, l1.a * l2.b - l2.a * l1.b)
+    def parallel(self, label: str, l1: Coefficients, l2: Coefficients) -> bool:
+        if _angle(l1, l2)[0]:
+            return self._failed(label, _angle(Line(*l1), Line(*l2))[0])
+        return self._passed(label)
 
-    def perpendicular(self, label: str, l1: Line, l2: Line) -> bool:
-        return self._residuals(label, l1.a * l2.a + l1.b * l2.b)
+    def perpendicular(self, label: str, l1: Coefficients, l2: Coefficients) -> bool:
+        if _angle(l1, l2)[1]:
+            return self._failed(label, _angle(Line(*l1), Line(*l2))[1])
+        return self._passed(label)
 
-    def angles_equal(self, label: str, x: DirectedAngleClass, y: DirectedAngleClass) -> bool:
-        return self._residuals(label, x.cross * y.dot - y.cross * x.dot)
+    def angles_equal(self, label: str, x: AnglePair, y: AnglePair) -> bool:
+        if x[0] * y[1] - y[0] * x[1]:
+            x, y = DirectedAngleClass(*x), DirectedAngleClass(*y)
+            return self._failed(label, x.cross * y.dot - y.cross * x.dot)
+        return self._passed(label)
 
-    def lines_equal(self, label: str, l1: Line, l2: Line) -> bool:
-        return self._residuals(
-            label,
-            l1.a * l2.b - l2.a * l1.b,
-            l1.a * l2.c - l2.a * l1.c,
-            l1.b * l2.c - l2.b * l1.c,
-        )
+    def lines_equal(self, label: str, l1: Coefficients, l2: Coefficients) -> bool:
+        a1, b1, c1 = l1
+        a2, b2, c2 = l2
+        if a1 * b2 - a2 * b1 or a1 * c2 - a2 * c1 or b1 * c2 - b2 * c1:
+            l1, l2 = Line(a1, b1, c1), Line(a2, b2, c2)
+            return self._failed(
+                label,
+                l1.a * l2.b - l2.a * l1.b,
+                l1.a * l2.c - l2.a * l1.c,
+                l1.b * l2.c - l2.b * l1.c,
+            )
+        return self._passed(label, 3)
 
 
 def _run(check_id: str, body: Callable[[_Recorder], None]) -> CheckResult:
@@ -307,21 +333,24 @@ def check_isogonal_conjugates(rec: _Recorder, cfg: Configuration) -> None:
     """P and Q are isogonal conjugates, with the six-term directed-angle
     chain (the sign-symmetric reading asserted, the literal printed sign of
     the last term reported as a note)."""
-    s = cfg.scene
-    # Line X1 X2 of each angle is the sideline through X1 and X2.
+    s, p, q = cfg.scene, cfg.p, cfg.q
+    # Line X1 X2 of each angle is the sideline through X1 and X2.  The
+    # angles are raw (cross, dot) pairs; a negated angle negates the cross.
     bc, ca, ab = s.triangle.sides
-    ap = directed_angle(line_through(s.a1, cfg.p), bc)
-    bp = directed_angle(line_through(s.b1, cfg.p), ca)
-    cp = directed_angle(line_through(s.c1, cfg.p), ab)
-    aq = directed_angle(line_through(s.a2, cfg.q), bc)
-    bq = directed_angle(line_through(s.b2, cfg.q), ca)
-    cq = directed_angle(line_through(s.c2, cfg.q), ab)
+    ap = _angle(_join(s.a1, p), bc)
+    bp = _angle(_join(s.b1, p), ca)
+    cp = _angle(_join(s.c1, p), ab)
+    aq_cross, aq_dot = _angle(_join(s.a2, q), bc)
+    bq_cross, bq_dot = _angle(_join(s.b2, q), ca)
+    cq_cross, cq_dot = _angle(_join(s.c2, q), ab)
     rec.angles_equal("ang(P,A1,A2) == ang(P,B1,B2)", ap, bp)
     rec.angles_equal("ang(P,B1,B2) == ang(P,C1,C2)", bp, cp)
-    rec.angles_equal("ang(P,C1,C2) == -ang(Q,A2,A1)", cp, -aq)
-    rec.angles_equal("-ang(Q,A2,A1) == -ang(Q,B2,B1)", -aq, -bq)
-    rec.angles_equal("-ang(Q,B2,B1) == -ang(Q,C2,C1)", -bq, -cq)
-    rec.note(f"literal positive-sign reading ang(P,A1,A2) == +ang(Q,C2,C1): {ap == cq}")
+    rec.angles_equal("ang(P,C1,C2) == -ang(Q,A2,A1)", cp, (-aq_cross, aq_dot))
+    rec.angles_equal("-ang(Q,A2,A1) == -ang(Q,B2,B1)", (-aq_cross, aq_dot), (-bq_cross, bq_dot))
+    rec.angles_equal("-ang(Q,B2,B1) == -ang(Q,C2,C1)", (-bq_cross, bq_dot), (-cq_cross, cq_dot))
+    # Two classes are equal iff their pairs are proportional.
+    same = ap[0] * cq_dot == cq_cross * ap[1]
+    rec.note(f"literal positive-sign reading ang(P,A1,A2) == +ang(Q,C2,C1): {same}")
     rec.points_equal(
         "isogonal_conjugate(P) == Q",
         isogonal_conjugate(cfg.p, s.a, s.b, s.c),
@@ -363,14 +392,14 @@ def check_pascal_and_r(rec: _Recorder, cfg: Configuration) -> None:
     rec.points_equal("pole(Pascal line) == R", pole_of_line(cfg.pascal_line, s.gamma), cfg.r)
     prime_lines = {}
     for nm, v, pr in (("A", s.a, cfg.a_prime), ("B", s.b, cfg.b_prime), ("C", s.c, cfg.c_prime)):
-        prime_lines[nm] = line_through(v, pr)
+        prime_lines[nm] = _join(v, pr)
         rec.point_on_line(f"R on {nm}{nm}'", cfg.r, prime_lines[nm])
     for nm, pt in meets:
         vertex = {"A0": "A", "B0": "B", "C0": "C"}[nm]
         rec.lines_equal(
             f"{vertex}{vertex}' is the polar of {nm}",
             prime_lines[vertex],
-            polar_of_point(pt, s.gamma),
+            _polar(pt, s.gamma),
         )
 
 
@@ -393,13 +422,13 @@ def check_brocard_circle(rec: _Recorder, cfg: Configuration) -> None:
     if cfg.o != cfg.a_prime and cfg.a_prime != cfg.r:
         rec.perpendicular(
             "OA' perpendicular to A'R",
-            line_through(cfg.o, cfg.a_prime),
-            line_through(cfg.a_prime, cfg.r),
+            _join(cfg.o, cfg.a_prime),
+            _join(cfg.a_prime, cfg.r),
         )
     else:
         rec.note("angle O-A'-R undefined: A' coincides with O or R")
     views = [
-        (name, angle_at(pt, cfg.p, cfg.q))
+        (name, _angle_at(pt, cfg.p, cfg.q))
         for name, pt in (("A'", cfg.a_prime), ("B'", cfg.b_prime), ("C'", cfg.c_prime), ("T_A", cfg.t_a))
         if pt not in (cfg.p, cfg.q)
     ]
@@ -429,7 +458,7 @@ def check_steiner(rec: _Recorder, cfg: Configuration) -> None:
     """The parallels from the vertices to the opposite T-sides concur at a
     point of the circumcircle."""
     for name, v, t_side in zip("ABC", cfg.scene.vertices, cfg.t_sides):
-        rec.point_on_line(f"S_t on the parallel from {name}", cfg.steiner, parallel_through(v, t_side))
+        rec.point_on_line(f"S_t on the parallel from {name}", cfg.steiner, _parallel(v, t_side))
     rec.point_on_circle("S_t on the circumcircle", cfg.steiner, cfg.circ)
 
 
@@ -439,7 +468,7 @@ def check_tarry(rec: _Recorder, cfg: Configuration) -> None:
     at the antipode of the Steiner point."""
     for name, v, t_side in zip("ABC", cfg.scene.vertices, cfg.t_sides):
         rec.point_on_line(
-            f"T_a on the perpendicular from {name}", cfg.tarry, perpendicular_through(v, t_side)
+            f"T_a on the perpendicular from {name}", cfg.tarry, _perpendicular(v, t_side)
         )
     rec.point_on_circle("T_a on the circumcircle", cfg.tarry, cfg.circ)
     rec.points_equal("midpoint(S_t, T_a) == circumcenter", midpoint(cfg.steiner, cfg.tarry), cfg.circ.center)
@@ -498,7 +527,7 @@ def check_circumcenter_perspective(rec: _Recorder, cfg: Configuration) -> None:
         rec.equidistant(f"{name} equidistant from the vertex and first cut", oc, v, p1)
         rec.equidistant(f"{name} equidistant from the vertex and second cut", oc, v, p2)
     for name, v, oc in (("A", s.a, cfg.o_a), ("B", s.b, cfg.o_b), ("C", s.c, cfg.o_c)):
-        rec.point_on_line(f"S_t on {name} O_{name}", cfg.steiner, line_through(v, oc))
+        rec.point_on_line(f"S_t on {name} O_{name}", cfg.steiner, _join(v, oc))
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +594,11 @@ def check_lemma_cyclic(
             return
         p = intersect_lines(line_through(pa, pb), line_through(pc, pd))
         q = intersect_lines(line_through(pa, pd), line_through(pb, pc))
-        m = miquel_point_quadrangle(pa, pb, pc, pd)
-        pq = line_through(p, q)
+        m = _quadrangle_miquel(p, q, pa, pb, pc, pd)
+        pq = _join(p, q)
         o = circle.center
         rec.point_on_line("M on PQ", m, pq)
-        rec.perpendicular("OM perpendicular to PQ", line_through(o, m), pq)
+        rec.perpendicular("OM perpendicular to PQ", _join(o, m), pq)
         r = intersect_lines(line_through(pa, pc), line_through(pb, pd))
         if r == o:
             raise Degenerate("inversion identity", "diagonal meet at the center")
@@ -595,8 +624,8 @@ def check_lemma_simson_angle(tri: Triangle, m: Point, n: Point) -> CheckResult:
         vertex = next(v for v in (tri.a, tri.b, tri.c) if v != m and v != n)
         rec.angles_equal(
             "ang(simson(M), simson(N)) == ang(M,vertex,N)",
-            directed_angle(tri.simson_line(m), tri.simson_line(n)),
-            angle_at(vertex, m, n),
+            _angle(tri.simson_line(m), tri.simson_line(n)),
+            _angle_at(vertex, m, n),
         )
 
     return _run("check_lemma_simson_angle", body)

@@ -26,6 +26,15 @@ Conventions:
 * Angles between lines are projective classes (cross : dot) modulo pi,
   compared by cross-multiplication.  Arc measures and inverse
   trigonometric functions are never computed.
+* Canonical where compared, kept or written; raw coefficients for a
+  one-off test.  ``_join``, ``_parallel``, ``_perpendicular``, ``_polar``,
+  ``_angle`` and ``_angle_at`` return the unreduced integer coefficients
+  that ``line_through``, ``parallel_through``, ``perpendicular_through``,
+  ``polar_of_point``, ``directed_angle`` and ``angle_at`` canonicalize,
+  and raise what those raise.  An incidence, parallelism or angle
+  equality is scale-invariant, so a test read once decides on them
+  directly; a value kept, compared for equality or written is the
+  canonical ``Line`` or ``DirectedAngleClass``.
 """
 
 from __future__ import annotations
@@ -127,7 +136,10 @@ def _det3(a, b, c, d, e, f, g, h, i):
 # gcd on every operation, which dominates at the coordinate sizes scenes
 # reach.  Equality and hashing compare the tuples.  Lines and angle
 # classes are canonicalized once the same way: each constructor makes one
-# pass through ``_canonical_ints`` and sets its integer fields once.
+# pass through ``_canonical_ints`` and sets its integer fields once, and
+# only where compared, kept or written: each public line or angle
+# constructor canonicalizes a raw helper's output, which a one-off test
+# reads instead.
 
 _Triple = Tuple[int, int, int]
 
@@ -346,6 +358,10 @@ class Line:
         _line_b(self, b)
         _line_c(self, c)
 
+    def __iter__(self):
+        """The coefficients (a, b, c), as a raw helper returns them."""
+        return iter((self.a, self.b, self.c))
+
     def eval(self, p: Point) -> Fraction:
         """Signed residual of p in the line equation; zero iff p is on the line."""
         x, y, w = p.h
@@ -435,31 +451,52 @@ class DirectedAngleClass:
 _angle_cross, _angle_dot = DirectedAngleClass.cross.__set__, DirectedAngleClass.dot.__set__
 
 
+def _angle(l1, l2) -> Tuple[int, int]:
+    """The unreduced (cross, dot) of the normals of two lines, each a
+    ``Line`` or a raw coefficient triple."""
+    a1, b1, _ = l1
+    a2, b2, _ = l2
+    return a1 * b2 - a2 * b1, a1 * a2 + b1 * b2
+
+
 def directed_angle(l1: Line, l2: Line) -> DirectedAngleClass:
     """Directed angle from l1 to l2 modulo pi."""
-    return DirectedAngleClass(
-        l1.a * l2.b - l2.a * l1.b,
-        l1.a * l2.a + l1.b * l2.b,
-    )
+    return DirectedAngleClass(*_angle(l1, l2))
+
+
+def _angle_at(vertex: Point, p: Point, q: Point) -> Tuple[int, int]:
+    """The unreduced (cross, dot) of the directions p - vertex and
+    q - vertex: those of the normals of lines vertex-p and vertex-q, each
+    normal being its direction turned by a right angle."""
+    dx1, dy1, _ = _sum(p.h, vertex.h, -1)
+    dx2, dy2, _ = _sum(q.h, vertex.h, -1)
+    if not (dx1 or dy1) or not (dx2 or dy2):
+        raise CoincidentPoints(f"no unique line through {vertex} twice")
+    return dx1 * dy2 - dy1 * dx2, dx1 * dx2 + dy1 * dy2
 
 
 def angle_at(vertex: Point, p: Point, q: Point) -> DirectedAngleClass:
     """Directed angle (mod pi) at ``vertex`` from line vertex-p to line vertex-q."""
-    return directed_angle(line_through(vertex, p), line_through(vertex, q))
+    return DirectedAngleClass(*_angle_at(vertex, p, q))
 
 
 # ---------------------------------------------------------------------------
 # Constructions
 
 
-def line_through(p: Point, q: Point) -> Line:
+def _join(p: Point, q: Point) -> _Triple:
+    """The unreduced coefficients of the line through p and q."""
     x1, y1, w1 = p.h
     x2, y2, w2 = q.h
     a = y1 * w2 - y2 * w1
     b = x2 * w1 - x1 * w2
     if a == 0 and b == 0:
         raise CoincidentPoints(f"no unique line through {p} twice")
-    return Line(a, b, x1 * y2 - x2 * y1)
+    return a, b, x1 * y2 - x2 * y1
+
+
+def line_through(p: Point, q: Point) -> Line:
+    return Line(*_join(p, q))
 
 
 def intersect_lines(l1: Line, l2: Line) -> Point:
@@ -469,14 +506,24 @@ def intersect_lines(l1: Line, l2: Line) -> Point:
     return _reduced(Point, l1.b * l2.c - l2.b * l1.c, l2.a * l1.c - l1.a * l2.c, det)
 
 
-def parallel_through(p: Point, l: Line) -> Line:
+def _parallel(p: Point, l: Line) -> _Triple:
+    """The unreduced coefficients of the parallel to l through p."""
     x, y, w = p.h
-    return Line(l.a * w, l.b * w, -(l.a * x + l.b * y))
+    return l.a * w, l.b * w, -(l.a * x + l.b * y)
+
+
+def parallel_through(p: Point, l: Line) -> Line:
+    return Line(*_parallel(p, l))
+
+
+def _perpendicular(p: Point, l: Line) -> _Triple:
+    """The unreduced coefficients of the perpendicular to l through p."""
+    x, y, w = p.h
+    return l.b * w, -l.a * w, l.a * y - l.b * x
 
 
 def perpendicular_through(p: Point, l: Line) -> Line:
-    x, y, w = p.h
-    return Line(l.b * w, -l.a * w, l.a * y - l.b * x)
+    return Line(*_perpendicular(p, l))
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:
@@ -578,7 +625,12 @@ def second_intersection_circle_line(c: Circle, l: Line, x: Point) -> Tuple[Point
         raise PointNotOnLine(f"{x} is not on {l}")
     if not on_circle(x, c):
         raise PointNotOnCircle(f"{x} is not on {c}")
-    a, b = l.a, l.b
+    return _second_meet(c, l.a, l.b, x)
+
+
+def _second_meet(c: Circle, a: int, b: int, x: Point) -> Tuple[Point, bool]:
+    """Vieta's second root on the line through x of c with normal (a, b),
+    nonzero and at any scale; x is on c."""
     px, py, w = x.h
     d, e, _, v = c.h
     # t = -n / (v * w * (a^2 + b^2)) is the second root.
@@ -594,7 +646,8 @@ def second_intersection_circles(c1: Circle, c2: Circle, x: Point) -> Tuple[Point
 
     Square-root-free: the radical axis is the coefficient difference of the
     monic equations, a line through x; Vieta against the known root does the
-    rest.  Returns (point, tangent).
+    rest.  Returns (point, tangent).  The axis normal is nonzero: distinct
+    circles through one common point are not concentric.
     """
     if c1 == c2:
         raise CirclesIdentical("second intersection of a circle with itself")
@@ -602,20 +655,24 @@ def second_intersection_circles(c1: Circle, c2: Circle, x: Point) -> Tuple[Point
         raise PointNotOnCircle(f"{x} is not on {c1}")
     if not on_circle(x, c2):
         raise PointNotOnCircle(f"{x} is not on {c2}")
-    d1, e1, f1, v1 = c1.h
-    d2, e2, f2, v2 = c2.h
-    radical_axis = Line(d1 * v2 - d2 * v1, e1 * v2 - e2 * v1, f1 * v2 - f2 * v1)
-    return second_intersection_circle_line(c1, radical_axis, x)
+    d1, e1, _, v1 = c1.h
+    d2, e2, _, v2 = c2.h
+    return _second_meet(c1, d1 * v2 - d2 * v1, e1 * v2 - e2 * v1, x)
 
 
-def polar_of_point(p: Point, c: Circle) -> Line:
+def _polar(p: Point, c: Circle) -> _Triple:
+    """The unreduced coefficients of the polar of p in c."""
     x, y, w = p.h
     d, e, f, v = c.h
     a = 2 * v * x + d * w
     b = 2 * v * y + e * w
     if a == 0 and b == 0:
         raise CenterDegenerate("polar of the center is the line at infinity")
-    return Line(a, b, d * x + e * y + 2 * f * w)
+    return a, b, d * x + e * y + 2 * f * w
+
+
+def polar_of_point(p: Point, c: Circle) -> Line:
+    return Line(*_polar(p, c))
 
 
 def pole_of_line(l: Line, c: Circle) -> Point:

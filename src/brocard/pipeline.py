@@ -262,6 +262,11 @@ def miquel_point_quadrangle(pa: Point, pb: Point, pc: Point, pd: Point) -> Point
         q = intersect_lines(line_through(pa, pd), line_through(pb, pc))
     except GeometryError as exc:
         raise Degenerate("Q", str(exc)) from exc
+    return _quadrangle_miquel(p, q, pa, pb, pc, pd)
+
+
+def _quadrangle_miquel(p: Point, q: Point, pa: Point, pb: Point, pc: Point, pd: Point) -> Point:
+    """``miquel_point_quadrangle`` given its meets P and Q."""
     try:
         c1 = circumcircle(p, pa, pd)
         c2 = circumcircle(q, pa, pb)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import brocard
 from brocard import checks, sceneio
+from brocard.geom import DirectedAngleClass, Line
 from brocard.scene import SceneParams, generate_scene
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,6 +124,40 @@ def test_fraction_operations_of_one_suite_run(monkeypatch):
     assert report.all_pass
     assert sum(nc for fn_name, nc in calls if fn_name in FRACTION_OPS) <= FRACTION_OPS_SEED7 * 1.1
     assert sum(nc for fn_name, nc in calls if fn_name == "__new__") <= FRACTION_NEW_SEED7 * 1.1
+
+
+#: ``Line.__init__`` and ``DirectedAngleClass.__init__`` calls in the same
+#: run: 38 and 0 since a line or angle class is canonicalized only where it
+#: is compared, kept or written, 85 and 17 while every check body and
+#: ``angle_at`` built throwaway lines and classes for one-off tests.
+LINE_NEW_SEED7 = 38
+ANGLE_NEW_SEED7 = 0
+
+
+def test_line_and_angle_constructions_of_one_suite_run():
+    """Counted under cProfile on the same run as the Fraction counts, each
+    bound with 10% slack: a check body that builds a throwaway ``Line`` or
+    ``DirectedAngleClass`` for a one-off incidence or angle test fails."""
+    scene = generate_scene(SceneParams(seed=7))
+    checks._cyclic_lemma.cache_clear()
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        report = checks.run_suite(scene)
+    finally:
+        profile.disable()
+    calls = {
+        (filename, line, fn_name): nc for (filename, line, fn_name), (_, nc, *_) in pstats.Stats(profile).stats.items()
+    }
+
+    def constructions(cls):
+        code = cls.__init__.__code__
+        return calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
+
+    assert report.all_pass
+    assert constructions(Line) <= LINE_NEW_SEED7 * 1.1
+    assert constructions(DirectedAngleClass) <= ANGLE_NEW_SEED7 * 1.1
+    assert constructions(Line) > 0  # the lines the configuration keeps
 
 
 #: Distinct check results in the seed-7 caps-50 report (scene seeds

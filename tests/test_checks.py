@@ -479,6 +479,117 @@ class TestWitnessFidelity:
         assert len(passes) > 80
 
 
+    @staticmethod
+    def _failed(result, label):
+        """The witnesses of the one failed assertion labelled ``label``."""
+        (found,) = [a for a in result.failed_assertions if a.label == label]
+        assert result.status == FAIL
+        return found.witnesses
+
+    def test_incidence_witnesses_are_canonical_residuals(self, seed7_scene, seed7_cfg):
+        """Checks that decide on raw line coefficients still fail with the
+        residual of the canonical line: parallels, perpendiculars and joins."""
+        s, cfg = seed7_scene, seed7_cfg
+        shift = Point(F(1, 7), F(-2, 9))
+        moved = dataclasses.replace(cfg, steiner=cfg.steiner + shift)
+        result = ck.check_steiner(moved)
+        for name, v, t_side in zip("ABC", s.vertices, cfg.t_sides):
+            expected = geom.parallel_through(v, t_side).eval(moved.steiner)
+            assert self._failed(result, f"S_t on the parallel from {name}") == (expected,) != (0,)
+        moved = dataclasses.replace(cfg, tarry=cfg.tarry + shift)
+        result = ck.check_tarry(moved)
+        for name, v, t_side in zip("ABC", s.vertices, cfg.t_sides):
+            expected = geom.perpendicular_through(v, t_side).eval(moved.tarry)
+            assert self._failed(result, f"T_a on the perpendicular from {name}") == (expected,) != (0,)
+        moved = dataclasses.replace(cfg, o_a=cfg.o_a + shift)
+        expected = line_through(s.a, moved.o_a).eval(cfg.steiner)
+        assert self._failed(ck.check_circumcenter_perspective(moved), "S_t on A O_A") == (expected,)
+
+    def test_pascal_witnesses_are_canonical_residuals(self, seed7_scene, seed7_cfg):
+        s, cfg = seed7_scene, seed7_cfg
+        moved = dataclasses.replace(cfg, a_prime=cfg.a_prime + Point(F(1, 7), F(-2, 9)))
+        result = ck.check_pascal_and_r(moved)
+        aa = line_through(s.a, moved.a_prime)
+        assert self._failed(result, "R on AA'") == (aa.eval(cfg.r),)
+        polar = geom.polar_of_point(cfg.a0, s.gamma)
+        expected = (aa.a * polar.b - polar.a * aa.b, aa.a * polar.c - polar.a * aa.c, aa.b * polar.c - polar.b * aa.c)
+        witnesses = self._failed(result, "AA' is the polar of A0")
+        assert witnesses == expected and any(expected)
+        assert all(type(w) is F for w in witnesses)
+
+    def test_angle_witnesses_are_canonical_residuals(self, seed7_scene, seed7_cfg):
+        """Checks that decide on raw (cross, dot) pairs still fail with the
+        residual of the canonical angle classes and lines."""
+        s, cfg = seed7_scene, seed7_cfg
+
+        def residual(x, y):
+            return x.cross * y.dot - y.cross * x.dot
+
+        moved = dataclasses.replace(cfg, a_prime=cfg.a_prime + Point(F(1, 7), F(-2, 9)))
+        result = ck.check_brocard_circle(moved)
+        l1, l2 = line_through(cfg.o, moved.a_prime), line_through(moved.a_prime, cfg.r)
+        assert self._failed(result, "OA' perpendicular to A'R") == (l1.a * l2.a + l1.b * l2.b,)
+        angle_a, angle_b = geom.angle_at(moved.a_prime, cfg.p, cfg.q), geom.angle_at(cfg.b_prime, cfg.p, cfg.q)
+        assert self._failed(result, "ang(P,A',Q) == ang(P,B',Q)") == (residual(angle_a, angle_b),)
+
+        moved = dataclasses.replace(cfg, p=cfg.p + Point(F(1, 7), F(-2, 9)))
+        result = ck.check_isogonal_conjugates(moved)
+        bc, ca, ab = s.triangle.sides
+        ap = geom.directed_angle(line_through(s.a1, moved.p), bc)
+        bp = geom.directed_angle(line_through(s.b1, moved.p), ca)
+        cp = geom.directed_angle(line_through(s.c1, moved.p), ab)
+        aq = geom.directed_angle(line_through(s.a2, cfg.q), bc)
+        assert self._failed(result, "ang(P,A1,A2) == ang(P,B1,B2)") == (residual(ap, bp),)
+        assert self._failed(result, "ang(P,B1,B2) == ang(P,C1,C2)") == (residual(bp, cp),)
+        assert self._failed(result, "ang(P,C1,C2) == -ang(Q,A2,A1)") == (residual(cp, -aq),)
+        cq = geom.directed_angle(line_through(s.c2, cfg.q), ab)
+        assert result.notes == (f"literal positive-sign reading ang(P,A1,A2) == +ang(Q,C2,C1): {ap == cq}",)
+        # The note compares classes, not raw pairs: with A1P perpendicular
+        # to BC and C2Q to AB, both angles are the right-angle class.
+        right = dataclasses.replace(cfg, p=s.a1 + Point(bc.a, bc.b), q=s.c2 + Point(ab.a, ab.b))
+        result = ck.check_isogonal_conjugates(right)
+        assert result.notes[0] == "literal positive-sign reading ang(P,A1,A2) == +ang(Q,C2,C1): True"
+
+        # A triangle whose Simson memo holds the Tarry point's line for S_t.
+        tri = Triangle(*s.vertices)
+        vars(tri)["_simson"] = {cfg.steiner: cfg.simson_tarry}
+        result = check_lemma_simson_angle(tri, cfg.steiner, cfg.tarry)
+        vertex = next(v for v in s.vertices if v not in (cfg.steiner, cfg.tarry))
+        expected = residual(
+            geom.directed_angle(cfg.simson_tarry, cfg.simson_tarry), geom.angle_at(vertex, cfg.steiner, cfg.tarry)
+        )
+        assert self._failed(result, "ang(simson(M), simson(N)) == ang(M,vertex,N)") == (expected,) != (0,)
+
+    def test_cyclic_lemma_witnesses_are_canonical_residuals(self, seed7_scene, monkeypatch):
+        quad = build_cyclic_quadrangle(seed7_scene.gamma)
+        real = ck._quadrangle_miquel
+        monkeypatch.setattr(ck, "_quadrangle_miquel", lambda *args: real(*args) + Point(F(1, 7), 0))
+        result = check_lemma_cyclic(seed7_scene.gamma, *quad)
+        pa, pb, pc, pd = quad
+        p = geom.intersect_lines(line_through(pa, pb), line_through(pc, pd))
+        q = geom.intersect_lines(line_through(pa, pd), line_through(pb, pc))
+        m = real(p, q, pa, pb, pc, pd) + Point(F(1, 7), 0)
+        pq, om = line_through(p, q), line_through(seed7_scene.gamma.center, m)
+        assert self._failed(result, "M on PQ") == (pq.eval(m),)
+        assert self._failed(result, "OM perpendicular to PQ") == (om.a * pq.a + om.b * pq.b,)
+
+    def test_coincident_defining_points_never_pass(self, seed7_scene, seed7_cfg):
+        """A raw join of two equal points raises as ``line_through`` does: the
+        check reports DEGENERATE with the kernel's note, or FAIL when an
+        earlier assertion already failed; never PASS."""
+        s, cfg = seed7_scene, seed7_cfg
+        twice = "no unique line through {} twice".format
+        result = ck.check_isogonal_conjugates(dataclasses.replace(cfg, p=s.a1))
+        assert (result.status, result.assertions, result.notes) == (DEGENERATE, (), (twice(s.a1),))
+        result = ck.check_pascal_and_r(dataclasses.replace(cfg, a_prime=s.a))
+        assert (result.status, result.notes) == (DEGENERATE, (twice(s.a),))
+        assert all(a.ok for a in result.assertions)
+        # O_A = A fails its equidistance first, then the join aborts.
+        result = ck.check_circumcenter_perspective(dataclasses.replace(cfg, o_a=s.a))
+        assert result.status == FAIL
+        assert result.notes == (f"aborted after failed assertion: {twice(s.a)}",)
+
+
 class TestComputedOnce:
     """Derived objects are cached on the instance they derive from, so a
     ``dataclasses.replace`` copy derives them afresh from its own fields."""

@@ -53,6 +53,14 @@ from brocard.geom import (
     simson_line,
     spiral_ratio,
     tangent_line,
+    _angle,
+    _angle_at,
+    _join,
+    _parallel,
+    _perpendicular,
+    _polar,
+    angle_at,
+    PointNotOnCircle,
 )
 from brocard.pipeline import tangent_of_angle
 from brocard.scene import circle_point_from_parameter
@@ -993,3 +1001,119 @@ def test_triangle_simson_memo(case):
         # A vertex's Simson line is the altitude from it.
         assert tri.simson_line(v) == perpendicular_through(v, opposite)
     assert tri.simson_line(p) is line
+
+
+# ---------------------------------------------------------------------------
+# Raw coefficients.  Each public line or angle constructor canonicalizes
+# the unreduced output of one raw helper, which raises what it raised.
+
+
+def _outcome(fn, *args):
+    """``(value, None)`` or ``(None, (exception class, message))``."""
+    try:
+        return fn(*args), None
+    except GeometryError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _raw_residual(raw, p):
+    a, b, c = raw
+    x, y, w = p.h
+    return a * x + b * y + c * w
+
+
+@example(Point(F(BIG - 1, BIG), F(-BIG, BIG - 3)), Point(F(-1, BIG), F(1, 2)), Point(F(BIG, 7), F(3, BIG)))
+@example(Point(F(-1, 3), F(2, BIG)), Point(F(-1, 3), F(2, BIG)), Point(0, 0))  # coincident pair
+@example(*HORIZONTAL_EXAMPLE, HORIZONTAL_EXAMPLE[0])  # r on pq
+@given(kernel_points(), kernel_points(), kernel_points())
+def test_raw_helpers_canonicalize_to_constructors(p, q, r):
+    """``Line(*_join(p, q)) == line_through(p, q)``, and likewise for the
+    parallel, the perpendicular and the directed angle; or both raise the
+    same exception class with the same message.  A raw residual is zero iff
+    the point is on the canonical line."""
+    raw, raised = _outcome(_join, p, q)
+    assert _outcome(line_through, p, q) == (None if raised else Line(*raw), raised)
+    if raised:
+        assert raised == (CoincidentPoints, f"no unique line through {p} twice")
+        return
+    l = line_through(p, q)
+    for point in (p, q, r):
+        assert (_raw_residual(raw, point) == 0) == on_line(point, l)
+    for helper, public in ((_parallel, parallel_through), (_perpendicular, perpendicular_through)):
+        raw_through = helper(r, l)
+        assert Line(*raw_through) == public(r, l)
+        assert _raw_residual(raw_through, r) == 0
+        assert (_raw_residual(raw_through, p) == 0) == on_line(p, public(r, l))
+    assert tuple(l) == (l.a, l.b, l.c)
+    other = perpendicular_through(r, l)
+    for l1, l2 in ((l, other), (other, l), (raw, _parallel(r, l)), (l, _perpendicular(p, l))):
+        assert DirectedAngleClass(*_angle(l1, l2)) == directed_angle(Line(*l1), Line(*l2))
+
+
+@example(Point(F(1, BIG), F(-BIG, 3)), Point(F(BIG - 1, BIG), F(2, 7)), Point(F(-BIG, 5), F(BIG, BIG + 1)))
+@example(Point(1, 1), Point(1, 1), Point(2, 3))  # p on the vertex
+@example(Point(1, 1), Point(2, 3), Point(1, 1))  # q on the vertex
+@example(Point(1, 1), Point(1, 1), Point(1, 1))
+@example(Point(0, 0), Point(1, 0), Point(-3, 0))  # a straight angle
+@given(kernel_points(), kernel_points(), kernel_points())
+def test_angle_at_is_the_angle_of_its_two_lines(v, p, q):
+    """``angle_at`` reads the directions from the vertex, not two lines, and
+    gives the class of the two lines through the vertex, or raises what the
+    first of them raises."""
+    value, raised = _outcome(angle_at, v, p, q)
+    expected = _outcome(lambda: directed_angle(line_through(v, p), line_through(v, q)))
+    assert (value, raised) == expected
+    assert _outcome(_angle_at, v, p, q)[1] == raised
+    if raised is None:
+        assert DirectedAngleClass(*_angle_at(v, p, q)) == value
+
+
+def _ref_second_intersection_circles(c1, c2, x):
+    """The second common point in Fraction arithmetic, on the unscaled
+    radical axis of the monic equations."""
+    if c1 == c2:
+        raise CirclesIdentical("second intersection of a circle with itself")
+    for c in (c1, c2):
+        if _ref_circle_eval(c, x) != 0:
+            raise PointNotOnCircle(f"{x} is not on {c}")
+    a, b = c1.d - c2.d, c1.e - c2.e
+    t = -(2 * x.x * b - 2 * x.y * a + c1.d * b - c1.e * a) / (a * a + b * b)
+    if t == 0:
+        return x, True
+    return Point(x.x + t * b, x.y - t * a), False
+
+
+@example(  # circles of about 10^12 through the origin, and a tangent pair
+    (Circle(F(-2 * BIG, 3), F(BIG, 7), 0), Point(0, 0)), Point(F(BIG, 11), F(-1, BIG)), F(3, 2)
+)
+@example((Circle(-2, 0, 0), Point(0, 0)), Point(-1, 0), F(1))  # tangent at the origin
+@given(kernel_circles(), kernel_points(), kernel_rationals)
+def test_second_intersection_circles_matches_fraction_reference(circle, center2, k):
+    """``second_intersection_circles`` feeds the raw radical axis to Vieta;
+    it returns what the Fraction reference returns, and raises the same
+    exception class with the same message: on identical circles and on a
+    point off either circle."""
+    c1, x = circle[0], circle[1]
+    assume(center2 != x)
+    c2 = Circle.from_center_radius2(center2, dist2(center2, x))
+    off = x + Point(1, 0)
+    cases = [(c1, c2, x), (c1, c1, x), (c1, c2, off), (c2, c1, off)]
+    if k != 0:
+        scaled = Circle.from_center_radius2(x + k * (center2 - x), k * k * dist2(center2, x))
+        cases.append((c2, scaled, x))  # tangent at x unless k == 1
+    for args in cases:
+        assert _outcome(second_intersection_circles, *args) == _outcome(_ref_second_intersection_circles, *args)
+
+
+def test_raw_helpers_raise_the_constructors_errors():
+    """The degenerate inputs of each raw helper raise the exception class
+    and message its public constructor raised before it had a raw helper."""
+    p, c = Point(F(1, 3), F(-2, 5)), Circle(F(-2, 3), F(-4, 5), F(-1, 7))
+    assert _outcome(_join, p, p)[1] == (CoincidentPoints, "no unique line through Point(1/3, -2/5) twice")
+    assert _outcome(line_through, p, p)[1] == _outcome(_join, p, p)[1]
+    for vertex, u, w in ((p, p, ZERO), (p, ZERO, p), (p, p, p)):
+        expected = (CoincidentPoints, "no unique line through Point(1/3, -2/5) twice")
+        assert _outcome(_angle_at, vertex, u, w)[1] == _outcome(angle_at, vertex, u, w)[1] == expected
+    expected = (CenterDegenerate, "polar of the center is the line at infinity")
+    assert _outcome(_polar, c.center, c)[1] == _outcome(polar_of_point, c.center, c)[1] == expected
+    assert Line(*_polar(p, c)) == polar_of_point(p, c)

@@ -2,6 +2,7 @@
 separate processes with ``src`` on ``PYTHONPATH``; and of the README's
 library example, run as printed."""
 
+import json
 import os
 import re
 import subprocess
@@ -56,3 +57,42 @@ def test_readme_library_example():
     blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def _run_output(correct, verify_ms, per_s):
+    """What ``perfbench/run.py`` prints: a table, then its JSON line."""
+    metrics = {
+        "verify_scene_ms.p50": {"value": verify_ms, "unit": "ms"},
+        "scenes_per_s": {"value": per_s, "unit": "1/s"},
+    }
+    line = json.dumps({"correct": correct, "attempted": 100, "failed": 0 if correct else 1, "metrics": metrics})
+    return f"verify-caps50 seed 0 trace 0\n  verify_scene_ms.p50  {verify_ms}  ms\n{line}\n"
+
+
+def test_bench_pairs_summary(monkeypatch):
+    """Medians, the parent's quartiles and the pairs won, with the direction
+    of each metric from BENCHMARK.json; an incorrect run is kept and named."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_pairs
+
+    parent = [bench_pairs.parse_result(_run_output(True, ms, s)) for ms, s in ((2.0, 100), (1.0, 120), (3.0, 90), (4.0, 80))]
+    change = [bench_pairs.parse_result(_run_output(ok, ms, s)) for ok, ms, s in
+              ((True, 1.5, 110), (False, 1.5, 110), (True, 2.0, 95), (True, 4.5, 70))]
+    lines = bench_pairs.summarize(list(zip(parent, change)))
+    assert lines == [
+        "verify_scene_ms.p50: 2.5 [1.75, 3.25] -> 1.75 ms (2/4, -30.0%)",
+        "scenes_per_s: 95 [87.5, 105] -> 102.5 1/s (2/4, +7.9%)",
+        "parent: 4/4 runs correct",
+        "change: 3/4 runs correct; incorrect or missing in pair(s) 2",
+    ]
+    assert bench_pairs.parse_result("no json here\n") is None
+    assert bench_pairs.parse_result("") is None
+    missing = bench_pairs.summarize([(parent[0], None)])
+    assert missing[0] == "verify_scene_ms.p50: missing on one side"
+    assert missing[-1] == "change: 0/1 runs correct; incorrect or missing in pair(s) 1"
+
+
+def test_bench_pairs_help():
+    proc = run_script("bench_pairs.py", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "--workload" in proc.stdout and "--pairs" in proc.stdout
