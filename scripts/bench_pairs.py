@@ -4,7 +4,10 @@ Runs ``python3 perfbench/run.py --trace 0`` in two checkouts in turn, N
 times each, alternating which of the two runs first in a pair, and reads
 only the JSON line each run prints last.  For every metric it prints the
 parent's median with its quartiles, the change's median, the relative
-change and the pairs the change won::
+change, the pairs the change won and a verdict by the claim rule: a metric
+is ``better`` (or ``worse``) when the change wins (or loses) at least 9 of
+every 10 pairs and the gap between the medians exceeds the interquartile
+range of the parent's runs, and ``unresolved`` otherwise::
 
     python3 scripts/bench_pairs.py ../parent . --workload verify-caps50 --pairs 10
 
@@ -59,9 +62,23 @@ def _quartiles(values: List[float]) -> Tuple[float, float]:
     return q1, q3
 
 
+def verdict(won: int, lost: int, pairs: int, gap: float, iqr: float) -> str:
+    """The claim rule on one metric: ``better`` when the change won at least
+    9/10 of the pairs and the gap between the medians, signed so that
+    positive is better, exceeds the parent's IQR; ``worse`` for the same
+    rule with the sides exchanged; ``unresolved`` otherwise."""
+    if pairs and abs(gap) > iqr:
+        if gap > 0 and won >= 0.9 * pairs:
+            return "better"
+        if gap < 0 and lost >= 0.9 * pairs:
+            return "worse"
+    return "unresolved"
+
+
 def summarize(pairs: Sequence[Tuple[Optional[Result], Optional[Result]]]) -> List[str]:
     """One line per metric, ``name: parent median [q1, q3] -> change median
-    unit (won/pairs, +x.x%)``, then one line per side naming its incorrect runs."""
+    unit (won/pairs, +x.x%): verdict``, then one line per side naming its
+    incorrect runs."""
     names: List[str] = []
     units: Dict[str, str] = {}
     for result in (r for pair in pairs for r in pair if r):
@@ -85,12 +102,13 @@ def summarize(pairs: Sequence[Tuple[Optional[Result], Optional[Result]]]) -> Lis
             if p and c and name in p["metrics"] and name in c["metrics"]
         ]
         won = sum(sign * (c - p) < 0 for p, c in scored)
+        lost = sum(sign * (c - p) > 0 for p, c in scored)
         p_med, c_med = statistics.median(parent), statistics.median(change)
         q1, q3 = _quartiles(parent)
         delta = f"{(c_med - p_med) / p_med * 100:+.1f}%" if p_med else "n/a"
         lines.append(
             f"{name}: {p_med:.4g} [{q1:.4g}, {q3:.4g}] -> {c_med:.4g} {units[name]}"
-            f" ({won}/{len(scored)}, {delta})"
+            f" ({won}/{len(scored)}, {delta}): {verdict(won, lost, len(scored), sign * (p_med - c_med), q3 - q1)}"
         )
     for side, index in (("parent", 0), ("change", 1)):
         bad = [str(i + 1) for i, pair in enumerate(pairs) if not (pair[index] and pair[index].get("correct"))]
@@ -117,7 +135,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         pairs.append(tuple(pair))
         for side, result in zip(("parent", "change"), pair):
             print(f"pair {i + 1} {side} {json.dumps(result)}", file=sys.stderr, flush=True)
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs: parent median [quartiles] -> change median")
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs:"
+          " parent median [quartiles] -> change median (pairs won, change): verdict")
     for line in summarize(pairs):
         print("  " + line)
     return 0

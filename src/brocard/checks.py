@@ -51,33 +51,37 @@ from .geom import (
     Point,
     Triangle,
     collinear_det,
-    complex_ratio,
     dist2,
     foot_perpendicular,
     intersect_lines,
-    isogonal_conjugate,
     line_through,
-    midpoint,
     pole_of_line,
     rational_sqrt,
     second_intersection_circle_line,
-    spiral_ratio,
     _angle,
     _angle_at,
     _area,
+    _center,
+    _image,
+    _isogonal,
     _join,
+    _midpoint,
     _parallel,
     _perpendicular,
     _polar,
     _power,
+    _quotient,
+    _reduced,
+    _spiral,
     _sum,
+    _times,
 )
 from .pipeline import (
     Configuration,
     classical_overlay,
     compute_configuration,
-    miquel_circle,
     tangent_of_angle,
+    _miquel_circle,
     _quadrangle_miquel,
 )
 from .scene import KwonScene, Scene, circle_point_from_parameter, kwon_scene, validate_scene
@@ -91,10 +95,14 @@ DEGENERATE = "DEGENERATE"
 #: id -> (runner(configuration, scene digest), runs on classical scenes only).
 _SUITE: Dict[str, Tuple[Callable[[Configuration, str], CheckResult], bool]] = {}
 
-#: A line as a ``Line`` or as the raw coefficient triple of a ``geom``
-#: helper, and an angle class as the raw ``(cross, dot)`` pair of one; see
-#: ``_Recorder``.
+#: A line, point or complex number as its value or as the raw coefficient
+#: triple of a ``geom`` helper, a circle as its value or the raw
+#: ``(d, e, f, v)`` of one, and an angle class as the raw ``(cross, dot)``
+#: pair of one; see ``_Recorder``.
 Coefficients = Union[Line, Tuple[int, int, int]]
+PointLike = Union[Point, Tuple[int, int, int]]
+ComplexLike = Union[ComplexScalar, Tuple[int, int, int]]
+CircleLike = Union[Circle, Tuple[int, int, int, int]]
 AnglePair = Tuple[int, int]
 
 #: Fixed auxiliary inputs the suite derives per scene for the lemma checks.
@@ -159,15 +167,18 @@ class _Recorder:
     A PASS records the one shared assertion of its label from ``_PASSES``,
     and ``failed`` is set once any assertion fails.
 
-    Canonical where compared, kept or written; raw coefficients for a
-    one-off test.  The line predicates take a ``Line`` or the raw triple
-    of a ``geom`` helper (``_join``, ``_parallel``, ...), and
-    ``angles_equal`` the raw ``(cross, dot)`` pairs of ``_angle`` and
-    ``_angle_at``.  Their residuals are scale-invariant, so they decide on
-    the raw values, and only a FAIL builds the canonical ``Line`` or
-    ``DirectedAngleClass``, whose residual is the witness.  The helpers
-    raise what the constructors raise, so no zero normal reaches a
-    predicate."""
+    Reduced where kept or written; raw for one meet or one comparison.
+    The line predicates take a ``Line`` or the raw triple of a ``geom``
+    helper (``_join``, ``_parallel``, ...), ``points_equal`` and
+    ``complex_equal`` a value or a raw triple (``_isogonal``, ``_image``,
+    ``_midpoint``, ``_spiral``, ...), ``point_on_circle`` a ``Circle`` or
+    the raw ``(d, e, f, v)`` of ``_circle_through``, and ``angles_equal``
+    the raw ``(cross, dot)`` pairs of ``_angle`` and ``_angle_at``.  Each
+    decides on the raw values, by a scale-invariant residual or by
+    cross-multiplication, and only a FAIL builds the canonical values,
+    whose residual or difference is the witness.  The helpers raise what
+    the public functions raise, so no zero normal or zero denominator
+    reaches a predicate."""
 
     def __init__(self):
         self.assertions: List[Assertion] = []
@@ -191,8 +202,9 @@ class _Recorder:
         )
         return False
 
-    def scalar_zero(self, label: str, value: Fraction) -> bool:
-        return self._failed(label, value) if value else self._passed(label)
+    def scalar_zero(self, label: str, value: Union[int, Fraction], den: int = 1) -> bool:
+        """value / den == 0, for a nonzero integer den."""
+        return self._failed(label, Fraction(value, den)) if value else self._passed(label)
 
     def scalars_equal(self, label: str, lhs: Fraction, rhs: Fraction) -> bool:
         return self._passed(label) if lhs == rhs else self._failed(label, lhs - rhs)
@@ -206,21 +218,22 @@ class _Recorder:
             return self._passed(label)
         return self._failed(label, dist2(center, p) - dist2(center, q))
 
-    def points_equal(self, label: str, p: Point, q: Point) -> bool:
-        # The stored tuples are canonical: equal exactly when the points are.
-        if p.h == q.h:
+    def points_equal(self, label: str, p: PointLike, q: PointLike) -> bool:
+        if _same(p, q):
             return self._passed(label, 2)
-        d = p - q
+        d = _value(Point, p) - _value(Point, q)
         return self._failed(label, d.x, d.y)
 
-    def complex_equal(self, label: str, z: ComplexScalar, w: ComplexScalar) -> bool:
-        if z.h == w.h:
+    def complex_equal(self, label: str, z: ComplexLike, w: ComplexLike) -> bool:
+        if _same(z, w):
             return self._passed(label, 2)
-        d = z - w
+        d = _value(ComplexScalar, z) - _value(ComplexScalar, w)
         return self._failed(label, d.re, d.im)
 
-    def point_on_circle(self, label: str, p: Point, c: Circle) -> bool:
-        return self._failed(label, c.eval(p)) if _power(p, c)[0] else self._passed(label)
+    def point_on_circle(self, label: str, p: Point, c: CircleLike) -> bool:
+        if _power(p, c if type(c) is tuple else c.h)[0]:
+            return self._failed(label, _value(Circle, c).eval(p))
+        return self._passed(label)
 
     def point_on_line(self, label: str, p: Point, l: Coefficients) -> bool:
         a, b, c = l
@@ -258,6 +271,19 @@ class _Recorder:
                 l1.b * l2.c - l2.b * l1.c,
             )
         return self._passed(label, 3)
+
+
+def _value(cls, v):
+    """v itself, or the ``cls`` value of the raw tuple v."""
+    return _reduced(cls, *v) if type(v) is tuple else v
+
+
+def _same(u, v) -> bool:
+    """Two points or complex numbers, each a value or a raw triple, are
+    equal: their coordinates agree by cross-multiplication."""
+    x1, y1, w1 = u if type(u) is tuple else u.h
+    x2, y2, w2 = v if type(v) is tuple else v.h
+    return x1 * w2 == x2 * w1 and y1 * w2 == y2 * w1
 
 
 def _run(check_id: str, body: Callable[[_Recorder], None]) -> CheckResult:
@@ -351,11 +377,7 @@ def check_isogonal_conjugates(rec: _Recorder, cfg: Configuration) -> None:
     # Two classes are equal iff their pairs are proportional.
     same = ap[0] * cq_dot == cq_cross * ap[1]
     rec.note(f"literal positive-sign reading ang(P,A1,A2) == +ang(Q,C2,C1): {same}")
-    rec.points_equal(
-        "isogonal_conjugate(P) == Q",
-        isogonal_conjugate(cfg.p, s.a, s.b, s.c),
-        cfg.q,
-    )
+    rec.points_equal("isogonal_conjugate(P) == Q", _isogonal(cfg.p, s.a, s.b, s.c), cfg.q)
 
 
 @_check()
@@ -365,15 +387,16 @@ def check_rotation_angles(rec: _Recorder, cfg: Configuration) -> None:
     s = cfg.scene
     # The BC ratios are the configuration's r_P and r_Q.
     _, ca, ab = s.triangle.sides
-    rp_ca = spiral_ratio(cfg.p, s.b1, ca)
-    rp_ab = spiral_ratio(cfg.p, s.c1, ab)
-    rq_ca = spiral_ratio(cfg.q, s.b2, ca)
-    rq_ab = spiral_ratio(cfg.q, s.c2, ab)
+    rp_ca = _spiral(cfg.p, s.b1, ca)
+    rp_ab = _spiral(cfg.p, s.c1, ab)
+    rq_ca = _spiral(cfg.q, s.b2, ca)
+    rq_ab = _spiral(cfg.q, s.c2, ab)
     rec.complex_equal("r_P agrees on BC and CA", cfg.r_p, rp_ca)
     rec.complex_equal("r_P agrees on CA and AB", rp_ca, rp_ab)
     rec.complex_equal("r_Q agrees on BC and CA", cfg.r_q, rq_ca)
     rec.complex_equal("r_Q agrees on CA and AB", rq_ca, rq_ab)
-    rec.scalar_zero("Im(r_P * r_Q) == 0", (cfg.r_p * cfg.r_q).im)
+    _, im, w = _times(cfg.r_p.h, cfg.r_q.h)
+    rec.scalar_zero("Im(r_P * r_Q) == 0", im, w)
 
 
 @_check()
@@ -415,7 +438,7 @@ def check_brocard_circle(rec: _Recorder, cfg: Configuration) -> None:
     )
     for name, pt in members:
         rec.point_on_circle(f"{name} on the common circle", pt, cfg.brocard_circle)
-    rec.points_equal("midpoint(O, R) == center", midpoint(cfg.o, cfg.r), cfg.brocard_circle.center)
+    rec.points_equal("midpoint(O, R) == center", _midpoint(cfg.o, cfg.r), _center(cfg.brocard_circle.h))
     # Proof-internal sharpenings; undefined when the named points
     # coincide (an isoceles classical scene puts A' on O), in which
     # case the core theorem above still stands.
@@ -447,10 +470,10 @@ def check_equidistant(rec: _Recorder, cfg: Configuration) -> None:
 def check_first_triangle_similarity(rec: _Recorder, cfg: Configuration) -> None:
     """The T-triangle is inversely similar to the reference triangle."""
     s = cfg.scene
-    rec.points_equal("similarity fitted on A, B sends C to T_C", cfg.similarity.apply(s.c), cfg.t_c)
-    lhs = complex_ratio(cfg.t_b - cfg.t_a, cfg.t_c - cfg.t_a)
-    rhs = complex_ratio(s.b - s.a, s.c - s.a).conj()
-    rec.complex_equal("(T_B-T_A)/(T_C-T_A) == conj((B-A)/(C-A))", lhs, rhs)
+    rec.points_equal("similarity fitted on A, B sends C to T_C", _image(cfg.similarity, s.c), cfg.t_c)
+    lhs = _quotient(_sum(cfg.t_b.h, cfg.t_a.h, -1), _sum(cfg.t_c.h, cfg.t_a.h, -1))
+    x, y, w = _quotient(_sum(s.b.h, s.a.h, -1), _sum(s.c.h, s.a.h, -1))
+    rec.complex_equal("(T_B-T_A)/(T_C-T_A) == conj((B-A)/(C-A))", lhs, (x, -y, w))
 
 
 @_check()
@@ -471,7 +494,7 @@ def check_tarry(rec: _Recorder, cfg: Configuration) -> None:
             f"T_a on the perpendicular from {name}", cfg.tarry, _perpendicular(v, t_side)
         )
     rec.point_on_circle("T_a on the circumcircle", cfg.tarry, cfg.circ)
-    rec.points_equal("midpoint(S_t, T_a) == circumcenter", midpoint(cfg.steiner, cfg.tarry), cfg.circ.center)
+    rec.points_equal("midpoint(S_t, T_a) == circumcenter", _midpoint(cfg.steiner, cfg.tarry), _center(cfg.circ.h))
 
 
 @_check()
@@ -480,9 +503,9 @@ def check_polygon_similarity(rec: _Recorder, cfg: Configuration) -> None:
     whole polygons: C -> T_C, S_t -> R, T_a -> O."""
     s = cfg.scene
     sim = cfg.similarity
-    rec.points_equal("map sends C to T_C", sim.apply(s.c), cfg.t_c)
-    rec.points_equal("map sends S_t to R", sim.apply(cfg.steiner), cfg.r)
-    rec.points_equal("map sends T_a to O", sim.apply(cfg.tarry), cfg.o)
+    rec.points_equal("map sends C to T_C", _image(sim, s.c), cfg.t_c)
+    rec.points_equal("map sends S_t to R", _image(sim, cfg.steiner), cfg.r)
+    rec.points_equal("map sends T_a to O", _image(sim, cfg.tarry), cfg.o)
 
 
 @_check()
@@ -492,7 +515,7 @@ def check_perspective(rec: _Recorder, cfg: Configuration) -> None:
     perspector."""
     for name, line in zip("ABC", cfg.perspective_lines):
         rec.point_on_line(f"S on T_{name} {name}'", cfg.perspector, line)
-    rec.points_equal("map sends R* to S", cfg.similarity.apply(cfg.r_star), cfg.perspector)
+    rec.points_equal("map sends R* to S", _image(cfg.similarity, cfg.r_star), cfg.perspector)
 
 
 @_check()
@@ -537,12 +560,11 @@ def check_circumcenter_perspective(rec: _Recorder, cfg: Configuration) -> None:
 def build_spiral_points(tri: Triangle, m: Point, scale: Fraction) -> Tuple[Point, Point, Point]:
     """Spiral image of the pedal triangle of m under 1 + scale*i, which keeps
     each image point on its sideline."""
-    rho = ComplexScalar(1, scale)
-    out = []
-    for side in tri.sides:
-        ft = foot_perpendicular(m, side)
-        out.append(m + rho.apply_to(ft - m))
-    return tuple(out)
+    rho = ComplexScalar(1, scale).h
+    return tuple(
+        _reduced(Point, *_sum(m.h, _times(rho, _sum(foot_perpendicular(m, side).h, m.h, -1)), 1))
+        for side in tri.sides
+    )
 
 
 def check_lemma_spiral(
@@ -550,7 +572,7 @@ def check_lemma_spiral(
 ) -> CheckResult:
     """m is the Miquel point of the spiral image of its own pedal triangle,
     with one common spiral ratio on all three sides; a spiral point on a
-    vertex takes the tangent-circle limit there (``miquel_circle``)."""
+    vertex takes the tangent-circle limit there (``pipeline.miquel_circle``)."""
 
     def body(rec: _Recorder):
         a, b, c = tri.a, tri.b, tri.c
@@ -559,12 +581,12 @@ def check_lemma_spiral(
         rec.point_on_line("D on BC", d, bc)
         rec.point_on_line("E on CA", e, ca)
         rec.point_on_line("F on AB", f, ab)
-        rec.point_on_circle("M on circle(A,E,F)", m, miquel_circle(a, e, ca, f, ab, "circle(A,E,F)"))
-        rec.point_on_circle("M on circle(B,F,D)", m, miquel_circle(b, f, ab, d, bc, "circle(B,F,D)"))
-        rec.point_on_circle("M on circle(C,D,E)", m, miquel_circle(c, d, bc, e, ca, "circle(C,D,E)"))
-        r1 = spiral_ratio(m, d, bc)
-        r2 = spiral_ratio(m, e, ca)
-        r3 = spiral_ratio(m, f, ab)
+        rec.point_on_circle("M on circle(A,E,F)", m, _miquel_circle(a, e, ca, f, ab, "circle(A,E,F)"))
+        rec.point_on_circle("M on circle(B,F,D)", m, _miquel_circle(b, f, ab, d, bc, "circle(B,F,D)"))
+        rec.point_on_circle("M on circle(C,D,E)", m, _miquel_circle(c, d, bc, e, ca, "circle(C,D,E)"))
+        r1 = _spiral(m, d, bc)
+        r2 = _spiral(m, e, ca)
+        r3 = _spiral(m, f, ab)
         rec.complex_equal("spiral ratio equal on BC and CA", r1, r2)
         rec.complex_equal("spiral ratio equal on CA and AB", r2, r3)
 

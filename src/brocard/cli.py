@@ -94,6 +94,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
             return 2
         scenes = [scene]
         provenance = {"kind": "classical", "params": [rational_to_str(t) for t in ts]}
+    elif args.params is not None:
+        print("error: --params requires --classical", file=sys.stderr)
+        return 2
     else:
         scenes = []
         provenance = {

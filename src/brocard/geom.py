@@ -26,15 +26,24 @@ Conventions:
 * Angles between lines are projective classes (cross : dot) modulo pi,
   compared by cross-multiplication.  Arc measures and inverse
   trigonometric functions are never computed.
-* Canonical where compared, kept or written; raw coefficients for a
-  one-off test.  ``_join``, ``_parallel``, ``_perpendicular``, ``_polar``,
-  ``_angle`` and ``_angle_at`` return the unreduced integer coefficients
-  that ``line_through``, ``parallel_through``, ``perpendicular_through``,
-  ``polar_of_point``, ``directed_angle`` and ``angle_at`` canonicalize,
-  and raise what those raise.  An incidence, parallelism or angle
-  equality is scale-invariant, so a test read once decides on them
-  directly; a value kept, compared for equality or written is the
-  canonical ``Line`` or ``DirectedAngleClass``.
+* Reduced where kept or written; raw for one meet or one comparison.
+  Each raw helper returns the unreduced integer tuple that a public
+  function reduces or canonicalizes, and raises what that function
+  raises: ``_join``, ``_parallel``, ``_perpendicular``, ``_bisector`` and
+  ``_polar`` the lines of ``line_through``, ``parallel_through``,
+  ``perpendicular_through``, ``perpendicular_bisector`` and
+  ``polar_of_point``; ``_angle`` and ``_angle_at`` the classes of
+  ``directed_angle`` and ``angle_at``; ``_meet``, ``_midpoint``,
+  ``_center``, ``_foot``, ``_isogonal`` and ``_image`` the points of
+  ``intersect_lines``, ``midpoint``, ``Circle.center``,
+  ``foot_perpendicular``, ``isogonal_conjugate`` and
+  ``InverseSimilarity.apply``; ``_spiral`` the ratio of ``spiral_ratio``;
+  and ``_circle_through`` the circle of ``circumcircle``.  A line that
+  feeds one meet, and a point, ratio or circle built for one comparison,
+  stays raw: the meet is reduced once, and an incidence, an angle
+  equality or an equality of two values decides on the raw tuples (by a
+  scale-invariant residual or by cross-multiplication).  A value kept,
+  reused or written is reduced.
 """
 
 from __future__ import annotations
@@ -136,12 +145,12 @@ def _det3(a, b, c, d, e, f, g, h, i):
 # gcd on every operation, which dominates at the coordinate sizes scenes
 # reach.  Equality and hashing compare the tuples.  Lines and angle
 # classes are canonicalized once the same way: each constructor makes one
-# pass through ``_canonical_ints`` and sets its integer fields once, and
-# only where compared, kept or written: each public line or angle
-# constructor canonicalizes a raw helper's output, which a one-off test
-# reads instead.
+# pass through ``_canonical_ints`` and sets its integer fields once.  Only
+# what is kept or written is reduced: each public construction reduces a
+# raw helper's output, which a single meet or comparison reads instead.
 
 _Triple = Tuple[int, int, int]
+_Quadruple = Tuple[int, int, int, int]
 
 
 def _integers(*values: RationalLike) -> Tuple[int, ...]:
@@ -246,9 +255,14 @@ def dist2(p: Point, q: Point) -> Fraction:
     return Fraction(x * x + y * y, w * w)
 
 
-def midpoint(p: Point, q: Point) -> Point:
+def _midpoint(p: Point, q: Point) -> _Triple:
+    """The unreduced coordinates of the midpoint of p and q."""
     x, y, w = _sum(p.h, q.h, 1)
-    return _reduced(Point, x, y, 2 * w)
+    return x, y, 2 * w
+
+
+def midpoint(p: Point, q: Point) -> Point:
+    return _reduced(Point, *_midpoint(p, q))
 
 
 def point_along(p: Point, q: Point, t: RationalLike) -> Point:
@@ -384,7 +398,7 @@ _line_a, _line_b, _line_c = Line.a.__set__, Line.b.__set__, Line.c.__set__
 class Circle:
     """Monic circle x^2 + y^2 + d*x + e*y + f = 0."""
 
-    h: Tuple[int, int, int, int]
+    h: _Quadruple
 
     def __init__(self, d: RationalLike, e: RationalLike, f: RationalLike):
         _set_h[Circle](self, _integers(d, e, f))
@@ -403,8 +417,7 @@ class Circle:
 
     @property
     def center(self) -> Point:
-        d, e, _, v = self.h
-        return _reduced(Point, -d, -e, 2 * v)
+        return _reduced(Point, *_center(self.h))
 
     @property
     def radius2(self) -> Fraction:
@@ -413,10 +426,16 @@ class Circle:
 
     def eval(self, p: Point) -> Fraction:
         """Power of the point p; zero iff p is on the circle."""
-        return Fraction(*_power(p, self))
+        return Fraction(*_power(p, self.h))
 
     def __repr__(self) -> str:
         return f"Circle({self.d}, {self.e}, {self.f})"
+
+
+def _center(h: _Quadruple) -> _Triple:
+    """The unreduced center of the circle with coefficients h = (d, e, f, v)."""
+    d, e, _, v = h
+    return -d, -e, 2 * v
 
 
 # The slot setter of ``h`` for each class that stores an integer tuple:
@@ -499,11 +518,20 @@ def line_through(p: Point, q: Point) -> Line:
     return Line(*_join(p, q))
 
 
-def intersect_lines(l1: Line, l2: Line) -> Point:
-    det = l1.a * l2.b - l2.a * l1.b
+def _meet(l1, l2) -> _Triple:
+    """The unreduced meet of two lines, each a ``Line`` or a raw triple.
+    Parallel lines are identical iff their coefficients are proportional."""
+    a1, b1, c1 = l1
+    a2, b2, c2 = l2
+    det = a1 * b2 - a2 * b1
     if det == 0:
-        raise ParallelLines(identical=(l1 == l2))
-    return _reduced(Point, l1.b * l2.c - l2.b * l1.c, l2.a * l1.c - l1.a * l2.c, det)
+        raise ParallelLines(identical=(a1 * c2 == a2 * c1 and b1 * c2 == b2 * c1))
+    return b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, det
+
+
+def intersect_lines(l1, l2) -> Point:
+    """The meet of two lines, each a ``Line`` or a raw triple."""
+    return _reduced(Point, *_meet(l1, l2))
 
 
 def _parallel(p: Point, l: Line) -> _Triple:
@@ -526,7 +554,8 @@ def perpendicular_through(p: Point, l: Line) -> Line:
     return Line(*_perpendicular(p, l))
 
 
-def perpendicular_bisector(p: Point, q: Point) -> Line:
+def _bisector(p: Point, q: Point) -> _Triple:
+    """The unreduced coefficients of the perpendicular bisector of pq."""
     x1, y1, w1 = p.h
     x2, y2, w2 = q.h
     dx = x2 * w1 - x1 * w2
@@ -534,26 +563,28 @@ def perpendicular_bisector(p: Point, q: Point) -> Line:
     if dx == 0 and dy == 0:
         raise CoincidentPoints("perpendicular bisector of a point with itself")
     w12 = w1 * w2
-    return Line(
-        2 * dx * w12,
-        2 * dy * w12,
-        (x1 * x1 + y1 * y1) * w2 * w2 - (x2 * x2 + y2 * y2) * w1 * w1,
-    )
+    return 2 * dx * w12, 2 * dy * w12, (x1 * x1 + y1 * y1) * w2 * w2 - (x2 * x2 + y2 * y2) * w1 * w1
+
+
+def perpendicular_bisector(p: Point, q: Point) -> Line:
+    return Line(*_bisector(p, q))
+
+
+def _foot(p: Point, a: int, b: int, c: int) -> _Triple:
+    """The unreduced foot of p on the line a*x + b*y + c = 0."""
+    x, y, w = p.h
+    n2 = a * a + b * b
+    r = a * x + b * y + c * w
+    return x * n2 - r * a, y * n2 - r * b, w * n2
 
 
 def foot_perpendicular(p: Point, l: Line) -> Point:
-    x, y, w = p.h
-    a, b = l.a, l.b
-    n2 = a * a + b * b
-    r = a * x + b * y + l.c * w
-    return _reduced(Point, x * n2 - r * a, y * n2 - r * b, w * n2)
+    return _reduced(Point, *_foot(p, l.a, l.b, l.c))
 
 
-def spiral_ratio(m: Point, d: Point, side: Line) -> ComplexScalar:
-    """Complex ratio (d - m) / (foot(m, side) - m) of the spiral similarity
-    taking the pedal foot of m to d; its argument is the rotation angle and
-    its modulus the scale."""
-    a, b, c = side.a, side.b, side.c
+def _spiral(m: Point, d: Point, side) -> _Triple:
+    """The unreduced ``spiral_ratio``; side is a ``Line`` or a raw triple."""
+    a, b, c = side
     xm, ym, wm = m.h
     xd, yd, wd = d.h
     r = a * xm + b * ym + c * wm
@@ -564,10 +595,18 @@ def spiral_ratio(m: Point, d: Point, side: Line) -> ComplexScalar:
     # foot - m = -r/(wm*(a^2 + b^2)) * (a + b*i), so the ratio is
     # -(d - m) * (a - b*i) * wm / r with d - m = (ux + uy*i) / (wd*wm).
     ux, uy = xd * wm - xm * wd, yd * wm - ym * wd
-    return _reduced(ComplexScalar, ux * a + uy * b, uy * a - ux * b, -wd * r)
+    return ux * a + uy * b, uy * a - ux * b, -wd * r
 
 
-def circumcircle(p: Point, q: Point, r: Point) -> Circle:
+def spiral_ratio(m: Point, d: Point, side: Line) -> ComplexScalar:
+    """Complex ratio (d - m) / (foot(m, side) - m) of the spiral similarity
+    taking the pedal foot of m to d; its argument is the rotation angle and
+    its modulus the scale."""
+    return _reduced(ComplexScalar, *_spiral(m, d, side))
+
+
+def _circle_through(p: Point, q: Point, r: Point) -> _Quadruple:
+    """The unreduced coefficients (d, e, f, v) of the circle through p, q, r."""
     # Row i of the usual determinants, scaled by W_i^2 > 0; the common
     # factor cancels in each ratio.
     x1, y1, w1 = p.h
@@ -579,13 +618,16 @@ def circumcircle(p: Point, q: Point, r: Point) -> Circle:
     det = _det3(a1, b1, c1, a2, b2, c2, a3, b3, c3)
     if det == 0:
         raise CollinearPoints("no circle through collinear points")
-    return _reduced(
-        Circle,
+    return (
         _det3(s1, b1, c1, s2, b2, c2, s3, b3, c3),
         _det3(a1, s1, c1, a2, s2, c2, a3, s3, c3),
         _det3(a1, b1, s1, a2, b2, s2, a3, b3, s3),
         det,
     )
+
+
+def circumcircle(p: Point, q: Point, r: Point) -> Circle:
+    return _reduced(Circle, *_circle_through(p, q, r))
 
 
 def circle_through_tangent(t: Point, l: Line, p: Point) -> Circle:
@@ -611,7 +653,10 @@ def tangent_line(c: Circle, p: Point) -> Line:
 def antipode(p: Point, c: Circle) -> Point:
     if not on_circle(p, c):
         raise PointNotOnCircle(f"{p} is not on {c}")
-    return 2 * c.center - p
+    # 2 * center - p, with center = (-d, -e) / (2v).
+    x, y, w = p.h
+    d, e, _, v = c.h
+    return _reduced(Point, -d * w - x * v, -e * w - y * v, v * w)
 
 
 def second_intersection_circle_line(c: Circle, l: Line, x: Point) -> Tuple[Point, bool]:
@@ -684,13 +729,8 @@ def pole_of_line(l: Line, c: Circle) -> Point:
     return _reduced(Point, r * l.a - d * denom, r * l.b - e * denom, 2 * v * denom)
 
 
-def isogonal_conjugate(p: Point, a: Point, b: Point, c: Point) -> Point:
-    """Isogonal conjugate of p in triangle abc.
-
-    Exact barycentric map (x : y : z) -> (la/x : lb/y : lc/z) with la, lb, lc
-    the squared side lengths.  Undefined on the sidelines (a coordinate
-    vanishes) and on the circumcircle (the image is at infinity).
-    """
+def _isogonal(p: Point, a: Point, b: Point, c: Point) -> _Triple:
+    """The unreduced ``isogonal_conjugate``."""
     xa, ya, wa = a.h
     xb, yb, wb = b.h
     xc, yc, wc = c.h
@@ -714,7 +754,17 @@ def isogonal_conjugate(p: Point, a: Point, b: Point, c: Point) -> Point:
     s = ku * wa + kv * wb + kw * wc
     if s == 0:
         raise Degenerate("isogonal conjugate", "point lies on the circumcircle")
-    return _reduced(Point, ku * xa + kv * xb + kw * xc, ku * ya + kv * yb + kw * yc, s)
+    return ku * xa + kv * xb + kw * xc, ku * ya + kv * yb + kw * yc, s
+
+
+def isogonal_conjugate(p: Point, a: Point, b: Point, c: Point) -> Point:
+    """Isogonal conjugate of p in triangle abc.
+
+    Exact barycentric map (x : y : z) -> (la/x : lb/y : lc/z) with la, lb, lc
+    the squared side lengths.  Undefined on the sidelines (a coordinate
+    vanishes) and on the circumcircle (the image is at infinity).
+    """
+    return _reduced(Point, *_isogonal(p, a, b, c))
 
 
 def simson_line(p: Point, tri: "Triangle") -> Line:
@@ -774,15 +824,16 @@ def on_line(p: Point, l: Line) -> bool:
     return l.a * x + l.b * y + l.c * w == 0
 
 
-def _power(p: Point, c: Circle) -> Tuple[int, int]:
-    """Power of p with respect to c as an unreduced (numerator, denominator)."""
+def _power(p: Point, h: _Quadruple) -> Tuple[int, int]:
+    """Power of p with respect to the circle of coefficients h = (d, e, f, v),
+    at any nonzero scale, as an unreduced (numerator, denominator)."""
     x, y, w = p.h
-    d, e, f, v = c.h
+    d, e, f, v = h
     return v * (x * x + y * y) + w * (d * x + e * y + f * w), v * w * w
 
 
 def on_circle(p: Point, c: Circle) -> bool:
-    return _power(p, c)[0] == 0
+    return _power(p, c.h)[0] == 0
 
 
 def collinear_det(p: Point, q: Point, r: Point) -> Fraction:
@@ -808,8 +859,13 @@ class InverseSimilarity:
     beta: ComplexScalar
 
     def apply(self, p: Point) -> Point:
-        x, y, w = p.h
-        return _reduced(Point, *_sum(_times(self.alpha.h, (x, -y, w)), self.beta.h, 1))
+        return _reduced(Point, *_image(self, p))
+
+
+def _image(sim: InverseSimilarity, p: Point) -> _Triple:
+    """The unreduced ``sim.apply(p)``."""
+    x, y, w = p.h
+    return _sum(_times(sim.alpha.h, (x, -y, w)), sim.beta.h, 1)
 
 
 def inverse_similarity_map(src1: Point, dst1: Point, src2: Point, dst2: Point) -> InverseSimilarity:

@@ -59,11 +59,17 @@ from .geom import (
     on_circle,
     on_line,
     parallel,
-    parallel_through,
     pole_of_line,
     second_intersection_circles,
     spiral_ratio,
     tangent_line,
+    _center,
+    _circle_through,
+    _join,
+    _meet,
+    _parallel,
+    _polar,
+    _reduced,
 )
 from .scene import Scene
 
@@ -194,28 +200,35 @@ def miquel_circle(v: Point, p: Point, p_side: Line, q: Point, q_side: Line, name
     to the one tangent to that point's sideline at the vertex, which is the
     exact limit of the circumcircle as the point slides into the vertex.
     """
+    return _reduced(Circle, *_miquel_circle(v, p, p_side, q, q_side, name))
+
+
+def _miquel_circle(v: Point, p: Point, p_side: Line, q: Point, q_side: Line, name: str):
+    """The coefficients (d, e, f, v) of ``miquel_circle``, unreduced unless
+    it is a tangent-circle limit."""
     try:
         if p == v and q == v:
             raise Degenerate(name, "both defining points collapse onto the vertex")
         if p == v:
-            return circle_through_tangent(v, p_side, q)
+            return circle_through_tangent(v, p_side, q).h
         if q == v:
-            return circle_through_tangent(v, q_side, p)
-        return circumcircle(v, p, q)
+            return circle_through_tangent(v, q_side, p).h
+        return _circle_through(v, p, q)
     except Degenerate:
         raise
     except GeometryError as exc:
         raise Degenerate(name, str(exc)) from exc
 
 
-def _chord_line(p1: Point, p2: Point, gamma: Circle, name: str) -> Line:
-    """Line through two labeled points of gamma; a doubled label yields the
-    tangent there (the classical aliasing produces exactly this)."""
+def _chord(p1: Point, p2: Point, gamma: Circle, name: str):
+    """The unreduced line through two labeled points of gamma; a doubled
+    label yields the tangent there (the classical aliasing produces exactly
+    this)."""
     if p1 != p2:
-        return line_through(p1, p2)
+        return _join(p1, p2)
     if not on_circle(p1, gamma):
         raise Degenerate(name, "doubled chord label off the circle")
-    return tangent_line(gamma, p1)
+    return _polar(p1, gamma)
 
 
 def miquel_point(d: Point, e: Point, f: Point, tri: Triangle) -> Point:
@@ -317,12 +330,14 @@ def compute_configuration(scene: Scene) -> Configuration:
     if p == q:
         return Configuration(scene=scene, circ=circ, o=o, p=p, q=q, collapsed=True)
 
+    # A line that feeds one meet stays a raw triple, and a point reduces
+    # once; only the lines and circles that are kept or reused are built.
     with _Stage("T_A"):
-        t_a = intersect_lines(line_through(p, scene.a1), line_through(q, scene.a2))
+        t_a = _reduced(Point, *_meet(_join(p, scene.a1), _join(q, scene.a2)))
     with _Stage("T_B"):
-        t_b = intersect_lines(line_through(p, scene.b1), line_through(q, scene.b2))
+        t_b = _reduced(Point, *_meet(_join(p, scene.b1), _join(q, scene.b2)))
     with _Stage("T_C"):
-        t_c = intersect_lines(line_through(p, scene.c1), line_through(q, scene.c2))
+        t_c = _reduced(Point, *_meet(_join(p, scene.c1), _join(q, scene.c2)))
 
     def primed(v: Point, first: Circle, second: Circle, name: str) -> Point:
         with _Stage(name):
@@ -336,15 +351,16 @@ def compute_configuration(scene: Scene) -> Configuration:
     c_prime = primed(c, p_circles[2], q_circles[2], "C'")
 
     def hexagon_meet(u1: Point, u2: Point, v1: Point, v2: Point, name: str):
-        """Meet of two hexagon sides, or None when it lies at infinity (the
-        sides are parallel; an isoceles classical scene produces this)."""
+        """Meet of two hexagon sides, or None and the first side when it
+        lies at infinity (the sides are parallel; an isoceles classical
+        scene produces this)."""
         with _Stage(name):
-            side1 = _chord_line(u1, u2, gamma, name)
-            side2 = _chord_line(v1, v2, gamma, name)
+            side1 = _chord(u1, u2, gamma, name)
+            side2 = _chord(v1, v2, gamma, name)
             try:
-                return intersect_lines(side1, side2), side1
+                return _reduced(Point, *_meet(side1, side2)), None
             except ParallelLines:
-                return None, side1
+                return None, Line(*side1)
 
     a0, dir_a0 = hexagon_meet(scene.b1, scene.c2, scene.c1, scene.b2, "A0")
     b0, dir_b0 = hexagon_meet(scene.a1, scene.c2, scene.c1, scene.a2, "B0")
@@ -376,7 +392,7 @@ def compute_configuration(scene: Scene) -> Configuration:
 
     with _Stage("S_t"):
         t_sides = Triangle(t_a, t_b, t_c).sides
-        steiner = intersect_lines(parallel_through(a, t_sides[0]), parallel_through(b, t_sides[1]))
+        steiner = _reduced(Point, *_meet(_parallel(a, t_sides[0]), _parallel(b, t_sides[1])))
 
     with _Stage("T_a"):
         tarry = antipode(steiner, circ)
@@ -399,9 +415,9 @@ def compute_configuration(scene: Scene) -> Configuration:
         x = intersect_lines(or_line, bc)
         y = intersect_lines(or_line, ca)
         z = intersect_lines(or_line, ab)
-        o_a = circumcircle(a, y, z).center
-        o_b = circumcircle(b, z, x).center
-        o_c = circumcircle(c, x, y).center
+        o_a = _reduced(Point, *_center(_circle_through(a, y, z)))
+        o_b = _reduced(Point, *_center(_circle_through(b, z, x)))
+        o_c = _reduced(Point, *_center(_circle_through(c, x, y)))
     except GeometryError:
         x = y = z = o_a = o_b = o_c = None
 

@@ -36,16 +36,16 @@ from .geom import (
     Circle,
     Triangle,
     collinear_det,
-    foot_perpendicular,
-    intersect_lines,
     isogonal_conjugate,
-    line_through,
     on_circle,
     on_line,
     orientation,
-    perpendicular_bisector,
     rat,
     RationalLike,
+    _bisector,
+    _foot,
+    _join,
+    _meet,
     _reduced,
     _sum,
 )
@@ -199,12 +199,12 @@ def scene_from_parameters(
     radius = rat(radius)
     a1, a2, b1, b2, c1, c2 = (circle_point_from_parameter(t, center, radius) for t in values)
 
-    chord_bc = line_through(a1, a2)
-    chord_ca = line_through(b1, b2)
-    chord_ab = line_through(c1, c2)
-    a = intersect_lines(chord_ca, chord_ab)
-    b = intersect_lines(chord_ab, chord_bc)
-    c = intersect_lines(chord_bc, chord_ca)
+    chord_bc = _join(a1, a2)
+    chord_ca = _join(b1, b2)
+    chord_ab = _join(c1, c2)
+    a = _reduced(Point, *_meet(chord_ca, chord_ab))
+    b = _reduced(Point, *_meet(chord_ab, chord_bc))
+    c = _reduced(Point, *_meet(chord_bc, chord_ca))
 
     if a == b or b == c or a == c or orientation(a, b, c) == 0:
         raise Degenerate("scene", "degenerate triangle")
@@ -363,8 +363,10 @@ def kwon_scene(seed: int) -> KwonScene:
         try:
             if d == x or e == y:
                 continue
-            t = intersect_lines(perpendicular_bisector(d, x), perpendicular_bisector(e, y))
-            z = 2 * foot_perpendicular(t, line_through(a, b)) - f
+            t = _reduced(Point, *_meet(_bisector(d, x), _bisector(e, y)))
+            # z = 2 * foot(t, AB) - f, reduced once.
+            fx, fy, fw = _foot(t, *_join(a, b))
+            z = _reduced(Point, *_sum((2 * fx, 2 * fy, fw), f.h, -1))
             kw = KwonScene(a=a, b=b, c=c, d=d, e=e, f=f, x=x, y=y, z=z, t=t)
             # Both Miquel points must be constructible for the check to run;
             # the scene keeps them for it.

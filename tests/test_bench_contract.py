@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 import brocard
-from brocard import checks, sceneio
+from brocard import checks, geom, sceneio
 from brocard.geom import DirectedAngleClass, Line
 from brocard.scene import SceneParams, generate_scene
 
@@ -127,17 +127,22 @@ def test_fraction_operations_of_one_suite_run(monkeypatch):
 
 
 #: ``Line.__init__`` and ``DirectedAngleClass.__init__`` calls in the same
-#: run: 38 and 0 since a line or angle class is canonicalized only where it
-#: is compared, kept or written, 85 and 17 while every check body and
+#: run: 21 and 0 since a line that feeds one meet or one foot stays a raw
+#: triple, 38 and 0 while the T-vertex, Steiner-point, hexagon and Kwon
+#: meets took canonical lines, 85 and 17 while every check body and
 #: ``angle_at`` built throwaway lines and classes for one-off tests.
-LINE_NEW_SEED7 = 38
+LINE_NEW_SEED7 = 21
 ANGLE_NEW_SEED7 = 0
 
+#: ``geom._reduced`` calls in the same run: 88 since points, ratios and
+#: circles built for one meet or one comparison stay raw integer tuples,
+#: 128 while each of them was reduced.
+REDUCED_SEED7 = 88
 
-def test_line_and_angle_constructions_of_one_suite_run():
-    """Counted under cProfile on the same run as the Fraction counts, each
-    bound with 10% slack: a check body that builds a throwaway ``Line`` or
-    ``DirectedAngleClass`` for a one-off incidence or angle test fails."""
+
+def _suite_calls():
+    """Calls per ``(file, first line, name)`` under cProfile of the same run
+    as the Fraction counts, and whether every check passed."""
     scene = generate_scene(SceneParams(seed=7))
     checks._cyclic_lemma.cache_clear()
     profile = cProfile.Profile()
@@ -149,15 +154,31 @@ def test_line_and_angle_constructions_of_one_suite_run():
     calls = {
         (filename, line, fn_name): nc for (filename, line, fn_name), (_, nc, *_) in pstats.Stats(profile).stats.items()
     }
+    return calls, report.all_pass
 
-    def constructions(cls):
-        code = cls.__init__.__code__
-        return calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
 
-    assert report.all_pass
-    assert constructions(Line) <= LINE_NEW_SEED7 * 1.1
-    assert constructions(DirectedAngleClass) <= ANGLE_NEW_SEED7 * 1.1
-    assert constructions(Line) > 0  # the lines the configuration keeps
+def _calls_of(calls, fn):
+    code = fn.__code__
+    return calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0)
+
+
+def test_line_and_angle_constructions_of_one_suite_run():
+    """Each bound with 10% slack: a check body that builds a throwaway
+    ``Line`` or ``DirectedAngleClass`` for a one-off incidence or angle
+    test fails, and so does a meet that canonicalizes its lines."""
+    calls, all_pass = _suite_calls()
+    assert all_pass
+    assert _calls_of(calls, Line.__init__) <= LINE_NEW_SEED7 * 1.1
+    assert _calls_of(calls, DirectedAngleClass.__init__) <= ANGLE_NEW_SEED7 * 1.1
+    assert _calls_of(calls, Line.__init__) > 0  # the lines the configuration keeps
+
+
+def test_reductions_of_one_suite_run():
+    """With 10% slack: reducing a point, ratio or circle that only one meet
+    or one comparison reads fails."""
+    calls, all_pass = _suite_calls()
+    assert all_pass
+    assert 0 < _calls_of(calls, geom._reduced) <= REDUCED_SEED7 * 1.1
 
 
 #: Distinct check results in the seed-7 caps-50 report (scene seeds

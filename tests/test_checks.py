@@ -573,6 +573,105 @@ class TestWitnessFidelity:
         assert self._failed(result, "M on PQ") == (pq.eval(m),)
         assert self._failed(result, "OM perpendicular to PQ") == (om.a * pq.a + om.b * pq.b,)
 
+    @staticmethod
+    def _difference(u, v):
+        """The witnesses of a point or complex equality: the coordinates of
+        the difference of the canonical values."""
+        d = u - v
+        return (d.x, d.y) if isinstance(d, Point) else (d.re, d.im)
+
+    def test_point_and_ratio_witnesses_are_canonical_differences(self, seed7_scene, seed7_cfg):
+        """Checks that compare raw points, ratios and circles still fail
+        with the difference or residual of the canonical values."""
+        s, cfg = seed7_scene, seed7_cfg
+        shift, cshift = Point(F(1, 7), F(-2, 9)), ComplexScalar(F(1, 7), F(-2, 9))
+        diff = self._difference
+
+        moved = dataclasses.replace(cfg, q=cfg.q + shift)
+        expected = diff(geom.isogonal_conjugate(cfg.p, s.a, s.b, s.c), moved.q)
+        assert self._failed(ck.check_isogonal_conjugates(moved), "isogonal_conjugate(P) == Q") == expected
+
+        moved = dataclasses.replace(cfg, t_c=cfg.t_c + shift)
+        result = ck.check_first_triangle_similarity(moved)
+        expected = diff(cfg.similarity.apply(s.c), moved.t_c)
+        assert self._failed(result, "similarity fitted on A, B sends C to T_C") == expected
+        lhs = geom.complex_ratio(cfg.t_b - cfg.t_a, moved.t_c - cfg.t_a)
+        rhs = geom.complex_ratio(s.b - s.a, s.c - s.a).conj()
+        assert self._failed(result, "(T_B-T_A)/(T_C-T_A) == conj((B-A)/(C-A))") == diff(lhs, rhs)
+        assert self._failed(ck.check_polygon_similarity(moved), "map sends C to T_C") == expected
+
+        for field, label, image in (("r", "map sends S_t to R", cfg.steiner), ("o", "map sends T_a to O", cfg.tarry)):
+            moved = dataclasses.replace(cfg, **{field: getattr(cfg, field) + shift})
+            expected = diff(cfg.similarity.apply(image), getattr(moved, field))
+            assert self._failed(ck.check_polygon_similarity(moved), label) == expected
+        moved = dataclasses.replace(cfg, perspector=cfg.perspector + shift)
+        expected = diff(cfg.similarity.apply(cfg.r_star), moved.perspector)
+        assert self._failed(ck.check_perspective(moved), "map sends R* to S") == expected
+
+        moved = dataclasses.replace(cfg, tarry=cfg.tarry + shift)
+        expected = diff(geom.midpoint(cfg.steiner, moved.tarry), cfg.circ.center)
+        assert self._failed(ck.check_tarry(moved), "midpoint(S_t, T_a) == circumcenter") == expected
+        moved = dataclasses.replace(cfg, r=cfg.r + shift)
+        expected = diff(geom.midpoint(cfg.o, moved.r), cfg.brocard_circle.center)
+        assert self._failed(ck.check_brocard_circle(moved), "midpoint(O, R) == center") == expected
+
+        bc, ca, ab = s.triangle.sides
+        moved = dataclasses.replace(cfg, r_p=cfg.r_p + cshift)
+        result = ck.check_rotation_angles(moved)
+        expected = diff(moved.r_p, geom.spiral_ratio(cfg.p, s.b1, ca))
+        assert self._failed(result, "r_P agrees on BC and CA") == expected
+        assert self._failed(result, "Im(r_P * r_Q) == 0") == ((moved.r_p * cfg.r_q).im,)
+        assert all(type(w) is F for a in result.failed_assertions for w in a.witnesses)
+
+        # A spiral point moved along its side keeps "D on BC" but moves two
+        # circles and the BC ratio; a moved center misses all three circles.
+        tri, m = s.triangle, cfg.p
+        d, e, f = build_spiral_points(tri, m, SPIRAL_SCALE)
+        d_moved = d + Point(bc.b, -bc.a)
+        result = check_lemma_spiral(tri, m, SPIRAL_SCALE, (d_moved, e, f))
+        circle = pipeline.miquel_circle(s.b, f, ab, d_moved, bc, "circle(B,F,D)")
+        assert self._failed(result, "M on circle(B,F,D)") == (circle.eval(m),) != (0,)
+        expected = diff(geom.spiral_ratio(m, d_moved, bc), geom.spiral_ratio(m, e, ca))
+        assert self._failed(result, "spiral ratio equal on BC and CA") == expected
+        m_moved = m + shift
+        result = check_lemma_spiral(tri, m_moved, SPIRAL_SCALE, (d, e, f))
+        circle = pipeline.miquel_circle(s.a, e, ca, f, ab, "circle(A,E,F)")
+        assert self._failed(result, "M on circle(A,E,F)") == (circle.eval(m_moved),) != (0,)
+
+    def test_raw_paths_keep_their_degenerate_notes(self, seed7_scene, seed7_cfg):
+        """A degeneracy met on a raw path reports the note the public
+        function's error gave: DEGENERATE with a clean slate, FAIL with
+        "aborted after failed assertion" after a failed one."""
+        s, cfg = seed7_scene, seed7_cfg
+
+        def outcome(result):
+            return result.status, result.notes
+
+        # _spiral: the center on side CA, and a target moved off it.
+        result = ck.check_rotation_angles(dataclasses.replace(cfg, p=s.c))
+        assert outcome(result) == (DEGENERATE, ("spiral ratio: center lies on the side",))
+        moved = dataclasses.replace(cfg, scene=dataclasses.replace(s, b1=s.b1 + Point(F(1, 7), 0)))
+        assert outcome(ck.check_rotation_angles(moved)) == (DEGENERATE, ("spiral ratio: target point is not on the side",))
+        # _isogonal: P on sideline BC.
+        result = ck.check_isogonal_conjugates(dataclasses.replace(cfg, p=geom.midpoint(s.b, s.c)))
+        assert result.status == FAIL
+        assert result.notes[-1] == "aborted after failed assertion: isogonal conjugate: point lies on a sideline"
+        # The complex quotient of the first-triangle ratio: T_C == T_A.
+        result = ck.check_first_triangle_similarity(dataclasses.replace(cfg, t_c=cfg.t_a))
+        assert outcome(result) == (FAIL, ("aborted after failed assertion: complex division: divisor is zero",))
+        # _circle_through in the spiral lemma: E on a vertex off its side
+        # makes A, E, F collinear; E and F both on A collapse circle(A,E,F).
+        tri, m = s.triangle, cfg.p
+        d, e, f = build_spiral_points(tri, m, SPIRAL_SCALE)
+        result = check_lemma_spiral(tri, m, SPIRAL_SCALE, (d, s.b, f))
+        assert outcome(result) == (FAIL, ("aborted after failed assertion: circle(A,E,F): no circle through collinear points",))
+        result = check_lemma_spiral(tri, m, SPIRAL_SCALE, (d, s.a, s.a))
+        assert outcome(result) == (DEGENERATE, ("circle(A,E,F): both defining points collapse onto the vertex",))
+        # The spiral lemma's center on a side.
+        result = check_lemma_spiral(tri, s.b, SPIRAL_SCALE, (d, e, f))
+        assert result.status == FAIL
+        assert result.notes == ("aborted after failed assertion: spiral ratio: center lies on the side",)
+
     def test_coincident_defining_points_never_pass(self, seed7_scene, seed7_cfg):
         """A raw join of two equal points raises as ``line_through`` does: the
         check reports DEGENERATE with the kernel's note, or FAIL when an

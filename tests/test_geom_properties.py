@@ -55,11 +55,20 @@ from brocard.geom import (
     tangent_line,
     _angle,
     _angle_at,
+    _center,
+    _circle_through,
+    _image,
+    _isogonal,
     _join,
+    _meet,
+    _midpoint,
     _parallel,
     _perpendicular,
     _polar,
+    _reduced,
+    _spiral,
     angle_at,
+    antipode,
     PointNotOnCircle,
 )
 from brocard.pipeline import tangent_of_angle
@@ -1117,3 +1126,124 @@ def test_raw_helpers_raise_the_constructors_errors():
     expected = (CenterDegenerate, "polar of the center is the line at infinity")
     assert _outcome(_polar, c.center, c)[1] == _outcome(polar_of_point, c.center, c)[1] == expected
     assert Line(*_polar(p, c)) == polar_of_point(p, c)
+
+
+def _reduces_to(cls, raw_fn, public_fn, *args):
+    """``raw_fn(*args)`` reduces to the ``cls`` value ``public_fn(*args)``,
+    or both raise the same exception class with the same message; returns
+    the public outcome."""
+    raw, raised = _outcome(raw_fn, *args)
+    value, public_raised = _outcome(public_fn, *args)
+    assert raised == public_raised
+    if raised is None:
+        assert type(value) is cls and _reduced(cls, *raw) == value
+    return value
+
+
+def _scaled(raw, k):
+    return tuple(k * v for v in raw)
+
+
+BIG_A, BIG_B = Point(F(BIG - 1, BIG), F(-BIG, BIG - 3)), Point(F(-1, BIG), F(1, 2))
+BIG_C, BIG_D = Point(F(BIG, 7), F(3, BIG)), Point(F(-BIG, 5), F(BIG, BIG + 1))
+
+
+@example(BIG_A, BIG_B, BIG_C, BIG_D)
+@example(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1))  # collinear circle points
+@example(Point(1, 1), Point(1, 1), Point(2, 3), Point(0, 0))  # coincident circle points
+@example(Point(0, 0), Point(2, 0), Point(0, 2), Point(1, 0))  # s on a sideline
+@example(Point(0, 0), Point(2, 0), Point(0, 2), Point(2, 2))  # s on the circumcircle
+@given(kernel_points(), kernel_points(), kernel_points(), kernel_points())
+def test_raw_point_and_circle_helpers_reduce_to_public_functions(p, q, r, s):
+    """The midpoint, the circle through three points and its center, the
+    isogonal conjugate and the similarity image reduce to their public
+    functions, or raise their errors: collinear or coincident circle
+    points, s on a sideline or on the circumcircle of pqr."""
+    _reduces_to(Point, _midpoint, midpoint, p, q)
+    circle = _reduces_to(Circle, _circle_through, circumcircle, p, q, r)
+    if circle is not None:
+        assert _reduced(Point, *_center(circle.h)) == circle.center
+        assert _reduced(Point, *_center(_circle_through(p, q, r))) == circle.center
+    _reduces_to(Point, _isogonal, isogonal_conjugate, s, p, q, r)
+    if p != r:
+        sim = inverse_similarity_map(p, q, r, s)
+        assert _reduced(Point, *_image(sim, s)) == sim.apply(s)
+        assert _reduced(Point, *_image(sim, p)) == sim.apply(p) == q
+
+
+@example(BIG_A, BIG_B, BIG_C, F(-1, BIG), BIG_D)
+@example(Point(0, 0), Point(2, 0), Point(1, 1), F(1, 2), Point(5, 5))
+@example(Point(0, 0), Point(2, 0), Point(1, 0), F(1, 2), Point(5, 5))  # center on the side
+@given(kernel_points(), kernel_points(), kernel_points(), kernel_rationals, kernel_points())
+def test_raw_spiral_ratio_reduces_to_spiral_ratio(p1, p2, m, t, off):
+    """On a ``Line`` side or on the raw triple of its join, at any scale,
+    with a center on the side and a target off it among the cases."""
+    assume(p1 != p2)
+    side, raw = line_through(p1, p2), _join(p1, p2)
+    d = point_along(p1, p2, t)
+    for center, target in ((m, d), (m, off), (point_along(p1, p2, 1 - t), d)):
+        value = _reduces_to(ComplexScalar, _spiral, spiral_ratio, center, target, side)
+        for coefficients in (raw, _scaled(raw, -3)):
+            got, raised = _outcome(_spiral, center, target, coefficients)
+            assert (raised is None) == (value is not None)
+            if value is not None:
+                assert _reduced(ComplexScalar, *got) == value
+
+
+@example(BIG_A, BIG_B, BIG_C, BIG_D)
+@example(Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1))  # parallel, distinct
+@example(Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0))  # identical
+@given(kernel_points(), kernel_points(), kernel_points(), kernel_points())
+def test_intersect_lines_on_raw_triples_and_lines(p, q, r, s):
+    """The same point, or ``ParallelLines`` with the same ``identical``, on
+    ``Line``s as on raw triples at any nonzero scale: parallel lines are
+    identical iff their coefficients are proportional."""
+    assume(p != q and r != s)
+    l1, l2 = line_through(p, q), line_through(r, s)
+    pairs = [(l1, l2), (l1, _parallel(r, l1)), (l1, _parallel(p, l1)), (l1, _scaled(_join(q, p), -2))]
+    for a, b in pairs:
+        expected = _outcome(intersect_lines, Line(*a), Line(*b))
+        for raw_a, raw_b in ((tuple(a), tuple(b)), (_scaled(a, -5), _scaled(b, 7)), (Line(*a), tuple(b))):
+            got = _outcome(intersect_lines, raw_a, raw_b)
+            assert got == expected
+            if got[1] is not None:
+                with pytest.raises(ParallelLines) as raw_exc:
+                    _meet(raw_a, raw_b)
+                with pytest.raises(ParallelLines) as line_exc:
+                    intersect_lines(Line(*a), Line(*b))
+                assert raw_exc.value.identical == line_exc.value.identical == (Line(*a) == Line(*b))
+
+
+@example(BIG_A, BIG_B, BIG_C)
+@example(Point(0, 0), Point(1, 0), Point(0, 1))
+@given(kernel_points(), kernel_points(), kernel_points())
+def test_antipode_matches_fraction_reference(p, q, r):
+    """One reduction of the raw antipode equals 2 * center - p in Fraction
+    arithmetic, and a point off the circle raises as before."""
+    assume(orientation(p, q, r) != 0)
+    c = circumcircle(p, q, r)
+    center = _ref_center(c)
+    assert antipode(p, c) == Point(2 * center.x - p.x, 2 * center.y - p.y)
+    off = p + Point(1, 0)
+    assume(not on_circle(off, c))
+    assert _outcome(antipode, off, c)[1] == (PointNotOnCircle, f"{off} is not on {c}")
+
+
+def test_new_raw_helpers_raise_the_public_errors():
+    """Each degenerate input raises the class and message the public
+    function raised before it had a raw helper."""
+    a, b, c = Point(0, 0), Point(2, 0), Point(0, 2)
+    collinear = (CollinearPoints, "no circle through collinear points")
+    assert _outcome(_circle_through, a, b, Point(5, 0))[1] == _outcome(circumcircle, a, b, Point(5, 0))[1] == collinear
+    assert _outcome(_circle_through, a, a, c)[1] == collinear
+    sideline = (Degenerate, "isogonal conjugate: point lies on a sideline")
+    assert _outcome(_isogonal, Point(1, 0), a, b, c)[1] == _outcome(isogonal_conjugate, Point(1, 0), a, b, c)[1] == sideline
+    on_circle_ = (Degenerate, "isogonal conjugate: point lies on the circumcircle")
+    assert _outcome(_isogonal, Point(2, 2), a, b, c)[1] == on_circle_
+    assert _outcome(_isogonal, a, a, b, Point(5, 0))[1] == (CollinearPoints, "degenerate reference triangle")
+    side = line_through(a, b)
+    center_on_side = (Degenerate, "spiral ratio: center lies on the side")
+    assert _outcome(_spiral, Point(1, 0), b, side)[1] == _outcome(spiral_ratio, Point(1, 0), b, side)[1] == center_on_side
+    off_side = (Degenerate, "spiral ratio: target point is not on the side")
+    assert _outcome(_spiral, c, Point(1, 1), _join(a, b))[1] == off_side
+    assert _outcome(_meet, side, _join(c, Point(1, 2)))[1] == (ParallelLines, "lines are parallel")

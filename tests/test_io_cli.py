@@ -246,6 +246,12 @@ class TestCliGenerate:
         code = main(["generate", "--classical", "--params", "0,0,1", "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    def test_params_without_classical_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["generate", "--params", "1,2,3", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: --params requires --classical\n")
+        assert not out.exists()
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BROCARD_OUT_DIR", str(tmp_path))
         assert main(["generate", "--seed", "1", "--count", "1", "--out", "env.json"]) == 0

@@ -80,8 +80,8 @@ def test_bench_pairs_summary(monkeypatch):
               ((True, 1.5, 110), (False, 1.5, 110), (True, 2.0, 95), (True, 4.5, 70))]
     lines = bench_pairs.summarize(list(zip(parent, change)))
     assert lines == [
-        "verify_scene_ms.p50: 2.5 [1.75, 3.25] -> 1.75 ms (2/4, -30.0%)",
-        "scenes_per_s: 95 [87.5, 105] -> 102.5 1/s (2/4, +7.9%)",
+        "verify_scene_ms.p50: 2.5 [1.75, 3.25] -> 1.75 ms (2/4, -30.0%): unresolved",
+        "scenes_per_s: 95 [87.5, 105] -> 102.5 1/s (2/4, +7.9%): unresolved",
         "parent: 4/4 runs correct",
         "change: 3/4 runs correct; incorrect or missing in pair(s) 2",
     ]
@@ -90,6 +90,33 @@ def test_bench_pairs_summary(monkeypatch):
     missing = bench_pairs.summarize([(parent[0], None)])
     assert missing[0] == "verify_scene_ms.p50: missing on one side"
     assert missing[-1] == "change: 0/1 runs correct; incorrect or missing in pair(s) 1"
+
+
+def test_bench_pairs_verdict(monkeypatch):
+    """The claim rule per metric: ``better`` at 9/10 pairs won with a median
+    gap above the parent's IQR, ``worse`` at 9/10 lost with such a gap, and
+    ``unresolved`` when either part fails."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_pairs
+
+    parent_ms = [1.30, 1.32, 1.31, 1.29, 1.33, 1.30, 1.34, 1.31, 1.28, 1.30]
+    parent_s = [230, 231, 229, 232, 230, 228, 231, 230, 229, 233]
+    # verify_scene_ms.p50 wins 9 of 10 pairs by more than the IQR;
+    # scenes_per_s loses all 10 by more than the IQR.
+    change = [(ms - 0.1 if i else ms + 0.01, s - 10) for i, (ms, s) in enumerate(zip(parent_ms, parent_s))]
+    pairs = [
+        (bench_pairs.parse_result(_run_output(True, p_ms, p_s)), bench_pairs.parse_result(_run_output(True, c_ms, c_s)))
+        for p_ms, p_s, (c_ms, c_s) in zip(parent_ms, parent_s, change)
+    ]
+    lines = bench_pairs.summarize(pairs)
+    assert lines[0] == "verify_scene_ms.p50: 1.305 [1.3, 1.317] -> 1.21 ms (9/10, -7.3%): better"
+    assert lines[1] == "scenes_per_s: 230 [229.2, 231] -> 220 1/s (0/10, -4.3%): worse"
+    # Eight pairs won is too few, and a gap inside the IQR is too small.
+    assert bench_pairs.verdict(8, 2, 10, 0.1, 0.02) == "unresolved"
+    assert bench_pairs.verdict(10, 0, 10, 0.01, 0.02) == "unresolved"
+    assert bench_pairs.verdict(9, 1, 10, 0.03, 0.02) == "better"
+    assert bench_pairs.verdict(0, 9, 10, -0.03, 0.02) == "worse"
+    assert bench_pairs.verdict(0, 0, 0, 0.0, 0.0) == "unresolved"
 
 
 def test_bench_pairs_help():
