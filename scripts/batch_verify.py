@@ -4,37 +4,55 @@ every scene, and print a per-check summary table with timing.
 
 Example:
     python scripts/batch_verify.py --seeds 1:200 --numerator-cap 50
+
+Exits 1 when a check fails or a seed admits no scene, and 2 on a usage
+error: a malformed seed range or a cap that is not positive.
 """
 
 import argparse
+import dataclasses
+import sys
 import time
 from collections import Counter
 
 from brocard.checks import THEOREM_CHECK_IDS, run_suite
+from brocard.geom import GeometryError
 from brocard.scene import SceneParams, generate_scene
 
 
 def parse_seed_range(text: str):
-    lo, _, hi = text.partition(":")
-    return range(int(lo), int(hi) + 1) if hi else range(0, int(lo))
+    """``lo:hi`` is the seeds lo..hi inclusive, ``n`` the seeds 0..n-1."""
+    lo, sep, hi = text.partition(":")
+    try:
+        return range(int(lo), int(hi) + 1) if sep else range(0, int(lo))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a seed range lo:hi or a count: {text!r}") from None
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default="1:100", help="seed range lo:hi inclusive (default 1:100)")
+    parser.add_argument(
+        "--seeds", type=parse_seed_range, default="1:100", help="seed range lo:hi inclusive (default 1:100)"
+    )
     parser.add_argument("--numerator-cap", type=int, default=50)
     parser.add_argument("--denominator-cap", type=int, default=50)
     args = parser.parse_args()
+    try:
+        params = SceneParams(seed=0, numerator_cap=args.numerator_cap, denominator_cap=args.denominator_cap)
+    except ValueError as exc:  # a cap is not positive
+        parser.error(str(exc))
 
-    seeds = parse_seed_range(args.seeds)
+    seeds = args.seeds
     per_check = {cid: Counter() for cid in THEOREM_CHECK_IDS}
     start = time.perf_counter()
     worst = (0.0, None)
     for seed in seeds:
         t0 = time.perf_counter()
-        scene = generate_scene(
-            SceneParams(seed=seed, numerator_cap=args.numerator_cap, denominator_cap=args.denominator_cap)
-        )
+        try:
+            scene = generate_scene(dataclasses.replace(params, seed=seed))
+        except GeometryError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         report = run_suite(scene)
         dt = time.perf_counter() - t0
         if dt > worst[0]:

@@ -52,7 +52,6 @@ from .geom import (
     Triangle,
     collinear_det,
     dist2,
-    foot_perpendicular,
     intersect_lines,
     line_through,
     pole_of_line,
@@ -62,6 +61,7 @@ from .geom import (
     _angle_at,
     _area,
     _center,
+    _foot,
     _image,
     _isogonal,
     _join,
@@ -80,8 +80,9 @@ from .pipeline import (
     Configuration,
     classical_overlay,
     compute_configuration,
+    miquel_circle,
     tangent_of_angle,
-    _miquel_circle,
+    _on_miquel_circle,
     _quadrangle_miquel,
 )
 from .scene import KwonScene, Scene, circle_point_from_parameter, kwon_scene, validate_scene
@@ -176,9 +177,11 @@ class _Recorder:
     the raw ``(cross, dot)`` pairs of ``_angle`` and ``_angle_at``.  Each
     decides on the raw values, by a scale-invariant residual or by
     cross-multiplication, and only a FAIL builds the canonical values,
-    whose residual or difference is the witness.  The helpers raise what
-    the public functions raise, so no zero normal or zero denominator
-    reaches a predicate."""
+    whose residual or difference is the witness.  An incidence with the
+    circle through three points (``on_miquel_circle``, off a tangent-circle
+    limit) is decided on the cross ratio, and only a FAIL builds the circle.
+    The helpers raise what the public functions raise, so no zero
+    normal or zero denominator reaches a predicate."""
 
     def __init__(self):
         self.assertions: List[Assertion] = []
@@ -234,6 +237,12 @@ class _Recorder:
         if _power(p, c if type(c) is tuple else c.h)[0]:
             return self._failed(label, _value(Circle, c).eval(p))
         return self._passed(label)
+
+    def on_miquel_circle(self, label: str, m: Point, *circle) -> bool:
+        """m on ``pipeline.miquel_circle(*circle)``, decided by ``_on_miquel_circle``."""
+        if _on_miquel_circle(m, *circle):
+            return self._passed(label)
+        return self._failed(label, miquel_circle(*circle).eval(m))
 
     def point_on_line(self, label: str, p: Point, l: Coefficients) -> bool:
         a, b, c = l
@@ -562,8 +571,7 @@ def build_spiral_points(tri: Triangle, m: Point, scale: Fraction) -> Tuple[Point
     each image point on its sideline."""
     rho = ComplexScalar(1, scale).h
     return tuple(
-        _reduced(Point, *_sum(m.h, _times(rho, _sum(foot_perpendicular(m, side).h, m.h, -1)), 1))
-        for side in tri.sides
+        _reduced(Point, *_sum(m.h, _times(rho, _sum(_foot(m, *side), m.h, -1)), 1)) for side in tri.sides
     )
 
 
@@ -581,9 +589,9 @@ def check_lemma_spiral(
         rec.point_on_line("D on BC", d, bc)
         rec.point_on_line("E on CA", e, ca)
         rec.point_on_line("F on AB", f, ab)
-        rec.point_on_circle("M on circle(A,E,F)", m, _miquel_circle(a, e, ca, f, ab, "circle(A,E,F)"))
-        rec.point_on_circle("M on circle(B,F,D)", m, _miquel_circle(b, f, ab, d, bc, "circle(B,F,D)"))
-        rec.point_on_circle("M on circle(C,D,E)", m, _miquel_circle(c, d, bc, e, ca, "circle(C,D,E)"))
+        rec.on_miquel_circle("M on circle(A,E,F)", m, a, e, ca, f, ab, "circle(A,E,F)")
+        rec.on_miquel_circle("M on circle(B,F,D)", m, b, f, ab, d, bc, "circle(B,F,D)")
+        rec.on_miquel_circle("M on circle(C,D,E)", m, c, d, bc, e, ca, "circle(C,D,E)")
         r1 = _spiral(m, d, bc)
         r2 = _spiral(m, e, ca)
         r3 = _spiral(m, f, ab)

@@ -38,12 +38,13 @@ Conventions:
   ``intersect_lines``, ``midpoint``, ``Circle.center``,
   ``foot_perpendicular``, ``isogonal_conjugate`` and
   ``InverseSimilarity.apply``; ``_spiral`` the ratio of ``spiral_ratio``;
-  and ``_circle_through`` the circle of ``circumcircle``.  A line that
-  feeds one meet, and a point, ratio or circle built for one comparison,
-  stays raw: the meet is reduced once, and an incidence, an angle
-  equality or an equality of two values decides on the raw tuples (by a
-  scale-invariant residual or by cross-multiplication).  A value kept,
-  reused or written is reduced.
+  ``_circle_through`` and ``_circumcenter`` the circle of ``circumcircle``
+  and its center; ``_concyclic`` decides its incidences on the cross
+  ratio, with no circle built.  A line that feeds one meet, and a point,
+  ratio or circle built for one comparison, stays raw: the meet is
+  reduced once, and an incidence, an angle equality or an equality of two
+  values decides on the raw tuples (by a scale-invariant residual or by
+  cross-multiplication).  A value kept, reused or written is reduced.
 """
 
 from __future__ import annotations
@@ -605,25 +606,39 @@ def spiral_ratio(m: Point, d: Point, side: Line) -> ComplexScalar:
     return _reduced(ComplexScalar, *_spiral(m, d, side))
 
 
+def _circle_terms(p: Point, q: Point, r: Point):
+    """The unreduced (d, e, v) of the circle through p, q, r, and the rows
+    (x*w, y*w, w*w, -(x^2 + y^2)) they are determinants of: the usual rows
+    scaled by W^2 > 0, a factor that cancels in each ratio."""
+    rows = [(x * w, y * w, w * w, -(x * x + y * y)) for x, y, w in (p.h, q.h, r.h)]
+    (a1, b1, c1, s1), (a2, b2, c2, s2), (a3, b3, c3, s3) = rows
+    v = _det3(a1, b1, c1, a2, b2, c2, a3, b3, c3)
+    if v == 0:
+        raise CollinearPoints("no circle through collinear points")
+    return _det3(s1, b1, c1, s2, b2, c2, s3, b3, c3), _det3(a1, s1, c1, a2, s2, c2, a3, s3, c3), v, rows
+
+
 def _circle_through(p: Point, q: Point, r: Point) -> _Quadruple:
     """The unreduced coefficients (d, e, f, v) of the circle through p, q, r."""
-    # Row i of the usual determinants, scaled by W_i^2 > 0; the common
-    # factor cancels in each ratio.
-    x1, y1, w1 = p.h
-    x2, y2, w2 = q.h
-    x3, y3, w3 = r.h
-    a1, b1, c1, s1 = x1 * w1, y1 * w1, w1 * w1, -(x1 * x1 + y1 * y1)
-    a2, b2, c2, s2 = x2 * w2, y2 * w2, w2 * w2, -(x2 * x2 + y2 * y2)
-    a3, b3, c3, s3 = x3 * w3, y3 * w3, w3 * w3, -(x3 * x3 + y3 * y3)
-    det = _det3(a1, b1, c1, a2, b2, c2, a3, b3, c3)
-    if det == 0:
+    d, e, v, ((a1, b1, _, s1), (a2, b2, _, s2), (a3, b3, _, s3)) = _circle_terms(p, q, r)
+    return d, e, _det3(a1, b1, s1, a2, b2, s2, a3, b3, s3), v
+
+
+def _circumcenter(p: Point, q: Point, r: Point) -> _Triple:
+    """The unreduced center of the circle through p, q, r, from three determinants."""
+    d, e, v, _ = _circle_terms(p, q, r)
+    return -d, -e, 2 * v
+
+
+def _concyclic(p: Point, q: Point, r: Point, m: Point) -> int:
+    """Zero iff m lies on the circle through p, q and r, as their cross
+    ratio is then real: Im[(p - q)(m - r) * conj((p - r)(m - q))], at a
+    positive scale.  Raises as ``_circle_through``."""
+    if _area(p, q, r)[0] == 0:
         raise CollinearPoints("no circle through collinear points")
-    return (
-        _det3(s1, b1, c1, s2, b2, c2, s3, b3, c3),
-        _det3(a1, s1, c1, a2, s2, c2, a3, s3, c3),
-        _det3(a1, b1, s1, a2, b2, s2, a3, b3, s3),
-        det,
-    )
+    ux, uy, _ = _times(_sum(p.h, q.h, -1), _sum(m.h, r.h, -1))
+    vx, vy, _ = _times(_sum(p.h, r.h, -1), _sum(m.h, q.h, -1))
+    return uy * vx - ux * vy
 
 
 def circumcircle(p: Point, q: Point, r: Point) -> Circle:
@@ -670,14 +685,14 @@ def second_intersection_circle_line(c: Circle, l: Line, x: Point) -> Tuple[Point
         raise PointNotOnLine(f"{x} is not on {l}")
     if not on_circle(x, c):
         raise PointNotOnCircle(f"{x} is not on {c}")
-    return _second_meet(c, l.a, l.b, x)
+    return _second_meet(c.h, l.a, l.b, x)
 
 
-def _second_meet(c: Circle, a: int, b: int, x: Point) -> Tuple[Point, bool]:
-    """Vieta's second root on the line through x of c with normal (a, b),
-    nonzero and at any scale; x is on c."""
+def _second_meet(h: _Quadruple, a: int, b: int, x: Point) -> Tuple[Point, bool]:
+    """Vieta's second root on the line through x with normal (a, b), nonzero,
+    of the circle h = (d, e, f, v) through x; h and (a, b) at any scale."""
     px, py, w = x.h
-    d, e, _, v = c.h
+    d, e, _, v = h
     # t = -n / (v * w * (a^2 + b^2)) is the second root.
     n = 2 * v * (px * b - py * a) + w * (d * b - e * a)
     if n == 0:
@@ -700,9 +715,17 @@ def second_intersection_circles(c1: Circle, c2: Circle, x: Point) -> Tuple[Point
         raise PointNotOnCircle(f"{x} is not on {c1}")
     if not on_circle(x, c2):
         raise PointNotOnCircle(f"{x} is not on {c2}")
-    d1, e1, _, v1 = c1.h
-    d2, e2, _, v2 = c2.h
-    return _second_meet(c1, d1 * v2 - d2 * v1, e1 * v2 - e2 * v1, x)
+    return _second_common(c1.h, c2.h, x)
+
+
+def _second_common(h1: _Quadruple, h2: _Quadruple, x: Point) -> Tuple[Point, bool]:
+    """``second_intersection_circles`` on raw coefficients of circles through x."""
+    d1, e1, _, v1 = h1
+    d2, e2, _, v2 = h2
+    a, b = d1 * v2 - d2 * v1, e1 * v2 - e2 * v1
+    if a == 0 and b == 0:  # concentric circles through x are identical
+        raise CirclesIdentical("second intersection of a circle with itself")
+    return _second_meet(h1, a, b, x)
 
 
 def _polar(p: Point, c: Circle) -> _Triple:
@@ -772,13 +795,14 @@ def simson_line(p: Point, tri: "Triangle") -> Line:
     defined only for p on its circumcircle."""
     if not on_circle(p, tri.circumcircle):
         raise PointNotOnCircle(f"{p} is not on the circumcircle")
-    feet = [foot_perpendicular(p, side) for side in tri.sides]
-    first = feet[0]
-    other = next((f for f in feet[1:] if f != first), None)
-    if other is None:
+    feet = [_foot(p, *side) for side in tri.sides]  # raw, with W > 0
+    x1, y1, w1 = feet[0]
+    joins = [(y1 * w2 - y2 * w1, x2 * w1 - x1 * w2, x1 * y2 - x2 * y1) for x2, y2, w2 in feet[1:]]
+    a, b, c = next((j for j in joins if j[0] or j[1]), joins[-1])
+    if not (a or b):
         raise Degenerate("simson line", "all pedal feet coincide")
-    l = line_through(first, other)
-    if any(not on_line(f, l) for f in feet):
+    l = Line(a, b, c)
+    if any(l.a * x + l.b * y + l.c * w for x, y, w in feet):
         raise Degenerate("simson line", "pedal feet are not collinear")
     return l
 

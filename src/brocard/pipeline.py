@@ -63,13 +63,15 @@ from .geom import (
     second_intersection_circles,
     spiral_ratio,
     tangent_line,
-    _center,
     _circle_through,
+    _circumcenter,
+    _concyclic,
     _join,
     _meet,
     _parallel,
     _polar,
     _reduced,
+    _second_common,
 )
 from .scene import Scene
 
@@ -205,14 +207,14 @@ def miquel_circle(v: Point, p: Point, p_side: Line, q: Point, q_side: Line, name
 
 def _miquel_circle(v: Point, p: Point, p_side: Line, q: Point, q_side: Line, name: str):
     """The coefficients (d, e, f, v) of ``miquel_circle``, unreduced unless
-    it is a tangent-circle limit."""
+    it is a tangent-circle limit; each side is a ``Line`` or a raw triple."""
     try:
         if p == v and q == v:
             raise Degenerate(name, "both defining points collapse onto the vertex")
         if p == v:
-            return circle_through_tangent(v, p_side, q).h
+            return circle_through_tangent(v, p_side if type(p_side) is Line else Line(*p_side), q).h
         if q == v:
-            return circle_through_tangent(v, q_side, p).h
+            return circle_through_tangent(v, q_side if type(q_side) is Line else Line(*q_side), p).h
         return _circle_through(v, p, q)
     except Degenerate:
         raise
@@ -231,27 +233,55 @@ def _chord(p1: Point, p2: Point, gamma: Circle, name: str):
     return _polar(p1, gamma)
 
 
-def miquel_point(d: Point, e: Point, f: Point, tri: Triangle) -> Point:
+def miquel_point(d: Point, e: Point, f: Point, tri) -> Point:
     """Miquel point of the inscribed triangle def in triangle tri = abc: the
     common point of the circumcircles of (a,e,f), (b,f,d), (c,d,e).
 
-    d must lie on sideline BC, e on CA, f on AB.  Aliased inputs (d=b and
-    similar) are allowed and produce the tangent-circle limits, so the
-    classical Brocard points are the images of (b,c,a) and (c,a,b).
+    tri is a ``Triangle``, or its vertices and sidelines (a, b, c, BC, CA,
+    AB) with each sideline a ``Line`` or a raw triple.  d must lie on
+    sideline BC, e on CA, f on AB.  Aliased inputs (d=b and similar) are
+    allowed and produce the tangent-circle limits, so the classical
+    Brocard points are the images of (b,c,a) and (c,a,b).  Only the point
+    is reduced: the circles at A and B stay raw for their one meet, and
+    the circle at C is tested on the cross ratio.
     """
-    return _miquel(d, e, f, tri)[0]
+    a, b, c, bc, ca, ab = (tri.a, tri.b, tri.c, *tri.sides) if type(tri) is Triangle else tri
+    _inscribed(d, e, f, bc, ca, ab)
+    circle_a = _miquel_circle(a, e, ca, f, ab, "miquel circle at A")
+    circle_b = _miquel_circle(b, f, ab, d, bc, "miquel circle at B")
+    try:
+        m, _ = _second_common(circle_a, circle_b, f)
+    except GeometryError as exc:
+        raise Degenerate("miquel point", str(exc)) from exc
+    # ``_miquel`` builds C's circle before the meet; testing it after gives
+    # the same errors, as the meet never raises when C's circle would.
+    _require(_on_miquel_circle(m, c, d, bc, e, ca, "miquel circle at C"), "Miquel point misses the third circle")
+    return m
+
+
+def _inscribed(d: Point, e: Point, f: Point, bc, ca, ab) -> None:
+    """Raise unless d, e, f lie on BC, CA, AB, each a ``Line`` or a raw triple."""
+    for name, pt, (la, lb, lc), side in zip("def", (d, e, f), (bc, ca, ab), ("BC", "CA", "AB")):
+        x, y, w = pt.h
+        if la * x + lb * y + lc * w:
+            raise Degenerate("miquel point", f"{name} is not on sideline {side}")
+
+
+def _on_miquel_circle(m: Point, v: Point, p: Point, p_side, q: Point, q_side, name: str) -> bool:
+    """m lies on ``miquel_circle(v, p, p_side, q, q_side, name)``, with the
+    errors it raises.  Only a tangent limit is built; any other circle is
+    decided by ``_concyclic`` on the cross ratio."""
+    if v == p or v == q:
+        return on_circle(m, miquel_circle(v, p, p_side, q, q_side, name))
+    with _Stage(name):
+        return _concyclic(v, p, q, m) == 0
 
 
 def _miquel(d: Point, e: Point, f: Point, tri: Triangle) -> Tuple[Point, Tuple[Circle, Circle, Circle]]:
     """``miquel_point`` together with its three circles, at A, B and C."""
     a, b, c = tri.a, tri.b, tri.c
     bc, ca, ab = tri.sides
-    if not on_line(d, bc):
-        raise Degenerate("miquel point", "d is not on sideline BC")
-    if not on_line(e, ca):
-        raise Degenerate("miquel point", "e is not on sideline CA")
-    if not on_line(f, ab):
-        raise Degenerate("miquel point", "f is not on sideline AB")
+    _inscribed(d, e, f, bc, ca, ab)
     circle_a = miquel_circle(a, e, ca, f, ab, "miquel circle at A")
     circle_b = miquel_circle(b, f, ab, d, bc, "miquel circle at B")
     circle_c = miquel_circle(c, d, bc, e, ca, "miquel circle at C")
@@ -281,13 +311,8 @@ def miquel_point_quadrangle(pa: Point, pb: Point, pc: Point, pd: Point) -> Point
 def _quadrangle_miquel(p: Point, q: Point, pa: Point, pb: Point, pc: Point, pd: Point) -> Point:
     """``miquel_point_quadrangle`` given its meets P and Q."""
     try:
-        c1 = circumcircle(p, pa, pd)
-        c2 = circumcircle(q, pa, pb)
-        m, _ = second_intersection_circles(c1, c2, pa)
-    except GeometryError as exc:
-        raise Degenerate("miquel quadrangle point", str(exc)) from exc
-    try:
-        ok = on_circle(m, circumcircle(p, pb, pc)) and on_circle(m, circumcircle(q, pc, pd))
+        m, _ = second_intersection_circles(circumcircle(p, pa, pd), circumcircle(q, pa, pb), pa)
+        ok = _concyclic(p, pb, pc, m) == 0 and _concyclic(q, pc, pd, m) == 0
     except GeometryError as exc:
         raise Degenerate("miquel quadrangle point", str(exc)) from exc
     _require(ok, "quadrangle Miquel point misses a defining circle")
@@ -415,9 +440,9 @@ def compute_configuration(scene: Scene) -> Configuration:
         x = intersect_lines(or_line, bc)
         y = intersect_lines(or_line, ca)
         z = intersect_lines(or_line, ab)
-        o_a = _reduced(Point, *_center(_circle_through(a, y, z)))
-        o_b = _reduced(Point, *_center(_circle_through(b, z, x)))
-        o_c = _reduced(Point, *_center(_circle_through(c, x, y)))
+        o_a = _reduced(Point, *_circumcenter(a, y, z))
+        o_b = _reduced(Point, *_circumcenter(b, z, x))
+        o_c = _reduced(Point, *_circumcenter(c, x, y))
     except GeometryError:
         x = y = z = o_a = o_b = o_c = None
 

@@ -36,7 +36,6 @@ from .geom import (
     Circle,
     Triangle,
     collinear_det,
-    isogonal_conjugate,
     on_circle,
     on_line,
     orientation,
@@ -44,6 +43,7 @@ from .geom import (
     RationalLike,
     _bisector,
     _foot,
+    _isogonal,
     _join,
     _meet,
     _reduced,
@@ -146,7 +146,8 @@ class KwonScene:
         """The Miquel points of DEF and of XYZ in ABC."""
         from .pipeline import miquel_point  # deferred: pipeline builds on scenes
 
-        tri = Triangle(self.a, self.b, self.c)
+        # The vertices and raw sidelines, with no ``Triangle``.
+        tri = self.a, self.b, self.c, _join(self.b, self.c), _join(self.c, self.a), _join(self.a, self.b)
         return miquel_point(self.d, self.e, self.f, tri), miquel_point(self.x, self.y, self.z, tri)
 
 
@@ -287,7 +288,7 @@ def generate_scene(params: SceneParams) -> Scene:
                 continue
             # The verification suite additionally needs the isogonal image
             # of P; probe it so accepted scenes never degenerate there.
-            isogonal_conjugate(cfg.p, scene.a, scene.b, scene.c)
+            _isogonal(cfg.p, scene.a, scene.b, scene.c)
         except GeometryError:
             continue
         return scene
@@ -417,9 +418,10 @@ def validate_scene(s: Scene) -> List[Violation]:
     for name, p in zip(("a1", "a2", "b1", "b2", "c1", "c2"), s.incidence_points):
         if not on_circle(p, s.gamma):
             violations.append(Violation(f"{name} not on gamma", s.gamma.eval(p)))
-    if s.o != s.gamma.center:
+    (ox, oy, ow), (d, e, f, v) = s.o.h, s.gamma.h
+    if 2 * v * ox + d * ow or 2 * v * oy + e * ow:  # o is not the center (-d, -e) / 2v
         violations.append(Violation("o is not the center of gamma", *_difference(s.o, s.gamma.center)))
-    if s.gamma.radius2 <= 0:
+    if d * d + e * e - 4 * f * v <= 0:  # 4 * v^2 * radius2
         violations.append(Violation("gamma has non-positive squared radius", s.gamma.radius2))
     if orientation(s.a, s.b, s.c) <= 0:
         violations.append(

@@ -127,17 +127,25 @@ def test_fraction_operations_of_one_suite_run(monkeypatch):
 
 
 #: ``Line.__init__`` and ``DirectedAngleClass.__init__`` calls in the same
-#: run: 21 and 0 since a line that feeds one meet or one foot stays a raw
+#: run: 19 and 0 since the Kwon draw's Miquel points read raw sidelines,
+#: 21 and 0 since a line that feeds one meet or one foot stays a raw
 #: triple, 38 and 0 while the T-vertex, Steiner-point, hexagon and Kwon
 #: meets took canonical lines, 85 and 17 while every check body and
 #: ``angle_at`` built throwaway lines and classes for one-off tests.
-LINE_NEW_SEED7 = 21
+LINE_NEW_SEED7 = 19
 ANGLE_NEW_SEED7 = 0
 
-#: ``geom._reduced`` calls in the same run: 88 since points, ratios and
-#: circles built for one meet or one comparison stay raw integer tuples,
-#: 128 while each of them was reduced.
-REDUCED_SEED7 = 88
+#: ``geom._reduced`` calls in the same run: 71 since no circle is reduced
+#: for one meet or one incidence and the pedal feet stay raw, 88 since
+#: points, ratios and circles built for one meet or one comparison stay raw
+#: integer tuples, 128 while each of them was reduced.
+REDUCED_SEED7 = 71
+
+#: ``geom._circle_through`` calls in the same run: 13 since an incidence
+#: with the circle through three points is decided on their cross ratio and
+#: O_A, O_B, O_C come from ``_circumcenter``, 22 while every such circle was
+#: built.  The tracer's ``geom.circumcircle.calls`` does not see these.
+CIRCLE_THROUGH_SEED7 = 13
 
 
 def _suite_calls():
@@ -175,10 +183,12 @@ def test_line_and_angle_constructions_of_one_suite_run():
 
 def test_reductions_of_one_suite_run():
     """With 10% slack: reducing a point, ratio or circle that only one meet
-    or one comparison reads fails."""
+    or one comparison reads fails, and so does building a circle for one
+    incidence."""
     calls, all_pass = _suite_calls()
     assert all_pass
     assert 0 < _calls_of(calls, geom._reduced) <= REDUCED_SEED7 * 1.1
+    assert 0 < _calls_of(calls, geom._circle_through) <= CIRCLE_THROUGH_SEED7 * 1.1
 
 
 #: Distinct check results in the seed-7 caps-50 report (scene seeds

@@ -638,6 +638,59 @@ class TestWitnessFidelity:
         circle = pipeline.miquel_circle(s.a, e, ca, f, ab, "circle(A,E,F)")
         assert self._failed(result, "M on circle(A,E,F)") == (circle.eval(m_moved),) != (0,)
 
+    def test_spiral_incidences_fail_with_circle_witnesses(self, seed7_scene, seed7_cfg):
+        """The spiral lemma decides "M on circle(...)" on the cross ratio, and
+        a FAIL carries the power of M in the canonical circle: M moved fails
+        all three incidences, a spiral point moved along its side the two
+        circles through it.  A spiral point on a vertex takes the tangent
+        circle there, and a flat triangle is DEGENERATE with the note of the
+        circle's error."""
+        s, cfg = seed7_scene, seed7_cfg
+        tri, m = s.triangle, cfg.p
+        a, b, c = s.vertices
+        sides = tri.sides
+
+        def incidences(d, e, f):
+            return {"circle(A,E,F)": (a, e, f), "circle(B,F,D)": (b, f, d), "circle(C,D,E)": (c, d, e)}
+
+        points = build_spiral_points(tri, m, SPIRAL_SCALE)
+        m_moved = m + Point(F(1, 7), F(-2, 9))
+        result = check_lemma_spiral(tri, m_moved, SPIRAL_SCALE, points)
+        for name, defining in incidences(*points).items():
+            expected = geom.circumcircle(*defining).eval(m_moved)
+            assert self._failed(result, f"M on {name}") == (expected,) != (0,)
+        for i, side in enumerate(sides):
+            moved = list(points)
+            moved[i] = moved[i] + F(1, 3) * Point(side.b, -side.a)
+            result = check_lemma_spiral(tri, m, SPIRAL_SCALE, tuple(moved))
+            assert all(x.ok for x in result.assertions[:3])  # D on BC, E on CA, F on AB
+            for name, defining in incidences(*moved).items():
+                (assertion,) = [x for x in result.assertions if x.label == f"M on {name}"]
+                if moved[i] in defining:
+                    assert assertion.witnesses == (geom.circumcircle(*defining).eval(m),) != (0,)
+                else:
+                    assert assertion.ok
+
+        # Caps 2, seed 46: E sits on A, so circle(A,E,F) is the circle
+        # tangent to CA at A through F.
+        s = generate_scene(SceneParams(seed=46, numerator_cap=2, denominator_cap=2))
+        tri = s.triangle
+        m = compute_configuration(s).p
+        d, e, f = build_spiral_points(tri, m, SPIRAL_SCALE)
+        assert e == s.a
+        m_moved = m + Point(F(1, 7), F(-2, 9))
+        result = check_lemma_spiral(tri, m_moved, SPIRAL_SCALE, (d, e, f))
+        tangent = geom.circle_through_tangent(s.a, tri.sides[1], f)
+        assert self._failed(result, "M on circle(A,E,F)") == (tangent.eval(m_moved),) != (0,)
+        assert self._failed(result, "M on circle(C,D,E)") == (geom.circumcircle(s.c, d, s.a).eval(m_moved),)
+
+        flat = Triangle(Point(0, 0), Point(4, 0), Point(1, 0))
+        on_it = (Point(F(1, 2), 0), Point(2, 0), Point(3, 0))
+        result = check_lemma_spiral(flat, Point(1, 2), SPIRAL_SCALE, on_it)
+        assert result.status == DEGENERATE
+        assert [x.label for x in result.assertions] == ["D on BC", "E on CA", "F on AB"]
+        assert result.notes == ("circle(A,E,F): no circle through collinear points",)
+
     def test_raw_paths_keep_their_degenerate_notes(self, seed7_scene, seed7_cfg):
         """A degeneracy met on a raw path reports the note the public
         function's error gave: DEGENERATE with a clean slate, FAIL with
@@ -773,10 +826,11 @@ class TestComputedOnce:
         assert result.assertions[-1].witnesses == (dist2(kw.t, o1) - dist2(kw.t, new_o2),)
 
     def test_suite_builds_each_line_and_foot_once(self, seed7_scene, monkeypatch):
-        """One ``run_suite`` calls ``line_through`` and ``foot_perpendicular``
-        at most once per argument tuple: the shared lines live on the
-        configuration.  ``kwon_scene``'s own draw and the cyclic lemma, which
-        runs once per circle, are exempt."""
+        """One ``run_suite`` calls ``line_through`` and the raw foot helper
+        ``_foot`` at most once per argument tuple: the shared lines live on
+        the configuration, and the Simson lines and spiral points read their
+        pedal feet raw.  ``kwon_scene``'s own draw and the cyclic lemma,
+        which runs once per circle, are exempt."""
         calls = []
         exempt = []
 
@@ -798,7 +852,7 @@ class TestComputedOnce:
 
             return wrapper
 
-        for name in ("line_through", "foot_perpendicular"):
+        for name in ("line_through", "_foot"):
             wrapper = recording(getattr(geom, name))
             for module in (geom, pipeline, ck, scene_module):
                 if hasattr(module, name):
@@ -808,7 +862,7 @@ class TestComputedOnce:
         report = run_suite(dataclasses.replace(seed7_scene))  # no cached sidelines
         assert report.all_pass
         names = {name for name, _, _ in calls}
-        assert names == {"line_through", "foot_perpendicular"}
+        assert names == {"line_through", "_foot"}
         repeated = [call for i, call in enumerate(calls) if call in calls[:i]]
         assert repeated == []
 

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+from itertools import permutations
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -57,6 +58,8 @@ from brocard.geom import (
     _angle_at,
     _center,
     _circle_through,
+    _circumcenter,
+    _concyclic,
     _image,
     _isogonal,
     _join,
@@ -71,7 +74,7 @@ from brocard.geom import (
     antipode,
     PointNotOnCircle,
 )
-from brocard.pipeline import tangent_of_angle
+from brocard.pipeline import _miquel, miquel_point, tangent_of_angle
 from brocard.scene import circle_point_from_parameter
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -1247,3 +1250,61 @@ def test_new_raw_helpers_raise_the_public_errors():
     off_side = (Degenerate, "spiral ratio: target point is not on the side")
     assert _outcome(_spiral, c, Point(1, 1), _join(a, b))[1] == off_side
     assert _outcome(_meet, side, _join(c, Point(1, 2)))[1] == (ParallelLines, "lines are parallel")
+
+
+@example(BIG_A, BIG_B, BIG_C, BIG_D)
+@example(BIG_A, BIG_B, BIG_C, BIG_A)  # m is a defining point
+@example(BIG_A, BIG_B, BIG_C, BIG_C)
+@example(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1))  # collinear
+@example(Point(1, 1), Point(1, 1), Point(2, 3), Point(0, 0))  # coincident
+@example(Point(1, 1), Point(2, 3), Point(1, 1), Point(1, 1))  # coincident, m on both
+@example(Point(0, 0), Point(2, 0), Point(0, 2), Point(2, 2))  # z on the circle
+@given(kernel_points(), kernel_points(), kernel_points(), kernel_points())
+def test_concyclic_decides_circumcircle_incidence(p, q, r, z):
+    """``_concyclic(p, q, r, m)`` is zero iff ``circumcircle(p, q, r)``
+    passes through m, in every order of p, q and r, for m off the circle,
+    on it (the second meet of the line pz), or one of p, q, r.  A collinear
+    or coincident triple raises the class and message of ``circumcircle``,
+    and ``_circumcenter`` reduces to the circle's center or raises so too."""
+    circle, raised = _outcome(circumcircle, p, q, r)
+    for order in permutations((p, q, r)):
+        assert _outcome(_concyclic, *order, z)[1] == raised
+        assert _outcome(_circumcenter, *order)[1] == raised
+    if circle is None:
+        assert raised == (CollinearPoints, "no circle through collinear points")
+        return
+    assert _reduced(Point, *_circumcenter(p, q, r)) == circle.center
+    candidates = [z, p, q, r]
+    if z != p:
+        on, _ = second_intersection_circle_line(circle, line_through(p, z), p)
+        assert circle.eval(on) == 0
+        candidates.append(on)
+    for m in candidates:
+        for order in permutations((p, q, r)):
+            assert (_concyclic(*order, m) == 0) == (circle.eval(m) == 0)
+
+
+#: Parameters along a side: its two vertices (tangent-circle limits) or any.
+side_parameters = st.sampled_from([F(0), F(1)]) | kernel_rationals
+
+
+@example(BIG_A, BIG_B, BIG_C, F(-1, BIG), F(BIG - 1, BIG), F(2, 7), False)
+@example(BIG_A, BIG_B, BIG_C, F(0), F(1, 3), F(1, 2), False)  # d on B
+@example(BIG_A, BIG_B, BIG_C, F(1), F(1, 3), F(1, 2), False)  # d on C
+@example(BIG_A, BIG_B, BIG_C, F(1), F(0), F(1, 2), False)  # d and e on C
+@example(Point(0, 0), Point(4, 0), Point(1, 3), F(1), F(1), F(1), False)  # one on each vertex
+@example(Point(0, 0), Point(4, 0), Point(1, 3), F(1, 2), F(1, 3), F(1, 4), True)  # d off BC
+@given(kernel_points(), kernel_points(), kernel_points(), side_parameters, side_parameters, side_parameters, st.booleans())
+def test_raw_miquel_point_matches_kept_circles(a, b, c, s, t, u, off):
+    """``miquel_point``, which keeps no circle, equals the point ``_miquel``
+    meets on its reduced circles, or raises the same error: on ``Line``
+    sidelines and on raw ones, with tangent-circle limits where a point
+    sits on a vertex, and with d moved off BC."""
+    assume(orientation(a, b, c) != 0)
+    d, e, f = point_along(b, c, s), point_along(c, a, t), point_along(a, b, u)
+    if off:
+        d = d + Point(0, 1)
+    tri = Triangle(a, b, c)
+    expected = _outcome(lambda: _miquel(d, e, f, tri)[0])
+    assert _outcome(miquel_point, d, e, f, tri) == expected
+    assert _outcome(miquel_point, d, e, f, (a, b, c, _join(b, c), _join(c, a), _join(a, b))) == expected

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from brocard.checks import THEOREM_CHECK_IDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +42,29 @@ def test_batch_verify_table():
 def test_batch_verify_table_small_caps():
     """A scene whose spiral lemma meets the tangent-circle limit."""
     _assert_batch_table(1, "--seeds", "46:46", "--numerator-cap", "2", "--denominator-cap", "2")
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (("--seeds", "1:3", "--numerator-cap", "1", "--denominator-cap", "1"), 1,
+         "error: no valid scene within 500 attempts (seed 1)"),
+        (("--seeds", "1-3"), 2, "error: argument --seeds: not a seed range lo:hi or a count: '1-3'"),
+        (("--seeds", "1:"), 2, "error: argument --seeds: not a seed range lo:hi or a count: '1:'"),
+        (("--numerator-cap", "0"), 2, "error: parameter caps must be positive"),
+        (("--seeds", "1:3", "--denominator-cap", "-1"), 2, "error: parameter caps must be positive"),
+    ],
+)
+def test_batch_verify_errors_without_traceback(args, code, message):
+    """An exhausted seed exits 1 with one ``error:`` line, as ``brocard
+    generate`` does; a malformed range or a cap that is not positive is a
+    usage error and exits 2."""
+    proc = run_script("batch_verify.py", *args)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith(message)
+    if code == 1:
+        assert proc.stderr == message + "\n" and proc.stdout == ""
 
 
 def test_render_gallery_writes_svgs(tmp_path):
