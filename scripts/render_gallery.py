@@ -14,16 +14,25 @@ from brocard.scene import SceneParams, classical_brocard_scene, generate_scene
 from brocard.svgrender import render_svg
 
 
+def parse_seeds(text: str):
+    """Comma-separated integer seeds; empty entries are skipped."""
+    try:
+        return [int(seed) for seed in text.split(",") if seed.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integer seeds: {text!r}") from None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="figures")
-    parser.add_argument("--seeds", default="7,11,42", help="comma-separated seeds")
+    parser.add_argument("--seeds", type=parse_seeds, default="7,11,42", help="comma-separated seeds")
     parser.add_argument("--digits", type=int, default=9)
     args = parser.parse_args()
+    if args.digits < 0:
+        parser.error("--digits must be nonnegative")
 
     os.makedirs(args.out_dir, exist_ok=True)
-    jobs = [(f"scene_seed{seed}", generate_scene(SceneParams(seed=int(seed))))
-            for seed in args.seeds.split(",") if seed.strip()]
+    jobs = [(f"scene_seed{seed}", generate_scene(SceneParams(seed=seed))) for seed in args.seeds]
     jobs.append(("classical_0_1_3", classical_brocard_scene(0, 1, 3)))
 
     for name, scene in jobs:

@@ -65,6 +65,7 @@ from .geom import (
     _image,
     _isogonal,
     _join,
+    _meet,
     _midpoint,
     _parallel,
     _perpendicular,
@@ -78,7 +79,6 @@ from .geom import (
 )
 from .pipeline import (
     Configuration,
-    classical_overlay,
     compute_configuration,
     miquel_circle,
     tangent_of_angle,
@@ -725,15 +725,10 @@ _SUITE.update(
 # Classical overlay check (last in the suite, on classical scenes only)
 
 
-def _symmedian_point(a: Point, b: Point, c: Point) -> Point:
-    """Barycentric oracle a^2 : b^2 : c^2, independent of the pole
-    construction used by the pipeline."""
-    la, lb, lc = dist2(b, c), dist2(c, a), dist2(a, b)
-    s = la + lb + lc
-    return Point(
-        (la * a.x + lb * b.x + lc * c.x) / s,
-        (la * a.y + lb * b.y + lc * c.y) / s,
-    )
+def _barycentric(a: Point, b: Point, c: Point, u: Fraction, v: Fraction, w: Fraction) -> Point:
+    """The point with barycentrics u : v : w in triangle abc."""
+    s = u + v + w
+    return Point((u * a.x + v * b.x + w * c.x) / s, (u * a.y + v * b.y + w * c.y) / s)
 
 
 @_check(classical=True)
@@ -742,57 +737,55 @@ def check_classical_overlay(rec: _Recorder, cfg: Configuration) -> None:
     pole R is the symmedian point, and the T- and primed triangles are the
     two classical Brocard triangles."""
     s = cfg.scene
-    ov = classical_overlay(s)
-    if ov.collapsed:
-        raise Degenerate("classical overlay", "equilateral collapse")
-    rec.points_equal("P == Omega", cfg.p, ov.omega)
-    rec.points_equal("Q == Omega'", cfg.q, ov.omega_prime)
-    for name, circle in (("w_A", ov.w_a), ("w_B", ov.w_b), ("w_C", ov.w_c)):
-        rec.point_on_circle(f"Omega on {name}", ov.omega, circle)
-    for name, circle in (("w_A'", ov.w_a_prime), ("w_B'", ov.w_b_prime), ("w_C'", ov.w_c_prime)):
-        rec.point_on_circle(f"Omega' on {name}", ov.omega_prime, circle)
+    a, b, c = s.vertices
+    ov = cfg.overlay
+    # Barycentric oracles, independent of the pipeline's constructions:
+    # Omega = c^2 a^2 : a^2 b^2 : b^2 c^2, Omega' = a^2 b^2 : b^2 c^2 : c^2 a^2
+    # and K = a^2 : b^2 : c^2, with a^2 = |BC|^2 and so on.
+    la, lb, lc = dist2(b, c), dist2(c, a), dist2(a, b)
+    omega = _barycentric(a, b, c, lc * la, la * lb, lb * lc)
+    omega_prime = _barycentric(a, b, c, la * lb, lb * lc, lc * la)
+    rec.points_equal("P == Omega", cfg.p, omega)
+    rec.points_equal("Q == Omega'", cfg.q, omega_prime)
+    # The Miquel circles at A, B and C are (w_C, w_A, w_B) for P and
+    # (w_B', w_C', w_A') for Q.
+    w_c, w_a, w_b = cfg.p_circles
+    w_b_prime, w_c_prime, w_a_prime = cfg.q_circles
+    for name, circle in (("w_A", w_a), ("w_B", w_b), ("w_C", w_c)):
+        rec.point_on_circle(f"Omega on {name}", omega, circle)
+    for name, circle in (("w_A'", w_a_prime), ("w_B'", w_b_prime), ("w_C'", w_c_prime)):
+        rec.point_on_circle(f"Omega' on {name}", omega_prime, circle)
     rec.points_equal("R == K", cfg.r, ov.k)
-    rec.points_equal("K matches barycentric a^2:b^2:c^2", ov.k, _symmedian_point(s.a, s.b, s.c))
-    rec.point_on_circle("Omega on the circle with diameter OK", ov.omega, cfg.brocard_circle)
-    rec.point_on_circle("Omega' on the circle with diameter OK", ov.omega_prime, cfg.brocard_circle)
-    rec.equidistant("O equidistant from Omega, Omega'", cfg.o, ov.omega, ov.omega_prime)
-    rec.equidistant("K equidistant from Omega, Omega'", ov.k, ov.omega, ov.omega_prime)
+    rec.points_equal("K matches barycentric a^2:b^2:c^2", ov.k, _barycentric(a, b, c, la, lb, lc))
+    rec.point_on_circle("Omega on the circle with diameter OK", omega, cfg.brocard_circle)
+    rec.point_on_circle("Omega' on the circle with diameter OK", omega_prime, cfg.brocard_circle)
+    rec.equidistant("O equidistant from Omega, Omega'", cfg.o, omega, omega_prime)
+    rec.equidistant("K equidistant from Omega, Omega'", ov.k, omega, omega_prime)
     # First Brocard triangle: T-vertices as meets of Brocard cevians.
-    rec.points_equal(
-        "T_A == Omega B meet Omega' C",
-        cfg.t_a,
-        intersect_lines(line_through(ov.omega, s.b), line_through(ov.omega_prime, s.c)),
-    )
-    rec.points_equal(
-        "T_B == Omega C meet Omega' A",
-        cfg.t_b,
-        intersect_lines(line_through(ov.omega, s.c), line_through(ov.omega_prime, s.a)),
-    )
-    rec.points_equal(
-        "T_C == Omega A meet Omega' B",
-        cfg.t_c,
-        intersect_lines(line_through(ov.omega, s.a), line_through(ov.omega_prime, s.b)),
-    )
+    vertex = dict(zip("ABC", s.vertices))
+    for x, y, z, t in zip("ABC", "BCA", "CAB", (cfg.t_a, cfg.t_b, cfg.t_c)):
+        rec.points_equal(
+            f"T_{x} == Omega {y} meet Omega' {z}",
+            t,
+            _meet(_join(omega, vertex[y]), _join(omega_prime, vertex[z])),
+        )
     # Second Brocard triangle: primed points on the symmedians, and each
     # is the second meet of its symmedian with the circle on OK.
-    for name, v, pr in (("A", s.a, cfg.a_prime), ("B", s.b, cfg.b_prime), ("C", s.c, cfg.c_prime)):
+    for name, v, pr in (("A", a, cfg.a_prime), ("B", b, cfg.b_prime), ("C", c, cfg.c_prime)):
         rec.collinear(f"{name}, {name}', K collinear", v, pr, ov.k)
-        chord, _ = second_intersection_circle_line(
-            cfg.brocard_circle, line_through(v, ov.k), ov.k
-        )
+        chord, _ = second_intersection_circle_line(cfg.brocard_circle, line_through(v, ov.k), ov.k)
         rec.points_equal(f"{name}' is the second symmedian meet", pr, chord)
-    t1 = tangent_of_angle(s.a, s.b, ov.omega)
-    t2 = tangent_of_angle(s.b, s.c, ov.omega)
-    t3 = tangent_of_angle(s.c, s.a, ov.omega)
+    t1 = tangent_of_angle(a, b, omega)
+    t2 = tangent_of_angle(b, c, omega)
+    t3 = tangent_of_angle(c, a, omega)
     rec.scalars_equal("tan at A == tan at B (Omega)", t1, t2)
     rec.scalars_equal("tan at B == tan at C (Omega)", t2, t3)
     rec.scalars_equal("stored Brocard tangent matches", ov.tan_brocard, t1)
-    area2 = collinear_det(s.a, s.b, s.c)
-    la, lb, lc = dist2(s.b, s.c), dist2(s.c, s.a), dist2(s.a, s.b)
+    area2 = collinear_det(a, b, c)
     rec.scalars_equal("tan equals 4*area/(a^2+b^2+c^2)", ov.tan_brocard, 2 * area2 / (la + lb + lc))
-    u1 = tangent_of_angle(s.a, s.c, ov.omega_prime)
-    u2 = tangent_of_angle(s.b, s.a, ov.omega_prime)
-    u3 = tangent_of_angle(s.c, s.b, ov.omega_prime)
+    u1 = tangent_of_angle(a, c, omega_prime)
+    u2 = tangent_of_angle(b, a, omega_prime)
+    u3 = tangent_of_angle(c, b, omega_prime)
     rec.scalars_equal("tan at A == tan at B (Omega')", u1, u2)
     rec.scalars_equal("tan at B == tan at C (Omega')", u2, u3)
     rec.scalars_equal("Omega' tangent mirrors Omega's", u1, -ov.tan_brocard)
@@ -816,6 +809,12 @@ def check_suite_ids(check_ids: Sequence[str]) -> None:
 def run_suite(scene: Scene, check_ids: Optional[Sequence[str]] = None) -> SuiteReport:
     """Validate the scene, build its configuration, and run every applicable
     check (optionally filtered by id).  Deterministic for a fixed scene."""
+    return _suite(scene, check_ids)[0]
+
+
+def _suite(scene: Scene, check_ids: Optional[Sequence[str]]) -> Tuple[SuiteReport, Optional[Configuration]]:
+    """``run_suite``'s report, with the configuration its checks ran on, or
+    None when the scene is invalid or its configuration degenerate."""
     selected = list(_SUITE if check_ids is None else check_ids)
     check_suite_ids(selected)
     digest = scene_digest(scene)
@@ -826,12 +825,12 @@ def run_suite(scene: Scene, check_ids: Optional[Sequence[str]] = None) -> SuiteR
         tuple(Assertion(str(v), False, v.witnesses) for v in violations),
     )
     if violations:
-        return SuiteReport(digest, (validation,))
+        return SuiteReport(digest, (validation,)), None
 
     try:
         cfg = compute_configuration(scene)
     except GeometryError as exc:
-        return SuiteReport(digest, (validation, _degenerate("configuration", str(exc))))
+        return SuiteReport(digest, (validation, _degenerate("configuration", str(exc)))), None
 
     # Every runner calls its check through the module attribute
     # ``checks.<id>``, so a wrapper installed there sees every call:
@@ -840,4 +839,4 @@ def run_suite(scene: Scene, check_ids: Optional[Sequence[str]] = None) -> SuiteR
     for cid, (run, classical) in _SUITE.items():
         if cid in selected and (scene.classical or not classical):
             results.append(run(cfg, digest))
-    return SuiteReport(digest, tuple(results))
+    return SuiteReport(digest, tuple(results)), cfg

@@ -224,24 +224,23 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_classical(args: argparse.Namespace) -> int:
-    from .pipeline import classical_overlay, compute_configuration
+    from .checks import _suite
 
     scene, ts = _classical_scene(args)
-    report = run_suite(scene)
-    try:
-        cfg = compute_configuration(scene)
-        overlay = classical_overlay(scene)
-    except GeometryError as exc:
-        print(f"degenerate classical scene: {exc}")
-        overlay, cfg = None, None
-    if cfg is not None and cfg.collapsed:
-        print("degenerate classical scene: the two Brocard points collapse")
-    elif overlay is not None:
-        print(f"R = {_point_str(cfg.r)}")
-        print(f"K = {_point_str(overlay.k)}  (R == K: {cfg.r == overlay.k})")
-        print(f"tan(Brocard angle) = {rational_to_str(overlay.tan_brocard)}")
-        print(f"Omega  = {_point_str(overlay.omega)}")
-        print(f"Omega' = {_point_str(overlay.omega_prime)}")
+    report, cfg = _suite(scene, None)
+    if cfg is None:
+        print(f"degenerate classical scene: {report.results[-1].notes[0]}")
+    else:
+        try:
+            overlay = cfg.overlay
+        except GeometryError as exc:
+            print(f"degenerate classical scene: {exc}")
+        else:
+            print(f"R = {_point_str(cfg.r)}")
+            print(f"K = {_point_str(overlay.k)}  (R == K: {cfg.r == overlay.k})")
+            print(f"tan(Brocard angle) = {rational_to_str(overlay.tan_brocard)}")
+            print(f"Omega  = {_point_str(cfg.p)}")
+            print(f"Omega' = {_point_str(cfg.q)}")
     counts = report.counts
     print(
         f"suite: {counts['PASS']} pass, {counts['FAIL']} fail, {counts['DEGENERATE']} degenerate"

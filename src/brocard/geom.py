@@ -29,10 +29,10 @@ Conventions:
 * Reduced where kept or written; raw for one meet or one comparison.
   Each raw helper returns the unreduced integer tuple that a public
   function reduces or canonicalizes, and raises what that function
-  raises: ``_join``, ``_parallel``, ``_perpendicular``, ``_bisector`` and
-  ``_polar`` the lines of ``line_through``, ``parallel_through``,
-  ``perpendicular_through``, ``perpendicular_bisector`` and
-  ``polar_of_point``; ``_angle`` and ``_angle_at`` the classes of
+  raises: ``_join``, ``_perpendicular``, ``_bisector`` and ``_polar`` the
+  lines of ``line_through``, ``perpendicular_through``,
+  ``perpendicular_bisector`` and ``polar_of_point``, and ``_parallel`` the
+  parallel through a point; ``_angle`` and ``_angle_at`` the classes of
   ``directed_angle`` and ``angle_at``; ``_meet``, ``_midpoint``,
   ``_center``, ``_foot``, ``_isogonal`` and ``_image`` the points of
   ``intersect_lines``, ``midpoint``, ``Circle.center``,
@@ -328,15 +328,6 @@ class ComplexScalar:
     def __truediv__(self, other: "ComplexScalar") -> "ComplexScalar":
         return _reduced(ComplexScalar, *_quotient(self.h, other.h))
 
-    def apply_to(self, v: Point) -> Point:
-        """Multiply the displacement vector v by this complex number."""
-        return _reduced(Point, *_times(self.h, v.h))
-
-
-def complex_ratio(u: Point, v: Point) -> ComplexScalar:
-    """The complex number u / v, reading displacement vectors as complex."""
-    return _reduced(ComplexScalar, *_quotient(u.h, v.h))
-
 
 # ---------------------------------------------------------------------------
 # Lines
@@ -539,10 +530,6 @@ def _parallel(p: Point, l: Line) -> _Triple:
     """The unreduced coefficients of the parallel to l through p."""
     x, y, w = p.h
     return l.a * w, l.b * w, -(l.a * x + l.b * y)
-
-
-def parallel_through(p: Point, l: Line) -> Line:
-    return Line(*_parallel(p, l))
 
 
 def _perpendicular(p: Point, l: Line) -> _Triple:

@@ -89,13 +89,16 @@ def _require(condition: bool, what: str) -> None:
 class Configuration:
     """Every derived object of the configuration.
 
-    When the two Miquel points coincide (``collapsed``), only ``p`` and
-    ``q`` are populated; all dependent constructions are undefined and the
-    verification suite reports DEGENERATE instead of evaluating them.
+    When the two Miquel points coincide (``collapsed``), only ``p``, ``q``
+    and their circles are populated; all dependent constructions are
+    undefined and the verification suite reports DEGENERATE instead of
+    evaluating them.
 
     The objects several checks share (the inverse similarity, the line OR,
-    the T-sides, the lines through the perspector) are built on first use
-    and cached on the instance, never passed to ``__init__``, so
+    the T-sides, the lines through the perspector, and the classical
+    overlay, which the classical check shares with ``brocard classical``)
+    are built on first use and cached on the instance, never passed to
+    ``__init__``, so
     ``dataclasses.replace`` derives them afresh from the replaced fields.
     ``compute_configuration`` seeds the caches with the lines it built
     itself.  The Simson lines of S_t and T_a live in the memo of the
@@ -107,6 +110,10 @@ class Configuration:
     o: Point  # center of gamma
     p: Point
     q: Point
+    # The Miquel circles of P and of Q at A, B and C; on a classical scene
+    # they are the six tangent circles of the Brocard points.
+    p_circles: Tuple[Circle, Circle, Circle]
+    q_circles: Tuple[Circle, Circle, Circle]
     collapsed: bool = False
     t_a: Optional[Point] = None
     t_b: Optional[Point] = None
@@ -165,6 +172,11 @@ class Configuration:
         """The lines T_A A', T_B B', T_C C', which meet at the perspector."""
         return _perspective_lines(self.t_a, self.t_b, self.t_c, self.a_prime, self.b_prime, self.c_prime)
 
+    @cached_property
+    def overlay(self) -> ClassicalOverlay:
+        """The classical overlay of this configuration; classical scenes only."""
+        return classical_overlay(self)
+
     @property
     def simson_steiner(self) -> Line:
         """Simson line of S_t in the scene triangle."""
@@ -178,21 +190,13 @@ class Configuration:
 
 @dataclass(frozen=True)
 class ClassicalOverlay:
-    """Classical Brocard objects of a classical scene: the two Brocard
-    points, the six tangent circles defining them, the symmedian point, and
-    the exact tangent of the Brocard angle."""
+    """What a classical scene adds to its configuration: the symmedian point
+    and the exact tangent of the Brocard angle.  The Brocard points are the
+    configuration's P and Q, and their six tangent circles its Miquel
+    circles."""
 
-    omega: Point
-    omega_prime: Point
     k: Point
-    w_a: Circle
-    w_b: Circle
-    w_c: Circle
-    w_a_prime: Circle
-    w_b_prime: Circle
-    w_c_prime: Circle
     tan_brocard: Fraction
-    collapsed: bool = False
 
 
 def miquel_circle(v: Point, p: Point, p_side: Line, q: Point, q_side: Line, name: str) -> Circle:
@@ -353,7 +357,9 @@ def compute_configuration(scene: Scene) -> Configuration:
     p, p_circles = _miquel(scene.a1, scene.b1, scene.c1, tri)
     q, q_circles = _miquel(scene.a2, scene.b2, scene.c2, tri)
     if p == q:
-        return Configuration(scene=scene, circ=circ, o=o, p=p, q=q, collapsed=True)
+        return Configuration(
+            scene=scene, circ=circ, o=o, p=p, q=q, p_circles=p_circles, q_circles=q_circles, collapsed=True
+        )
 
     # A line that feeds one meet stays a raw triple, and a point reduces
     # once; only the lines and circles that are kept or reused are built.
@@ -451,7 +457,7 @@ def compute_configuration(scene: Scene) -> Configuration:
         r_q = spiral_ratio(q, scene.a2, bc)
 
     cfg = Configuration(
-        scene=scene, circ=circ, o=o, p=p, q=q,
+        scene=scene, circ=circ, o=o, p=p, q=q, p_circles=p_circles, q_circles=q_circles,
         t_a=t_a, t_b=t_b, t_c=t_c,
         a_prime=a_prime, b_prime=b_prime, c_prime=c_prime,
         a0=a0, b0=b0, c0=c0,
@@ -481,28 +487,16 @@ def tangent_of_angle(vertex: Point, toward1: Point, toward2: Point) -> Fraction:
     return cross(u, v) / d
 
 
-def classical_overlay(scene: Scene) -> ClassicalOverlay:
-    """Classical Brocard objects of a classical scene: the Brocard points as
-    meets of the six tangent circles, the symmedian point as pole of the
-    line of tangent intersections, and the exact Brocard-angle tangent."""
+def classical_overlay(cfg: Configuration) -> ClassicalOverlay:
+    """Classical Brocard objects of a classical configuration: the symmedian
+    point as pole of the line of tangent intersections, and the exact
+    Brocard-angle tangent at P, the first Brocard point."""
+    scene = cfg.scene
     if not scene.classical:
         raise ValueError("classical overlay requires a classical scene")
     a, b, c = scene.a, scene.b, scene.c
     gamma = scene.gamma
-    tri = scene.triangle
-    bc, ca, ab = tri.sides
-
-    # Aliased Miquel points: their Miquel circles are the six tangent circles.
-    omega, (w_c, w_a, w_b) = _miquel(b, c, a, tri)
-    omega_prime, (w_b_prime, w_c_prime, w_a_prime) = _miquel(c, a, b, tri)
-    if omega == omega_prime:
-        # The equilateral collapse; both points sink into the center.
-        return ClassicalOverlay(
-            omega=omega, omega_prime=omega_prime, k=omega,
-            w_a=w_a, w_b=w_b, w_c=w_c,
-            w_a_prime=w_a_prime, w_b_prime=w_b_prime, w_c_prime=w_c_prime,
-            tan_brocard=Fraction(0), collapsed=True,
-        )
+    bc, ca, ab = scene.triangle.sides
 
     with _Stage("K"):
         meets = []
@@ -523,13 +517,8 @@ def classical_overlay(scene: Scene) -> ClassicalOverlay:
     )
 
     with _Stage("brocard angle"):
-        # Rotation from ray A->B to ray A->Omega; positive for an
-        # anticlockwise triangle since Omega is interior.
-        tan_brocard = tangent_of_angle(a, b, omega)
+        # Rotation from ray A->B to ray A->P; positive for an
+        # anticlockwise triangle since P is interior.
+        tan_brocard = tangent_of_angle(a, b, cfg.p)
 
-    return ClassicalOverlay(
-        omega=omega, omega_prime=omega_prime, k=k,
-        w_a=w_a, w_b=w_b, w_c=w_c,
-        w_a_prime=w_a_prime, w_b_prime=w_b_prime, w_c_prime=w_c_prime,
-        tan_brocard=tan_brocard,
-    )
+    return ClassicalOverlay(k=k, tan_brocard=tan_brocard)

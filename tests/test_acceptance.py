@@ -84,7 +84,8 @@ def test_criterion_2_classical_oracle():
     mirror-symmetric across the x axis."""
     scene = classical_brocard_scene(0, 1, -1)
     cfg = compute_configuration(scene)
-    overlay = classical_overlay(scene)
+    overlay = classical_overlay(cfg)
+    omega, omega_prime = cfg.p, cfg.q
     checks = []
     checks.append(cfg.r == Point(F(1, 2), 0))
     checks.append(overlay.k == Point(F(1, 2), 0))
@@ -107,11 +108,11 @@ def test_criterion_2_classical_oracle():
     # circle with diameter O K contains both Brocard points
     center = midpoint(scene.o, overlay.k)
     diameter_circle = Circle.from_center_radius2(center, dist2(center, scene.o))
-    checks.append(on_circle(overlay.omega, diameter_circle))
-    checks.append(on_circle(overlay.omega_prime, diameter_circle))
+    checks.append(on_circle(omega, diameter_circle))
+    checks.append(on_circle(omega_prime, diameter_circle))
     # mirror symmetry across y = 0
-    checks.append(overlay.omega.x == overlay.omega_prime.x)
-    checks.append(overlay.omega.y == -overlay.omega_prime.y)
+    checks.append(omega.x == omega_prime.x)
+    checks.append(omega.y == -omega_prime.y)
     ok = all(checks)
     _report("2 (classical oracle R = K = (1/2, 0), tan = 1/2)", ok)
     assert ok

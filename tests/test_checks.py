@@ -31,6 +31,7 @@ from brocard.checks import (
 from brocard.geom import (
     Circle,
     ComplexScalar,
+    Line,
     Point,
     Triangle,
     dist2,
@@ -438,6 +439,27 @@ class TestClassicalOverlayCheck:
         )
         assert (collapsed.status, collapsed.notes) == (DEGENERATE, ("configuration collapsed (P = Q)",))
 
+    def test_moved_objects_fail_against_the_oracle(self):
+        """A moved P, Q, T-vertex or tangent circle FAILs against the
+        barycentric Brocard points, which the check derives from the
+        vertices alone, with the exact difference or residual as witness."""
+        cfg = compute_configuration(classical_brocard_scene(0, 1, 3))
+        omega, omega_prime = Point(F(-26, 73), F(45, 73)), Point(F(10, 73), F(51, 73))
+        shift = Point(F(1, 7), F(-2, 9))
+        for field, label, oracle in (
+            ("p", "P == Omega", omega),
+            ("q", "Q == Omega'", omega_prime),
+            ("t_a", "T_A == Omega B meet Omega' C", cfg.t_a),
+        ):
+            moved = dataclasses.replace(cfg, **{field: getattr(cfg, field) + shift})
+            failed = {a.label: a.witnesses for a in check_classical_overlay(moved).failed_assertions}
+            d = getattr(moved, field) - oracle
+            assert failed[label] == (d.x, d.y) != (0, 0)
+        w_c, w_a, w_b = cfg.p_circles
+        bent = Circle(w_a.d, w_a.e, w_a.f + 1)
+        result = check_classical_overlay(dataclasses.replace(cfg, p_circles=(w_c, bent, w_b)))
+        assert [(a.label, a.witnesses) for a in result.failed_assertions] == [("Omega on w_A", (bent.eval(omega),))]
+
     def test_overlay_assertions(self):
         cfg = compute_configuration(classical_brocard_scene(0, 1, 3))
         result = check_classical_overlay(cfg)
@@ -494,7 +516,7 @@ class TestWitnessFidelity:
         moved = dataclasses.replace(cfg, steiner=cfg.steiner + shift)
         result = ck.check_steiner(moved)
         for name, v, t_side in zip("ABC", s.vertices, cfg.t_sides):
-            expected = geom.parallel_through(v, t_side).eval(moved.steiner)
+            expected = Line(*geom._parallel(v, t_side)).eval(moved.steiner)
             assert self._failed(result, f"S_t on the parallel from {name}") == (expected,) != (0,)
         moved = dataclasses.replace(cfg, tarry=cfg.tarry + shift)
         result = ck.check_tarry(moved)
@@ -595,8 +617,8 @@ class TestWitnessFidelity:
         result = ck.check_first_triangle_similarity(moved)
         expected = diff(cfg.similarity.apply(s.c), moved.t_c)
         assert self._failed(result, "similarity fitted on A, B sends C to T_C") == expected
-        lhs = geom.complex_ratio(cfg.t_b - cfg.t_a, moved.t_c - cfg.t_a)
-        rhs = geom.complex_ratio(s.b - s.a, s.c - s.a).conj()
+        lhs = geom._reduced(ComplexScalar, *geom._quotient((cfg.t_b - cfg.t_a).h, (moved.t_c - cfg.t_a).h))
+        rhs = geom._reduced(ComplexScalar, *geom._quotient((s.b - s.a).h, (s.c - s.a).h)).conj()
         assert self._failed(result, "(T_B-T_A)/(T_C-T_A) == conj((B-A)/(C-A))") == diff(lhs, rhs)
         assert self._failed(ck.check_polygon_similarity(moved), "map sends C to T_C") == expected
 

@@ -40,7 +40,6 @@ from brocard.geom import (
     on_line,
     orientation,
     parallel,
-    parallel_through,
     perpendicular_bisector,
     perpendicular_through,
     polar_of_point,
@@ -49,6 +48,7 @@ from brocard.geom import (
     second_intersection_circle_line,
     second_intersection_circles,
     simson_line,
+    _parallel,
 )
 
 UNIT = Circle(0, 0, -1)
@@ -82,11 +82,11 @@ class TestLinesAndPoints:
         assert err.value.identical
 
     def test_parallel_through(self):
-        assert parallel_through(Point(0, 1), Line(0, 1, 0)) == Line(0, 1, -1)
-        assert parallel_through(Point(2, 2), Line(1, 1, -1)) == Line(1, 1, -4)
+        assert Line(*_parallel(Point(0, 1), Line(0, 1, 0))) == Line(0, 1, -1)
+        assert Line(*_parallel(Point(2, 2), Line(1, 1, -1))) == Line(1, 1, -4)
         l = Line(3, -2, 5)
         p = Point(1, 4)  # on l
-        assert on_line(p, l) and parallel_through(p, l) == l
+        assert on_line(p, l) and Line(*_parallel(p, l)) == l
 
     def test_perpendicular_through(self):
         assert perpendicular_through(Point(0, 0), Line(0, 1, 0)) == Line(1, 0, 0)
@@ -250,8 +250,8 @@ class TestDirectedAngles:
 
     def test_translation_invariance(self):
         l1, l2 = Line(3, -1, 2), Line(1, 5, -4)
-        m1 = parallel_through(Point(17, -6), l1)
-        m2 = parallel_through(Point(F(2, 3), F(5, 7)), l2)
+        m1 = Line(*_parallel(Point(17, -6), l1))
+        m2 = Line(*_parallel(Point(F(2, 3), F(5, 7)), l2))
         assert directed_angle(l1, l2) == directed_angle(m1, m2)
 
     def test_angle_at(self):

@@ -29,7 +29,6 @@ from brocard.geom import (
     Triangle,
     circumcircle,
     collinear_det,
-    complex_ratio,
     cross,
     directed_angle,
     dist2,
@@ -42,7 +41,6 @@ from brocard.geom import (
     on_circle,
     on_line,
     orientation,
-    parallel_through,
     perpendicular_bisector,
     point_along,
     polar_of_point,
@@ -68,8 +66,10 @@ from brocard.geom import (
     _parallel,
     _perpendicular,
     _polar,
+    _quotient,
     _reduced,
     _spiral,
+    _times,
     angle_at,
     antipode,
     PointNotOnCircle,
@@ -205,7 +205,7 @@ def test_directed_angle_equality_is_equivalence(l1, l2, l3, l4):
 @given(lines(), lines(), points, points)
 def test_directed_angle_translation_invariant(l1, l2, p, q):
     assert directed_angle(l1, l2) == directed_angle(
-        parallel_through(p, l1), parallel_through(q, l2)
+        Line(*_parallel(p, l1)), Line(*_parallel(q, l2))
     )
 
 
@@ -295,7 +295,7 @@ def _ref_circle_eval(c, p):
     return p.x * p.x + p.y * p.y + c.d * p.x + c.e * p.y + c.f
 
 
-def _ref_parallel_through(p, l):
+def _ref_parallel(p, l):
     return _ref_line(l.a, l.b, -(l.a * p.x + l.b * p.y))
 
 
@@ -486,7 +486,7 @@ def test_incidence_matches_reference(p, l, circle):
 
 @given(kernel_points(), kernel_lines())
 def test_parallel_and_perpendicular_match_reference(p, l):
-    assert _triple(parallel_through(p, l)) == _ref_parallel_through(p, l)
+    assert _triple(Line(*_parallel(p, l))) == _ref_parallel(p, l)
     assert _triple(perpendicular_through(p, l)) == _ref_perpendicular_through(p, l)
 
 
@@ -619,11 +619,11 @@ def _ref_complex_div(z, w):
     return ComplexScalar((z.re * w.re + z.im * w.im) / n, (z.im * w.re - z.re * w.im) / n)
 
 
-def _ref_apply_to(z, v):
+def _ref_times(z, v):
     return Point(z.re * v.x - z.im * v.y, z.re * v.y + z.im * v.x)
 
 
-def _ref_complex_ratio(u, v):
+def _ref_quotient(u, v):
     return _ref_complex_div(ComplexScalar(u.x, u.y), ComplexScalar(v.x, v.y))
 
 
@@ -655,7 +655,7 @@ def _ref_spiral_ratio(m, d, side):
     if _ref_line_eval(side, d) != 0:
         raise Degenerate("spiral ratio", "target point is not on the side")
     ft = _ref_foot_perpendicular(m, side)
-    return _ref_complex_ratio(_ref_sub(d, m), _ref_sub(ft, m))
+    return _ref_quotient(_ref_sub(d, m), _ref_sub(ft, m))
 
 
 def _ref_tangent_of_angle(vertex, toward1, toward2):
@@ -716,9 +716,11 @@ def test_complex_arithmetic_matches_reference(z, w, u, v):
         _same_outcome(kernel, reference, z, w)
         _same_outcome(kernel, reference, w, z)
     _same_outcome(lambda a, b: a / b, _ref_complex_div, z, ComplexScalar(0, 0))
-    _same_outcome(lambda a, b: a.apply_to(b), _ref_apply_to, z, u)
+    # A complex number times a displacement vector, and the quotient of two
+    # displacement vectors read as complex numbers.
+    _same_outcome(lambda a, b: _reduced(Point, *_times(a.h, b.h)), _ref_times, z, u)
     for divisor in (v, ZERO):
-        _same_outcome(complex_ratio, _ref_complex_ratio, u, divisor)
+        _same_outcome(lambda a, b: _reduced(ComplexScalar, *_quotient(a.h, b.h)), _ref_quotient, u, divisor)
 
 
 @example(Point(0, 0), Point(1, 2), Point(0, 0), Point(3, 4), Point(1, 1))
@@ -1040,9 +1042,9 @@ def _raw_residual(raw, p):
 @given(kernel_points(), kernel_points(), kernel_points())
 def test_raw_helpers_canonicalize_to_constructors(p, q, r):
     """``Line(*_join(p, q)) == line_through(p, q)``, and likewise for the
-    parallel, the perpendicular and the directed angle; or both raise the
-    same exception class with the same message.  A raw residual is zero iff
-    the point is on the canonical line."""
+    perpendicular and the directed angle; or both raise the same exception
+    class with the same message.  A raw residual is zero iff the point is on
+    the canonical line, for the parallel too."""
     raw, raised = _outcome(_join, p, q)
     assert _outcome(line_through, p, q) == (None if raised else Line(*raw), raised)
     if raised:
@@ -1051,11 +1053,10 @@ def test_raw_helpers_canonicalize_to_constructors(p, q, r):
     l = line_through(p, q)
     for point in (p, q, r):
         assert (_raw_residual(raw, point) == 0) == on_line(point, l)
-    for helper, public in ((_parallel, parallel_through), (_perpendicular, perpendicular_through)):
-        raw_through = helper(r, l)
-        assert Line(*raw_through) == public(r, l)
+    assert Line(*_perpendicular(r, l)) == perpendicular_through(r, l)
+    for raw_through in (_parallel(r, l), _perpendicular(r, l)):
         assert _raw_residual(raw_through, r) == 0
-        assert (_raw_residual(raw_through, p) == 0) == on_line(p, public(r, l))
+        assert (_raw_residual(raw_through, p) == 0) == on_line(p, Line(*raw_through))
     assert tuple(l) == (l.a, l.b, l.c)
     other = perpendicular_through(r, l)
     for l1, l2 in ((l, other), (other, l), (raw, _parallel(r, l)), (l, _perpendicular(p, l))):

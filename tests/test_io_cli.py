@@ -1,6 +1,7 @@
 """Persistence and CLI contracts: lossless round trips, canonical-bytes
 determinism, exit codes, SVG output."""
 
+import collections
 import contextlib
 import dataclasses
 import enum
@@ -17,7 +18,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from brocard import __version__
+from brocard import __version__, checks, pipeline
 from brocard.checks import (
     DEGENERATE,
     FAIL,
@@ -470,6 +471,50 @@ class TestCliClassical:
     def test_exit_zero_iff_no_fail(self):
         # isoceles scene has degenerate entries but no FAIL
         assert main(["classical", "--params", "0,1,-1"]) == 0
+
+    def test_builds_each_object_once(self, monkeypatch, capsys):
+        """The command prints from the suite's own configuration and shares
+        one overlay with the check: one build, the two Miquel points with
+        their six tangent circles, and K from three tangents."""
+        calls = collections.Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in (
+            (checks, "compute_configuration"),
+            (pipeline, "compute_configuration"),
+            (pipeline, "_miquel"),
+            (pipeline, "circle_through_tangent"),
+            (pipeline, "tangent_line"),
+        ):
+            count(module, name)
+        assert main(["classical", "--params", "0,1,3"]) == 0
+        assert "Omega  = (-26/73, 45/73)" in capsys.readouterr().out
+        assert calls == {"compute_configuration": 1, "_miquel": 2, "circle_through_tangent": 6, "tangent_line": 3}
+
+    def test_degenerate_configuration_not_rebuilt(self, monkeypatch, capsys):
+        """With no configuration, the command prints the suite's
+        ``configuration`` note and builds nothing more."""
+        calls = []
+
+        def degenerate(scene):
+            calls.append(scene)
+            raise GeometryError("forced")
+
+        monkeypatch.setattr(checks, "compute_configuration", degenerate)
+        monkeypatch.setattr(pipeline, "compute_configuration", degenerate)
+        assert main(["classical", "--params", "0,1,3"]) == 0
+        assert capsys.readouterr().out == (
+            "degenerate classical scene: forced\nsuite: 1 pass, 0 fail, 1 degenerate\n"
+        )
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("radius", ["0", "-1"])
     @pytest.mark.parametrize(

@@ -212,40 +212,51 @@ class TestCollapse:
         assert cfg.brocard_circle is None
 
 
+def tangent_circles(cfg):
+    """The six tangent circles of the Brocard points by name: the Miquel
+    circles of P at A, B, C are (w_c, w_a, w_b), those of Q
+    (w_b_prime, w_c_prime, w_a_prime)."""
+    return {
+        **dict(zip(("w_c", "w_a", "w_b"), cfg.p_circles)),
+        **dict(zip(("w_b_prime", "w_c_prime", "w_a_prime"), cfg.q_circles)),
+    }
+
+
 class TestClassicalOverlay:
     def test_brocard_points_meet_tangent_circles(self):
-        s = classical_brocard_scene(0, 1, 3)
-        ov = classical_overlay(s)
-        for circle in (ov.w_a, ov.w_b, ov.w_c):
-            assert on_circle(ov.omega, circle)
-        for circle in (ov.w_a_prime, ov.w_b_prime, ov.w_c_prime):
-            assert on_circle(ov.omega_prime, circle)
+        cfg = compute_configuration(classical_brocard_scene(0, 1, 3))
+        circles = tangent_circles(cfg)
+        for name in ("w_a", "w_b", "w_c"):
+            assert on_circle(cfg.p, circles[name])
+        for name in ("w_a_prime", "w_b_prime", "w_c_prime"):
+            assert on_circle(cfg.q, circles[name])
 
     def test_r_equals_k_and_tangent_oracle(self):
         s = classical_brocard_scene(0, 1, 3)
         cfg = compute_configuration(s)
-        ov = classical_overlay(s)
+        ov = classical_overlay(cfg)
         assert ov.k == cfg.r
         area2 = F(2) * (s.b - s.a).x * (s.c - s.a).y - F(2) * (s.b - s.a).y * (s.c - s.a).x
         total = dist2(s.b, s.c) + dist2(s.c, s.a) + dist2(s.a, s.b)
         assert ov.tan_brocard == area2 / total
+        assert cfg.overlay == ov
 
     def test_isoceles_mirror_symmetry(self):
-        ov = classical_overlay(classical_brocard_scene(0, 1, -1))
-        assert ov.omega.x == ov.omega_prime.x
-        assert ov.omega.y == -ov.omega_prime.y
+        cfg = compute_configuration(classical_brocard_scene(0, 1, -1))
+        assert cfg.p.x == cfg.q.x
+        assert cfg.p.y == -cfg.q.y
 
     def test_requires_classical_scene(self):
-        s = generate_scene(SceneParams(seed=7))
+        cfg = compute_configuration(generate_scene(SceneParams(seed=7)))
         with pytest.raises(ValueError):
-            classical_overlay(s)
+            classical_overlay(cfg)
 
     @pytest.mark.parametrize("params", [(0, 1, -1), (0, 1, 3), (F(1, 2), -3, F(7, 5))])
     def test_circles_are_the_tangent_circles(self, params, monkeypatch):
-        """Each overlay circle is the circle tangent to a sideline at one end
-        and through the opposite vertex, named as in the fields; the Miquel
-        points of Omega and Omega' build the six once, in one tangent-circle
-        call each."""
+        """Each Miquel circle of a classical configuration is the circle
+        tangent to a sideline at one end and through the opposite vertex,
+        named as in ``tangent_circles``; the configuration builds the six
+        once, in one tangent-circle call each."""
         s = classical_brocard_scene(*params)
         a, b, c = s.a, s.b, s.c
         bc, ca, ab = s.triangle.sides
@@ -264,8 +275,9 @@ class TestClassicalOverlay:
             return circle_through_tangent(*args)
 
         monkeypatch.setattr(pipeline, "circle_through_tangent", counted)
-        ov = classical_overlay(s)
-        assert {name: getattr(ov, name) for name in expected} == expected
+        cfg = compute_configuration(s)
+        classical_overlay(cfg)
+        assert tangent_circles(cfg) == expected
         assert len(calls) == 6
 
 
@@ -330,10 +342,14 @@ class TestSimilarityEquivariance:
                 assert mapped == _similar(alpha, beta, value), f.name
             elif isinstance(value, Circle):
                 assert mapped == _similar_circle(alpha, beta, value), f.name
+            elif isinstance(value, tuple):  # the Miquel circles of P and of Q
+                assert mapped == tuple(_similar_circle(alpha, beta, c) for c in value), f.name
             elif isinstance(value, ComplexScalar):
                 assert mapped == value, f.name  # spiral ratios are invariant
             elif value is None:
                 assert mapped is None, f.name
+            else:  # no other field goes unchecked; the Pascal line's meets are mapped
+                assert f.name in ("scene", "collapsed", "pascal_line"), f.name
 
         def outline(report):
             return [(r.check_id, r.status, [a.label for a in r.assertions]) for r in report.results]

@@ -77,6 +77,24 @@ def test_render_gallery_writes_svgs(tmp_path):
         assert "<svg " in text and text.rstrip().endswith("</svg>")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--seeds", "7,abc"), "error: argument --seeds: not comma-separated integer seeds: '7,abc'"),
+        (("--digits", "-2"), "error: --digits must be nonnegative"),
+    ],
+)
+def test_render_gallery_usage_errors_without_traceback(tmp_path, args, message):
+    """A malformed seed list or a negative digit count is a usage error,
+    reported before any figure is written."""
+    out = tmp_path / "figures"
+    proc = run_script("render_gallery.py", "--out-dir", str(out), *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith(message)
+    assert proc.stdout == "" and not out.exists()
+
+
 def test_readme_library_example():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
