@@ -10,7 +10,6 @@ error: a malformed seed range or a cap that is not positive.
 """
 
 import argparse
-import dataclasses
 import sys
 import time
 from collections import Counter
@@ -37,8 +36,9 @@ def main() -> int:
     parser.add_argument("--numerator-cap", type=int, default=50)
     parser.add_argument("--denominator-cap", type=int, default=50)
     args = parser.parse_args()
+    caps = dict(numerator_cap=args.numerator_cap, denominator_cap=args.denominator_cap)
     try:
-        params = SceneParams(seed=0, numerator_cap=args.numerator_cap, denominator_cap=args.denominator_cap)
+        SceneParams(seed=0, **caps)
     except ValueError as exc:  # a cap is not positive
         parser.error(str(exc))
 
@@ -49,7 +49,7 @@ def main() -> int:
     for seed in seeds:
         t0 = time.perf_counter()
         try:
-            scene = generate_scene(dataclasses.replace(params, seed=seed))
+            scene = generate_scene(SceneParams(seed=seed, **caps))
         except GeometryError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -29,14 +29,13 @@ suite runs the checks in declaration order, which is report order: the
 configuration checks first, then the four lemma checks, whose adapters
 derive their self-contained inputs from the scene, and last the
 classical-overlay check, ``@_check(classical=True)``, which runs on
-classical scenes only.  Results are frozen dataclasses holding tuples:
+classical scenes only.  Results are frozen records holding tuples:
 immutable, hashable values that reports share, as every scene on one
 circle shares the one memoised cyclic-lemma result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -72,6 +71,7 @@ from .geom import (
     _polar,
     _power,
     _quotient,
+    _record,
     _reduced,
     _spiral,
     _sum,
@@ -111,26 +111,29 @@ SPIRAL_SCALE = Fraction(2, 5)
 CYCLIC_PARAMETERS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(3))
 
 
-@dataclass(frozen=True)
+@_record
 class Assertion:
     label: str
     ok: bool
     witnesses: Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class CheckResult:
     check_id: str
     status: str
     assertions: Tuple[Assertion, ...]
     notes: Tuple[str, ...] = ()
 
+    def __init__(self, check_id: str, status: str, assertions: Tuple[Assertion, ...], notes: Tuple[str, ...] = ()):
+        self.__dict__.update(check_id=check_id, status=status, assertions=assertions, notes=notes)
+
     @property
     def failed_assertions(self) -> Tuple[Assertion, ...]:
         return tuple(a for a in self.assertions if not a.ok)
 
 
-@dataclass(frozen=True)
+@_record
 class SuiteReport:
     scene_digest: str
     results: Tuple[CheckResult, ...]

@@ -9,7 +9,6 @@ named by the BROCARD_OUT_DIR environment variable when it is set.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -107,21 +106,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "denominator_cap": args.denominator_cap,
             "strict_segments": args.strict_segments,
         }
+        shape = dict(
+            center=args.center,
+            radius=args.radius,
+            numerator_cap=args.numerator_cap,
+            denominator_cap=args.denominator_cap,
+            strict_segments=args.strict_segments,
+        )
         try:
-            params = SceneParams(
-                seed=args.seed,
-                center=args.center,
-                radius=args.radius,
-                numerator_cap=args.numerator_cap,
-                denominator_cap=args.denominator_cap,
-                strict_segments=args.strict_segments,
-            )
+            SceneParams(seed=args.seed, **shape)
         except ValueError as exc:  # a cap or the radius is not positive
             print(f"error: {exc}", file=sys.stderr)
             return 2
         for sub_seed in range(args.seed, args.seed + args.count):
             try:
-                scenes.append(generate_scene(dataclasses.replace(params, seed=sub_seed)))
+                scenes.append(generate_scene(SceneParams(seed=sub_seed, **shape)))
             except GeometryError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1

@@ -45,14 +45,19 @@ Conventions:
   reduced once, and an incidence, an angle equality or an equality of two
   values decides on the raw tuples (by a scale-invariant residual or by
   cross-multiplication).  A value kept, reused or written is reduced.
+* Every value class of the package is a frozen record (``_record``): it
+  compares, hashes, prints, copies and pickles as the frozen dataclass of
+  its annotated fields would, and answers ``dataclasses.fields``,
+  ``replace`` and ``is_dataclass``, but only such a call loads
+  ``dataclasses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
+from operator import attrgetter
 from typing import Optional, Tuple, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -102,6 +107,136 @@ class Degenerate(GeometryError):
     def __init__(self, name: str, message: str = ""):
         super().__init__(f"{name}: {message}" if message else name)
         self.name = name
+
+
+# ---------------------------------------------------------------------------
+# Records
+#
+# ``import dataclasses`` loads ``inspect``, ``ast`` and ``dis``, and the
+# decorator compiles every generated method with ``exec``, at each start of
+# a command and with or without a bytecode cache.  ``_record`` builds the
+# same methods from closures instead, and leaves the field table to the
+# decorator itself, run on first introspection.
+
+
+class _Factory:
+    """A field default built per instance, as ``default_factory`` builds it."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+class _FieldTable:
+    """A record's ``__dataclass_fields__``: on first access, the field table
+    of the frozen dataclass made by ``dataclasses.dataclass`` from the
+    record's annotations and defaults, stored over this descriptor.  So
+    ``dataclasses.fields``, ``replace``, ``is_dataclass`` and ``asdict``
+    behave on a record as on that dataclass."""
+
+    def __init__(self, defaults: dict):
+        self.defaults = defaults
+
+    def __get__(self, obj, cls):
+        import dataclasses
+
+        body = {"__annotations__": cls.__annotations__, "__module__": cls.__module__, "__qualname__": cls.__qualname__}
+        for name, default in self.defaults.items():
+            body[name] = dataclasses.field(default_factory=default.make) if type(default) is _Factory else default
+        table = dataclasses.dataclass(frozen=True)(type(cls.__name__, (), body)).__dataclass_fields__
+        cls.__dataclass_fields__ = table
+        return table
+
+
+def _frozen(action: str, name: str):
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(f"cannot {action} field {name!r}")
+
+
+def _record(cls):
+    """Make ``cls`` a frozen record of its annotated fields, in order, as
+    ``dataclasses.dataclass(frozen=True)`` would: equality, hashing and
+    ``repr`` read the field tuple, assignment and deletion raise
+    ``FrozenInstanceError``, and ``__init__`` takes the fields by position
+    or keyword, fills defaults (a ``_Factory`` default per instance), then
+    calls ``__post_init__`` if the class has one.  A method the class
+    defines itself is kept.  A class with ``__slots__`` defines its
+    ``__init__`` and gets the ``__getstate__``/``__setstate__`` pair that
+    copy and pickle need; any other stores its fields in its ``__dict__``."""
+    names = tuple(cls.__annotations__)
+    slotted = "__slots__" in cls.__dict__
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__ and not slotted}
+    for name, default in defaults.items():
+        if type(default) is _Factory:
+            delattr(cls, name)
+    accepted = frozenset(names)
+    values = attrgetter(*names)
+    key = values if len(names) > 1 else lambda self: (values(self),)
+    qualname = cls.__qualname__
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if args:
+            if len(args) > len(names) or not kwargs.keys().isdisjoint(names[: len(args)]):
+                raise _argument_error(qualname, names, args, kwargs)
+            kwargs.update(zip(names, args))
+        if not kwargs.keys() <= accepted:
+            raise _argument_error(qualname, names, (), kwargs)
+        if len(kwargs) < len(names):
+            for name in names:
+                if name not in kwargs:
+                    if name not in defaults:
+                        raise TypeError(f"{qualname}() missing argument {name!r}")
+                    default = defaults[name]
+                    kwargs[name] = default.make() if type(default) is _Factory else default
+        self.__dict__.update(kwargs)
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    def __setattr__(self, name, value):
+        raise _frozen("assign to", name)
+
+    def __delattr__(self, name):
+        raise _frozen("delete", name)
+
+    def __getstate__(self):
+        return list(key(self))
+
+    def __setstate__(self, state):
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+
+    methods = [__init__, __eq__, __repr__, __setattr__, __delattr__]
+    if slotted:
+        methods += [__getstate__, __setstate__]
+    for method in methods:
+        if method.__name__ not in cls.__dict__:
+            method.__qualname__ = f"{qualname}.{method.__name__}"
+            setattr(cls, method.__name__, method)
+    if cls.__dict__.get("__hash__") is None:  # None when the class defines __eq__
+        cls.__hash__ = __hash__
+    cls.__match_args__ = names
+    cls.__dataclass_fields__ = _FieldTable(defaults)
+    return cls
+
+
+def _argument_error(qualname: str, names: Tuple[str, ...], args: tuple, kwargs: dict) -> TypeError:
+    if len(args) > len(names):
+        return TypeError(f"{qualname}() takes {len(names)} arguments but {len(args)} were given")
+    name = next(name for name in kwargs if name not in names or names.index(name) < len(args))
+    why = "multiple values for argument" if name in names else "an unexpected keyword argument"
+    return TypeError(f"{qualname}() got {why} {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +343,9 @@ def _quotient(u: _Triple, v: _Triple) -> _Triple:
 # Points (also used as displacement vectors)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Point:
+    __slots__ = ("h",)
     h: _Triple
 
     def __init__(self, x: RationalLike, y: RationalLike):
@@ -232,6 +368,11 @@ class Point:
         n, d = _integers(k)
         x, y, w = self.h
         return _reduced(Point, n * x, n * y, d * w)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is Point:
+            return self.h == other.h
+        return NotImplemented
 
     def __repr__(self) -> str:
         return f"Point({self.x}, {self.y})"
@@ -291,7 +432,7 @@ def orientation(p: Point, q: Point, r: Point) -> int:
 # Exact complex numbers (spiral-similarity data)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class ComplexScalar:
     """Complex number with exact rational real and imaginary parts.
 
@@ -300,6 +441,7 @@ class ComplexScalar:
     materialized as a real number.
     """
 
+    __slots__ = ("h",)
     h: _Triple
 
     def __init__(self, re: RationalLike, im: RationalLike):
@@ -350,10 +492,11 @@ def _canonical_ints(what: str, zero: str, *values: RationalLike) -> Tuple[int, .
     return values if g == 1 else tuple([v // g for v in values])
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Line:
     """Oriented locus a*x + b*y + c = 0, canonicalized on construction."""
 
+    __slots__ = ("a", "b", "c")
     a: int
     b: int
     c: int
@@ -386,10 +529,11 @@ _line_a, _line_b, _line_c = Line.a.__set__, Line.b.__set__, Line.c.__set__
 # Circles
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Circle:
     """Monic circle x^2 + y^2 + d*x + e*y + f = 0."""
 
+    __slots__ = ("h",)
     h: _Quadruple
 
     def __init__(self, d: RationalLike, e: RationalLike, f: RationalLike):
@@ -439,7 +583,7 @@ _set_h = {cls: cls.h.__set__ for cls in (Point, ComplexScalar, Circle)}
 # Directed angles modulo pi
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class DirectedAngleClass:
     """Angle between two lines modulo pi, as the projective pair (cross : dot).
 
@@ -447,6 +591,7 @@ class DirectedAngleClass:
     to a coprime integer pair makes that structural.
     """
 
+    __slots__ = ("cross", "dot")
     cross: int
     dot: int
 
@@ -794,7 +939,7 @@ def simson_line(p: Point, tri: "Triangle") -> Line:
     return l
 
 
-@dataclass(frozen=True)
+@_record
 class Triangle:
     """Triangle abc.  Its sidelines, circumcircle and the Simson line of each
     point asked about are built on first use and cached in the instance
@@ -804,6 +949,9 @@ class Triangle:
     a: Point
     b: Point
     c: Point
+
+    def __init__(self, a: Point, b: Point, c: Point):
+        self.__dict__.update(a=a, b=b, c=c)
 
     @cached_property
     def sides(self) -> Tuple[Line, Line, Line]:
@@ -859,7 +1007,7 @@ def parallel(l1: Line, l2: Line) -> bool:
 # Orientation-reversing similarities
 
 
-@dataclass(frozen=True)
+@_record
 class InverseSimilarity:
     """The map z -> alpha * conj(z) + beta on points read as complex numbers.
 

@@ -32,7 +32,6 @@ sideline, exactly as the limits demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Tuple
@@ -70,6 +69,7 @@ from .geom import (
     _meet,
     _parallel,
     _polar,
+    _record,
     _reduced,
     _second_common,
 )
@@ -85,7 +85,7 @@ def _require(condition: bool, what: str) -> None:
         raise InternalInconsistencyError(what)
 
 
-@dataclass(frozen=True)
+@_record
 class Configuration:
     """Every derived object of the configuration.
 
@@ -188,7 +188,7 @@ class Configuration:
         return self.scene.triangle.simson_line(self.tarry)
 
 
-@dataclass(frozen=True)
+@_record
 class ClassicalOverlay:
     """What a classical scene adds to its configuration: the symmedian point
     and the exact tangent of the Brocard angle.  The Brocard points are the

@@ -23,7 +23,6 @@ seed gives the same scene as without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from random import Random
@@ -41,11 +40,13 @@ from .geom import (
     orientation,
     rat,
     RationalLike,
+    _Factory,
     _bisector,
     _foot,
     _isogonal,
     _join,
     _meet,
+    _record,
     _reduced,
     _sum,
 )
@@ -60,7 +61,7 @@ _MAX_ATTEMPTS = 500
 _KWON_MAX_ATTEMPTS = 200
 
 
-@dataclass(frozen=True)
+@_record
 class Scene:
     """Triangle with an inscribed-chord circle and its six incidence points.
 
@@ -69,7 +70,7 @@ class Scene:
     vertices (a1=b, b1=c, c1=a, a2=c, b2=a, c2=b) and gamma is then the
     circumcircle.
 
-    Objects derived from the fields are cached on the instance, never
+    Objects derived from the fields are cached on the frozen record, never
     passed to ``__init__``, so ``dataclasses.replace`` derives them afresh.
     """
 
@@ -101,14 +102,15 @@ class Scene:
         return Triangle(self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
+@_record
 class SceneParams:
     """Generation parameters.  Caps bound |numerator| and denominator of the
     six chord parameters; small caps keep big-integer growth through the
-    pipeline manageable."""
+    pipeline manageable.  Each instance without a ``center`` gets its own
+    origin, as a ``default_factory`` gives it."""
 
     seed: int
-    center: Point = field(default_factory=lambda: Point(0, 0))
+    center: Point = _Factory(lambda: Point(0, 0))
     radius: Fraction = Fraction(1)
     numerator_cap: int = 50
     denominator_cap: int = 50
@@ -123,12 +125,12 @@ class SceneParams:
             raise ValueError("parameter caps must be positive")
 
 
-@dataclass(frozen=True)
+@_record
 class KwonScene:
     """Two inscribed triangles DEF, XYZ whose chord perpendicular bisectors
     concur at t (the third bisector is forced by reflecting f across the
-    foot of t on AB).  Their Miquel points are cached on the instance, so
-    ``dataclasses.replace`` derives them afresh."""
+    foot of t on AB).  Their Miquel points are cached on the frozen record,
+    so ``dataclasses.replace`` derives them afresh."""
 
     a: Point
     b: Point

@@ -51,6 +51,37 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         assert ("hashlib" in modules) == digest, argv[0]
 
 
+def test_no_command_loads_dataclasses(tmp_path):
+    """``dataclasses`` and the modules it imports cost each process several
+    milliseconds; ``import brocard.cli`` and every command run without them,
+    and only introspecting a record (``dataclasses.fields``) loads them."""
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    program = "import json, sys, brocard.cli; print(json.dumps(sorted(sys.modules)))"
+    assert heavy.isdisjoint(loaded(program, cwd=tmp_path))
+    scenes = str(tmp_path / "scenes.json")
+    for argv in (
+        ["generate", "--seed", "7", "--count", "2", "--out", scenes],
+        ["verify", "--in", scenes, "--report", str(tmp_path / "report.json")],
+        ["render", "--in", scenes, "--out", str(tmp_path / "fig.svg")],
+        ["classical", "--params", "0,1,3"],
+    ):
+        code, modules = loaded(PROBE, *argv, cwd=tmp_path)
+        assert code == 0 and heavy.isdisjoint(modules), argv[0]
+    program = (
+        "import json, sys\n"
+        "from brocard.scene import SceneParams\n"
+        "params = SceneParams(seed=3)\n"
+        "steps = ['dataclasses' in sys.modules]\n"
+        "names = list(SceneParams.__dataclass_fields__)\n"
+        "steps.append('dataclasses' in sys.modules)\n"
+        "print(json.dumps([steps, names]))"
+    )
+    assert loaded(program, cwd=tmp_path) == [
+        [False, True],
+        ["seed", "center", "radius", "numerator_cap", "denominator_cap", "strict_segments"],
+    ]
+
+
 def test_bare_import_loads_no_submodule(tmp_path):
     """``import brocard`` loads nothing more; reading a name off the package
     loads its defining module, and a submodule name loads that submodule."""
