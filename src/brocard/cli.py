@@ -9,6 +9,8 @@ named by the BROCARD_OUT_DIR environment variable when it is set.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -30,7 +32,10 @@ if TYPE_CHECKING:
     from .checks import SuiteReport
 
 # A command imports the modules that only it runs in its own body, so that
-# ``generate`` loads neither ``checks`` nor ``svgrender``.
+# ``generate`` loads neither ``checks`` nor ``svgrender``.  Finalization need
+# not collect the heap, since every file is closed by ``with``: an exit hook
+# freezes it, and an in-process ``main`` call, never exiting, freezes nothing.
+atexit.register(gc.freeze)
 
 OUT_DIR_ENV = "BROCARD_OUT_DIR"
 

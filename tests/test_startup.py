@@ -1,21 +1,29 @@
-"""Start-up: the modules each command loads, and the lazy package surface.
+"""Start-up and exit: the modules each command loads, the lazy package
+surface, and the heap a command process freezes before it exits.
 
 Each command runs in a fresh interpreter that prints ``sys.modules`` when
 the command returns, so the load sets are gated exactly, not by time.
 """
 
+import dataclasses
+import gc
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import brocard
+import test_io_cli
 from brocard import checks, svgrender
 from brocard.cli import main
+from brocard.geom import Point
+from brocard.sceneio import read_scene_file, write_scene_file
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -25,26 +33,50 @@ PROBE = "import json, sys, brocard.cli; code = brocard.cli.main(sys.argv[1:]); p
 
 BASE = {"brocard", "brocard.cli", "brocard.geom", "brocard.scene", "brocard.pipeline", "brocard.sceneio"}
 
+# The console script: ``brocard.cli.main``, whose code is the exit status.
+CLI = "import sys, brocard.cli; sys.exit(brocard.cli.main(sys.argv[1:]))"
 
-def loaded(program, *argv, cwd):
+# Registered before the program imports brocard, so that it runs after
+# brocard's own exit hook (hooks run last in, first out), and prints the
+# number of frozen objects as the last line.
+FREEZE_PROBE = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count()))\n"
+
+
+def child(program, *argv, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", program, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def loaded(program, *argv, cwd):
+    proc = child(program, *argv, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_each_command_loads_only_what_it_runs(tmp_path):
-    scenes, report = str(tmp_path / "scenes.json"), str(tmp_path / "report.json")
-    commands = [
-        (["generate", "--seed", "7", "--count", "2", "--out", scenes], BASE, False),
-        (["verify", "--in", scenes, "--report", report], BASE | {"brocard.checks"}, True),
-        (["render", "--in", scenes, "--out", str(tmp_path / "fig.svg")], BASE | {"brocard.svgrender"}, False),
-        (["classical", "--params", "0,1,3"], BASE | {"brocard.checks"}, True),
+def command_argvs(tmp_path):
+    """One call of each command, in an order in which each one's input exists."""
+    scenes = str(tmp_path / "scenes.json")
+    return [
+        ["generate", "--seed", "7", "--count", "2", "--out", scenes],
+        ["verify", "--in", scenes, "--report", str(tmp_path / "report.json")],
+        ["render", "--in", scenes, "--out", str(tmp_path / "fig.svg")],
+        ["classical", "--params", "0,1,3"],
     ]
-    for argv, expected, digest in commands:
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    # Each command's brocard modules, and whether it loads ``hashlib``.
+    loads = {
+        "generate": (BASE, False),
+        "verify": (BASE | {"brocard.checks"}, True),
+        "render": (BASE | {"brocard.svgrender"}, False),
+        "classical": (BASE | {"brocard.checks"}, True),
+    }
+    for argv in command_argvs(tmp_path):
+        expected, digest = loads[argv[0]]
         code, modules = loaded(PROBE, *argv, cwd=tmp_path)
         assert code == 0, argv
         assert {m for m in modules if m.split(".")[0] == "brocard"} == expected, argv[0]
@@ -58,13 +90,7 @@ def test_no_command_loads_dataclasses(tmp_path):
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     program = "import json, sys, brocard.cli; print(json.dumps(sorted(sys.modules)))"
     assert heavy.isdisjoint(loaded(program, cwd=tmp_path))
-    scenes = str(tmp_path / "scenes.json")
-    for argv in (
-        ["generate", "--seed", "7", "--count", "2", "--out", scenes],
-        ["verify", "--in", scenes, "--report", str(tmp_path / "report.json")],
-        ["render", "--in", scenes, "--out", str(tmp_path / "fig.svg")],
-        ["classical", "--params", "0,1,3"],
-    ):
+    for argv in command_argvs(tmp_path):
         code, modules = loaded(PROBE, *argv, cwd=tmp_path)
         assert code == 0 and heavy.isdisjoint(modules), argv[0]
     program = (
@@ -80,6 +106,60 @@ def test_no_command_loads_dataclasses(tmp_path):
         [False, True],
         ["seed", "center", "radius", "numerator_cap", "denominator_cap", "strict_segments"],
     ]
+
+
+def test_a_cli_process_freezes_its_heap_at_exit(tmp_path):
+    """Finalization skips the frozen heap.  Importing ``brocard.cli`` freezes
+    it at exit, after every command and after a bare import; the package and
+    the modules a library uses register nothing."""
+    assert loaded(FREEZE_PROBE + "import brocard.cli", cwd=tmp_path) > 0
+    assert loaded(FREEZE_PROBE + "import brocard, brocard.checks, brocard.pipeline", cwd=tmp_path) == 0
+    for argv in command_argvs(tmp_path):
+        assert loaded(FREEZE_PROBE + CLI, *argv, cwd=tmp_path) > 0, argv[0]
+
+
+def test_an_in_process_call_freezes_nothing(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    for argv in command_argvs(tmp_path):
+        assert main(argv) == 0, argv[0]
+        assert gc.get_freeze_count() == frozen, argv[0]
+
+
+def _total_line(report):
+    summary = json.loads(report.read_text())["summary"]
+    return f"total: {summary['pass']} pass, {summary['fail']} fail, {summary['degenerate']} degenerate\n"
+
+
+def test_a_cli_process_writes_everything_before_it_exits(tmp_path, capsys):
+    """The byte gates run ``main`` in process, which never reaches the exit
+    hook; here each command is its own process, as a user runs it."""
+    _, scene_sha, report_sha = test_io_cli.TestBenchBytes.WORKLOADS["verify-caps50"]
+    scenes, report = tmp_path / "s.json", tmp_path / "r.json"
+    gen = child(CLI, "generate", "--seed", "701", "--count", "100", "--out", str(scenes), cwd=tmp_path)
+    assert (gen.returncode, gen.stdout, gen.stderr) == (0, f"wrote 100 scene(s) to {scenes}\n", "")
+    ver = child(CLI, "verify", "--in", str(scenes), "--report", str(report), cwd=tmp_path)
+    assert (ver.returncode, ver.stderr) == (0, "")
+    assert hashlib.sha256(scenes.read_bytes()).hexdigest() == scene_sha
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+    assert ver.stdout.endswith(_total_line(report))
+
+    # A moved A1 fails validation: the process exits 1 with the same report
+    # and lines as an in-process run, and every scene in the report.
+    originals, provenance = read_scene_file(str(scenes))
+    first = originals[0]
+    edited = tmp_path / "edited.json"
+    write_scene_file(
+        str(edited), [dataclasses.replace(first, a1=first.a1 + Point(Fraction(1, 3), 0)), *originals[1:]], provenance
+    )
+    failed, in_process = tmp_path / "failed.json", tmp_path / "in_process.json"
+    ver = child(CLI, "verify", "--in", str(edited), "--report", str(failed), cwd=tmp_path)
+    assert (ver.returncode, ver.stderr) == (1, "")
+    assert main(["verify", "--in", str(edited), "--report", str(in_process)]) == 1
+    assert ver.stdout == capsys.readouterr().out
+    assert failed.read_bytes() == in_process.read_bytes()
+    doc = json.loads(failed.read_text())
+    assert len(doc["scenes"]) == 100 and doc["summary"]["fail"] > 0
+    assert ver.stdout.endswith(_total_line(failed))
 
 
 def test_bare_import_loads_no_submodule(tmp_path):
