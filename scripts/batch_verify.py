@@ -6,7 +6,7 @@ Example:
     python scripts/batch_verify.py --seeds 1:200 --numerator-cap 50
 
 Exits 1 when a check fails or a seed admits no scene, and 2 on a usage
-error: a malformed seed range or a cap that is not positive.
+error: a malformed or empty seed range or a cap that is not positive.
 """
 
 import argparse
@@ -20,12 +20,16 @@ from brocard.scene import SceneParams, generate_scene
 
 
 def parse_seed_range(text: str):
-    """``lo:hi`` is the seeds lo..hi inclusive, ``n`` the seeds 0..n-1."""
+    """``lo:hi`` is the seeds lo..hi inclusive, ``n`` the seeds 0..n-1;
+    either must name at least one seed."""
     lo, sep, hi = text.partition(":")
     try:
-        return range(int(lo), int(hi) + 1) if sep else range(0, int(lo))
+        seeds = range(int(lo), int(hi) + 1) if sep else range(0, int(lo))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a seed range lo:hi or a count: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range: {text!r}")
+    return seeds
 
 
 def main() -> int:
@@ -68,7 +72,7 @@ def main() -> int:
         c = per_check[cid]
         print(f"{cid:<{width}}  {c['PASS']:>4}  {c['FAIL']:>4}  {c['DEGENERATE']:>10}")
     n = len(seeds)
-    print(f"\n{n} scenes in {total:.1f}s ({total / max(n, 1):.3f}s/scene, worst seed {worst[1]}: {worst[0]:.3f}s)")
+    print(f"\n{n} scenes in {total:.1f}s ({total / n:.3f}s/scene, worst seed {worst[1]}: {worst[0]:.3f}s)")
     any_fail = any(c["FAIL"] for c in per_check.values())
     return 1 if any_fail else 0
 

@@ -8,6 +8,7 @@ Example:
 
 import argparse
 import os
+import sys
 
 from brocard.pipeline import compute_configuration
 from brocard.scene import SceneParams, classical_brocard_scene, generate_scene
@@ -31,16 +32,20 @@ def main() -> int:
     if args.digits < 0:
         parser.error("--digits must be nonnegative")
 
-    os.makedirs(args.out_dir, exist_ok=True)
     jobs = [(f"scene_seed{seed}", generate_scene(SceneParams(seed=seed))) for seed in args.seeds]
     jobs.append(("classical_0_1_3", classical_brocard_scene(0, 1, 3)))
 
-    for name, scene in jobs:
-        cfg = compute_configuration(scene)
-        path = os.path.join(args.out_dir, f"{name}.svg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(scene, cfg, digits=args.digits))
-        print(f"wrote {path}")
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        for name, scene in jobs:
+            cfg = compute_configuration(scene)
+            path = os.path.join(args.out_dir, f"{name}.svg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(render_svg(scene, cfg, digits=args.digits))
+            print(f"wrote {path}")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

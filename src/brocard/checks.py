@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .geom import (
@@ -54,7 +55,6 @@ from .geom import (
     intersect_lines,
     line_through,
     pole_of_line,
-    rational_sqrt,
     second_intersection_circle_line,
     _angle,
     _angle_at,
@@ -606,9 +606,12 @@ def check_lemma_spiral(
 
 def build_cyclic_quadrangle(circle: Circle) -> Tuple[Point, Point, Point, Point]:
     """Four rational points of the circle; needs a rational radius."""
-    radius = rational_sqrt(circle.radius2)
-    if radius is None:
+    n, d = circle.radius2.as_integer_ratio()
+    # isqrt raises on a negative n; 0 stands in, and 0 * 0 != n rejects it.
+    rn, rd = isqrt(max(n, 0)), isqrt(d)
+    if rn * rn != n or rd * rd != d:
         raise Degenerate("cyclic quadrangle", "circle radius is irrational")
+    radius = Fraction(rn, rd)
     return tuple(circle_point_from_parameter(t, circle.center, radius) for t in CYCLIC_PARAMETERS)
 
 

@@ -27,20 +27,20 @@ Conventions:
   compared by cross-multiplication.  Arc measures and inverse
   trigonometric functions are never computed.
 * Reduced where kept or written; raw for one meet or one comparison.
-  Each raw helper returns the unreduced integer tuple that a public
-  function reduces or canonicalizes, and raises what that function
-  raises: ``_join``, ``_perpendicular``, ``_bisector`` and ``_polar`` the
-  lines of ``line_through``, ``perpendicular_through``,
-  ``perpendicular_bisector`` and ``polar_of_point``, and ``_parallel`` the
-  parallel through a point; ``_angle`` and ``_angle_at`` the classes of
-  ``directed_angle`` and ``angle_at``; ``_meet``, ``_midpoint``,
-  ``_center``, ``_foot``, ``_isogonal`` and ``_image`` the points of
-  ``intersect_lines``, ``midpoint``, ``Circle.center``,
+  Each raw helper returns an unreduced integer tuple, and raises what the
+  public function that reduces it raises: ``_join`` the line of
+  ``line_through``; ``_meet``, ``_center``, ``_foot``, ``_isogonal`` and
+  ``_image`` the points of ``intersect_lines``, ``Circle.center``,
   ``foot_perpendicular``, ``isogonal_conjugate`` and
   ``InverseSimilarity.apply``; ``_spiral`` the ratio of ``spiral_ratio``;
   ``_circle_through`` and ``_circumcenter`` the circle of ``circumcircle``
-  and its center; ``_concyclic`` decides its incidences on the cross
-  ratio, with no circle built.  A line that feeds one meet, and a point,
+  and its center.  The others have no public form: ``_parallel``,
+  ``_perpendicular`` and ``_bisector`` the parallel and perpendicular
+  through a point and the perpendicular bisector, ``_polar`` the polar of
+  a point, ``_midpoint`` the midpoint, ``_angle`` and ``_angle_at`` the
+  (cross, dot) of two lines and of the two lines through a vertex, and
+  ``_concyclic`` an incidence with the circle through three points,
+  decided on their cross ratio.  A line that feeds one meet, and a point,
   ratio or circle built for one comparison, stays raw: the meet is
   reduced once, and an incidence, an angle equality or an equality of two
   values decides on the raw tuples (by a scale-invariant residual or by
@@ -56,9 +56,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import attrgetter
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -250,25 +250,6 @@ def rat(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-def sign(value: Fraction) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
-
-
-def rational_sqrt(value: Fraction) -> Optional[Fraction]:
-    """Exact square root of a rational, or None if it is not a perfect square."""
-    if value < 0:
-        return None
-    n, d = value.numerator, value.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 def _det3(a, b, c, d, e, f, g, h, i):
     """3x3 determinant of ints or Fractions, by rows."""
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -403,18 +384,6 @@ def _midpoint(p: Point, q: Point) -> _Triple:
     return x, y, 2 * w
 
 
-def midpoint(p: Point, q: Point) -> Point:
-    return _reduced(Point, *_midpoint(p, q))
-
-
-def point_along(p: Point, q: Point, t: RationalLike) -> Point:
-    """The point p + t*(q - p) of the line pq."""
-    n, d = _integers(t)
-    x1, y1, w1 = p.h
-    x2, y2, w2 = q.h
-    return _reduced(Point, (d - n) * x1 * w2 + n * x2 * w1, (d - n) * y1 * w2 + n * y2 * w1, d * w1 * w2)
-
-
 def _area(p: Point, q: Point, r: Point) -> Tuple[int, int]:
     """cross(q - p, r - p) as an unreduced (numerator, positive denominator)."""
     x1, y1, w1 = p.h
@@ -425,7 +394,8 @@ def _area(p: Point, q: Point, r: Point) -> Tuple[int, int]:
 
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Sign of the signed area of p-q-r: +1 anticlockwise, -1 clockwise, 0 collinear."""
-    return sign(_area(p, q, r)[0])
+    det = _area(p, q, r)[0]
+    return (det > 0) - (det < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +585,6 @@ def _angle(l1, l2) -> Tuple[int, int]:
     return a1 * b2 - a2 * b1, a1 * a2 + b1 * b2
 
 
-def directed_angle(l1: Line, l2: Line) -> DirectedAngleClass:
-    """Directed angle from l1 to l2 modulo pi."""
-    return DirectedAngleClass(*_angle(l1, l2))
-
-
 def _angle_at(vertex: Point, p: Point, q: Point) -> Tuple[int, int]:
     """The unreduced (cross, dot) of the directions p - vertex and
     q - vertex: those of the normals of lines vertex-p and vertex-q, each
@@ -629,11 +594,6 @@ def _angle_at(vertex: Point, p: Point, q: Point) -> Tuple[int, int]:
     if not (dx1 or dy1) or not (dx2 or dy2):
         raise CoincidentPoints(f"no unique line through {vertex} twice")
     return dx1 * dy2 - dy1 * dx2, dx1 * dx2 + dy1 * dy2
-
-
-def angle_at(vertex: Point, p: Point, q: Point) -> DirectedAngleClass:
-    """Directed angle (mod pi) at ``vertex`` from line vertex-p to line vertex-q."""
-    return DirectedAngleClass(*_angle_at(vertex, p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +643,6 @@ def _perpendicular(p: Point, l: Line) -> _Triple:
     return l.b * w, -l.a * w, l.a * y - l.b * x
 
 
-def perpendicular_through(p: Point, l: Line) -> Line:
-    return Line(*_perpendicular(p, l))
-
-
 def _bisector(p: Point, q: Point) -> _Triple:
     """The unreduced coefficients of the perpendicular bisector of pq."""
     x1, y1, w1 = p.h
@@ -697,10 +653,6 @@ def _bisector(p: Point, q: Point) -> _Triple:
         raise CoincidentPoints("perpendicular bisector of a point with itself")
     w12 = w1 * w2
     return 2 * dx * w12, 2 * dy * w12, (x1 * x1 + y1 * y1) * w2 * w2 - (x2 * x2 + y2 * y2) * w1 * w1
-
-
-def perpendicular_bisector(p: Point, q: Point) -> Line:
-    return Line(*_bisector(p, q))
 
 
 def _foot(p: Point, a: int, b: int, c: int) -> _Triple:
@@ -786,7 +738,7 @@ def circle_through_tangent(t: Point, l: Line, p: Point) -> Circle:
         raise Degenerate("tangent circle", "third point coincides with tangency point")
     if on_line(p, l):
         raise Degenerate("tangent circle", "third point lies on the tangent line")
-    center = intersect_lines(perpendicular_through(t, l), perpendicular_bisector(t, p))
+    center = _reduced(Point, *_meet(_perpendicular(t, l), _bisector(t, p)))
     return Circle.from_center_radius2(center, dist2(center, t))
 
 
@@ -794,7 +746,7 @@ def tangent_line(c: Circle, p: Point) -> Line:
     """Tangent to c at a point of c (the polar of a point on the circle)."""
     if not on_circle(p, c):
         raise PointNotOnCircle(f"{p} is not on {c}")
-    return polar_of_point(p, c)
+    return Line(*_polar(p, c))
 
 
 def antipode(p: Point, c: Circle) -> Point:
@@ -869,10 +821,6 @@ def _polar(p: Point, c: Circle) -> _Triple:
     if a == 0 and b == 0:
         raise CenterDegenerate("polar of the center is the line at infinity")
     return a, b, d * x + e * y + 2 * f * w
-
-
-def polar_of_point(p: Point, c: Circle) -> Line:
-    return Line(*_polar(p, c))
 
 
 def pole_of_line(l: Line, c: Circle) -> Point:

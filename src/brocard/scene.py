@@ -344,8 +344,8 @@ def kwon_scene(seed: int) -> KwonScene:
         return _reduced(Point, nx * dy, ny * dx, dx * dy)
 
     def on_side(p1: Point, p2: Point) -> Point:
-        """``point_along(p1, p2, n / 6m)``: mostly inside the segment,
-        sometimes beyond."""
+        """The point p1 + t*(p2 - p1) at t = n / 6m: mostly inside the
+        segment, sometimes beyond."""
         n, m = draw_pair(-2, 8)
         m *= 6
         x1, y1, w1 = p1.h

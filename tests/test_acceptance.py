@@ -28,13 +28,12 @@ from brocard.geom import (
     intersect_lines,
     isogonal_conjugate,
     line_through,
-    midpoint,
     on_circle,
     orientation,
-    perpendicular_bisector,
-    polar_of_point,
     pole_of_line,
     second_intersection_circles,
+    _bisector,
+    _polar,
 )
 from brocard.pipeline import (
     classical_overlay,
@@ -106,7 +105,7 @@ def test_criterion_2_classical_oracle():
     )
     checks.append(overlay.tan_brocard == 2 * area2 / (la + lb + lc))
     # circle with diameter O K contains both Brocard points
-    center = midpoint(scene.o, overlay.k)
+    center = F(1, 2) * (scene.o + overlay.k)
     diameter_circle = Circle.from_center_radius2(center, dist2(center, scene.o))
     checks.append(on_circle(omega, diameter_circle))
     checks.append(on_circle(omega_prime, diameter_circle))
@@ -140,9 +139,9 @@ def test_criterion_3_lemma_oracles():
     ok = True
     for _ in range(20):
         a, b, c = _random_triangle(rng)
-        m = miquel_point(midpoint(b, c), midpoint(c, a), midpoint(a, b), Triangle(a, b, c))
+        m = miquel_point(F(1, 2) * (b + c), F(1, 2) * (c + a), F(1, 2) * (a + b), Triangle(a, b, c))
         # independent circumcenter: meet of two perpendicular bisectors
-        center = intersect_lines(perpendicular_bisector(a, b), perpendicular_bisector(b, c))
+        center = intersect_lines(_bisector(a, b), _bisector(b, c))
         if m != center:
             ok = False
             break
@@ -233,7 +232,7 @@ def test_criterion_6_kernel_property_suites():
         p = rand_point()
         if p == center:
             continue
-        line = polar_of_point(p, circle)
+        line = Line(*_polar(p, circle))
         if line.eval(center) == 0:
             continue
         if pole_of_line(line, circle) != p:

@@ -381,6 +381,26 @@ class TestLemmaChecks:
         result = check_lemma_cyclic(Circle(0, 0, -1), *quad)
         assert result.status == PASS
 
+    def test_cyclic_quadrangle_needs_a_rational_radius(self):
+        """The quadrangle lies on the circle at the exact rational root of
+        its squared radius.  A zero radius cannot be parametrized, and a
+        squared radius that is not a rational square, or is negative, raises
+        the named ``Degenerate``, never ``isqrt``'s ``ValueError``."""
+        center = Point(F(1, 3), -2)
+        circle = Circle.from_center_radius2(center, F(4, 9))
+        quad = build_cyclic_quadrangle(circle)
+        assert quad[0] == center + Point(F(2, 3), 0)  # t = 0: the radius 2/3 along x
+        assert len(set(quad)) == 4 and all(geom.on_circle(p, circle) for p in quad)
+        for coefficients, name in (
+            ((0, 0, 0), "circle parametrization"),
+            ((0, 0, -2), "cyclic quadrangle"),
+            ((0, 0, F(-4, 3)), "cyclic quadrangle"),
+            ((0, 0, 1), "cyclic quadrangle"),
+        ):
+            with pytest.raises(geom.Degenerate) as err:
+                build_cyclic_quadrangle(Circle(*coefficients))
+            assert err.value.name == name
+
     def test_cyclic_parallel_sides_degenerate(self):
         square = (Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1))
         result = check_lemma_cyclic(Circle(0, 0, -1), *square)
@@ -521,7 +541,7 @@ class TestWitnessFidelity:
         moved = dataclasses.replace(cfg, tarry=cfg.tarry + shift)
         result = ck.check_tarry(moved)
         for name, v, t_side in zip("ABC", s.vertices, cfg.t_sides):
-            expected = geom.perpendicular_through(v, t_side).eval(moved.tarry)
+            expected = Line(*geom._perpendicular(v, t_side)).eval(moved.tarry)
             assert self._failed(result, f"T_a on the perpendicular from {name}") == (expected,) != (0,)
         moved = dataclasses.replace(cfg, o_a=cfg.o_a + shift)
         expected = line_through(s.a, moved.o_a).eval(cfg.steiner)
@@ -533,7 +553,7 @@ class TestWitnessFidelity:
         result = ck.check_pascal_and_r(moved)
         aa = line_through(s.a, moved.a_prime)
         assert self._failed(result, "R on AA'") == (aa.eval(cfg.r),)
-        polar = geom.polar_of_point(cfg.a0, s.gamma)
+        polar = Line(*geom._polar(cfg.a0, s.gamma))
         expected = (aa.a * polar.b - polar.a * aa.b, aa.a * polar.c - polar.a * aa.c, aa.b * polar.c - polar.b * aa.c)
         witnesses = self._failed(result, "AA' is the polar of A0")
         assert witnesses == expected and any(expected)
@@ -547,24 +567,30 @@ class TestWitnessFidelity:
         def residual(x, y):
             return x.cross * y.dot - y.cross * x.dot
 
+        def angle(l1, l2):
+            return geom.DirectedAngleClass(*geom._angle(l1, l2))
+
+        def angle_at(vertex, p, q):
+            return geom.DirectedAngleClass(*geom._angle_at(vertex, p, q))
+
         moved = dataclasses.replace(cfg, a_prime=cfg.a_prime + Point(F(1, 7), F(-2, 9)))
         result = ck.check_brocard_circle(moved)
         l1, l2 = line_through(cfg.o, moved.a_prime), line_through(moved.a_prime, cfg.r)
         assert self._failed(result, "OA' perpendicular to A'R") == (l1.a * l2.a + l1.b * l2.b,)
-        angle_a, angle_b = geom.angle_at(moved.a_prime, cfg.p, cfg.q), geom.angle_at(cfg.b_prime, cfg.p, cfg.q)
+        angle_a, angle_b = angle_at(moved.a_prime, cfg.p, cfg.q), angle_at(cfg.b_prime, cfg.p, cfg.q)
         assert self._failed(result, "ang(P,A',Q) == ang(P,B',Q)") == (residual(angle_a, angle_b),)
 
         moved = dataclasses.replace(cfg, p=cfg.p + Point(F(1, 7), F(-2, 9)))
         result = ck.check_isogonal_conjugates(moved)
         bc, ca, ab = s.triangle.sides
-        ap = geom.directed_angle(line_through(s.a1, moved.p), bc)
-        bp = geom.directed_angle(line_through(s.b1, moved.p), ca)
-        cp = geom.directed_angle(line_through(s.c1, moved.p), ab)
-        aq = geom.directed_angle(line_through(s.a2, cfg.q), bc)
+        ap = angle(line_through(s.a1, moved.p), bc)
+        bp = angle(line_through(s.b1, moved.p), ca)
+        cp = angle(line_through(s.c1, moved.p), ab)
+        aq = angle(line_through(s.a2, cfg.q), bc)
         assert self._failed(result, "ang(P,A1,A2) == ang(P,B1,B2)") == (residual(ap, bp),)
         assert self._failed(result, "ang(P,B1,B2) == ang(P,C1,C2)") == (residual(bp, cp),)
         assert self._failed(result, "ang(P,C1,C2) == -ang(Q,A2,A1)") == (residual(cp, -aq),)
-        cq = geom.directed_angle(line_through(s.c2, cfg.q), ab)
+        cq = angle(line_through(s.c2, cfg.q), ab)
         assert result.notes == (f"literal positive-sign reading ang(P,A1,A2) == +ang(Q,C2,C1): {ap == cq}",)
         # The note compares classes, not raw pairs: with A1P perpendicular
         # to BC and C2Q to AB, both angles are the right-angle class.
@@ -578,7 +604,7 @@ class TestWitnessFidelity:
         result = check_lemma_simson_angle(tri, cfg.steiner, cfg.tarry)
         vertex = next(v for v in s.vertices if v not in (cfg.steiner, cfg.tarry))
         expected = residual(
-            geom.directed_angle(cfg.simson_tarry, cfg.simson_tarry), geom.angle_at(vertex, cfg.steiner, cfg.tarry)
+            angle(cfg.simson_tarry, cfg.simson_tarry), angle_at(vertex, cfg.steiner, cfg.tarry)
         )
         assert self._failed(result, "ang(simson(M), simson(N)) == ang(M,vertex,N)") == (expected,) != (0,)
 
@@ -631,10 +657,10 @@ class TestWitnessFidelity:
         assert self._failed(ck.check_perspective(moved), "map sends R* to S") == expected
 
         moved = dataclasses.replace(cfg, tarry=cfg.tarry + shift)
-        expected = diff(geom.midpoint(cfg.steiner, moved.tarry), cfg.circ.center)
+        expected = diff(F(1, 2) * (cfg.steiner + moved.tarry), cfg.circ.center)
         assert self._failed(ck.check_tarry(moved), "midpoint(S_t, T_a) == circumcenter") == expected
         moved = dataclasses.replace(cfg, r=cfg.r + shift)
-        expected = diff(geom.midpoint(cfg.o, moved.r), cfg.brocard_circle.center)
+        expected = diff(F(1, 2) * (cfg.o + moved.r), cfg.brocard_circle.center)
         assert self._failed(ck.check_brocard_circle(moved), "midpoint(O, R) == center") == expected
 
         bc, ca, ab = s.triangle.sides
@@ -728,7 +754,7 @@ class TestWitnessFidelity:
         moved = dataclasses.replace(cfg, scene=dataclasses.replace(s, b1=s.b1 + Point(F(1, 7), 0)))
         assert outcome(ck.check_rotation_angles(moved)) == (DEGENERATE, ("spiral ratio: target point is not on the side",))
         # _isogonal: P on sideline BC.
-        result = ck.check_isogonal_conjugates(dataclasses.replace(cfg, p=geom.midpoint(s.b, s.c)))
+        result = ck.check_isogonal_conjugates(dataclasses.replace(cfg, p=F(1, 2) * (s.b + s.c)))
         assert result.status == FAIL
         assert result.notes[-1] == "aborted after failed assertion: isogonal conjugate: point lies on a sideline"
         # The complex quotient of the first-triangle ratio: T_C == T_A.

@@ -5,10 +5,13 @@ intersections, barycentric formulas, explicit projections) and frozen in
 the assertions; the checked code path never produces its own expectation.
 """
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import brocard
 from brocard.geom import (
     CenterDegenerate,
     Circle,
@@ -23,32 +26,32 @@ from brocard.geom import (
     Point,
     PointNotOnCircle,
     Triangle,
-    angle_at,
     antipode,
     circle_through_tangent,
     circumcircle,
     collinear_det,
-    directed_angle,
     dist2,
     foot_perpendicular,
     intersect_lines,
     inverse_similarity_map,
     isogonal_conjugate,
     line_through,
-    midpoint,
     on_circle,
     on_line,
     orientation,
     parallel,
-    perpendicular_bisector,
-    perpendicular_through,
-    polar_of_point,
     pole_of_line,
-    rational_sqrt,
     second_intersection_circle_line,
     second_intersection_circles,
     simson_line,
+    _angle,
+    _angle_at,
+    _bisector,
+    _midpoint,
     _parallel,
+    _perpendicular,
+    _polar,
+    _reduced,
 )
 
 UNIT = Circle(0, 0, -1)
@@ -89,15 +92,15 @@ class TestLinesAndPoints:
         assert on_line(p, l) and Line(*_parallel(p, l)) == l
 
     def test_perpendicular_through(self):
-        assert perpendicular_through(Point(0, 0), Line(0, 1, 0)) == Line(1, 0, 0)
-        assert perpendicular_through(Point(1, 1), Line(1, 1, 0)) == Line(1, -1, 0)
-        assert perpendicular_through(Point(3, 4), Line(1, 0, 0)) == Line(0, 1, -4)
+        assert Line(*_perpendicular(Point(0, 0), Line(0, 1, 0))) == Line(1, 0, 0)
+        assert Line(*_perpendicular(Point(1, 1), Line(1, 1, 0))) == Line(1, -1, 0)
+        assert Line(*_perpendicular(Point(3, 4), Line(1, 0, 0))) == Line(0, 1, -4)
 
     def test_perpendicular_bisector(self):
-        assert perpendicular_bisector(Point(0, 0), Point(2, 0)) == Line(1, 0, -1)
-        assert perpendicular_bisector(Point(1, 0), Point(0, 1)) == Line(1, -1, 0)
+        assert Line(*_bisector(Point(0, 0), Point(2, 0))) == Line(1, 0, -1)
+        assert Line(*_bisector(Point(1, 0), Point(0, 1))) == Line(1, -1, 0)
         with pytest.raises(CoincidentPoints):
-            perpendicular_bisector(Point(0, 0), Point(0, 0))
+            _bisector(Point(0, 0), Point(0, 0))
 
     def test_foot(self):
         assert foot_perpendicular(Point(3, 4), Line(0, 1, 0)) == Point(3, 0)
@@ -157,9 +160,9 @@ class TestCircles:
 
 class TestPolarity:
     def test_polar(self):
-        assert polar_of_point(Point(F(1, 4), 0), UNIT) == Line(1, 0, -4)
+        assert Line(*_polar(Point(F(1, 4), 0), UNIT)) == Line(1, 0, -4)
         with pytest.raises(CenterDegenerate):
-            polar_of_point(Point(0, 0), UNIT)
+            _polar(Point(0, 0), UNIT)
 
     def test_pole(self):
         assert pole_of_line(Line(1, 0, -4), UNIT) == Point(F(1, 4), 0)
@@ -170,7 +173,7 @@ class TestPolarity:
         p = Point(F(3, 7), F(-2, 5))
         q = Point(4, F(1, 3))
         c = Circle.from_center_radius2(Point(F(1, 2), -1), F(7, 3))
-        assert on_line(q, polar_of_point(p, c)) == on_line(p, polar_of_point(q, c))
+        assert on_line(q, Line(*_polar(p, c))) == on_line(p, Line(*_polar(q, c)))
 
 
 class TestIsogonal:
@@ -181,8 +184,8 @@ class TestIsogonal:
         circum = circumcircle(a, b, c).center
         assert circum == Point(2, 1)
         # oracle: orthocenter as the meet of two altitudes
-        alt_a = perpendicular_through(a, line_through(b, c))
-        alt_b = perpendicular_through(b, line_through(a, c))
+        alt_a = _perpendicular(a, line_through(b, c))
+        alt_b = _perpendicular(b, line_through(a, c))
         ortho = intersect_lines(alt_a, alt_b)
         assert ortho == Point(1, 1)
         assert isogonal_conjugate(circum, a, b, c) == ortho
@@ -232,16 +235,21 @@ class TestPredicates:
 
     def test_parallel_perpendicular(self):
         assert parallel(Line(1, 1, 0), Line(2, 2, -5))
-        assert directed_angle(Line(1, 1, 0), Line(1, -1, 3)) == DirectedAngleClass(1, 0)
-        assert directed_angle(Line(1, 0, 0), Line(1, 1, 0)) != DirectedAngleClass(1, 0)
+        assert DirectedAngleClass(*_angle(Line(1, 1, 0), Line(1, -1, 3))) == DirectedAngleClass(1, 0)
+        assert DirectedAngleClass(*_angle(Line(1, 0, 0), Line(1, 1, 0))) != DirectedAngleClass(1, 0)
+
+
+def angle_class(l1, l2):
+    """The directed angle from l1 to l2 modulo pi."""
+    return DirectedAngleClass(*_angle(l1, l2))
 
 
 class TestDirectedAngles:
     def test_mod_pi_equality(self):
         x_axis, diag, y_axis, anti = Line(0, 1, 0), Line(1, -1, 0), Line(1, 0, 0), Line(1, 1, 0)
-        assert directed_angle(x_axis, diag) == directed_angle(diag, y_axis)
-        assert directed_angle(x_axis, diag) != directed_angle(x_axis, anti)
-        assert directed_angle(x_axis, y_axis) == directed_angle(diag, anti)
+        assert angle_class(x_axis, diag) == angle_class(diag, y_axis)
+        assert angle_class(x_axis, diag) != angle_class(x_axis, anti)
+        assert angle_class(x_axis, y_axis) == angle_class(diag, anti)
 
     def test_class_canonical(self):
         assert DirectedAngleClass(2, 4) == DirectedAngleClass(1, 2)
@@ -252,10 +260,10 @@ class TestDirectedAngles:
         l1, l2 = Line(3, -1, 2), Line(1, 5, -4)
         m1 = Line(*_parallel(Point(17, -6), l1))
         m2 = Line(*_parallel(Point(F(2, 3), F(5, 7)), l2))
-        assert directed_angle(l1, l2) == directed_angle(m1, m2)
+        assert angle_class(l1, l2) == angle_class(m1, m2)
 
     def test_angle_at(self):
-        cls = angle_at(Point(0, 0), Point(1, 0), Point(1, 1))
+        cls = DirectedAngleClass(*_angle_at(Point(0, 0), Point(1, 0), Point(1, 1)))
         assert cls == DirectedAngleClass(1, 1)  # 45 degrees
 
 
@@ -280,18 +288,51 @@ class TestInverseSimilarity:
         assert m.apply(Point(0, -1)) == Point(4, 4)
 
 
-def test_rational_sqrt():
-    assert rational_sqrt(F(4, 9)) == F(2, 3)
-    assert rational_sqrt(F(0)) == 0
-    assert rational_sqrt(F(2)) is None
-    assert rational_sqrt(F(-1)) is None
-
-
 def test_midpoint_and_dist2():
-    assert midpoint(Point(0, 0), Point(3, 5)) == Point(F(3, 2), F(5, 2))
+    assert _reduced(Point, *_midpoint(Point(0, 0), Point(3, 5))) == Point(F(3, 2), F(5, 2))
     assert dist2(Point(1, 2), Point(4, 6)) == 25
 
 
 def test_collinear():
     assert collinear_det(Point(0, 0), Point(2, 1), Point(4, 2)) == 0
     assert collinear_det(Point(0, 0), Point(2, 1), Point(4, 3)) == 2
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _geom_names_used(path):
+    """The ``brocard.geom`` names a file imports or reads as ``geom.name``."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("geom", "brocard.geom"):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "geom":
+            used.add(node.attr)
+    return used
+
+
+def test_every_public_kernel_function_has_a_caller():
+    """Each public function of ``brocard.geom`` is used by another module of
+    the package or by a script, exported by ``brocard``, or timed by the
+    bench by name (``GEOM_FUNCTIONS`` in ``perfbench/tracer.py``, read
+    without importing it).  A function that only tests call is dead API:
+    delete it, or inline it into its one caller."""
+    geom_path = ROOT / "src" / "brocard" / "geom.py"
+    public = {
+        node.name
+        for node in ast.parse(geom_path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    used = set()
+    for path in [*(ROOT / "src" / "brocard").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        if path != geom_path:
+            used |= _geom_names_used(path)
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "GEOM_FUNCTIONS" for t in node.targets)
+    ]
+    assert public and traced
+    assert sorted(public - used - set(brocard._EXPORTS["geom"]) - set(traced)) == []

@@ -30,21 +30,15 @@ from brocard.geom import (
     circumcircle,
     collinear_det,
     cross,
-    directed_angle,
     dist2,
     dot,
     foot_perpendicular,
     intersect_lines,
     isogonal_conjugate,
     line_through,
-    midpoint,
     on_circle,
     on_line,
     orientation,
-    perpendicular_bisector,
-    point_along,
-    polar_of_point,
-    perpendicular_through,
     pole_of_line,
     second_intersection_circle_line,
     second_intersection_circles,
@@ -54,6 +48,7 @@ from brocard.geom import (
     tangent_line,
     _angle,
     _angle_at,
+    _bisector,
     _center,
     _circle_through,
     _circumcenter,
@@ -70,7 +65,6 @@ from brocard.geom import (
     _reduced,
     _spiral,
     _times,
-    angle_at,
     antipode,
     PointNotOnCircle,
 )
@@ -122,7 +116,7 @@ def test_angle_class_canonicalization(u, v):
 @given(points, circles())
 def test_pole_polar_round_trip(p, c):
     assume(p != c.center)
-    line = polar_of_point(p, c)
+    line = Line(*_polar(p, c))
     assume(not on_line(c.center, line))
     assert pole_of_line(line, c) == p
 
@@ -168,15 +162,12 @@ def test_foot_on_line_and_perpendicular(p, l):
 def test_simson_collinearity_decides_circle_membership(tri, t):
     """Pedal feet are collinear exactly for points of the circumcircle.
 
-    On-circle points come from the rational parametrization of the
-    circumcircle when its radius is rational; off-circle points are the
-    drawn rational points that miss the circle.
+    On-circle points are the second meets of the circumcircle with the
+    lines through a vertex; off-circle points are the drawn rational points
+    that miss the circle.
     """
     a, b, c = tri
     circ = circumcircle(a, b, c)
-    from brocard.geom import rational_sqrt
-
-    r = rational_sqrt(circ.radius2)
     sides = (line_through(b, c), line_through(c, a), line_through(a, b))
 
     def feet_collinear(p):
@@ -184,29 +175,31 @@ def test_simson_collinearity_decides_circle_membership(tri, t):
         assume(len({f1, f2, f3}) >= 2)
         return collinear_det(f1, f2, f3) == 0
 
-    if r is not None:
-        on_pt = circle_point_from_parameter(t, circ.center, r)
-        assert feet_collinear(on_pt)
+    on_pt, _ = second_intersection_circle_line(circ, line_through(a, a + Point(1, t)), a)
+    assert feet_collinear(on_pt)
     off_pt = Point(circ.center.x + t, circ.center.y + 1 + abs(t))
     assume(not on_circle(off_pt, circ))
     assert not feet_collinear(off_pt)
 
 
+def _angle_class(l1, l2):
+    """The directed angle from l1 to l2 modulo pi."""
+    return DirectedAngleClass(*_angle(l1, l2))
+
+
 @given(lines(), lines(), lines(), lines())
 def test_directed_angle_equality_is_equivalence(l1, l2, l3, l4):
-    a12 = directed_angle(l1, l2)
-    assert a12 == directed_angle(l1, l2)  # reflexive
-    if a12 == directed_angle(l3, l4):
-        assert directed_angle(l3, l4) == a12  # symmetric
-        if directed_angle(l3, l4) == directed_angle(l2, l4):
-            assert a12 == directed_angle(l2, l4)  # transitive
+    a12 = _angle_class(l1, l2)
+    assert a12 == _angle_class(l1, l2)  # reflexive
+    if a12 == _angle_class(l3, l4):
+        assert _angle_class(l3, l4) == a12  # symmetric
+        if _angle_class(l3, l4) == _angle_class(l2, l4):
+            assert a12 == _angle_class(l2, l4)  # transitive
 
 
 @given(lines(), lines(), points, points)
 def test_directed_angle_translation_invariant(l1, l2, p, q):
-    assert directed_angle(l1, l2) == directed_angle(
-        Line(*_parallel(p, l1)), Line(*_parallel(q, l2))
-    )
+    assert _angle_class(l1, l2) == _angle_class(Line(*_parallel(p, l1)), Line(*_parallel(q, l2)))
 
 
 @given(triangles(), points, points)
@@ -224,7 +217,7 @@ def test_inverse_similarity_reverses_orientation(tri, d1, d2):
 @given(points, points, points)
 def test_perpendicular_bisector_equidistance(p, q, z):
     assume(p != q)
-    bis = perpendicular_bisector(p, q)
+    bis = Line(*_bisector(p, q))
     foot = foot_perpendicular(z, bis)
     assert dist2(foot, p) == dist2(foot, q)
 
@@ -427,7 +420,7 @@ HORIZONTAL_EXAMPLE = (Point(F(5, 3), F(-1, 2)), Point(F(-7, 4), F(-1, 2)))
 @given(kernel_points(), kernel_points())
 def test_line_through_matches_reference(p, q):
     _same_outcome(line_through, _ref_line_through, p, q)
-    _same_outcome(perpendicular_bisector, _ref_perpendicular_bisector, p, q)
+    _same_outcome(lambda u, v: Line(*_bisector(u, v)), _ref_perpendicular_bisector, p, q)
 
 
 def test_line_canonicalization_branches():
@@ -487,16 +480,20 @@ def test_incidence_matches_reference(p, l, circle):
 @given(kernel_points(), kernel_lines())
 def test_parallel_and_perpendicular_match_reference(p, l):
     assert _triple(Line(*_parallel(p, l))) == _ref_parallel(p, l)
-    assert _triple(perpendicular_through(p, l)) == _ref_perpendicular_through(p, l)
+    assert _triple(Line(*_perpendicular(p, l))) == _ref_perpendicular_through(p, l)
+
+
+def _polar_line(p, c):
+    return Line(*_polar(p, c))
 
 
 @given(kernel_points(), kernel_circles(), kernel_lines())
 def test_pole_and_polar_match_reference(p, circle, l):
     c = circle[0]
-    polar = _same_outcome(polar_of_point, _ref_polar_of_point, p, c)
+    polar = _same_outcome(_polar_line, _ref_polar_of_point, p, c)
     if polar is not None:
         assert _same_outcome(pole_of_line, _ref_pole_of_line, polar, c) == p
-    _same_outcome(polar_of_point, _ref_polar_of_point, c.center, c)
+    _same_outcome(_polar_line, _ref_polar_of_point, c.center, c)
     _same_outcome(pole_of_line, _ref_pole_of_line, l, c)
     if p != c.center:
         _same_outcome(pole_of_line, _ref_pole_of_line, line_through(c.center, p), c)
@@ -689,13 +686,12 @@ def test_point_arithmetic_matches_reference(p, q, r, k):
         (cross, _ref_cross),
         (dot, _ref_dot),
         (dist2, _ref_dist2),
-        (midpoint, _ref_midpoint),
+        (lambda u, v: _reduced(Point, *_midpoint(u, v)), _ref_midpoint),
     ):
         _same_outcome(kernel, reference, p, q)
         _same_outcome(kernel, reference, q, p)
     for scale in (k, 2, -1, 0):
         _same_outcome(lambda u: scale * u, lambda u: _ref_scale(scale, u), p)
-    _same_outcome(point_along, _ref_point_along, p, q, k)
     _same_outcome(collinear_det, _ref_collinear_det, p, q, r)
     _same_outcome(orientation, _ref_orientation, p, q, r)
     _same_outcome(orientation, _ref_orientation, p, q, _ref_point_along(p, q, k))
@@ -831,7 +827,7 @@ def test_incidence_witnesses_match_reference(p, q, r, t):
     circle = circumcircle(p, q, r)
     o = circle.center
     pq = line_through(p, q)
-    s = point_along(p, q, t)  # on pq; on the circle only for t = 0 or 1
+    s = _ref_point_along(p, q, t)  # on pq; on the circle only for t = 0 or 1
     holds = (
         ("point_on_circle", (r, circle), (_ref_circle_eval(circle, r),)),
         ("point_on_line", (s, pq), (_ref_line_eval(pq, s),)),
@@ -1013,7 +1009,7 @@ def test_triangle_simson_memo(case):
     assert line == simson_line(p, Triangle(tri.a, tri.b, tri.c))
     for v, opposite in zip((tri.a, tri.b, tri.c), tri.sides):
         # A vertex's Simson line is the altitude from it.
-        assert tri.simson_line(v) == perpendicular_through(v, opposite)
+        assert tri.simson_line(v) == Line(*_perpendicular(v, opposite))
     assert tri.simson_line(p) is line
 
 
@@ -1041,10 +1037,11 @@ def _raw_residual(raw, p):
 @example(*HORIZONTAL_EXAMPLE, HORIZONTAL_EXAMPLE[0])  # r on pq
 @given(kernel_points(), kernel_points(), kernel_points())
 def test_raw_helpers_canonicalize_to_constructors(p, q, r):
-    """``Line(*_join(p, q)) == line_through(p, q)``, and likewise for the
-    perpendicular and the directed angle; or both raise the same exception
-    class with the same message.  A raw residual is zero iff the point is on
-    the canonical line, for the parallel too."""
+    """``Line(*_join(p, q)) == line_through(p, q)``, or both raise the same
+    exception class with the same message; the perpendicular canonicalizes
+    to its Fraction reference, and the angle class of two raw lines is that
+    of their canonical lines.  A raw residual is zero iff the point is on
+    the canonical line, for the parallel and the perpendicular too."""
     raw, raised = _outcome(_join, p, q)
     assert _outcome(line_through, p, q) == (None if raised else Line(*raw), raised)
     if raised:
@@ -1053,14 +1050,14 @@ def test_raw_helpers_canonicalize_to_constructors(p, q, r):
     l = line_through(p, q)
     for point in (p, q, r):
         assert (_raw_residual(raw, point) == 0) == on_line(point, l)
-    assert Line(*_perpendicular(r, l)) == perpendicular_through(r, l)
+    assert _triple(Line(*_perpendicular(r, l))) == _ref_perpendicular_through(r, l)
     for raw_through in (_parallel(r, l), _perpendicular(r, l)):
         assert _raw_residual(raw_through, r) == 0
         assert (_raw_residual(raw_through, p) == 0) == on_line(p, Line(*raw_through))
     assert tuple(l) == (l.a, l.b, l.c)
-    other = perpendicular_through(r, l)
+    other = Line(*_perpendicular(r, l))
     for l1, l2 in ((l, other), (other, l), (raw, _parallel(r, l)), (l, _perpendicular(p, l))):
-        assert DirectedAngleClass(*_angle(l1, l2)) == directed_angle(Line(*l1), Line(*l2))
+        assert _angle_class(l1, l2) == _angle_class(Line(*l1), Line(*l2))
 
 
 @example(Point(F(1, BIG), F(-BIG, 3)), Point(F(BIG - 1, BIG), F(2, 7)), Point(F(-BIG, 5), F(BIG, BIG + 1)))
@@ -1070,15 +1067,12 @@ def test_raw_helpers_canonicalize_to_constructors(p, q, r):
 @example(Point(0, 0), Point(1, 0), Point(-3, 0))  # a straight angle
 @given(kernel_points(), kernel_points(), kernel_points())
 def test_angle_at_is_the_angle_of_its_two_lines(v, p, q):
-    """``angle_at`` reads the directions from the vertex, not two lines, and
+    """``_angle_at`` reads the directions from the vertex, not two lines, and
     gives the class of the two lines through the vertex, or raises what the
     first of them raises."""
-    value, raised = _outcome(angle_at, v, p, q)
-    expected = _outcome(lambda: directed_angle(line_through(v, p), line_through(v, q)))
+    value, raised = _outcome(lambda: DirectedAngleClass(*_angle_at(v, p, q)))
+    expected = _outcome(lambda: _angle_class(line_through(v, p), line_through(v, q)))
     assert (value, raised) == expected
-    assert _outcome(_angle_at, v, p, q)[1] == raised
-    if raised is None:
-        assert DirectedAngleClass(*_angle_at(v, p, q)) == value
 
 
 def _ref_second_intersection_circles(c1, c2, x):
@@ -1120,16 +1114,17 @@ def test_second_intersection_circles_matches_fraction_reference(circle, center2,
 
 def test_raw_helpers_raise_the_constructors_errors():
     """The degenerate inputs of each raw helper raise the exception class
-    and message its public constructor raised before it had a raw helper."""
+    and message its public constructor raised before it had a raw helper,
+    and the polar canonicalizes to its Fraction reference."""
     p, c = Point(F(1, 3), F(-2, 5)), Circle(F(-2, 3), F(-4, 5), F(-1, 7))
     assert _outcome(_join, p, p)[1] == (CoincidentPoints, "no unique line through Point(1/3, -2/5) twice")
     assert _outcome(line_through, p, p)[1] == _outcome(_join, p, p)[1]
     for vertex, u, w in ((p, p, ZERO), (p, ZERO, p), (p, p, p)):
         expected = (CoincidentPoints, "no unique line through Point(1/3, -2/5) twice")
-        assert _outcome(_angle_at, vertex, u, w)[1] == _outcome(angle_at, vertex, u, w)[1] == expected
+        assert _outcome(_angle_at, vertex, u, w)[1] == expected
     expected = (CenterDegenerate, "polar of the center is the line at infinity")
-    assert _outcome(_polar, c.center, c)[1] == _outcome(polar_of_point, c.center, c)[1] == expected
-    assert Line(*_polar(p, c)) == polar_of_point(p, c)
+    assert _outcome(_polar, c.center, c)[1] == expected
+    assert _triple(Line(*_polar(p, c))) == _ref_polar_of_point(p, c)
 
 
 def _reduces_to(cls, raw_fn, public_fn, *args):
@@ -1159,11 +1154,12 @@ BIG_C, BIG_D = Point(F(BIG, 7), F(3, BIG)), Point(F(-BIG, 5), F(BIG, BIG + 1))
 @example(Point(0, 0), Point(2, 0), Point(0, 2), Point(2, 2))  # s on the circumcircle
 @given(kernel_points(), kernel_points(), kernel_points(), kernel_points())
 def test_raw_point_and_circle_helpers_reduce_to_public_functions(p, q, r, s):
-    """The midpoint, the circle through three points and its center, the
-    isogonal conjugate and the similarity image reduce to their public
-    functions, or raise their errors: collinear or coincident circle
-    points, s on a sideline or on the circumcircle of pqr."""
-    _reduces_to(Point, _midpoint, midpoint, p, q)
+    """The midpoint reduces to its Fraction reference.  The circle through
+    three points and its center, the isogonal conjugate and the similarity
+    image reduce to their public functions, or raise their errors:
+    collinear or coincident circle points, s on a sideline or on the
+    circumcircle of pqr."""
+    assert _reduced(Point, *_midpoint(p, q)) == _ref_midpoint(p, q)
     circle = _reduces_to(Circle, _circle_through, circumcircle, p, q, r)
     if circle is not None:
         assert _reduced(Point, *_center(circle.h)) == circle.center
@@ -1184,8 +1180,8 @@ def test_raw_spiral_ratio_reduces_to_spiral_ratio(p1, p2, m, t, off):
     with a center on the side and a target off it among the cases."""
     assume(p1 != p2)
     side, raw = line_through(p1, p2), _join(p1, p2)
-    d = point_along(p1, p2, t)
-    for center, target in ((m, d), (m, off), (point_along(p1, p2, 1 - t), d)):
+    d = _ref_point_along(p1, p2, t)
+    for center, target in ((m, d), (m, off), (_ref_point_along(p1, p2, 1 - t), d)):
         value = _reduces_to(ComplexScalar, _spiral, spiral_ratio, center, target, side)
         for coefficients in (raw, _scaled(raw, -3)):
             got, raised = _outcome(_spiral, center, target, coefficients)
@@ -1302,7 +1298,7 @@ def test_raw_miquel_point_matches_kept_circles(a, b, c, s, t, u, off):
     sidelines and on raw ones, with tangent-circle limits where a point
     sits on a vertex, and with d moved off BC."""
     assume(orientation(a, b, c) != 0)
-    d, e, f = point_along(b, c, s), point_along(c, a, t), point_along(a, b, u)
+    d, e, f = _ref_point_along(b, c, s), _ref_point_along(c, a, t), _ref_point_along(a, b, u)
     if off:
         d = d + Point(0, 1)
     tri = Triangle(a, b, c)

@@ -24,7 +24,6 @@ from brocard.geom import (
     intersect_lines,
     isogonal_conjugate,
     line_through,
-    midpoint,
     on_circle,
     on_line,
     orientation,
@@ -62,14 +61,14 @@ def random_triangle(rng: Random):
 class TestMiquelPoint:
     def test_medial_triangle_gives_circumcenter(self):
         a, b, c = Point(0, 0), Point(4, 0), Point(1, 3)
-        m = miquel_point(midpoint(b, c), midpoint(c, a), midpoint(a, b), Triangle(a, b, c))
+        m = miquel_point(F(1, 2) * (b + c), F(1, 2) * (c + a), F(1, 2) * (a + b), Triangle(a, b, c))
         assert m == circumcircle(a, b, c).center == Point(2, 1)
 
     def test_medial_triangle_random(self):
         rng = Random(4242)
         for _ in range(5):
             a, b, c = random_triangle(rng)
-            m = miquel_point(midpoint(b, c), midpoint(c, a), midpoint(a, b), Triangle(a, b, c))
+            m = miquel_point(F(1, 2) * (b + c), F(1, 2) * (c + a), F(1, 2) * (a + b), Triangle(a, b, c))
             assert m == circumcircle(a, b, c).center
 
     def test_classical_aliasing_gives_brocard_point(self):
@@ -84,7 +83,7 @@ class TestMiquelPoint:
     def test_misplaced_point_rejected(self):
         a, b, c = Point(0, 0), Point(4, 0), Point(1, 3)
         with pytest.raises(Degenerate):
-            miquel_point(midpoint(c, a), midpoint(b, c), midpoint(a, b), Triangle(a, b, c))
+            miquel_point(F(1, 2) * (c + a), F(1, 2) * (b + c), F(1, 2) * (a + b), Triangle(a, b, c))
 
 
 class TestMiquelQuadrangle:
@@ -139,7 +138,7 @@ class TestConfiguration:
         for pt in (cfg.p, cfg.q, cfg.o, cfg.r, cfg.a_prime, cfg.b_prime,
                    cfg.c_prime, cfg.t_a, cfg.t_b, cfg.t_c):
             assert on_circle(pt, cfg.brocard_circle)
-        assert midpoint(cfg.o, cfg.r) == cfg.brocard_circle.center
+        assert F(1, 2) * (cfg.o + cfg.r) == cfg.brocard_circle.center
 
     def test_isogonal_pair(self):
         s = generate_scene(SceneParams(seed=13))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from brocard.geom import (
     Circle,
     GeometryError,
+    Line,
     Point,
     collinear_det,
     dist2,
@@ -23,8 +24,6 @@ from brocard.geom import (
     on_circle,
     on_line,
     orientation,
-    perpendicular_bisector,
-    point_along,
 )
 from brocard.scene import (
     GenerationExhausted,
@@ -271,7 +270,11 @@ def _ref_kwon_scene(seed):
             b, c = c, b
 
         def on_side(p1, p2):
-            return point_along(p1, p2, draw_rat(-2, 8) / 6)
+            t = draw_rat(-2, 8) / 6
+            return Point(p1.x + t * (p2.x - p1.x), p1.y + t * (p2.y - p1.y))
+
+        def bisector(p, q):  # the z with 2 (q - p).z = |q|^2 - |p|^2
+            return Line(2 * (q.x - p.x), 2 * (q.y - p.y), p.x * p.x + p.y * p.y - q.x * q.x - q.y * q.y)
 
         d, x = on_side(b, c), on_side(b, c)
         e, y = on_side(c, a), on_side(c, a)
@@ -279,7 +282,7 @@ def _ref_kwon_scene(seed):
         try:
             if d == x or e == y:
                 continue
-            t = intersect_lines(perpendicular_bisector(d, x), perpendicular_bisector(e, y))
+            t = intersect_lines(bisector(d, x), bisector(e, y))
             z = 2 * foot_perpendicular(t, line_through(a, b)) - f
             kw = KwonScene(a=a, b=b, c=c, d=d, e=e, f=f, x=x, y=y, z=z, t=t)
             kw.miquel_points

@@ -53,12 +53,14 @@ def test_batch_verify_table_small_caps():
         (("--seeds", "1:"), 2, "error: argument --seeds: not a seed range lo:hi or a count: '1:'"),
         (("--numerator-cap", "0"), 2, "error: parameter caps must be positive"),
         (("--seeds", "1:3", "--denominator-cap", "-1"), 2, "error: parameter caps must be positive"),
+        (("--seeds", "3:1"), 2, "error: argument --seeds: empty seed range: '3:1'"),
+        (("--seeds", "0"), 2, "error: argument --seeds: empty seed range: '0'"),
     ],
 )
 def test_batch_verify_errors_without_traceback(args, code, message):
     """An exhausted seed exits 1 with one ``error:`` line, as ``brocard
-    generate`` does; a malformed range or a cap that is not positive is a
-    usage error and exits 2."""
+    generate`` does; a malformed or empty range or a cap that is not
+    positive is a usage error and exits 2."""
     proc = run_script("batch_verify.py", *args)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
@@ -93,6 +95,23 @@ def test_render_gallery_usage_errors_without_traceback(tmp_path, args, message):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].endswith(message)
     assert proc.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file", "empty", "a figure name taken"])
+def test_render_gallery_bad_out_dir_without_traceback(tmp_path, where):
+    """An output directory that cannot be made, or a figure that cannot be
+    written in it, exits 1 with one ``error:`` line, as ``brocard
+    generate`` does on an ``OSError``, and writes nothing."""
+    blocker = tmp_path / "figures"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    taken = tmp_path / "taken"
+    (taken / "scene_seed7.svg").mkdir(parents=True)
+    out = {"a file": blocker, "under a file": blocker / "sub", "empty": "", "a figure name taken": taken}[where]
+    proc = run_script("render_gallery.py", "--seeds", "7", "--out-dir", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["figures", "scene_seed7.svg", "taken"]
 
 
 def test_readme_library_example():
