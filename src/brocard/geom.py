@@ -37,14 +37,15 @@ Conventions:
   and its center.  The others have no public form: ``_parallel``,
   ``_perpendicular`` and ``_bisector`` the parallel and perpendicular
   through a point and the perpendicular bisector, ``_polar`` the polar of
-  a point, ``_midpoint`` the midpoint, ``_angle`` and ``_angle_at`` the
-  (cross, dot) of two lines and of the two lines through a vertex, and
-  ``_concyclic`` an incidence with the circle through three points,
-  decided on their cross ratio.  A line that feeds one meet, and a point,
-  ratio or circle built for one comparison, stays raw: the meet is
-  reduced once, and an incidence, an angle equality or an equality of two
-  values decides on the raw tuples (by a scale-invariant residual or by
-  cross-multiplication).  A value kept, reused or written is reduced.
+  a point, ``_antipode`` a point reflected in a circle's center,
+  ``_midpoint`` the midpoint, ``_angle`` and ``_angle_at`` the (cross, dot)
+  of two lines and of the two lines through a vertex, and ``_concyclic`` an
+  incidence with the circle through three points, decided on their cross
+  ratio.  A line that feeds one meet, and a point, ratio or circle built
+  for one comparison, stays raw: the meet is reduced once, and an
+  incidence, an angle equality or an equality of two values decides on
+  the raw tuples (by a scale-invariant residual or by cross-multiplication).
+  A value kept, reused or written is reduced.
 * Every value class of the package is a frozen record (``_record``): it
   compares, hashes, prints, copies and pickles as the frozen dataclass of
   its annotated fields would, and answers ``dataclasses.fields``,
@@ -749,13 +750,11 @@ def tangent_line(c: Circle, p: Point) -> Line:
     return Line(*_polar(p, c))
 
 
-def antipode(p: Point, c: Circle) -> Point:
-    if not on_circle(p, c):
-        raise PointNotOnCircle(f"{p} is not on {c}")
-    # 2 * center - p, with center = (-d, -e) / (2v).
+def _antipode(p: Point, c: Circle) -> _Triple:
+    """The unreduced 2 * center - p, with center = (-d, -e) / (2v); p on c is not tested."""
     x, y, w = p.h
     d, e, _, v = c.h
-    return _reduced(Point, -d * w - x * v, -e * w - y * v, v * w)
+    return -d * w - x * v, -e * w - y * v, v * w
 
 
 def second_intersection_circle_line(c: Circle, l: Line, x: Point) -> Tuple[Point, bool]:
@@ -803,7 +802,7 @@ def second_intersection_circles(c1: Circle, c2: Circle, x: Point) -> Tuple[Point
 
 
 def _second_common(h1: _Quadruple, h2: _Quadruple, x: Point) -> Tuple[Point, bool]:
-    """``second_intersection_circles`` on raw coefficients of circles through x."""
+    """``second_intersection_circles`` on raw coefficients of circles built through x."""
     d1, e1, _, v1 = h1
     d2, e2, _, v2 = h2
     a, b = d1 * v2 - d2 * v1, e1 * v2 - e2 * v1

@@ -11,7 +11,9 @@ the theorems guarantee (the Pascal collinearity, R as pole and concurrency
 point, the ten points on the circle with diameter OR, the Steiner point,
 the perspector, the Brocard points on their tangent circles) is asserted
 once, by a named check whose FAIL carries a nonzero exact witness, so a
-construction bug surfaces there and not as a traceback here.  The three
+construction bug surfaces there and not as a traceback here.  Nor does
+the build test an incidence it constructed (a second circle meet lies on
+both circles) or a checked theorem: T_a is 2 * center - S_t.  The three
 identities no check asserts stay internal errors
 (``InternalInconsistencyError``): the Pascal line is parallel to a hexagon
 meet at infinity, the third tangent-side meet lies on the Lemoine axis, and
@@ -46,7 +48,6 @@ from .geom import (
     ParallelLines,
     Point,
     Triangle,
-    antipode,
     circle_through_tangent,
     circumcircle,
     cross,
@@ -59,9 +60,9 @@ from .geom import (
     on_line,
     parallel,
     pole_of_line,
-    second_intersection_circles,
     spiral_ratio,
     tangent_line,
+    _antipode,
     _circle_through,
     _circumcenter,
     _concyclic,
@@ -253,10 +254,8 @@ def miquel_point(d: Point, e: Point, f: Point, tri) -> Point:
     _inscribed(d, e, f, bc, ca, ab)
     circle_a = _miquel_circle(a, e, ca, f, ab, "miquel circle at A")
     circle_b = _miquel_circle(b, f, ab, d, bc, "miquel circle at B")
-    try:
+    with _Stage("miquel point"):
         m, _ = _second_common(circle_a, circle_b, f)
-    except GeometryError as exc:
-        raise Degenerate("miquel point", str(exc)) from exc
     # ``_miquel`` builds C's circle before the meet; testing it after gives
     # the same errors, as the meet never raises when C's circle would.
     _require(_on_miquel_circle(m, c, d, bc, e, ca, "miquel circle at C"), "Miquel point misses the third circle")
@@ -289,10 +288,8 @@ def _miquel(d: Point, e: Point, f: Point, tri: Triangle) -> Tuple[Point, Tuple[C
     circle_a = miquel_circle(a, e, ca, f, ab, "miquel circle at A")
     circle_b = miquel_circle(b, f, ab, d, bc, "miquel circle at B")
     circle_c = miquel_circle(c, d, bc, e, ca, "miquel circle at C")
-    try:
-        m, _ = second_intersection_circles(circle_a, circle_b, f)
-    except GeometryError as exc:
-        raise Degenerate("miquel point", str(exc)) from exc
+    with _Stage("miquel point"):
+        m, _ = _second_common(circle_a.h, circle_b.h, f)
     _require(on_circle(m, circle_c), "Miquel point misses the third circle")
     return m, (circle_a, circle_b, circle_c)
 
@@ -301,24 +298,18 @@ def miquel_point_quadrangle(pa: Point, pb: Point, pc: Point, pd: Point) -> Point
     """Miquel point of the quadrangle (pa, pb, pc, pd): the common point of
     the circumcircles of (P,a,d), (P,b,c), (Q,a,b), (Q,c,d) where P = AB
     meet CD and Q = AD meet BC."""
-    try:
+    with _Stage("P"):
         p = intersect_lines(line_through(pa, pb), line_through(pc, pd))
-    except GeometryError as exc:
-        raise Degenerate("P", str(exc)) from exc
-    try:
+    with _Stage("Q"):
         q = intersect_lines(line_through(pa, pd), line_through(pb, pc))
-    except GeometryError as exc:
-        raise Degenerate("Q", str(exc)) from exc
     return _quadrangle_miquel(p, q, pa, pb, pc, pd)
 
 
 def _quadrangle_miquel(p: Point, q: Point, pa: Point, pb: Point, pc: Point, pd: Point) -> Point:
     """``miquel_point_quadrangle`` given its meets P and Q."""
-    try:
-        m, _ = second_intersection_circles(circumcircle(p, pa, pd), circumcircle(q, pa, pb), pa)
+    with _Stage("miquel quadrangle point"):
+        m, _ = _second_common(_circle_through(p, pa, pd), _circle_through(q, pa, pb), pa)
         ok = _concyclic(p, pb, pc, m) == 0 and _concyclic(q, pc, pd, m) == 0
-    except GeometryError as exc:
-        raise Degenerate("miquel quadrangle point", str(exc)) from exc
     _require(ok, "quadrangle Miquel point misses a defining circle")
     return m
 
@@ -339,13 +330,13 @@ class _Stage:
 
 
 def compute_configuration(scene: Scene) -> Configuration:
-    """Construct every derived object and assert none of the theorems
-    about them: the checks do that, with witnesses.  Raises ``Degenerate``
-    on an input degeneracy, including ``Degenerate("S")`` when a T-vertex
-    equals its primed vertex, and ``InternalInconsistencyError`` only if
-    Miquel's theorem fails or the Pascal line is not parallel to a hexagon
-    meet at infinity.
-    Precondition: ``validate_scene(scene)`` is empty."""
+    """Construct every derived object and test none of the theorems about
+    them, S_t on the circumcircle included (T_a is 2 * center - S_t): the
+    checks assert them, with witnesses.  Raises ``Degenerate`` on an input
+    degeneracy, including ``Degenerate("S")`` when a T-vertex equals its
+    primed vertex, and ``InternalInconsistencyError`` only if Miquel's
+    theorem fails or the Pascal line is not parallel to a hexagon meet at
+    infinity.  Precondition: ``validate_scene(scene)`` is empty."""
     a, b, c = scene.a, scene.b, scene.c
     gamma, o = scene.gamma, scene.o
     tri = scene.triangle
@@ -372,7 +363,7 @@ def compute_configuration(scene: Scene) -> Configuration:
 
     def primed(v: Point, first: Circle, second: Circle, name: str) -> Point:
         with _Stage(name):
-            pt, tangent = second_intersection_circles(first, second, v)
+            pt, tangent = _second_common(first.h, second.h, v)
         if tangent:
             raise Degenerate(name, "defining circles are tangent at the vertex")
         return pt
@@ -425,8 +416,7 @@ def compute_configuration(scene: Scene) -> Configuration:
         t_sides = Triangle(t_a, t_b, t_c).sides
         steiner = _reduced(Point, *_meet(_parallel(a, t_sides[0]), _parallel(b, t_sides[1])))
 
-    with _Stage("T_a"):
-        tarry = antipode(steiner, circ)
+    tarry = _reduced(Point, *_antipode(steiner, circ))
 
     if t_a == a_prime or t_b == b_prime or t_c == c_prime:
         raise Degenerate("S", "a T-vertex coincides with its primed vertex")

@@ -135,17 +135,23 @@ def test_fraction_operations_of_one_suite_run(monkeypatch):
 LINE_NEW_SEED7 = 19
 ANGLE_NEW_SEED7 = 0
 
-#: ``geom._reduced`` calls in the same run: 71 since no circle is reduced
-#: for one meet or one incidence and the pedal feet stay raw, 88 since
+#: ``geom._reduced`` calls in the same run: 69 since the cyclic lemma's
+#: quadrangle Miquel point meets two raw circles, 71 since no circle is
+#: reduced for one meet or one incidence and the pedal feet stay raw, 88 since
 #: points, ratios and circles built for one meet or one comparison stay raw
 #: integer tuples, 128 while each of them was reduced.
-REDUCED_SEED7 = 71
+REDUCED_SEED7 = 69
 
 #: ``geom._circle_through`` calls in the same run: 13 since an incidence
 #: with the circle through three points is decided on their cross ratio and
 #: O_A, O_B, O_C come from ``_circumcenter``, 22 while every such circle was
 #: built.  The tracer's ``geom.circumcircle.calls`` does not see these.
 CIRCLE_THROUGH_SEED7 = 13
+
+#: ``geom._power`` calls in the same run, one per incidence of a point with
+#: a circle: 31 since the build tests no point on a circle it built through
+#: that point and no S_t on the circumcircle before T_a, 44 before.
+POWER_SEED7 = 31
 
 
 def _suite_calls():
@@ -189,6 +195,14 @@ def test_reductions_of_one_suite_run():
     assert all_pass
     assert 0 < _calls_of(calls, geom._reduced) <= REDUCED_SEED7 * 1.1
     assert 0 < _calls_of(calls, geom._circle_through) <= CIRCLE_THROUGH_SEED7 * 1.1
+
+
+def test_circle_incidences_of_one_suite_run():
+    """With 10% slack: a build that tests again a point on a circle it
+    built through that point, or a theorem a check asserts, fails."""
+    calls, all_pass = _suite_calls()
+    assert all_pass
+    assert 0 < _calls_of(calls, geom._power) <= POWER_SEED7 * 1.1
 
 
 #: Distinct check results in the seed-7 caps-50 report (scene seeds

@@ -28,6 +28,7 @@ from brocard.checks import (
     check_lemma_spiral,
     run_suite,
 )
+from brocard.cli import main
 from brocard.geom import (
     Circle,
     ComplexScalar,
@@ -52,6 +53,7 @@ from brocard.scene import (
     generate_scene,
     kwon_scene,
 )
+from brocard.sceneio import write_scene_file
 
 from test_pipeline import COLLAPSE_SCENE
 
@@ -305,13 +307,13 @@ class TestConstructionBugs:
         that misses the third Miquel circle is an internal error: it escapes
         ``run_suite`` and ``generate_scene`` instead of reading as a
         degenerate draw."""
-        second = pipeline.second_intersection_circles
+        second = pipeline._second_common
 
         def shifted(*args):
             pt, tangent = second(*args)
             return pt + Point(1, 0), tangent
 
-        monkeypatch.setattr(pipeline, "second_intersection_circles", shifted)
+        monkeypatch.setattr(pipeline, "_second_common", shifted)
         with pytest.raises(InternalInconsistencyError, match="Miquel point misses the third circle"):
             run_suite(seed7_scene)
         with pytest.raises(InternalInconsistencyError):
@@ -319,6 +321,49 @@ class TestConstructionBugs:
         quad = build_cyclic_quadrangle(Circle(0, 0, -1))
         with pytest.raises(InternalInconsistencyError, match="quadrangle Miquel point"):
             miquel_point_quadrangle(*quad)
+
+    @staticmethod
+    def _fails_with_witnesses(scenes, tmp_path):
+        """Each scene FAILs ``check_steiner`` among others, every FAIL with
+        a nonzero witness and no result DEGENERATE, and ``brocard verify``
+        on them exits 1."""
+        for scene in scenes:
+            report = run_suite(scene)
+            failed = [r for r in report.results if r.status == FAIL]
+            assert "check_steiner" in [r.check_id for r in failed]
+            for result in failed:
+                assert any(any(w != 0 for w in a.witnesses) for a in result.failed_assertions), result.check_id
+            assert report.counts[DEGENERATE] == 0
+        path = tmp_path / "scenes.json"
+        write_scene_file(str(path), scenes)
+        assert main(["verify", "--in", str(path)]) == 1
+
+    def test_swapped_t_a_cevians_fail_with_witnesses(self, seed7_scene, monkeypatch, tmp_path):
+        """T_A taken as the meet of P a2 and Q a1 puts S_t off the
+        circumcircle.  The build does not test that, so ``check_steiner``
+        and the checks downstream of T_A FAIL, instead of the whole scene
+        reading as DEGENERATE at T_a."""
+        scenes = [seed7_scene, classical_brocard_scene(0, 1, 3)]
+        swapped = {}
+        for scene in scenes:
+            cfg = compute_configuration(scene)
+            swapped[(cfg.p, scene.a1)] = scene.a2
+            swapped[(cfg.q, scene.a2)] = scene.a1
+        join = pipeline._join
+        monkeypatch.setattr(pipeline, "_join", lambda u, v: join(u, swapped.get((u, v), v)))
+        self._fails_with_witnesses(scenes, tmp_path)
+
+    def test_swapped_miquel_pair_fails_with_witnesses(self, seed7_scene, monkeypatch, tmp_path):
+        """P built from Q's incidence points and Q from P's: every T-vertex
+        joins the wrong cevians, and the checks FAIL with witnesses."""
+        scenes = [seed7_scene, classical_brocard_scene(0, 1, 3)]
+        other = {}
+        for s in scenes:
+            other[(s.a1, s.b1, s.c1)] = (s.a2, s.b2, s.c2)
+            other[(s.a2, s.b2, s.c2)] = (s.a1, s.b1, s.c1)
+        miquel = pipeline._miquel
+        monkeypatch.setattr(pipeline, "_miquel", lambda d, e, f, tri: miquel(*other[(d, e, f)], tri))
+        self._fails_with_witnesses(scenes, tmp_path)
 
 
 class TestSmallCapGeneration:

