@@ -64,10 +64,10 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_rational_list(text: str, count: int, what: str) -> List[Fraction]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != count:
+    values = [_parse_rational(p) for p in text.split(",")]
+    if len(values) != count:
         raise argparse.ArgumentTypeError(f"{what} needs {count} comma-separated rationals")
-    return [_parse_rational(p) for p in parts]
+    return values
 
 
 def _point_str(p: Point) -> str:
@@ -235,16 +235,12 @@ def cmd_classical(args: argparse.Namespace) -> int:
     if cfg is None:
         print(f"degenerate classical scene: {report.results[-1].notes[0]}")
     else:
-        try:
-            overlay = cfg.overlay
-        except GeometryError as exc:
-            print(f"degenerate classical scene: {exc}")
-        else:
-            print(f"R = {_point_str(cfg.r)}")
-            print(f"K = {_point_str(overlay.k)}  (R == K: {cfg.r == overlay.k})")
-            print(f"tan(Brocard angle) = {rational_to_str(overlay.tan_brocard)}")
-            print(f"Omega  = {_point_str(cfg.p)}")
-            print(f"Omega' = {_point_str(cfg.q)}")
+        overlay = cfg.overlay
+        print(f"R = {_point_str(cfg.r)}")
+        print(f"K = {_point_str(overlay.k)}  (R == K: {cfg.r == overlay.k})")
+        print(f"tan(Brocard angle) = {rational_to_str(overlay.tan_brocard)}")
+        print(f"Omega  = {_point_str(cfg.p)}")
+        print(f"Omega' = {_point_str(cfg.q)}")
     counts = report.counts
     print(
         f"suite: {counts['PASS']} pass, {counts['FAIL']} fail, {counts['DEGENERATE']} degenerate"

@@ -46,11 +46,10 @@ Conventions:
   incidence, an angle equality or an equality of two values decides on
   the raw tuples (by a scale-invariant residual or by cross-multiplication).
   A value kept, reused or written is reduced.
-* Every value class of the package is a frozen record (``_record``): it
-  compares, hashes, prints, copies and pickles as the frozen dataclass of
-  its annotated fields would, and answers ``dataclasses.fields``,
-  ``replace`` and ``is_dataclass``, but only such a call loads
-  ``dataclasses``.
+* Every value class of the package is a frozen record (``_record``): a
+  plain value that compares, hashes and prints by its annotated fields and
+  refuses assignment.  It answers ``dataclasses.fields`` and ``replace``,
+  and only such a call loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -116,23 +115,17 @@ class Degenerate(GeometryError):
 # ``import dataclasses`` loads ``inspect``, ``ast`` and ``dis``, and the
 # decorator compiles every generated method with ``exec``, at each start of
 # a command and with or without a bytecode cache.  ``_record`` builds the
-# same methods from closures instead, and leaves the field table to the
-# decorator itself, run on first introspection.
-
-
-class _Factory:
-    """A field default built per instance, as ``default_factory`` builds it."""
-
-    def __init__(self, make):
-        self.make = make
+# few methods the package uses from closures instead, and leaves the field
+# table to the decorator itself, run on first introspection.
 
 
 class _FieldTable:
     """A record's ``__dataclass_fields__``: on first access, the field table
     of the frozen dataclass made by ``dataclasses.dataclass`` from the
-    record's annotations and defaults, stored over this descriptor.  So
-    ``dataclasses.fields``, ``replace``, ``is_dataclass`` and ``asdict``
-    behave on a record as on that dataclass."""
+    record's annotations and defaults, stored over this descriptor.  Its
+    users are ``perfbench``'s tracer, which reads ``dataclasses.fields`` of
+    each configuration, and the tests, which build variants of a record
+    with ``dataclasses.replace``."""
 
     def __init__(self, defaults: dict):
         self.defaults = defaults
@@ -141,35 +134,22 @@ class _FieldTable:
         import dataclasses
 
         body = {"__annotations__": cls.__annotations__, "__module__": cls.__module__, "__qualname__": cls.__qualname__}
-        for name, default in self.defaults.items():
-            body[name] = dataclasses.field(default_factory=default.make) if type(default) is _Factory else default
+        body.update(self.defaults)
         table = dataclasses.dataclass(frozen=True)(type(cls.__name__, (), body)).__dataclass_fields__
         cls.__dataclass_fields__ = table
         return table
 
 
-def _frozen(action: str, name: str):
-    from dataclasses import FrozenInstanceError
-
-    return FrozenInstanceError(f"cannot {action} field {name!r}")
-
-
 def _record(cls):
-    """Make ``cls`` a frozen record of its annotated fields, in order, as
-    ``dataclasses.dataclass(frozen=True)`` would: equality, hashing and
-    ``repr`` read the field tuple, assignment and deletion raise
-    ``FrozenInstanceError``, and ``__init__`` takes the fields by position
-    or keyword, fills defaults (a ``_Factory`` default per instance), then
-    calls ``__post_init__`` if the class has one.  A method the class
-    defines itself is kept.  A class with ``__slots__`` defines its
-    ``__init__`` and gets the ``__getstate__``/``__setstate__`` pair that
-    copy and pickle need; any other stores its fields in its ``__dict__``."""
+    """Make ``cls`` a frozen record of its annotated fields, in order:
+    equality, hashing and ``repr`` read the field tuple, assignment and
+    deletion raise ``AttributeError``, and ``__init__`` takes the fields by
+    position or keyword, fills defaults, then calls ``__post_init__`` if the
+    class has one.  A method the class defines itself is kept, and a class
+    with ``__slots__`` defines its ``__init__``; any other stores its fields
+    in its ``__dict__``."""
     names = tuple(cls.__annotations__)
-    slotted = "__slots__" in cls.__dict__
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__ and not slotted}
-    for name, default in defaults.items():
-        if type(default) is _Factory:
-            delattr(cls, name)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__ and "__slots__" not in cls.__dict__}
     accepted = frozenset(names)
     values = attrgetter(*names)
     key = values if len(names) > 1 else lambda self: (values(self),)
@@ -188,8 +168,7 @@ def _record(cls):
                 if name not in kwargs:
                     if name not in defaults:
                         raise TypeError(f"{qualname}() missing argument {name!r}")
-                    default = defaults[name]
-                    kwargs[name] = default.make() if type(default) is _Factory else default
+                    kwargs[name] = defaults[name]
         self.__dict__.update(kwargs)
         if post_init is not None:
             post_init(self)
@@ -206,28 +185,17 @@ def _record(cls):
         return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
 
     def __setattr__(self, name, value):
-        raise _frozen("assign to", name)
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise _frozen("delete", name)
+        raise AttributeError(f"cannot delete field {name!r}")
 
-    def __getstate__(self):
-        return list(key(self))
-
-    def __setstate__(self, state):
-        for name, value in zip(names, state):
-            object.__setattr__(self, name, value)
-
-    methods = [__init__, __eq__, __repr__, __setattr__, __delattr__]
-    if slotted:
-        methods += [__getstate__, __setstate__]
-    for method in methods:
+    for method in (__init__, __eq__, __repr__, __setattr__, __delattr__):
         if method.__name__ not in cls.__dict__:
             method.__qualname__ = f"{qualname}.{method.__name__}"
             setattr(cls, method.__name__, method)
     if cls.__dict__.get("__hash__") is None:  # None when the class defines __eq__
         cls.__hash__ = __hash__
-    cls.__match_args__ = names
     cls.__dataclass_fields__ = _FieldTable(defaults)
     return cls
 
@@ -891,7 +859,7 @@ class Triangle:
     """Triangle abc.  Its sidelines, circumcircle and the Simson line of each
     point asked about are built on first use and cached in the instance
     ``__dict__``, keyed on the point for Simson lines: equality, hashing,
-    ``repr``, ``replace``, copies and pickles ignore them."""
+    ``repr`` and ``replace`` ignore them."""
 
     a: Point
     b: Point
@@ -916,9 +884,6 @@ class Triangle:
         if line is None:
             line = memo[p] = simson_line(p, self)
         return line
-
-    def __getstate__(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c}
 
 
 # ---------------------------------------------------------------------------

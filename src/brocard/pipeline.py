@@ -13,14 +13,15 @@ the perspector, the Brocard points on their tangent circles) is asserted
 once, by a named check whose FAIL carries a nonzero exact witness, so a
 construction bug surfaces there and not as a traceback here.  Nor does
 the build test an incidence it constructed (a second circle meet lies on
-both circles) or a checked theorem: T_a is 2 * center - S_t.  The three
-identities no check asserts stay internal errors
-(``InternalInconsistencyError``): the Pascal line is parallel to a hexagon
-meet at infinity, the third tangent-side meet lies on the Lemoine axis, and
-Miquel's theorem itself, that the second meet of two Miquel circles lies on
-the third (for a quadrangle: on the two other defining circles).  Input
-degeneracies raise ``Degenerate`` with the name of the first object that
-broke, which keeps the generator's reject-and-resample loop informative.
+both circles) or a checked theorem: T_a is 2 * center - S_t.  What no
+check asserts stays an internal error (``InternalInconsistencyError``):
+the Pascal line is parallel to a hexagon meet at infinity, Miquel's
+theorem itself (the second meet of two Miquel circles lies on the third;
+for a quadrangle, on the two other defining circles), and the classical
+overlay's K and Brocard angle, with the third tangent-side meet on the
+Lemoine axis.  Input degeneracies raise ``Degenerate`` with the name of
+the first object that broke, which keeps the generator's
+reject-and-resample loop informative.
 The perspector S is the meet of two of its three lines; a T-vertex equal
 to its primed vertex leaves the third undefined, and ``check_perspective``
 with it, so the build raises ``Degenerate("S")``.
@@ -99,11 +100,10 @@ class Configuration:
     the T-sides, the lines through the perspector, and the classical
     overlay, which the classical check shares with ``brocard classical``)
     are built on first use and cached on the instance, never passed to
-    ``__init__``, so
-    ``dataclasses.replace`` derives them afresh from the replaced fields.
-    ``compute_configuration`` seeds the caches with the lines it built
-    itself.  The Simson lines of S_t and T_a live in the memo of the
-    scene's triangle.
+    ``__init__``, so ``dataclasses.replace`` derives them afresh from the
+    replaced fields.  ``compute_configuration`` seeds the caches with the
+    lines it built itself.  The Simson lines of S_t and T_a live in the memo
+    of the scene's triangle.
     """
 
     scene: Scene
@@ -315,16 +315,21 @@ def _quadrangle_miquel(p: Point, q: Point, pa: Point, pb: Point, pc: Point, pd: 
 
 
 class _Stage:
-    """Context manager converting any kernel degeneracy into a named one."""
+    """Context manager converting any kernel degeneracy into a named
+    ``Degenerate``, or, in a stage no valid scene can make raise (a
+    ``theorem`` stage), into an ``InternalInconsistencyError``."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, theorem: bool = False):
         self.name = name
+        self.theorem = theorem
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
         if exc is not None and isinstance(exc, GeometryError):
+            if self.theorem:
+                raise InternalInconsistencyError(f"{self.name}: {exc}") from exc
             raise Degenerate(self.name, str(exc)) from exc
         return False
 
@@ -488,17 +493,20 @@ def classical_overlay(cfg: Configuration) -> ClassicalOverlay:
     gamma = scene.gamma
     bc, ca, ab = scene.triangle.sides
 
-    with _Stage("K"):
+    # No valid classical scene can raise here.  No rational triangle is
+    # equilateral, so at most one tangent is parallel to its side (the
+    # tangent at the apex of an isosceles triangle).  Two finite meets lie on
+    # different sidelines and neither is their shared vertex, so they are
+    # distinct.  Their line, the Lemoine axis, is the polar of the interior
+    # point K, so it misses the center and its pole is finite.
+    with _Stage("K", theorem=True):
         meets = []
         for vertex, side in ((a, bc), (b, ca), (c, ab)):
             try:
                 meets.append(intersect_lines(tangent_line(gamma, vertex), side))
             except ParallelLines:
-                # Isoceles: the tangent at the apex is parallel to the base,
-                # so that meet sits at infinity.  At most one can.
                 pass
-        if len(meets) < 2:
-            raise Degenerate("K", "fewer than two finite tangent-side meets")
+        _require(len(meets) >= 2, "K: fewer than two finite tangent-side meets")
         lemoine_axis = line_through(meets[0], meets[1])
         k = pole_of_line(lemoine_axis, gamma)
     _require(
@@ -506,9 +514,10 @@ def classical_overlay(cfg: Configuration) -> ClassicalOverlay:
         "tangent intersections are not collinear",
     )
 
-    with _Stage("brocard angle"):
-        # Rotation from ray A->B to ray A->P; positive for an
-        # anticlockwise triangle since P is interior.
+    # Rotation from ray A->B to ray A->P: the Brocard angle, in (0, 30]
+    # degrees for an anticlockwise triangle, so never right.  The classical
+    # check asserts its tangent is 4 * area / (a^2 + b^2 + c^2).
+    with _Stage("brocard angle", theorem=True):
         tan_brocard = tangent_of_angle(a, b, cfg.p)
 
     return ClassicalOverlay(k=k, tan_brocard=tan_brocard)

@@ -40,7 +40,6 @@ from .geom import (
     orientation,
     rat,
     RationalLike,
-    _Factory,
     _bisector,
     _foot,
     _isogonal,
@@ -106,11 +105,11 @@ class Scene:
 class SceneParams:
     """Generation parameters.  Caps bound |numerator| and denominator of the
     six chord parameters; small caps keep big-integer growth through the
-    pipeline manageable.  Each instance without a ``center`` gets its own
-    origin, as a ``default_factory`` gives it."""
+    pipeline manageable.  Every instance without a ``center`` shares one
+    immutable origin."""
 
     seed: int
-    center: Point = _Factory(lambda: Point(0, 0))
+    center: Point = Point(0, 0)
     radius: Fraction = Fraction(1)
     numerator_cap: int = 50
     denominator_cap: int = 50

@@ -365,6 +365,21 @@ class TestConstructionBugs:
         monkeypatch.setattr(pipeline, "_miquel", lambda d, e, f, tri: miquel(*other[(d, e, f)], tri))
         self._fails_with_witnesses(scenes, tmp_path)
 
+    def test_antipodal_tangent_is_internal_error_or_fail(self, monkeypatch):
+        """The classical overlay built from the tangent at each vertex's
+        antipode.  On ``0,1,-1`` its Lemoine axis passes through the center,
+        which no valid classical scene allows, so K is an internal error
+        that escapes ``run_suite`` instead of reading as DEGENERATE.  On the
+        other two pinned sets the classical check FAILs with witnesses."""
+        tangent = pipeline.tangent_line
+        monkeypatch.setattr(pipeline, "tangent_line", lambda gamma, v: tangent(gamma, 2 * gamma.center - v))
+        with pytest.raises(InternalInconsistencyError, match="^K: "):
+            run_suite(classical_brocard_scene(0, 1, -1))
+        for ts in ((0, 1, 3), (F(1, 2), -3, F(7, 5))):
+            result = check_classical_overlay(compute_configuration(classical_brocard_scene(*ts)))
+            assert result.status == FAIL, ts
+            assert any(any(w != 0 for w in a.witnesses) for a in result.failed_assertions), ts
+
 
 class TestSmallCapGeneration:
     @pytest.mark.parametrize(
@@ -1017,7 +1032,7 @@ class TestComputedOnce:
         result = cyclic[0]
         for obj in (result.assertions[0], result, first):
             for f in dataclasses.fields(obj):
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(AttributeError, match="cannot assign"):
                     setattr(obj, f.name, getattr(obj, f.name))
         for rep in (first, second):
             assert type(rep.results) is tuple

@@ -526,6 +526,30 @@ class TestCliClassical:
         assert capsys.readouterr() == ("", "error: radius must be positive\n")
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classical", "--params", "0,,1,3"],
+            ["classical", "--params", "0,1,3,"],
+            ["classical", "--params", "0,1,3", "--center", "1,2,", "--report", "c.json"],
+            ["generate", "--classical", "--params", "0,,1,3", "--out", "c.json"],
+            ["generate", "--center", "1,,2", "--out", "c.json"],
+        ],
+    )
+    def test_empty_rational_entry_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        """An empty entry of ``--params`` or ``--center`` is not skipped: it
+        is a usage error with one line naming it, and nothing is written."""
+        monkeypatch.setenv("BROCARD_OUT_DIR", str(tmp_path))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad --center itself
+            code = exc.code
+        assert code == 2
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert out == "" and len(errors) == 1 and errors[0].endswith("not a rational: ''"), err
+        assert not (tmp_path / "c.json").exists()
+
 
 def test_report_omits_timing(tmp_path):
     path = tmp_path / "scenes.json"
