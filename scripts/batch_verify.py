@@ -37,8 +37,8 @@ def main() -> int:
     parser.add_argument(
         "--seeds", type=parse_seed_range, default="1:100", help="seed range lo:hi inclusive (default 1:100)"
     )
-    parser.add_argument("--numerator-cap", type=int, default=50)
-    parser.add_argument("--denominator-cap", type=int, default=50)
+    parser.add_argument("--numerator-cap", type=int, default=SceneParams.numerator_cap)
+    parser.add_argument("--denominator-cap", type=int, default=SceneParams.denominator_cap)
     args = parser.parse_args()
     caps = dict(numerator_cap=args.numerator_cap, denominator_cap=args.denominator_cap)
     try:

@@ -1,9 +1,14 @@
 """Command-line front end: generate | verify | render | classical.
 
-Exit codes: 0 on success (and on verification with zero FAILs), 1 on
-runtime failures (generation exhausted, I/O, parse errors, any FAIL),
-2 on usage errors.  Relative output paths resolve against the directory
-named by the BROCARD_OUT_DIR environment variable when it is set.
+Exit codes: 0 on success (and on verification with zero FAILs), 1 on any
+FAIL or runtime failure, 2 on a usage error.  The commands raise and
+``main`` alone reports, with one ``error:`` line: a usage error
+(``argparse.ArgumentTypeError``, which ``_usage`` makes of a library
+validator's ``ValueError``) exits 2, and ``OSError``, ``SceneFormatError``,
+``GeometryError`` and ``CommandFailed`` exit 1; a broken pipe exits 1
+silently.  A program fault, such as ``InternalInconsistencyError`` or any
+other ``ValueError``, escapes with its traceback.  Relative output paths
+resolve against BROCARD_OUT_DIR when that environment variable is set.
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ atexit.register(gc.freeze)
 OUT_DIR_ENV = "BROCARD_OUT_DIR"
 
 
+class CommandFailed(Exception):
+    """A runtime failure of a command that no library error names."""
+
+
 def run_suite(scene: Scene, check_ids: Optional[Sequence[str]] = None) -> SuiteReport:
     """``checks.run_suite``, loading ``checks`` on the first call.  The
     commands look it up in this module, so a caller that replaces it here,
@@ -54,6 +63,14 @@ def _out_path(path: str) -> str:
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
     return path
+
+
+def _usage(validate, *args, **kwargs):
+    """``validate(*args, **kwargs)``, with its ``ValueError`` a usage error."""
+    try:
+        return validate(*args, **kwargs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -76,31 +93,23 @@ def _point_str(p: Point) -> str:
 
 def _classical_scene(args: argparse.Namespace) -> Tuple[Scene, List[Fraction]]:
     """The classical scene of ``--params``, ``--center`` and ``--radius``,
-    and its parameters.  A usage error when they define none: three distinct
-    points of a circle are never collinear, so nothing else can fail."""
+    and its parameters.  A usage error when they define none."""
     ts = _parse_rational_list(args.params, 3, "--params")
-    if len(set(ts)) != 3:
-        raise argparse.ArgumentTypeError("classical parameters must be distinct")
-    if args.radius <= 0:
-        raise argparse.ArgumentTypeError("radius must be positive")
-    return classical_brocard_scene(*ts, center=args.center, radius=args.radius), ts
+    return _usage(classical_brocard_scene, *ts, center=args.center, radius=args.radius), ts
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     out = _out_path(args.out)
     if args.classical:
         if args.params is None:
-            print("error: --classical requires --params t1,t2,t3", file=sys.stderr)
-            return 2
+            raise argparse.ArgumentTypeError("--classical requires --params t1,t2,t3")
         scene, ts = _classical_scene(args)
         if args.count != 1:
-            print("error: --classical produces exactly one scene", file=sys.stderr)
-            return 2
+            raise argparse.ArgumentTypeError("--classical produces exactly one scene")
         scenes = [scene]
         provenance = {"kind": "classical", "params": [rational_to_str(t) for t in ts]}
     elif args.params is not None:
-        print("error: --params requires --classical", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentTypeError("--params requires --classical")
     else:
         scenes = []
         provenance = {
@@ -118,22 +127,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
             denominator_cap=args.denominator_cap,
             strict_segments=args.strict_segments,
         )
-        try:
-            SceneParams(seed=args.seed, **shape)
-        except ValueError as exc:  # a cap or the radius is not positive
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        _usage(SceneParams, seed=args.seed, **shape)  # a cap or the radius is not positive
         for sub_seed in range(args.seed, args.seed + args.count):
-            try:
-                scenes.append(generate_scene(SceneParams(seed=sub_seed, **shape)))
-            except GeometryError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-    try:
-        write_scene_file(out, scenes, provenance)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            scenes.append(generate_scene(SceneParams(seed=sub_seed, **shape)))
+    write_scene_file(out, scenes, provenance)
     print(f"wrote {len(scenes)} scene(s) to {out}")
     return 0
 
@@ -145,18 +142,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.checks is not None:
         check_ids = [c.strip() for c in args.checks.split(",") if c.strip()]
         if not check_ids:
-            print("error: --checks names no check id", file=sys.stderr)
-            return 2
-        try:
-            check_suite_ids(check_ids)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        scenes, _ = read_scene_file(args.infile)
-    except (SceneFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            raise argparse.ArgumentTypeError("--checks names no check id")
+        _usage(check_suite_ids, check_ids)
+    scenes, _ = read_scene_file(args.infile)
     reports = []
     for index, scene in enumerate(scenes):
         report = run_suite(scene, check_ids)
@@ -176,11 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     total_deg = sum(r.counts["DEGENERATE"] for r in reports)
     print(f"total: {total_pass} pass, {total_fail} fail, {total_deg} degenerate")
     if args.report:
-        try:
-            write_report_file(_out_path(args.report), reports, file_digest(args.infile))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        write_report_file(_out_path(args.report), reports, file_digest(args.infile))
     return 0 if total_fail == 0 else 1
 
 
@@ -191,19 +175,10 @@ def cmd_render(args: argparse.Namespace) -> int:
     layers = LAYERS
     if args.layers is not None:
         layers = tuple(l.strip() for l in args.layers.split(",") if l.strip())
-    try:
-        check_layers(layers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        scenes, _ = read_scene_file(args.infile)
-    except (SceneFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _usage(check_layers, layers)
+    scenes, _ = read_scene_file(args.infile)
     if not 0 <= args.index < len(scenes):
-        print(f"error: index {args.index} out of range (file has {len(scenes)} scenes)", file=sys.stderr)
-        return 1
+        raise CommandFailed(f"index {args.index} out of range (file has {len(scenes)} scenes)")
     scene = scenes[args.index]
     violations = validate_scene(scene)
     if violations:
@@ -214,15 +189,10 @@ def cmd_render(args: argparse.Namespace) -> int:
         cfg = compute_configuration(scene) if any(l != "scene" for l in layers) else None
         svg = render_svg(scene, cfg, layers, digits=args.digits)
     except GeometryError as exc:
-        print(f"error: configuration degenerate, render scene layer only: {exc}", file=sys.stderr)
-        return 1
+        raise CommandFailed(f"configuration degenerate, render scene layer only: {exc}") from exc
     out = _out_path(args.out)
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(svg)
     print(f"wrote {out}")
     return 0
 
@@ -247,11 +217,7 @@ def cmd_classical(args: argparse.Namespace) -> int:
     )
     if args.report:
         digest = "params:" + ",".join(rational_to_str(t) for t in ts)
-        try:
-            write_report_file(_out_path(args.report), [report], digest)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        write_report_file(_out_path(args.report), [report], digest)
     return 0 if counts["FAIL"] == 0 else 1
 
 
@@ -262,21 +228,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    center, radius = SceneParams.center, SceneParams.radius
+
     def add_circle_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--center",
             type=lambda t: Point(*_parse_rational_list(t, 2, "--center")),
-            default=Point(0, 0),
-            help="circle center as x,y rationals (default 0,0)",
+            default=center,
+            help=f"circle center as x,y rationals (default {center.x},{center.y})",
         )
-        p.add_argument("--radius", type=_parse_rational, default=Fraction(1), help="rational radius (default 1)")
+        p.add_argument("--radius", type=_parse_rational, default=radius, help=f"rational radius (default {radius})")
 
     gen = sub.add_parser("generate", help="generate validated rational scenes")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--numerator-cap", type=int, default=50)
-    gen.add_argument("--denominator-cap", type=int, default=50)
+    gen.add_argument("--numerator-cap", type=int, default=SceneParams.numerator_cap)
+    gen.add_argument("--denominator-cap", type=int, default=SceneParams.denominator_cap)
     gen.add_argument("--strict-segments", action="store_true")
     gen.add_argument("--classical", action="store_true", help="build one classical scene from --params")
     gen.add_argument("--params", help="three comma-separated rationals for --classical")
@@ -314,13 +282,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--digits must be nonnegative")
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        # raised by the rational parsers when invoked outside argparse's
-        # own type machinery, and by _classical_scene
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, reported by no line
         return 1
+    except (argparse.ArgumentTypeError, OSError, SceneFormatError, GeometryError, CommandFailed) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, argparse.ArgumentTypeError) else 1
 
 
 if __name__ == "__main__":

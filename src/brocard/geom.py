@@ -2,7 +2,7 @@
 
 Every coordinate and every derived quantity is an exact rational.  There
 is no epsilon and no floating point anywhere in this module: a point lies
-on a circle iff the defining polynomial vanishes identically, so every
+on a circle iff the defining polynomial vanishes exactly, so every
 predicate is a decision, not an approximation.
 
 Conventions:
@@ -27,8 +27,9 @@ Conventions:
   compared by cross-multiplication.  Arc measures and inverse
   trigonometric functions are never computed.
 * Reduced where kept or written; raw for one meet or one comparison.
-  Each raw helper returns an unreduced integer tuple, and raises what the
-  public function that reduces it raises: ``_join`` the line of
+  Each raw helper returns an unreduced integer tuple, and on a degenerate
+  input raises the exception class, with the same message, that the
+  public function reducing it raises: ``_join`` the line of
   ``line_through``; ``_meet``, ``_center``, ``_foot``, ``_isogonal`` and
   ``_image`` the points of ``intersect_lines``, ``Circle.center``,
   ``foot_perpendicular``, ``isogonal_conjugate`` and
@@ -48,8 +49,9 @@ Conventions:
   A value kept, reused or written is reduced.
 * Every value class of the package is a frozen record (``_record``): a
   plain value that compares, hashes and prints by its annotated fields and
-  refuses assignment.  It answers ``dataclasses.fields`` and ``replace``,
-  and only such a call loads ``dataclasses``.
+  refuses assignment, copying and pickling.  It answers
+  ``dataclasses.fields`` and ``replace``, and only such a call loads
+  ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -68,37 +70,15 @@ RationalLike = Union[int, str, Fraction]
 
 
 class GeometryError(Exception):
-    """Base class for every degeneracy the kernel can report."""
-
-
-class CoincidentPoints(GeometryError):
-    pass
-
-
-class CollinearPoints(GeometryError):
-    pass
-
-
-class PointNotOnCircle(GeometryError):
-    pass
-
-
-class PointNotOnLine(GeometryError):
-    pass
-
-
-class CirclesIdentical(GeometryError):
-    pass
-
-
-class CenterDegenerate(GeometryError):
-    """Pole or polar would lie at infinity."""
+    """A degenerate input, named by the message; every caller catches it.
+    Its two subclasses are for callers that tell them apart: ``pipeline``
+    catches ``ParallelLines`` where a meet at infinity is an answer, and
+    ``Degenerate.name`` names the construction that broke.  A failure of
+    the algorithm is ``pipeline.InternalInconsistencyError`` instead."""
 
 
 class ParallelLines(GeometryError):
-    def __init__(self, message: str = "lines are parallel", identical: bool = False):
-        super().__init__(message)
-        self.identical = identical
+    """Two lines have no finite meet."""
 
 
 class Degenerate(GeometryError):
@@ -143,9 +123,10 @@ class _FieldTable:
 def _record(cls):
     """Make ``cls`` a frozen record of its annotated fields, in order:
     equality, hashing and ``repr`` read the field tuple, assignment and
-    deletion raise ``AttributeError``, and ``__init__`` takes the fields by
-    position or keyword, fills defaults, then calls ``__post_init__`` if the
-    class has one.  A method the class defines itself is kept, and a class
+    deletion raise ``AttributeError``, copying and pickling raise
+    ``TypeError``, and ``__init__`` takes the fields by position or
+    keyword, fills defaults, then calls ``__post_init__`` if the class has
+    one.  A method the class defines itself is kept, and a class
     with ``__slots__`` defines its ``__init__``; any other stores its fields
     in its ``__dict__``."""
     names = tuple(cls.__annotations__)
@@ -190,7 +171,10 @@ def _record(cls):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    for method in (__init__, __eq__, __repr__, __setattr__, __delattr__):
+    def __reduce_ex__(self, protocol):
+        raise TypeError(f"{qualname} is an immutable value: share it instead of copying or pickling it")
+
+    for method in (__init__, __eq__, __repr__, __setattr__, __delattr__, __reduce_ex__):
         if method.__name__ not in cls.__dict__:
             method.__qualname__ = f"{qualname}.{method.__name__}"
             setattr(cls, method.__name__, method)
@@ -561,7 +545,7 @@ def _angle_at(vertex: Point, p: Point, q: Point) -> Tuple[int, int]:
     dx1, dy1, _ = _sum(p.h, vertex.h, -1)
     dx2, dy2, _ = _sum(q.h, vertex.h, -1)
     if not (dx1 or dy1) or not (dx2 or dy2):
-        raise CoincidentPoints(f"no unique line through {vertex} twice")
+        raise GeometryError(f"no unique line through {vertex} twice")
     return dx1 * dy2 - dy1 * dx2, dx1 * dx2 + dy1 * dy2
 
 
@@ -576,7 +560,7 @@ def _join(p: Point, q: Point) -> _Triple:
     a = y1 * w2 - y2 * w1
     b = x2 * w1 - x1 * w2
     if a == 0 and b == 0:
-        raise CoincidentPoints(f"no unique line through {p} twice")
+        raise GeometryError(f"no unique line through {p} twice")
     return a, b, x1 * y2 - x2 * y1
 
 
@@ -585,13 +569,12 @@ def line_through(p: Point, q: Point) -> Line:
 
 
 def _meet(l1, l2) -> _Triple:
-    """The unreduced meet of two lines, each a ``Line`` or a raw triple.
-    Parallel lines are identical iff their coefficients are proportional."""
+    """The unreduced meet of two lines, each a ``Line`` or a raw triple."""
     a1, b1, c1 = l1
     a2, b2, c2 = l2
     det = a1 * b2 - a2 * b1
     if det == 0:
-        raise ParallelLines(identical=(a1 * c2 == a2 * c1 and b1 * c2 == b2 * c1))
+        raise ParallelLines("lines are parallel")
     return b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, det
 
 
@@ -619,7 +602,7 @@ def _bisector(p: Point, q: Point) -> _Triple:
     dx = x2 * w1 - x1 * w2
     dy = y2 * w1 - y1 * w2
     if dx == 0 and dy == 0:
-        raise CoincidentPoints("perpendicular bisector of a point with itself")
+        raise GeometryError("perpendicular bisector of a point with itself")
     w12 = w1 * w2
     return 2 * dx * w12, 2 * dy * w12, (x1 * x1 + y1 * y1) * w2 * w2 - (x2 * x2 + y2 * y2) * w1 * w1
 
@@ -667,7 +650,7 @@ def _circle_terms(p: Point, q: Point, r: Point):
     (a1, b1, c1, s1), (a2, b2, c2, s2), (a3, b3, c3, s3) = rows
     v = _det3(a1, b1, c1, a2, b2, c2, a3, b3, c3)
     if v == 0:
-        raise CollinearPoints("no circle through collinear points")
+        raise GeometryError("no circle through collinear points")
     return _det3(s1, b1, c1, s2, b2, c2, s3, b3, c3), _det3(a1, s1, c1, a2, s2, c2, a3, s3, c3), v, rows
 
 
@@ -688,7 +671,7 @@ def _concyclic(p: Point, q: Point, r: Point, m: Point) -> int:
     ratio is then real: Im[(p - q)(m - r) * conj((p - r)(m - q))], at a
     positive scale.  Raises as ``_circle_through``."""
     if _area(p, q, r)[0] == 0:
-        raise CollinearPoints("no circle through collinear points")
+        raise GeometryError("no circle through collinear points")
     ux, uy, _ = _times(_sum(p.h, q.h, -1), _sum(m.h, r.h, -1))
     vx, vy, _ = _times(_sum(p.h, r.h, -1), _sum(m.h, q.h, -1))
     return uy * vx - ux * vy
@@ -714,7 +697,7 @@ def circle_through_tangent(t: Point, l: Line, p: Point) -> Circle:
 def tangent_line(c: Circle, p: Point) -> Line:
     """Tangent to c at a point of c (the polar of a point on the circle)."""
     if not on_circle(p, c):
-        raise PointNotOnCircle(f"{p} is not on {c}")
+        raise GeometryError(f"{p} is not on {c}")
     return Line(*_polar(p, c))
 
 
@@ -733,9 +716,9 @@ def second_intersection_circle_line(c: Circle, l: Line, x: Point) -> Tuple[Point
     where tangent is True iff l touches c at x (double root).
     """
     if not on_line(x, l):
-        raise PointNotOnLine(f"{x} is not on {l}")
+        raise GeometryError(f"{x} is not on {l}")
     if not on_circle(x, c):
-        raise PointNotOnCircle(f"{x} is not on {c}")
+        raise GeometryError(f"{x} is not on {c}")
     return _second_meet(c.h, l.a, l.b, x)
 
 
@@ -761,11 +744,11 @@ def second_intersection_circles(c1: Circle, c2: Circle, x: Point) -> Tuple[Point
     circles through one common point are not concentric.
     """
     if c1 == c2:
-        raise CirclesIdentical("second intersection of a circle with itself")
+        raise GeometryError("second intersection of a circle with itself")
     if not on_circle(x, c1):
-        raise PointNotOnCircle(f"{x} is not on {c1}")
+        raise GeometryError(f"{x} is not on {c1}")
     if not on_circle(x, c2):
-        raise PointNotOnCircle(f"{x} is not on {c2}")
+        raise GeometryError(f"{x} is not on {c2}")
     return _second_common(c1.h, c2.h, x)
 
 
@@ -774,8 +757,8 @@ def _second_common(h1: _Quadruple, h2: _Quadruple, x: Point) -> Tuple[Point, boo
     d1, e1, _, v1 = h1
     d2, e2, _, v2 = h2
     a, b = d1 * v2 - d2 * v1, e1 * v2 - e2 * v1
-    if a == 0 and b == 0:  # concentric circles through x are identical
-        raise CirclesIdentical("second intersection of a circle with itself")
+    if a == 0 and b == 0:  # concentric circles through x coincide
+        raise GeometryError("second intersection of a circle with itself")
     return _second_meet(h1, a, b, x)
 
 
@@ -786,7 +769,7 @@ def _polar(p: Point, c: Circle) -> _Triple:
     a = 2 * v * x + d * w
     b = 2 * v * y + e * w
     if a == 0 and b == 0:
-        raise CenterDegenerate("polar of the center is the line at infinity")
+        raise GeometryError("polar of the center is the line at infinity")
     return a, b, d * x + e * y + 2 * f * w
 
 
@@ -794,7 +777,7 @@ def pole_of_line(l: Line, c: Circle) -> Point:
     d, e, f, v = c.h
     denom = d * l.a + e * l.b - 2 * v * l.c
     if denom == 0:
-        raise CenterDegenerate("pole of a line through the center is at infinity")
+        raise GeometryError("pole of a line through the center is at infinity")
     r = d * d + e * e - 4 * f * v  # 4 * v^2 * radius2
     return _reduced(Point, r * l.a - d * denom, r * l.b - e * denom, 2 * v * denom)
 
@@ -808,7 +791,7 @@ def _isogonal(p: Point, a: Point, b: Point, c: Point) -> _Triple:
     # Signed areas times the positive W products: the orientation of abc
     # and the barycentrics (u : v : w) of p.
     if _det3(xa, ya, wa, xb, yb, wb, xc, yc, wc) == 0:
-        raise CollinearPoints("degenerate reference triangle")
+        raise GeometryError("degenerate reference triangle")
     u = _det3(xp, yp, wp, xb, yb, wb, xc, yc, wc)
     v = _det3(xa, ya, wa, xp, yp, wp, xc, yc, wc)
     w = _det3(xa, ya, wa, xb, yb, wb, xp, yp, wp)
@@ -841,7 +824,7 @@ def simson_line(p: Point, tri: "Triangle") -> Line:
     """Line through the three pedal feet of p on the sidelines of tri,
     defined only for p on its circumcircle."""
     if not on_circle(p, tri.circumcircle):
-        raise PointNotOnCircle(f"{p} is not on the circumcircle")
+        raise GeometryError(f"{p} is not on the circumcircle")
     feet = [_foot(p, *side) for side in tri.sides]  # raw, with W > 0
     x1, y1, w1 = feet[0]
     joins = [(y1 * w2 - y2 * w1, x2 * w1 - x1 * w2, x1 * y2 - x2 * y1) for x2, y2, w2 in feet[1:]]
@@ -943,7 +926,7 @@ def inverse_similarity_map(src1: Point, dst1: Point, src2: Point, dst2: Point) -
     """The unique orientation-reversing similarity sending src1 -> dst1 and
     src2 -> dst2."""
     if src1 == src2:
-        raise CoincidentPoints("similarity needs two distinct source points")
+        raise GeometryError("similarity needs two distinct source points")
     x1, y1, w1 = src1.h
     x2, y2, w2 = src2.h
     zs1 = (x1, -y1, w1)  # conj(src1)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from random import Random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .geom import (
     Degenerate,
@@ -302,17 +302,21 @@ def classical_brocard_scene(
     t1: RationalLike,
     t2: RationalLike,
     t3: RationalLike,
-    center: Optional[Point] = None,
-    radius: RationalLike = 1,
+    center: Point = SceneParams.center,
+    radius: RationalLike = SceneParams.radius,
 ) -> Scene:
     """Scene whose circle is the circumcircle itself: the incidence points
     alias to the vertices (a1=b, b1=c, c1=a, a2=c, b2=a, c2=b), which turns
-    the two Miquel points into the classical Brocard points."""
-    center = center if center is not None else Point(0, 0)
+    the two Miquel points into the classical Brocard points.  Center and
+    radius default to those of ``SceneParams``.  Repeated parameters, and
+    then a nonpositive radius, raise ``ValueError``; nothing else fails, as
+    three distinct points of a circle are never collinear."""
     values = [rat(t) for t in (t1, t2, t3)]
     if len(set(values)) != 3:
-        raise GenerationExhausted("classical scene needs three distinct parameters")
+        raise ValueError("classical parameters must be distinct")
     radius = rat(radius)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
     a, b, c = (circle_point_from_parameter(t, center, radius) for t in values)
     if orientation(a, b, c) < 0:
         b, c = c, b

@@ -13,18 +13,14 @@ import pytest
 
 import brocard
 from brocard.geom import (
-    CenterDegenerate,
     Circle,
-    CirclesIdentical,
-    CoincidentPoints,
-    CollinearPoints,
     ComplexScalar,
     Degenerate,
     DirectedAngleClass,
+    GeometryError,
     Line,
     ParallelLines,
     Point,
-    PointNotOnCircle,
     Triangle,
     circle_through_tangent,
     circumcircle,
@@ -65,7 +61,7 @@ class TestLinesAndPoints:
         assert line_through(Point(1, 0), Point(0, 1)) == Line(1, 1, -1)
 
     def test_line_through_coincident(self):
-        with pytest.raises(CoincidentPoints):
+        with pytest.raises(GeometryError):
             line_through(Point(2, 3), Point(2, 3))
 
     def test_line_canonical_scaling(self):
@@ -77,12 +73,10 @@ class TestLinesAndPoints:
         assert intersect_lines(Line(0, 1, 0), Line(1, 0, 0)) == Point(0, 0)
 
     def test_intersect_parallel_flag(self):
-        with pytest.raises(ParallelLines) as err:
+        with pytest.raises(ParallelLines, match="^lines are parallel$"):
             intersect_lines(Line(0, 1, 0), Line(0, 1, -1))
-        assert not err.value.identical
-        with pytest.raises(ParallelLines) as err:
+        with pytest.raises(ParallelLines, match="^lines are parallel$"):
             intersect_lines(Line(0, 1, -1), Line(0, 2, -2))
-        assert err.value.identical
 
     def test_parallel_through(self):
         assert Line(*_parallel(Point(0, 1), Line(0, 1, 0))) == Line(0, 1, -1)
@@ -99,7 +93,7 @@ class TestLinesAndPoints:
     def test_perpendicular_bisector(self):
         assert Line(*_bisector(Point(0, 0), Point(2, 0))) == Line(1, 0, -1)
         assert Line(*_bisector(Point(1, 0), Point(0, 1))) == Line(1, -1, 0)
-        with pytest.raises(CoincidentPoints):
+        with pytest.raises(GeometryError):
             _bisector(Point(0, 0), Point(0, 0))
 
     def test_foot(self):
@@ -117,7 +111,7 @@ class TestCircles:
         c = circumcircle(Point(0, 0), Point(2, 0), Point(0, 2))
         assert c.center == Point(1, 1) and c.radius2 == 2
         assert circumcircle(Point(1, 0), Point(0, 1), Point(-1, 0)) == UNIT
-        with pytest.raises(CollinearPoints):
+        with pytest.raises(GeometryError):
             circumcircle(Point(0, 0), Point(1, 1), Point(2, 2))
 
     def test_tangent_circle(self):
@@ -146,7 +140,7 @@ class TestCircles:
         assert pt == Point(1, 0) and tangent
 
     def test_second_intersection_identical(self):
-        with pytest.raises(CirclesIdentical):
+        with pytest.raises(GeometryError):
             second_intersection_circles(UNIT, Circle(0, 0, -1), Point(1, 0))
 
     def test_second_intersection_line(self):
@@ -155,19 +149,19 @@ class TestCircles:
         assert pt == Point(-4, 3) and not tangent
         pt, tangent = second_intersection_circle_line(UNIT, Line(1, 0, -1), Point(1, 0))
         assert pt == Point(1, 0) and tangent
-        with pytest.raises(PointNotOnCircle):
+        with pytest.raises(GeometryError):
             second_intersection_circle_line(UNIT, Line(0, 1, 0), Point(0, 0))
 
 
 class TestPolarity:
     def test_polar(self):
         assert Line(*_polar(Point(F(1, 4), 0), UNIT)) == Line(1, 0, -4)
-        with pytest.raises(CenterDegenerate):
+        with pytest.raises(GeometryError):
             _polar(Point(0, 0), UNIT)
 
     def test_pole(self):
         assert pole_of_line(Line(1, 0, -4), UNIT) == Point(F(1, 4), 0)
-        with pytest.raises(CenterDegenerate):
+        with pytest.raises(GeometryError):
             pole_of_line(Line(1, 0, 0), UNIT)
 
     def test_la_hire(self):
@@ -224,7 +218,7 @@ class TestSimson:
         assert simson_line(Point(0, 0), Triangle(Point(0, 0), Point(4, 0), Point(0, 4))) == Line(1, -1, 0)
 
     def test_interior_point_rejected(self):
-        with pytest.raises(PointNotOnCircle):
+        with pytest.raises(GeometryError):
             simson_line(Point(1, 1), Triangle(Point(0, 0), Point(4, 0), Point(0, 4)))
 
 
@@ -280,7 +274,7 @@ class TestInverseSimilarity:
         assert m.apply(Point(1, 0)) == Point(-1, 0)
 
     def test_coincident_sources(self):
-        with pytest.raises(CoincidentPoints):
+        with pytest.raises(GeometryError):
             inverse_similarity_map(Point(1, 2), Point(0, 0), Point(1, 2), Point(3, 4))
 
     def test_defining_pairs_always_verify(self):
@@ -313,6 +307,24 @@ def _geom_names_used(path):
     return used
 
 
+def _other_modules():
+    """The modules of the package other than ``geom`` and ``__init__``, and
+    the scripts."""
+    skip = {"geom.py", "__init__.py"}
+    return [*(p for p in (ROOT / "src" / "brocard").glob("*.py") if p.name not in skip), *(ROOT / "scripts").glob("*.py")]
+
+
+def test_every_public_kernel_class_has_a_caller():
+    """Each public class of ``brocard.geom`` is named by another module of
+    the package or by a script.  An export from ``brocard`` does not count:
+    an exception class that no caller catches or reads is one that no
+    caller tells apart, so its ``raise`` should name its base class."""
+    tree = ast.parse((ROOT / "src" / "brocard" / "geom.py").read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body if isinstance(node, ast.ClassDef) and not node.name.startswith("_")}
+    used = set().union(*map(_geom_names_used, _other_modules()))
+    assert "GeometryError" in public and sorted(public - used) == []
+
+
 def test_every_public_kernel_function_has_a_caller():
     """Each public function of ``brocard.geom`` is used by another module of
     the package or by a script, exported by ``brocard``, or timed by the
@@ -325,10 +337,7 @@ def test_every_public_kernel_function_has_a_caller():
         for node in ast.parse(geom_path.read_text(encoding="utf-8")).body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
-    used = set()
-    for path in [*(ROOT / "src" / "brocard").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
-        if path != geom_path:
-            used |= _geom_names_used(path)
+    used = set().union(*map(_geom_names_used, _other_modules()))
     tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
     (traced,) = [
         ast.literal_eval(node.value)

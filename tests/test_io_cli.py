@@ -551,6 +551,94 @@ class TestCliClassical:
         assert not (tmp_path / "c.json").exists()
 
 
+VERIFY_SEED42_STDOUT = "scene 0: 18 checks, 18 pass, 0 fail, 0 degenerate\ntotal: 18 pass, 0 fail, 0 degenerate\n"
+CLASSICAL_013_STDOUT = (
+    "R = (-1/8, 3/4)\nK = (-1/8, 3/4)  (R == K: True)\ntan(Brocard angle) = 3/8\n"
+    "Omega  = (-26/73, 45/73)\nOmega' = (10/73, 51/73)\nsuite: 19 pass, 0 fail, 0 degenerate\n"
+)
+NO_DIR = "error: [Errno 2] No such file or directory: '{tmp}/no/{name}'\n"
+INVALID_LINES = "".join(
+    f"error: scene 0 is invalid: {violation}\n"
+    for violation in [*(f"{p} not on gamma" for p in ("a1", "a2", "b1", "b2", "c1", "c2")),
+                      "gamma has non-positive squared radius"]
+)
+
+# (argv, exit code, stdout, stderr); ``{tmp}`` is the test's directory and
+# ``{scenes}``, ``{invalid}``, ``{collapsed}`` and ``{notjson}`` scene files in it.
+FAILURES = [
+    ("generate --numerator-cap 1 --denominator-cap 1 --out {tmp}/x.json", 1, "",
+     "error: no valid scene within 500 attempts (seed 0)\n"),
+    ("generate --seed 1 --out {tmp}/no/x.json", 1, "", NO_DIR.replace("{name}", "x.json")),
+    ("verify --in {scenes} --report {tmp}/no/r.json", 1, VERIFY_SEED42_STDOUT, NO_DIR.replace("{name}", "r.json")),
+    ("render --in {scenes} --out {tmp}/no/f.svg", 1, "", NO_DIR.replace("{name}", "f.svg")),
+    ("classical --params 0,1,3 --report {tmp}/no/r.json", 1, CLASSICAL_013_STDOUT,
+     NO_DIR.replace("{name}", "r.json")),
+    ("verify --in {tmp}/missing.json --report {tmp}/r.json", 1, "",
+     "error: [Errno 2] No such file or directory: '{tmp}/missing.json'\n"),
+    ("render --in {tmp}/missing.json --out {tmp}/f.svg", 1, "",
+     "error: [Errno 2] No such file or directory: '{tmp}/missing.json'\n"),
+    ("verify --in {notjson} --report {tmp}/r.json", 1, "",
+     "error: {notjson}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"),
+    ("verify --in {scenes} --checks check_bogus,check_steiner --report {tmp}/r.json", 2, "",
+     "error: unknown check ids: check_bogus\n"),
+    ("verify --in {scenes} --checks , --report {tmp}/r.json", 2, "", "error: --checks names no check id\n"),
+    ("render --in {scenes} --layers scene,bogus --out {tmp}/f.svg", 2, "", "error: unknown layers: bogus\n"),
+    ("render --in {scenes} --layers , --out {tmp}/f.svg", 2, "", "error: no layer selected\n"),
+    ("generate --numerator-cap 0 --out {tmp}/x.json", 2, "", "error: parameter caps must be positive\n"),
+    ("generate --denominator-cap -3 --out {tmp}/x.json", 2, "", "error: parameter caps must be positive\n"),
+    ("generate --radius 0 --out {tmp}/x.json", 2, "", "error: radius must be positive\n"),
+    ("generate --classical --params 0,1,3 --radius 0 --out {tmp}/x.json", 2, "", "error: radius must be positive\n"),
+    ("classical --params 0,1,3 --radius -1 --report {tmp}/r.json", 2, "", "error: radius must be positive\n"),
+    ("classical --params 0,0,1 --radius 0 --report {tmp}/r.json", 2, "",
+     "error: classical parameters must be distinct\n"),
+    ("generate --classical --params 0,0,1 --count 2 --out {tmp}/x.json", 2, "",
+     "error: classical parameters must be distinct\n"),
+    ("classical --params 1,2 --report {tmp}/r.json", 2, "", "error: --params needs 3 comma-separated rationals\n"),
+    ("generate --classical --out {tmp}/x.json", 2, "", "error: --classical requires --params t1,t2,t3\n"),
+    ("generate --params 1,2,3 --out {tmp}/x.json", 2, "", "error: --params requires --classical\n"),
+    ("generate --classical --params 0,1,3 --count 2 --out {tmp}/x.json", 2, "",
+     "error: --classical produces exactly one scene\n"),
+    ("render --in {scenes} --index 5 --out {tmp}/f.svg", 1, "", "error: index 5 out of range (file has 1 scenes)\n"),
+    ("render --in {invalid} --layers miquel --out {tmp}/f.svg", 1, "", INVALID_LINES),
+    ("render --in {collapsed} --layers triangles,steiner --out {tmp}/f.svg", 1, "",
+     "error: configuration degenerate, render scene layer only: configuration: collapsed (P = Q)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", FAILURES, ids=[row[0] for row in FAILURES])
+def test_failure_paths(tmp_path, monkeypatch, capsys, argv, code, stdout, stderr):
+    """Each failing command line exits with its code, prints exactly these
+    lines, and leaves no ``--out`` or ``--report`` file behind."""
+    monkeypatch.delenv("BROCARD_OUT_DIR", raising=False)
+    files = {name: str(tmp_path / f"{name}.json") for name in ("scenes", "invalid", "collapsed", "notjson")}
+    write_scene_file(files["scenes"], [generate_scene(SceneParams(seed=42))])
+    doc = json.loads((tmp_path / "scenes.json").read_text())
+    doc["scenes"][0]["gamma"]["f"] = rational_to_str(rational_from_str(doc["scenes"][0]["gamma"]["f"]) + 1)
+    (tmp_path / "invalid.json").write_text(json.dumps(doc))
+    write_scene_file(files["collapsed"], [COLLAPSE_SCENE])
+    (tmp_path / "notjson.json").write_text("{not json")
+    fill = dict(files, tmp=str(tmp_path))
+    args = [part.format(**fill) for part in argv.split()]
+    assert main(args) == code
+    assert capsys.readouterr() == (stdout.format(**fill), stderr.format(**fill))
+    outputs = [args[i + 1] for i, part in enumerate(args) if part in ("--out", "--report")]
+    assert outputs and not any(os.path.exists(path) for path in outputs)
+
+
+@pytest.mark.parametrize("fault", [pipeline.InternalInconsistencyError("T_A: forced"), ValueError("forced")])
+def test_program_faults_escape_main(monkeypatch, capsys, fault):
+    """A fault of the program is not an input error: ``main`` reports no
+    ``error:`` line for it and lets it escape with its traceback."""
+
+    def faulty(scene, check_ids):
+        raise fault
+
+    monkeypatch.setattr(checks, "_suite", faulty)
+    with pytest.raises(type(fault), match="forced"):
+        main(["classical", "--params", "0,1,3"])
+    assert capsys.readouterr() == ("", "")
+
+
 def test_report_omits_timing(tmp_path):
     path = tmp_path / "scenes.json"
     assert main(["generate", "--seed", "5", "--count", "1", "--out", str(path)]) == 0

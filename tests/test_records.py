@@ -1,9 +1,12 @@
 """The value classes are frozen records: ``dataclasses.fields`` and
 ``replace``, which the bench's tracer and the tests use, answer as on the
 frozen dataclass of the same fields, assignment and deletion raise
-``AttributeError``, and equality, hashing and ``repr`` read the fields."""
+``AttributeError``, copying and pickling raise ``TypeError``, and
+equality, hashing and ``repr`` read the fields."""
 
+import copy
 import dataclasses
+import pickle
 from fractions import Fraction as F
 from functools import lru_cache
 from types import SimpleNamespace
@@ -83,6 +86,18 @@ def test_record_keeps_the_dataclass_protocol(cls):
     else:
         fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
         assert repr(value) == f"{cls.__qualname__}({fields})"
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_refuses_copy_and_pickle(cls):
+    """A record is an immutable value, shared rather than copied: a copy of
+    a slotted record would go through the frozen ``__setattr__``, and one of
+    a ``__dict__`` record would carry its caches."""
+    value = values()[cls]
+    message = f"^{cls.__qualname__} is an immutable value: share it instead of copying or pickling it$"
+    for duplicate in (copy.copy, copy.deepcopy, pickle.dumps):
+        with pytest.raises(TypeError, match=message):
+            duplicate(value)
 
 
 @pytest.mark.parametrize(

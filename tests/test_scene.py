@@ -248,8 +248,15 @@ class TestClassical:
         assert validate_scene(s) == []
 
     def test_repeated_parameters(self):
-        with pytest.raises(GenerationExhausted):
+        with pytest.raises(ValueError, match="^classical parameters must be distinct$"):
             classical_brocard_scene(0, 0, 1)
+
+    @pytest.mark.parametrize("radius", [0, -1, "-1/2"])
+    def test_nonpositive_radius(self, radius):
+        with pytest.raises(ValueError, match="^radius must be positive$"):
+            classical_brocard_scene(0, 1, 3, radius=radius)
+        with pytest.raises(ValueError, match="^classical parameters must be distinct$"):
+            classical_brocard_scene(0, 0, 1, radius=radius)
 
 
 def _ref_kwon_scene(seed):
