@@ -24,8 +24,8 @@ LAYERS = ("scene", "miquel", "triangles", "brocard-circle", "steiner")
 # Each public name under the submodule that defines it.
 _EXPORTS = {
     "geom": (
-        "Circle", "ComplexScalar", "Degenerate", "DirectedAngleClass", "GeometryError",
-        "InverseSimilarity", "Line", "ParallelLines", "Point", "Triangle", "spiral_ratio",
+        "Circle", "ComplexScalar", "Degenerate", "GeometryError", "InverseSimilarity", "Line",
+        "ParallelLines", "Point", "Triangle", "spiral_ratio",
     ),
     "pipeline": (
         "ClassicalOverlay", "Configuration", "InternalInconsistencyError", "classical_overlay",

@@ -45,7 +45,6 @@ from .geom import (
     Circle,
     ComplexScalar,
     Degenerate,
-    DirectedAngleClass,
     GeometryError,
     Line,
     Point,
@@ -59,6 +58,7 @@ from .geom import (
     _angle,
     _angle_at,
     _area,
+    _canonical_ints,
     _center,
     _foot,
     _image,
@@ -98,11 +98,10 @@ _SUITE: Dict[str, Tuple[Callable[[Configuration, str], CheckResult], bool]] = {}
 
 #: A line, point or complex number as its value or as the raw coefficient
 #: triple of a ``geom`` helper, a circle as its value or the raw
-#: ``(d, e, f, v)`` of one, and an angle class as the raw ``(cross, dot)``
-#: pair of one; see ``_Recorder``.
+#: ``(d, e, f, v)`` of one, and an angle as the raw ``(cross, dot)`` pair
+#: of ``_angle`` or ``_angle_at``; see ``_Recorder``.
 Coefficients = Union[Line, Tuple[int, int, int]]
-PointLike = Union[Point, Tuple[int, int, int]]
-ComplexLike = Union[ComplexScalar, Tuple[int, int, int]]
+PointLike = Union[Point, ComplexScalar, Tuple[int, int, int]]
 CircleLike = Union[Circle, Tuple[int, int, int, int]]
 AnglePair = Tuple[int, int]
 
@@ -173,18 +172,19 @@ class _Recorder:
 
     Reduced where kept or written; raw for one meet or one comparison.
     The line predicates take a ``Line`` or the raw triple of a ``geom``
-    helper (``_join``, ``_parallel``, ...), ``points_equal`` and
-    ``complex_equal`` a value or a raw triple (``_isogonal``, ``_image``,
-    ``_midpoint``, ``_spiral``, ...), ``point_on_circle`` a ``Circle`` or
-    the raw ``(d, e, f, v)`` of ``_circle_through``, and ``angles_equal``
-    the raw ``(cross, dot)`` pairs of ``_angle`` and ``_angle_at``.  Each
-    decides on the raw values, by a scale-invariant residual or by
-    cross-multiplication, and only a FAIL builds the canonical values,
-    whose residual or difference is the witness.  An incidence with the
-    circle through three points (``on_miquel_circle``, off a tangent-circle
-    limit) is decided on the cross ratio, and only a FAIL builds the circle.
-    The helpers raise what the public functions raise, so no zero
-    normal or zero denominator reaches a predicate."""
+    helper (``_join``, ``_parallel``, ...), ``points_equal`` two points or
+    two complex numbers, each a value or a raw triple (``_isogonal``,
+    ``_image``, ``_midpoint``, ``_spiral``, ``_quotient``, ...),
+    ``point_on_circle`` a ``Circle`` or the raw ``(d, e, f, v)`` of
+    ``_circle_through``, and ``angles_equal`` the raw ``(cross, dot)``
+    pairs of ``_angle`` and ``_angle_at``.  Each decides on the raw values,
+    by a scale-invariant residual or by cross-multiplication.  Only a FAIL
+    builds its witness: the residual of the canonical lines, circle or
+    angle pairs (``_canonical_ints``), or the exact coordinate difference.
+    An incidence with the circle through three points (``on_miquel_circle``,
+    off a tangent-circle limit) is decided on the cross ratio, and only a
+    FAIL builds the circle.  The helpers raise what the public functions
+    raise, so no zero normal or zero denominator reaches a predicate."""
 
     def __init__(self):
         self.assertions: List[Assertion] = []
@@ -225,20 +225,16 @@ class _Recorder:
         return self._failed(label, dist2(center, p) - dist2(center, q))
 
     def points_equal(self, label: str, p: PointLike, q: PointLike) -> bool:
+        """p == q for two points or two complex numbers; a FAIL's witnesses
+        are the coordinates of p - q."""
         if _same(p, q):
             return self._passed(label, 2)
-        d = _value(Point, p) - _value(Point, q)
-        return self._failed(label, d.x, d.y)
-
-    def complex_equal(self, label: str, z: ComplexLike, w: ComplexLike) -> bool:
-        if _same(z, w):
-            return self._passed(label, 2)
-        d = _value(ComplexScalar, z) - _value(ComplexScalar, w)
-        return self._failed(label, d.re, d.im)
+        dx, dy, dw = _sum(p if type(p) is tuple else p.h, q if type(q) is tuple else q.h, -1)
+        return self._failed(label, Fraction(dx, dw), Fraction(dy, dw))
 
     def point_on_circle(self, label: str, p: Point, c: CircleLike) -> bool:
         if _power(p, c if type(c) is tuple else c.h)[0]:
-            return self._failed(label, _value(Circle, c).eval(p))
+            return self._failed(label, (_reduced(Circle, *c) if type(c) is tuple else c).eval(p))
         return self._passed(label)
 
     def on_miquel_circle(self, label: str, m: Point, *circle) -> bool:
@@ -267,8 +263,8 @@ class _Recorder:
 
     def angles_equal(self, label: str, x: AnglePair, y: AnglePair) -> bool:
         if x[0] * y[1] - y[0] * x[1]:
-            x, y = DirectedAngleClass(*x), DirectedAngleClass(*y)
-            return self._failed(label, x.cross * y.dot - y.cross * x.dot)
+            x, y = (_canonical_ints("angle class", "(cross, dot) is zero", *pair) for pair in (x, y))
+            return self._failed(label, x[0] * y[1] - y[0] * x[1])
         return self._passed(label)
 
     def lines_equal(self, label: str, l1: Coefficients, l2: Coefficients) -> bool:
@@ -283,11 +279,6 @@ class _Recorder:
                 l1.b * l2.c - l2.b * l1.c,
             )
         return self._passed(label, 3)
-
-
-def _value(cls, v):
-    """v itself, or the ``cls`` value of the raw tuple v."""
-    return _reduced(cls, *v) if type(v) is tuple else v
 
 
 def _same(u, v) -> bool:
@@ -403,10 +394,10 @@ def check_rotation_angles(rec: _Recorder, cfg: Configuration) -> None:
     rp_ab = _spiral(cfg.p, s.c1, ab)
     rq_ca = _spiral(cfg.q, s.b2, ca)
     rq_ab = _spiral(cfg.q, s.c2, ab)
-    rec.complex_equal("r_P agrees on BC and CA", cfg.r_p, rp_ca)
-    rec.complex_equal("r_P agrees on CA and AB", rp_ca, rp_ab)
-    rec.complex_equal("r_Q agrees on BC and CA", cfg.r_q, rq_ca)
-    rec.complex_equal("r_Q agrees on CA and AB", rq_ca, rq_ab)
+    rec.points_equal("r_P agrees on BC and CA", cfg.r_p, rp_ca)
+    rec.points_equal("r_P agrees on CA and AB", rp_ca, rp_ab)
+    rec.points_equal("r_Q agrees on BC and CA", cfg.r_q, rq_ca)
+    rec.points_equal("r_Q agrees on CA and AB", rq_ca, rq_ab)
     _, im, w = _times(cfg.r_p.h, cfg.r_q.h)
     rec.scalar_zero("Im(r_P * r_Q) == 0", im, w)
 
@@ -485,7 +476,7 @@ def check_first_triangle_similarity(rec: _Recorder, cfg: Configuration) -> None:
     rec.points_equal("similarity fitted on A, B sends C to T_C", _image(cfg.similarity, s.c), cfg.t_c)
     lhs = _quotient(_sum(cfg.t_b.h, cfg.t_a.h, -1), _sum(cfg.t_c.h, cfg.t_a.h, -1))
     x, y, w = _quotient(_sum(s.b.h, s.a.h, -1), _sum(s.c.h, s.a.h, -1))
-    rec.complex_equal("(T_B-T_A)/(T_C-T_A) == conj((B-A)/(C-A))", lhs, (x, -y, w))
+    rec.points_equal("(T_B-T_A)/(T_C-T_A) == conj((B-A)/(C-A))", lhs, (x, -y, w))
 
 
 @_check()
@@ -598,8 +589,8 @@ def check_lemma_spiral(
         r1 = _spiral(m, d, bc)
         r2 = _spiral(m, e, ca)
         r3 = _spiral(m, f, ab)
-        rec.complex_equal("spiral ratio equal on BC and CA", r1, r2)
-        rec.complex_equal("spiral ratio equal on CA and AB", r2, r3)
+        rec.points_equal("spiral ratio equal on BC and CA", r1, r2)
+        rec.points_equal("spiral ratio equal on CA and AB", r2, r3)
 
     return _run("check_lemma_spiral", body)
 

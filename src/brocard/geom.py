@@ -23,30 +23,32 @@ Conventions:
   difference, and "second intersection through a known common point"
   reduces to Vieta's formulas.  No square root is ever taken; the general
   two-circle intersection (which would need one) is deliberately absent.
-* Angles between lines are projective classes (cross : dot) modulo pi,
-  compared by cross-multiplication.  Arc measures and inverse
-  trigonometric functions are never computed.
+* An angle between two lines modulo pi is the raw pair (cross, dot) of
+  ``_angle`` or ``_angle_at``, and a complex ratio the raw triple of
+  ``_sum``, ``_times`` or ``_quotient``; ``ComplexScalar`` is the stored
+  form of a ratio that is kept.  Arc measures and inverse trigonometric
+  functions are never computed.
 * Reduced where kept or written; raw for one meet or one comparison.
   Each raw helper returns an unreduced integer tuple, and on a degenerate
   input raises the exception class, with the same message, that the
   public function reducing it raises: ``_join`` the line of
-  ``line_through``; ``_meet``, ``_center``, ``_foot``, ``_isogonal`` and
-  ``_image`` the points of ``intersect_lines``, ``Circle.center``,
-  ``foot_perpendicular``, ``isogonal_conjugate`` and
-  ``InverseSimilarity.apply``; ``_spiral`` the ratio of ``spiral_ratio``;
-  ``_circle_through`` and ``_circumcenter`` the circle of ``circumcircle``
-  and its center.  The others have no public form: ``_parallel``,
-  ``_perpendicular`` and ``_bisector`` the parallel and perpendicular
-  through a point and the perpendicular bisector, ``_polar`` the polar of
-  a point, ``_antipode`` a point reflected in a circle's center,
-  ``_midpoint`` the midpoint, ``_angle`` and ``_angle_at`` the (cross, dot)
-  of two lines and of the two lines through a vertex, and ``_concyclic`` an
-  incidence with the circle through three points, decided on their cross
-  ratio.  A line that feeds one meet, and a point, ratio or circle built
-  for one comparison, stays raw: the meet is reduced once, and an
-  incidence, an angle equality or an equality of two values decides on
-  the raw tuples (by a scale-invariant residual or by cross-multiplication).
-  A value kept, reused or written is reduced.
+  ``line_through``; ``_meet``, ``_center``, ``_foot`` and ``_isogonal``
+  the points of ``intersect_lines``, ``Circle.center``,
+  ``foot_perpendicular`` and ``isogonal_conjugate``; ``_spiral`` the ratio
+  of ``spiral_ratio``; ``_circle_through`` and ``_circumcenter`` the
+  circle of ``circumcircle`` and its center.  The others have no public
+  form: ``_image`` the image under an ``InverseSimilarity``,
+  ``_parallel``, ``_perpendicular`` and ``_bisector`` the parallel and
+  perpendicular through a point and the perpendicular bisector, ``_polar``
+  the polar of a point, ``_antipode`` a point reflected in a circle's
+  center, ``_midpoint`` the midpoint, ``_angle`` and ``_angle_at`` the
+  (cross, dot) of two lines and of the two lines through a vertex, and
+  ``_concyclic`` an incidence with the circle through three points,
+  decided on their cross ratio.  A line that feeds one meet, and a point,
+  ratio, angle or circle built for one comparison, stays raw: the meet is
+  reduced once, and an incidence or an equality of two angles or values
+  decides on the raw tuples (by a scale-invariant residual or by
+  cross-multiplication).  A value kept, reused or written is reduced.
 * Every value class of the package is a frozen record (``_record``): a
   plain value that compares, hashes and prints by its annotated fields and
   refuses assignment, copying and pickling.  It answers
@@ -213,9 +215,9 @@ def _det3(a, b, c, d, e, f, g, h, i):
 # below compute with plain ints on these tuples and reduce each output
 # tuple once, by one gcd, in ``_reduced``: Fraction arithmetic reduces by
 # gcd on every operation, which dominates at the coordinate sizes scenes
-# reach.  Equality and hashing compare the tuples.  Lines and angle
-# classes are canonicalized once the same way: each constructor makes one
-# pass through ``_canonical_ints`` and sets its integer fields once.  Only
+# reach.  Equality and hashing compare the tuples.  Lines are
+# canonicalized once the same way: the constructor makes one pass through
+# ``_canonical_ints`` and sets its integer fields once.  Only
 # what is kept or written is reduced: each public construction reduces a
 # raw helper's output, which a single meet or comparison reads instead.
 
@@ -312,19 +314,6 @@ class Point:
         return f"Point({self.x}, {self.y})"
 
 
-def cross(u: Point, v: Point) -> Fraction:
-    """2D cross product of two displacement vectors."""
-    x1, y1, w1 = u.h
-    x2, y2, w2 = v.h
-    return Fraction(x1 * y2 - y1 * x2, w1 * w2)
-
-
-def dot(u: Point, v: Point) -> Fraction:
-    x1, y1, w1 = u.h
-    x2, y2, w2 = v.h
-    return Fraction(x1 * x2 + y1 * y2, w1 * w2)
-
-
 def dist2(p: Point, q: Point) -> Fraction:
     """Squared distance.  Plain distance would need a square root."""
     x, y, w = _sum(q.h, p.h, -1)
@@ -372,26 +361,6 @@ class ComplexScalar:
 
     re = _view(0)
     im = _view(1)
-
-    def conj(self) -> "ComplexScalar":
-        x, y, w = self.h
-        return _reduced(ComplexScalar, x, -y, w)
-
-    def __add__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return _reduced(ComplexScalar, *_sum(self.h, other.h, 1))
-
-    def __sub__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return _reduced(ComplexScalar, *_sum(self.h, other.h, -1))
-
-    def __neg__(self) -> "ComplexScalar":
-        x, y, w = self.h
-        return _reduced(ComplexScalar, -x, -y, w)
-
-    def __mul__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return _reduced(ComplexScalar, *_times(self.h, other.h))
-
-    def __truediv__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return _reduced(ComplexScalar, *_quotient(self.h, other.h))
 
 
 # ---------------------------------------------------------------------------
@@ -503,31 +472,7 @@ _set_h = {cls: cls.h.__set__ for cls in (Point, ComplexScalar, Circle)}
 
 
 # ---------------------------------------------------------------------------
-# Directed angles modulo pi
-
-
-@_record
-class DirectedAngleClass:
-    """Angle between two lines modulo pi, as the projective pair (cross : dot).
-
-    Classes (u, v) and (k*u, k*v) are equal for any k != 0; canonicalization
-    to a coprime integer pair makes that structural.
-    """
-
-    __slots__ = ("cross", "dot")
-    cross: int
-    dot: int
-
-    def __init__(self, cross: RationalLike, dot: RationalLike):
-        cross, dot = _canonical_ints("angle class", "(cross, dot) is zero", cross, dot)
-        _angle_cross(self, cross)
-        _angle_dot(self, dot)
-
-    def __neg__(self) -> "DirectedAngleClass":
-        return DirectedAngleClass(-self.cross, self.dot)
-
-
-_angle_cross, _angle_dot = DirectedAngleClass.cross.__set__, DirectedAngleClass.dot.__set__
+# Directed angles modulo pi, as raw (cross, dot) pairs
 
 
 def _angle(l1, l2) -> Tuple[int, int]:
@@ -912,12 +857,9 @@ class InverseSimilarity:
     alpha: ComplexScalar
     beta: ComplexScalar
 
-    def apply(self, p: Point) -> Point:
-        return _reduced(Point, *_image(self, p))
-
 
 def _image(sim: InverseSimilarity, p: Point) -> _Triple:
-    """The unreduced ``sim.apply(p)``."""
+    """The unreduced image of p under sim."""
     x, y, w = p.h
     return _sum(_times(sim.alpha.h, (x, -y, w)), sim.beta.h, 1)
 

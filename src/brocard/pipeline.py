@@ -51,8 +51,6 @@ from .geom import (
     Triangle,
     circle_through_tangent,
     circumcircle,
-    cross,
-    dot,
     intersect_lines,
     inverse_similarity_map,
     isogonal_conjugate,
@@ -74,6 +72,7 @@ from .geom import (
     _record,
     _reduced,
     _second_common,
+    _sum,
 )
 from .scene import Scene
 
@@ -474,12 +473,14 @@ def _perspective_lines(
 
 def tangent_of_angle(vertex: Point, toward1: Point, toward2: Point) -> Fraction:
     """Exact tangent of the directed angle at ``vertex`` from the ray toward
-    ``toward1`` to the ray toward ``toward2`` (cross over dot)."""
-    u, v = toward1 - vertex, toward2 - vertex
-    d = dot(u, v)
-    if d == 0:
+    ``toward1`` to the ray toward ``toward2``: cross over dot of the two
+    differences, whose denominators cancel in the quotient."""
+    x1, y1, _ = _sum(toward1.h, vertex.h, -1)
+    x2, y2, _ = _sum(toward2.h, vertex.h, -1)
+    dot = x1 * x2 + y1 * y2
+    if dot == 0:
         raise Degenerate("angle tangent", "right angle has no finite tangent")
-    return cross(u, v) / d
+    return Fraction(x1 * y2 - y1 * x2, dot)
 
 
 def classical_overlay(cfg: Configuration) -> ClassicalOverlay:

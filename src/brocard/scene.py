@@ -154,11 +154,12 @@ class KwonScene:
 
 def circle_point_from_parameter(t: RationalLike, center: Point, radius: RationalLike) -> Point:
     """Rational point of the circle at tangent half-angle parameter t:
-    center + radius * ((1 - t^2)/(1 + t^2), 2t/(1 + t^2))."""
+    center + radius * ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)).  A nonpositive
+    radius raises ``ValueError``."""
     n, d = rat(t).as_integer_ratio()
     rn, rd = rat(radius).as_integer_ratio()
     if rn <= 0:
-        raise Degenerate("circle parametrization", "radius must be positive")
+        raise ValueError("radius must be positive")
     x, y, w = center.h
     den = rd * (d * d + n * n)
     return _reduced(Point, x * den + w * rn * (d * d - n * n), y * den + w * 2 * rn * n * d, w * den)
@@ -315,8 +316,6 @@ def classical_brocard_scene(
     if len(set(values)) != 3:
         raise ValueError("classical parameters must be distinct")
     radius = rat(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     a, b, c = (circle_point_from_parameter(t, center, radius) for t in values)
     if orientation(a, b, c) < 0:
         b, c = c, b

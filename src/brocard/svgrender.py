@@ -142,12 +142,15 @@ def render_svg(
     digits: int = 9,
 ) -> str:
     """Produce an SVG document.  Layers other than "scene" are drawn from
-    ``cfg`` and skipped when it has collapsed (P = Q); a selection that
-    leaves nothing to draw raises ``ValueError`` when it is empty and
-    ``Degenerate`` when only such layers remain."""
+    ``cfg`` and skipped when it has collapsed (P = Q).  A selection that
+    leaves nothing to draw raises ``ValueError`` when it is empty or ``cfg``
+    is None, and ``Degenerate`` when ``cfg`` has collapsed."""
     check_layers(layers)
-    if "scene" not in layers and (cfg is None or cfg.collapsed):
-        raise Degenerate("configuration", "collapsed (P = Q)" if cfg is not None else "not given")
+    if "scene" not in layers:
+        if cfg is None:
+            raise ValueError("layers other than 'scene' need a configuration")
+        if cfg.collapsed:
+            raise Degenerate("configuration", "collapsed (P = Q)")
     canvas = _Canvas(digits)
 
     span = [float(max(abs(p.x) for p in scene.vertices)), float(max(abs(p.y) for p in scene.vertices))]

@@ -19,7 +19,6 @@ from brocard.checks import (
 from brocard.cli import main
 from brocard.geom import (
     Circle,
-    DirectedAngleClass,
     GeometryError,
     Line,
     Point,
@@ -33,6 +32,7 @@ from brocard.geom import (
     pole_of_line,
     second_intersection_circles,
     _bisector,
+    _canonical_ints,
     _polar,
 )
 from brocard.pipeline import (
@@ -273,6 +273,9 @@ def test_criterion_6_kernel_property_suites():
         done += 1
 
     # canonicalization: idempotent and equality-complete on scaled triples
+    def angle_pair(cross, dot):
+        return _canonical_ints("angle class", "(cross, dot) is zero", cross, dot)
+
     done = 0
     while done < 1000 and ok:
         a, b, c = rand_rat(), rand_rat(), rand_rat()
@@ -284,11 +287,9 @@ def test_criterion_6_kernel_property_suites():
         l = Line(a, b, c)
         if Line(l.a, l.b, l.c) != l or Line(scale * a, scale * b, scale * c) != l:
             ok = False
-        u, v = a, b
-        if u != 0 or v != 0:
-            cls = DirectedAngleClass(u, v)
-            if DirectedAngleClass(cls.cross, cls.dot) != cls or DirectedAngleClass(scale * u, scale * v) != cls:
-                ok = False
+        pair = angle_pair(a, b)  # the class of an angle between lines
+        if angle_pair(*pair) != pair or angle_pair(scale * a, scale * b) != pair:
+            ok = False
         done += 1
 
     _report("6 (kernel invariants, 1000 random cases each)", ok)

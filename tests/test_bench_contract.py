@@ -20,7 +20,7 @@ from pathlib import Path
 
 import brocard
 from brocard import checks, geom, sceneio
-from brocard.geom import DirectedAngleClass, Line
+from brocard.geom import Line
 from brocard.scene import SceneParams, generate_scene
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,14 +126,15 @@ def test_fraction_operations_of_one_suite_run(monkeypatch):
     assert sum(nc for fn_name, nc in calls if fn_name == "__new__") <= FRACTION_NEW_SEED7 * 1.1
 
 
-#: ``Line.__init__`` and ``DirectedAngleClass.__init__`` calls in the same
-#: run: 19 and 0 since the Kwon draw's Miquel points read raw sidelines,
-#: 21 and 0 since a line that feeds one meet or one foot stays a raw
-#: triple, 38 and 0 while the T-vertex, Steiner-point, hexagon and Kwon
-#: meets took canonical lines, 85 and 17 while every check body and
-#: ``angle_at`` built throwaway lines and classes for one-off tests.
+#: ``Line.__init__`` calls in the same run: 19 since the Kwon draw's
+#: Miquel points read raw sidelines, 21 since a line that feeds one meet or
+#: one foot stays a raw triple, 38 while the T-vertex, Steiner-point,
+#: hexagon and Kwon meets took canonical lines, 85 while every check body
+#: built throwaway lines for one-off tests.  An angle pair is canonicalized
+#: only for a FAIL witness (17 angle classes were built per run while
+#: ``angle_at`` built them), so ``geom._canonical_ints``, which every
+#: ``Line`` calls once, is bounded by the same count.
 LINE_NEW_SEED7 = 19
-ANGLE_NEW_SEED7 = 0
 
 #: ``geom._reduced`` calls in the same run: 69 since the cyclic lemma's
 #: quadrangle Miquel point meets two raw circles, 71 since no circle is
@@ -178,12 +179,12 @@ def _calls_of(calls, fn):
 
 def test_line_and_angle_constructions_of_one_suite_run():
     """Each bound with 10% slack: a check body that builds a throwaway
-    ``Line`` or ``DirectedAngleClass`` for a one-off incidence or angle
-    test fails, and so does a meet that canonicalizes its lines."""
+    ``Line`` for a one-off incidence, or canonicalizes an angle pair on a
+    PASS, fails, and so does a meet that canonicalizes its lines."""
     calls, all_pass = _suite_calls()
     assert all_pass
     assert _calls_of(calls, Line.__init__) <= LINE_NEW_SEED7 * 1.1
-    assert _calls_of(calls, DirectedAngleClass.__init__) <= ANGLE_NEW_SEED7 * 1.1
+    assert _calls_of(calls, geom._canonical_ints) <= LINE_NEW_SEED7 * 1.1
     assert _calls_of(calls, Line.__init__) > 0  # the lines the configuration keeps
 
 

@@ -443,23 +443,21 @@ class TestLemmaChecks:
 
     def test_cyclic_quadrangle_needs_a_rational_radius(self):
         """The quadrangle lies on the circle at the exact rational root of
-        its squared radius.  A zero radius cannot be parametrized, and a
-        squared radius that is not a rational square, or is negative, raises
-        the named ``Degenerate``, never ``isqrt``'s ``ValueError``."""
+        its squared radius.  A zero radius cannot be parametrized, which is
+        the ``ValueError`` of ``circle_point_from_parameter``, and a squared
+        radius that is not a rational square, or is negative, raises the
+        named ``Degenerate``, never ``isqrt``'s ``ValueError``."""
         center = Point(F(1, 3), -2)
         circle = Circle.from_center_radius2(center, F(4, 9))
         quad = build_cyclic_quadrangle(circle)
         assert quad[0] == center + Point(F(2, 3), 0)  # t = 0: the radius 2/3 along x
         assert len(set(quad)) == 4 and all(geom.on_circle(p, circle) for p in quad)
-        for coefficients, name in (
-            ((0, 0, 0), "circle parametrization"),
-            ((0, 0, -2), "cyclic quadrangle"),
-            ((0, 0, F(-4, 3)), "cyclic quadrangle"),
-            ((0, 0, 1), "cyclic quadrangle"),
-        ):
+        with pytest.raises(ValueError, match="^radius must be positive$"):
+            build_cyclic_quadrangle(Circle(0, 0, 0))
+        for coefficients in ((0, 0, -2), (0, 0, F(-4, 3)), (0, 0, 1)):
             with pytest.raises(geom.Degenerate) as err:
                 build_cyclic_quadrangle(Circle(*coefficients))
-            assert err.value.name == name
+            assert err.value.name == "cyclic quadrangle"
 
     def test_cyclic_parallel_sides_degenerate(self):
         square = (Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1))
@@ -621,17 +619,20 @@ class TestWitnessFidelity:
 
     def test_angle_witnesses_are_canonical_residuals(self, seed7_scene, seed7_cfg):
         """Checks that decide on raw (cross, dot) pairs still fail with the
-        residual of the canonical angle classes and lines."""
+        residual of the canonical angle pairs and lines."""
         s, cfg = seed7_scene, seed7_cfg
 
         def residual(x, y):
-            return x.cross * y.dot - y.cross * x.dot
+            return x[0] * y[1] - y[0] * x[1]
+
+        def canonical(cross, dot):
+            return geom._canonical_ints("angle class", "(cross, dot) is zero", cross, dot)
 
         def angle(l1, l2):
-            return geom.DirectedAngleClass(*geom._angle(l1, l2))
+            return canonical(*geom._angle(l1, l2))
 
         def angle_at(vertex, p, q):
-            return geom.DirectedAngleClass(*geom._angle_at(vertex, p, q))
+            return canonical(*geom._angle_at(vertex, p, q))
 
         moved = dataclasses.replace(cfg, a_prime=cfg.a_prime + Point(F(1, 7), F(-2, 9)))
         result = ck.check_brocard_circle(moved)
@@ -649,7 +650,7 @@ class TestWitnessFidelity:
         aq = angle(line_through(s.a2, cfg.q), bc)
         assert self._failed(result, "ang(P,A1,A2) == ang(P,B1,B2)") == (residual(ap, bp),)
         assert self._failed(result, "ang(P,B1,B2) == ang(P,C1,C2)") == (residual(bp, cp),)
-        assert self._failed(result, "ang(P,C1,C2) == -ang(Q,A2,A1)") == (residual(cp, -aq),)
+        assert self._failed(result, "ang(P,C1,C2) == -ang(Q,A2,A1)") == (residual(cp, canonical(-aq[0], aq[1])),)
         cq = angle(line_through(s.c2, cfg.q), ab)
         assert result.notes == (f"literal positive-sign reading ang(P,A1,A2) == +ang(Q,C2,C1): {ap == cq}",)
         # The note compares classes, not raw pairs: with A1P perpendicular
@@ -683,17 +684,21 @@ class TestWitnessFidelity:
 
     @staticmethod
     def _difference(u, v):
-        """The witnesses of a point or complex equality: the coordinates of
-        the difference of the canonical values."""
-        d = u - v
-        return (d.x, d.y) if isinstance(d, Point) else (d.re, d.im)
+        """The witnesses of a point or complex equality: the differences of
+        the coordinates of the canonical values."""
+        if isinstance(u, Point):
+            return u.x - v.x, u.y - v.y
+        return u.re - v.re, u.im - v.im
 
     def test_point_and_ratio_witnesses_are_canonical_differences(self, seed7_scene, seed7_cfg):
         """Checks that compare raw points, ratios and circles still fail
         with the difference or residual of the canonical values."""
         s, cfg = seed7_scene, seed7_cfg
-        shift, cshift = Point(F(1, 7), F(-2, 9)), ComplexScalar(F(1, 7), F(-2, 9))
+        shift = Point(F(1, 7), F(-2, 9))
         diff = self._difference
+
+        def image(p):
+            return geom._reduced(Point, *geom._image(cfg.similarity, p))
 
         moved = dataclasses.replace(cfg, q=cfg.q + shift)
         expected = diff(geom.isogonal_conjugate(cfg.p, s.a, s.b, s.c), moved.q)
@@ -701,19 +706,20 @@ class TestWitnessFidelity:
 
         moved = dataclasses.replace(cfg, t_c=cfg.t_c + shift)
         result = ck.check_first_triangle_similarity(moved)
-        expected = diff(cfg.similarity.apply(s.c), moved.t_c)
+        expected = diff(image(s.c), moved.t_c)
         assert self._failed(result, "similarity fitted on A, B sends C to T_C") == expected
         lhs = geom._reduced(ComplexScalar, *geom._quotient((cfg.t_b - cfg.t_a).h, (moved.t_c - cfg.t_a).h))
-        rhs = geom._reduced(ComplexScalar, *geom._quotient((s.b - s.a).h, (s.c - s.a).h)).conj()
+        ratio = geom._reduced(ComplexScalar, *geom._quotient((s.b - s.a).h, (s.c - s.a).h))
+        rhs = ComplexScalar(ratio.re, -ratio.im)
         assert self._failed(result, "(T_B-T_A)/(T_C-T_A) == conj((B-A)/(C-A))") == diff(lhs, rhs)
         assert self._failed(ck.check_polygon_similarity(moved), "map sends C to T_C") == expected
 
-        for field, label, image in (("r", "map sends S_t to R", cfg.steiner), ("o", "map sends T_a to O", cfg.tarry)):
+        for field, label, source in (("r", "map sends S_t to R", cfg.steiner), ("o", "map sends T_a to O", cfg.tarry)):
             moved = dataclasses.replace(cfg, **{field: getattr(cfg, field) + shift})
-            expected = diff(cfg.similarity.apply(image), getattr(moved, field))
+            expected = diff(image(source), getattr(moved, field))
             assert self._failed(ck.check_polygon_similarity(moved), label) == expected
         moved = dataclasses.replace(cfg, perspector=cfg.perspector + shift)
-        expected = diff(cfg.similarity.apply(cfg.r_star), moved.perspector)
+        expected = diff(image(cfg.r_star), moved.perspector)
         assert self._failed(ck.check_perspective(moved), "map sends R* to S") == expected
 
         moved = dataclasses.replace(cfg, tarry=cfg.tarry + shift)
@@ -724,11 +730,12 @@ class TestWitnessFidelity:
         assert self._failed(ck.check_brocard_circle(moved), "midpoint(O, R) == center") == expected
 
         bc, ca, ab = s.triangle.sides
-        moved = dataclasses.replace(cfg, r_p=cfg.r_p + cshift)
+        moved = dataclasses.replace(cfg, r_p=ComplexScalar(cfg.r_p.re + F(1, 7), cfg.r_p.im - F(2, 9)))
         result = ck.check_rotation_angles(moved)
         expected = diff(moved.r_p, geom.spiral_ratio(cfg.p, s.b1, ca))
         assert self._failed(result, "r_P agrees on BC and CA") == expected
-        assert self._failed(result, "Im(r_P * r_Q) == 0") == ((moved.r_p * cfg.r_q).im,)
+        im = moved.r_p.re * cfg.r_q.im + moved.r_p.im * cfg.r_q.re
+        assert self._failed(result, "Im(r_P * r_Q) == 0") == (im,)
         assert all(type(w) is F for a in result.failed_assertions for w in a.witnesses)
 
         # A spiral point moved along its side keeps "D on BC" but moves two
@@ -912,7 +919,8 @@ class TestComputedOnce:
     def test_rotation_check_reads_the_stored_ratios(self, seed7_cfg):
         cfg = seed7_cfg
         for field_, label in (("r_p", "r_P agrees on BC and CA"), ("r_q", "r_Q agrees on BC and CA")):
-            bad = dataclasses.replace(cfg, **{field_: getattr(cfg, field_) + ComplexScalar(0, 1)})
+            ratio = getattr(cfg, field_)
+            bad = dataclasses.replace(cfg, **{field_: ComplexScalar(ratio.re, ratio.im + 1)})
             result = ck.check_rotation_angles(bad)
             assert result.status == FAIL
             failed = {a.label: a.witnesses for a in result.failed_assertions}

@@ -23,14 +23,17 @@ from brocard.checks import (
     DEGENERATE,
     FAIL,
     PASS,
+    SPIRAL_SCALE,
     Assertion,
     CheckResult,
     SuiteReport,
+    build_spiral_points,
     check_equidistant,
+    check_lemma_spiral,
     run_suite,
 )
 from brocard.cli import main
-from brocard.geom import GeometryError, Point
+from brocard.geom import ComplexScalar, GeometryError, Point
 from brocard.pipeline import compute_configuration
 from brocard.scene import (
     SceneParams,
@@ -444,6 +447,17 @@ class TestCliRender:
         svg = "{http://www.w3.org/2000/svg}"
         assert [g.get("id") for g in ET.fromstring(fig.read_text()).iter(svg + "g")] == ["scene"]
 
+    def test_layers_without_a_configuration_are_a_caller_error(self):
+        """Layers other than "scene" drawn without a configuration are a
+        ``ValueError``, not a degeneracy of the scene."""
+        from brocard.svgrender import render_svg
+
+        scene = generate_scene(SceneParams(seed=42))
+        for layers in (("miquel",), ("triangles", "steiner")):
+            with pytest.raises(ValueError, match="^layers other than 'scene' need a configuration$"):
+                render_svg(scene, None, layers)
+        assert "<svg" in render_svg(scene, None, ("scene",))
+
     def test_render_does_not_affect_verification(self, scene_file, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         assert main(["verify", "--in", str(scene_file), "--report", str(r1)]) == 0
@@ -677,6 +691,7 @@ class TestGoldenBytes:
     REPORT_SHA = "dd0dad47468e4653d814343d28422ca818d976d16186a74a90349e3a5ff45dd7"
     CLASSICAL_REPORT_SHA = "97742f22d8116832bebb4f9860089f0213ddf49e598ee92d1ee396230033de67"
     DEGENERATE_REPORT_SHA = "578c184bcd94d48a9ec69021b9e0cd4a9b141ba6c4982be7d8b142d858d78f62"
+    FAIL_REPORT_SHA = "81eb74d83e0400e736cec0d5ffe8698f5fe6c7a1210da609857f5b82d11e18d6"
 
     def test_scene_file_golden(self, tmp_path):
         import hashlib
@@ -709,6 +724,42 @@ class TestGoldenBytes:
         write_scene_file(str(scenes), [generated[0], COLLAPSE_SCENE, generated[1]])
         assert main(["verify", "--in", str(scenes), "--report", str(report)]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == self.DEGENERATE_REPORT_SHA
+
+    def test_fail_report_golden(self, tmp_path):
+        """Every predicate of the checks' recorder FAILs with its witnesses:
+        the suite on the seed-7 configuration with one object moved at a
+        time (P for the angle chain, Q, T_C, R, A', A0, the perspector, and
+        r_P moved by i), on a classical configuration with P moved (the
+        scalar equalities), and the spiral lemma with a spiral point moved
+        along its side (the Miquel-circle incidences)."""
+        scene = generate_scene(SceneParams(seed=7))
+        cfg = compute_configuration(scene)
+        shift = Point(F(1, 7), F(-2, 9))
+        moved = [
+            dataclasses.replace(cfg, **{name: getattr(cfg, name) + shift})
+            for name in ("p", "q", "t_c", "r", "a_prime", "a0", "perspector")
+        ]
+        moved.append(dataclasses.replace(cfg, r_p=ComplexScalar(cfg.r_p.re, cfg.r_p.im + 1)))
+        classical = compute_configuration(classical_brocard_scene(0, 1, 3))
+        moved.append(dataclasses.replace(classical, p=classical.p + shift))
+        reports = []
+        for variant in moved:
+            digest = scene_digest(variant.scene)
+            results = [
+                run(variant, digest)
+                for run, classical_only in checks._SUITE.values()
+                if variant.scene.classical or not classical_only
+            ]
+            reports.append(SuiteReport(digest, tuple(results)))
+        tri = scene.triangle
+        bc = tri.sides[0]
+        d, e, f = build_spiral_points(tri, cfg.p, SPIRAL_SCALE)
+        spiral = check_lemma_spiral(tri, cfg.p, SPIRAL_SCALE, (d + Point(bc.b, -bc.a), e, f))
+        reports.append(SuiteReport(scene_digest(scene), (spiral,)))
+        assert all(report.counts[FAIL] for report in reports)
+        path = tmp_path / "f.json"
+        write_report_file(str(path), reports, scene_digest(scene))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.FAIL_REPORT_SHA
 
 
 class TestBenchBytes:

@@ -148,7 +148,7 @@ class TestConfiguration:
     def test_spiral_ratios_cancel(self):
         s = generate_scene(SceneParams(seed=17))
         cfg = compute_configuration(s)
-        assert (cfg.r_p * cfg.r_q).im == 0
+        assert cfg.r_p.re * cfg.r_q.im + cfg.r_p.im * cfg.r_q.re == 0  # Im(r_P * r_Q)
 
     def test_classical_r_equals_symmedian(self):
         cfg = compute_configuration(classical_brocard_scene(0, 1, -1))

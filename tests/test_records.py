@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from brocard.checks import Assertion, CheckResult, SuiteReport, run_suite
-from brocard.geom import Circle, ComplexScalar, DirectedAngleClass, InverseSimilarity, Line, Point, Triangle
+from brocard.geom import Circle, ComplexScalar, InverseSimilarity, Line, Point, Triangle
 from brocard.pipeline import ClassicalOverlay, Configuration, compute_configuration
 from brocard.scene import KwonScene, Scene, SceneParams, classical_brocard_scene, generate_scene, kwon_scene
 
@@ -31,7 +31,6 @@ def values():
         ComplexScalar: ComplexScalar(2, F(-5, 7)),
         Line: Line(2, -4, 6),
         Circle: Circle(F(1, 3), 0, -2),
-        DirectedAngleClass: DirectedAngleClass(-6, 4),
         Triangle: scene.triangle,
         InverseSimilarity: cfg.similarity,
         Scene: scene,
@@ -46,7 +45,7 @@ def values():
 
 
 RECORDS = [
-    Point, ComplexScalar, Line, Circle, DirectedAngleClass, Triangle, InverseSimilarity, Scene, SceneParams,
+    Point, ComplexScalar, Line, Circle, Triangle, InverseSimilarity, Scene, SceneParams,
     KwonScene, Configuration, ClassicalOverlay, Assertion, CheckResult, SuiteReport,
 ]
 

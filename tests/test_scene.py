@@ -49,6 +49,15 @@ class TestParametrization:
         # (1 - 9)/(1 + 9), 6/(1 + 9)
         assert circle_point_from_parameter(3, ORIGIN, 1) == Point(F(-4, 5), F(3, 5))
 
+    def test_nonpositive_radius_is_a_caller_error(self):
+        """A nonpositive radius is a ``ValueError``, as for ``SceneParams``
+        and ``classical_brocard_scene``, not a degeneracy of the input."""
+        for radius in (0, -1, F(-1, 2)):
+            with pytest.raises(ValueError, match="^radius must be positive$"):
+                circle_point_from_parameter(0, ORIGIN, radius)
+            with pytest.raises(ValueError, match="^radius must be positive$"):
+                scene_from_parameters([0, 1, 2, 3, 4, 5], ORIGIN, radius)
+
     def test_always_on_circle(self):
         center = Point(F(1, 3), -2)
         radius = F(5, 7)
