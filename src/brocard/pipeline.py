@@ -17,11 +17,14 @@ both circles) or a checked theorem: T_a is 2 * center - S_t.  What no
 check asserts stays an internal error (``InternalInconsistencyError``):
 the Pascal line is parallel to a hexagon meet at infinity, Miquel's
 theorem itself (the second meet of two Miquel circles lies on the third;
-for a quadrangle, on the two other defining circles), and the classical
-overlay's K and Brocard angle, with the third tangent-side meet on the
-Lemoine axis.  Input degeneracies raise ``Degenerate`` with the name of
-the first object that broke, which keeps the generator's
-reject-and-resample loop informative.
+for a quadrangle, on the two other defining circles), the diameter-line
+block X, Y, Z, O_A..O_C where an exact test on the line OR found it
+defined, and the classical overlay's K and Brocard angle, with the third
+tangent-side meet on the Lemoine axis.  Input degeneracies raise
+``Degenerate`` with the name of the first object that broke, which keeps
+the generator's reject-and-resample loop informative.  Every stage that
+can reject a draw is in ``_prefix``, which is all the generator builds;
+``compute_configuration`` runs it, then the stages that cannot.
 The perspector S is the meet of two of its three lines; a T-vertex equal
 to its primed vertex leaves the third undefined, and ``check_perspective``
 with it, so the build raises ``Degenerate("S")``.
@@ -144,8 +147,8 @@ class Configuration:
 
     @property
     def complete(self) -> bool:
-        """True iff every derived object exists (no collapse, no meets at
-        infinity, no local degeneracy in the diameter-line block)."""
+        """True iff every derived object exists: no collapse, no meet at
+        infinity, and OR parallel to no sideline and through no vertex."""
         if self.collapsed:
             return False
         return all(
@@ -336,11 +339,36 @@ class _Stage:
 def compute_configuration(scene: Scene) -> Configuration:
     """Construct every derived object and test none of the theorems about
     them, S_t on the circumcircle included (T_a is 2 * center - S_t): the
-    checks assert them, with witnesses.  Raises ``Degenerate`` on an input
+    checks assert them, with witnesses.  ``_prefix`` builds every stage that
+    can reject a draw; this adds the ones that cannot (T_a, X, Y, Z and
+    O_A..O_C) and the record.  Raises ``Degenerate`` on an input
     degeneracy, including ``Degenerate("S")`` when a T-vertex equals its
     primed vertex, and ``InternalInconsistencyError`` only if Miquel's
-    theorem fails or the Pascal line is not parallel to a hexagon meet at
-    infinity.  Precondition: ``validate_scene(scene)`` is empty."""
+    theorem fails, the Pascal line is not parallel to a hexagon meet at
+    infinity, R is O, or the diameter-line block fails where ``_prefix``
+    found it defined.  Precondition: ``validate_scene(scene)`` is empty."""
+    fields, lines, or_join = _prefix(scene)
+    if not fields.get("collapsed"):
+        fields["tarry"] = _reduced(Point, *_antipode(fields["steiner"], fields["circ"]))
+        if or_join is not None:
+            lines["or_line"] = or_line = Line(*or_join)
+            with _Stage("diameter line", theorem=True):
+                x, y, z = (intersect_lines(or_line, side) for side in scene.triangle.sides)
+                o_a = _reduced(Point, *_circumcenter(scene.a, y, z))
+                o_b = _reduced(Point, *_circumcenter(scene.b, z, x))
+                o_c = _reduced(Point, *_circumcenter(scene.c, x, y))
+            fields.update(x=x, y=y, z=z, o_a=o_a, o_b=o_b, o_c=o_c)
+    cfg = Configuration(**fields)
+    vars(cfg).update(lines)
+    return cfg
+
+
+def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
+    """The stages of ``compute_configuration`` that can reject a draw, in
+    build order.  Returns the ``Configuration`` fields they define, the
+    shared lines they built and the raw line OR, None when P = Q or when X,
+    Y, Z, O_A..O_C are undefined.  The configuration is complete iff OR is
+    returned and every hexagon meet is finite."""
     a, b, c = scene.a, scene.b, scene.c
     gamma, o = scene.gamma, scene.o
     tri = scene.triangle
@@ -351,10 +379,9 @@ def compute_configuration(scene: Scene) -> Configuration:
     # primed point there, their second meet; each is built once.
     p, p_circles = _miquel(scene.a1, scene.b1, scene.c1, tri)
     q, q_circles = _miquel(scene.a2, scene.b2, scene.c2, tri)
+    fields = dict(scene=scene, circ=circ, o=o, p=p, q=q, p_circles=p_circles, q_circles=q_circles)
     if p == q:
-        return Configuration(
-            scene=scene, circ=circ, o=o, p=p, q=q, p_circles=p_circles, q_circles=q_circles, collapsed=True
-        )
+        return dict(fields, collapsed=True), {}, None
 
     # A line that feeds one meet stays a raw triple, and a point reduces
     # once; only the lines and circles that are kept or reused are built.
@@ -392,11 +419,7 @@ def compute_configuration(scene: Scene) -> Configuration:
     b0, dir_b0 = hexagon_meet(scene.a1, scene.c2, scene.c1, scene.a2, "B0")
     c0, dir_c0 = hexagon_meet(scene.a1, scene.b2, scene.b1, scene.a2, "C0")
 
-    finite = [pt for pt in (a0, b0, c0) if pt is not None]
-    distinct = []
-    for pt in finite:
-        if pt not in distinct:
-            distinct.append(pt)
+    distinct = list(dict.fromkeys(pt for pt in (a0, b0, c0) if pt is not None))
     if len(distinct) < 2:
         raise Degenerate("pascal line", "fewer than two distinct finite hexagon meets")
     with _Stage("pascal line"):
@@ -420,49 +443,40 @@ def compute_configuration(scene: Scene) -> Configuration:
         t_sides = Triangle(t_a, t_b, t_c).sides
         steiner = _reduced(Point, *_meet(_parallel(a, t_sides[0]), _parallel(b, t_sides[1])))
 
-    tarry = _reduced(Point, *_antipode(steiner, circ))
-
     if t_a == a_prime or t_b == b_prime or t_c == c_prime:
         raise Degenerate("S", "a T-vertex coincides with its primed vertex")
     with _Stage("S"):
         perspective_lines = _perspective_lines(t_a, t_b, t_c, a_prime, b_prime, c_prime)
         perspector = intersect_lines(perspective_lines[0], perspective_lines[1])
-    # The checks share these lines; the configuration's caches start from them.
-    lines = {"t_sides": t_sides, "perspective_lines": perspective_lines}
 
-    # The diameter line may run parallel to a sideline or through a vertex
-    # (an isoceles classical scene sends it through the apex, collapsing
-    # AYZ).  That degeneracy is local to these six objects, so they go soft:
-    # the corresponding check reports DEGENERATE and everything else stands.
-    x = y = z = o_a = o_b = o_c = None
-    try:
-        lines["or_line"] = or_line = line_through(o, r)
-        x = intersect_lines(or_line, bc)
-        y = intersect_lines(or_line, ca)
-        z = intersect_lines(or_line, ab)
-        o_a = _reduced(Point, *_circumcenter(a, y, z))
-        o_b = _reduced(Point, *_circumcenter(b, z, x))
-        o_c = _reduced(Point, *_circumcenter(c, x, y))
-    except GeometryError:
-        x = y = z = o_a = o_b = o_c = None
+    # The diameter line OR parallel to a sideline leaves a cut at infinity,
+    # and through a vertex (an isoceles classical scene sends it through the
+    # apex) it collapses that vertex's triangle: through A, Y = Z = A; off A,
+    # Y and Z lie off A on CA and AB, so A, Y, Z are not collinear.  These
+    # six objects then stay None and only their check reports DEGENERATE.
+    with _Stage("OR", theorem=True):  # R is the pole of a finite line, never O
+        or_join = _join(o, r)
+    la, lb, lc = or_join
+    if any(la * side.b == lb * side.a for side in (bc, ca, ab)) or any(
+        la * x + lb * y + lc * w == 0 for x, y, w in (a.h, b.h, c.h)
+    ):
+        or_join = None
 
     with _Stage("spiral ratios"):
         r_p = spiral_ratio(p, scene.a1, bc)
         r_q = spiral_ratio(q, scene.a2, bc)
 
-    cfg = Configuration(
-        scene=scene, circ=circ, o=o, p=p, q=q, p_circles=p_circles, q_circles=q_circles,
+    fields.update(
         t_a=t_a, t_b=t_b, t_c=t_c,
         a_prime=a_prime, b_prime=b_prime, c_prime=c_prime,
         a0=a0, b0=b0, c0=c0,
         pascal_line=pascal, r=r, r_star=r_star,
         brocard_circle=brocard,
-        steiner=steiner, tarry=tarry, perspector=perspector,
-        x=x, y=y, z=z, o_a=o_a, o_b=o_b, o_c=o_c,
+        steiner=steiner, perspector=perspector,
         r_p=r_p, r_q=r_q,
     )
-    vars(cfg).update(lines)
-    return cfg
+    # The checks share these lines; the configuration's caches start from them.
+    return fields, {"t_sides": t_sides, "perspective_lines": perspective_lines}, or_join
 
 
 def _perspective_lines(

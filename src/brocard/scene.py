@@ -260,13 +260,14 @@ def _chords_adjacent(draws: Sequence[Tuple[int, int]]) -> bool:
 
 
 def generate_scene(params: SceneParams) -> Scene:
-    """Draw chord parameters until the full construction pipeline accepts.
+    """Draw chord parameters until a draw's configuration is complete.
 
     Rejected and resampled: repeated parameters, parallel chords, degenerate
-    triangles, incidence points falling on vertices, and any downstream
-    degeneracy reported by the configuration pipeline (including the
-    collapsed case where the two Miquel points coincide).  Deterministic for
-    a fixed seed.
+    triangles, incidence points falling on vertices, then what the stages
+    of ``pipeline._prefix`` reject (P = Q, a degenerate stage from T_A to
+    the spiral ratios, a hexagon meet at infinity, OR parallel to a sideline
+    or through a vertex), and a P with no isogonal conjugate.  Only those
+    stages are built.  Deterministic for a fixed seed.
 
     With strict segments, a draw that fails the squeeze ``_chords_adjacent``
     is rejected on its six integer pairs, before ``scene_from_parameters``
@@ -274,7 +275,7 @@ def generate_scene(params: SceneParams) -> Scene:
     draws come from the same random stream, so every seed gives the scene
     it gave without the squeeze.
     """
-    from .pipeline import compute_configuration  # deferred: pipeline builds on scenes
+    from .pipeline import _prefix  # deferred: pipeline builds on scenes
 
     rng = Random(params.seed)
     for _ in range(_MAX_ATTEMPTS):
@@ -285,12 +286,12 @@ def generate_scene(params: SceneParams) -> Scene:
             scene = scene_from_parameters(
                 [Fraction(n, d) for n, d in draws], params.center, params.radius, params.strict_segments
             )
-            cfg = compute_configuration(scene)
-            if not cfg.complete:
+            fields, _, or_join = _prefix(scene)
+            if or_join is None or None in (fields["a0"], fields["b0"], fields["c0"]):
                 continue
             # The verification suite additionally needs the isogonal image
             # of P; probe it so accepted scenes never degenerate there.
-            _isogonal(cfg.p, scene.a, scene.b, scene.c)
+            _isogonal(fields["p"], scene.a, scene.b, scene.c)
         except GeometryError:
             continue
         return scene

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 import brocard
-from brocard import checks, geom, sceneio
+from brocard import checks, geom, pipeline, sceneio
 from brocard.geom import Line
 from brocard.scene import SceneParams, generate_scene
 
@@ -204,6 +204,31 @@ def test_circle_incidences_of_one_suite_run():
     calls, all_pass = _suite_calls()
     assert all_pass
     assert 0 < _calls_of(calls, geom._power) <= POWER_SEED7 * 1.1
+
+
+#: ``geom._reduced`` calls of ``generate_scene(SceneParams(seed=7))``: 35
+#: since generation builds only the stages that can reject a draw, 42 while
+#: it built the whole configuration and threw it away.
+GENERATE_REDUCED_SEED7 = 35
+
+
+def test_generation_builds_no_configuration():
+    """The tracer counts ``compute_configuration`` spans, which generation
+    no longer makes, so this pins its cost: no configuration, no
+    circumcenter of the diameter-line block, and reductions within 10%."""
+    generate_scene(SceneParams(seed=7))
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        generate_scene(SceneParams(seed=7))
+    finally:
+        profile.disable()
+    calls = {
+        (filename, line, fn_name): nc for (filename, line, fn_name), (_, nc, *_) in pstats.Stats(profile).stats.items()
+    }
+    assert _calls_of(calls, pipeline.compute_configuration) == 0
+    assert _calls_of(calls, geom._circumcenter) == 0
+    assert 0 < _calls_of(calls, geom._reduced) <= GENERATE_REDUCED_SEED7 * 1.1
 
 
 #: Distinct check results in the seed-7 caps-50 report (scene seeds

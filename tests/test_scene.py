@@ -11,8 +11,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from brocard.checks import DEGENERATE, PASS, run_suite
 from brocard.geom import (
     Circle,
+    Degenerate,
     GeometryError,
     Line,
     Point,
@@ -24,12 +26,16 @@ from brocard.geom import (
     on_circle,
     on_line,
     orientation,
+    _isogonal,
 )
+from brocard.pipeline import _prefix, compute_configuration
 from brocard.scene import (
+    _MAX_ATTEMPTS,
     GenerationExhausted,
     KwonScene,
     SceneParams,
     _chords_adjacent,
+    _draw_parameter,
     circle_point_from_parameter,
     classical_brocard_scene,
     generate_scene,
@@ -129,6 +135,97 @@ class TestGeneration:
             SceneParams(seed=0, radius=F(0))
         with pytest.raises(ValueError):
             SceneParams(seed=0, numerator_cap=0)
+
+
+def _ref_generate_scene(params):
+    """``generate_scene``'s acceptance rule as it was before generation
+    stopped at the stages that can reject: build the whole configuration,
+    require it complete, then probe the isogonal conjugate of P; resample
+    on any ``GeometryError``.  Non-strict draws only."""
+    rng = Random(params.seed)
+    for _ in range(_MAX_ATTEMPTS):
+        draws = [_draw_parameter(rng, params) for _ in range(6)]
+        try:
+            scene = scene_from_parameters([F(n, d) for n, d in draws], params.center, params.radius)
+            cfg = compute_configuration(scene)
+            if not cfg.complete:
+                continue
+            _isogonal(cfg.p, scene.a, scene.b, scene.c)
+        except GeometryError:
+            continue
+        return scene
+    raise GenerationExhausted
+
+
+#: One valid draw per site that rejects it, as chord parameters
+#: (a1, a2, b1, b2, c1, c2), and the site: a named ``Degenerate`` stage,
+#: the collapse, a hexagon meet at infinity (whose diameter line OR runs
+#: through the vertex of the same letter, as it does at every such meet),
+#: or OR parallel to a sideline.  Found on the generation path at caps 3;
+#: OR parallel to BC at caps 5, as 2,000 caps-3 seeds gave none.
+REJECTED_DRAWS = {
+    "P = Q": ("0 -2 1 -1/3 1/3 -1", "collapse", None),
+    "T_A": ("3/2 -1/3 -2 1 1/3 0", "stage", "T_A"),
+    "A'": ("3 -1/2 2 -1 0 -3", "stage", "A'"),
+    "B'": ("-3/2 2/3 -3 1/2 -1/2 2", "stage", "B'"),
+    "C'": ("0 -1/3 -3/2 3/2 -1 -1/2", "stage", "C'"),
+    "S": ("1/2 1 1/3 3 -1 0", "stage", "S"),
+    "R*": ("-3 -1 -2/3 -1/2 3/2 0", "stage", "R*"),
+    "A0 at infinity, OR through A": ("-1/2 -1/3 1/3 2 0 1", "meet", "a0"),
+    "B0 at infinity, OR through B": ("-2/3 -2 -1/2 3/2 2 2/3", "meet", "b0"),
+    "C0 at infinity, OR through C": ("3 1 -1 -3 2/3 -3/2", "meet", "c0"),
+    "OR parallel to BC": ("-1/2 1/2 -3/4 1/5 -1/4 1", "parallel", 0),
+    "OR parallel to CA": ("-1/2 -1 -3 2/3 1 0", "parallel", 1),
+    "OR parallel to AB": ("-2 0 -3 1/2 -1 -2/3", "parallel", 2),
+}
+
+
+class TestAcceptance:
+    """``generate_scene`` builds only ``pipeline._prefix``, the stages that
+    can reject a draw, and decides the diameter-line block on integers."""
+
+    @pytest.mark.parametrize("caps, seeds", [(3, range(1, 1001)), (5, range(1, 501))])
+    def test_same_scenes_as_the_whole_build(self, caps, seeds):
+        for seed in seeds:
+            params = SceneParams(seed=seed, numerator_cap=caps, denominator_cap=caps)
+            assert generate_scene(params) == _ref_generate_scene(params), seed
+
+    @pytest.mark.parametrize("site", REJECTED_DRAWS)
+    def test_prefix_rejects_each_site(self, site):
+        """Each draw is a valid scene that the prefix rejects, and the suite
+        reports it as before: the configuration DEGENERATE at the stage, or
+        only the circumcenter perspective DEGENERATE for a draw whose
+        diameter-line block is undefined."""
+        params, kind, where = REJECTED_DRAWS[site]
+        scene = scene_from_parameters([F(t) for t in params.split()], ORIGIN, 1)
+        assert validate_scene(scene) == []
+        results = {r.check_id: r for r in run_suite(scene).results}
+        if kind == "stage":
+            with pytest.raises(Degenerate) as err:
+                _prefix(scene)
+            assert err.value.name == where
+            assert results["configuration"].status == DEGENERATE
+            assert results["configuration"].notes[0].startswith(f"{where}: ")
+            return
+        fields, _, or_join = _prefix(scene)
+        assert or_join is None
+        if kind == "collapse":
+            assert fields["collapsed"]
+            assert results["check_circumcenter_perspective"].notes == ("configuration collapsed (P = Q)",)
+            return
+        oc, o, r = compute_configuration(scene).or_line, scene.o, fields["r"]
+        assert on_line(o, oc) and on_line(r, oc)
+        meets = [fields[name] for name in ("a0", "b0", "c0")]
+        if kind == "meet":
+            assert [m is None for m in meets] == [name == where for name in ("a0", "b0", "c0")]
+            assert on_line(scene.vertices["abc".index(where[0])], oc)
+            assert results["check_pascal_and_r"].notes == ("1 hexagon meet(s) at infinity",)
+        else:
+            assert None not in meets
+            side = scene.triangle.sides[where]
+            assert oc.a * side.b == oc.b * side.a
+        assert [cid for cid, r in results.items() if r.status != PASS] == ["check_circumcenter_perspective"]
+        assert results["check_circumcenter_perspective"].notes == ("objects undefined: x, y, z, o_a, o_b, o_c",)
 
 
 def _ref_chords_adjacent(ts):
