@@ -340,16 +340,17 @@ def compute_configuration(scene: Scene) -> Configuration:
     """Construct every derived object and test none of the theorems about
     them, S_t on the circumcircle included (T_a is 2 * center - S_t): the
     checks assert them, with witnesses.  ``_prefix`` builds every stage that
-    can reject a draw; this adds the ones that cannot (T_a, X, Y, Z and
-    O_A..O_C) and the record.  Raises ``Degenerate`` on an input
-    degeneracy, including ``Degenerate("S")`` when a T-vertex equals its
-    primed vertex, and ``InternalInconsistencyError`` only if Miquel's
+    can reject a draw; this adds the ones that cannot (the circumcircle,
+    T_a, X, Y, Z and O_A..O_C) and the record.  Raises ``Degenerate`` on an
+    input degeneracy, including ``Degenerate("S")`` when a T-vertex equals
+    its primed vertex, and ``InternalInconsistencyError`` only if Miquel's
     theorem fails, the Pascal line is not parallel to a hexagon meet at
     infinity, R is O, or the diameter-line block fails where ``_prefix``
     found it defined.  Precondition: ``validate_scene(scene)`` is empty."""
     fields, lines, or_join = _prefix(scene)
+    fields["circ"] = circ = scene.triangle.circumcircle
     if not fields.get("collapsed"):
-        fields["tarry"] = _reduced(Point, *_antipode(fields["steiner"], fields["circ"]))
+        fields["tarry"] = _reduced(Point, *_antipode(fields["steiner"], circ))
         if or_join is not None:
             lines["or_line"] = or_line = Line(*or_join)
             with _Stage("diameter line", theorem=True):
@@ -373,13 +374,12 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
     gamma, o = scene.gamma, scene.o
     tri = scene.triangle
     bc, ca, ab = tri.sides
-    circ = tri.circumcircle
 
     # The Miquel circles of P and of Q through each vertex also define the
     # primed point there, their second meet; each is built once.
     p, p_circles = _miquel(scene.a1, scene.b1, scene.c1, tri)
     q, q_circles = _miquel(scene.a2, scene.b2, scene.c2, tri)
-    fields = dict(scene=scene, circ=circ, o=o, p=p, q=q, p_circles=p_circles, q_circles=q_circles)
+    fields = dict(scene=scene, o=o, p=p, q=q, p_circles=p_circles, q_circles=q_circles)
     if p == q:
         return dict(fields, collapsed=True), {}, None
 
