@@ -354,7 +354,7 @@ def compute_configuration(scene: Scene) -> Configuration:
         if or_join is not None:
             lines["or_line"] = or_line = Line(*or_join)
             with _Stage("diameter line", theorem=True):
-                x, y, z = (intersect_lines(or_line, side) for side in scene.triangle.sides)
+                x, y, z = [intersect_lines(or_line, side) for side in scene.triangle.sides]
                 o_a = _reduced(Point, *_circumcenter(scene.a, y, z))
                 o_b = _reduced(Point, *_circumcenter(scene.b, z, x))
                 o_c = _reduced(Point, *_circumcenter(scene.c, x, y))
@@ -419,7 +419,10 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
     b0, dir_b0 = hexagon_meet(scene.a1, scene.c2, scene.c1, scene.a2, "B0")
     c0, dir_c0 = hexagon_meet(scene.a1, scene.b2, scene.b1, scene.a2, "C0")
 
-    distinct = list(dict.fromkeys(pt for pt in (a0, b0, c0) if pt is not None))
+    distinct = []
+    for pt in (a0, b0, c0):
+        if pt is not None and pt not in distinct:
+            distinct.append(pt)
     if len(distinct) < 2:
         raise Degenerate("pascal line", "fewer than two distinct finite hexagon meets")
     with _Stage("pascal line"):
@@ -449,17 +452,14 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
         perspective_lines = _perspective_lines(t_a, t_b, t_c, a_prime, b_prime, c_prime)
         perspector = intersect_lines(perspective_lines[0], perspective_lines[1])
 
-    # The diameter line OR parallel to a sideline leaves a cut at infinity,
-    # and through a vertex (an isoceles classical scene sends it through the
-    # apex) it collapses that vertex's triangle: through A, Y = Z = A; off A,
-    # Y and Z lie off A on CA and AB, so A, Y, Z are not collinear.  These
-    # six objects then stay None and only their check reports DEGENERATE.
+    # The diameter line OR parallel to a sideline cuts it at infinity, and OR
+    # through A gives Y = Z = A (an isoceles classical scene sends it through
+    # the apex); off A, Y and Z lie off A on CA and AB, so A, Y, Z are not
+    # collinear.  X..O_C then stay None, and only their check is DEGENERATE.
     with _Stage("OR", theorem=True):  # R is the pole of a finite line, never O
-        or_join = _join(o, r)
-    la, lb, lc = or_join
-    if any(la * side.b == lb * side.a for side in (bc, ca, ab)) or any(
-        la * x + lb * y + lc * w == 0 for x, y, w in (a.h, b.h, c.h)
-    ):
+        la, lb, lc = or_join = _join(o, r)
+    parallel_to_side = la * bc.b == lb * bc.a or la * ca.b == lb * ca.a or la * ab.b == lb * ab.a
+    if parallel_to_side or 0 in [la * x + lb * y + lc * w for x, y, w in (a.h, b.h, c.h)]:
         or_join = None
 
     with _Stage("spiral ratios"):

@@ -193,9 +193,9 @@ class TestAcceptance:
     @pytest.mark.parametrize("site", REJECTED_DRAWS)
     def test_prefix_rejects_each_site(self, site):
         """Each draw is a valid scene that the prefix rejects, and the suite
-        reports it as before: the configuration DEGENERATE at the stage, or
-        only the circumcenter perspective DEGENERATE for a draw whose
-        diameter-line block is undefined."""
+        reports it as before: the configuration DEGENERATE at the stage,
+        the checks DEGENERATE on the collapse, or only the circumcenter
+        perspective DEGENERATE where the diameter-line block is undefined."""
         params, kind, where = REJECTED_DRAWS[site]
         scene = scene_from_parameters([F(t) for t in params.split()], ORIGIN, 1)
         assert validate_scene(scene) == []
@@ -213,8 +213,7 @@ class TestAcceptance:
             assert fields["collapsed"]
             assert results["check_circumcenter_perspective"].notes == ("configuration collapsed (P = Q)",)
             return
-        oc, o, r = compute_configuration(scene).or_line, scene.o, fields["r"]
-        assert on_line(o, oc) and on_line(r, oc)
+        oc = line_through(scene.o, fields["r"])
         meets = [fields[name] for name in ("a0", "b0", "c0")]
         if kind == "meet":
             assert [m is None for m in meets] == [name == where for name in ("a0", "b0", "c0")]
@@ -224,7 +223,7 @@ class TestAcceptance:
             assert None not in meets
             side = scene.triangle.sides[where]
             assert oc.a * side.b == oc.b * side.a
-        assert [cid for cid, r in results.items() if r.status != PASS] == ["check_circumcenter_perspective"]
+        assert [cid for cid, res in results.items() if res.status != PASS] == ["check_circumcenter_perspective"]
         assert results["check_circumcenter_perspective"].notes == ("objects undefined: x, y, z, o_a, o_b, o_c",)
 
 
