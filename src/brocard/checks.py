@@ -695,7 +695,7 @@ def _lemma_spiral(cfg: Configuration, digest: str) -> CheckResult:
 
 
 def _lemma_simson_angle(cfg: Configuration, digest: str) -> CheckResult:
-    if cfg.collapsed or cfg.steiner is None:
+    if cfg.collapsed:
         return _degenerate("check_lemma_simson_angle", "Steiner pair unavailable")
     return check_lemma_simson_angle(cfg.scene.triangle, cfg.steiner, cfg.tarry)
 

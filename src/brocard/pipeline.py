@@ -17,14 +17,15 @@ both circles) or a checked theorem: T_a is 2 * center - S_t.  What no
 check asserts stays an internal error (``InternalInconsistencyError``):
 the Pascal line is parallel to a hexagon meet at infinity, Miquel's
 theorem itself (the second meet of two Miquel circles lies on the third;
-for a quadrangle, on the two other defining circles), the diameter-line
-block X, Y, Z, O_A..O_C where an exact test on the line OR found it
-defined, and the classical overlay's K and Brocard angle, with the third
-tangent-side meet on the Lemoine axis.  Input degeneracies raise
-``Degenerate`` with the name of the first object that broke, which keeps
-the generator's reject-and-resample loop informative.  Every stage that
-can reject a draw is in ``_prefix``, which is all the generator builds;
-``compute_configuration`` runs it, then the stages that cannot.
+for a quadrangle, on the two other defining circles), P or Q on BC in
+the spiral ratios, the diameter-line block X, Y, Z, O_A..O_C where an
+exact test on the line OR found it defined, and the classical overlay's
+K and Brocard angle, with the third tangent-side meet on the Lemoine
+axis.  Input degeneracies raise ``Degenerate`` with the name of the
+first object that broke, which keeps the generator's reject-and-resample
+loop informative.  Every stage that can reject a draw is in ``_prefix``,
+which is all the generator builds; ``compute_configuration`` runs it,
+then the stages that cannot.
 The perspector S is the meet of two of its three lines; a T-vertex equal
 to its primed vertex leaves the third undefined, and ``check_perspective``
 with it, so the build raises ``Degenerate("S")``.
@@ -144,17 +145,6 @@ class Configuration:
     o_c: Optional[Point] = None
     r_p: Optional[ComplexScalar] = None
     r_q: Optional[ComplexScalar] = None
-
-    @property
-    def complete(self) -> bool:
-        """True iff every derived object exists: no collapse, no meet at
-        infinity, and OR parallel to no sideline and through no vertex."""
-        if self.collapsed:
-            return False
-        return all(
-            getattr(self, name) is not None
-            for name in ("a0", "b0", "c0", "x", "y", "z", "o_a", "o_b", "o_c")
-        )
 
     @cached_property
     def similarity(self) -> InverseSimilarity:
@@ -341,16 +331,24 @@ def compute_configuration(scene: Scene) -> Configuration:
     them, S_t on the circumcircle included (T_a is 2 * center - S_t): the
     checks assert them, with witnesses.  ``_prefix`` builds every stage that
     can reject a draw; this adds the ones that cannot (the circumcircle,
-    T_a, X, Y, Z and O_A..O_C) and the record.  Raises ``Degenerate`` on an
-    input degeneracy, including ``Degenerate("S")`` when a T-vertex equals
-    its primed vertex, and ``InternalInconsistencyError`` only if Miquel's
-    theorem fails, the Pascal line is not parallel to a hexagon meet at
-    infinity, R is O, or the diameter-line block fails where ``_prefix``
-    found it defined.  Precondition: ``validate_scene(scene)`` is empty."""
+    T_a, the spiral ratios, X, Y, Z and O_A..O_C) and the record.  Raises
+    ``Degenerate`` on an input degeneracy, including ``Degenerate("S")``
+    when a T-vertex equals its primed vertex, and
+    ``InternalInconsistencyError`` only if Miquel's theorem fails, the
+    Pascal line is not parallel to a hexagon meet at infinity, R is O, P or
+    Q lies on BC, or the diameter-line block fails where ``_prefix`` found
+    it defined.  Precondition: ``validate_scene(scene)`` is empty."""
     fields, lines, or_join = _prefix(scene)
     fields["circ"] = circ = scene.triangle.circumcircle
     if not fields.get("collapsed"):
         fields["tarry"] = _reduced(Point, *_antipode(fields["steiner"], circ))
+        # No valid scene puts P on a sideline.  A is on chord b1b2, not on
+        # gamma, so circle(A, b1, c1) misses a1 and B; P is on it and on
+        # circle(B, c1, a1), which meets BC only at B and a1.  Likewise for
+        # CA, AB and Q; classical P and Q are the Brocard points, inside ABC.
+        bc = scene.triangle.sides[0]
+        with _Stage("spiral ratios", theorem=True):
+            fields.update(r_p=spiral_ratio(fields["p"], scene.a1, bc), r_q=spiral_ratio(fields["q"], scene.a2, bc))
         if or_join is not None:
             lines["or_line"] = or_line = Line(*or_join)
             with _Stage("diameter line", theorem=True):
@@ -367,9 +365,9 @@ def compute_configuration(scene: Scene) -> Configuration:
 def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
     """The stages of ``compute_configuration`` that can reject a draw, in
     build order.  Returns the ``Configuration`` fields they define, the
-    shared lines they built and the raw line OR, None when P = Q or when X,
-    Y, Z, O_A..O_C are undefined.  The configuration is complete iff OR is
-    returned and every hexagon meet is finite."""
+    shared lines they built and the raw line OR, None when P = Q, when a
+    hexagon meet is at infinity or when X, Y, Z, O_A..O_C are undefined.
+    The configuration is complete iff OR is returned."""
     a, b, c = scene.a, scene.b, scene.c
     gamma, o = scene.gamma, scene.o
     tri = scene.triangle
@@ -456,15 +454,14 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
     # through A gives Y = Z = A (an isoceles classical scene sends it through
     # the apex); off A, Y and Z lie off A on CA and AB, so A, Y, Z are not
     # collinear.  X..O_C then stay None, and only their check is DEGENERATE.
+    # A0 at infinity puts its polar AA', which carries R, through O, so OR
+    # runs through A; testing the meets too changes no outcome.
     with _Stage("OR", theorem=True):  # R is the pole of a finite line, never O
         la, lb, lc = or_join = _join(o, r)
     parallel_to_side = la * bc.b == lb * bc.a or la * ca.b == lb * ca.a or la * ab.b == lb * ab.a
-    if parallel_to_side or 0 in [la * x + lb * y + lc * w for x, y, w in (a.h, b.h, c.h)]:
+    through_vertex = 0 in [la * x + lb * y + lc * w for x, y, w in (a.h, b.h, c.h)]
+    if None in (a0, b0, c0) or parallel_to_side or through_vertex:
         or_join = None
-
-    with _Stage("spiral ratios"):
-        r_p = spiral_ratio(p, scene.a1, bc)
-        r_q = spiral_ratio(q, scene.a2, bc)
 
     fields.update(
         t_a=t_a, t_b=t_b, t_c=t_c,
@@ -473,7 +470,6 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
         pascal_line=pascal, r=r, r_star=r_star,
         brocard_circle=brocard,
         steiner=steiner, perspector=perspector,
-        r_p=r_p, r_q=r_q,
     )
     # The checks share these lines; the configuration's caches start from them.
     return fields, {"t_sides": t_sides, "perspective_lines": perspective_lines}, or_join

@@ -7,8 +7,9 @@ every parameter value yields a rational point, so every object derived
 downstream stays rational and every theorem becomes an exact identity.
 
 Degeneracy policy is reject-and-resample: a candidate scene is accepted
-only if the whole construction pipeline completes on it, so accepted
-scenes never produce degenerate verification results.
+only if the construction stages that can reject it, ``pipeline._prefix``,
+pass and leave the configuration complete, so accepted scenes never
+produce degenerate verification results.
 
 With strict segments, most draws fail because an incidence point falls
 outside its side.  ``generate_scene`` first applies an exact squeeze to
@@ -42,7 +43,6 @@ from .geom import (
     RationalLike,
     _bisector,
     _foot,
-    _isogonal,
     _join,
     _meet,
     _record,
@@ -265,9 +265,11 @@ def generate_scene(params: SceneParams) -> Scene:
     Rejected and resampled: repeated parameters, parallel chords, degenerate
     triangles, incidence points falling on vertices, then what the stages
     of ``pipeline._prefix`` reject (P = Q, a degenerate stage from T_A to
-    the spiral ratios, a hexagon meet at infinity, OR parallel to a sideline
-    or through a vertex), and a P with no isogonal conjugate.  Only those
-    stages are built.  Deterministic for a fixed seed.
+    S, a hexagon meet at infinity, OR parallel to a sideline or through a
+    vertex).  Only those stages are built.  P has an isogonal conjugate:
+    it lies on no sideline (``pipeline.compute_configuration``), and a
+    Miquel point on the circumcircle needs a1, b1, c1 collinear.
+    Deterministic for a fixed seed.
 
     With strict segments, a draw that fails the squeeze ``_chords_adjacent``
     is rejected on its six integer pairs, before ``scene_from_parameters``
@@ -286,12 +288,8 @@ def generate_scene(params: SceneParams) -> Scene:
             scene = scene_from_parameters(
                 [Fraction(n, d) for n, d in draws], params.center, params.radius, params.strict_segments
             )
-            fields, _, or_join = _prefix(scene)
-            if or_join is None or None in (fields["a0"], fields["b0"], fields["c0"]):
+            if _prefix(scene)[2] is None:
                 continue
-            # The verification suite additionally needs the isogonal image
-            # of P; probe it so accepted scenes never degenerate there.
-            _isogonal(fields["p"], scene.a, scene.b, scene.c)
         except GeometryError:
             continue
         return scene

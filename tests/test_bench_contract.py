@@ -206,16 +206,18 @@ def test_circle_incidences_of_one_suite_run():
     assert 0 < _calls_of(calls, geom._power) <= POWER_SEED7 * 1.1
 
 
-#: ``geom._reduced`` calls of ``generate_scene(SceneParams(seed=7))``: 34
-#: since generation builds only the stages that can reject a draw, 42 while
-#: it built the whole configuration and threw it away.
-GENERATE_REDUCED_SEED7 = 34
+#: ``geom._reduced`` calls of ``generate_scene(SceneParams(seed=7))``: 32
+#: since the isogonal probe of P and the spiral ratios, which no valid draw
+#: can fail, left generation, 34 while generation built them, 42 while it
+#: built the whole configuration and threw it away.
+GENERATE_REDUCED_SEED7 = 32
 
 
 def test_generation_builds_no_configuration():
     """The tracer counts ``compute_configuration`` spans, which generation
     no longer makes, so this pins its cost: no configuration, no
-    circumcenter of the diameter-line block, and reductions within 10%."""
+    circumcenter of the diameter-line block, no spiral ratio, an isogonal
+    conjugate only for R*, and reductions within 10%."""
     generate_scene(SceneParams(seed=7))
     profile = cProfile.Profile()
     profile.enable()
@@ -223,11 +225,14 @@ def test_generation_builds_no_configuration():
         generate_scene(SceneParams(seed=7))
     finally:
         profile.disable()
-    calls = {
-        (filename, line, fn_name): nc for (filename, line, fn_name), (_, nc, *_) in pstats.Stats(profile).stats.items()
-    }
+    stats = pstats.Stats(profile).stats
+    calls = {(filename, line, fn_name): nc for (filename, line, fn_name), (_, nc, *_) in stats.items()}
     assert _calls_of(calls, pipeline.compute_configuration) == 0
     assert _calls_of(calls, geom._circumcenter) == 0
+    assert _calls_of(calls, geom._spiral) == 0
+    code = geom._isogonal.__code__
+    callers = stats[(code.co_filename, code.co_firstlineno, code.co_name)][4]
+    assert {name for _, _, name in callers} == {"isogonal_conjugate"}
     assert 0 < _calls_of(calls, geom._reduced) <= GENERATE_REDUCED_SEED7 * 1.1
 
 

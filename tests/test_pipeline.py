@@ -1,7 +1,9 @@
 """Pipeline constructions: Miquel points, the full configuration, the
 classical overlay, and the collapse path."""
 
+import ast
 import dataclasses
+import inspect
 from fractions import Fraction as F
 from random import Random
 
@@ -134,11 +136,25 @@ class TestConfiguration:
     def test_worked_scene_memberships(self):
         s = scene_from_parameters([F(0), F(1), F(-1), F(3), F(1, 2), F(-2)], Point(0, 0), 1)
         cfg = compute_configuration(s)
-        assert cfg.complete
+        assert None not in (cfg.a0, cfg.b0, cfg.c0, cfg.x, cfg.y, cfg.z, cfg.o_a, cfg.o_b, cfg.o_c)
         for pt in (cfg.p, cfg.q, cfg.o, cfg.r, cfg.a_prime, cfg.b_prime,
                    cfg.c_prime, cfg.t_a, cfg.t_b, cfg.t_c):
             assert on_circle(pt, cfg.brocard_circle)
         assert F(1, 2) * (cfg.o + cfg.r) == cfg.brocard_circle.center
+
+    def test_every_stage_after_the_prefix_is_a_theorem(self):
+        """A stage that can reject a draw belongs in ``_prefix``, all that
+        generation builds, so each ``_Stage`` of ``compute_configuration``'s
+        own body passes ``theorem=True``."""
+        tree = ast.parse(inspect.getsource(compute_configuration))
+        stages = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_Stage"
+        ]
+        assert stages
+        for node in stages:
+            theorem = [kw.value for kw in node.keywords if kw.arg == "theorem"]
+            assert [getattr(v, "value", None) for v in theorem] == [True], ast.unparse(node)
 
     def test_isogonal_pair(self):
         s = generate_scene(SceneParams(seed=13))
@@ -207,7 +223,7 @@ class TestCollapse:
         cfg = compute_configuration(COLLAPSE_SCENE)
         assert cfg.collapsed
         assert cfg.p == cfg.q == Point(3, 3)
-        assert not cfg.complete
+        assert pipeline._prefix(COLLAPSE_SCENE)[2] is None
         assert cfg.brocard_circle is None
 
 

@@ -27,8 +27,9 @@ from brocard.geom import (
     on_line,
     orientation,
     _isogonal,
+    _spiral,
 )
-from brocard.pipeline import _prefix, compute_configuration
+from brocard.pipeline import _miquel, _prefix, compute_configuration
 from brocard.scene import (
     _MAX_ATTEMPTS,
     GenerationExhausted,
@@ -140,15 +141,16 @@ class TestGeneration:
 def _ref_generate_scene(params):
     """``generate_scene``'s acceptance rule as it was before generation
     stopped at the stages that can reject: build the whole configuration,
-    require it complete, then probe the isogonal conjugate of P; resample
-    on any ``GeometryError``.  Non-strict draws only."""
+    require it complete (no collapse, every hexagon meet finite and X, Y, Z,
+    O_A..O_C defined), then probe the isogonal conjugate of P; resample on
+    any ``GeometryError``.  Non-strict draws only."""
     rng = Random(params.seed)
     for _ in range(_MAX_ATTEMPTS):
         draws = [_draw_parameter(rng, params) for _ in range(6)]
         try:
             scene = scene_from_parameters([F(n, d) for n, d in draws], params.center, params.radius)
             cfg = compute_configuration(scene)
-            if not cfg.complete:
+            if cfg.collapsed or None in (cfg.a0, cfg.b0, cfg.c0, cfg.x, cfg.y, cfg.z, cfg.o_a, cfg.o_b, cfg.o_c):
                 continue
             _isogonal(cfg.p, scene.a, scene.b, scene.c)
         except GeometryError:
@@ -189,6 +191,36 @@ class TestAcceptance:
         for seed in seeds:
             params = SceneParams(seed=seed, numerator_cap=caps, denominator_cap=caps)
             assert generate_scene(params) == _ref_generate_scene(params), seed
+
+    def test_no_draw_puts_a_miquel_point_on_a_sideline_or_the_circumcircle(self):
+        """Every draw that generation makes, up to the one it accepts, whose
+        scene builds and whose Miquel points P != Q exist: P and Q have
+        isogonal conjugates and spiral ratios on BC, so neither can reject a
+        draw, and generation builds neither."""
+        checked = seeds = 0
+        for caps, seed_range in ((3, range(1, 1001)), (5, range(1, 501))):
+            for seed in seed_range:
+                seeds += 1
+                params = SceneParams(seed=seed, numerator_cap=caps, denominator_cap=caps)
+                accepted = generate_scene(params)
+                rng = Random(seed)
+                scene = None
+                while scene != accepted:
+                    draws = [_draw_parameter(rng, params) for _ in range(6)]
+                    try:
+                        scene = scene_from_parameters([F(n, d) for n, d in draws], ORIGIN, 1)
+                        p, _ = _miquel(scene.a1, scene.b1, scene.c1, scene.triangle)
+                        q, _ = _miquel(scene.a2, scene.b2, scene.c2, scene.triangle)
+                    except GeometryError:
+                        continue
+                    if p == q:
+                        continue
+                    bc = scene.triangle.sides[0]
+                    for m, d in ((p, scene.a1), (q, scene.a2)):
+                        _isogonal(m, scene.a, scene.b, scene.c)
+                        _spiral(m, d, bc)
+                    checked += 1
+        assert checked > seeds  # draws rejected later in the prefix are covered too
 
     @pytest.mark.parametrize("site", REJECTED_DRAWS)
     def test_prefix_rejects_each_site(self, site):
