@@ -54,10 +54,8 @@ from .geom import (
     Point,
     Triangle,
     circle_through_tangent,
-    circumcircle,
     intersect_lines,
     inverse_similarity_map,
-    isogonal_conjugate,
     line_through,
     on_circle,
     on_line,
@@ -69,6 +67,7 @@ from .geom import (
     _circle_through,
     _circumcenter,
     _concyclic,
+    _isogonal,
     _join,
     _meet,
     _parallel,
@@ -330,17 +329,19 @@ def compute_configuration(scene: Scene) -> Configuration:
     """Construct every derived object and test none of the theorems about
     them, S_t on the circumcircle included (T_a is 2 * center - S_t): the
     checks assert them, with witnesses.  ``_prefix`` builds every stage that
-    can reject a draw; this adds the ones that cannot (the circumcircle,
-    T_a, the spiral ratios, X, Y, Z and O_A..O_C) and the record.  Raises
-    ``Degenerate`` on an input degeneracy, including ``Degenerate("S")``
-    when a T-vertex equals its primed vertex, and
-    ``InternalInconsistencyError`` only if Miquel's theorem fails, the
-    Pascal line is not parallel to a hexagon meet at infinity, R is O, P or
-    Q lies on BC, or the diameter-line block fails where ``_prefix`` found
-    it defined.  Precondition: ``validate_scene(scene)`` is empty."""
+    can reject a draw; this reduces what it keeps raw and adds the ones that
+    cannot (the circumcircle, T_a, the spiral ratios, X, Y, Z and O_A..O_C)
+    and the record.  Raises ``Degenerate`` on an input degeneracy, including
+    ``Degenerate("S")`` when a T-vertex equals its primed vertex, and
+    ``InternalInconsistencyError`` only if Miquel's theorem fails, the Pascal
+    line is not parallel to a hexagon meet at infinity, R is O, P or Q lies
+    on BC, or the diameter-line block fails where ``_prefix`` found it
+    defined.  Precondition: ``validate_scene(scene)`` is empty."""
     fields, lines, or_join = _prefix(scene)
     fields["circ"] = circ = scene.triangle.circumcircle
     if not fields.get("collapsed"):
+        for name, cls in (("r_star", Point), ("brocard_circle", Circle), ("steiner", Point), ("perspector", Point)):
+            fields[name] = _reduced(cls, *fields[name])
         fields["tarry"] = _reduced(Point, *_antipode(fields["steiner"], circ))
         # No valid scene puts P on a sideline.  A is on chord b1b2, not on
         # gamma, so circle(A, b1, c1) misses a1 and B; P is on it and on
@@ -364,10 +365,11 @@ def compute_configuration(scene: Scene) -> Configuration:
 
 def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
     """The stages of ``compute_configuration`` that can reject a draw, in
-    build order.  Returns the ``Configuration`` fields they define, the
-    shared lines they built and the raw line OR, None when P = Q, when a
-    hexagon meet is at infinity or when X, Y, Z, O_A..O_C are undefined.
-    The configuration is complete iff OR is returned."""
+    build order.  Returns the ``Configuration`` fields they define, R*, the
+    Brocard circle, S_t and the perspector as raw tuples, the shared lines
+    they built and the raw line OR, None when P = Q, when a hexagon meet is
+    at infinity or when X, Y, Z, O_A..O_C are undefined.  The configuration
+    is complete iff OR is returned."""
     a, b, c = scene.a, scene.b, scene.c
     gamma, o = scene.gamma, scene.o
     tri = scene.triangle
@@ -435,20 +437,20 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
         r = pole_of_line(pascal, gamma)
 
     with _Stage("R*"):
-        r_star = isogonal_conjugate(r, a, b, c)
+        r_star = _isogonal(r, a, b, c)
 
     with _Stage("brocard circle"):
-        brocard = circumcircle(p, q, o)
+        brocard = _circle_through(p, q, o)
 
     with _Stage("S_t"):
         t_sides = Triangle(t_a, t_b, t_c).sides
-        steiner = _reduced(Point, *_meet(_parallel(a, t_sides[0]), _parallel(b, t_sides[1])))
+        steiner = _meet(_parallel(a, t_sides[0]), _parallel(b, t_sides[1]))
 
     if t_a == a_prime or t_b == b_prime or t_c == c_prime:
         raise Degenerate("S", "a T-vertex coincides with its primed vertex")
     with _Stage("S"):
         perspective_lines = _perspective_lines(t_a, t_b, t_c, a_prime, b_prime, c_prime)
-        perspector = intersect_lines(perspective_lines[0], perspective_lines[1])
+        perspector = _meet(perspective_lines[0], perspective_lines[1])
 
     # The diameter line OR parallel to a sideline cuts it at infinity, and OR
     # through A gives Y = Z = A (an isoceles classical scene sends it through

@@ -9,7 +9,8 @@ downstream stays rational and every theorem becomes an exact identity.
 Degeneracy policy is reject-and-resample: a candidate scene is accepted
 only if the construction stages that can reject it, ``pipeline._prefix``,
 pass and leave the configuration complete, so accepted scenes never
-produce degenerate verification results.
+produce degenerate verification results.  A candidate is six integer
+pairs, ``Random.randint``'s values taken straight from ``getrandbits``.
 
 With strict segments, most draws fail because an incidence point falls
 outside its side.  ``generate_scene`` first applies an exact squeeze to
@@ -233,12 +234,24 @@ def scene_from_parameters(
     )
 
 
-def _draw_parameter(rng: Random, params: SceneParams) -> Tuple[int, int]:
-    """One chord parameter as its (numerator, positive denominator)."""
-    return (
-        rng.randint(-params.numerator_cap, params.numerator_cap),
-        rng.randint(1, params.denominator_cap),
-    )
+def _draw_pairs(rng: Random, count: int, lo: int, hi: int, den_cap: int) -> List[Tuple[int, int]]:
+    """``count`` pairs ``(rng.randint(lo, hi), rng.randint(1, den_cap))`` as
+    CPython draws them: ``randint(a, b)`` is a plus the first
+    ``getrandbits(k)`` below b - a + 1, k its bit length, so the values and
+    the state left are ``randint``'s."""
+    bits = rng.getrandbits
+    width = hi - lo + 1
+    nk, dk = width.bit_length(), den_cap.bit_length()
+    pairs = []
+    for _ in range(count):
+        n = bits(nk)
+        while n >= width:
+            n = bits(nk)
+        d = bits(dk)
+        while d >= den_cap:
+            d = bits(dk)
+        pairs.append((lo + n, d + 1))
+    return pairs
 
 
 def _chords_adjacent(draws: Sequence[Tuple[int, int]]) -> bool:
@@ -249,13 +262,16 @@ def _chords_adjacent(draws: Sequence[Tuple[int, int]]) -> bool:
     them: the pair is adjacent in the order around gamma.  A strict scene
     needs this, since its six points lie on the triangle's boundary, side by
     side, and points of a circle are in convex position.  For t = n/d the
-    sign of (t - t1)(t - t2) is that of (n*d1 - n1*d)(n*d2 - n2*d).
-    """
+    sign of (t - t1)(t - t2) is that of (n*d1 - n1*d)(n*d2 - n2*d); the test
+    stops at the first that is zero or of the other sign."""
     for k in (0, 2, 4):
         (n1, d1), (n2, d2) = draws[k], draws[k + 1]
-        signs = [(n * d1 - n1 * d) * (n * d2 - n2 * d) for n, d in draws[:k] + draws[k + 2:]]
-        if not (all(v < 0 for v in signs) or all(v > 0 for v in signs)):
-            return False
+        outside = None  # the side of the first of the other four
+        for n, d in draws[:k] + draws[k + 2:]:
+            v = (n * d1 - n1 * d) * (n * d2 - n2 * d)
+            if v == 0 or outside is (v < 0):
+                return False
+            outside = v > 0
     return True
 
 
@@ -273,15 +289,15 @@ def generate_scene(params: SceneParams) -> Scene:
 
     With strict segments, a draw that fails the squeeze ``_chords_adjacent``
     is rejected on its six integer pairs, before ``scene_from_parameters``
-    builds anything.  The squeeze is necessary for a strict scene, and the
-    draws come from the same random stream, so every seed gives the scene
-    it gave without the squeeze.
+    builds anything.  The squeeze is necessary for a strict scene, and it
+    draws nothing.  ``_draw_pairs`` writes out ``Random.randint``, so every
+    seed gives its scene on the same ``getrandbits`` stream.
     """
     from .pipeline import _prefix  # deferred: pipeline builds on scenes
 
     rng = Random(params.seed)
     for _ in range(_MAX_ATTEMPTS):
-        draws = [_draw_parameter(rng, params) for _ in range(6)]
+        draws = _draw_pairs(rng, 6, -params.numerator_cap, params.numerator_cap, params.denominator_cap)
         if params.strict_segments and not _chords_adjacent(draws):
             continue
         try:
@@ -337,17 +353,14 @@ def kwon_scene(seed: int) -> KwonScene:
     """
     rng = Random(seed)
 
-    def draw_pair(lo: int, hi: int) -> Tuple[int, int]:
-        return rng.randint(lo, hi), rng.randint(1, 6)
-
     def vertex() -> Point:
-        (nx, dx), (ny, dy) = draw_pair(-12, 12), draw_pair(-12, 12)
+        (nx, dx), (ny, dy) = _draw_pairs(rng, 2, -12, 12, 6)
         return _reduced(Point, nx * dy, ny * dx, dx * dy)
 
     def on_side(p1: Point, p2: Point) -> Point:
         """The point p1 + t*(p2 - p1) at t = n / 6m: mostly inside the
         segment, sometimes beyond."""
-        n, m = draw_pair(-2, 8)
+        [(n, m)] = _draw_pairs(rng, 1, -2, 8, 6)
         m *= 6
         x1, y1, w1 = p1.h
         x2, y2, w2 = p2.h

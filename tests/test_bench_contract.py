@@ -13,6 +13,7 @@ import cProfile
 import fractions
 import os
 import pstats
+import random
 import re
 import subprocess
 import sys
@@ -206,34 +207,45 @@ def test_circle_incidences_of_one_suite_run():
     assert 0 < _calls_of(calls, geom._power) <= POWER_SEED7 * 1.1
 
 
-#: ``geom._reduced`` calls of ``generate_scene(SceneParams(seed=7))``: 32
-#: since the isogonal probe of P and the spiral ratios, which no valid draw
-#: can fail, left generation, 34 while generation built them, 42 while it
-#: built the whole configuration and threw it away.
-GENERATE_REDUCED_SEED7 = 32
+#: ``geom._reduced`` calls of ``generate_scene(SceneParams(seed=7))``: 28
+#: since R*, the Brocard circle, S_t and the perspector stay raw in the
+#: prefix, 32 since the isogonal probe of P and the spiral ratios, which no
+#: valid draw can fail, left generation, 34 while generation built them, 42
+#: while it built the whole configuration and threw it away.
+GENERATE_REDUCED_SEED7 = 28
+
+
+def _generation_stats(params):
+    """cProfile's stats of a second ``generate_scene(params)``, and its
+    calls per ``(file, first line, name)``."""
+    generate_scene(params)
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        generate_scene(params)
+    finally:
+        profile.disable()
+    stats = pstats.Stats(profile).stats
+    return stats, {(filename, line, fn_name): nc for (filename, line, fn_name), (_, nc, *_) in stats.items()}
 
 
 def test_generation_builds_no_configuration():
     """The tracer counts ``compute_configuration`` spans, which generation
     no longer makes, so this pins its cost: no configuration, no
-    circumcenter of the diameter-line block, no spiral ratio, an isogonal
-    conjugate only for R*, and reductions within 10%."""
-    generate_scene(SceneParams(seed=7))
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        generate_scene(SceneParams(seed=7))
-    finally:
-        profile.disable()
-    stats = pstats.Stats(profile).stats
-    calls = {(filename, line, fn_name): nc for (filename, line, fn_name), (_, nc, *_) in stats.items()}
+    circumcenter of the diameter-line block, no spiral ratio, a raw
+    isogonal conjugate only for R*, and reductions within 10%.  Draws
+    take no ``Random.randrange``, here on the strict path, which draws
+    most: the pairs come straight from ``getrandbits``."""
+    stats, calls = _generation_stats(SceneParams(seed=7))
     assert _calls_of(calls, pipeline.compute_configuration) == 0
     assert _calls_of(calls, geom._circumcenter) == 0
     assert _calls_of(calls, geom._spiral) == 0
     code = geom._isogonal.__code__
     callers = stats[(code.co_filename, code.co_firstlineno, code.co_name)][4]
-    assert {name for _, _, name in callers} == {"isogonal_conjugate"}
+    assert {name for _, _, name in callers} == {"_prefix"}
     assert 0 < _calls_of(calls, geom._reduced) <= GENERATE_REDUCED_SEED7 * 1.1
+    _, strict_calls = _generation_stats(SceneParams(seed=7, strict_segments=True))
+    assert _calls_of(strict_calls, random.Random.randrange) == 0
 
 
 #: Distinct check results in the seed-7 caps-50 report (scene seeds

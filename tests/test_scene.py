@@ -36,7 +36,7 @@ from brocard.scene import (
     KwonScene,
     SceneParams,
     _chords_adjacent,
-    _draw_parameter,
+    _draw_pairs,
     circle_point_from_parameter,
     classical_brocard_scene,
     generate_scene,
@@ -138,15 +138,40 @@ class TestGeneration:
             SceneParams(seed=0, numerator_cap=0)
 
 
+def _randint_draw(rng, params):
+    """The six chord parameters of one generation draw, by ``Random.randint``."""
+    cap = params.numerator_cap
+    return [(rng.randint(-cap, cap), rng.randint(1, params.denominator_cap)) for _ in range(6)]
+
+
+class TestDrawPairs:
+    """``_draw_pairs`` is ``Random.randint`` on the same stream: the same
+    values, and the same state left behind."""
+
+    @pytest.mark.parametrize("lo, hi, den_cap", [
+        *((-cap, cap, cap) for cap in (1, 3, 50, 10**6, 10**12)),  # k > 32 takes two words
+        (-7, 7, 1), (-50, 50, 1),  # width 1 still consumes bits
+        (-12, 12, 6), (-2, 8, 6), (1, 6, 6),  # the Kwon draws
+    ])
+    def test_same_stream_as_randint(self, lo, hi, den_cap):
+        for seed in range(20):
+            rng, ref = Random(seed), Random(seed)
+            for count in (1, 2, 6, 6, 1):
+                expected = [(ref.randint(lo, hi), ref.randint(1, den_cap)) for _ in range(count)]
+                assert _draw_pairs(rng, count, lo, hi, den_cap) == expected
+            assert rng.getstate() == ref.getstate()
+
+
 def _ref_generate_scene(params):
     """``generate_scene``'s acceptance rule as it was before generation
     stopped at the stages that can reject: build the whole configuration,
     require it complete (no collapse, every hexagon meet finite and X, Y, Z,
     O_A..O_C defined), then probe the isogonal conjugate of P; resample on
-    any ``GeometryError``.  Non-strict draws only."""
+    any ``GeometryError``.  Non-strict draws only, drawn by ``randint``
+    itself, so the reference also pins the random stream."""
     rng = Random(params.seed)
     for _ in range(_MAX_ATTEMPTS):
-        draws = [_draw_parameter(rng, params) for _ in range(6)]
+        draws = _randint_draw(rng, params)
         try:
             scene = scene_from_parameters([F(n, d) for n, d in draws], params.center, params.radius)
             cfg = compute_configuration(scene)
@@ -206,7 +231,7 @@ class TestAcceptance:
                 rng = Random(seed)
                 scene = None
                 while scene != accepted:
-                    draws = [_draw_parameter(rng, params) for _ in range(6)]
+                    draws = _randint_draw(rng, params)
                     try:
                         scene = scene_from_parameters([F(n, d) for n, d in draws], ORIGIN, 1)
                         p, _ = _miquel(scene.a1, scene.b1, scene.c1, scene.triangle)
