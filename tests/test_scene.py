@@ -229,8 +229,7 @@ class TestAcceptance:
                 params = SceneParams(seed=seed, numerator_cap=caps, denominator_cap=caps)
                 accepted = generate_scene(params)
                 rng = Random(seed)
-                scene = None
-                while scene != accepted:
+                for _ in range(_MAX_ATTEMPTS):
                     draws = _randint_draw(rng, params)
                     try:
                         scene = scene_from_parameters([F(n, d) for n, d in draws], ORIGIN, 1)
@@ -245,6 +244,10 @@ class TestAcceptance:
                         _isogonal(m, scene.a, scene.b, scene.c)
                         _spiral(m, d, bc)
                     checked += 1
+                    if scene == accepted:
+                        break
+                else:
+                    pytest.fail(f"the randint replay never drew the accepted scene (caps {caps}, seed {seed})")
         assert checked > seeds  # draws rejected later in the prefix are covered too
 
     @pytest.mark.parametrize("site", REJECTED_DRAWS)
