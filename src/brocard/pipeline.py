@@ -198,20 +198,14 @@ def miquel_circle(v: Point, p: Point, p_side: Line, q: Point, q_side: Line, name
     to the one tangent to that point's sideline at the vertex, which is the
     exact limit of the circumcircle as the point slides into the vertex.
     """
-    return _reduced(Circle, *_miquel_circle(v, p, p_side, q, q_side, name))
-
-
-def _miquel_circle(v: Point, p: Point, p_side: Line, q: Point, q_side: Line, name: str):
-    """The coefficients (d, e, f, v) of ``miquel_circle``, unreduced unless
-    it is a tangent-circle limit; each side is a ``Line`` or a raw triple."""
     try:
         if p == v and q == v:
             raise Degenerate(name, "both defining points collapse onto the vertex")
         if p == v:
-            return circle_through_tangent(v, p_side if type(p_side) is Line else Line(*p_side), q).h
+            return circle_through_tangent(v, p_side, q)
         if q == v:
-            return circle_through_tangent(v, q_side if type(q_side) is Line else Line(*q_side), p).h
-        return _circle_through(v, p, q)
+            return circle_through_tangent(v, q_side, p)
+        return _reduced(Circle, *_circle_through(v, p, q))
     except Degenerate:
         raise
     except GeometryError as exc:
@@ -229,41 +223,29 @@ def _chord(p1: Point, p2: Point, gamma: Circle, name: str):
     return _polar(p1, gamma)
 
 
-def miquel_point(d: Point, e: Point, f: Point, tri) -> Point:
+def miquel_point(d: Point, e: Point, f: Point, tri: Triangle) -> Point:
     """Miquel point of the inscribed triangle def in triangle tri = abc: the
     common point of the circumcircles of (a,e,f), (b,f,d), (c,d,e).
 
-    tri is a ``Triangle``, or its vertices and sidelines (a, b, c, BC, CA,
-    AB) with each sideline a ``Line`` or a raw triple.  d must lie on
-    sideline BC, e on CA, f on AB.  Aliased inputs (d=b and similar) are
-    allowed and produce the tangent-circle limits, so the classical
-    Brocard points are the images of (b,c,a) and (c,a,b).  Only the point
-    is reduced: the circles at A and B stay raw for their one meet, and
-    the circle at C is tested on the cross ratio.
+    d must lie on sideline BC, e on CA, f on AB.  Aliased inputs (d=b and
+    similar) are allowed and produce the tangent-circle limits, so the
+    classical Brocard points are the images of (b,c,a) and (c,a,b).
     """
-    a, b, c, bc, ca, ab = (tri.a, tri.b, tri.c, *tri.sides) if type(tri) is Triangle else tri
-    _inscribed(d, e, f, bc, ca, ab)
-    circle_a = _miquel_circle(a, e, ca, f, ab, "miquel circle at A")
-    circle_b = _miquel_circle(b, f, ab, d, bc, "miquel circle at B")
-    with _Stage("miquel point"):
-        m, _ = _second_common(circle_a, circle_b, f)
-    # ``_miquel`` builds C's circle before the meet; testing it after gives
-    # the same errors, as the meet never raises when C's circle would.
-    _require(_on_miquel_circle(m, c, d, bc, e, ca, "miquel circle at C"), "Miquel point misses the third circle")
-    return m
+    return _miquel(d, e, f, tri)[0]
 
 
-def _inscribed(d: Point, e: Point, f: Point, bc, ca, ab) -> None:
-    """Raise unless d, e, f lie on BC, CA, AB, each a ``Line`` or a raw triple."""
+def _inscribed(d: Point, e: Point, f: Point, bc: Line, ca: Line, ab: Line) -> None:
+    """Raise unless d, e, f lie on BC, CA, AB."""
     for name, pt, (la, lb, lc), side in zip("def", (d, e, f), (bc, ca, ab), ("BC", "CA", "AB")):
         x, y, w = pt.h
         if la * x + lb * y + lc * w:
             raise Degenerate("miquel point", f"{name} is not on sideline {side}")
 
 
-def _on_miquel_circle(m: Point, v: Point, p: Point, p_side, q: Point, q_side, name: str) -> bool:
+def _on_miquel_circle(m: Point, v: Point, p: Point, p_side: Line, q: Point, q_side: Line, name: str) -> bool:
     """m lies on ``miquel_circle(v, p, p_side, q, q_side, name)``, with the
-    errors it raises.  Only a tangent limit is built; any other circle is
+    errors it raises; the spiral lemma's recorder asks this of each of its
+    three circles.  Only a tangent limit is built; any other circle is
     decided by ``_concyclic`` on the cross ratio."""
     if v == p or v == q:
         return on_circle(m, miquel_circle(v, p, p_side, q, q_side, name))

@@ -129,8 +129,9 @@ class SceneParams:
 class KwonScene:
     """Two inscribed triangles DEF, XYZ whose chord perpendicular bisectors
     concur at t (the third bisector is forced by reflecting f across the
-    foot of t on AB).  Their Miquel points are cached on the frozen record,
-    so ``dataclasses.replace`` derives them afresh."""
+    foot of t on AB).  Their Miquel points in ``Triangle(a, b, c)`` are
+    cached on the frozen record, so ``dataclasses.replace`` derives them
+    afresh."""
 
     a: Point
     b: Point
@@ -148,8 +149,7 @@ class KwonScene:
         """The Miquel points of DEF and of XYZ in ABC."""
         from .pipeline import miquel_point  # deferred: pipeline builds on scenes
 
-        # The vertices and raw sidelines, with no ``Triangle``.
-        tri = self.a, self.b, self.c, _join(self.b, self.c), _join(self.c, self.a), _join(self.a, self.b)
+        tri = Triangle(self.a, self.b, self.c)
         return miquel_point(self.d, self.e, self.f, tri), miquel_point(self.x, self.y, self.z, tri)
 
 

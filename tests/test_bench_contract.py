@@ -51,9 +51,10 @@ def test_traced_run_sees_every_check_and_restores_patches(monkeypatch):
     assert len(checks.THEOREM_CHECK_IDS) == 17
     assert check_metrics == {f"checks.{cid}_ms" for cid in checks.THEOREM_CHECK_IDS}
     # Every wrapped check was reached, except the memoised cyclic lemma,
-    # whose circle an earlier run may already have computed.
+    # whose circle an earlier run may already have computed, and the Kwon
+    # remark, which runs once per process.
     unseen = {cid for cid in checks.THEOREM_CHECK_IDS if result.metrics[f"checks.{cid}_ms"][0] == 0}
-    assert unseen <= {"check_lemma_cyclic"}
+    assert unseen <= {"check_lemma_cyclic", "check_kwon_remark"}
     assert {cid: getattr(checks, cid) for cid in checks.THEOREM_CHECK_IDS} == originals
 
 
@@ -84,11 +85,12 @@ def test_bench_child_calibrates_every_scene(tmp_path):
 
 
 #: Fraction operations of one ``run_suite`` on the seed-7 scene at caps 50,
-#: with the memoised cyclic lemma computed afresh: 0 since the checks decide
+#: with the memoised cyclic lemma computed afresh and the Kwon remark,
+#: which runs once per process, already computed: 0 since the checks decide
 #: on integer residuals and the Kwon draw runs on integer pairs, 17 before,
-#: 24 while points, circles and complex numbers stored Fractions, 651 before
-#: the point, complex and similarity layer moved onto integers.  Like the
-#: tracer, it counts the operators and not the ``Fraction(n, d)``
+#: 24 while points, circles and complex numbers stored Fractions, 651
+#: before the point, complex and similarity layer moved onto integers.
+#: Like the tracer, it counts the operators and not the ``Fraction(n, d)``
 #: constructions of witnesses and views.
 FRACTION_OPS_SEED7 = 0
 
@@ -111,6 +113,7 @@ def test_fraction_operations_of_one_suite_run(monkeypatch):
             sys.modules.pop(name, None)
     scene = generate_scene(SceneParams(seed=7))
     checks._cyclic_lemma.cache_clear()
+    checks._kwon_remark()
     profile = cProfile.Profile()
     profile.enable()
     try:
@@ -127,33 +130,37 @@ def test_fraction_operations_of_one_suite_run(monkeypatch):
     assert sum(nc for fn_name, nc in calls if fn_name == "__new__") <= FRACTION_NEW_SEED7 * 1.1
 
 
-#: ``Line.__init__`` calls in the same run: 19 since the Kwon draw's
-#: Miquel points read raw sidelines, 21 since a line that feeds one meet or
-#: one foot stays a raw triple, 38 while the T-vertex, Steiner-point,
-#: hexagon and Kwon meets took canonical lines, 85 while every check body
-#: built throwaway lines for one-off tests.  An angle pair is canonicalized
-#: only for a FAIL witness (17 angle classes were built per run while
-#: ``angle_at`` built them), so ``geom._canonical_ints``, which every
-#: ``Line`` calls once, is bounded by the same count.
-LINE_NEW_SEED7 = 19
+#: ``Line.__init__`` calls in the same run: 16 since the Kwon remark runs
+#: once per process, 19 while the Kwon draw's Miquel points read raw
+#: sidelines, 21 since a line that feeds one meet or one foot stays a raw
+#: triple, 38 while the T-vertex, Steiner-point, hexagon and Kwon meets
+#: took canonical lines, 85 while every check body built throwaway lines
+#: for one-off tests.  An angle pair is canonicalized only for a FAIL
+#: witness (17 angle classes were built per run while ``angle_at`` built
+#: them), so ``geom._canonical_ints``, which every ``Line`` calls once, is
+#: bounded by the same count.
+LINE_NEW_SEED7 = 16
 
-#: ``geom._reduced`` calls in the same run: 69 since the cyclic lemma's
-#: quadrangle Miquel point meets two raw circles, 71 since no circle is
-#: reduced for one meet or one incidence and the pedal feet stay raw, 88 since
-#: points, ratios and circles built for one meet or one comparison stay raw
-#: integer tuples, 128 while each of them was reduced.
-REDUCED_SEED7 = 69
+#: ``geom._reduced`` calls in the same run: 55 since the Kwon remark runs
+#: once per process, 69 since the cyclic lemma's quadrangle Miquel point
+#: meets two raw circles, 71 since no circle is reduced for one meet or one
+#: incidence and the pedal feet stay raw, 88 since points, ratios and
+#: circles built for one meet or one comparison stay raw integer tuples,
+#: 128 while each of them was reduced.
+REDUCED_SEED7 = 55
 
-#: ``geom._circle_through`` calls in the same run: 13 since an incidence
-#: with the circle through three points is decided on their cross ratio and
-#: O_A, O_B, O_C come from ``_circumcenter``, 22 while every such circle was
-#: built.  The tracer's ``geom.circumcircle.calls`` does not see these.
-CIRCLE_THROUGH_SEED7 = 13
+#: ``geom._circle_through`` calls in the same run: 10 since the Kwon remark
+#: runs once per process, 13 since an incidence with the circle through
+#: three points is decided on their cross ratio and O_A, O_B, O_C come from
+#: ``_circumcenter``, 22 while every such circle was built.  The tracer's
+#: ``geom.circumcircle.calls`` does not see these.
+CIRCLE_THROUGH_SEED7 = 10
 
 #: ``geom._power`` calls in the same run, one per incidence of a point with
-#: a circle: 31 since the build tests no point on a circle it built through
-#: that point and no S_t on the circumcircle before T_a, 44 before.
-POWER_SEED7 = 31
+#: a circle: 30 since the Kwon remark runs once per process, 31 since the
+#: build tests no point on a circle it built through that point and no S_t
+#: on the circumcircle before T_a, 44 before.
+POWER_SEED7 = 30
 
 
 def _suite_calls():
@@ -161,6 +168,7 @@ def _suite_calls():
     as the Fraction counts, and whether every check passed."""
     scene = generate_scene(SceneParams(seed=7))
     checks._cyclic_lemma.cache_clear()
+    checks._kwon_remark()
     profile = cProfile.Profile()
     profile.enable()
     try:

@@ -216,9 +216,12 @@ class TestCheckProtocol:
                 return _check(*args, **kwargs)
 
             monkeypatch.setattr(ck, cid, counting)
-        ck._cyclic_lemma.cache_clear()  # a memoised cyclic lemma would skip its call
+        # A memoised cyclic lemma or Kwon remark would skip its call.
+        ck._cyclic_lemma.cache_clear()
+        ck._kwon_remark.cache_clear()
         report = run_suite(seed7_scene)
         ck._cyclic_lemma.cache_clear()
+        ck._kwon_remark.cache_clear()
         assert calls == list(THEOREM_CHECK_IDS)
         assert report.all_pass
 
@@ -491,6 +494,27 @@ class TestLemmaChecks:
     def test_kwon_remark_passes(self):
         result = check_kwon_remark(kwon_scene(1))
         assert result.status == PASS
+
+    def test_kwon_remark_passes_on_many_instances(self):
+        """The suite checks the remark on one fixed instance per process;
+        this sweep is its coverage of the kernel on Kwon draws."""
+        failing = [s for s in range(501) if check_kwon_remark(kwon_scene(s)).status != PASS]
+        assert failing == []
+
+    def test_suite_shares_one_kwon_remark(self, seed7_scene):
+        """Every scene, on any circle, reports the one memoised result of
+        the remark on ``kwon_scene(0)``."""
+
+        def kwon(report):
+            return next(r for r in report.results if r.check_id == "check_kwon_remark")
+
+        other = generate_scene(SceneParams(seed=7, center=Point(2, -1), radius=F(5, 3)))
+        assert other.gamma != seed7_scene.gamma
+        ck._kwon_remark.cache_clear()
+        first, second = kwon(run_suite(seed7_scene)), kwon(run_suite(other))
+        assert first is second
+        assert first == check_kwon_remark(kwon_scene(0))
+        assert first.status == PASS
 
     def test_kwon_reflection_perturbed_fails(self):
         kw = kwon_scene(1)

@@ -60,7 +60,7 @@ from brocard.geom import (
     _sum,
     _times,
 )
-from brocard.pipeline import _miquel, miquel_point, tangent_of_angle
+from brocard.pipeline import miquel_point, tangent_of_angle
 from brocard.scene import circle_point_from_parameter
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -1278,6 +1278,16 @@ def test_concyclic_decides_circumcircle_incidence(p, q, r, z):
 side_parameters = st.sampled_from([F(0), F(1)]) | kernel_rationals
 
 
+def _ref_tangent_circle(v, side, q):
+    """The circle through q tangent to the line ``side`` (a triple) at v:
+    its center v + k * (a, b) is as far from q as from v."""
+    la, lb, _ = side
+    u = _ref_sub(q, v)
+    k = _ref_dot(u, u) / (2 * (u.x * la + u.y * lb))
+    center = Point(v.x + k * la, v.y + k * lb)
+    return Circle(-2 * center.x, -2 * center.y, center.x**2 + center.y**2 - _ref_dist2(center, v))
+
+
 @example(BIG_A, BIG_B, BIG_C, F(-1, BIG), F(BIG - 1, BIG), F(2, 7), False)
 @example(BIG_A, BIG_B, BIG_C, F(0), F(1, 3), F(1, 2), False)  # d on B
 @example(BIG_A, BIG_B, BIG_C, F(1), F(1, 3), F(1, 2), False)  # d on C
@@ -1285,16 +1295,32 @@ side_parameters = st.sampled_from([F(0), F(1)]) | kernel_rationals
 @example(Point(0, 0), Point(4, 0), Point(1, 3), F(1), F(1), F(1), False)  # one on each vertex
 @example(Point(0, 0), Point(4, 0), Point(1, 3), F(1, 2), F(1, 3), F(1, 4), True)  # d off BC
 @given(kernel_points(), kernel_points(), kernel_points(), side_parameters, side_parameters, side_parameters, st.booleans())
-def test_raw_miquel_point_matches_kept_circles(a, b, c, s, t, u, off):
-    """``miquel_point``, which keeps no circle, equals the point ``_miquel``
-    meets on its reduced circles, or raises the same error: on ``Line``
-    sidelines and on raw ones, with tangent-circle limits where a point
-    sits on a vertex, and with d moved off BC."""
+def test_miquel_point_lies_on_reference_circles(a, b, c, s, t, u, off):
+    """``miquel_point`` against the ``_ref_`` oracles: M lies on the
+    circumcircle of each of the triples (A, E, F), (B, F, D), (C, D, E),
+    and on the circle tangent to the sideline where a point sits on the
+    triple's vertex.  Two points on one vertex raise ``Degenerate`` for
+    that circle, and d moved off BC raises ``Degenerate("miquel point")``."""
     assume(orientation(a, b, c) != 0)
     d, e, f = _ref_point_along(b, c, s), _ref_point_along(c, a, t), _ref_point_along(a, b, u)
     if off:
         d = d + Point(0, 1)
-    tri = Triangle(a, b, c)
-    expected = _outcome(lambda: _miquel(d, e, f, tri)[0])
-    assert _outcome(miquel_point, d, e, f, tri) == expected
-    assert _outcome(miquel_point, d, e, f, (a, b, c, _join(b, c), _join(c, a), _join(a, b))) == expected
+    m, raised = _outcome(miquel_point, d, e, f, Triangle(a, b, c))
+    bc, ca, ab = _ref_line_through(b, c), _ref_line_through(c, a), _ref_line_through(a, b)
+    if bc[0] * d.x + bc[1] * d.y + bc[2]:  # a vertical BC keeps d on it
+        assert raised == (Degenerate, "miquel point: d is not on sideline BC")
+        return
+    triples = (("A", a, e, ca, f, ab), ("B", b, f, ab, d, bc), ("C", c, d, bc, e, ca))
+    for name, v, p, p_side, q, q_side in triples:
+        if p == v and q == v:
+            assert raised == (Degenerate, f"miquel circle at {name}: both defining points collapse onto the vertex")
+            return
+    assert raised is None
+    for name, v, p, p_side, q, q_side in triples:
+        if p == v:
+            circle = _ref_tangent_circle(v, p_side, q)
+        elif q == v:
+            circle = _ref_tangent_circle(v, q_side, p)
+        else:
+            circle = _ref_circumcircle(v, p, q)
+        assert _ref_circle_eval(circle, m) == 0

@@ -746,7 +746,7 @@ class TestGoldenBytes:
         for variant in moved:
             digest = scene_digest(variant.scene)
             results = [
-                run(variant, digest)
+                run(variant)
                 for run, classical_only in checks._SUITE.values()
                 if variant.scene.classical or not classical_only
             ]
