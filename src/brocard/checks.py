@@ -30,9 +30,12 @@ configuration checks first, then the four lemma checks, whose adapters
 derive their self-contained inputs from the scene, and last the
 classical-overlay check, ``@_check(classical=True)``, which runs on
 classical scenes only.  Results are frozen records holding tuples:
-immutable, hashable values that reports share, as every scene on one
-circle shares the one memoised cyclic-lemma result, and every scene the
-one Kwon-remark result, memoised on a fixed instance.
+immutable, hashable values that reports share.  Every PASS result is one
+shared value, kept by ``_run`` per check id, notes and assertions, and the
+``scene_validation`` PASS is the constant ``_VALID``; FAIL and DEGENERATE
+results are built fresh.  Every scene on one circle shares the one
+memoised cyclic-lemma result, and every scene the one Kwon-remark result,
+memoised on a fixed instance.
 """
 
 from __future__ import annotations
@@ -290,11 +293,28 @@ def _same(u, v) -> bool:
     return x1 * w2 == x2 * w1 and y1 * w2 == y2 * w1
 
 
+#: The PASS result of each (check id, notes, assertions), built on first use
+#: and then shared by every scene that passes the check with them.  A PASS
+#: records only the shared assertions of ``_PASSES``, so the key holds their
+#: identities, which the stored result keeps alive.
+_PASS_RESULTS: Dict[Tuple[str, Tuple[str, ...], Tuple[int, ...]], CheckResult] = {}
+
+
 def _run(check_id: str, body: Callable[[_Recorder], None]) -> CheckResult:
+    """The result of running ``body`` on a fresh recorder: the one shared
+    PASS value of its id, notes and assertions, or a fresh FAIL or
+    DEGENERATE result."""
     rec = _Recorder()
     try:
         body(rec)
-        status = FAIL if rec.failed else PASS
+        if not rec.failed:
+            notes = tuple(rec.notes)
+            key = (check_id, notes, tuple(map(id, rec.assertions)))
+            result = _PASS_RESULTS.get(key)
+            if result is None:
+                result = _PASS_RESULTS[key] = CheckResult(check_id, PASS, tuple(rec.assertions), notes)
+            return result
+        status = FAIL
     except GeometryError as exc:
         if rec.failed:
             status = FAIL
@@ -795,6 +815,9 @@ def check_classical_overlay(rec: _Recorder, cfg: Configuration) -> None:
 # ---------------------------------------------------------------------------
 # Suite runner
 
+#: The ``scene_validation`` result of every valid scene.
+_VALID = CheckResult("scene_validation", PASS, ())
+
 #: The seventeen theorem checks run on every scene, in report order.
 THEOREM_CHECK_IDS: Tuple[str, ...] = tuple(cid for cid, (_, classical) in _SUITE.items() if not classical)
 
@@ -820,13 +843,12 @@ def _suite(scene: Scene, check_ids: Optional[Sequence[str]]) -> Tuple[SuiteRepor
     check_suite_ids(selected)
     digest = scene_digest(scene)
     violations = validate_scene(scene)
-    validation = CheckResult(
-        "scene_validation",
-        FAIL if violations else PASS,
-        tuple(Assertion(str(v), False, v.witnesses) for v in violations),
-    )
     if violations:
+        validation = CheckResult(
+            "scene_validation", FAIL, tuple(Assertion(str(v), False, v.witnesses) for v in violations)
+        )
         return SuiteReport(digest, (validation,)), None
+    validation = _VALID
 
     try:
         cfg = compute_configuration(scene)

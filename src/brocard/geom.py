@@ -228,9 +228,23 @@ _Quadruple = Tuple[int, int, int, int]
 def _integers(*values: RationalLike) -> Tuple[int, ...]:
     """The coprime integers (N_1, ..., N_k, W) with values[i] = N_i / W and
     W > 0 the lcm of the denominators of the values in lowest terms."""
-    ratios = [(v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio() for v in values]
+    return _over_lcm([(v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio() for v in values])
+
+
+def _over_lcm(ratios) -> Tuple[int, ...]:
+    """``_integers`` of the rationals n / d given as lowest-terms pairs
+    (n, d), d > 0.  Scaled to their lcm W, the entries and W are coprime."""
     w = lcm(*[d for _, d in ratios])
     return (*[n * (w // d) for n, d in ratios], w)
+
+
+def _from_ratios(cls, *ratios: Tuple[int, int]):
+    """The ``cls`` value of the rationals n / d, given as lowest-terms pairs
+    (n, d), d > 0: the ``cls(...)`` of those values, built without a
+    ``Fraction`` or a gcd."""
+    value = object.__new__(cls)
+    _set_h[cls](value, _over_lcm(ratios))
+    return value
 
 
 def _reduced(cls, *ints: int):

@@ -101,6 +101,14 @@ class Scene:
         """ABC, which caches its sidelines, circumcircle and Simson lines."""
         return Triangle(self.a, self.b, self.c)
 
+    @cached_property
+    def canonical_text(self) -> str:
+        """The compact sorted-key JSON that ``sceneio.scene_digest`` hashes.
+        ``sceneio.scene_from_dict`` seeds it with the text it read."""
+        from .sceneio import canonical_text  # deferred: sceneio builds on scenes
+
+        return canonical_text(self)
+
 
 @_record
 class SceneParams:

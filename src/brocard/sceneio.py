@@ -6,7 +6,16 @@ parser accepts only the text ``rational_to_str`` writes (lowest terms,
 positive denominator, no sign on zero, no leading zeros, spaces or
 underscores), only JSON booleans as flags, an object as provenance, no
 key it does not know outside the free-form provenance and no non-integer
-JSON number anywhere: round trips are the identity on both sides.
+JSON number anywhere: round trips are the identity on both sides.  It
+parses each rational once, to its lowest-terms integer pair, and builds
+points and gamma from the pairs (``geom._from_ratios``), with no
+``Fraction``.
+
+A scene's digest is the sha256 of ``Scene.canonical_text``, the compact
+sorted-key JSON of ``scene_to_dict``: one template, ``_TEXT_TEMPLATE``,
+filled with the scene's rational strings and flags.  The reader fills it
+with the strings it has just checked and stores the text on the scene, so
+the digest of a scene read hashes the text read.
 
 Scene and report files come from one canonical encoder, ``_encode``,
 whose output equals ``json.dumps(document, sort_keys=True, indent=2)`` plus
@@ -16,9 +25,11 @@ booleans and None, and raises ``TypeError`` on anything else.
 
 Report files deliberately omit wall-clock timings; their bytes are a pure
 function of the input and the tool version.  A report encodes each distinct
-check block once: ``_encode`` formats a block the first time the writer meets
-it, and every later occurrence is that text again, so the bytes are those of
-encoding every block in place.
+result object once: ``_encode`` formats a block the first time the writer
+meets the result, keyed by its identity, and every later occurrence is that
+text again, so the bytes are those of encoding every block in place.  Every
+PASS result is one shared value (``checks._run``), so an all-PASS report of
+100 scenes formats 18 blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from . import __version__
-from .geom import Circle, Point
+from .geom import Circle, Point, _from_ratios
 from .scene import Scene
 
 if TYPE_CHECKING:  # checks imports this module for scene_digest
@@ -53,6 +64,12 @@ def rational_to_str(value: Fraction) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
+    return Fraction(*_ratio_from_str(text))
+
+
+def _ratio_from_str(text: str) -> Tuple[int, int]:
+    """The lowest-terms pair (n, d), d > 0, of the canonical ``"p/q"`` text;
+    any other text raises ``SceneFormatError``."""
     if not isinstance(text, str):
         raise SceneFormatError(f"rational must be a string, got {type(text).__name__}")
     match = _RATIONAL.fullmatch(text)
@@ -64,7 +81,7 @@ def rational_from_str(text: str) -> Fraction:
         raise SceneFormatError(f"rational too long: {exc}") from exc
     if gcd(num, den) != 1:
         raise SceneFormatError(f"rational {text!r} is not in lowest terms")
-    return Fraction(num, den)
+    return num, den
 
 
 def _stored_to_json(h: Tuple[int, ...]) -> List[str]:
@@ -81,12 +98,41 @@ def _stored_to_json(h: Tuple[int, ...]) -> List[str]:
 def _point_from_json(data: Any, where: str) -> Point:
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise SceneFormatError(f"{where}: point must be a two-element array")
-    return Point(rational_from_str(data[0]), rational_from_str(data[1]))
+    return _from_ratios(Point, _ratio_from_str(data[0]), _ratio_from_str(data[1]))
 
 
 _POINT_FIELDS = ("a", "b", "c", "o", "a1", "a2", "b1", "b2", "c1", "c2")
 _SCENE_KEYS = frozenset((*_POINT_FIELDS, "gamma", "classical", "strict_segments"))
 _DOCUMENT_KEYS = frozenset(("format", "provenance", "scenes"))
+
+#: The keys of a scene object in sorted order, and its compact JSON text,
+#: ``json.dumps(scene_to_dict(s), sort_keys=True, separators=(",", ":"))``,
+#: with ``%s`` for each rational string and flag, in that order.
+_TEXT_KEYS = tuple(sorted(_SCENE_KEYS))
+_TEXT_TEMPLATE = "{%s}" % ",".join(
+    f'"{key}":'
+    + ('["%s","%s"]' if key in _POINT_FIELDS else '{"d":"%s","e":"%s","f":"%s"}' if key == "gamma" else "%s")
+    for key in _TEXT_KEYS
+)
+_FLAG_TEXT = {False: "false", True: "true"}
+
+
+def _scene_text(data: Dict[str, Any], classical: bool, strict_segments: bool) -> str:
+    """``_TEXT_TEMPLATE`` filled with the rational strings of a scene object
+    ``data``, all canonical, and with the two flags given."""
+    gamma = data["gamma"]
+    rest = {
+        "gamma": (gamma["d"], gamma["e"], gamma["f"]),
+        "classical": (_FLAG_TEXT[classical],),
+        "strict_segments": (_FLAG_TEXT[strict_segments],),
+    }
+    return _TEXT_TEMPLATE % tuple([text for key in _TEXT_KEYS for text in (rest[key] if key in rest else data[key])])
+
+
+def canonical_text(s: Scene) -> str:
+    """The compact sorted-key JSON of ``scene_to_dict(s)``, which
+    ``scene_digest`` hashes; ``Scene.canonical_text`` caches it."""
+    return _scene_text(scene_to_dict(s), s.classical, s.strict_segments)
 
 
 def _reject_unknown_keys(data: Dict[str, Any], known: frozenset, where: str) -> None:
@@ -114,12 +160,18 @@ def scene_from_dict(data: Any, where: str = "scene") -> Scene:
     if not isinstance(gamma, dict) or set(gamma) != {"d", "e", "f"}:
         raise SceneFormatError(f"{where}: gamma must carry exactly d, e, f")
     points = {name: _point_from_json(data[name], f"{where}.{name}") for name in _POINT_FIELDS}
-    return Scene(
-        gamma=Circle(*(rational_from_str(gamma[k]) for k in ("d", "e", "f"))),
-        classical=_flag_from_json(data, "classical", where),
-        strict_segments=_flag_from_json(data, "strict_segments", where),
+    classical = _flag_from_json(data, "classical", where)
+    strict_segments = _flag_from_json(data, "strict_segments", where)
+    scene = Scene(
+        gamma=_from_ratios(Circle, *[_ratio_from_str(gamma[k]) for k in ("d", "e", "f")]),
+        classical=classical,
+        strict_segments=strict_segments,
         **points,
     )
+    # Every rational string read is now known to be canonical, so the
+    # scene's text is made of them: its digest turns no integer into text.
+    vars(scene)["canonical_text"] = _scene_text(data, classical, strict_segments)
+    return scene
 
 
 def _flag_from_json(data: Dict[str, Any], key: str, where: str) -> bool:
@@ -216,10 +268,12 @@ def _canonical_bytes(document: Any) -> bytes:
 
 
 def scene_digest(s: Scene) -> str:
+    """The sha256 of ``s.canonical_text``: for a scene read from a file, the
+    text of the strings the reader parsed; otherwise built from its stored
+    integers once."""
     import hashlib  # here, not at the top: ``brocard generate`` computes no digest
 
-    blob = json.dumps(scene_to_dict(s), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(s.canonical_text.encode("ascii")).hexdigest()
 
 
 def scenes_to_document(
@@ -288,31 +342,22 @@ def _check_block(result: CheckResult) -> Dict[str, Any]:
     }
 
 
-def _block_key(result: CheckResult) -> Tuple[Any, ...]:
-    """Two results with equal keys have blocks of equal text.  An assertion
-    whose witnesses are all zero enters by their count, since every zero is
-    written ``"0/1"``: hashing and comparing each ``Fraction`` is most of
-    what keying on the result itself would cost."""
-    assertions = tuple(
-        [(a.label, a.ok, a.witnesses if any(a.witnesses) else len(a.witnesses)) for a in result.assertions]
-    )
-    return result.check_id, result.status, result.notes, assertions
-
-
 def write_report_file(path: str, reports: Sequence[SuiteReport], input_digest: str) -> None:
     """Reports keyed by scene index; timing fields are omitted on purpose so
-    the bytes depend only on input and version.  Each distinct check block is
-    encoded once per call, and its text is written wherever it occurs."""
-    blocks: Dict[Tuple[Any, ...], _Encoded] = {}
+    the bytes depend only on input and version.  Each distinct result object
+    is encoded once per call, keyed by its identity, and its text is written
+    wherever it occurs: every PASS result is one shared value
+    (``checks._run``), and the reports hold every result alive for the call,
+    so no identity is reused within it."""
+    blocks: Dict[int, _Encoded] = {}
     scenes = []
     totals = {"pass": 0, "fail": 0, "degenerate": 0}
     for index, report in enumerate(reports):
         checks = []
         for result in report.results:
-            key = _block_key(result)
-            block = blocks.get(key)
+            block = blocks.get(id(result))
             if block is None:
-                block = blocks[key] = _Encoded(_check_block(result), _BLOCK_INDENT)
+                block = blocks[id(result)] = _Encoded(_check_block(result), _BLOCK_INDENT)
             checks.append(block)
         counts = report.counts
         scenes.append(

@@ -262,7 +262,7 @@ DISTINCT_BLOCKS_SEED7 = 18
 
 
 def test_report_encodes_each_distinct_block_once(monkeypatch, tmp_path):
-    """The writer formats one block per distinct result, not one per
+    """The writer formats one block per distinct result object, not one per
     occurrence: 18 of the 1,800 blocks of the bench's seed-7 report."""
     reports = [checks.run_suite(generate_scene(SceneParams(seed=seed))) for seed in range(701, 801)]
     formatted = []

@@ -1,6 +1,7 @@
 """Theorem suite behavior: pass on valid scenes, fail with nonzero
 witnesses under perturbation, degenerate on collapse, deterministic."""
 
+import collections
 import dataclasses
 import inspect
 from fractions import Fraction as F
@@ -1057,7 +1058,43 @@ class TestComputedOnce:
         assert circles == [seed7_scene.gamma, COLLAPSE_SCENE.gamma, other.gamma]
         ck._cyclic_lemma.cache_clear()
 
-    def test_reports_share_immutable_results(self, seed7_scene):
+    def test_pass_results_interned_at_most_twice_per_check(self, monkeypatch):
+        """Each PASS result is the one ``_PASS_RESULTS`` value of its check
+        id, notes and assertions.  Over the seed-701 scenes of the three bench
+        workloads and the three pinned classical sets the table holds 20
+        results: two for ``check_pascal_and_r`` and ``check_brocard_circle``,
+        whose notes and assertions differ on the right triangle of
+        ``0,1,-1``, and one for every other check.  Two passes with the same
+        assertions and other notes are two results."""
+        monkeypatch.setattr(ck, "_PASS_RESULTS", {})
+        ck._cyclic_lemma.cache_clear()
+        ck._kwon_remark.cache_clear()
+        workloads = ({}, {"numerator_cap": 10**12, "denominator_cap": 10**12}, {"strict_segments": True})
+        scenes = [generate_scene(SceneParams(seed=seed, **w)) for w in workloads for seed in range(701, 801)]
+        scenes += [classical_brocard_scene(*params) for params in ((0, 1, -1), (0, 1, 3), (F(1, 2), -3, F(7, 5)))]
+        reports = [run_suite(scene) for scene in scenes]
+        table = ck._PASS_RESULTS
+        per_check = collections.Counter(check_id for check_id, _, _ in table)
+        assert max(per_check.values()) <= 2 and len(table) == 20
+        assert {cid for cid, count in per_check.items() if count == 2} == {"check_pascal_and_r", "check_brocard_circle"}
+        assert all(r.status == PASS for r in table.values())
+        interned = {id(r) for r in table.values()} | {id(ck._VALID)}
+        assert all(id(r) in interned for report in reports for r in report.results if r.status == PASS)
+
+        def noted(text):
+            def body(rec):
+                rec.scalar_zero("premise", 0)
+                rec.note(text)
+
+            return body
+
+        first, second = ck._run("check_x", noted("first")), ck._run("check_x", noted("second"))
+        assert first.assertions == second.assertions and (first.notes, second.notes) == (("first",), ("second",))
+        assert ck._run("check_x", noted("first")) is first
+        ck._cyclic_lemma.cache_clear()
+        ck._kwon_remark.cache_clear()
+
+    def test_reports_share_immutable_results(self, seed7_scene, seed7_cfg):
         first, second = run_suite(seed7_scene), run_suite(seed7_scene)
         cyclic = [next(r for r in rep.results if r.check_id == "check_lemma_cyclic") for rep in (first, second)]
         assert cyclic[0] is cyclic[1]  # the memo shares its one result
@@ -1070,7 +1107,19 @@ class TestComputedOnce:
             assert type(rep.results) is tuple
             for r in rep.results:
                 assert type(r.assertions) is tuple and type(r.notes) is tuple
-        assert first.results[1] == second.results[1] and first.results[1] is not second.results[1]
+        assert first.results[1] == second.results[1] and first.results[1] is second.results[1]
         assert first == second and first is not second
         assert [hash(r) for r in first.results] == [hash(r) for r in second.results]
         assert hash(first) == hash(second)
+        # Only PASS results are shared: a FAIL or DEGENERATE result is a new
+        # object on each run, equal to the last one.
+        fails = [next(run_mutations(seed7_cfg, seed7_scene, rounds=1, rng=Random(5150)))[1] for _ in range(2)]
+        degenerate = [run_suite(COLLAPSE_SCENE).results[1] for _ in range(2)]
+
+        def body(rec):
+            rec.scalar_zero("premise", 0)
+            raise geom.Degenerate("meet", "lines are parallel")
+
+        aborted = [ck._run("check_x", body) for _ in range(2)]
+        for (one, other), status in ((fails, FAIL), (degenerate, DEGENERATE), (aborted, DEGENERATE)):
+            assert one.status == status and one == other and one is not other

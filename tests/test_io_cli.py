@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 
 from brocard import __version__, checks, pipeline
 from brocard.checks import (
@@ -33,7 +33,7 @@ from brocard.checks import (
     run_suite,
 )
 from brocard.cli import main
-from brocard.geom import ComplexScalar, GeometryError, Point
+from brocard.geom import Circle, ComplexScalar, GeometryError, Point
 from brocard.pipeline import compute_configuration
 from brocard.scene import (
     SceneParams,
@@ -46,6 +46,7 @@ from brocard.sceneio import (
     SCENE_FORMAT,
     SceneFormatError,
     _canonical_bytes,
+    canonical_text,
     rational_from_str,
     rational_to_str,
     read_scene_file,
@@ -661,6 +662,19 @@ def test_report_omits_timing(tmp_path):
     assert "elapsed" not in report.read_text()
 
 
+def test_report_blocks_do_not_outlive_the_call(tmp_path):
+    """Blocks are keyed by result identity within one call only: once a
+    call returns, its results may die and a new result may reuse one's
+    identity, and the next call still writes that new result's block."""
+    path = tmp_path / "r.json"
+    for k in range(1, 21):
+        result = CheckResult("check_x", FAIL, (Assertion("x == 0", False, (F(k),)),))
+        write_report_file(str(path), [SuiteReport("d", (result,))], "sha256:" + "0" * 64)
+        del result
+        witnesses = json.loads(path.read_text())["scenes"][0]["checks"][0]["assertions"][0]["witnesses"]
+        assert witnesses == [f"{k}/1"]
+
+
 def test_render_digits_flag(tmp_path):
     path = tmp_path / "scenes.json"
     assert main(["generate", "--seed", "42", "--count", "1", "--out", str(path)]) == 0
@@ -830,6 +844,98 @@ class TestBenchBytes:
         assert main(["classical", "--params", params, "--report", str(report)]) == 0
         assert capsys.readouterr() == (printed, "")
         assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+
+
+def _oracle_digest(s):
+    """The scene digest by its definition: the sha256 of the compact,
+    sorted-key JSON of ``scene_to_dict``."""
+    blob = json.dumps(scene_to_dict(s), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class TestSceneDigest:
+    """``scene_digest`` hashes ``Scene.canonical_text``: the text the reader
+    parsed for a scene read from a file, and otherwise the text built from
+    the stored integers.  Both equal the definition, ``_oracle_digest``."""
+
+    PARAMS = {
+        "verify-caps50": {},
+        "verify-caps1e12": {"numerator_cap": 10**12, "denominator_cap": 10**12},
+        "generate-strict": {"strict_segments": True},
+    }
+
+    @staticmethod
+    def assert_digest(s):
+        assert scene_digest(s) == _oracle_digest(s)
+
+    @pytest.mark.parametrize("workload", sorted(PARAMS))
+    def test_seed701_files_as_read_and_generated(self, tmp_path, capsys, workload):
+        extra, scene_sha, _ = TestBenchBytes.WORKLOADS[workload]
+        path = tmp_path / "s.json"
+        assert main(["generate", "--seed", "701", "--count", "100", "--out", str(path), *extra]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == scene_sha
+        read, _ = read_scene_file(str(path))
+        generated = [generate_scene(SceneParams(seed=seed, **self.PARAMS[workload])) for seed in range(701, 801)]
+        assert read == generated
+        shift = Point(F(1, 3), F(-2, 7))
+        for scene, fresh in zip(read, generated):
+            assert "canonical_text" in vars(scene) and "canonical_text" not in vars(fresh)
+            assert scene.canonical_text == fresh.canonical_text
+            self.assert_digest(scene)
+            self.assert_digest(fresh)
+            for variant in (
+                dataclasses.replace(scene, classical=not scene.classical),
+                dataclasses.replace(scene, strict_segments=not scene.strict_segments),
+                dataclasses.replace(scene, o=scene.o + shift, a1=scene.b),
+                dataclasses.replace(scene, gamma=Circle.from_center_radius2(scene.o, 4)),
+            ):
+                assert "canonical_text" not in vars(variant)
+                self.assert_digest(variant)
+                assert scene_digest(variant) != scene_digest(scene)
+
+    @pytest.mark.parametrize("params", sorted(TestBenchBytes.CLASSICAL))
+    def test_classical_scenes(self, params):
+        scene = classical_brocard_scene(*params.split(","))
+        self.assert_digest(scene)
+        read = scene_from_dict(scene_to_dict(scene))
+        assert read.canonical_text == canonical_text(scene)
+        self.assert_digest(read)
+
+    def test_file_without_flags(self, tmp_path):
+        scenes = [generate_scene(SceneParams(seed=7)), classical_brocard_scene(0, 1, 3)]
+        document = scenes_to_document(scenes)
+        for item in document["scenes"]:
+            del item["classical"], item["strict_segments"]
+        path = tmp_path / "s.json"
+        path.write_bytes(_canonical_bytes(document))
+        read, _ = read_scene_file(str(path))
+        assert [s.classical for s in read] == [False, False]
+        for scene in read:
+            self.assert_digest(scene)
+        assert scene_digest(read[0]) == scene_digest(scenes[0])
+        assert scene_digest(read[1]) == scene_digest(dataclasses.replace(scenes[1], classical=False))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([1, 50, 10**6, 10**12]).flatmap(
+            lambda cap: st.lists(st.tuples(st.integers(-cap, cap), st.integers(1, cap)), min_size=6, max_size=6)
+        ),
+        st.tuples(st.integers(-9, 9), st.integers(1, 9), st.integers(-9, 9), st.integers(1, 9)),
+        st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_drawn_scenes(self, pairs, center, radius, classical, strict):
+        try:
+            scene = scene_from_parameters(
+                [F(n, d) for n, d in pairs], Point(F(*center[:2]), F(*center[2:])), F(*radius)
+            )
+        except GeometryError:
+            reject()
+        scene = dataclasses.replace(scene, classical=classical, strict_segments=strict)
+        self.assert_digest(scene)
+        read = scene_from_dict(scene_to_dict(scene))
+        assert read.canonical_text == canonical_text(scene)
 
 
 # ---------------------------------------------------------------------------
