@@ -128,9 +128,6 @@ class CheckResult:
     assertions: Tuple[Assertion, ...]
     notes: Tuple[str, ...] = ()
 
-    def __init__(self, check_id: str, status: str, assertions: Tuple[Assertion, ...], notes: Tuple[str, ...] = ()):
-        self.__dict__.update(check_id=check_id, status=status, assertions=assertions, notes=notes)
-
     @property
     def failed_assertions(self) -> Tuple[Assertion, ...]:
         return tuple(a for a in self.assertions if not a.ok)
@@ -848,17 +845,16 @@ def _suite(scene: Scene, check_ids: Optional[Sequence[str]]) -> Tuple[SuiteRepor
             "scene_validation", FAIL, tuple(Assertion(str(v), False, v.witnesses) for v in violations)
         )
         return SuiteReport(digest, (validation,)), None
-    validation = _VALID
 
     try:
         cfg = compute_configuration(scene)
     except GeometryError as exc:
-        return SuiteReport(digest, (validation, _degenerate("configuration", str(exc)))), None
+        return SuiteReport(digest, (_VALID, _degenerate("configuration", str(exc)))), None
 
     # Every runner calls its check through the module attribute
     # ``checks.<id>``, so a wrapper installed there sees every call that a
     # memo does not skip: perfbench/tracer.py times each check that way.
-    results = [validation]
+    results = [_VALID]
     for cid, (run, classical) in _SUITE.items():
         if cid in selected and (scene.classical or not classical):
             results.append(run(cfg))
