@@ -85,9 +85,10 @@ from .pipeline import (
     Configuration,
     compute_configuration,
     miquel_circle,
+    miquel_point,
     tangent_of_angle,
+    _Stage,
     _on_miquel_circle,
-    _quadrangle_miquel,
 )
 from .scene import KwonScene, Scene, circle_point_from_parameter, kwon_scene, validate_scene
 from .sceneio import scene_digest
@@ -395,7 +396,9 @@ def check_isogonal_conjugates(rec: _Recorder, cfg: Configuration) -> None:
     rec.angles_equal("ang(P,C1,C2) == -ang(Q,A2,A1)", cp, (-aq_cross, aq_dot))
     rec.angles_equal("-ang(Q,A2,A1) == -ang(Q,B2,B1)", (-aq_cross, aq_dot), (-bq_cross, bq_dot))
     rec.angles_equal("-ang(Q,B2,B1) == -ang(Q,C2,C1)", (-bq_cross, bq_dot), (-cq_cross, cq_dot))
-    # Two classes are equal iff their pairs are proportional.
+    # Two classes are equal iff their pairs are proportional.  This reads
+    # False on every report: by the chain it would make P a1 and Q a2
+    # parallel, and no build gets past T_A with them parallel.
     same = ap[0] * cq_dot == cq_cross * ap[1]
     rec.note(f"literal positive-sign reading ang(P,A1,A2) == +ang(Q,C2,C1): {same}")
     rec.points_equal("isogonal_conjugate(P) == Q", _isogonal(cfg.p, s.a, s.b, s.c), cfg.q)
@@ -637,14 +640,16 @@ def check_lemma_cyclic(
             ok = rec.point_on_circle(f"{name} on the circle", pt, circle) and ok
         if not ok:
             return
-        p = intersect_lines(line_through(pa, pb), line_through(pc, pd))
-        q = intersect_lines(line_through(pa, pd), line_through(pb, pc))
-        m = _quadrangle_miquel(p, q, pa, pb, pc, pd)
+        p = intersect_lines(_join(pa, pb), _join(pc, pd))
+        q = intersect_lines(_join(pa, pd), _join(pb, pc))
+        # As in miquel_point_quadrangle, whose premises four concyclic points meet.
+        with _Stage("quadrangle Miquel point", theorem=True):
+            m = miquel_point(q, pc, pb, Triangle(p, pa, pd))
         pq = _join(p, q)
         o = circle.center
         rec.point_on_line("M on PQ", m, pq)
         rec.perpendicular("OM perpendicular to PQ", _join(o, m), pq)
-        r = intersect_lines(line_through(pa, pc), line_through(pb, pd))
+        r = intersect_lines(_join(pa, pc), _join(pb, pd))
         if r == o:
             raise Degenerate("inversion identity", "diagonal meet at the center")
         lhs = dist2(o, r) * (m - o)

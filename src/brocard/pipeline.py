@@ -16,8 +16,8 @@ the build test an incidence it constructed (a second circle meet lies on
 both circles) or a checked theorem: T_a is 2 * center - S_t.  What no
 check asserts stays an internal error (``InternalInconsistencyError``):
 the Pascal line is parallel to a hexagon meet at infinity, Miquel's
-theorem itself (the second meet of two Miquel circles lies on the third;
-for a quadrangle, on the two other defining circles), P or Q on BC in
+theorem itself (the second meet of two Miquel circles lies on the third),
+T_B, T_C and a classical T_A, the Brocard circle and S_t, P or Q on BC in
 the spiral ratios, the diameter-line block X, Y, Z, O_A..O_C where an
 exact test on the line OR found it defined, and the classical overlay's
 K and Brocard angle, with the third tangent-side meet on the Lemoine
@@ -25,7 +25,7 @@ axis.  Input degeneracies raise ``Degenerate`` with the name of the
 first object that broke, which keeps the generator's reject-and-resample
 loop informative.  Every stage that can reject a draw is in ``_prefix``,
 which is all the generator builds; ``compute_configuration`` runs it,
-then the stages that cannot.
+then the stages that cannot, each a theorem stage.
 The perspector S is the meet of two of its three lines; a T-vertex equal
 to its primed vertex leaves the third undefined, and ``check_perspective``
 with it, so the build raises ``Degenerate("S")``.
@@ -212,15 +212,11 @@ def miquel_circle(v: Point, p: Point, p_side: Line, q: Point, q_side: Line, name
         raise Degenerate(name, str(exc)) from exc
 
 
-def _chord(p1: Point, p2: Point, gamma: Circle, name: str):
+def _chord(p1: Point, p2: Point, gamma: Circle):
     """The unreduced line through two labeled points of gamma; a doubled
     label yields the tangent there (the classical aliasing produces exactly
-    this)."""
-    if p1 != p2:
-        return _join(p1, p2)
-    if not on_circle(p1, gamma):
-        raise Degenerate(name, "doubled chord label off the circle")
-    return _polar(p1, gamma)
+    this).  Validation puts every label on gamma, so none is tested."""
+    return _join(p1, p2) if p1 != p2 else _polar(p1, gamma)
 
 
 def miquel_point(d: Point, e: Point, f: Point, tri: Triangle) -> Point:
@@ -270,21 +266,13 @@ def _miquel(d: Point, e: Point, f: Point, tri: Triangle) -> Tuple[Point, Tuple[C
 def miquel_point_quadrangle(pa: Point, pb: Point, pc: Point, pd: Point) -> Point:
     """Miquel point of the quadrangle (pa, pb, pc, pd): the common point of
     the circumcircles of (P,a,d), (P,b,c), (Q,a,b), (Q,c,d) where P = AB
-    meet CD and Q = AD meet BC."""
+    meet CD and Q = AD meet BC.  It is ``miquel_point`` of triangle PAD with
+    b on PA, c on DP and Q on AD, whose circumcircle is the fourth circle."""
     with _Stage("P"):
-        p = intersect_lines(line_through(pa, pb), line_through(pc, pd))
+        p = intersect_lines(_join(pa, pb), _join(pc, pd))
     with _Stage("Q"):
-        q = intersect_lines(line_through(pa, pd), line_through(pb, pc))
-    return _quadrangle_miquel(p, q, pa, pb, pc, pd)
-
-
-def _quadrangle_miquel(p: Point, q: Point, pa: Point, pb: Point, pc: Point, pd: Point) -> Point:
-    """``miquel_point_quadrangle`` given its meets P and Q."""
-    with _Stage("miquel quadrangle point"):
-        m, _ = _second_common(_circle_through(p, pa, pd), _circle_through(q, pa, pb), pa)
-        ok = _concyclic(p, pb, pc, m) == 0 and _concyclic(q, pc, pd, m) == 0
-    _require(ok, "quadrangle Miquel point misses a defining circle")
-    return m
+        q = intersect_lines(_join(pa, pd), _join(pb, pc))
+    return miquel_point(q, pc, pb, Triangle(p, pa, pd))
 
 
 class _Stage:
@@ -312,26 +300,37 @@ def compute_configuration(scene: Scene) -> Configuration:
     them, S_t on the circumcircle included (T_a is 2 * center - S_t): the
     checks assert them, with witnesses.  ``_prefix`` builds every stage that
     can reject a draw; this reduces what it keeps raw and adds the ones that
-    cannot (the circumcircle, T_a, the spiral ratios, X, Y, Z and O_A..O_C)
-    and the record.  Raises ``Degenerate`` on an input degeneracy, including
-    ``Degenerate("S")`` when a T-vertex equals its primed vertex, and
-    ``InternalInconsistencyError`` only if Miquel's theorem fails, the Pascal
-    line is not parallel to a hexagon meet at infinity, R is O, P or Q lies
-    on BC, or the diameter-line block fails where ``_prefix`` found it
-    defined.  Precondition: ``validate_scene(scene)`` is empty."""
+    cannot (the circumcircle, the Brocard circle, S_t, T_a, the spiral
+    ratios, X, Y, Z and O_A..O_C) and the record.  Raises ``Degenerate`` on
+    an input degeneracy, including ``Degenerate("S")`` when a T-vertex equals
+    its primed vertex, and ``InternalInconsistencyError`` only if a theorem
+    fails: Miquel's theorem, at T_B, T_C or a classical T_A, the Pascal
+    line at a meet at infinity, R = O, the Brocard circle, S_t, P or Q on BC,
+    or the diameter-line block where ``_prefix`` found it defined.
+    Precondition: ``validate_scene(scene)`` is empty."""
     fields, lines, or_join = _prefix(scene)
     fields["circ"] = circ = scene.triangle.circumcircle
     if not fields.get("collapsed"):
-        for name, cls in (("r_star", Point), ("brocard_circle", Circle), ("steiner", Point), ("perspector", Point)):
-            fields[name] = _reduced(cls, *fields[name])
-        fields["tarry"] = _reduced(Point, *_antipode(fields["steiner"], circ))
+        p, q = fields["p"], fields["q"]
+        for name in ("r_star", "perspector"):
+            fields[name] = _reduced(Point, *fields[name])
+        # OP = OQ, and P, Q lie on the circle with diameter OR, R != O as the
+        # pole of a finite line; so P != Q keeps P, Q and O off one line.
+        with _Stage("brocard circle", theorem=True):
+            fields["brocard_circle"] = _reduced(Circle, *_circle_through(p, q, scene.o))
+        # The T-triangle is inversely similar to ABC; a degenerate one would be
+        # one point on P a1, P b1, P c1 and on Q a2, Q b2, Q c2, so P = Q.
+        with _Stage("S_t", theorem=True):
+            lines["t_sides"] = t_sides = Triangle(fields["t_a"], fields["t_b"], fields["t_c"]).sides
+            steiner = _reduced(Point, *_meet(_parallel(scene.a, t_sides[0]), _parallel(scene.b, t_sides[1])))
+        fields.update(steiner=steiner, tarry=_reduced(Point, *_antipode(steiner, circ)))
         # No valid scene puts P on a sideline.  A is on chord b1b2, not on
         # gamma, so circle(A, b1, c1) misses a1 and B; P is on it and on
         # circle(B, c1, a1), which meets BC only at B and a1.  Likewise for
         # CA, AB and Q; classical P and Q are the Brocard points, inside ABC.
         bc = scene.triangle.sides[0]
         with _Stage("spiral ratios", theorem=True):
-            fields.update(r_p=spiral_ratio(fields["p"], scene.a1, bc), r_q=spiral_ratio(fields["q"], scene.a2, bc))
+            fields.update(r_p=spiral_ratio(p, scene.a1, bc), r_q=spiral_ratio(q, scene.a2, bc))
         if or_join is not None:
             lines["or_line"] = or_line = Line(*or_join)
             with _Stage("diameter line", theorem=True):
@@ -347,11 +346,11 @@ def compute_configuration(scene: Scene) -> Configuration:
 
 def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
     """The stages of ``compute_configuration`` that can reject a draw, in
-    build order.  Returns the ``Configuration`` fields they define, R*, the
-    Brocard circle, S_t and the perspector as raw tuples, the shared lines
-    they built and the raw line OR, None when P = Q, when a hexagon meet is
-    at infinity or when X, Y, Z, O_A..O_C are undefined.  The configuration
-    is complete iff OR is returned."""
+    build order.  Returns the ``Configuration`` fields they define, R* and
+    the perspector as raw tuples, the shared lines they built and the raw
+    line OR, None when P = Q, when a hexagon meet is at infinity or when X,
+    Y, Z, O_A..O_C are undefined.  The configuration is complete iff OR is
+    returned.  No Brocard circle, T-side or S_t is built here."""
     a, b, c = scene.a, scene.b, scene.c
     gamma, o = scene.gamma, scene.o
     tri = scene.triangle
@@ -365,13 +364,16 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
     if p == q:
         return dict(fields, collapsed=True), {}, None
 
-    # A line that feeds one meet stays a raw triple, and a point reduces
-    # once; only the lines and circles that are kept or reused are built.
-    with _Stage("T_A"):
+    # A line that feeds one meet stays a raw triple, and a point reduces once.
+    # P's cevians meet their sidelines at one directed angle and Q's at one
+    # other (the chain check_isogonal_conjugates asserts), so the three pairs
+    # are all parallel or none is; on a classical scene they meet at twice
+    # the Brocard angle, in (0, 60] degrees.  P and Q lie on no sideline.
+    with _Stage("T_A", theorem=scene.classical):
         t_a = _reduced(Point, *_meet(_join(p, scene.a1), _join(q, scene.a2)))
-    with _Stage("T_B"):
+    with _Stage("T_B", theorem=True):
         t_b = _reduced(Point, *_meet(_join(p, scene.b1), _join(q, scene.b2)))
-    with _Stage("T_C"):
+    with _Stage("T_C", theorem=True):
         t_c = _reduced(Point, *_meet(_join(p, scene.c1), _join(q, scene.c2)))
 
     def primed(v: Point, first: Circle, second: Circle, name: str) -> Point:
@@ -390,8 +392,8 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
         lies at infinity (the sides are parallel; an isoceles classical
         scene produces this)."""
         with _Stage(name):
-            side1 = _chord(u1, u2, gamma, name)
-            side2 = _chord(v1, v2, gamma, name)
+            side1 = _chord(u1, u2, gamma)
+            side2 = _chord(v1, v2, gamma)
             try:
                 return _reduced(Point, *_meet(side1, side2)), None
             except ParallelLines:
@@ -421,13 +423,6 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
     with _Stage("R*"):
         r_star = _isogonal(r, a, b, c)
 
-    with _Stage("brocard circle"):
-        brocard = _circle_through(p, q, o)
-
-    with _Stage("S_t"):
-        t_sides = Triangle(t_a, t_b, t_c).sides
-        steiner = _meet(_parallel(a, t_sides[0]), _parallel(b, t_sides[1]))
-
     if t_a == a_prime or t_b == b_prime or t_c == c_prime:
         raise Degenerate("S", "a T-vertex coincides with its primed vertex")
     with _Stage("S"):
@@ -451,12 +446,10 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
         t_a=t_a, t_b=t_b, t_c=t_c,
         a_prime=a_prime, b_prime=b_prime, c_prime=c_prime,
         a0=a0, b0=b0, c0=c0,
-        pascal_line=pascal, r=r, r_star=r_star,
-        brocard_circle=brocard,
-        steiner=steiner, perspector=perspector,
+        pascal_line=pascal, r=r, r_star=r_star, perspector=perspector,
     )
     # The checks share these lines; the configuration's caches start from them.
-    return fields, {"t_sides": t_sides, "perspective_lines": perspective_lines}, or_join
+    return fields, {"perspective_lines": perspective_lines}, or_join
 
 
 def _perspective_lines(

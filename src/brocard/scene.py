@@ -290,10 +290,10 @@ def generate_scene(params: SceneParams) -> Scene:
     triangles, incidence points falling on vertices, then what the stages
     of ``pipeline._prefix`` reject (P = Q, a degenerate stage from T_A to
     S, a hexagon meet at infinity, OR parallel to a sideline or through a
-    vertex).  Only those stages are built.  P has an isogonal conjugate:
-    it lies on no sideline (``pipeline.compute_configuration``), and a
-    Miquel point on the circumcircle needs a1, b1, c1 collinear.
-    Deterministic for a fixed seed.
+    vertex).  Only those stages are built, and no Brocard circle or S_t.
+    P has an isogonal conjugate: it lies on no sideline
+    (``pipeline.compute_configuration``), and a Miquel point on the
+    circumcircle needs a1, b1, c1 collinear.  Deterministic for a fixed seed.
 
     With strict segments, a draw that fails the squeeze ``_chords_adjacent``
     is rejected on its six integer pairs, before ``scene_from_parameters``

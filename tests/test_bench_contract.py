@@ -130,16 +130,17 @@ def test_fraction_operations_of_one_suite_run(monkeypatch):
     assert sum(nc for fn_name, nc in calls if fn_name == "__new__") <= FRACTION_NEW_SEED7 * 1.1
 
 
-#: ``Line.__init__`` calls in the same run: 16 since the Kwon remark runs
-#: once per process, 19 while the Kwon draw's Miquel points read raw
-#: sidelines, 21 since a line that feeds one meet or one foot stays a raw
-#: triple, 38 while the T-vertex, Steiner-point, hexagon and Kwon meets
-#: took canonical lines, 85 while every check body built throwaway lines
-#: for one-off tests.  An angle pair is canonicalized only for a FAIL
-#: witness (17 angle classes were built per run while ``angle_at`` built
-#: them), so ``geom._canonical_ints``, which every ``Line`` calls once, is
-#: bounded by the same count.
-LINE_NEW_SEED7 = 16
+#: ``Line.__init__`` calls in the same run: 13 since the cyclic lemma meets
+#: P, Q and R on raw joins and takes its Miquel point from triangle PAD, 16
+#: since the Kwon remark runs once per process, 19 while the Kwon draw's
+#: Miquel points read raw sidelines, 21 since a line that feeds one meet or
+#: one foot stays a raw triple, 38 while the T-vertex, Steiner-point,
+#: hexagon and Kwon meets took canonical lines, 85 while every check body
+#: built throwaway lines for one-off tests.  An angle pair is canonicalized
+#: only for a FAIL witness (17 angle classes were built per run while
+#: ``angle_at`` built them), so ``geom._canonical_ints``, which every
+#: ``Line`` calls once, is bounded by the same count.
+LINE_NEW_SEED7 = 13
 
 #: ``geom._reduced`` calls in the same run: 55 since the Kwon remark runs
 #: once per process, 69 since the cyclic lemma's quadrangle Miquel point
@@ -216,10 +217,11 @@ def test_circle_incidences_of_one_suite_run():
 
 
 #: ``geom._reduced`` calls of ``generate_scene(SceneParams(seed=7))``: 28
-#: since R*, the Brocard circle, S_t and the perspector stay raw in the
-#: prefix, 32 since the isogonal probe of P and the spiral ratios, which no
-#: valid draw can fail, left generation, 34 while generation built them, 42
-#: while it built the whole configuration and threw it away.
+#: since R* and the perspector stay raw in the prefix, and the Brocard
+#: circle and S_t, once kept raw there, are theorem stages that generation
+#: does not build, 32 since the isogonal probe of P and the spiral ratios,
+#: which no valid draw can fail, left generation, 34 while generation built
+#: them, 42 while it built the whole configuration and threw it away.
 GENERATE_REDUCED_SEED7 = 28
 
 
@@ -240,17 +242,21 @@ def _generation_stats(params):
 def test_generation_builds_no_configuration():
     """The tracer counts ``compute_configuration`` spans, which generation
     no longer makes, so this pins its cost: no configuration, no
-    circumcenter of the diameter-line block, no spiral ratio, a raw
-    isogonal conjugate only for R*, and reductions within 10%.  Draws
-    take no ``Random.randrange``, here on the strict path, which draws
-    most: the pairs come straight from ``getrandbits``."""
+    circumcenter of the diameter-line block, no spiral ratio, no Brocard
+    circle and no parallel of S_t (circles through three points only for
+    the Miquel circles), a raw isogonal conjugate only for R*, and
+    reductions within 10%.  Draws take no ``Random.randrange``, here on the
+    strict path, which draws most: the pairs come straight from
+    ``getrandbits``."""
     stats, calls = _generation_stats(SceneParams(seed=7))
     assert _calls_of(calls, pipeline.compute_configuration) == 0
     assert _calls_of(calls, geom._circumcenter) == 0
     assert _calls_of(calls, geom._spiral) == 0
-    code = geom._isogonal.__code__
-    callers = stats[(code.co_filename, code.co_firstlineno, code.co_name)][4]
-    assert {name for _, _, name in callers} == {"_prefix"}
+    assert _calls_of(calls, geom._parallel) == 0
+    for fn, caller in ((geom._isogonal, "_prefix"), (geom._circle_through, "miquel_circle")):
+        code = fn.__code__
+        callers = stats[(code.co_filename, code.co_firstlineno, code.co_name)][4]
+        assert {name for _, _, name in callers} == {caller}
     assert 0 < _calls_of(calls, geom._reduced) <= GENERATE_REDUCED_SEED7 * 1.1
     _, strict_calls = _generation_stats(SceneParams(seed=7, strict_segments=True))
     assert _calls_of(strict_calls, random.Random.randrange) == 0

@@ -323,8 +323,18 @@ class TestConstructionBugs:
         with pytest.raises(InternalInconsistencyError):
             generate_scene(SceneParams(seed=7))
         quad = build_cyclic_quadrangle(Circle(0, 0, -1))
-        with pytest.raises(InternalInconsistencyError, match="quadrangle Miquel point"):
+        with pytest.raises(InternalInconsistencyError, match="Miquel point misses the third circle"):
             miquel_point_quadrangle(*quad)
+
+    def test_wrong_quadrangle_triangle_is_internal_error(self, monkeypatch):
+        """The cyclic lemma's Miquel point taken with B and C exchanged puts
+        a point off its sideline, which four points of a circle cannot do,
+        so it escapes ``check_lemma_cyclic`` instead of reading DEGENERATE."""
+        real = ck.miquel_point
+        monkeypatch.setattr(ck, "miquel_point", lambda d, e, f, tri: real(d, f, e, tri))
+        circle = Circle(0, 0, -1)
+        with pytest.raises(InternalInconsistencyError, match="^quadrangle Miquel point: "):
+            check_lemma_cyclic(circle, *build_cyclic_quadrangle(circle))
 
     @staticmethod
     def _fails_with_witnesses(scenes, tmp_path):
@@ -368,6 +378,22 @@ class TestConstructionBugs:
         miquel = pipeline._miquel
         monkeypatch.setattr(pipeline, "_miquel", lambda d, e, f, tri: miquel(*other[(d, e, f)], tri))
         self._fails_with_witnesses(scenes, tmp_path)
+
+    def test_off_normal_tangent_circle_is_internal_error(self, monkeypatch):
+        """Each tangent circle centered on the normal at its third point
+        instead of at the tangency point.  On a classical scene the T_A
+        cevians meet at twice the Brocard angle, so T_A is a theorem stage
+        and their parallel lines escape ``run_suite`` as an internal error
+        instead of reading as a degenerate input."""
+
+        def off_normal(t, line, p):
+            center = geom._reduced(Point, *geom._meet(geom._perpendicular(p, line), geom._bisector(t, p)))
+            return Circle.from_center_radius2(center, dist2(center, t))
+
+        monkeypatch.setattr(pipeline, "circle_through_tangent", off_normal)
+        for ts in ((0, 1, -1), (0, 1, 3), (F(1, 2), -3, F(7, 5))):
+            with pytest.raises(InternalInconsistencyError, match="^T_A: lines are parallel"):
+                run_suite(classical_brocard_scene(*ts))
 
     def test_antipodal_tangent_is_internal_error_or_fail(self, monkeypatch):
         """The classical overlay built from the tangent at each vertex's
@@ -696,13 +722,13 @@ class TestWitnessFidelity:
 
     def test_cyclic_lemma_witnesses_are_canonical_residuals(self, seed7_scene, monkeypatch):
         quad = build_cyclic_quadrangle(seed7_scene.gamma)
-        real = ck._quadrangle_miquel
-        monkeypatch.setattr(ck, "_quadrangle_miquel", lambda *args: real(*args) + Point(F(1, 7), 0))
+        real = ck.miquel_point
+        monkeypatch.setattr(ck, "miquel_point", lambda *args: real(*args) + Point(F(1, 7), 0))
         result = check_lemma_cyclic(seed7_scene.gamma, *quad)
         pa, pb, pc, pd = quad
         p = geom.intersect_lines(line_through(pa, pb), line_through(pc, pd))
         q = geom.intersect_lines(line_through(pa, pd), line_through(pb, pc))
-        m = real(p, q, pa, pb, pc, pd) + Point(F(1, 7), 0)
+        m = miquel_point_quadrangle(*quad) + Point(F(1, 7), 0)
         pq, om = line_through(p, q), line_through(seed7_scene.gamma.center, m)
         assert self._failed(result, "M on PQ") == (pq.eval(m),)
         assert self._failed(result, "OM perpendicular to PQ") == (om.a * pq.a + om.b * pq.b,)
@@ -1080,6 +1106,11 @@ class TestComputedOnce:
         assert all(r.status == PASS for r in table.values())
         interned = {id(r) for r in table.values()} | {id(ck._VALID)}
         assert all(id(r) in interned for report in reports for r in report.results if r.status == PASS)
+        # Equal angles would make the T_A cevians parallel, so the literal
+        # reading is False on every scene whose build completes.
+        isogonal = [r for report in reports for r in report.results if r.check_id == "check_isogonal_conjugates"]
+        assert len(isogonal) == len(scenes)
+        assert {r.notes for r in isogonal} == {("literal positive-sign reading ang(P,A1,A2) == +ang(Q,C2,C1): False",)}
 
         def noted(text):
             def body(rec):

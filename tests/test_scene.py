@@ -221,7 +221,11 @@ class TestAcceptance:
         """Every draw that generation makes, up to the one it accepts, whose
         scene builds and whose Miquel points P != Q exist: P and Q have
         isogonal conjugates and spiral ratios on BC, so neither can reject a
-        draw, and generation builds neither."""
+        draw, and generation builds neither.  The three T cevian pairs are
+        all parallel or none is, so T_B and T_C cannot reject a draw once
+        T_A is built; and where T_A is finite, neither P, Q, O nor the
+        T-triangle is collinear, so the Brocard circle and S_t cannot
+        either."""
         checked = seeds = 0
         for caps, seed_range in ((3, range(1, 1001)), (5, range(1, 501))):
             for seed in seed_range:
@@ -243,6 +247,16 @@ class TestAcceptance:
                     for m, d in ((p, scene.a1), (q, scene.a2)):
                         _isogonal(m, scene.a, scene.b, scene.c)
                         _spiral(m, d, bc)
+                    cevians = [
+                        (line_through(p, x1), line_through(q, x2))
+                        for x1, x2 in ((scene.a1, scene.a2), (scene.b1, scene.b2), (scene.c1, scene.c2))
+                    ]
+                    parallel = {u.a * v.b == u.b * v.a for u, v in cevians}
+                    assert len(parallel) == 1, (caps, seed)
+                    if parallel == {False}:
+                        t_a, t_b, t_c = [intersect_lines(u, v) for u, v in cevians]
+                        assert collinear_det(p, q, scene.o) != 0, (caps, seed)
+                        assert collinear_det(t_a, t_b, t_c) != 0, (caps, seed)
                     checked += 1
                     if scene == accepted:
                         break
