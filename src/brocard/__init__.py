@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "pipeline": (
         "ClassicalOverlay", "Configuration", "InternalInconsistencyError", "classical_overlay",
-        "compute_configuration", "miquel_point", "miquel_point_quadrangle",
+        "compute_configuration", "miquel_point",
     ),
     "scene": (
         "GenerationExhausted", "KwonScene", "Scene", "SceneParams", "circle_point_from_parameter",

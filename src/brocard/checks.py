@@ -64,6 +64,7 @@ from .geom import (
     _area,
     _canonical_ints,
     _center,
+    _concyclic,
     _foot,
     _image,
     _isogonal,
@@ -88,7 +89,6 @@ from .pipeline import (
     miquel_point,
     tangent_of_angle,
     _Stage,
-    _on_miquel_circle,
 )
 from .scene import KwonScene, Scene, circle_point_from_parameter, kwon_scene, validate_scene
 from .sceneio import scene_digest
@@ -102,12 +102,10 @@ DEGENERATE = "DEGENERATE"
 _SUITE: Dict[str, Tuple[Callable[[Configuration], CheckResult], bool]] = {}
 
 #: A line, point or complex number as its value or as the raw coefficient
-#: triple of a ``geom`` helper, a circle as its value or the raw
-#: ``(d, e, f, v)`` of one, and an angle as the raw ``(cross, dot)`` pair
-#: of ``_angle`` or ``_angle_at``; see ``_Recorder``.
+#: triple of a ``geom`` helper, and an angle as the raw ``(cross, dot)``
+#: pair of ``_angle`` or ``_angle_at``; see ``_Recorder``.
 Coefficients = Union[Line, Tuple[int, int, int]]
 PointLike = Union[Point, ComplexScalar, Tuple[int, int, int]]
-CircleLike = Union[Circle, Tuple[int, int, int, int]]
 AnglePair = Tuple[int, int]
 
 #: Fixed auxiliary inputs the suite derives per scene for the lemma checks.
@@ -177,16 +175,16 @@ class _Recorder:
     helper (``_join``, ``_parallel``, ...), ``points_equal`` two points or
     two complex numbers, each a value or a raw triple (``_isogonal``,
     ``_image``, ``_midpoint``, ``_spiral``, ``_quotient``, ...),
-    ``point_on_circle`` a ``Circle`` or the raw ``(d, e, f, v)`` of
-    ``_circle_through``, and ``angles_equal`` the raw ``(cross, dot)``
-    pairs of ``_angle`` and ``_angle_at``.  Each decides on the raw values,
-    by a scale-invariant residual or by cross-multiplication.  Only a FAIL
-    builds its witness: the residual of the canonical lines, circle or
-    angle pairs (``_canonical_ints``), or the exact coordinate difference.
-    An incidence with the circle through three points (``on_miquel_circle``,
-    off a tangent-circle limit) is decided on the cross ratio, and only a
-    FAIL builds the circle.  The helpers raise what the public functions
-    raise, so no zero normal or zero denominator reaches a predicate."""
+    ``point_on_circle`` a ``Circle``, and ``angles_equal`` the raw
+    ``(cross, dot)`` pairs of ``_angle`` and ``_angle_at``.  Each decides on
+    the raw values, by a scale-invariant residual or by cross-multiplication.
+    Only a FAIL builds its witness: the residual of the canonical lines,
+    circle or angle pairs (``_canonical_ints``), or the exact coordinate
+    difference.  ``on_miquel_circle`` decides an incidence with a Miquel
+    circle off a tangent limit on the cross ratio of ``_concyclic``, and
+    only a FAIL builds the circle.  The helpers raise what the public
+    functions raise, so no zero normal or zero denominator reaches a
+    predicate."""
 
     def __init__(self):
         self.assertions: List[Assertion] = []
@@ -234,16 +232,19 @@ class _Recorder:
         dx, dy, dw = _sum(p if type(p) is tuple else p.h, q if type(q) is tuple else q.h, -1)
         return self._failed(label, Fraction(dx, dw), Fraction(dy, dw))
 
-    def point_on_circle(self, label: str, p: Point, c: CircleLike) -> bool:
-        if _power(p, c if type(c) is tuple else c.h)[0]:
-            return self._failed(label, (_reduced(Circle, *c) if type(c) is tuple else c).eval(p))
-        return self._passed(label)
+    def point_on_circle(self, label: str, p: Point, c: Circle) -> bool:
+        return self._failed(label, c.eval(p)) if _power(p, c.h)[0] else self._passed(label)
 
     def on_miquel_circle(self, label: str, m: Point, *circle) -> bool:
-        """m on ``pipeline.miquel_circle(*circle)``, decided by ``_on_miquel_circle``."""
-        if _on_miquel_circle(m, *circle):
-            return self._passed(label)
-        return self._failed(label, miquel_circle(*circle).eval(m))
+        """m on ``pipeline.miquel_circle(*circle)``, with the errors it
+        raises.  Only a tangent limit is built; any other circle is decided
+        by ``_concyclic`` on the cross ratio, and only a FAIL builds it."""
+        v, p, _, q, _, name = circle
+        if v == p or v == q:
+            return self.point_on_circle(label, m, miquel_circle(*circle))
+        with _Stage(name):
+            off = _concyclic(v, p, q, m)
+        return self._failed(label, miquel_circle(*circle).eval(m)) if off else self._passed(label)
 
     def point_on_line(self, label: str, p: Point, l: Coefficients) -> bool:
         a, b, c = l
@@ -642,7 +643,9 @@ def check_lemma_cyclic(
             return
         p = intersect_lines(_join(pa, pb), _join(pc, pd))
         q = intersect_lines(_join(pa, pd), _join(pb, pc))
-        # As in miquel_point_quadrangle, whose premises four concyclic points meet.
+        # The Miquel point of triangle PAD with B on PA, C on DP and Q on AD.
+        # No three of four distinct points of a circle are collinear, so none
+        # of B, C, Q is a vertex of PAD and no Miquel circle degenerates.
         with _Stage("quadrangle Miquel point", theorem=True):
             m = miquel_point(q, pc, pb, Triangle(p, pa, pd))
         pq = _join(p, q)

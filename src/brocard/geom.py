@@ -310,10 +310,6 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         return _reduced(Point, *_sum(self.h, other.h, -1))
 
-    def __neg__(self) -> "Point":
-        x, y, w = self.h
-        return _reduced(Point, -x, -y, w)
-
     def __rmul__(self, k: RationalLike) -> "Point":
         n, d = _integers(k)
         x, y, w = self.h

@@ -15,17 +15,18 @@ construction bug surfaces there and not as a traceback here.  Nor does
 the build test an incidence it constructed (a second circle meet lies on
 both circles) or a checked theorem: T_a is 2 * center - S_t.  What no
 check asserts stays an internal error (``InternalInconsistencyError``):
-the Pascal line is parallel to a hexagon meet at infinity, Miquel's
-theorem itself (the second meet of two Miquel circles lies on the third),
-T_B, T_C and a classical T_A, the Brocard circle and S_t, P or Q on BC in
-the spiral ratios, the diameter-line block X, Y, Z, O_A..O_C where an
-exact test on the line OR found it defined, and the classical overlay's
-K and Brocard angle, with the third tangent-side meet on the Lemoine
-axis.  Input degeneracies raise ``Degenerate`` with the name of the
-first object that broke, which keeps the generator's reject-and-resample
-loop informative.  Every stage that can reject a draw is in ``_prefix``,
-which is all the generator builds; ``compute_configuration`` runs it,
-then the stages that cannot, each a theorem stage.
+the Pascal line is parallel to a hexagon meet at infinity, the build's
+Miquel pair (its six circles and their meets), Miquel's theorem itself
+(the second meet of two Miquel circles lies on the third), T_B, T_C and a
+classical T_A, the Brocard circle and S_t, P or Q on BC in the spiral
+ratios, the diameter-line block X, Y, Z, O_A..O_C where an exact test on
+the line OR found it defined, and the classical overlay's K and Brocard
+angle, with the third tangent-side meet on the Lemoine axis.  Input
+degeneracies raise ``Degenerate`` with the name of the first object that
+broke, which keeps the generator's reject-and-resample loop informative.
+Every stage that can reject a draw is in ``_prefix``, which is all the
+generator builds; ``compute_configuration`` runs it, then the stages that
+cannot, each a theorem stage.
 The perspector S is the meet of two of its three lines; a T-vertex equal
 to its primed vertex leaves the third undefined, and ``check_perspective``
 with it, so the build raises ``Degenerate("S")``.
@@ -66,7 +67,6 @@ from .geom import (
     _antipode,
     _circle_through,
     _circumcenter,
-    _concyclic,
     _isogonal,
     _join,
     _meet,
@@ -230,30 +230,15 @@ def miquel_point(d: Point, e: Point, f: Point, tri: Triangle) -> Point:
     return _miquel(d, e, f, tri)[0]
 
 
-def _inscribed(d: Point, e: Point, f: Point, bc: Line, ca: Line, ab: Line) -> None:
-    """Raise unless d, e, f lie on BC, CA, AB."""
+def _miquel(d: Point, e: Point, f: Point, tri: Triangle) -> Tuple[Point, Tuple[Circle, Circle, Circle]]:
+    """``miquel_point`` together with its three circles, at A, B and C;
+    ``Degenerate`` unless d, e, f lie on BC, CA, AB and the circles exist."""
+    a, b, c = tri.a, tri.b, tri.c
+    bc, ca, ab = tri.sides
     for name, pt, (la, lb, lc), side in zip("def", (d, e, f), (bc, ca, ab), ("BC", "CA", "AB")):
         x, y, w = pt.h
         if la * x + lb * y + lc * w:
             raise Degenerate("miquel point", f"{name} is not on sideline {side}")
-
-
-def _on_miquel_circle(m: Point, v: Point, p: Point, p_side: Line, q: Point, q_side: Line, name: str) -> bool:
-    """m lies on ``miquel_circle(v, p, p_side, q, q_side, name)``, with the
-    errors it raises; the spiral lemma's recorder asks this of each of its
-    three circles.  Only a tangent limit is built; any other circle is
-    decided by ``_concyclic`` on the cross ratio."""
-    if v == p or v == q:
-        return on_circle(m, miquel_circle(v, p, p_side, q, q_side, name))
-    with _Stage(name):
-        return _concyclic(v, p, q, m) == 0
-
-
-def _miquel(d: Point, e: Point, f: Point, tri: Triangle) -> Tuple[Point, Tuple[Circle, Circle, Circle]]:
-    """``miquel_point`` together with its three circles, at A, B and C."""
-    a, b, c = tri.a, tri.b, tri.c
-    bc, ca, ab = tri.sides
-    _inscribed(d, e, f, bc, ca, ab)
     circle_a = miquel_circle(a, e, ca, f, ab, "miquel circle at A")
     circle_b = miquel_circle(b, f, ab, d, bc, "miquel circle at B")
     circle_c = miquel_circle(c, d, bc, e, ca, "miquel circle at C")
@@ -261,18 +246,6 @@ def _miquel(d: Point, e: Point, f: Point, tri: Triangle) -> Tuple[Point, Tuple[C
         m, _ = _second_common(circle_a.h, circle_b.h, f)
     _require(on_circle(m, circle_c), "Miquel point misses the third circle")
     return m, (circle_a, circle_b, circle_c)
-
-
-def miquel_point_quadrangle(pa: Point, pb: Point, pc: Point, pd: Point) -> Point:
-    """Miquel point of the quadrangle (pa, pb, pc, pd): the common point of
-    the circumcircles of (P,a,d), (P,b,c), (Q,a,b), (Q,c,d) where P = AB
-    meet CD and Q = AD meet BC.  It is ``miquel_point`` of triangle PAD with
-    b on PA, c on DP and Q on AD, whose circumcircle is the fourth circle."""
-    with _Stage("P"):
-        p = intersect_lines(_join(pa, pb), _join(pc, pd))
-    with _Stage("Q"):
-        q = intersect_lines(_join(pa, pd), _join(pb, pc))
-    return miquel_point(q, pc, pb, Triangle(p, pa, pd))
 
 
 class _Stage:
@@ -304,9 +277,10 @@ def compute_configuration(scene: Scene) -> Configuration:
     ratios, X, Y, Z and O_A..O_C) and the record.  Raises ``Degenerate`` on
     an input degeneracy, including ``Degenerate("S")`` when a T-vertex equals
     its primed vertex, and ``InternalInconsistencyError`` only if a theorem
-    fails: Miquel's theorem, at T_B, T_C or a classical T_A, the Pascal
-    line at a meet at infinity, R = O, the Brocard circle, S_t, P or Q on BC,
-    or the diameter-line block where ``_prefix`` found it defined.
+    fails: the Miquel pair, Miquel's theorem, at T_B, T_C or a classical
+    T_A, the Pascal line at a meet at infinity, R = O, the Brocard circle,
+    S_t, P or Q on BC, or the diameter-line block where ``_prefix`` found it
+    defined.
     Precondition: ``validate_scene(scene)`` is empty."""
     fields, lines, or_join = _prefix(scene)
     fields["circ"] = circ = scene.triangle.circumcircle
@@ -357,9 +331,17 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
     bc, ca, ab = tri.sides
 
     # The Miquel circles of P and of Q through each vertex also define the
-    # primed point there, their second meet; each is built once.
-    p, p_circles = _miquel(scene.a1, scene.b1, scene.c1, tri)
-    q, q_circles = _miquel(scene.a2, scene.b2, scene.c2, tri)
+    # primed point there, their second meet; each is built once.  No valid
+    # scene raises here.  Validation puts each label on its sideline.  A
+    # generic scene puts no label on a vertex, and a classical one aliases
+    # one of each circle's two points to its vertex, never both.  A tangent
+    # limit's third point is off the vertex and on the other sideline, so
+    # off the tangent one; a vertex and a point off it on each sideline
+    # through it are not collinear; two distinct circles through f are not
+    # concentric.
+    with _Stage("Miquel pair", theorem=True):
+        p, p_circles = _miquel(scene.a1, scene.b1, scene.c1, tri)
+        q, q_circles = _miquel(scene.a2, scene.b2, scene.c2, tri)
     fields = dict(scene=scene, o=o, p=p, q=q, p_circles=p_circles, q_circles=q_circles)
     if p == q:
         return dict(fields, collapsed=True), {}, None

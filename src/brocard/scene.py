@@ -199,9 +199,8 @@ def scene_from_parameters(
 
     The chord a1-a2 becomes sideline BC, b1-b2 becomes CA, c1-c2 becomes AB;
     vertices are the pairwise chord intersections.  Raises on any local
-    degeneracy (repeated parameters, parallel chords, collinear vertices,
-    incidence point coinciding with a vertex); orientation is fixed by one
-    label swap.
+    degeneracy (repeated parameters, parallel chords, concurrent chords);
+    orientation is fixed by one label swap.
     """
     values = [rat(t) for t in ts]
     if len(values) != 6:
@@ -218,7 +217,11 @@ def scene_from_parameters(
     b = _reduced(Point, *_meet(chord_ab, chord_bc))
     c = _reduced(Point, *_meet(chord_bc, chord_ca))
 
-    if a == b or b == c or a == c or orientation(a, b, c) == 0:
+    # Distinct parameters give six distinct points of gamma, and a point of
+    # gamma meets a chord only at its ends, so no label is a vertex.  Two
+    # equal pairwise meets put all three chords through one point; three
+    # distinct meets of three distinct lines are not collinear.
+    if a == b:
         raise Degenerate("scene", "degenerate triangle")
     if orientation(a, b, c) < 0:
         # Swapping B and C keeps sideline BC fixed and exchanges CA with AB,
@@ -226,9 +229,6 @@ def scene_from_parameters(
         b, c = c, b
         b1, b2, c1, c2 = c1, c2, b1, b2
 
-    incidences = (a1, a2, b1, b2, c1, c2)
-    if any(p in (a, b, c) for p in incidences):
-        raise Degenerate("scene", "incidence point coincides with a vertex")
     if strict_segments:
         for p, e1, e2 in ((a1, b, c), (a2, b, c), (b1, c, a), (b2, c, a), (c1, a, b), (c2, a, b)):
             if not _between(p, e1, e2):

@@ -39,7 +39,6 @@ from brocard.pipeline import (
     classical_overlay,
     compute_configuration,
     miquel_point,
-    miquel_point_quadrangle,
 )
 from brocard.scene import (
     SceneParams,
@@ -157,9 +156,12 @@ def test_criterion_3_lemma_oracles():
                 ts.append(t)
         pts = [circle_point_from_parameter(t, center, radius) for t in ts]
         circle = Circle.from_center_radius2(center, radius * radius)
+        pa, pb, pc, pd = pts
         try:
-            m = miquel_point_quadrangle(*pts)
-            r = intersect_lines(line_through(pts[0], pts[2]), line_through(pts[1], pts[3]))
+            p = intersect_lines(line_through(pa, pb), line_through(pc, pd))
+            q = intersect_lines(line_through(pa, pd), line_through(pb, pc))
+            m = miquel_point(q, pc, pb, Triangle(p, pa, pd))
+            r = intersect_lines(line_through(pa, pc), line_through(pb, pd))
         except GeometryError:
             continue  # parallel structure; draw another quadrangle
         if r == center:

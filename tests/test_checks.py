@@ -45,7 +45,6 @@ from brocard.pipeline import (
     InternalInconsistencyError,
     compute_configuration,
     miquel_point,
-    miquel_point_quadrangle,
 )
 from brocard.scene import (
     GenerationExhausted,
@@ -322,9 +321,9 @@ class TestConstructionBugs:
             run_suite(seed7_scene)
         with pytest.raises(InternalInconsistencyError):
             generate_scene(SceneParams(seed=7))
-        quad = build_cyclic_quadrangle(Circle(0, 0, -1))
+        circle = Circle(0, 0, -1)
         with pytest.raises(InternalInconsistencyError, match="Miquel point misses the third circle"):
-            miquel_point_quadrangle(*quad)
+            check_lemma_cyclic(circle, *build_cyclic_quadrangle(circle))
 
     def test_wrong_quadrangle_triangle_is_internal_error(self, monkeypatch):
         """The cyclic lemma's Miquel point taken with B and C exchanged puts
@@ -393,6 +392,20 @@ class TestConstructionBugs:
         monkeypatch.setattr(pipeline, "circle_through_tangent", off_normal)
         for ts in ((0, 1, -1), (0, 1, 3), (F(1, 2), -3, F(7, 5))):
             with pytest.raises(InternalInconsistencyError, match="^T_A: lines are parallel"):
+                run_suite(classical_brocard_scene(*ts))
+
+    def test_exchanged_miquel_sidelines_are_internal_error(self, monkeypatch):
+        """Each Miquel circle built with its two sidelines exchanged.  On a
+        classical scene a tangent limit then touches the sideline that
+        carries its third point, which no valid scene allows, so the build's
+        Miquel pair escapes ``run_suite`` as an internal error instead of
+        reading as a degenerate input."""
+        circle = pipeline.miquel_circle
+        monkeypatch.setattr(
+            pipeline, "miquel_circle", lambda v, p, p_side, q, q_side, name: circle(v, p, q_side, q, p_side, name)
+        )
+        for ts in ((0, 1, -1), (0, 1, 3), (F(1, 2), -3, F(7, 5))):
+            with pytest.raises(InternalInconsistencyError, match="^Miquel pair: tangent circle: third point lies on"):
                 run_suite(classical_brocard_scene(*ts))
 
     def test_antipodal_tangent_is_internal_error_or_fail(self, monkeypatch):
@@ -497,11 +510,13 @@ class TestLemmaChecks:
     def test_cyclic_symmetric_quadrangle_point_on_axis(self):
         # quadrangle invariant under reflection across the x axis (A and C,
         # B and D are mirror pairs): the Miquel point lands on the axis
-        from brocard.pipeline import miquel_point_quadrangle
         from brocard.scene import circle_point_from_parameter
 
         pts = [circle_point_from_parameter(t, Point(0, 0), 1) for t in (F(2), F(5), F(-2), F(-5))]
-        m = miquel_point_quadrangle(*pts)
+        pa, pb, pc, pd = pts
+        p = geom.intersect_lines(line_through(pa, pb), line_through(pc, pd))
+        q = geom.intersect_lines(line_through(pa, pd), line_through(pb, pc))
+        m = miquel_point(q, pc, pb, Triangle(p, pa, pd))
         assert m.y == 0
         # the mirror chords are the diagonals here (parallel verticals), so
         # the check's inversion clause is unavailable: DEGENERATE, never FAIL
@@ -728,7 +743,7 @@ class TestWitnessFidelity:
         pa, pb, pc, pd = quad
         p = geom.intersect_lines(line_through(pa, pb), line_through(pc, pd))
         q = geom.intersect_lines(line_through(pa, pd), line_through(pb, pc))
-        m = miquel_point_quadrangle(*quad) + Point(F(1, 7), 0)
+        m = real(q, pc, pb, Triangle(p, pa, pd)) + Point(F(1, 7), 0)
         pq, om = line_through(p, q), line_through(seed7_scene.gamma.center, m)
         assert self._failed(result, "M on PQ") == (pq.eval(m),)
         assert self._failed(result, "OM perpendicular to PQ") == (om.a * pq.a + om.b * pq.b,)

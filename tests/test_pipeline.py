@@ -36,7 +36,6 @@ from brocard.pipeline import (
     classical_overlay,
     compute_configuration,
     miquel_point,
-    miquel_point_quadrangle,
     spiral_ratio,
     tangent_of_angle,
 )
@@ -89,17 +88,16 @@ class TestMiquelPoint:
 
 
 class TestMiquelQuadrangle:
-    def test_square_degenerate(self):
-        with pytest.raises(Degenerate) as err:
-            miquel_point_quadrangle(Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1))
-        assert err.value.name == "P"
+    """The Miquel point of a quadrangle ABCD, with P = AB meet CD and
+    Q = AD meet BC, as ``check_lemma_cyclic`` builds it: the Miquel point of
+    triangle PAD with B on PA, C on DP and Q on AD."""
 
     def test_memberships_on_random_quadrangle(self):
         pts = [circle_point_from_parameter(t, Point(0, 0), 1) for t in (F(0), F(1), F(-1), F(3))]
-        m = miquel_point_quadrangle(*pts)
         pa, pb, pc, pd = pts
         p = intersect_lines(line_through(pa, pb), line_through(pc, pd))
         q = intersect_lines(line_through(pa, pd), line_through(pb, pc))
+        m = miquel_point(q, pc, pb, Triangle(p, pa, pd))
         for circle in (
             circumcircle(p, pa, pd),
             circumcircle(p, pb, pc),
@@ -110,9 +108,10 @@ class TestMiquelQuadrangle:
 
     def test_cyclic_quadrangle_point_on_pq(self):
         pts = [circle_point_from_parameter(t, Point(2, -1), F(5, 2)) for t in (F(1, 2), F(2), F(-3), F(5))]
-        m = miquel_point_quadrangle(*pts)
-        p = intersect_lines(line_through(pts[0], pts[1]), line_through(pts[2], pts[3]))
-        q = intersect_lines(line_through(pts[0], pts[3]), line_through(pts[1], pts[2]))
+        pa, pb, pc, pd = pts
+        p = intersect_lines(line_through(pa, pb), line_through(pc, pd))
+        q = intersect_lines(line_through(pa, pd), line_through(pb, pc))
+        m = miquel_point(q, pc, pb, Triangle(p, pa, pd))
         assert on_line(m, line_through(p, q))
 
 

@@ -218,13 +218,15 @@ class TestAcceptance:
             assert generate_scene(params) == _ref_generate_scene(params), seed
 
     def test_no_draw_puts_a_miquel_point_on_a_sideline_or_the_circumcircle(self):
-        """Every draw that generation makes, up to the one it accepts, whose
-        scene builds and whose Miquel points P != Q exist: P and Q have
-        isogonal conjugates and spiral ratios on BC, so neither can reject a
-        draw, and generation builds neither.  The three T cevian pairs are
-        all parallel or none is, so T_B and T_C cannot reject a draw once
-        T_A is built; and where T_A is finite, neither P, Q, O nor the
-        T-triangle is collinear, so the Brocard circle and S_t cannot
+        """Every draw that generation makes, up to the one it accepts.  With
+        six distinct parameters and no parallel chords, the chords' pairwise
+        meets are all equal or form a triangle, and no label is a vertex.
+        Every scene that builds has both Miquel points.  Where P != Q, P and
+        Q have isogonal conjugates and spiral ratios on BC, so neither can
+        reject a draw, and generation builds neither.  The three T cevian
+        pairs are all parallel or none is, so T_B and T_C cannot reject a
+        draw once T_A is built; and where T_A is finite, neither P, Q, O nor
+        the T-triangle is collinear, so the Brocard circle and S_t cannot
         either."""
         checked = seeds = 0
         for caps, seed_range in ((3, range(1, 1001)), (5, range(1, 501))):
@@ -234,13 +236,23 @@ class TestAcceptance:
                 accepted = generate_scene(params)
                 rng = Random(seed)
                 for _ in range(_MAX_ATTEMPTS):
-                    draws = _randint_draw(rng, params)
+                    ts = [F(n, d) for n, d in _randint_draw(rng, params)]
                     try:
-                        scene = scene_from_parameters([F(n, d) for n, d in draws], ORIGIN, 1)
-                        p, _ = _miquel(scene.a1, scene.b1, scene.c1, scene.triangle)
-                        q, _ = _miquel(scene.a2, scene.b2, scene.c2, scene.triangle)
+                        scene = scene_from_parameters(ts, ORIGIN, 1)
+                    except Degenerate as exc:
+                        if str(exc) == "scene: degenerate triangle":
+                            pts = [circle_point_from_parameter(t, ORIGIN, 1) for t in ts]
+                            bc, ca, ab = [line_through(*pts[k:k + 2]) for k in (0, 2, 4)]
+                            meet = intersect_lines(ca, ab)
+                            assert on_line(meet, bc), (caps, seed)
+                        continue
                     except GeometryError:
                         continue
+                    labels = (scene.a1, scene.a2, scene.b1, scene.b2, scene.c1, scene.c2)
+                    assert not set(labels) & set(scene.vertices), (caps, seed)
+                    assert orientation(scene.a, scene.b, scene.c) > 0, (caps, seed)
+                    p, _ = _miquel(scene.a1, scene.b1, scene.c1, scene.triangle)
+                    q, _ = _miquel(scene.a2, scene.b2, scene.c2, scene.triangle)
                     if p == q:
                         continue
                     bc = scene.triangle.sides[0]

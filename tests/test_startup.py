@@ -5,6 +5,7 @@ Each command runs in a fresh interpreter that prints ``sys.modules`` when
 the command returns, so the load sets are gated exactly, not by time.
 """
 
+import ast
 import dataclasses
 import gc
 import hashlib
@@ -188,6 +189,34 @@ def test_every_export_is_its_defining_modules_object():
         home = {"THEOREM_CHECK_IDS": "brocard.checks", "__version__": "brocard"}.get(name) or value.__module__
         assert getattr(sys.modules[home], name) is value, name
     assert brocard.run_suite is checks.run_suite
+
+
+def _names_read(path):
+    """The names a file reads, as a loaded name, a loaded attribute or an
+    imported name, outside the top-level definition of each name."""
+    read = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        read |= names - {getattr(top, "name", None)}
+    return read
+
+
+def test_every_export_is_read_by_the_package_or_a_script():
+    """Each name ``brocard`` exports is read by a module of the package or
+    by a script, outside its own definition.  A name only tests read is
+    dead API: delete it, or fold it into its one caller."""
+    files = [*(p for p in SRC.joinpath("brocard").glob("*.py") if p.name != "__init__.py"),
+             *SRC.parent.joinpath("scripts").glob("*.py")]
+    read = set().union(*map(_names_read, files))
+    exported = {name for names in brocard._EXPORTS.values() for name in names}
+    assert sorted(exported - read) == []
 
 
 def test_star_import_binds_exactly_all():
