@@ -649,13 +649,6 @@ def circle_through_tangent(t: Point, l: Line, p: Point) -> Circle:
     return Circle.from_center_radius2(center, dist2(center, t))
 
 
-def tangent_line(c: Circle, p: Point) -> Line:
-    """Tangent to c at a point of c (the polar of a point on the circle)."""
-    if not on_circle(p, c):
-        raise GeometryError(f"{p} is not on {c}")
-    return Line(*_polar(p, c))
-
-
 def _antipode(p: Point, c: Circle) -> _Triple:
     """The unreduced 2 * center - p, with center = (-d, -e) / (2v); p on c is not tested."""
     x, y, w = p.h

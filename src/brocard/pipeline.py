@@ -17,13 +17,13 @@ both circles) or a checked theorem: T_a is 2 * center - S_t.  What no
 check asserts stays an internal error (``InternalInconsistencyError``):
 the Pascal line is parallel to a hexagon meet at infinity, the build's
 Miquel pair (its six circles and their meets), Miquel's theorem itself
-(the second meet of two Miquel circles lies on the third), T_B, T_C and a
-classical T_A, the Brocard circle and S_t, P or Q on BC in the spiral
-ratios, the diameter-line block X, Y, Z, O_A..O_C where an exact test on
-the line OR found it defined, and the classical overlay's K and Brocard
-angle, with the third tangent-side meet on the Lemoine axis.  Input
-degeneracies raise ``Degenerate`` with the name of the first object that
-broke, which keeps the generator's reject-and-resample loop informative.
+(the second meet of two Miquel circles lies on the third), T_B and T_C, a
+classical T_A and R, the Brocard circle and S_t, P or Q on BC in the
+spiral ratios, the diameter-line block X, Y, Z, O_A..O_C where an exact
+test on the line OR found it defined, and the classical overlay's K and
+Brocard angle.  Input degeneracies raise ``Degenerate`` with the name of
+the first object that broke, which keeps the generator's
+reject-and-resample loop informative.
 Every stage that can reject a draw is in ``_prefix``, which is all the
 generator builds; ``compute_configuration`` runs it, then the stages that
 cannot, each a theorem stage.
@@ -59,11 +59,9 @@ from .geom import (
     inverse_similarity_map,
     line_through,
     on_circle,
-    on_line,
     parallel,
     pole_of_line,
     spiral_ratio,
-    tangent_line,
     _antipode,
     _circle_through,
     _circumcenter,
@@ -183,7 +181,8 @@ class Configuration:
 @_record
 class ClassicalOverlay:
     """What a classical scene adds to its configuration: the symmedian point
-    and the exact tangent of the Brocard angle.  The Brocard points are the
+    K, built apart from the pole R that the theorem makes equal to it, and
+    the exact tangent of the Brocard angle.  The Brocard points are the
     configuration's P and Q, and their six tangent circles its Miquel
     circles."""
 
@@ -277,10 +276,10 @@ def compute_configuration(scene: Scene) -> Configuration:
     ratios, X, Y, Z and O_A..O_C) and the record.  Raises ``Degenerate`` on
     an input degeneracy, including ``Degenerate("S")`` when a T-vertex equals
     its primed vertex, and ``InternalInconsistencyError`` only if a theorem
-    fails: the Miquel pair, Miquel's theorem, at T_B, T_C or a classical
-    T_A, the Pascal line at a meet at infinity, R = O, the Brocard circle,
-    S_t, P or Q on BC, or the diameter-line block where ``_prefix`` found it
-    defined.
+    fails: the Miquel pair, Miquel's theorem, at T_B, T_C, a classical T_A
+    or a classical R, the Pascal line at a meet at infinity, R = O, the
+    Brocard circle, S_t, P or Q on BC, or the diameter-line block where
+    ``_prefix`` found it defined.
     Precondition: ``validate_scene(scene)`` is empty."""
     fields, lines, or_join = _prefix(scene)
     fields["circ"] = circ = scene.triangle.circumcircle
@@ -399,7 +398,9 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
             # must be parallel to the two (parallel) hexagon sides.
             _require(parallel(pascal, direction), "Pascal line misses a hexagon meet at infinity")
 
-    with _Stage("R"):
+    # On a classical scene the Pascal line is the Lemoine axis, the polar of
+    # the interior point K, so it misses the center and R is finite.
+    with _Stage("R", theorem=scene.classical):
         r = pole_of_line(pascal, gamma)
 
     with _Stage("R*"):
@@ -454,35 +455,18 @@ def tangent_of_angle(vertex: Point, toward1: Point, toward2: Point) -> Fraction:
 
 def classical_overlay(cfg: Configuration) -> ClassicalOverlay:
     """Classical Brocard objects of a classical configuration: the symmedian
-    point as pole of the line of tangent intersections, and the exact
-    Brocard-angle tangent at P, the first Brocard point."""
+    point as the isogonal conjugate of the centroid, a route that shares no
+    construction with R, and the exact Brocard-angle tangent at P, the first
+    Brocard point."""
     scene = cfg.scene
     if not scene.classical:
         raise ValueError("classical overlay requires a classical scene")
     a, b, c = scene.a, scene.b, scene.c
-    gamma = scene.gamma
-    bc, ca, ab = scene.triangle.sides
 
-    # No valid classical scene can raise here.  No rational triangle is
-    # equilateral, so at most one tangent is parallel to its side (the
-    # tangent at the apex of an isosceles triangle).  Two finite meets lie on
-    # different sidelines and neither is their shared vertex, so they are
-    # distinct.  Their line, the Lemoine axis, is the polar of the interior
-    # point K, so it misses the center and its pole is finite.
+    # The centroid is inside ABC, so it lies on no sideline and off the
+    # circumcircle, and its isogonal conjugate is finite.
     with _Stage("K", theorem=True):
-        meets = []
-        for vertex, side in ((a, bc), (b, ca), (c, ab)):
-            try:
-                meets.append(intersect_lines(tangent_line(gamma, vertex), side))
-            except ParallelLines:
-                pass
-        _require(len(meets) >= 2, "K: fewer than two finite tangent-side meets")
-        lemoine_axis = line_through(meets[0], meets[1])
-        k = pole_of_line(lemoine_axis, gamma)
-    _require(
-        all(on_line(m, lemoine_axis) for m in meets),
-        "tangent intersections are not collinear",
-    )
+        k = _reduced(Point, *_isogonal(Fraction(1, 3) * (a + b + c), a, b, c))
 
     # Rotation from ray A->B to ray A->P: the Brocard angle, in (0, 30]
     # degrees for an anticlockwise triangle, so never right.  The classical

@@ -63,10 +63,6 @@ def rational_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def rational_from_str(text: str) -> Fraction:
-    return Fraction(*_ratio_from_str(text))
-
-
 def _ratio_from_str(text: str) -> Tuple[int, int]:
     """The lowest-terms pair (n, d), d > 0, of the canonical ``"p/q"`` text;
     any other text raises ``SceneFormatError``."""

@@ -160,6 +160,26 @@ class TestSuitePass:
             report = run_suite(classical_brocard_scene(*params))
             assert report.counts[FAIL] == 0, params
 
+    def test_classical_sweep(self):
+        """Classical scenes on seeded triples of distinct small rationals:
+        the suite raises nothing, and every check passes except the
+        circumcenter perspective, which is DEGENERATE exactly on the
+        isosceles triangles, where the line OR runs through the apex."""
+        rng = Random(0)
+        isosceles = 0
+        for _ in range(300):
+            ts = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(3)]
+            if len(set(ts)) < 3:
+                continue
+            scene = classical_brocard_scene(*ts)
+            sides = {dist2(scene.b, scene.c), dist2(scene.c, scene.a), dist2(scene.a, scene.b)}
+            isosceles += len(sides) < 3
+            report = run_suite(scene)
+            undecided = [r.check_id for r in report.results if r.status != PASS]
+            assert undecided == (["check_circumcenter_perspective"] if len(sides) < 3 else []), ts
+            assert report.counts[FAIL] == 0, ts
+        assert isosceles == 4
+
     def test_literal_sign_reading_reported(self, seed7_scene):
         report = run_suite(seed7_scene)
         iso = next(r for r in report.results if r.check_id == "check_isogonal_conjugates")
@@ -409,19 +429,28 @@ class TestConstructionBugs:
                 run_suite(classical_brocard_scene(*ts))
 
     def test_antipodal_tangent_is_internal_error_or_fail(self, monkeypatch):
-        """The classical overlay built from the tangent at each vertex's
-        antipode.  On ``0,1,-1`` its Lemoine axis passes through the center,
-        which no valid classical scene allows, so K is an internal error
-        that escapes ``run_suite`` instead of reading as DEGENERATE.  On the
-        other two pinned sets the classical check FAILs with witnesses."""
-        tangent = pipeline.tangent_line
-        monkeypatch.setattr(pipeline, "tangent_line", lambda gamma, v: tangent(gamma, 2 * gamma.center - v))
-        with pytest.raises(InternalInconsistencyError, match="^K: "):
+        """Each hexagon side through a doubled label built as the tangent at
+        the label's antipode.  On ``0,1,-1`` the Pascal line then passes
+        through the center, which no valid classical scene allows, so R is
+        an internal error that escapes ``run_suite`` instead of reading as
+        DEGENERATE.  On the other two pinned sets nine checks FAIL with
+        witnesses, ``R == K`` among them: K is built apart from R."""
+        chord = pipeline._chord
+        monkeypatch.setattr(
+            pipeline,
+            "_chord",
+            lambda p1, p2, gamma: chord(p1, p2, gamma) if p1 != p2 else geom._polar(2 * gamma.center - p1, gamma),
+        )
+        with pytest.raises(InternalInconsistencyError, match="^R: "):
             run_suite(classical_brocard_scene(0, 1, -1))
         for ts in ((0, 1, 3), (F(1, 2), -3, F(7, 5))):
-            result = check_classical_overlay(compute_configuration(classical_brocard_scene(*ts)))
-            assert result.status == FAIL, ts
-            assert any(any(w != 0 for w in a.witnesses) for a in result.failed_assertions), ts
+            report = run_suite(classical_brocard_scene(*ts))
+            failed = [r for r in report.results if r.status == FAIL]
+            assert len(failed) == 9 and report.counts[DEGENERATE] == 0, ts
+            for result in failed:
+                assert any(any(w != 0 for w in a.witnesses) for a in result.failed_assertions), (ts, result.check_id)
+            (overlay,) = [r for r in failed if r.check_id == "check_classical_overlay"]
+            assert [a.label for a in overlay.failed_assertions] == ["R == K"], ts
 
 
 class TestSmallCapGeneration:

@@ -36,7 +36,6 @@ from brocard.geom import (
     inverse_similarity_map,
     simson_line,
     spiral_ratio,
-    tangent_line,
     _angle,
     _angle_at,
     _antipode,
@@ -506,7 +505,7 @@ def test_second_intersections_match_reference(circle, z, center2):
     """Second points through a known common point x: of the circle with a
     chord and with the tangent at x, and of two circles."""
     c1, x = circle[0], circle[1]
-    chords = [tangent_line(c1, x)]
+    chords = [Line(*_polar(x, c1))]  # the tangent at x
     if z != x:
         chords.append(line_through(x, z))
     for l in chords:

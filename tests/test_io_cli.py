@@ -46,8 +46,8 @@ from brocard.sceneio import (
     SCENE_FORMAT,
     SceneFormatError,
     _canonical_bytes,
+    _ratio_from_str,
     canonical_text,
-    rational_from_str,
     rational_to_str,
     read_scene_file,
     scene_digest,
@@ -62,19 +62,22 @@ from test_pipeline import COLLAPSE_SCENE
 
 
 class TestRationalStrings:
+    """The scene parser's rationals: ``_ratio_from_str`` accepts exactly
+    the text ``rational_to_str`` writes, as its lowest-terms pair."""
+
     def test_round_trip(self):
         for v in (F(0), F(3), F(-7, 2), F(22, 7)):
-            assert rational_from_str(rational_to_str(v)) == v
+            assert _ratio_from_str(rational_to_str(v)) == (v.numerator, v.denominator)
 
     @given(st.fractions() | st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**40)))
     def test_canonical_round_trip(self, v):
         text = rational_to_str(v)
-        assert rational_from_str(text) == v
-        assert rational_to_str(rational_from_str(text)) == text
+        assert _ratio_from_str(text) == (v.numerator, v.denominator)
+        assert rational_to_str(F(*_ratio_from_str(text))) == text
 
     def test_plain_integer_rejected(self):
         with pytest.raises(SceneFormatError):
-            rational_from_str("5")
+            _ratio_from_str("5")
 
     @pytest.mark.parametrize(
         "text",
@@ -85,19 +88,19 @@ class TestRationalStrings:
     )
     def test_non_canonical_rejected(self, text):
         with pytest.raises(SceneFormatError):
-            rational_from_str(text)
+            _ratio_from_str(text)
 
     def test_not_lowest_terms_rejected(self):
-        with pytest.raises(SceneFormatError):
-            rational_from_str("2/4")
+        with pytest.raises(SceneFormatError, match="lowest terms"):
+            _ratio_from_str("2/4")
 
     def test_negative_denominator_rejected(self):
         with pytest.raises(SceneFormatError):
-            rational_from_str("1/-2")
+            _ratio_from_str("1/-2")
 
     def test_garbage_rejected(self):
         with pytest.raises(SceneFormatError):
-            rational_from_str("a/b")
+            _ratio_from_str("a/b")
 
 
 class TestSceneRoundTrip:
@@ -285,7 +288,7 @@ class TestCliVerify:
 
     def test_corrupted_scene_nonzero_exit(self, scene_file, tmp_path, capsys):
         doc = json.loads(scene_file.read_text())
-        x = rational_from_str(doc["scenes"][0]["a1"][0]) + 1
+        x = F(*_ratio_from_str(doc["scenes"][0]["a1"][0])) + 1
         doc["scenes"][0]["a1"][0] = rational_to_str(x)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -327,7 +330,7 @@ class TestCliVerify:
     def test_unknown_check_usage_error_on_invalid_scene(self, scene_file, tmp_path):
         doc = json.loads(scene_file.read_text())
         doc["scenes"] = doc["scenes"][:1]
-        doc["scenes"][0]["a1"][0] = rational_to_str(rational_from_str(doc["scenes"][0]["a1"][0]) + 1)
+        doc["scenes"][0]["a1"][0] = rational_to_str(F(*_ratio_from_str(doc["scenes"][0]["a1"][0])) + 1)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["verify", "--in", str(bad), "--checks", "check_bogus"]) == 2
@@ -388,7 +391,7 @@ class TestCliRender:
 
     def test_invalid_scene_rejected(self, scene_file, tmp_path, capsys):
         doc = json.loads(scene_file.read_text())
-        f = rational_from_str(doc["scenes"][0]["gamma"]["f"])
+        f = F(*_ratio_from_str(doc["scenes"][0]["gamma"]["f"]))
         doc["scenes"][0]["gamma"]["f"] = rational_to_str(f + 1)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -490,7 +493,8 @@ class TestCliClassical:
     def test_builds_each_object_once(self, monkeypatch, capsys):
         """The command prints from the suite's own configuration and shares
         one overlay with the check: one build, the two Miquel points with
-        their six tangent circles, and K from three tangents."""
+        their six tangent circles, and one overlay whose K is the one
+        isogonal conjugate the pipeline takes beside R*."""
         calls = collections.Counter()
 
         def count(module, name):
@@ -507,12 +511,15 @@ class TestCliClassical:
             (pipeline, "compute_configuration"),
             (pipeline, "_miquel"),
             (pipeline, "circle_through_tangent"),
-            (pipeline, "tangent_line"),
+            (pipeline, "classical_overlay"),
+            (pipeline, "_isogonal"),
         ):
             count(module, name)
         assert main(["classical", "--params", "0,1,3"]) == 0
         assert "Omega  = (-26/73, 45/73)" in capsys.readouterr().out
-        assert calls == {"compute_configuration": 1, "_miquel": 2, "circle_through_tangent": 6, "tangent_line": 3}
+        assert calls == {
+            "compute_configuration": 1, "_miquel": 2, "circle_through_tangent": 6, "classical_overlay": 1, "_isogonal": 2
+        }
 
     def test_degenerate_configuration_not_rebuilt(self, monkeypatch, capsys):
         """With no configuration, the command prints the suite's
@@ -628,7 +635,7 @@ def test_failure_paths(tmp_path, monkeypatch, capsys, argv, code, stdout, stderr
     files = {name: str(tmp_path / f"{name}.json") for name in ("scenes", "invalid", "collapsed", "notjson")}
     write_scene_file(files["scenes"], [generate_scene(SceneParams(seed=42))])
     doc = json.loads((tmp_path / "scenes.json").read_text())
-    doc["scenes"][0]["gamma"]["f"] = rational_to_str(rational_from_str(doc["scenes"][0]["gamma"]["f"]) + 1)
+    doc["scenes"][0]["gamma"]["f"] = rational_to_str(F(*_ratio_from_str(doc["scenes"][0]["gamma"]["f"])) + 1)
     (tmp_path / "invalid.json").write_text(json.dumps(doc))
     write_scene_file(files["collapsed"], [COLLAPSE_SCENE])
     (tmp_path / "notjson.json").write_text("{not json")

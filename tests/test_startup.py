@@ -219,6 +219,35 @@ def test_every_export_is_read_by_the_package_or_a_script():
     assert sorted(exported - read) == []
 
 
+def test_every_public_function_has_a_caller():
+    """Each public top-level function of a module of ``brocard`` is read by
+    a module of the package or by a script, outside its own definition, or
+    is a check registered in the suite, a name the bench traces
+    (``TRACED`` and ``GEOM_FUNCTIONS`` in ``perfbench/tracer.py``, read
+    without importing it) or an export of ``brocard``.  A function that
+    only tests call is dead API: delete it, or fold it into its one caller."""
+    modules = [p for p in SRC.joinpath("brocard").glob("*.py") if p.name != "__init__.py"]
+    read = set().union(*map(_names_read, [*modules, *SRC.parent.joinpath("scripts").glob("*.py")]))
+    tracer = ast.parse(SRC.parent.joinpath("perfbench", "tracer.py").read_text(encoding="utf-8"))
+    traced = {
+        const.value
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "GEOM_FUNCTIONS"
+        or isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TRACED"
+        for const in ast.walk(node.value)
+        if isinstance(const, ast.Constant) and isinstance(const.value, str)
+    }
+    allowed = {*checks._SUITE, *traced, *(name for names in brocard._EXPORTS.values() for name in names)}
+    public = {
+        f"{path.stem}.{node.name}"
+        for path in modules
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert "run_suite" in traced and "pole_of_line" in traced
+    assert sorted(name for name in public if name.split(".")[1] not in read | allowed) == []
+
+
 def test_star_import_binds_exactly_all():
     namespace = {}
     exec("from brocard import *", namespace)
