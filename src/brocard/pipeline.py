@@ -1,10 +1,11 @@
 """Derivation of the full generalized Brocard configuration from a scene.
 
-From the six incidence points this module constructs the Miquel pair P, Q,
-the T-triangle and primed triangle, the Pascal line of the inscribed
-hexagon with its pole R, the circle carrying all ten distinguished points,
-the generalized Steiner and Tarry points, the perspector of the two
-derived triangles, and the spiral-similarity ratios.
+From the six incidence points this module constructs the Miquel pair P, Q
+and the primed triangle, from their closed forms in the labels, the
+T-triangle, the Pascal line of the inscribed hexagon with its pole R, the
+circle carrying all ten distinguished points, the generalized Steiner and
+Tarry points, the perspector of the two derived triangles, and the
+spiral-similarity ratios.
 
 The pipeline constructs; the suite in ``checks`` asserts.  Each identity
 the theorems guarantee (the Pascal collinearity, R as pole and concurrency
@@ -15,13 +16,14 @@ construction bug surfaces there and not as a traceback here.  Nor does
 the build test an incidence it constructed (a second circle meet lies on
 both circles) or a checked theorem: T_a is 2 * center - S_t.  What no
 check asserts stays an internal error (``InternalInconsistencyError``):
-the Pascal line is parallel to a hexagon meet at infinity, the build's
-Miquel pair (its six circles and their meets), Miquel's theorem itself
-(the second meet of two Miquel circles lies on the third), T_B and T_C, a
-classical T_A and R, the Brocard circle and S_t, P or Q on BC in the
-spiral ratios, the diameter-line block X, Y, Z, O_A..O_C where an exact
-test on the line OR found it defined, and the classical overlay's K and
-Brocard angle.  Input degeneracies raise ``Degenerate`` with the name of
+the Pascal line is parallel to a hexagon meet at infinity, a zero divisor
+in the closed forms of the Miquel pair and the primed triangle, the
+Miquel circles the classical check reads, Miquel's theorem in
+``miquel_point`` (the second meet of two Miquel circles lies on the
+third), T_B and T_C, a classical T_A, A'..C' and R, the Brocard circle
+and S_t, P or Q on BC in the spiral ratios, the diameter-line block X, Y,
+Z, O_A..O_C where an exact test on the line OR found it defined, and the
+classical overlay's K and Brocard angle.  Input degeneracies raise ``Degenerate`` with the name of
 the first object that broke, which keeps the generator's
 reject-and-resample loop informative.
 Every stage that can reject a draw is in ``_prefix``, which is all the
@@ -32,10 +34,11 @@ to its primed vertex leaves the third undefined, and ``check_perspective``
 with it, so the build raises ``Degenerate("S")``.
 
 Classical scenes (incidence points aliased to vertices) are handled by the
-same code paths: a chord through two coincident labels degenerates to the
-tangent line of the circle there, and a circumcircle with a repeated
-defining point degenerates to the circle tangent to the corresponding
-sideline, exactly as the limits demand.
+same code paths: the closed forms are finite at the aliasing, a chord
+through two coincident labels degenerates to the tangent line of the
+circle there, and a Miquel circle with a repeated defining point
+degenerates to the circle tangent to the corresponding sideline, exactly
+as the limits demand.
 """
 
 from __future__ import annotations
@@ -70,10 +73,12 @@ from .geom import (
     _meet,
     _parallel,
     _polar,
+    _quotient,
     _record,
     _reduced,
     _second_common,
     _sum,
+    _times,
 )
 from .scene import Scene
 
@@ -91,15 +96,15 @@ def _require(condition: bool, what: str) -> None:
 class Configuration:
     """Every derived object of the configuration.
 
-    When the two Miquel points coincide (``collapsed``), only ``p``, ``q``
-    and their circles are populated; all dependent constructions are
-    undefined and the verification suite reports DEGENERATE instead of
-    evaluating them.
+    When the two Miquel points coincide (``collapsed``), only ``p`` and
+    ``q`` are populated; all dependent constructions are undefined and the
+    verification suite reports DEGENERATE instead of evaluating them.
 
     The objects several checks share (the inverse similarity, the line OR,
     the T-sides, the lines through the perspector, and the classical
     overlay, which the classical check shares with ``brocard classical``)
-    are built on first use and cached on the instance, never passed to
+    and the Miquel circles, which only the classical check reads, are
+    built on first use and cached on the instance, never passed to
     ``__init__``, so ``dataclasses.replace`` derives them afresh from the
     replaced fields.  ``compute_configuration`` seeds the caches with the
     lines it built itself.  The Simson lines of S_t and T_a live in the memo
@@ -111,10 +116,6 @@ class Configuration:
     o: Point  # center of gamma
     p: Point
     q: Point
-    # The Miquel circles of P and of Q at A, B and C; on a classical scene
-    # they are the six tangent circles of the Brocard points.
-    p_circles: Tuple[Circle, Circle, Circle]
-    q_circles: Tuple[Circle, Circle, Circle]
     collapsed: bool = False
     t_a: Optional[Point] = None
     t_b: Optional[Point] = None
@@ -142,6 +143,19 @@ class Configuration:
     o_c: Optional[Point] = None
     r_p: Optional[ComplexScalar] = None
     r_q: Optional[ComplexScalar] = None
+
+    @cached_property
+    def p_circles(self) -> Tuple[Circle, Circle, Circle]:
+        """The Miquel circles of P at A, B and C; on a classical scene the
+        tangent circles of the first Brocard point."""
+        s = self.scene
+        return _scene_miquel_circles(s.a1, s.b1, s.c1, s.triangle)
+
+    @cached_property
+    def q_circles(self) -> Tuple[Circle, Circle, Circle]:
+        """The Miquel circles of Q at A, B and C."""
+        s = self.scene
+        return _scene_miquel_circles(s.a2, s.b2, s.c2, s.triangle)
 
     @cached_property
     def similarity(self) -> InverseSimilarity:
@@ -232,19 +246,90 @@ def miquel_point(d: Point, e: Point, f: Point, tri: Triangle) -> Point:
 def _miquel(d: Point, e: Point, f: Point, tri: Triangle) -> Tuple[Point, Tuple[Circle, Circle, Circle]]:
     """``miquel_point`` together with its three circles, at A, B and C;
     ``Degenerate`` unless d, e, f lie on BC, CA, AB and the circles exist."""
+    circle_a, circle_b, circle_c = circles = _miquel_circles(d, e, f, tri)
+    with _Stage("miquel point"):
+        m, _ = _second_common(circle_a.h, circle_b.h, f)
+    _require(on_circle(m, circle_c), "Miquel point misses the third circle")
+    return m, circles
+
+
+def _miquel_circles(d: Point, e: Point, f: Point, tri: Triangle) -> Tuple[Circle, Circle, Circle]:
+    """The Miquel circles of d, e, f at A, B and C, as ``_miquel`` builds them."""
     a, b, c = tri.a, tri.b, tri.c
     bc, ca, ab = tri.sides
     for name, pt, (la, lb, lc), side in zip("def", (d, e, f), (bc, ca, ab), ("BC", "CA", "AB")):
         x, y, w = pt.h
         if la * x + lb * y + lc * w:
             raise Degenerate("miquel point", f"{name} is not on sideline {side}")
-    circle_a = miquel_circle(a, e, ca, f, ab, "miquel circle at A")
-    circle_b = miquel_circle(b, f, ab, d, bc, "miquel circle at B")
-    circle_c = miquel_circle(c, d, bc, e, ca, "miquel circle at C")
-    with _Stage("miquel point"):
-        m, _ = _second_common(circle_a.h, circle_b.h, f)
-    _require(on_circle(m, circle_c), "Miquel point misses the third circle")
-    return m, (circle_a, circle_b, circle_c)
+    return (
+        miquel_circle(a, e, ca, f, ab, "miquel circle at A"),
+        miquel_circle(b, f, ab, d, bc, "miquel circle at B"),
+        miquel_circle(c, d, bc, e, ca, "miquel circle at C"),
+    )
+
+
+def _scene_miquel_circles(d: Point, e: Point, f: Point, tri: Triangle) -> Tuple[Circle, Circle, Circle]:
+    """``_miquel_circles`` of a valid scene's labels, which cannot raise.
+    Validation puts each label on its sideline.  A generic scene puts no
+    label on a vertex, and a classical one aliases one of each circle's two
+    points to its vertex, never both.  A tangent limit's third point is off
+    the vertex and on the other sideline, so off the tangent one; a vertex
+    and a point off it on each sideline through it are not collinear."""
+    with _Stage("Miquel circles", theorem=True):
+        return _miquel_circles(d, e, f, tri)
+
+
+def _closed_forms(
+    o: Point, one: Tuple[Point, Point, Point], two: Tuple[Point, Point, Point]
+) -> Tuple[Point, Point, Tuple[Point, Point, Point]]:
+    """The reduced P, Q and (A', B', C') of the labels one = (a1, b1, c1)
+    and two = (a2, b2, c2) of gamma, centred at o.
+
+    With o as the origin each label is a complex number z with
+    |z| = radius, and (Chen, *Euclidean Geometry in Mathematical
+    Olympiads*, ch. 6), summing cyclically over (a, b, c):
+
+        P = -N / D_P,  Q = N / D_Q,  A' = (b1 c2 - c1 b2) / (b1 - c1 - b2 + c2),
+        N = sum a1 a2 (b1 c2 - c1 b2),  D_Q = sum a1 a2 (b1 - c1),
+        D_P = sum a1 a2 (b2 - c2).
+
+    A label (x + iy)/w relative to o is the triple (x, y, w).  Each vertex
+    term is a Gaussian integer over the product of its four labels' w,
+    and each sum over the product of all six, which cancels in the
+    quotient.  No valid scene makes a divisor zero.  On gamma, D_P = 0
+    forces (a1 - b1)(a1 - c1)(b2 - c2)(b1 b2 - c1 c2) = 0, the resultant in
+    a2 of D_P and its conjugate (z -> radius^2 / z), and D_Q = 0 the same
+    with 1 and 2 exchanged: two labels equal that no scene aliases (a
+    classical one has a1 = c2, b1 = a2 and c1 = b2 only), or b1 b2 = c1 c2,
+    the chords CA and AB parallel.  b1 - b2 = c1 - c2 makes those chords
+    translates of each other.
+    """
+    a1, b1, c1 = [_sum(pt.h, o.h, -1) for pt in one]
+    a2, b2, c2 = [_sum(pt.h, o.h, -1) for pt in two]
+    nx = ny = qx = qy = px = py = 0
+    primes = []
+    # Written for the vertex A, with the opposite chord x1x2 = a1a2; B and
+    # C follow by the cyclic shift.
+    for (x1, x2, (bx1, by1, bw1), (bx2, by2, bw2), (cx1, cy1, cw1), (cx2, cy2, cw2)) in (
+        (a1, a2, b1, b2, c1, c2), (b1, b2, c1, c2, a1, a2), (c1, c2, a1, a2, b1, b2)
+    ):
+        # Over w = bw1 * cw1 * bw2 * cw2: t = b1 c2 - c1 b2, e = b1 - c1 and
+        # g = b2 - c2.  The two products are over complementary halves of w.
+        ux, uy, uw = _times((bx1, by1, bw1), (cx2, cy2, cw2))
+        vx, vy, vw = _times((cx1, cy1, cw1), (bx2, by2, bw2))
+        tx, ty = ux * vw - vx * uw, uy * vw - vy * uw
+        w1, w2 = bw1 * cw1, bw2 * cw2
+        ex, ey = (bx1 * cw1 - cx1 * bw1) * w2, (by1 * cw1 - cy1 * bw1) * w2
+        gx, gy = (bx2 * cw2 - cx2 * bw2) * w1, (by2 * cw2 - cy2 * bw2) * w1
+        primes.append(_reduced(Point, *_sum(o.h, _quotient((tx, ty, 1), (ex - gx, ey - gy, 1)), 1)))
+        # Times x1 x2, each term is over the product of all six w.
+        mx, my, _ = _times(x1, x2)
+        nx, ny = nx + mx * tx - my * ty, ny + mx * ty + my * tx
+        qx, qy = qx + mx * ex - my * ey, qy + mx * ey + my * ex
+        px, py = px + mx * gx - my * gy, py + mx * gy + my * gx
+    p = _reduced(Point, *_sum(o.h, _quotient((nx, ny, 1), (px, py, 1)), -1))
+    q = _reduced(Point, *_sum(o.h, _quotient((nx, ny, 1), (qx, qy, 1)), 1))
+    return p, q, tuple(primes)
 
 
 class _Stage:
@@ -273,13 +358,14 @@ def compute_configuration(scene: Scene) -> Configuration:
     checks assert them, with witnesses.  ``_prefix`` builds every stage that
     can reject a draw; this reduces what it keeps raw and adds the ones that
     cannot (the circumcircle, the Brocard circle, S_t, T_a, the spiral
-    ratios, X, Y, Z and O_A..O_C) and the record.  Raises ``Degenerate`` on
-    an input degeneracy, including ``Degenerate("S")`` when a T-vertex equals
-    its primed vertex, and ``InternalInconsistencyError`` only if a theorem
-    fails: the Miquel pair, Miquel's theorem, at T_B, T_C, a classical T_A
-    or a classical R, the Pascal line at a meet at infinity, R = O, the
-    Brocard circle, S_t, P or Q on BC, or the diameter-line block where
-    ``_prefix`` found it defined.
+    ratios, X, Y, Z and O_A..O_C) and the record; a collapse (P = Q) gets
+    only ``p`` and ``q``.  Raises ``Degenerate`` on an input degeneracy,
+    including ``Degenerate("S")`` when a T-vertex equals its primed vertex,
+    and ``InternalInconsistencyError`` only if a theorem fails: a zero
+    divisor in the closed forms of the Miquel pair and the primed
+    triangle, at T_B, T_C, a classical T_A, A'..C' or R, the Pascal line
+    at a meet at infinity, R = O, the Brocard circle, S_t, P or Q on BC, or
+    the diameter-line block where ``_prefix`` found it defined.
     Precondition: ``validate_scene(scene)`` is empty."""
     fields, lines, or_join = _prefix(scene)
     fields["circ"] = circ = scene.triangle.circumcircle
@@ -326,22 +412,13 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
     returned.  No Brocard circle, T-side or S_t is built here."""
     a, b, c = scene.a, scene.b, scene.c
     gamma, o = scene.gamma, scene.o
-    tri = scene.triangle
-    bc, ca, ab = tri.sides
+    bc, ca, ab = scene.triangle.sides
 
-    # The Miquel circles of P and of Q through each vertex also define the
-    # primed point there, their second meet; each is built once.  No valid
-    # scene raises here.  Validation puts each label on its sideline.  A
-    # generic scene puts no label on a vertex, and a classical one aliases
-    # one of each circle's two points to its vertex, never both.  A tangent
-    # limit's third point is off the vertex and on the other sideline, so
-    # off the tangent one; a vertex and a point off it on each sideline
-    # through it are not collinear; two distinct circles through f are not
-    # concentric.
+    # P, Q and A'..C' from the labels' closed forms.  No valid scene makes
+    # a divisor zero: see ``_closed_forms``.
     with _Stage("Miquel pair", theorem=True):
-        p, p_circles = _miquel(scene.a1, scene.b1, scene.c1, tri)
-        q, q_circles = _miquel(scene.a2, scene.b2, scene.c2, tri)
-    fields = dict(scene=scene, o=o, p=p, q=q, p_circles=p_circles, q_circles=q_circles)
+        p, q, primes = _closed_forms(o, (scene.a1, scene.b1, scene.c1), (scene.a2, scene.b2, scene.c2))
+    fields = dict(scene=scene, o=o, p=p, q=q)
     if p == q:
         return dict(fields, collapsed=True), {}, None
 
@@ -357,16 +434,16 @@ def _prefix(scene: Scene) -> Tuple[dict, dict, Optional[Tuple[int, int, int]]]:
     with _Stage("T_C", theorem=True):
         t_c = _reduced(Point, *_meet(_join(p, scene.c1), _join(q, scene.c2)))
 
-    def primed(v: Point, first: Circle, second: Circle, name: str) -> Point:
-        with _Stage(name):
-            pt, tangent = _second_common(first.h, second.h, v)
-        if tangent:
-            raise Degenerate(name, "defining circles are tangent at the vertex")
-        return pt
-
-    a_prime = primed(a, p_circles[0], q_circles[0], "A'")
-    b_prime = primed(b, p_circles[1], q_circles[1], "B'")
-    c_prime = primed(c, p_circles[2], q_circles[2], "C'")
+    # A' is the second meet of the Miquel circles of P and of Q through A,
+    # and A' = A where they touch there: exactly when
+    # (b1 - c1)(b2 - c2)(b1 c1 - b2 c2) = 0, so for distinct labels when the
+    # chords b1c1 and b2c2 are parallel, which a generated scene can reach.
+    # A classical one cannot: there b1 = C, c1 = b2 = A and c2 = B.
+    a_prime, b_prime, c_prime = primes
+    for name, v, pt in (("A'", a, a_prime), ("B'", b, b_prime), ("C'", c, c_prime)):
+        with _Stage(name, theorem=scene.classical):
+            if pt == v:
+                raise GeometryError("defining circles are tangent at the vertex")
 
     def hexagon_meet(u1: Point, u2: Point, v1: Point, v2: Point, name: str):
         """Meet of two hexagon sides, or None and the first side when it

@@ -142,26 +142,30 @@ def test_fraction_operations_of_one_suite_run(monkeypatch):
 #: ``Line`` calls once, is bounded by the same count.
 LINE_NEW_SEED7 = 13
 
-#: ``geom._reduced`` calls in the same run: 55 since the Kwon remark runs
+#: ``geom._reduced`` calls in the same run: 52 since the Miquel pair and the
+#: primed triangle come from their closed forms and the six Miquel circles
+#: leave the build, 55 since the Kwon remark runs
 #: once per process, 69 since the cyclic lemma's quadrangle Miquel point
 #: meets two raw circles, 71 since no circle is reduced for one meet or one
 #: incidence and the pedal feet stay raw, 88 since points, ratios and
 #: circles built for one meet or one comparison stay raw integer tuples,
 #: 128 while each of them was reduced.
-REDUCED_SEED7 = 55
+REDUCED_SEED7 = 52
 
-#: ``geom._circle_through`` calls in the same run: 10 since the Kwon remark
+#: ``geom._circle_through`` calls in the same run: 5 since the build makes
+#: no Miquel circle, 10 since the Kwon remark
 #: runs once per process, 13 since an incidence with the circle through
 #: three points is decided on their cross ratio and O_A, O_B, O_C come from
 #: ``_circumcenter``, 22 while every such circle was built.  The tracer's
 #: ``geom.circumcircle.calls`` does not see these.
-CIRCLE_THROUGH_SEED7 = 10
+CIRCLE_THROUGH_SEED7 = 5
 
 #: ``geom._power`` calls in the same run, one per incidence of a point with
-#: a circle: 30 since the Kwon remark runs once per process, 31 since the
+#: a circle: 29 since the build tests no Miquel point on its third circle,
+#: 30 since the Kwon remark runs once per process, 31 since the
 #: build tests no point on a circle it built through that point and no S_t
 #: on the circumcircle before T_a, 44 before.
-POWER_SEED7 = 30
+POWER_SEED7 = 29
 
 
 def _suite_calls():
@@ -216,13 +220,14 @@ def test_circle_incidences_of_one_suite_run():
     assert 0 < _calls_of(calls, geom._power) <= POWER_SEED7 * 1.1
 
 
-#: ``geom._reduced`` calls of ``generate_scene(SceneParams(seed=7))``: 28
-#: since R* and the perspector stay raw in the prefix, and the Brocard
+#: ``geom._reduced`` calls of ``generate_scene(SceneParams(seed=7))``: 22
+#: since the Miquel pair and the primed triangle come from their closed
+#: forms and no Miquel circle is built, 28 since R* and the perspector stay raw in the prefix, and the Brocard
 #: circle and S_t, once kept raw there, are theorem stages that generation
 #: does not build, 32 since the isogonal probe of P and the spiral ratios,
 #: which no valid draw can fail, left generation, 34 while generation built
 #: them, 42 while it built the whole configuration and threw it away.
-GENERATE_REDUCED_SEED7 = 28
+GENERATE_REDUCED_SEED7 = 22
 
 
 def _generation_stats(params):
@@ -243,9 +248,9 @@ def test_generation_builds_no_configuration():
     """The tracer counts ``compute_configuration`` spans, which generation
     no longer makes, so this pins its cost: no configuration, no
     circumcenter of the diameter-line block, no spiral ratio, no Brocard
-    circle and no parallel of S_t (circles through three points only for
-    the Miquel circles), a raw isogonal conjugate only for R*, and
-    reductions within 10%.  Draws take no ``Random.randrange``, here on the
+    circle, no parallel of S_t and no circle through three points (the
+    Miquel pair comes from its closed forms), a raw isogonal conjugate
+    only for R*, and reductions within 10%.  Draws take no ``Random.randrange``, here on the
     strict path, which draws most: the pairs come straight from
     ``getrandbits``."""
     stats, calls = _generation_stats(SceneParams(seed=7))
@@ -253,10 +258,10 @@ def test_generation_builds_no_configuration():
     assert _calls_of(calls, geom._circumcenter) == 0
     assert _calls_of(calls, geom._spiral) == 0
     assert _calls_of(calls, geom._parallel) == 0
-    for fn, caller in ((geom._isogonal, "_prefix"), (geom._circle_through, "miquel_circle")):
-        code = fn.__code__
-        callers = stats[(code.co_filename, code.co_firstlineno, code.co_name)][4]
-        assert {name for _, _, name in callers} == {caller}
+    assert _calls_of(calls, geom._circle_through) == 0
+    code = geom._isogonal.__code__
+    callers = stats[(code.co_filename, code.co_firstlineno, code.co_name)][4]
+    assert {name for _, _, name in callers} == {"_prefix"}
     assert 0 < _calls_of(calls, geom._reduced) <= GENERATE_REDUCED_SEED7 * 1.1
     _, strict_calls = _generation_stats(SceneParams(seed=7, strict_segments=True))
     assert _calls_of(strict_calls, random.Random.randrange) == 0

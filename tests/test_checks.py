@@ -165,13 +165,22 @@ class TestSuitePass:
         the suite raises nothing, and every check passes except the
         circumcenter perspective, which is DEGENERATE exactly on the
         isosceles triangles, where the line OR runs through the apex."""
+        self._classical_sweep()
+
+    def test_classical_sweep_off_centre(self):
+        """The same sweep on a circumcircle centred off the origin, where a
+        slip in a center term of the kernel shows."""
+        self._classical_sweep(center=Point(F(1, 2), F(-1, 3)), radius=F(5, 3))
+
+    @staticmethod
+    def _classical_sweep(**gamma):
         rng = Random(0)
         isosceles = 0
         for _ in range(300):
             ts = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(3)]
             if len(set(ts)) < 3:
                 continue
-            scene = classical_brocard_scene(*ts)
+            scene = classical_brocard_scene(*ts, **gamma)
             sides = {dist2(scene.b, scene.c), dist2(scene.c, scene.a), dist2(scene.a, scene.b)}
             isosceles += len(sides) < 3
             report = run_suite(scene)
@@ -326,10 +335,13 @@ class TestConstructionBugs:
         assert report.counts == {PASS: 10, FAIL: 8, DEGENERATE: 0}
 
     def test_broken_miquel_is_internal_error(self, seed7_scene, monkeypatch):
-        """Miquel's theorem is no check's assertion, so a second circle meet
-        that misses the third Miquel circle is an internal error: it escapes
-        ``run_suite`` and ``generate_scene`` instead of reading as a
-        degenerate draw."""
+        """The build takes the scene's Miquel pair from its closed forms, so
+        a second circle meet that misses the third Miquel circle leaves the
+        configuration and generation as they were.  Miquel's theorem stays
+        tested in ``_miquel`` for its other callers: the cyclic lemma's
+        quadrangle Miquel point escapes as an internal error instead of
+        reading as a degenerate input."""
+        cfg = compute_configuration(seed7_scene)
         second = pipeline._second_common
 
         def shifted(*args):
@@ -337,10 +349,8 @@ class TestConstructionBugs:
             return pt + Point(1, 0), tangent
 
         monkeypatch.setattr(pipeline, "_second_common", shifted)
-        with pytest.raises(InternalInconsistencyError, match="Miquel point misses the third circle"):
-            run_suite(seed7_scene)
-        with pytest.raises(InternalInconsistencyError):
-            generate_scene(SceneParams(seed=7))
+        assert compute_configuration(seed7_scene) == cfg
+        assert generate_scene(SceneParams(seed=7)) == seed7_scene
         circle = Circle(0, 0, -1)
         with pytest.raises(InternalInconsistencyError, match="Miquel point misses the third circle"):
             check_lemma_cyclic(circle, *build_cyclic_quadrangle(circle))
@@ -387,46 +397,67 @@ class TestConstructionBugs:
         self._fails_with_witnesses(scenes, tmp_path)
 
     def test_swapped_miquel_pair_fails_with_witnesses(self, seed7_scene, monkeypatch, tmp_path):
-        """P built from Q's incidence points and Q from P's: every T-vertex
-        joins the wrong cevians, and the checks FAIL with witnesses."""
-        scenes = [seed7_scene, classical_brocard_scene(0, 1, 3)]
-        other = {}
-        for s in scenes:
-            other[(s.a1, s.b1, s.c1)] = (s.a2, s.b2, s.c2)
-            other[(s.a2, s.b2, s.c2)] = (s.a1, s.b1, s.c1)
-        miquel = pipeline._miquel
-        monkeypatch.setattr(pipeline, "_miquel", lambda d, e, f, tri: miquel(*other[(d, e, f)], tri))
-        self._fails_with_witnesses(scenes, tmp_path)
+        """The closed forms fed Q's label triple as P's and P's as Q's: P
+        and Q trade places, every T-vertex joins the wrong cevians, and the
+        checks FAIL with witnesses."""
+        real = pipeline._closed_forms
+        monkeypatch.setattr(pipeline, "_closed_forms", lambda o, one, two: real(o, two, one))
+        self._fails_with_witnesses([seed7_scene, classical_brocard_scene(0, 1, 3)], tmp_path)
 
-    def test_off_normal_tangent_circle_is_internal_error(self, monkeypatch):
+    def test_primed_vertex_on_its_vertex_is_internal_error_on_classical(self, seed7_scene, monkeypatch):
+        """A' = A needs (b1 - c1)(b2 - c2)(b1 c1 - b2 c2) = 0, which no
+        classical scene allows.  Closed forms that put each primed vertex
+        on its vertex escape ``run_suite`` as an internal error on a
+        classical scene, and read as the input degeneracy at A' on a
+        generated one, where that factor can vanish."""
+        real = pipeline._closed_forms
+        classical = classical_brocard_scene(0, 1, 3)
+        for scene in (classical, seed7_scene):
+            monkeypatch.setattr(pipeline, "_closed_forms", lambda o, one, two: (*real(o, one, two)[:2], scene.vertices))
+            if scene is classical:
+                with pytest.raises(InternalInconsistencyError, match="^A': defining circles are tangent at"):
+                    run_suite(scene)
+            else:
+                assert run_suite(scene).results[-1].notes == ("A': defining circles are tangent at the vertex",)
+
+    def test_off_normal_tangent_circle_fails_with_witnesses(self, monkeypatch):
         """Each tangent circle centered on the normal at its third point
-        instead of at the tangency point.  On a classical scene the T_A
-        cevians meet at twice the Brocard angle, so T_A is a theorem stage
-        and their parallel lines escape ``run_suite`` as an internal error
-        instead of reading as a degenerate input."""
+        instead of at the tangency point.  Only the classical check reads the
+        Miquel circles, so it alone FAILs, on the Brocard points off their
+        tangent circles, each with the nonzero residual as witness."""
 
         def off_normal(t, line, p):
             center = geom._reduced(Point, *geom._meet(geom._perpendicular(p, line), geom._bisector(t, p)))
             return Circle.from_center_radius2(center, dist2(center, t))
 
         monkeypatch.setattr(pipeline, "circle_through_tangent", off_normal)
-        for ts in ((0, 1, -1), (0, 1, 3), (F(1, 2), -3, F(7, 5))):
-            with pytest.raises(InternalInconsistencyError, match="^T_A: lines are parallel"):
-                run_suite(classical_brocard_scene(*ts))
+        tangent_labels = [f"Omega on w_{x}" for x in "ABC"] + [f"Omega' on w_{x}'" for x in "ABC"]
+        for ts, labels in (
+            ((0, 1, -1), ["Omega on w_A", "Omega on w_B", "Omega' on w_A'", "Omega' on w_C'"]),
+            ((0, 1, 3), tangent_labels),
+            ((F(1, 2), -3, F(7, 5)), tangent_labels),
+        ):
+            report = run_suite(classical_brocard_scene(*ts))
+            failed = [r for r in report.results if r.status == FAIL]
+            assert [r.check_id for r in failed] == ["check_classical_overlay"]
+            assert [a.label for a in failed[0].failed_assertions] == labels
+            assert all(w != 0 for a in failed[0].failed_assertions for w in a.witnesses)
 
     def test_exchanged_miquel_sidelines_are_internal_error(self, monkeypatch):
-        """Each Miquel circle built with its two sidelines exchanged.  On a
-        classical scene a tangent limit then touches the sideline that
-        carries its third point, which no valid scene allows, so the build's
-        Miquel pair escapes ``run_suite`` as an internal error instead of
-        reading as a degenerate input."""
+        """Each Miquel circle built with its two sidelines exchanged.  The
+        build makes no Miquel circle; on a classical scene the tangent limit
+        the classical check reads then touches the sideline that carries its
+        third point, which no valid scene allows, so it escapes ``run_suite``
+        as an internal error instead of reading as a degenerate input."""
         circle = pipeline.miquel_circle
         monkeypatch.setattr(
             pipeline, "miquel_circle", lambda v, p, p_side, q, q_side, name: circle(v, p, q_side, q, p_side, name)
         )
         for ts in ((0, 1, -1), (0, 1, 3), (F(1, 2), -3, F(7, 5))):
-            with pytest.raises(InternalInconsistencyError, match="^Miquel pair: tangent circle: third point lies on"):
-                run_suite(classical_brocard_scene(*ts))
+            scene = classical_brocard_scene(*ts)
+            compute_configuration(scene)
+            with pytest.raises(InternalInconsistencyError, match="^Miquel circles: tangent circle: third point"):
+                run_suite(scene)
 
     def test_antipodal_tangent_is_internal_error_or_fail(self, monkeypatch):
         """Each hexagon side through a doubled label built as the tangent at
@@ -630,7 +661,9 @@ class TestClassicalOverlayCheck:
             assert failed[label] == (d.x, d.y) != (0, 0)
         w_c, w_a, w_b = cfg.p_circles
         bent = Circle(w_a.d, w_a.e, w_a.f + 1)
-        result = check_classical_overlay(dataclasses.replace(cfg, p_circles=(w_c, bent, w_b)))
+        moved = dataclasses.replace(cfg)
+        vars(moved)["p_circles"] = (w_c, bent, w_b)
+        result = check_classical_overlay(moved)
         assert [(a.label, a.witnesses) for a in result.failed_assertions] == [("Omega on w_A", (bent.eval(omega),))]
 
     def test_overlay_assertions(self):

@@ -492,10 +492,15 @@ class TestCliClassical:
 
     def test_builds_each_object_once(self, monkeypatch, capsys):
         """The command prints from the suite's own configuration and shares
-        one overlay with the check: one build, the two Miquel points with
-        their six tangent circles, and one overlay whose K is the one
-        isogonal conjugate the pipeline takes beside R*."""
+        one overlay with the check: one build, the Miquel pair from one
+        closed-form evaluation, the six tangent circles the check reads, and
+        one overlay whose K is the one isogonal conjugate the pipeline takes
+        beside R*."""
         calls = collections.Counter()
+        # The two lemma checks run once per process, each through
+        # ``_miquel``; run them first, so the count holds in any test order.
+        checks._kwon_remark()
+        checks._cyclic_lemma(Circle(0, 0, -1))
 
         def count(module, name):
             real = getattr(module, name)
@@ -509,6 +514,7 @@ class TestCliClassical:
         for module, name in (
             (checks, "compute_configuration"),
             (pipeline, "compute_configuration"),
+            (pipeline, "_closed_forms"),
             (pipeline, "_miquel"),
             (pipeline, "circle_through_tangent"),
             (pipeline, "classical_overlay"),
@@ -518,7 +524,8 @@ class TestCliClassical:
         assert main(["classical", "--params", "0,1,3"]) == 0
         assert "Omega  = (-26/73, 45/73)" in capsys.readouterr().out
         assert calls == {
-            "compute_configuration": 1, "_miquel": 2, "circle_through_tangent": 6, "classical_overlay": 1, "_isogonal": 2
+            "compute_configuration": 1, "_closed_forms": 1, "circle_through_tangent": 6, "classical_overlay": 1,
+            "_isogonal": 2,
         }
 
     def test_degenerate_configuration_not_rebuilt(self, monkeypatch, capsys):

@@ -270,7 +270,7 @@ class TestClassicalOverlay:
         """Each Miquel circle of a classical configuration is the circle
         tangent to a sideline at one end and through the opposite vertex,
         named as in ``tangent_circles``; the configuration builds the six
-        once, in one tangent-circle call each."""
+        on first read, in one tangent-circle call each."""
         s = classical_brocard_scene(*params)
         a, b, c = s.a, s.b, s.c
         bc, ca, ab = s.triangle.sides
